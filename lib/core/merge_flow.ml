@@ -164,13 +164,18 @@ let degenerate_mergeability modes =
     pair_reasons = Hashtbl.create 1;
   }
 
+(* Groups keep their prelim without its merged context: nothing past
+   refinement reads it, it would pin a context's arrays for the rest of
+   the run, and contexts cannot be marshaled into a checkpoint. *)
+let without_ctx (prelim : Prelim.t) = { prelim with Prelim.merged_ctx = None }
+
 let singleton_group ?tolerance ~ctx_cache (single : Mode.t) =
   let prelim =
     Prelim.merge ?tolerance ~ctx_cache ~name:single.Mode.mode_name [ single ]
   in
   {
     grp_members = [ single.Mode.mode_name ];
-    grp_prelim = prelim;
+    grp_prelim = without_ctx prelim;
     grp_refine = None;
     grp_equiv = None;
     grp_mode = single;
@@ -192,7 +197,7 @@ let merged_group ?tolerance ~check_equivalence ~ctx_cache ~name members =
   let mode = refine.Refine.refined in
   {
     grp_members = List.map (fun (m : Mode.t) -> m.Mode.mode_name) members;
-    grp_prelim = prelim;
+    grp_prelim = without_ctx prelim;
     grp_refine = Some refine;
     grp_equiv = equiv;
     grp_mode = mode;

@@ -16,7 +16,11 @@ type pair_check = { mergeable : bool; reasons : string list }
    refinement (the merged clock may be renamed). *)
 let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
   let design = prelim.Prelim.merged.Mode.design in
-  let ctx_m = Context.create design prelim.Prelim.merged in
+  let ctx_m =
+    match prelim.Prelim.merged_ctx with
+    | Some c -> c
+    | None -> Context.create design prelim.Prelim.merged
+  in
   let reasons = ref [] in
   List.iter
     (fun (m : Mode.t) ->
@@ -186,6 +190,17 @@ let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
       pairs := (i, j) :: !pairs
     done
   done;
+  (* Build every individual context first, one task per mode, so pair
+     tasks on different workers never race to build the same one. A
+     build that fails here is left to the pair checks that need it,
+     which own the failure handling. *)
+  (match pool with
+  | Some pool when n >= 2 ->
+    ignore
+      (Pool.map_outcome pool ~govern
+         (fun m -> ignore (Ctx_cache.find (Ctx_cache.fork ctx_cache) m))
+         modes)
+  | Some _ | None -> ());
   (* Each pairwise check is an independent task: a forked cache handle
      keeps lookups lock-free after the first touch of each mode. *)
   let check_one (i, j) =
@@ -256,7 +271,6 @@ let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
 
 let clique_modes t modes =
   let arr = Array.of_list modes in
-  ignore t.mode_names;
   List.map (fun clique -> List.map (fun i -> arr.(i)) clique) t.cliques
 
 let edges t =

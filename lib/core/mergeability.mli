@@ -10,6 +10,11 @@
 
 type pair_check = { mergeable : bool; reasons : string list }
 
+(** Stage 1 merges with refinement disabled and vetoes on conflicts;
+    stage 2 runs the full mock merge and the clock-blocking check on
+    the merged context the mock merge hands back
+    ({!Prelim.t.merged_ctx}), building one only when clock refinement
+    did not converge. *)
 val check_pair :
   ?tolerance:Mm_util.Toler.t ->
   ?ctx_cache:Mm_timing.Ctx_cache.t ->
@@ -52,7 +57,10 @@ val analyze :
 (** The O(N^2) pairwise sweep runs on [pool] when given — each pair is
     an independent task over a {!Mm_timing.Ctx_cache.fork} of
     [ctx_cache]; results are folded in pair order, so the analysis is
-    identical with and without a pool.
+    identical with and without a pool. Before the pair tasks, one pool
+    batch builds every mode's individual context into [ctx_cache] (one
+    task per mode), so no two workers build the same context; a build
+    that fails there is left to the pair checks that need it.
 
     The sweep runs under [govern] (with an optional per-pair
     [task_budget_s]); an abandoned pair check gets one direct rescue

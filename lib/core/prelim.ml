@@ -10,6 +10,10 @@ module Graph = Mm_timing.Graph
 
 type t = {
   merged : Mode.t;
+  merged_ctx : Context.t option;
+      (* context of [merged] built by the converged clock refinement;
+         merge groups keep the prelim without it, so it never reaches
+         a checkpoint — contexts hold unmarshalable runtime state *)
   clock_map : (string * string, string) Hashtbl.t;
   dropped_cases : (string * Design.pin_id * bool) list;
   dropped_exceptions : (string * Mode.exc) list;
@@ -170,13 +174,12 @@ let union_io_delays modes clock_map =
 let intersect_cases modes =
   match modes with
   | [] -> [], []
-  | (first : Mode.t) :: _ ->
+  | _ :: _ ->
     let kept = ref [] and dropped = ref [] in
     let all_pins =
       List.concat_map (fun (m : Mode.t) -> List.map fst m.Mode.cases) modes
       |> List.sort_uniq compare
     in
-    ignore first;
     List.iter
       (fun pin ->
         let values =
@@ -544,12 +547,10 @@ let mapped_union_masks clock_map modes ctxs ctx_m =
 let clock_refinement ~max_iters design modes ctxs clock_map merged0 =
   let inferred_senses = ref [] in
   let rec go merged iter =
-    if iter >= max_iters then merged
+    if iter >= max_iters then merged, None
     else begin
       let ctx_m = Context.create design merged in
       let union = mapped_union_masks clock_map modes ctxs ctx_m in
-      let n = Graph.n_pins ctx_m.Context.graph in
-      ignore n;
       let extra pin =
         Clock_prop.mask_at ctx_m.Context.clocks pin land lnot union.(pin)
       in
@@ -579,7 +580,7 @@ let clock_refinement ~max_iters design modes ctxs clock_map merged0 =
           end)
       ;
       match !new_senses with
-      | [] -> merged
+      | [] -> merged, Some ctx_m
       | senses ->
         inferred_senses := senses @ !inferred_senses;
         let extra_senses =
@@ -591,8 +592,8 @@ let clock_refinement ~max_iters design modes ctxs clock_map merged0 =
         go { merged with Mode.senses = merged.Mode.senses @ extra_senses } (iter + 1)
     end
   in
-  let refined = go merged0 0 in
-  refined, List.rev !inferred_senses
+  let refined, ctx = go merged0 0 in
+  refined, ctx, List.rev !inferred_senses
 
 (* Disable inference: pins case-constant in every individual mode whose
    case statements were dropped never toggle anywhere — disable them in
@@ -677,7 +678,7 @@ let merge ?(tolerance = Toler.default) ?(max_refine_iters = 5) ?ctx_cache
     }
   in
   let ctxs = List.map ctx_of modes in
-  let merged, inferred_senses =
+  let merged, merged_ctx, inferred_senses =
     clock_refinement ~max_iters:max_refine_iters design modes ctxs clock_map
       merged0
   in
@@ -686,6 +687,7 @@ let merge ?(tolerance = Toler.default) ?(max_refine_iters = 5) ?ctx_cache
   Metrics.incr ~by:(List.length !conflicts) "prelim.conflicts";
   {
     merged;
+    merged_ctx;
     clock_map;
     dropped_cases;
     dropped_exceptions;

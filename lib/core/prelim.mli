@@ -21,6 +21,14 @@
 
 type t = {
   merged : Mm_sdc.Mode.t;
+  merged_ctx : Mm_timing.Context.t option;
+      (** analysis context of [merged], as built by the last round of
+          clock refinement — reusable by {!Mergeability} and {!Refine}
+          instead of rebuilding it. [None] when refinement stopped at
+          [max_refine_iters] (no context was built for the returned
+          mode). {!Merge_flow} groups keep the prelim with this field
+          stripped to [None], so no context reaches a checkpoint:
+          contexts hold unmarshalable runtime state *)
   clock_map : (string * string, string) Hashtbl.t;
       (** (mode name, individual clock) -> merged clock *)
   dropped_cases : (string * Mm_netlist.Design.pin_id * bool) list;

@@ -143,9 +143,14 @@ let coalesce_tagged tagged =
            Mode.exc_through = [ List.sort_uniq compare slot.slot_pins ];
          })
 
-let data_clock_refinement (prelim : Prelim.t) individual ctxs merged =
+let data_clock_refinement (prelim : Prelim.t) individual ctxs =
+  let merged = prelim.Prelim.merged in
   let design = merged.Mode.design in
-  let ctx_m = Context.create design merged in
+  let ctx_m =
+    match prelim.Prelim.merged_ctx with
+    | Some c -> c
+    | None -> Context.create design merged
+  in
   let union = union_data_masks prelim individual ctxs ctx_m in
   let masks_m = Relation_prop.data_clock_masks ctx_m in
   let extra pin = masks_m.(pin) land lnot union.(pin) in
@@ -202,7 +207,7 @@ let run ?(max_iters = 4) ?ctx_cache ~(prelim : Prelim.t) ~individual () =
   in
   (* Step 1: data-network clock refinement. *)
   let merged, data_clock_fixes, step1_tagged, base_ctx =
-    data_clock_refinement prelim individual ctxs prelim.Prelim.merged
+    data_clock_refinement prelim individual ctxs
   in
   (* Step 2: compare/fix loop. Every iteration's mode differs from
      [base_ctx]'s only by appended exceptions, so the context is

@@ -12,7 +12,10 @@
        final comparison doubles as the validation of the merged mode.
 
     Requires the individual modes and the clock renaming from
-    {!Prelim}. *)
+    {!Prelim}. Step 1 analyses the prelim's own merged context
+    ({!Prelim.t.merged_ctx}) when it has one, and the compare/fix loop
+    derives every later context from it, so a refinement run builds no
+    merged context of its own. *)
 
 (** Why a refinement exception was added: a step-1 data-network clock
     cut, or a comparison-pass fix (with its full {!Compare.evidence}).

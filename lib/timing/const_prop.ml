@@ -9,102 +9,222 @@ type t = {
   pin_disabled : bool array;
 }
 
+(* The value a pin computes from what it reads: a combinational output
+   evaluates its cell function over its instance's pins, an input pin
+   copies its net driver; ports and sequential outputs stay X. Every
+   pin read is the source of one of the pin's incoming arcs (a comb arc
+   per function input, a net arc from the driver), so the readers of a
+   pin are among its fan-out. *)
+let eval_pin design ~read pin =
+  match Design.pin_owner design pin with
+  | Design.Port_pin _ -> Logic.X
+  | Design.Inst_pin (inst, idx) ->
+    let cell = Design.inst_cell design inst in
+    if cell.Lib_cell.pins.(idx).Lib_cell.dir = Lib_cell.Output then begin
+      match Lib_cell.function_of_output cell idx with
+      | Some f -> Logic.eval (fun i -> read (Design.inst_pin design inst i)) f
+      | None -> Logic.X
+    end
+    else begin
+      match Design.pin_net design pin with
+      | None -> Logic.X
+      | Some net -> (
+        match Design.net_driver design net with
+        | Some drv when drv <> pin -> read drv
+        | Some _ | None -> Logic.X)
+    end
+
+(* Re-evaluate the pins marked in [dirty] (indexed by topological
+   position) in topological order, starting at position [first]. A pin
+   reads the current value of a pin placed before it; across a cycle
+   break it reads the later pin's initial value — its case value, else
+   X — which is what one in-order sweep from all-X reads there. A pin
+   whose value changes marks its later readers dirty. Returns the
+   changed pins. *)
+let sweep g ~values ~forced ~dirty ~first =
+  let design = g.Graph.design in
+  let topo = Graph.topo g and pos = Graph.topo_pos g in
+  let initial q = Option.value (Hashtbl.find_opt forced q) ~default:Logic.X in
+  let changed = ref [] in
+  for k = first to Array.length topo - 1 do
+    if Bytes.get dirty k <> '\000' then begin
+      let p = topo.(k) in
+      let v =
+        match Hashtbl.find_opt forced p with
+        | Some v -> v
+        | None ->
+          eval_pin design p ~read:(fun q ->
+              if pos.(q) < k then values.(q) else initial q)
+      in
+      if v <> values.(p) then begin
+        values.(p) <- v;
+        changed := p :: !changed;
+        Graph.iter_out g p (fun aid ->
+            let r = pos.(Graph.arc_dst g aid) in
+            if r > k then Bytes.set dirty r '\001')
+      end
+    end
+  done;
+  !changed
+
+(* Enablement of one arc under final pin values and the mode's
+   disables; see the interface for the rules. *)
+let arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid =
+  let design = g.Graph.design in
+  let src = Graph.arc_src g aid and dst = Graph.arc_dst g aid in
+  if
+    Hashtbl.mem inst_disabled aid
+    || Hashtbl.mem broken aid
+    || pin_disabled.(src)
+    || pin_disabled.(dst)
+    || values.(src) <> Logic.X
+    || values.(dst) <> Logic.X
+  then false
+  else
+    match Graph.arc_kind g aid with
+    | Graph.Net | Graph.Launch -> true
+    | Graph.Comb -> (
+      match Design.pin_owner design dst with
+      | Design.Inst_pin (inst, out_idx) -> (
+        let cell = Design.inst_cell design inst in
+        match Lib_cell.function_of_output cell out_idx with
+        | Some f -> (
+          let env i = values.(Design.inst_pin design inst i) in
+          match Design.pin_owner design src with
+          | Design.Inst_pin (_, in_idx) -> Logic.observable env f in_idx
+          | Design.Port_pin _ -> true)
+        | None -> true)
+      | Design.Port_pin _ -> true)
+
+let broken_table g =
+  let broken = Hashtbl.create 16 in
+  List.iter (fun aid -> Hashtbl.replace broken aid ()) (Graph.broken_arcs g);
+  broken
+
+(* The cell and launch arcs of one instance: each leaves one of the
+   instance's own pins. *)
+let iter_inst_arcs g inst f =
+  let design = g.Graph.design in
+  let cell = Design.inst_cell design inst in
+  for i = 0 to Array.length cell.Lib_cell.pins - 1 do
+    Graph.iter_out g (Design.inst_pin design inst i) (fun aid ->
+        if Graph.arc_inst g aid = inst && Graph.arc_kind g aid <> Graph.Net
+        then f aid)
+  done
+
+(* The all-X baseline: every pin swept once from all-X with no cases,
+   every arc evaluated with no disables. *)
+let compute_baseline g =
+  let n = Graph.n_pins g in
+  let values = Array.make n Logic.X in
+  ignore
+    (sweep g ~values ~forced:(Hashtbl.create 1) ~dirty:(Bytes.make n '\001')
+       ~first:0);
+  let pin_disabled = Array.make n false in
+  let inst_disabled = Hashtbl.create 1 and broken = broken_table g in
+  let constants = ref [] and disabled = ref [] in
+  for p = n - 1 downto 0 do
+    if values.(p) <> Logic.X then constants := (p, values.(p)) :: !constants
+  done;
+  for aid = Graph.n_arcs g - 1 downto 0 do
+    if not (arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid) then
+      disabled := aid :: !disabled
+  done;
+  {
+    Tgraph.cb_constants = Array.of_list !constants;
+    cb_disabled = Array.of_list !disabled;
+  }
+
+(* Computed once per skeleton and published with a compare-and-set:
+   domains racing on a cold skeleton each compute it, the first
+   publication wins and every caller returns that one. *)
+let baseline g =
+  let slot = g.Graph.tg.Tgraph.sk.Tgraph.const_base in
+  match Atomic.get slot with
+  | Some b -> b
+  | None ->
+    let b = compute_baseline g in
+    if Atomic.compare_and_set slot None (Some b) then b
+    else Option.get (Atomic.get slot)
+
 let run (g : Graph.t) (mode : Mode.t) =
   let design = g.Graph.design in
   let n = Graph.n_pins g in
-  let values = Array.make n Logic.X in
-  let forced = Array.make n false in
+  let pos = Graph.topo_pos g in
+  let base = baseline g in
+  (* Case values; a pin cased twice keeps its last value. *)
+  let forced = Hashtbl.create 16 in
   List.iter
-    (fun (pin, v) ->
-      values.(pin) <- Logic.tri_of_bool v;
-      forced.(pin) <- true)
+    (fun (pin, v) -> Hashtbl.replace forced pin (Logic.tri_of_bool v))
     mode.Mode.cases;
-  (* Propagate constants in topological order. Forced pins keep their
-     case value regardless of drivers. *)
-  Array.iter
-    (fun pin ->
-      if not forced.(pin) then begin
-        match Design.pin_owner design pin with
-        | Design.Port_pin _ -> () (* inputs unknown unless cased *)
-        | Design.Inst_pin (inst, idx) ->
-          let cell = Design.inst_cell design inst in
-          if cell.Lib_cell.pins.(idx).Lib_cell.dir = Lib_cell.Output then begin
-            (* Sequential outputs stay X; combinational outputs evaluate
-               their function. *)
-            match Lib_cell.function_of_output cell idx with
-            | Some f ->
-              let env i = values.(Design.inst_pin design inst i) in
-              values.(pin) <- Logic.eval env f
-            | None -> ()
-          end
-          else begin
-            (* Input pin: copy the net driver's value. *)
-            match Design.pin_net design pin with
-            | None -> ()
-            | Some net -> (
-              match Design.net_driver design net with
-              | Some drv when drv <> pin -> values.(pin) <- values.(drv)
-              | Some _ | None -> ())
-          end
-      end)
-    (Graph.topo g);
+  (* Seeds: every cased pin, and every earlier reader of one — across a
+     cycle break it sees the case value where the baseline saw X. *)
+  let dirty = Bytes.make n '\000' in
+  let first = ref n in
+  let mark k =
+    Bytes.set dirty k '\001';
+    if k < !first then first := k
+  in
+  Hashtbl.iter
+    (fun pin _ ->
+      mark pos.(pin);
+      Graph.iter_out g pin (fun aid ->
+          let r = pos.(Graph.arc_dst g aid) in
+          if r < pos.(pin) then mark r))
+    forced;
+  let values = Array.make n Logic.X in
+  Array.iter (fun (p, v) -> values.(p) <- v) base.Tgraph.cb_constants;
+  let changed = sweep g ~values ~forced ~dirty ~first:!first in
   (* Disables. *)
   let pin_disabled = Array.make n false in
-  let arc_disabled = Hashtbl.create 16 in
+  let inst_disabled = Hashtbl.create 16 in
   List.iter
     (function
       | Mode.Dis_pin pin -> pin_disabled.(pin) <- true
       | Mode.Dis_inst (inst, from_, to_) ->
         let cell = Design.inst_cell design inst in
-        let matches name spec =
-          match spec with None -> true | Some s -> String.equal s name
-        in
-        for aid = 0 to Graph.n_arcs g - 1 do
-          if Graph.arc_inst g aid = inst && Graph.arc_kind g aid <> Graph.Net
-          then begin
-            let pin_name_of p =
-              match Design.pin_owner design p with
+        let matches spec p =
+          match spec with
+          | None -> true
+          | Some s ->
+            String.equal s
+              (match Design.pin_owner design p with
               | Design.Inst_pin (_, i) ->
                 cell.Lib_cell.pins.(i).Lib_cell.pin_name
-              | Design.Port_pin _ -> ""
-            in
+              | Design.Port_pin _ -> "")
+        in
+        iter_inst_arcs g inst (fun aid ->
             if
-              matches (pin_name_of (Graph.arc_src g aid)) from_
-              && matches (pin_name_of (Graph.arc_dst g aid)) to_
-            then Hashtbl.replace arc_disabled aid ()
-          end
-        done)
+              matches from_ (Graph.arc_src g aid)
+              && matches to_ (Graph.arc_dst g aid)
+            then Hashtbl.replace inst_disabled aid ()))
     mode.Mode.disables;
-  let broken = Hashtbl.create 16 in
-  List.iter (fun aid -> Hashtbl.replace broken aid ()) (Graph.broken_arcs g);
-  (* Arc enablement. *)
-  let arc_enabled =
-    Array.init (Graph.n_arcs g) (fun aid ->
-        let src = Graph.arc_src g aid and dst = Graph.arc_dst g aid in
-        if
-          Hashtbl.mem arc_disabled aid
-          || Hashtbl.mem broken aid
-          || pin_disabled.(src)
-          || pin_disabled.(dst)
-          || values.(src) <> Logic.X
-          || values.(dst) <> Logic.X
-        then false
-        else
-          match Graph.arc_kind g aid with
-          | Graph.Net | Graph.Launch -> true
-          | Graph.Comb -> (
-            match Design.pin_owner design dst with
-            | Design.Inst_pin (inst, out_idx) -> (
-              let cell = Design.inst_cell design inst in
-              match Lib_cell.function_of_output cell out_idx with
-              | Some f -> (
-                let env i = values.(Design.inst_pin design inst i) in
-                match Design.pin_owner design src with
-                | Design.Inst_pin (_, in_idx) -> Logic.observable env f in_idx
-                | Design.Port_pin _ -> true)
-              | None -> true)
-            | Design.Port_pin _ -> true))
+  (* Enablement differs from the baseline only on arcs that touch a
+     changed or disabled pin, arcs of an instance with a changed pin
+     (cell-arc observability reads the whole instance), and disabled
+     instance arcs. *)
+  let arc_enabled = Array.make (Graph.n_arcs g) true in
+  Array.iter (fun aid -> arc_enabled.(aid) <- false) base.Tgraph.cb_disabled;
+  let broken = broken_table g in
+  let refresh aid =
+    arc_enabled.(aid) <-
+      arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid
   in
+  let refresh_pin p =
+    Graph.iter_in g p refresh;
+    Graph.iter_out g p refresh
+  in
+  List.iter
+    (fun p ->
+      refresh_pin p;
+      match Design.pin_owner design p with
+      | Design.Inst_pin (inst, _) -> iter_inst_arcs g inst refresh
+      | Design.Port_pin _ -> ())
+    changed;
+  List.iter
+    (function Mode.Dis_pin p -> refresh_pin p | Mode.Dis_inst _ -> ())
+    mode.Mode.disables;
+  Hashtbl.iter (fun aid () -> refresh aid) inst_disabled;
   { values; arc_enabled; pin_disabled }
 
 let value t pin = t.values.(pin)

@@ -10,7 +10,16 @@
       current constants (a mux with its select cased off propagates
       only the selected data input, which is what makes the paper's
       clock-refinement examples work), and
-    - the arc is not a loop-breaking casualty. *)
+    - the arc is not a loop-breaking casualty.
+
+    Propagation is change-driven. The design's all-X {!baseline} (no
+    cases, no disables: tie cells and what they imply) is computed once
+    per compiled skeleton; {!run} expands it and re-evaluates, in
+    topological order, only the pins whose inputs changed, then
+    re-decides enablement only for arcs a changed or disabled pin can
+    affect. The result is the one a single topological sweep from
+    all-X gives, including at cycle breaks: there a pin reads the
+    later pin's initial value — its case value, else X. *)
 
 type t = {
   values : Mm_netlist.Logic.tri array;  (** per pin *)
@@ -19,6 +28,12 @@ type t = {
 }
 
 val run : Graph.t -> Mm_sdc.Mode.t -> t
+
+val baseline : Graph.t -> Tgraph.const_base
+(** The all-X baseline of the graph's skeleton, computed on first use
+    and shared by every later call on any domain (racing first calls
+    each compute it; one publication wins and all return it). Shared:
+    do not mutate. *)
 
 val value : t -> Mm_netlist.Design.pin_id -> Mm_netlist.Logic.tri
 val enabled : t -> int -> bool

@@ -34,6 +34,7 @@ let build_exclusive (clocks : Clock_prop.t) (mode : Mode.t) =
   exclusive
 
 let create design mode =
+  Mm_util.Metrics.incr "timing.context_builds";
   let graph = Graph.build design mode in
   let consts = Const_prop.run graph mode in
   let clocks = Clock_prop.run graph consts mode in

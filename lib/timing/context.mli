@@ -17,6 +17,8 @@ type t = {
 }
 
 val create : Mm_netlist.Design.t -> Mm_sdc.Mode.t -> t
+(** Build the context from scratch; counted in the
+    [timing.context_builds] metric. *)
 
 val with_exceptions : t -> Mm_sdc.Mode.t -> t
 (** [with_exceptions t mode] swaps [mode] into the context, re-preparing

@@ -80,6 +80,11 @@ let transition_delay_factor = 0.3
 (* Mode-independent skeleton: arc structure, adjacency, topological
    order and the static parts of the load model.                       *)
 
+type const_base = {
+  cb_constants : (int * Mm_netlist.Logic.tri) array;
+  cb_disabled : int array;
+}
+
 type skeleton = {
   sk_design : Design.t;
   sk_n_pins : int;
@@ -127,6 +132,10 @@ type skeleton = {
   (* Load-model entries that fill the per-mode [loads] array, in
      iter_nets driver order. *)
   ldm_drivers : int array;
+  (* Constant propagation with no cases and no disables, filled on
+     first use by Const_prop (not here, so compile time stays the
+     arena's own). *)
+  const_base : const_base option Atomic.t;
 }
 
 (* The per-(skeleton, mode) overlay: everything delay. *)
@@ -482,6 +491,7 @@ let compile design =
     ldm_sink_row;
     ldm_sinks;
     ldm_drivers = Array.of_list (List.rev !ldm_drivers);
+    const_base = Atomic.make None;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -60,6 +60,17 @@ val transition_delay_factor : float
 
 (** {1 The arena} *)
 
+type const_base = {
+  cb_constants : (int * Mm_netlist.Logic.tri) array;
+      (** the pins that are not X, ascending *)
+  cb_disabled : int array;  (** the arcs that are not enabled, ascending *)
+}
+(** The design's all-X constant-propagation baseline: pin values and
+    arc enablement with no case analysis and no disables (tie cells
+    only), kept as its exceptions to all-X and all-enabled — a few
+    entries, where full arrays would add two per-pin and per-arc
+    arrays to every cached skeleton's live heap. See {!Const_prop}. *)
+
 type skeleton = {
   sk_design : Mm_netlist.Design.t;
   sk_n_pins : int;
@@ -90,6 +101,9 @@ type skeleton = {
   ldm_sink_row : int array;
   ldm_sinks : int array;
   ldm_drivers : int array;
+  const_base : const_base option Atomic.t;
+      (** empty after {!compile}; {!Const_prop} publishes the baseline
+          on first use, once per skeleton *)
 }
 
 type t = {

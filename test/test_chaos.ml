@@ -116,23 +116,22 @@ let design, sdc_paths =
 (* Audit JSON + merged SDC text: exactly the bytes the acceptance
    contract compares. Metric counters feed the audit's coverage
    section, so every run resets them first. *)
-let run_files ?(budgets = Merge_flow.default_budgets) ?checkpoint ~jobs ~spec
-    () =
+let result_bytes r =
+  Audit.to_json r ^ "\n"
+  ^ String.concat "\n" (List.map Mode.to_sdc (Merge_flow.merged_modes r))
+
+let run_files ?(budgets = Merge_flow.default_budgets)
+    ?(policy = Merge_flow.Permissive) ?checkpoint ~jobs ~spec () =
   Metrics.reset ();
   (match Chaos.configure spec with
   | Ok () -> ()
   | Error e -> Alcotest.failf "chaos spec %S rejected: %s" spec e);
   Fun.protect ~finally:Chaos.clear (fun () ->
       let r =
-        Merge_flow.run_files ~policy:Merge_flow.Permissive ~jobs ~budgets
-          ?checkpoint ~design sdc_paths
+        Merge_flow.run_files ~policy ~jobs ~budgets ?checkpoint ~design
+          sdc_paths
       in
-      let bytes =
-        Audit.to_json r ^ "\n"
-        ^ String.concat "\n"
-            (List.map Mode.to_sdc (Merge_flow.merged_modes r))
-      in
-      r, bytes)
+      r, result_bytes r)
 
 let baseline = lazy (snd (run_files ~jobs:1 ~spec:"" ()))
 
@@ -266,6 +265,49 @@ let test_failed_resume_degrades () =
     (List.exists
        (fun (d : Diag.t) -> d.Diag.code = "govern.resume")
        r.Merge_flow.diags)
+
+(* A Strict merge resumed after the mergeability stage — its mock
+   prelims done, the cliques payload torn so that stage recomputes —
+   is byte-identical to an uninterrupted run. Prelim contexts never
+   reach a payload: no group carries one. *)
+let test_strict_resume_after_prelim () =
+  let strict ?checkpoint () =
+    run_files ~policy:Merge_flow.Strict ?checkpoint ~jobs:1 ~spec:"" ()
+  in
+  let no_prelim_ctx ~ctx (r : Merge_flow.result) =
+    check Alcotest.bool (ctx ^ ": prelim contexts stripped") true
+      (List.for_all
+         (fun (g : Merge_flow.group) ->
+           g.Merge_flow.grp_prelim.Mm_core.Prelim.merged_ctx = None)
+         r.Merge_flow.groups)
+  in
+  let r0, base = strict () in
+  no_prelim_ctx ~ctx:"uninterrupted" r0;
+  let dir = scratch "ck_strict_prelim" in
+  let spec k = { Merge_flow.ck_dir = dir; ck_resume = k; ck_key = "strict" } in
+  let r1, first = strict ~checkpoint:(spec false) () in
+  check Alcotest.string "checkpointed strict run is byte-identical" base first;
+  no_prelim_ctx ~ctx:"checkpointed" r1;
+  write_file (Filename.concat dir "cliques.bin") "torn";
+  Mm_util.Eventlog.reset ();
+  let r2, resumed = strict ~checkpoint:(spec true) () in
+  let stage_events kind =
+    List.filter_map
+      (fun (e : Mm_util.Eventlog.event) ->
+        if e.Mm_util.Eventlog.ev_kind = kind then
+          List.assoc_opt "stage" e.Mm_util.Eventlog.ev_attrs
+        else None)
+      (Mm_util.Eventlog.recent ())
+  in
+  check
+    Alcotest.(list string)
+    "load and mergeability resumed" [ "load"; "mergeability" ]
+    (stage_events "stage.resumed");
+  check
+    Alcotest.(list string)
+    "cliques recomputed" [ "cliques" ] (stage_events "stage.start");
+  check Alcotest.string "resumed after prelim, byte-identical" base resumed;
+  no_prelim_ctx ~ctx:"resumed" r2
 
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder under an exhausted stage budget                  *)
@@ -581,6 +623,8 @@ let () =
         [
           tc "checkpoint + resume transparent" test_checkpoint_transparent;
           tc "failed resume degrades to fresh run" test_failed_resume_degrades;
+          tc "strict resume after prelim is byte-identical"
+            test_strict_resume_after_prelim;
         ] );
       ( "ladder",
         [ tc "cliques budget forces sound splits" test_budget_split_ladder;

@@ -28,6 +28,19 @@ let resolve d name src =
   | w -> Alcotest.failf "resolve warnings: %s" (String.concat "; " w));
   r.Resolve.mode
 
+(* A context cache holding the individual modes' contexts, and the
+   number of contexts a call builds from scratch. *)
+let warm_cache modes =
+  let c = Mm_timing.Ctx_cache.create () in
+  List.iter (fun m -> ignore (Mm_timing.Ctx_cache.find c m)) modes;
+  c
+
+let count_builds f =
+  let builds () = Mm_util.Metrics.get_counter "timing.context_builds" in
+  let b0 = builds () in
+  let v = f () in
+  v, builds () - b0
+
 (* ------------------------------------------------------------------ *)
 (* Relation                                                            *)
 
@@ -528,6 +541,34 @@ let merge_cases =
         let a, b = Pc.constraint_set6 d in
         let pc = Mergeability.check_pair a b in
         check Alcotest.bool "mergeable" true pc.Mergeability.mergeable);
+    tc "an accepted pair builds one merged context" (fun () ->
+        let d = Pc.build () in
+        let a, b = Pc.constraint_set6 d in
+        let ctx_cache = warm_cache [ a; b ] in
+        let converged =
+          Prelim.merge ~max_refine_iters:3 ~ctx_cache ~name:"__mock" [ a; b ]
+        in
+        check Alcotest.bool "clock refinement converges" true
+          (converged.Prelim.merged_ctx <> None);
+        let pc, n = count_builds (fun () -> Mergeability.check_pair ~ctx_cache a b) in
+        check Alcotest.bool "mergeable" true pc.Mergeability.mergeable;
+        check Alcotest.int "merged contexts built" 1 n);
+    tc "a clique merge builds its merged context once" (fun () ->
+        let d = Pc.build () in
+        let a, b = Pc.constraint_set6 d in
+        let ctx_cache = warm_cache [ a; b ] in
+        let (prelim, r), n =
+          count_builds (fun () ->
+              let prelim = Prelim.merge ~ctx_cache ~name:"A+B" [ a; b ] in
+              prelim, Refine.run ~ctx_cache ~prelim ~individual:[ a; b ] ())
+        in
+        check Alcotest.int "merged contexts built" 1 n;
+        match prelim.Prelim.merged_ctx, r.Refine.refined_ctx with
+        | Some p, Some f ->
+          check Alcotest.bool "refinement reuses the prelim graph" true
+            (p.Context.graph == f.Context.graph
+            && p.Context.consts == f.Context.consts)
+        | _ -> Alcotest.fail "missing prelim or refined context");
     tc "greedy cliques cover all modes disjointly" (fun () ->
         let _design, _info, modes = Mm_workload.Presets.build Mm_workload.Presets.tiny in
         let m = Mergeability.analyze modes in

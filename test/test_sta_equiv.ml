@@ -12,6 +12,10 @@
    - incremental endpoint-relation re-propagation (the refinement-loop
      cache) equals a from-scratch recompute on randomized
      growing-exception families;
+   - change-driven constant propagation equals the dense sweep
+     (values, arc enablement, pin disables) on random designs with
+     cases, disables and tie cells, on cased pins across a cycle
+     break, and when two domains race to compute one baseline;
    - the [sta.propagate] chaos site fires.
 
    Runs on the default `dune runtest` gate via the @sta-equiv alias. *)
@@ -238,6 +242,271 @@ let incremental_prop =
        incremental_equals_scratch)
 
 (* ------------------------------------------------------------------ *)
+(* Change-driven constant propagation equals the dense sweep           *)
+
+module Const_prop = Mm_timing.Const_prop
+module Tgraph = Mm_timing.Tgraph
+module Library = Mm_netlist.Library
+module Logic = Mm_netlist.Logic
+
+(* First disagreement between the sparse result and the dense oracle. *)
+let consts_mismatch (sparse : Const_prop.t) (dense : Const_prop.t) =
+  let first name eq show a b =
+    if Array.length a <> Array.length b then
+      Some (Printf.sprintf "%s: length %d vs %d" name (Array.length a)
+              (Array.length b))
+    else
+      let rec go i =
+        if i >= Array.length a then None
+        else if eq a.(i) b.(i) then go (i + 1)
+        else
+          Some
+            (Printf.sprintf "%s.(%d): sparse %s, dense %s" name i (show a.(i))
+               (show b.(i)))
+      in
+      go 0
+  in
+  match
+    first "values" ( = ) Logic.tri_to_string sparse.Const_prop.values
+      dense.Const_prop.values
+  with
+  | Some _ as m -> m
+  | None -> (
+    match
+      first "arc_enabled" Bool.equal string_of_bool
+        sparse.Const_prop.arc_enabled dense.Const_prop.arc_enabled
+    with
+    | Some _ as m -> m
+    | None ->
+      first "pin_disabled" Bool.equal string_of_bool
+        sparse.Const_prop.pin_disabled dense.Const_prop.pin_disabled)
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+(* Tie cells feeding fresh gates whose other input joins an existing
+   driven net, each followed by an inverter: tie constants flow into
+   cell functions and into arc observability. *)
+let add_ties st design k =
+  let driven = ref [] in
+  Design.iter_nets design (fun net ->
+      if Design.net_driver design net <> None then driven := net :: !driven);
+  for i = 0 to k - 1 do
+    let name fmt = Printf.sprintf fmt i in
+    ignore
+      (Design.add_inst design (name "cp_tie%d")
+         (if Random.State.bool st then Library.tiehi else Library.tielo));
+    ignore
+      (Design.add_inst design (name "cp_g%d")
+         (pick st [ Library.and2; Library.or2; Library.nand2; Library.xor2 ]));
+    ignore (Design.add_inst design (name "cp_i%d") Library.inv);
+    Design.wire design (name "cp_tn%d") [ name "cp_tie%d/Z"; name "cp_g%d/A" ];
+    Design.attach design (pick st !driven)
+      (Design.pin_of_name_exn design (name "cp_g%d/B"));
+    Design.wire design (name "cp_gn%d") [ name "cp_g%d/Z"; name "cp_i%d/A" ]
+  done
+
+(* Random cases (duplicates included: the last value wins), pin
+   disables and instance disables with from/to pin names that may or
+   may not exist on the cell. *)
+let randomize st design (m : Mode.t) =
+  let n_pins = Design.n_pins design and n_insts = Design.n_insts design in
+  let cases =
+    List.init (Random.State.int st 12) (fun _ ->
+        Random.State.int st n_pins, Random.State.bool st)
+  in
+  let spec inst =
+    match Random.State.int st 3 with
+    | 0 -> None
+    | 1 -> Some "NOPE"
+    | _ ->
+      let pins = (Design.inst_cell design inst).Mm_netlist.Lib_cell.pins in
+      Some
+        pins.(Random.State.int st (Array.length pins))
+          .Mm_netlist.Lib_cell.pin_name
+  in
+  let disables =
+    List.init (Random.State.int st 6) (fun _ ->
+        if Random.State.bool st then Mode.Dis_pin (Random.State.int st n_pins)
+        else
+          let inst = Random.State.int st n_insts in
+          let from_ = spec inst in
+          Mode.Dis_inst (inst, from_, spec inst))
+  in
+  {
+    m with
+    Mode.cases = m.Mode.cases @ cases;
+    disables = m.Mode.disables @ disables;
+  }
+
+(* One random design: generated netlist plus tie cells; its generated
+   modes, each randomized, plus one mode resolved from fault-injected
+   SDC text. *)
+let sparse_equals_dense seed =
+  let st = Random.State.make [| seed |] in
+  let params =
+    {
+      Mm_workload.Gen_design.default_params with
+      Mm_workload.Gen_design.seed = 3000 + seed;
+      n_domains = 1 + Random.State.int st 2;
+      regs_per_domain = 4 + Random.State.int st 8;
+      stages = 1 + Random.State.int st 3;
+      combo_depth = 1 + Random.State.int st 3;
+      n_config_pins = 1 + Random.State.int st 3;
+      n_clock_muxes = Random.State.int st 2;
+      with_scan = Random.State.bool st;
+    }
+  in
+  let design, info = Mm_workload.Gen_design.generate params in
+  add_ties st design (Random.State.int st 4);
+  let suite =
+    {
+      Mm_workload.Gen_modes.sp_seed = 4000 + seed;
+      families = [ 2; 1 ];
+      base_period = 2.0;
+      scan_family = params.Mm_workload.Gen_design.with_scan;
+    }
+  in
+  let modes = Mm_workload.Gen_modes.generate design info suite in
+  let fuzzed =
+    (Mm_sdc.Resolve.mode_of_string_robust design ~name:"fuzzed"
+       (Mm_workload.Fuzz_inputs.corrupt_seeded ~seed
+          (Mm_workload.Gen_modes.sdc_of_mode_spec info suite ~family:0
+             ~index:0)))
+      .Mm_sdc.Resolve.mode
+  in
+  List.iter
+    (fun (m : Mode.t) ->
+      let g = Graph.build design m in
+      match consts_mismatch (Const_prop.run g m) (Const_prop_dense.run g m) with
+      | None -> ()
+      | Some why ->
+        QCheck2.Test.fail_reportf "seed %d, mode %s: %s" seed m.Mode.mode_name
+          why)
+    (fuzzed :: List.concat_map (fun m -> [ m; randomize st design m ]) modes);
+  true
+
+let sparse_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"sparse constant propagation equals the dense sweep"
+       ~count:30
+       QCheck2.Gen.(int_range 0 10000)
+       sparse_equals_dense)
+
+(* A combinational loop a -> b -> c -> a behind an input port and gated
+   by a second port. Kahn's sort cannot place the loop, so its pins are
+   appended in id order and one net arc runs backwards in topological
+   order: the pin reading it sees the driver's initial value. *)
+let loop_design () =
+  let d = Design.create "cp_loop" in
+  ignore (Design.add_port d "x" Design.In);
+  ignore (Design.add_port d "en" Design.In);
+  ignore (Design.add_port d "y" Design.Out);
+  ignore (Design.add_inst d "a" Library.and2);
+  ignore (Design.add_inst d "b" Library.or2);
+  ignore (Design.add_inst d "c" Library.inv);
+  ignore (Design.add_inst d "t" Library.tiehi);
+  Design.wire d "nx" [ "x"; "a/A" ];
+  Design.wire d "nen" [ "en"; "b/B" ];
+  Design.wire d "na" [ "a/Z"; "b/A" ];
+  Design.wire d "nb" [ "b/Z"; "c/A"; "y" ];
+  Design.wire d "nc" [ "c/Z"; "a/B" ];
+  ignore (Design.add_inst d "u" Library.and2);
+  Design.wire d "nt" [ "t/Z"; "u/A" ];
+  Design.attach d (Design.find_net d "nb" |> Option.get)
+    (Design.pin_of_name_exn d "u/B");
+  d
+
+let loop_cases () =
+  let d = loop_design () in
+  let empty = Mm_sdc.Resolve.mode_exn d ~name:"none" [] in
+  let g = Graph.build d empty in
+  check Alcotest.bool "the loop is broken" true (Graph.broken_arcs g <> []);
+  let pos = Graph.topo_pos g in
+  (* Pins with a reader placed before them: their case value crosses a
+     cycle-break back edge. *)
+  let back_edge_pins = ref [] in
+  Design.iter_pins d (fun p ->
+      Graph.iter_out g p (fun aid ->
+          if pos.(Graph.arc_dst g aid) < pos.(p) then
+            back_edge_pins := p :: !back_edge_pins));
+  check Alcotest.bool "some pin feeds a back edge" true
+    (!back_edge_pins <> []);
+  let pins = List.init (Design.n_pins d) Fun.id in
+  let cases =
+    List.concat_map (fun p -> [ [ p, true ]; [ p, false ] ]) pins
+    @ List.concat_map
+        (fun p -> List.map (fun q -> [ p, true; q, false ]) pins)
+        !back_edge_pins
+  in
+  List.iter
+    (fun cs ->
+      let m = { empty with Mode.cases = cs } in
+      match consts_mismatch (Const_prop.run g m) (Const_prop_dense.run g m) with
+      | None -> ()
+      | Some why ->
+        Alcotest.failf "cases [%s]: %s"
+          (String.concat "; "
+             (List.map
+                (fun (p, v) ->
+                  Printf.sprintf "%s=%b" (Design.pin_name d p) v)
+                cs))
+          why)
+    cases
+
+(* Both domains get the one published baseline, with no exception,
+   when they force a cold skeleton at the same moment; it lists the
+   loop design's tie constants and broken arcs. *)
+let racing_baseline () =
+  let d = loop_design () in
+  let mode = Mm_sdc.Resolve.mode_exn d ~name:"none" [] in
+  for _ = 1 to 20 do
+    let sk = Tgraph.compile d in
+    let g =
+      {
+        Graph.design = d;
+        tg = Tgraph.overlay sk mode;
+        endpoints = sk.Tgraph.sk_endpoints;
+        startpoints = sk.Tgraph.sk_startpoints;
+      }
+    in
+    let ready = Atomic.make 0 in
+    let force () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do Domain.cpu_relax () done;
+      Const_prop.baseline g
+    in
+    let other = Domain.spawn force in
+    let mine = force () in
+    let theirs = Domain.join other in
+    check Alcotest.bool "both domains return the published baseline" true
+      (mine == theirs
+      && Option.get (Atomic.get sk.Tgraph.const_base) == mine);
+    let dense =
+      Const_prop_dense.run g { mode with Mode.cases = []; disables = [] }
+    in
+    let non_x = ref [] and off = ref [] in
+    Array.iteri
+      (fun p v -> if v <> Logic.X then non_x := (p, v) :: !non_x)
+      dense.Const_prop.values;
+    Array.iteri
+      (fun aid on -> if not on then off := aid :: !off)
+      dense.Const_prop.arc_enabled;
+    check Alcotest.bool "tie constants and broken arcs are present" true
+      (!non_x <> [] && !off <> []);
+    check Alcotest.bool "the baseline is the all-X dense sweep" true
+      (Array.to_list mine.Tgraph.cb_constants = List.rev !non_x
+      && Array.to_list mine.Tgraph.cb_disabled = List.rev !off)
+  done
+
+let const_prop_cases =
+  [
+    sparse_prop;
+    tc "cased pins on a cycle-break back edge" loop_cases;
+    tc "two domains forcing one baseline" racing_baseline;
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Chaos: the sta.propagate fault site                                 *)
 
 let chaos_cases =
@@ -263,5 +532,6 @@ let () =
       "engine", engine_cases;
       "jobs_invariance", jobs_invariance_cases;
       "incremental", [ incremental_prop ];
+      "const_prop", const_prop_cases;
       "chaos", chaos_cases;
     ]
