@@ -223,7 +223,7 @@ let scaling_sweep ~jobs_list ~name design modes =
     (Domain.recommended_domain_count ());
   rows
 
-let bench_json ~scaling ~sta ~service runs =
+let bench_json ~scaling ~sta runs =
   let jf = Metrics.json_float in
   let b = Buffer.create 4096 in
   let row5 r =
@@ -263,10 +263,6 @@ let bench_json ~scaling ~sta ~service runs =
      vs rebuild, full vs incremental re-analysis). "null" when the
      invoking target did not run the microbench. *)
   Buffer.add_string b (Printf.sprintf {|"sta":%s,|} sta);
-  (* Merge-service section: cold vs warm-cache submit latency and
-     queue throughput against an in-process daemon (DESIGN.md §16).
-     "null" when the invoking target did not run the service bench. *)
-  Buffer.add_string b (Printf.sprintf {|"service":%s,|} service);
   (* The flight recorder's resource sections: whole-run GC totals and
      the pool.* metric slice (new keys only — existing consumers of the
      bench json are unaffected). *)
@@ -293,13 +289,12 @@ let bench_json ~scaling ~sta ~service runs =
 
 let bench_file = "BENCH_paper_tables.json"
 
-let write_bench_json ?(file = bench_file) ?(sta = "null") ?(service = "null")
-    ~scaling runs =
+let write_bench_json ?(file = bench_file) ?(sta = "null") ~scaling runs =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (bench_json ~scaling ~sta ~service runs);
+      output_string oc (bench_json ~scaling ~sta runs);
       output_char oc '\n');
   Printf.printf "\nwrote %s\n" file;
   (* Every bench-json write also lands one flight-recorder history
@@ -322,7 +317,7 @@ let mandatory_keys =
     {|"merge.cliques"|}; {|"sta.tags_propagated"|}; {|"spans"|};
     {|"sta.analyze"|}; {|"scaling"|}; {|"merge_speedup"|}; {|"sta":|};
     {|"gc":{|}; {|"gc.minor_words"|}; {|"pool":{|}; {|"pool.tasks_executed"|};
-    {|"pool.occupancy"|}; {|"service":|};
+    {|"pool.occupancy"|};
   ]
 
 let contains ~needle hay =
@@ -992,114 +987,6 @@ let bechamel_suite () =
   List.iter benchmark tests
 
 (* ------------------------------------------------------------------ *)
-(* Merge-service bench: an in-process `modemerge daemon` fed the paper
-   circuit over real HTTP. Three numbers, recorded under "service" in
-   the bench json (and, via write_bench_json, the Runlog history):
-     cold_submit_s     POST /jobs -> done, empty cache (pipeline runs)
-     warm_submit_s     same spec again -> done (served from the cache)
-     queue_jobs_per_s  K distinct jobs drained through the queue       *)
-
-let service_measure () =
-  let module Daemon = Mm_service.Daemon in
-  let module Httpd = Mm_util.Httpd in
-  let module Runlog = Mm_util.Runlog in
-  let d = Pc.build () in
-  let a, b = Pc.constraint_set6 d in
-  let design_text = Mm_netlist.Netlist_io.to_string d in
-  let q s = Printf.sprintf {|"%s"|} (Metrics.json_escape s) in
-  let spec salt =
-    Printf.sprintf {|{"design":{"format":"nl","text":%s},"sources":[%s]}|}
-      (q design_text)
-      (String.concat ","
-         (List.mapi
-            (fun i m ->
-              let text =
-                Mm_sdc.Mode.to_sdc m
-                ^ if salt = "" then "" else "# " ^ salt ^ "\n"
-              in
-              Printf.sprintf {|{"name":%s,"text":%s}|}
-                (q (Printf.sprintf "set6_%c" (Char.chr (Char.code 'a' + i))))
-                (q text))
-            [ a; b ]))
-  in
-  let daemon = Daemon.start { Daemon.default_config with dc_queue_cap = 64 } in
-  Fun.protect
-    ~finally:(fun () -> Daemon.stop daemon)
-    (fun () ->
-      let port = Daemon.port daemon in
-      let submit body =
-        let status, _, reply = Httpd.request ~meth:"POST" ~body ~port "/jobs" in
-        if status <> 200 && status <> 202 then
-          failwith (Printf.sprintf "submit failed: %d %s" status reply);
-        match Runlog.member "id" (Runlog.parse_json reply) with
-        | Some (Runlog.Str id) -> id
-        | _ -> failwith "submit reply carries no id"
-      in
-      let wait id =
-        let rec poll () =
-          let _, _, body =
-            Httpd.request ~port (Printf.sprintf "/jobs/%s" id)
-          in
-          match Runlog.member "state" (Runlog.parse_json body) with
-          | Some (Runlog.Str ("queued" | "running")) ->
-            Unix.sleepf 0.002;
-            poll ()
-          | Some (Runlog.Str "done") -> ()
-          | _ -> failwith (Printf.sprintf "job %s did not complete" id)
-        in
-        poll ()
-      in
-      let timed f =
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0
-      in
-      let body = spec "" in
-      let cold_s = timed (fun () -> wait (submit body)) in
-      let warm_s = timed (fun () -> wait (submit body)) in
-      let queue_jobs = 8 in
-      let queue_wall_s =
-        timed (fun () ->
-            let ids =
-              List.init queue_jobs (fun i ->
-                  submit (spec (Printf.sprintf "q%d" i)))
-            in
-            List.iter wait ids)
-      in
-      let jf = Metrics.json_float in
-      Printf.printf
-        "  cold submit %.4fs, warm (cache hit) %.4fs (%.0fx), %d queued jobs \
-         in %.3fs (%.1f jobs/s)\n"
-        cold_s warm_s
-        (cold_s /. Float.max warm_s 1e-9)
-        queue_jobs queue_wall_s
-        (float_of_int queue_jobs /. queue_wall_s);
-      Printf.sprintf
-        {|{"cold_submit_s":%s,"warm_submit_s":%s,"warm_speedup":%s,"queue_jobs":%d,"queue_wall_s":%s,"queue_jobs_per_s":%s}|}
-        (jf cold_s) (jf warm_s)
-        (jf (cold_s /. Float.max warm_s 1e-9))
-        queue_jobs (jf queue_wall_s)
-        (jf (float_of_int queue_jobs /. queue_wall_s)))
-
-let service_target () =
-  section "Merge service: cold vs warm-cache latency, queue throughput";
-  Obs.set_enabled true;
-  Obs.reset ();
-  Metrics.reset ();
-  let service = service_measure () in
-  let d = Pc.build () in
-  let a, b = Pc.constraint_set6 d in
-  let r = run_modes ~name:"paper_circuit" d [ a; b ] in
-  let rows =
-    scaling_sweep ~jobs_list:[ 1; 2 ] ~name:"paper_circuit" d [ a; b ]
-  in
-  write_bench_json
-    ~scaling:(scaling_json ~design_name:"paper_circuit" rows)
-    ~sta:(sta_json [ sta_measure Presets.tiny ])
-    ~service [ r ];
-  validate_bench_json ()
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -1122,7 +1009,6 @@ let () =
   | "sta" -> sta_bench ()
   | "sta-smoke" -> sta_smoke ()
   | "scaling" -> scaling_target ()
-  | "service" -> service_target ()
   | "bech" -> bechamel_suite ()
   | "all" ->
     tables ();
@@ -1131,6 +1017,6 @@ let () =
   | other ->
     Printf.eprintf
       "unknown target %s (use \
-       tables|table1|table2|figure2|table5|smoke|audit|scaling|service|ablations|scale|bech|all)\n"
+       tables|table1|table2|figure2|table5|smoke|audit|scaling|ablations|scale|bech|all)\n"
       other;
     exit 1

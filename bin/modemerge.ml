@@ -576,9 +576,6 @@ let merge_cmd =
            (fun (g : Merge_flow.group) -> g.Merge_flow.grp_mode)
            result.Merge_flow.groups)
     in
-    (* The (filename, bytes) pairs come from Merge_flow.merged_files —
-       the same helper the service daemon serves results from, so CLI
-       and daemon output are byte-identical by construction. *)
     let files = Merge_flow.merged_files ~annotate result in
     List.iteri
       (fun i ((g : Merge_flow.group), rep) ->
@@ -1170,333 +1167,6 @@ let perf_cmd =
   in
   Cmd.group info [ perf_record_cmd; perf_diff_cmd; perf_check_cmd ]
 
-(* ------------------------------------------------------------------ *)
-(* Merge service: daemon + submit/status/fetch clients                 *)
-
-module Daemon = Mm_service.Daemon
-module Runlog_json = Mm_util.Runlog
-
-let jstr s = Printf.sprintf {|"%s"|} (Mm_util.Metrics.json_escape s)
-
-(* Raw write: fetched result files must land byte-identical, so no
-   write_file newline courtesy here. *)
-let write_raw path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
-let server_arg =
-  let doc =
-    "The merge daemon to talk to, as ADDR:PORT or a bare PORT on \
-     127.0.0.1."
-  in
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "s"; "server" ] ~docv:"[ADDR:]PORT" ~doc)
-
-let parse_server spec =
-  match Mm_util.Serve.parse_spec spec with
-  | Ok (addr, port) -> addr, port
-  | Error msg -> fatal ~code:"cli.server" "--server %s" msg
-
-let http ?meth ?body ~addr ~port path =
-  match Mm_util.Httpd.request ?meth ?body ~addr ~port path with
-  | r -> r
-  | exception Unix.Unix_error (e, _, _) ->
-    fatal ~code:"service.connect" "cannot reach %s:%d (%s)" addr port
-      (Unix.error_message e)
-  | exception Failure msg -> fatal ~code:"service.connect" "%s" msg
-
-let json_member name j = Runlog_json.member name j
-
-let json_str name j =
-  match json_member name j with
-  | Some (Runlog_json.Str s) -> Some s
-  | _ -> None
-
-let parse_body ~code body =
-  match Runlog_json.parse_json body with
-  | j -> j
-  | exception Runlog_json.Parse_error msg ->
-    fatal ~code "malformed response: %s" msg
-
-let daemon_cmd =
-  let spec_arg =
-    let doc =
-      "Listen address: PORT or ADDR:PORT; port 0 asks the OS for a \
-       free port (reported on stderr and on /healthz)."
-    in
-    Arg.(value & pos 0 string "127.0.0.1:0" & info [] ~docv:"[ADDR:]PORT" ~doc)
-  in
-  let queue_cap_arg =
-    let doc =
-      "Admission control: maximum number of jobs waiting in the queue; \
-       further submissions get 429 + Retry-After."
-    in
-    Arg.(value & opt int 16 & info [ "queue-cap" ] ~docv:"N" ~doc)
-  in
-  let cache_entries_arg =
-    let doc = "In-memory result-cache capacity (LRU-evicted)." in
-    Arg.(value & opt int 64 & info [ "cache-entries" ] ~docv:"N" ~doc)
-  in
-  let cache_dir_arg =
-    let doc =
-      "Persist merge results to this directory (content-addressed, \
-       atomic writes); cached results survive daemon restarts."
-    in
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-  in
-  let max_body_arg =
-    let doc = "Maximum POST /jobs body size in MiB (over-limit is 413)." in
-    Arg.(value & opt int 8 & info [ "max-body-mb" ] ~docv:"MB" ~doc)
-  in
-  let run spec jobs queue_cap cache_entries cache_dir max_body_mb obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let addr, port =
-      match Mm_util.Serve.parse_spec spec with
-      | Ok ap -> ap
-      | Error msg -> fatal ~code:"cli.serve" "daemon %s" msg
-    in
-    let d =
-      match
-        Daemon.start
-          {
-            Daemon.dc_addr = addr;
-            dc_port = port;
-            dc_jobs = jobs;
-            dc_queue_cap = queue_cap;
-            dc_cache_entries = cache_entries;
-            dc_cache_dir = cache_dir;
-            dc_max_body_bytes = max_body_mb * 1024 * 1024;
-          }
-      with
-      | d -> d
-      | exception Failure msg -> fatal ~code:"cli.serve" "%s" msg
-    in
-    (* Subprocess tests parse this line, same convention as --serve. *)
-    Printf.eprintf "daemon listening on http://%s:%d/\n%!" (Daemon.addr d)
-      (Daemon.port d);
-    (* Serve until SIGINT/SIGTERM; the obs_setup handlers flush exports
-       and exit 130/143. *)
-    let rec forever () =
-      Unix.sleep 3600;
-      forever ()
-    in
-    forever ()
-  in
-  let info =
-    Cmd.info "daemon"
-      ~doc:
-        "Run modemerge as a long-lived merge server: POST /jobs with SDC \
-         sources, priority scheduling with backpressure, and a \
-         content-addressed result cache, on the same port as the live \
-         telemetry endpoints."
-  in
-  Cmd.v info
-    Term.(
-      const run $ spec_arg $ jobs_arg $ queue_cap_arg $ cache_entries_arg
-      $ cache_dir_arg $ max_body_arg $ obs_term)
-
-(* Poll a job until it leaves queued/running; returns the final status
-   JSON. *)
-let wait_for_job ~addr ~port id =
-  let rec poll () =
-    let status, _, body = http ~addr ~port (Printf.sprintf "/jobs/%s" id) in
-    if status <> 200 then
-      fatal ~code:"service.status" "job %s lookup failed (%d): %s" id status
-        (String.trim body);
-    let j = parse_body ~code:"service.status" body in
-    match json_str "state" j with
-    | Some ("queued" | "running") ->
-      Unix.sleepf 0.05;
-      poll ()
-    | _ -> j
-  in
-  poll ()
-
-let fetch_result ~addr ~port ~outdir id =
-  let status, _, body =
-    http ~addr ~port (Printf.sprintf "/jobs/%s/result" id)
-  in
-  if status <> 200 then
-    fatal ~code:"service.fetch" "no result for job %s (%d): %s" id status
-      (String.trim body);
-  let manifest = parse_body ~code:"service.fetch" body in
-  let files =
-    match json_member "files" manifest with
-    | Some (Runlog_json.Arr files) ->
-      List.filter_map (fun f -> json_str "name" f) files
-    | _ -> fatal ~code:"service.fetch" "result manifest for %s has no files" id
-  in
-  if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
-  List.iter
-    (fun name ->
-      let status, _, bytes =
-        http ~addr ~port (Printf.sprintf "/jobs/%s/result/%s" id name)
-      in
-      if status <> 200 then
-        fatal ~code:"service.fetch" "fetching %s of job %s failed (%d)" name id
-          status;
-      let path = Filename.concat outdir name in
-      write_raw path bytes;
-      Printf.printf "  %s -> %s\n" name path)
-    files;
-  manifest
-
-let submit_cmd =
-  let priority_arg =
-    let doc = "Scheduling priority: higher runs first (default 0)." in
-    Arg.(value & opt int 0 & info [ "priority" ] ~docv:"N" ~doc)
-  in
-  let annotate_arg =
-    let doc = "Ask for provenance-annotated merged SDC." in
-    Arg.(value & flag & info [ "annotate" ] ~doc)
-  in
-  let wait_arg =
-    let doc =
-      "Block until the job completes; with $(b,-o) also fetch the \
-       merged files."
-    in
-    Arg.(value & flag & info [ "wait" ] ~doc)
-  in
-  let outdir_arg =
-    let doc = "Directory for fetched merged files (implies --wait)." in
-    Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"DIR" ~doc)
-  in
-  let run server netlist sdcs policy priority annotate wait outdir obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let addr, port = parse_server server in
-    let design_format =
-      if Filename.check_suffix netlist ".v" then "v" else "nl"
-    in
-    let read path = In_channel.with_open_bin path In_channel.input_all in
-    let body =
-      Printf.sprintf
-        {|{"design":{"format":%s,"text":%s},"sources":[%s],"options":{"policy":%s,"check_equivalence":true,"annotate":%b},"priority":%d}|}
-        (jstr design_format)
-        (jstr (read netlist))
-        (String.concat ","
-           (List.map
-              (fun path ->
-                Printf.sprintf {|{"name":%s,"text":%s}|}
-                  (jstr (mode_name_of_path path))
-                  (jstr (read path)))
-              sdcs))
-        (jstr
-           (match policy with
-           | Merge_flow.Strict -> "strict"
-           | Merge_flow.Permissive -> "permissive"))
-        annotate priority
-    in
-    let status, headers, rbody = http ~meth:"POST" ~body ~addr ~port "/jobs" in
-    (match status with
-    | 200 | 202 -> ()
-    | 429 ->
-      fatal ~code:"service.busy" "queue full; retry after %ss"
-        (Option.value ~default:"1"
-           (Mm_util.Httpd.header "retry-after" headers))
-    | _ ->
-      fatal ~code:"service.submit" "submission failed (%d): %s" status
-        (String.trim rbody));
-    let j = parse_body ~code:"service.submit" rbody in
-    let id =
-      match json_str "id" j with
-      | Some id -> id
-      | None -> fatal ~code:"service.submit" "response carries no job id"
-    in
-    Printf.printf "job %s %s%s\n" id
-      (Option.value ~default:"?" (json_str "state" j))
-      (match json_str "cache" j with
-      | Some "hit" -> " (cache hit)"
-      | _ -> "");
-    let wait = wait || outdir <> None in
-    if wait then begin
-      let final = wait_for_job ~addr ~port id in
-      match json_str "state" final with
-      | Some "done" ->
-        (match json_member "summary" final with
-        | Some s ->
-          Printf.printf "job %s done: %s modes -> %s\n" id
-            (match json_member "n_individual" s with
-            | Some (Runlog_json.Num n) -> string_of_int (int_of_float n)
-            | _ -> "?")
-            (match json_member "n_merged" s with
-            | Some (Runlog_json.Num n) -> string_of_int (int_of_float n)
-            | _ -> "?")
-        | None -> Printf.printf "job %s done\n" id);
-        Option.iter
-          (fun outdir -> ignore (fetch_result ~addr ~port ~outdir id))
-          outdir
-      | Some state ->
-        fatal ~code:"service.job" "job %s %s: %s" id state
-          (Option.value ~default:"(no error detail)" (json_str "error" final))
-      | None -> fatal ~code:"service.job" "job %s: malformed status" id
-    end;
-    finish ()
-  in
-  let info =
-    Cmd.info "submit"
-      ~doc:
-        "Submit a merge job to a running $(b,modemerge daemon): netlist + \
-         SDC mode files, JSON over HTTP. Identical submissions are served \
-         from the daemon's result cache."
-  in
-  Cmd.v info
-    Term.(
-      const run $ server_arg $ netlist_arg $ sdc_args $ policy_arg
-      $ priority_arg $ annotate_arg $ wait_arg $ outdir_arg $ obs_term)
-
-let status_cmd =
-  let id_arg =
-    let doc = "Job id (e.g. j3); omitted, shows the whole queue." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"JOB" ~doc)
-  in
-  let run server id =
-    guard_io @@ fun () ->
-    let addr, port = parse_server server in
-    let path =
-      match id with None -> "/queue" | Some id -> Printf.sprintf "/jobs/%s" id
-    in
-    let status, _, body = http ~addr ~port path in
-    if status <> 200 then
-      fatal ~code:"service.status" "%s failed (%d): %s" path status
-        (String.trim body);
-    print_string body;
-    finish ()
-  in
-  let info =
-    Cmd.info "status"
-      ~doc:"Show a daemon job's status JSON, or the queue without an id."
-  in
-  Cmd.v info Term.(const run $ server_arg $ id_arg)
-
-let fetch_cmd =
-  let id_arg =
-    let doc = "Job id to fetch the merged SDC files of." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"JOB" ~doc)
-  in
-  let outdir_arg =
-    let doc = "Directory for the fetched files (created if missing)." in
-    Arg.(value & opt string "merged_out" & info [ "o"; "out" ] ~doc)
-  in
-  let run server id outdir =
-    guard_io @@ fun () ->
-    let addr, port = parse_server server in
-    ignore (fetch_result ~addr ~port ~outdir id);
-    finish ()
-  in
-  let info =
-    Cmd.info "fetch"
-      ~doc:
-        "Download a completed daemon job's merged SDC files — \
-         byte-identical to what the one-shot $(b,merge) writes."
-  in
-  Cmd.v info Term.(const run $ server_arg $ id_arg $ outdir_arg)
-
 let () =
   (* Raw backtraces must be recorded for the pool's crash outcomes to
      carry real failure sites; chaos faults come from MM_CHAOS. *)
@@ -1511,6 +1181,5 @@ let () =
        (Cmd.group info
           [
             merge_cmd; explain_cmd; sta_cmd; relations_cmd; lint_cmd;
-            check_cmd; gen_cmd; perf_cmd; daemon_cmd; submit_cmd; status_cmd;
-            fetch_cmd;
+            check_cmd; gen_cmd; perf_cmd;
           ]))

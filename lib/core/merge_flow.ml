@@ -721,7 +721,7 @@ let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets ~gs
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let drive ?tolerance ?cancel ~check_equivalence ~policy ~pool ~budgets ~ck
+let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck
     ~extra_diags ~t0 ~load () =
   Obs.with_span ~attrs:[ "policy", (match policy with Strict -> "strict" | Permissive -> "permissive") ]
     "merge.flow"
@@ -730,15 +730,7 @@ let drive ?tolerance ?cancel ~check_equivalence ~policy ~pool ~budgets ~ck
   (match budgets.bg_mem_limit_mb with
   | Some _ as l -> Govern.set_memory_limit_mb l
   | None -> ());
-  (* With an external [cancel] token (the service daemon's per-job
-     token) the run root is a child of it: cancelling the job cancels
-     every stage and pool task of this run, while the run's own
-     deadline still applies. *)
-  let root =
-    match cancel with
-    | None -> Govern.create ?deadline_s:budgets.bg_deadline_s ~scope:"merge" ()
-    | Some tok -> Govern.sub ~scope:"merge" ?budget_s:budgets.bg_deadline_s tok
-  in
+  let root = Govern.create ?deadline_s:budgets.bg_deadline_s ~scope:"merge" () in
   Govern.set_run_root root;
   Eventlog.log "run.start"
     ~attrs:
@@ -811,9 +803,9 @@ let drive ?tolerance ?cancel ~check_equivalence ~policy ~pool ~budgets ~ck
   }
 
 let run ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
-    ?(budgets = default_budgets) ?cancel modes =
+    ?(budgets = default_budgets) modes =
   Pool.with_pool ?jobs @@ fun pool ->
-  drive ?tolerance ?cancel ~check_equivalence ~policy ~pool ~budgets ~ck:None
+  drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck:None
     ~extra_diags:[]
     ~t0:(Obs.Clock.now_ns ())
     ~load:(fun ~tok:_ ~gs:_ ->
@@ -907,7 +899,7 @@ let compute_load ~policy ~design ~pool ~budgets ~gs ~tok sources =
   }
 
 let run_sources ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
-    ?(budgets = default_budgets) ?checkpoint ?cancel ~design sources =
+    ?(budgets = default_budgets) ?checkpoint ~design sources =
   Pool.with_pool ?jobs @@ fun pool ->
   let t0 = Obs.Clock.now_ns () in
   let extra_diags = ref [] in
@@ -931,14 +923,14 @@ let run_sources ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
           Some (Checkpoint.create ~dir:spec.ck_dir ~fingerprint:fp)
       else Some (Checkpoint.create ~dir:spec.ck_dir ~fingerprint:fp)
   in
-  drive ?tolerance ?cancel ~check_equivalence ~policy ~pool ~budgets ~ck
+  drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck
     ~extra_diags:!extra_diags ~t0
     ~load:(fun ~tok ~gs ->
       compute_load ~policy ~design ~pool ~budgets ~gs ~tok sources)
     ()
 
 let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs ?budgets
-    ?checkpoint ?cancel ~design paths =
+    ?checkpoint ~design paths =
   (* In strict mode an unreadable file raises [Sys_error]; in
      permissive mode it is quarantined up front with a fatal io.read
      diagnostic and the remaining files still merge. Reads run under
@@ -988,7 +980,7 @@ let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs ?budgets
   in
   let r =
     run_sources ?tolerance ?check_equivalence ~policy ?jobs ?budgets
-      ?checkpoint ?cancel ~design sources
+      ?checkpoint ~design sources
   in
   Metrics.incr ~by:(List.length !io_failed) "merge.quarantined";
   List.iter (log_quarantine ~stage:"load") !io_failed;
@@ -997,10 +989,7 @@ let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs ?budgets
 let merged_modes r = List.map (fun g -> g.grp_mode) r.groups
 
 (* The canonical on-disk shape of a merge result: the exact
-   (filename, bytes) pairs the CLI `merge` subcommand writes. The
-   service daemon serves these same pairs, which is what makes the
-   cached/remote result byte-identical to a one-shot run by
-   construction. *)
+   (filename, bytes) pairs the CLI `merge` subcommand writes. *)
 let merged_files ?(annotate = false) r =
   List.mapi
     (fun i g ->

@@ -165,15 +165,9 @@ val run :
   ?policy:policy ->
   ?jobs:int ->
   ?budgets:budgets ->
-  ?cancel:Mm_util.Govern.token ->
   Mm_sdc.Mode.t list ->
   result
-(** [cancel] makes the run's root token a child of the given token
-    (the service daemon's per-job token): cancelling it cancels the
-    whole run. Under [Strict] the run then raises
-    {!Mm_util.Govern.Cancelled}.
-
-    [check_equivalence] (default true) re-runs the comparison on the
+(** [check_equivalence] (default true) re-runs the comparison on the
     final merged mode of each group as independent validation; under
     [Permissive] a group failing it is degraded to individual modes.
     No checkpointing on this entry point — pre-built modes have no
@@ -197,7 +191,6 @@ val run_sources :
   ?jobs:int ->
   ?budgets:budgets ->
   ?checkpoint:checkpoint_spec ->
-  ?cancel:Mm_util.Govern.token ->
   design:Mm_netlist.Design.t ->
   source list ->
   result
@@ -219,7 +212,6 @@ val run_files :
   ?jobs:int ->
   ?budgets:budgets ->
   ?checkpoint:checkpoint_spec ->
-  ?cancel:Mm_util.Govern.token ->
   design:Mm_netlist.Design.t ->
   string list ->
   result
@@ -232,9 +224,7 @@ val merged_modes : result -> Mm_sdc.Mode.t list
 val merged_files : ?annotate:bool -> result -> (string * string) list
 (** The result as the exact [(filename, bytes)] pairs the CLI [merge]
     subcommand writes: [("merged_0.sdc", text); …], with provenance
-    comments when [annotate]. The service daemon serves these pairs,
-    so a fetched job result is byte-identical to a one-shot run by
-    construction. *)
+    comments when [annotate]. *)
 
 val summary_row : design_name:string -> size_cells:int -> result -> string list
 (** Table-5 style row: design, size, #individual, #merged, %reduction,

@@ -45,37 +45,21 @@ let to_string d =
     (severity_to_string d.severity)
     d.code d.message
 
-(* Minimal JSON string escaping (we depend on no JSON library). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json d =
   let b = Buffer.create 96 in
   Buffer.add_string b
     (Printf.sprintf {|{"severity":"%s","code":"%s"|}
        (severity_to_string d.severity)
-       (json_escape d.code));
+       (Metrics.json_escape d.code));
   (match d.dloc with
   | None -> ()
   | Some { file; line; col } ->
-    Buffer.add_string b (Printf.sprintf {|,"file":"%s"|} (json_escape file));
+    Buffer.add_string b
+      (Printf.sprintf {|,"file":"%s"|} (Metrics.json_escape file));
     if line > 0 then Buffer.add_string b (Printf.sprintf {|,"line":%d|} line);
     if col > 0 then Buffer.add_string b (Printf.sprintf {|,"col":%d|} col));
   Buffer.add_string b
-    (Printf.sprintf {|,"message":"%s"}|} (json_escape d.message));
+    (Printf.sprintf {|,"message":"%s"}|} (Metrics.json_escape d.message));
   Buffer.contents b
 
 let render_text ds = String.concat "\n" (List.map to_string ds)

@@ -1,14 +1,11 @@
 (* Minimal HTTP/1.1 server on a dedicated domain. See the .mli for the
-   scope contract: small request surface (GET/HEAD/POST/DELETE), one
-   request per connection, size-capped reads under a receive
-   timeout. *)
+   scope contract: GET/HEAD only, one request per connection,
+   size-capped reads under a receive timeout. *)
 
 type request = {
   rq_method : string;
   rq_path : string;
   rq_query : (string * string) list;
-  rq_headers : (string * string) list;
-  rq_body : string;
 }
 
 type response = {
@@ -36,7 +33,6 @@ type t = {
   t_addr : string;
   t_port : int;
   t_max_header_bytes : int;
-  t_max_body_bytes : int;
   stopping : bool Atomic.t;
   mutable domain : unit Domain.t option;
 }
@@ -48,28 +44,18 @@ let port t = t.t_port
 (* Request parsing                                                     *)
 
 let default_max_header_bytes = 16 * 1024
-let default_max_body_bytes = 1024 * 1024
 
-(* Methods the server is willing to route to a handler at all; anything
-   else is answered 405 before the handler runs. Per-path method
-   checks stay the handler's business. *)
-let known_methods = [ "GET"; "HEAD"; "POST"; "DELETE" ]
+(* Methods the server routes to a handler at all; anything else is
+   answered 405 before the handler runs. *)
+let known_methods = [ "GET"; "HEAD" ]
 
 let status_text = function
   | 200 -> "OK"
-  | 201 -> "Created"
-  | 202 -> "Accepted"
-  | 204 -> "No Content"
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
-  | 409 -> "Conflict"
-  | 410 -> "Gone"
   | 413 -> "Content Too Large"
-  | 429 -> "Too Many Requests"
   | 500 -> "Internal Server Error"
-  | 501 -> "Not Implemented"
-  | 503 -> "Service Unavailable"
   | _ -> "Status"
 
 let percent_decode s =
@@ -154,21 +140,20 @@ type read_result =
   | Reject of response    (* malformed / over-limit / unknown method *)
   | Gone                  (* peer went away before sending anything *)
 
-(* Read the header block (up to [max_header]), then the Content-Length
-   body (up to [max_body]). Over-limit on either side is a 413; the
-   4xx is produced here so [serve_connection] just sends it. *)
-let read_request ~max_header ~max_body fd =
+(* Read the header block (up to [max_header]; over-limit is a 413).
+   No request body is ever read. The 4xx is produced here so
+   [serve_connection] just sends it. *)
+let read_request ~max_header fd =
   let buf = Bytes.create 4096 in
   let acc = Buffer.create 512 in
   let too_large = respond ~status:413 "request too large\n" in
-  (* Find the end of the header block in [acc]; returns the offset just
-     past the blank line, plus the separator width that was used. *)
+  (* Length of the header block in [acc], up to the blank line. *)
   let head_end () =
     let s = Buffer.contents acc in
     let l = String.length s in
     let rec find i =
-      if i + 4 <= l && String.sub s i 4 = "\r\n\r\n" then Some (i, i + 4)
-      else if i + 2 <= l && String.sub s i 2 = "\n\n" then Some (i, i + 2)
+      if i + 4 <= l && String.sub s i 4 = "\r\n\r\n" then Some i
+      else if i + 2 <= l && String.sub s i 2 = "\n\n" then Some i
       else if i + 1 < l then find (i + 1)
       else None
     in
@@ -176,9 +161,8 @@ let read_request ~max_header ~max_body fd =
   in
   let rec read_head () =
     match head_end () with
-    | Some (head_len, body_off) ->
-      if head_len > max_header then Error too_large
-      else Ok (head_len, body_off)
+    | Some head_len ->
+      if head_len > max_header then Error too_large else Ok head_len
     | None ->
       if Buffer.length acc > max_header then Error too_large
       else (
@@ -193,76 +177,23 @@ let read_request ~max_header ~max_body fd =
           Error (respond ~status:400 "bad request\n"))
   in
   match read_head () with
-    | Error rs -> if Buffer.length acc = 0 then Gone else Reject rs
-    | Ok (head_len, body_off) -> (
-      let head = String.sub (Buffer.contents acc) 0 head_len in
-      let lines =
-        String.split_on_char '\n' head
-        |> List.map (fun l ->
-               if l <> "" && l.[String.length l - 1] = '\r' then
-                 String.sub l 0 (String.length l - 1)
-               else l)
-      in
-      match lines with
-      | [] -> Reject (respond ~status:400 "bad request\n")
-      | req_line :: header_lines -> (
-        match parse_request_line req_line with
-        | None -> Reject (respond ~status:400 "bad request\n")
-        | Some (meth, path, query) ->
-          let headers = parse_header_lines header_lines in
-          if not (List.mem meth known_methods) then
-            Reject
-              (respond ~status:405
-                 ~headers:[ "Allow", String.concat ", " known_methods ]
-                 "method not allowed\n")
-          else if header "transfer-encoding" headers <> None then
-            (* We only speak Content-Length bodies. *)
-            Reject (respond ~status:501 "transfer encodings not supported\n")
-          else
-            let content_length =
-              match header "content-length" headers with
-              | None -> Some 0
-              | Some v -> (
-                match int_of_string_opt (String.trim v) with
-                | Some n when n >= 0 -> Some n
-                | _ -> None)
-            in
-            (match content_length with
-            | None -> Reject (respond ~status:400 "bad content-length\n")
-            | Some len when len > max_body -> Reject too_large
-            | Some len ->
-              (* Body bytes already buffered past the header block. *)
-              let full = Buffer.contents acc in
-              let got = Buffer.create (min len 4096) in
-              Buffer.add_string got
-                (String.sub full body_off (String.length full - body_off));
-              let rec read_body () =
-                if Buffer.length got >= len then
-                  Ok (String.sub (Buffer.contents got) 0 len)
-                else
-                  match Unix.read fd buf 0 (Bytes.length buf) with
-                  | 0 -> Error (respond ~status:400 "truncated body\n")
-                  | n ->
-                    Buffer.add_subbytes got buf 0 n;
-                    if Buffer.length got > max_body then Error too_large
-                    else read_body ()
-                  | exception
-                      Unix.Unix_error
-                        ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-                    ->
-                    Error (respond ~status:400 "truncated body\n")
-              in
-              (match read_body () with
-              | Error rs -> Reject rs
-              | Ok body ->
-                Req
-                  {
-                    rq_method = meth;
-                    rq_path = path;
-                    rq_query = query;
-                    rq_headers = headers;
-                    rq_body = body;
-                  }))))
+  | Error rs -> if Buffer.length acc = 0 then Gone else Reject rs
+  | Ok head_len -> (
+    let line = List.hd (String.split_on_char '\n' (Buffer.sub acc 0 head_len)) in
+    let req_line =
+      if String.ends_with ~suffix:"\r" line then
+        String.sub line 0 (String.length line - 1)
+      else line
+    in
+    match parse_request_line req_line with
+    | None -> Reject (respond ~status:400 "bad request\n")
+    | Some (meth, path, query) ->
+      if not (List.mem meth known_methods) then
+        Reject
+          (respond ~status:405
+             ~headers:[ "Allow", String.concat ", " known_methods ]
+             "method not allowed\n")
+      else Req { rq_method = meth; rq_path = path; rq_query = query })
 
 let write_all fd s =
   let n = String.length s in
@@ -292,10 +223,7 @@ let serve_connection t handler fd =
   (* A stuck or byte-dribbling client gets cut off by the receive
      timeout instead of pinning the server domain. *)
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0 with _ -> ());
-  match
-    read_request ~max_header:t.t_max_header_bytes ~max_body:t.t_max_body_bytes
-      fd
-  with
+  match read_request ~max_header:t.t_max_header_bytes fd with
   | Gone -> ()
   | Reject rs -> ( try send_response fd rs with _ -> ())
   | Req rq ->
@@ -331,8 +259,7 @@ let resolve addr =
     | _ -> failwith (Printf.sprintf "cannot resolve address %S" addr))
 
 let start ?(addr = "127.0.0.1") ?(port = 0)
-    ?(max_header_bytes = default_max_header_bytes)
-    ?(max_body_bytes = default_max_body_bytes) handler =
+    ?(max_header_bytes = default_max_header_bytes) handler =
   let inet = resolve addr in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
@@ -355,7 +282,6 @@ let start ?(addr = "127.0.0.1") ?(port = 0)
       t_addr = Unix.string_of_inet_addr inet;
       t_port = bound_port;
       t_max_header_bytes = max_header_bytes;
-      t_max_body_bytes = max_body_bytes;
       stopping = Atomic.make false;
       domain = None;
     }
@@ -377,24 +303,18 @@ let stop t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tiny client (tests, smoke checks, CLI submit/status/fetch)          *)
+(* Tiny client (tests and smoke checks)                                *)
 
-let request ?(addr = "127.0.0.1") ?(meth = "GET") ?body ~port path =
+let request ?(addr = "127.0.0.1") ?(meth = "GET") ~port path =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with _ -> ())
     (fun () ->
       Unix.setsockopt_float sock Unix.SO_RCVTIMEO 30.0;
       Unix.connect sock (Unix.ADDR_INET (resolve addr, port));
-      let body_part =
-        match body with
-        | None -> ""
-        | Some b -> Printf.sprintf "Content-Length: %d\r\n" (String.length b)
-      in
       write_all sock
-        (Printf.sprintf "%s %s HTTP/1.1\r\nHost: %s\r\n%sConnection: close\r\n\r\n%s"
-           meth path addr body_part
-           (Option.value ~default:"" body));
+        (Printf.sprintf "%s %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n"
+           meth path addr);
       let buf = Bytes.create 4096 in
       let acc = Buffer.create 1024 in
       let rec drain () =

@@ -1,10 +1,7 @@
-(** Minimal hand-rolled HTTP/1.1 server for the live telemetry plane
-    and the merge service daemon.
+(** Minimal hand-rolled HTTP/1.1 server for the live telemetry plane.
 
     Just enough HTTP to serve [GET /metrics] and friends to curl,
-    Prometheus and a browser — and, since the service PR, to accept
-    merge jobs over [POST /jobs] — with zero dependencies beyond
-    [unix]:
+    Prometheus and a browser, with zero dependencies beyond [unix]:
 
     - one listening socket, one {e dedicated domain} running the
       accept loop — the pipeline's driver and pool domains never block
@@ -13,38 +10,33 @@
     - connections are served sequentially on that domain, one request
       per connection ([Connection: close]) — correct and tiny, and
       plenty for a telemetry endpoint scraped a few times a second;
-    - the request surface is [GET]/[HEAD]/[POST]/[DELETE]; any other
-      method is answered [405] with an [Allow] header before the
-      handler runs;
-    - header blocks and bodies are size-capped (16 KiB / 1 MiB by
-      default, configurable at {!start}) — over-limit requests are
-      answered [413] — and reads run under a receive timeout, so a
-      stuck client cannot pin the server domain;
-    - only [Content-Length] bodies are accepted; a request with a
-      [Transfer-Encoding] is answered [501];
+    - the request surface is [GET]/[HEAD]; any other method is
+      answered [405] with an [Allow: GET, HEAD] header before the
+      handler runs, and no request body is ever read;
+    - the header block is size-capped (16 KiB by default, configurable
+      at {!start}) — an over-limit request is answered [413] — and
+      reads run under a receive timeout, so a stuck client cannot pin
+      the server domain;
+    - a malformed request line is answered [400];
     - handlers run on the server domain and must therefore only touch
       thread-safe state (the {!Metrics}/{!Obs}/{!Eventlog}/{!Progress}
-      registries all are, and the service scheduler is
-      mutex-protected).
+      registries all are).
 
     Binding to port 0 lets the OS pick a free port ({!port} reports the
     real one) — this is how tests avoid port races, and how [--serve 0]
     behaves. *)
 
 type request = {
-  rq_method : string;            (** e.g. ["GET"], ["POST"] *)
+  rq_method : string;            (** ["GET"] or ["HEAD"] *)
   rq_path : string;              (** decoded path, e.g. ["/metrics"] *)
   rq_query : (string * string) list;  (** decoded query pairs, in order *)
-  rq_headers : (string * string) list;
-      (** lowercased header names, values trimmed, in order *)
-  rq_body : string;              (** [""] when the request had no body *)
 }
 
 type response = {
   rs_status : int;
   rs_content_type : string;
   rs_headers : (string * string) list;
-      (** extra headers, e.g. [("Retry-After", "1")] *)
+      (** extra headers, e.g. [("Allow", "GET, HEAD")] *)
   rs_body : string;
 }
 
@@ -72,14 +64,12 @@ val start :
   ?addr:string ->
   ?port:int ->
   ?max_header_bytes:int ->
-  ?max_body_bytes:int ->
   handler ->
   t
 (** Bind [addr:port] (default [127.0.0.1:0]), start the accept-loop
     domain and return the running server. Requests whose header block
-    exceeds [max_header_bytes] (default 16 KiB) or whose body exceeds
-    [max_body_bytes] (default 1 MiB) are answered [413] without
-    reaching the handler.
+    exceeds [max_header_bytes] (default 16 KiB) are answered [413]
+    without reaching the handler.
     @raise Failure when the address cannot be parsed or bound. *)
 
 val addr : t -> string
@@ -95,13 +85,13 @@ val stop : t -> unit
 val request :
   ?addr:string ->
   ?meth:string ->
-  ?body:string ->
   port:int ->
   string ->
   int * (string * string) list * string
-(** Tiny blocking HTTP/1.1 client for tests, smoke checks and the CLI
-    service subcommands: [request ~meth:"POST" ~body ~port "/jobs"]
-    returns [(status, headers, body)] with header names lowercased.
+(** Tiny blocking HTTP/1.1 client for tests and smoke checks:
+    [request ~meth:"HEAD" ~port "/metrics"] sends a body-less request
+    and returns [(status, headers, body)] with header names
+    lowercased.
     @raise Unix.Unix_error / Failure on connection or protocol
     failure. *)
 

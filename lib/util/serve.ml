@@ -1,8 +1,6 @@
 (* Telemetry endpoint routing. The built-in endpoints are pure reads
    of process-global observability state; nothing here writes into the
-   pipeline, which is what keeps --serve byte-identity trivial.
-   Registered routes (the service daemon's /jobs plane) may carry
-   state of their own — they are consulted before the built-ins. *)
+   pipeline, which is what keeps --serve byte-identity trivial. *)
 
 let parse_spec s =
   let port_of p =
@@ -17,34 +15,6 @@ let parse_spec s =
     and p = String.sub s (i + 1) (String.length s - i - 1) in
     if addr = "" then Error (Printf.sprintf "empty address in %S" s)
     else Result.map (fun p -> addr, p) (port_of p)
-
-(* ------------------------------------------------------------------ *)
-(* Route registration                                                   *)
-
-(* A route owns a path prefix: it gets every request whose path equals
-   [prefix] or continues it after a '/'. Routes are consulted
-   newest-first, before the built-in telemetry endpoints, so a
-   registered "/jobs" cannot be shadowed. *)
-let routes : (string * Httpd.handler) list ref = ref []
-let routes_mu = Mutex.create ()
-
-let register ~prefix handler =
-  Mutex.protect routes_mu (fun () -> routes := (prefix, handler) :: !routes)
-
-let unregister ~prefix =
-  Mutex.protect routes_mu (fun () ->
-      routes := List.filter (fun (p, _) -> p <> prefix) !routes)
-
-let route_for path =
-  let matches prefix =
-    path = prefix
-    || String.length path > String.length prefix
-       && String.sub path 0 (String.length prefix) = prefix
-       && path.[String.length prefix] = '/'
-  in
-  Mutex.protect routes_mu (fun () ->
-      List.find_opt (fun (p, _) -> matches p) !routes)
-  |> Option.map snd
 
 (* ------------------------------------------------------------------ *)
 (* /healthz                                                            *)
@@ -125,45 +95,35 @@ let index_body =
       "";
     ]
 
-let read_only_405 =
-  Httpd.respond ~status:405
-    ~headers:[ "Allow", "GET, HEAD" ]
-    "telemetry endpoints are read-only\n"
-
 let handler (rq : Httpd.request) =
-  match route_for rq.Httpd.rq_path with
-  | Some h -> h rq
-  | None when rq.Httpd.rq_method <> "GET" && rq.Httpd.rq_method <> "HEAD" ->
-    read_only_405
-  | None -> (
-    match rq.Httpd.rq_path with
-    | "/" | "/index.html" -> Httpd.respond index_body
-    | "/metrics" ->
-      Httpd.respond
-        ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-        (Metrics.to_prometheus ())
-    | "/healthz" ->
-      Httpd.respond ~content_type:"application/json" (healthz_json () ^ "\n")
-    | "/progress" ->
-      Httpd.respond ~content_type:"application/json" (Progress.to_json () ^ "\n")
-    | "/events" ->
-      let limit =
-        List.assoc_opt "n" rq.Httpd.rq_query
-        |> Option.map int_of_string_opt |> Option.join
-      in
-      Httpd.respond ~content_type:"application/x-ndjson"
-        (Eventlog.to_ndjson ?limit ())
-    | "/trace" ->
-      Httpd.respond ~content_type:"application/json" (Obs.trace_event_json ())
-    | _ -> Httpd.not_found)
+  match rq.Httpd.rq_path with
+  | "/" | "/index.html" -> Httpd.respond index_body
+  | "/metrics" ->
+    Httpd.respond
+      ~content_type:"text/plain; version=0.0.4; charset=utf-8"
+      (Metrics.to_prometheus ())
+  | "/healthz" ->
+    Httpd.respond ~content_type:"application/json" (healthz_json () ^ "\n")
+  | "/progress" ->
+    Httpd.respond ~content_type:"application/json" (Progress.to_json () ^ "\n")
+  | "/events" ->
+    let limit =
+      List.assoc_opt "n" rq.Httpd.rq_query
+      |> Option.map int_of_string_opt |> Option.join
+    in
+    Httpd.respond ~content_type:"application/x-ndjson"
+      (Eventlog.to_ndjson ?limit ())
+  | "/trace" ->
+    Httpd.respond ~content_type:"application/json" (Obs.trace_event_json ())
+  | _ -> Httpd.not_found
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
 type t = Httpd.t
 
-let start ?max_body_bytes ~addr ~port () =
-  let t = Httpd.start ~addr ~port ?max_body_bytes handler in
+let start ~addr ~port () =
+  let t = Httpd.start ~addr ~port handler in
   Mutex.protect current_mu (fun () -> current := Some t);
   Eventlog.log "serve.start"
     ~attrs:

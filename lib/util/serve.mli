@@ -1,6 +1,5 @@
-(** The live telemetry plane: HTTP endpoints over the observability
-    registries, plus path-prefix route registration for subsystems
-    (the merge service daemon mounts its [/jobs] plane here).
+(** The live telemetry plane: read-only HTTP endpoints over the
+    observability registries.
 
     [--serve [ADDR:]PORT] starts one {!Httpd} server whose built-in
     handler reads the process-global {!Metrics}, {!Progress},
@@ -26,26 +25,14 @@
       which [--serve] enables);
     - [GET /] — a plain-text index of the above.
 
-    Unknown paths get a 404; non-GET methods on the built-in
-    endpoints get a 405 (registered routes handle their own
-    methods). *)
+    Unknown paths get a 404; {!Httpd} answers any method other than
+    [GET]/[HEAD] with a 405 before this handler runs. *)
 
 val parse_spec : string -> (string * int, string) result
 (** Parse a [--serve] argument: ["PORT"] or ["ADDR:PORT"], e.g.
     ["9090"], ["127.0.0.1:9090"], ["0.0.0.0:0"]. Port 0 asks the OS
     for a free port (the bound port is reported at startup).
     [Error msg] on anything else. *)
-
-val register : prefix:string -> Httpd.handler -> unit
-(** Mount [handler] at [prefix]: it receives every request whose path
-    equals [prefix] or continues it after a ['/'] (so
-    [register ~prefix:"/jobs"] serves [/jobs], [/jobs/j3],
-    [/jobs/j3/result], …). Registered routes are consulted before the
-    built-in telemetry endpoints, newest registration first. Handlers
-    run on the server domain: thread-safe state only. *)
-
-val unregister : prefix:string -> unit
-(** Remove every route registered at exactly [prefix]. *)
 
 val endpoint : unit -> (string * int) option
 (** The bound [(addr, port)] of the most recently started server, if
@@ -56,11 +43,9 @@ val handler : Httpd.handler
 
 type t
 
-val start : ?max_body_bytes:int -> addr:string -> port:int -> unit -> t
+val start : addr:string -> port:int -> unit -> t
 (** Bind and start serving, journal a [serve.start] event (attrs
     [addr], [port] and the full [url]), and return the running server.
-    [max_body_bytes] is passed through to {!Httpd.start} — the daemon
-    raises it for job submissions.
     @raise Failure when the address cannot be parsed or bound. *)
 
 val addr : t -> string

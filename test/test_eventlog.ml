@@ -396,6 +396,65 @@ let test_httpd_roundtrip () =
       check Alcotest.int "second request served" 200
         (fst (Httpd.get ~port "/hello")))
 
+(* A POST with a body, sent over a raw socket because the client sends
+   no bodies; returns the status and the lowercased response headers. *)
+let raw_post ~port path body =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let req =
+    Printf.sprintf
+      "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" path
+      (String.length body) body
+  in
+  ignore (Unix.write_substring sock req 0 (String.length req));
+  let ic = Unix.in_channel_of_descr sock in
+  let line () = String.trim (input_line ic) in
+  let status = Scanf.sscanf (line ()) "HTTP/1.1 %d" Fun.id in
+  let rec headers acc =
+    match line () with
+    | "" -> List.rev acc
+    | l -> (
+      match String.index_opt l ':' with
+      | None -> headers acc
+      | Some c ->
+        headers
+          (( String.lowercase_ascii (String.sub l 0 c),
+             String.trim (String.sub l (c + 1) (String.length l - c - 1)) )
+          :: acc))
+  in
+  status, headers []
+
+let test_httpd_limits () =
+  let calls = Atomic.make 0 in
+  let srv =
+    Httpd.start ~addr:"127.0.0.1" ~port:0 ~max_header_bytes:1024 (fun _ ->
+        Atomic.incr calls;
+        Httpd.respond "ok")
+  in
+  Fun.protect ~finally:(fun () -> Httpd.stop srv) @@ fun () ->
+  let port = Httpd.port srv in
+  let status, _, _ = Httpd.request ~port ("/" ^ String.make 1200 'h') in
+  check Alcotest.int "over-limit header block is 413" 413 status;
+  let refused meth (status, headers) =
+    check Alcotest.int (meth ^ " is 405") 405 status;
+    check
+      Alcotest.(option string)
+      (meth ^ " 405 carries Allow") (Some "GET, HEAD")
+      (Httpd.header "allow" headers)
+  in
+  List.iter
+    (fun meth ->
+      let status, headers, _ = Httpd.request ~meth ~port "/x" in
+      refused meth (status, headers))
+    [ "PUT"; "DELETE" ];
+  refused "POST with a body" (raw_post ~port "/x" "payload");
+  check Alcotest.int "refused requests never reach the handler" 0
+    (Atomic.get calls);
+  let status, _, _ = Httpd.request ~meth:"HEAD" ~port "/x" in
+  check Alcotest.int "HEAD is answered 200" 200 status;
+  check Alcotest.int "HEAD reaches the handler" 1 (Atomic.get calls)
+
 let test_httpd_stop_idempotent () =
   let srv = Httpd.start ~addr:"127.0.0.1" ~port:0 (fun _ -> Httpd.not_found) in
   Httpd.stop srv;
@@ -666,6 +725,7 @@ let () =
         [
           tc "Httpd round-trip on an OS-assigned port" test_httpd_roundtrip;
           tc "Httpd.stop is idempotent" test_httpd_stop_idempotent;
+          tc "Httpd limits (413) and methods (405)" test_httpd_limits;
           tc "--serve spec parsing" test_parse_spec;
           tc "every Serve endpoint answers over a real socket"
             test_serve_endpoints;

@@ -8,6 +8,7 @@ module Stat = Mm_util.Stat
 module Pool = Mm_util.Pool
 module Metrics = Mm_util.Metrics
 module Runlog = Mm_util.Runlog
+module Diag = Mm_util.Diag
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -645,6 +646,21 @@ let pool_cases =
         Unix.putenv "MM_JOBS" "");
   ]
 
+let diag_cases =
+  [
+    tc "render_json escapes quote, backslash, newline and control bytes"
+      (fun () ->
+        let nasty = "q\"b\\n\n\001" in
+        let d =
+          Diag.make
+            ~loc:(Diag.loc ~line:3 ~col:7 ("f" ^ nasty))
+            Diag.Error ~code:("c" ^ nasty) ("m" ^ nasty)
+        in
+        check Alcotest.string "exact bytes"
+          {|[{"severity":"error","code":"cq\"b\\n\n\u0001","file":"fq\"b\\n\n\u0001","line":3,"col":7,"message":"mq\"b\\n\n\u0001"}]|}
+          (Diag.render_json [ d ]));
+  ]
+
 let () =
   Alcotest.run "mm_util"
     [
@@ -656,4 +672,5 @@ let () =
       "stat", stat_cases;
       "runlog", runlog_cases;
       "pool", pool_cases;
+      "diag", diag_cases;
     ]
