@@ -1,4 +1,4 @@
-let schema_version = 1
+let schema_version = 2
 
 type stage_rec = {
   st_name : string;

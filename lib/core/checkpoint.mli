@@ -34,6 +34,9 @@
     edited inputs would silently splice two different runs. *)
 
 val schema_version : int
+(** Bumped whenever a stage payload's type changes: {!load_stage}
+    unmarshals at the caller's type, so this is the only guard against
+    reading an old payload as the new type. *)
 
 type t
 

@@ -96,53 +96,6 @@ type result = {
   governed : governed;
 }
 
-(* Mutable accumulator behind the [governed] snapshot. Only the driver
-   domain touches it: pool tasks report governance outcomes through
-   their return values, never by writing here. *)
-type gov_state = {
-  mutable gs_splits : int;
-  mutable gs_budget_quar : int;
-  mutable gs_conservative : int;
-  mutable gs_deadline_hit : bool;
-  mutable gs_events : govern_event list; (* reversed *)
-}
-
-let fresh_gov_state () =
-  {
-    gs_splits = 0;
-    gs_budget_quar = 0;
-    gs_conservative = 0;
-    gs_deadline_hit = false;
-    gs_events = [];
-  }
-
-let snapshot_gov gs =
-  {
-    gov_clique_splits = gs.gs_splits;
-    gov_budget_quarantines = gs.gs_budget_quar;
-    gov_conservative_pairs = gs.gs_conservative;
-    gov_deadline_hit = gs.gs_deadline_hit;
-    gov_events = List.rev gs.gs_events;
-  }
-
-let restore_gov gs g =
-  gs.gs_splits <- g.gov_clique_splits;
-  gs.gs_budget_quar <- g.gov_budget_quarantines;
-  gs.gs_conservative <- g.gov_conservative_pairs;
-  gs.gs_deadline_hit <- g.gov_deadline_hit;
-  gs.gs_events <- List.rev g.gov_events
-
-let event gs ~stage ~scope ~action ~detail =
-  gs.gs_events <-
-    { ge_stage = stage; ge_scope = scope; ge_action = action;
-      ge_detail = detail }
-    :: gs.gs_events
-
-(* One journal entry per constraint set that leaves the pipeline —
-   whatever the cause (parse failure, crash, blown budget). *)
-let log_quarantine ~stage q =
-  Eventlog.log "merge.quarantined" ~attrs:[ "stage", stage; "mode", q.q_name ]
-
 let exn_diag ~code ~name exn =
   Diag.makef ~loc:(Diag.loc name) Diag.Error ~code "%s: %s" name
     (Printexc.to_string exn)
@@ -164,9 +117,11 @@ let degenerate_mergeability modes =
     pair_reasons = Hashtbl.create 1;
   }
 
-(* Groups keep their prelim without its merged context: nothing past
-   refinement reads it, it would pin a context's arrays for the rest of
-   the run, and contexts cannot be marshaled into a checkpoint. *)
+(* Groups keep their prelim without its merged context, and their
+   refinement without its refined context once the equivalence check
+   (its only consumer) has run: nothing later reads them, they would pin
+   a context's arrays for the rest of the run, and contexts cannot be
+   marshaled into a checkpoint. *)
 let without_ctx (prelim : Prelim.t) = { prelim with Prelim.merged_ctx = None }
 
 let singleton_group ?tolerance ~ctx_cache (single : Mode.t) =
@@ -198,12 +153,97 @@ let merged_group ?tolerance ~check_equivalence ~ctx_cache ~name members =
   {
     grp_members = List.map (fun (m : Mode.t) -> m.Mode.mode_name) members;
     grp_prelim = without_ctx prelim;
-    grp_refine = Some refine;
+    grp_refine = Some { refine with Refine.refined_ctx = None };
     grp_equiv = equiv;
     grp_mode = mode;
     grp_prov =
       Provenance.of_group ~members ~prelim ~refine:(Some refine) ~mode;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Cumulative pipeline state
+
+   One record carries everything the pipeline has decided so far. Each
+   stage maps it to the next, and [staged] checkpoints it as it is at
+   every stage boundary, so resuming needs only the latest completed
+   stage's payload. Closure-free (Marshal-safe); the list fields
+   accumulate newest first. *)
+
+type state = {
+  s_modes : Mode.t list; (* modes still in the merge, analysis order *)
+  s_probed : (string * group) list; (* memoized singleton groups *)
+  s_matrix : Mergeability.t;
+  s_groups : group list;
+  s_quar : quarantined list;
+  s_degraded : string list list;
+  s_diags : Diag.t list;
+  s_gov : governed; (* gov_events newest first *)
+}
+
+let initial modes =
+  {
+    s_modes = modes;
+    s_probed = [];
+    s_matrix = degenerate_mergeability [];
+    s_groups = [];
+    s_quar = [];
+    s_degraded = [];
+    s_diags = [];
+    s_gov = empty_governed;
+  }
+
+(* Record one outcome-affecting governance decision; [count] bumps the
+   matching [governed] counter. *)
+let decide st ~count ~stage ~scope ~action ~detail =
+  let ev =
+    { ge_stage = stage; ge_scope = scope; ge_action = action;
+      ge_detail = detail }
+  in
+  let g = st.s_gov in
+  { st with s_gov = count { g with gov_events = ev :: g.gov_events } }
+
+let note_deadline tok st =
+  if Govern.expired tok then
+    { st with s_gov = { st.s_gov with gov_deadline_hit = true } }
+  else st
+
+(* The pipeline stage each kind of quarantine happens in. *)
+let stage_key = function
+  | Load -> "load"
+  | Probe -> "mergeability"
+  | Merge -> "cliques"
+
+(* The one way a mode leaves the pipeline, whatever the cause (parse
+   failure, unreadable file, crash, blown budget): counted, journalled
+   once, and kept with its diagnostics. *)
+let quarantine q_stage name diags =
+  Metrics.incr "merge.quarantined";
+  Eventlog.log "merge.quarantined"
+    ~attrs:[ "stage", stage_key q_stage; "mode", name ];
+  { q_name = name; q_stage; q_diags = diags }
+
+let quarantine_into st q_stage name diags =
+  { st with s_quar = quarantine q_stage name diags :: st.s_quar }
+
+(* Ladder rung 3: settle a mode whose task the retry rung could not
+   save by quarantining it. A crash reports its exception; a blown
+   budget reports the governance reason and is also a governance
+   decision. *)
+let settle st q_stage name (o : _ Govern.outcome) =
+  match o with
+  | Govern.Done _ -> st
+  | Govern.Crashed { exn; _ } ->
+    quarantine_into st q_stage name
+      [ exn_diag ~code:"merge.mode-failed" ~name exn ]
+  | Govern.Interrupted r ->
+    let st =
+      decide st
+        ~count:(fun g ->
+          { g with gov_budget_quarantines = g.gov_budget_quarantines + 1 })
+        ~stage:(stage_key q_stage) ~scope:name ~action:"quarantine"
+        ~detail:(Govern.reason_to_string r)
+    in
+    quarantine_into st q_stage name [ interrupt_diag ~name r ]
 
 (* ------------------------------------------------------------------ *)
 (* Task values
@@ -218,7 +258,7 @@ let merged_group ?tolerance ~check_equivalence ~ctx_cache ~name members =
 (* Outcome of one stage-3 clique task. *)
 type task_out = {
   tk_groups : group list;
-  tk_quarantined : quarantined list;
+  tk_quarantined : (string * Diag.t list) list; (* mode name, diagnostics *)
   tk_degraded : string list list;
   tk_diags : Diag.t list;
 }
@@ -231,36 +271,26 @@ type task_out = {
 let probe_task ?tolerance ~ctx_cache (m : Mode.t) =
   let ctx_cache = Ctx_cache.fork ctx_cache in
   match singleton_group ?tolerance ~ctx_cache m with
-  | g -> Ok (m, g)
+  | g -> Ok g
   | exception exn ->
-    Error
-      {
-        q_name = m.Mode.mode_name;
-        q_stage = Probe;
-        q_diags =
-          [ exn_diag ~code:"merge.mode-failed" ~name:m.Mode.mode_name exn ];
-      }
+    Error [ exn_diag ~code:"merge.mode-failed" ~name:m.Mode.mode_name exn ]
 
 (* Stage-3 task: merge one clique. [probed] holds the memoized
-   singleton groups from stage 1 (empty under [Strict]); it is written
-   before the stage-3 batch is published and only read afterwards.
-   [name] is the merged mode's name — [merged_<gi>] for top-level
-   cliques, [merged_<gi>_s<k>...] for the halves of a budget split. *)
+   singleton groups from stage 1 (empty under [Strict]). [name] is the
+   merged mode's name — [merged_<gi>] for top-level cliques,
+   [merged_<gi>_s<k>...] for the halves of a budget split. *)
 let clique_task ?tolerance ~check_equivalence ~policy ~probed ~ctx_cache ~name
     members =
   let ctx_cache = Ctx_cache.fork ctx_cache in
   let singleton (m : Mode.t) =
-    match Hashtbl.find_opt probed m.Mode.mode_name with
+    match List.assoc_opt m.Mode.mode_name probed with
     | Some g -> g
     | None -> singleton_group ?tolerance ~ctx_cache m
   in
   let ok g = { tk_groups = [ g ]; tk_quarantined = []; tk_degraded = []; tk_diags = [] } in
   let quarantine (m : Mode.t) exn =
-    {
-      q_name = m.Mode.mode_name;
-      q_stage = Merge;
-      q_diags = [ exn_diag ~code:"merge.mode-failed" ~name:m.Mode.mode_name exn ];
-    }
+    let name = m.Mode.mode_name in
+    name, [ exn_diag ~code:"merge.mode-failed" ~name exn ]
   in
   (* Permissive fallback: keep the clique's modes individual
      ("when in doubt, don't merge"). *)
@@ -325,87 +355,21 @@ let clique_task ?tolerance ~check_equivalence ~policy ~probed ~ctx_cache ~name
       degrade (Printf.sprintf "merge failed with %s" (Printexc.to_string exn)))
 
 (* ------------------------------------------------------------------ *)
-(* Degradation ladder, rung 1: retry with exponential backoff
-
-   An abandoned or crashed task is re-attempted under a fresh child
-   budget while the stage still has budget. Transient faults (an
-   injected chaos exception, a task-budget timeout under momentary
-   load) are absorbed here with byte-identical output — the re-run
-   computes exactly what the first run would have. Only when retries
-   are exhausted do the outcome-changing rungs (split, quarantine)
-   engage. *)
-
-let note_interrupt = function
-  | Govern.Interrupted (Govern.Deadline_exceeded _) as o ->
-    Metrics.incr "govern.timeouts";
-    o
-  | Govern.Interrupted (Govern.Memory_watermark _) as o ->
-    Metrics.incr "govern.mem_trips";
-    o
-  | o -> o
-
-let rescue ~stage_tok ~budgets ~scope f o =
-  match note_interrupt o with
-  | Govern.Done _ as d -> d
-  | first ->
-    let p = budgets.bg_retry in
-    let rec go attempt last =
-      if attempt > p.Govern.max_attempts || Govern.expired stage_tok then last
-      else begin
-        Metrics.incr "govern.retries";
-        Eventlog.log "govern.retry"
-          ~attrs:[ "scope", scope; "attempt", string_of_int attempt ];
-        Govern.sleep_s (Govern.backoff_s p ~attempt);
-        let tok = Govern.sub ~scope ?budget_s:budgets.bg_task_s stage_tok in
-        let o =
-          note_interrupt
-            (Govern.run tok (fun () ->
-                 Chaos.hit "pool.retry";
-                 f ()))
-        in
-        match o with Govern.Done _ as d -> d | o -> go (attempt + 1) o
-      end
-    in
-    go 2 first
-
-(* Strict policy: governance failures propagate like any other failure
-   (after the retry rung) — crashes with their original backtrace,
-   expired budgets as [Govern.Cancelled]. *)
-let strict_fail o =
-  match Govern.reraise_crash o with
-  | Govern.Interrupted r -> raise (Govern.Cancelled r)
-  | Govern.Done _ | Govern.Crashed _ -> assert false
-
-(* ------------------------------------------------------------------ *)
-(* Checkpointed stage state
-
-   Each record is the {e cumulative} pipeline state at its stage
-   boundary, so resuming needs only the latest completed stage's
-   payload. All three are closure-free (Marshal-safe). *)
-
-type st_load = {
-  sl_modes : Mode.t list;
-  sl_quar : quarantined list;
-  sl_diags : Diag.t list;
-  sl_gov : governed;
-}
-
-type st_matrix = {
-  sm_modes : Mode.t list; (* survivors of the probe, analysis order *)
-  sm_probed : (string * group) list; (* memoized singleton groups *)
-  sm_matrix : Mergeability.t;
-  sm_quar : quarantined list;
-  sm_diags : Diag.t list;
-  sm_gov : governed;
-}
-
-type st_cliques = {
-  sc_groups : group list;
-  sc_quar : quarantined list;
-  sc_degraded : string list list;
-  sc_diags : Diag.t list;
-  sc_gov : governed;
-}
+(* Degradation ladder, rung 1, for one task: {!Govern.retry} under the
+   run's budgets. Transient faults (an injected chaos exception, a
+   task-budget timeout under momentary load) are absorbed here with
+   byte-identical output — the re-run computes exactly what the first
+   run would have. Under [Strict] this is the whole ladder: a failure
+   the retries could not absorb propagates, a crash with its original
+   backtrace and a blown budget as [Govern.Cancelled]. Under
+   [Permissive] it comes back for the outcome-changing rungs (split,
+   quarantine, conservative pair verdict). *)
+let retry ~policy ~budgets tok ~scope f first =
+  let o =
+    Govern.retry budgets.bg_retry ?budget_s:budgets.bg_task_s tok ~scope f
+      first
+  in
+  match policy with Strict -> Govern.Done (Govern.value o) | Permissive -> o
 
 let stage_token ~budgets root name =
   Govern.sub
@@ -457,130 +421,138 @@ let load_task ~policy ~design src_name src_file src_text =
     let r =
       Resolve.mode_of_string_robust ~file design ~name:src_name src_text
     in
-    if Diag.has_errors r.Resolve.diags then
-      Error { q_name = src_name; q_stage = Load; q_diags = r.Resolve.diags }
+    if Diag.has_errors r.Resolve.diags then Error r.Resolve.diags
     else Ok (r.Resolve.mode, r.Resolve.diags)
 
-let compute_matrix ?tolerance ~policy ~pool ~budgets ~gs ~ctx_cache ~root
-    (ld : st_load) =
+let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
   let tok = stage_token ~budgets root "mergeability" in
-  Progress.add_total ~by:(List.length ld.sl_modes) "merge.mergeability";
-  let quar = ref (List.rev ld.sl_quar) in
-  let diags = ref (List.rev ld.sl_diags) in
-  let quarantine q =
-    Metrics.incr "merge.quarantined";
-    log_quarantine ~stage:"mergeability" q;
-    quar := q :: !quar
-  in
+  Progress.add_total ~by:(List.length st.s_modes) "merge.mergeability";
   (* Stage 1 (permissive): per-mode probe tasks. *)
-  let probed = Hashtbl.create 16 in
-  let modes =
+  let st =
     match policy with
-    | Strict -> ld.sl_modes
+    | Strict -> st
     | Permissive ->
+      let task = probe_task ?tolerance ~ctx_cache in
       let outs =
         Pool.map_outcome pool ~govern:tok ?task_budget_s:budgets.bg_task_s
-          (probe_task ?tolerance ~ctx_cache)
-          ld.sl_modes
+          task st.s_modes
       in
-      List.rev
-        (List.fold_left2
-           (fun acc (m : Mode.t) out ->
-             let name = m.Mode.mode_name in
-             Progress.tick "merge.mergeability";
-             match
-               rescue ~stage_tok:tok ~budgets ~scope:name
-                 (fun () -> probe_task ?tolerance ~ctx_cache m)
-                 out
-             with
-             | Govern.Done (Ok ((m : Mode.t), g)) ->
-               Hashtbl.replace probed m.Mode.mode_name g;
-               m :: acc
-             | Govern.Done (Error q) ->
-               quarantine q;
-               acc
-             | Govern.Crashed { exn; _ } ->
-               quarantine
-                 {
-                   q_name = name;
-                   q_stage = Probe;
-                   q_diags = [ exn_diag ~code:"merge.mode-failed" ~name exn ];
-                 };
-               acc
-             | Govern.Interrupted r ->
-               (* Ladder rung 3: a mode whose probe never fit the
-                  budget is quarantined, like a crashing one. *)
-               gs.gs_budget_quar <- gs.gs_budget_quar + 1;
-               event gs ~stage:"mergeability" ~scope:name ~action:"quarantine"
-                 ~detail:(Govern.reason_to_string r);
-               quarantine
-                 {
-                   q_name = name;
-                   q_stage = Probe;
-                   q_diags = [ interrupt_diag ~name r ];
-                 };
-               acc)
-           [] ld.sl_modes outs)
+      let st =
+        List.fold_left2
+          (fun st (m : Mode.t) out ->
+            let name = m.Mode.mode_name in
+            Progress.tick "merge.mergeability";
+            match
+              retry ~policy ~budgets tok ~scope:name (fun () -> task m) out
+            with
+            | Govern.Done (Ok g) ->
+              {
+                st with
+                s_modes = m :: st.s_modes;
+                s_probed = (name, g) :: st.s_probed;
+              }
+            | Govern.Done (Error diags) -> quarantine_into st Probe name diags
+            (* Ladder rung 3: a mode whose probe never fit the budget is
+               quarantined, like a crashing one. *)
+            | o -> settle st Probe name o)
+          { st with s_modes = [] } st.s_modes outs
+      in
+      { st with s_modes = List.rev st.s_modes }
   in
   (* Stage 2: mergeability graph + clique cover (pairwise checks are
-     pool tasks inside [Mergeability.analyze]). *)
-  let c0 = Metrics.get_counter "govern.conservative_pairs" in
-  let matrix =
-    match policy with
-    | Strict ->
-      Mergeability.analyze ?tolerance ~ctx_cache ~pool ~govern:tok
-        ?task_budget_s:budgets.bg_task_s modes
-    | Permissive -> (
-      try
-        Mergeability.analyze ?tolerance ~ctx_cache ~pool ~govern:tok
-          ?task_budget_s:budgets.bg_task_s ~conservative:true modes
-      with exn ->
-        diags :=
-          Diag.makef Diag.Error ~code:"merge.analysis-failed"
-            "mergeability analysis failed (%s); keeping all modes individual"
-            (Printexc.to_string exn)
-          :: !diags;
-        degenerate_mergeability modes)
+     pool tasks inside [Mergeability.analyze], settled here). Declining
+     an edge only costs reduction, never the paper's inclusion
+     guarantee, so a pair check that does not survive the retry rung is
+     conservatively treated as not mergeable. *)
+  let conservative = ref 0 in
+  let settle_pair ~scope recheck o =
+    match retry ~policy ~budgets tok ~scope recheck o with
+    | Govern.Done c -> c
+    | failed ->
+      incr conservative;
+      Metrics.incr "govern.conservative_pairs";
+      {
+        Mergeability.mergeable = false;
+        reasons =
+          [
+            Printf.sprintf
+              "governance: pair check abandoned (%s); conservatively treated \
+               as not mergeable"
+              (Govern.failure_to_string failed);
+          ];
+      }
   in
-  let dc = Metrics.get_counter "govern.conservative_pairs" - c0 in
-  if dc > 0 then begin
-    gs.gs_conservative <- gs.gs_conservative + dc;
-    Eventlog.log "govern.conservative"
-      ~attrs:[ "stage", "mergeability"; "pairs", string_of_int dc ];
-    event gs ~stage:"mergeability" ~scope:"pairs" ~action:"conservative"
-      ~detail:
-        (Printf.sprintf
-           "%d pair checks abandoned under budget; treated as not mergeable"
-           dc)
-  end;
-  Metrics.incr ~by:(List.length matrix.Mergeability.cliques) "merge.cliques";
-  if Govern.cancelled tok <> None then gs.gs_deadline_hit <- true;
+  let st =
+    match
+      Mergeability.analyze ?tolerance ~ctx_cache ~pool ~govern:tok
+        ?task_budget_s:budgets.bg_task_s ~settle:settle_pair st.s_modes
+    with
+    | matrix -> { st with s_matrix = matrix }
+    | exception exn when policy = Permissive ->
+      let diag =
+        Diag.makef Diag.Error ~code:"merge.analysis-failed"
+          "mergeability analysis failed (%s); keeping all modes individual"
+          (Printexc.to_string exn)
+      in
+      {
+        st with
+        s_matrix = degenerate_mergeability st.s_modes;
+        s_diags = diag :: st.s_diags;
+      }
+  in
+  let st =
+    if !conservative = 0 then st
+    else begin
+      let n = !conservative in
+      Eventlog.log "govern.conservative"
+        ~attrs:[ "stage", "mergeability"; "pairs", string_of_int n ];
+      decide st
+        ~count:(fun g ->
+          { g with gov_conservative_pairs = g.gov_conservative_pairs + n })
+        ~stage:"mergeability" ~scope:"pairs" ~action:"conservative"
+        ~detail:
+          (Printf.sprintf
+             "%d pair checks abandoned under budget; treated as not mergeable"
+             n)
+    end
+  in
+  Metrics.incr
+    ~by:(List.length st.s_matrix.Mergeability.cliques)
+    "merge.cliques";
   Progress.finish "merge.mergeability";
+  note_deadline tok st
+
+(* Fold one clique task's outcome into the state. *)
+let absorb st t =
+  Metrics.incr ~by:(List.length t.tk_degraded) "merge.degraded_cliques";
+  List.iter
+    (fun members ->
+      Eventlog.log "merge.degraded"
+        ~attrs:[ "stage", "cliques"; "modes", String.concat "," members ])
+    t.tk_degraded;
+  let st =
+    List.fold_left
+      (fun st (name, diags) -> quarantine_into st Merge name diags)
+      st t.tk_quarantined
+  in
   {
-    sm_modes = modes;
-    sm_probed =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) probed []);
-    sm_matrix = matrix;
-    sm_quar = List.rev !quar;
-    sm_diags = List.rev !diags;
-    sm_gov = snapshot_gov gs;
+    st with
+    s_groups = List.rev_append t.tk_groups st.s_groups;
+    s_degraded = List.rev_append t.tk_degraded st.s_degraded;
+    s_diags = List.rev_append t.tk_diags st.s_diags;
   }
 
-let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets ~gs
-    ~ctx_cache ~root (sm : st_matrix) =
+let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
+    ~ctx_cache ~root st =
   let tok = stage_token ~budgets root "cliques" in
-  let probed = Hashtbl.create 16 in
-  List.iter (fun (k, g) -> Hashtbl.replace probed k g) sm.sm_probed;
-  let cliques = Mergeability.clique_modes sm.sm_matrix sm.sm_modes in
+  let cliques = Mergeability.clique_modes st.s_matrix st.s_modes in
   let named =
     List.mapi (fun gi members -> Printf.sprintf "merged_%d" gi, members) cliques
   in
   Progress.add_total ~by:(List.length named) "merge.cliques";
   let task (name, members) =
-    clique_task ?tolerance ~check_equivalence ~policy ~probed ~ctx_cache ~name
-      members
+    clique_task ?tolerance ~check_equivalence ~policy ~probed:st.s_probed
+      ~ctx_cache ~name members
   in
   (* Stage 3: per-clique merge tasks, folded in clique order. *)
   let outs =
@@ -597,126 +569,58 @@ let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets ~gs
      does not fit. Splitting only forfeits reduction — every surviving
      half is a normal merged group with the full refine/equivalence
      treatment — so the paper's inclusion guarantee is preserved. *)
-  let rec resolve (name, members) out =
-    match
-      rescue ~stage_tok:tok ~budgets ~scope:name
-        (fun () -> task (name, members))
-        out
-    with
-    | Govern.Done t -> t
-    | o when policy = Strict -> strict_fail o
+  let rec resolve st (name, members) out =
+    let rerun () = task (name, members) in
+    match retry ~policy ~budgets tok ~scope:name rerun out with
+    | Govern.Done t -> absorb st t
     | o -> (
       match members with
-      | [] -> { tk_groups = []; tk_quarantined = []; tk_degraded = []; tk_diags = [] }
+      | [] -> st
       | [ (m : Mode.t) ] -> (
-        let mode_name = m.Mode.mode_name in
-        match o, Hashtbl.find_opt probed mode_name with
+        match o, List.assoc_opt m.Mode.mode_name st.s_probed with
         | Govern.Interrupted _, Some g ->
           (* The probe already computed this mode's singleton group;
              reusing it is byte-identical to the un-interrupted task. *)
-          { tk_groups = [ g ]; tk_quarantined = []; tk_degraded = []; tk_diags = [] }
-        | Govern.Interrupted r, None ->
-          gs.gs_budget_quar <- gs.gs_budget_quar + 1;
-          event gs ~stage:"cliques" ~scope:mode_name ~action:"quarantine"
-            ~detail:(Govern.reason_to_string r);
-          {
-            tk_groups = [];
-            tk_quarantined =
-              [
-                {
-                  q_name = mode_name;
-                  q_stage = Merge;
-                  q_diags = [ interrupt_diag ~name:mode_name r ];
-                };
-              ];
-            tk_degraded = [];
-            tk_diags = [];
-          }
-        | (Govern.Crashed { exn; _ } : task_out Govern.outcome), _ ->
-          {
-            tk_groups = [];
-            tk_quarantined =
-              [
-                {
-                  q_name = mode_name;
-                  q_stage = Merge;
-                  q_diags =
-                    [ exn_diag ~code:"merge.mode-failed" ~name:mode_name exn ];
-                };
-              ];
-            tk_degraded = [];
-            tk_diags = [];
-          }
-        | Govern.Done _, _ -> assert false)
+          { st with s_groups = g :: st.s_groups }
+        | _ -> settle st Merge m.Mode.mode_name o)
       | _ ->
-        let why =
-          match o with
-          | Govern.Interrupted r -> Govern.reason_to_string r
-          | Govern.Crashed { exn; _ } -> Printexc.to_string exn
-          | Govern.Done _ -> assert false
-        in
-        gs.gs_splits <- gs.gs_splits + 1;
+        let why = Govern.failure_to_string o in
         Metrics.incr "govern.clique_splits";
         Eventlog.log "govern.clique_split"
           ~attrs:
             [ "clique", name;
               "members", string_of_int (List.length members);
               "why", why ];
-        event gs ~stage:"cliques" ~scope:name ~action:"split" ~detail:why;
+        let st =
+          decide st
+            ~count:(fun g ->
+              { g with gov_clique_splits = g.gov_clique_splits + 1 })
+            ~stage:"cliques" ~scope:name ~action:"split" ~detail:why
+        in
         let diag =
           Diag.makef Diag.Warning ~code:"govern.clique-split"
             "clique %s split under budget pressure: %s" name why
         in
         let k = (List.length members + 1) / 2 in
-        let left = List.filteri (fun i _ -> i < k) members in
-        let right = List.filteri (fun i _ -> i >= k) members in
-        let sub i mem =
+        let half st i mem =
           let nm = Printf.sprintf "%s_s%d" name i in
           let t2 = Govern.sub ~scope:nm ?budget_s:budgets.bg_task_s tok in
-          resolve (nm, mem) (Govern.run t2 (fun () -> task (nm, mem)))
+          resolve st (nm, mem) (Govern.run t2 (fun () -> task (nm, mem)))
         in
-        let a = sub 0 left in
-        let b = sub 1 right in
-        {
-          tk_groups = a.tk_groups @ b.tk_groups;
-          tk_quarantined = a.tk_quarantined @ b.tk_quarantined;
-          tk_degraded = a.tk_degraded @ b.tk_degraded;
-          tk_diags = (diag :: a.tk_diags) @ b.tk_diags;
-        })
+        let st = { st with s_diags = diag :: st.s_diags } in
+        let st = half st 0 (List.filteri (fun i _ -> i < k) members) in
+        half st 1 (List.filteri (fun i _ -> i >= k) members))
   in
-  let quar = ref (List.rev sm.sm_quar) in
-  let diags = ref (List.rev sm.sm_diags) in
-  let groups, degraded =
+  let st =
     List.fold_left2
-      (fun (acc_g, acc_d) nm out ->
-        let t = resolve nm out in
+      (fun st nm out ->
+        let st = resolve st nm out in
         Progress.tick "merge.cliques";
-        List.iter
-          (fun q ->
-            Metrics.incr "merge.quarantined";
-            log_quarantine ~stage:"cliques" q;
-            quar := q :: !quar)
-          t.tk_quarantined;
-        Metrics.incr ~by:(List.length t.tk_degraded) "merge.degraded_cliques";
-        List.iter
-          (fun members ->
-            Eventlog.log "merge.degraded"
-              ~attrs:
-                [ "stage", "cliques"; "modes", String.concat "," members ])
-          t.tk_degraded;
-        List.iter (fun d -> diags := d :: !diags) t.tk_diags;
-        List.rev_append t.tk_groups acc_g, List.rev_append t.tk_degraded acc_d)
-      ([], []) named outs
+        st)
+      st named outs
   in
-  if Govern.cancelled tok <> None then gs.gs_deadline_hit <- true;
   Progress.finish "merge.cliques";
-  {
-    sc_groups = List.rev groups;
-    sc_quar = List.rev !quar;
-    sc_degraded = List.rev degraded;
-    sc_diags = List.rev !diags;
-    sc_gov = snapshot_gov gs;
-  }
+  note_deadline tok st
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -737,69 +641,44 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck
       [ "scope", "merge";
         "jobs", string_of_int (Pool.jobs pool);
         "policy", (match policy with Strict -> "strict" | Permissive -> "permissive") ];
-  let gs = fresh_gov_state () in
   let ctx_cache = Ctx_cache.create () in
-  let ld =
-    staged ck ~stage:"load" (fun () ->
-        load ~tok:(stage_token ~budgets root "load") ~gs)
+  let st =
+    staged ck ~stage:"load" (fun () -> load (stage_token ~budgets root "load"))
   in
-  restore_gov gs ld.sl_gov;
-  let sm =
+  let st =
     staged ck ~stage:"mergeability" (fun () ->
-        compute_matrix ?tolerance ~policy ~pool ~budgets ~gs ~ctx_cache ~root
-          ld)
+        compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st)
   in
-  restore_gov gs sm.sm_gov;
-  let sc =
+  let st =
     staged ck ~stage:"cliques" (fun () ->
-        let sc =
-          compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
-            ~gs ~ctx_cache ~root sm
-        in
-        (* The equivalence check (the only consumer of refined_ctx) has
-           already run inside compute_cliques; strip the contexts so the
-           stage value marshals cleanly into the checkpoint. *)
-        {
-          sc with
-          sc_groups =
-            List.map
-              (fun g ->
-                {
-                  g with
-                  grp_refine =
-                    Option.map
-                      (fun r -> { r with Refine.refined_ctx = None })
-                      g.grp_refine;
-                })
-              sc.sc_groups;
-        })
+        compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
+          ~ctx_cache ~root st)
   in
-  restore_gov gs sc.sc_gov;
-  if Govern.cancelled root <> None then gs.gs_deadline_hit <- true;
+  let st = note_deadline root st in
   (* Whole-run GC totals under gc.* gauges: the resource axis of the
      flight recorder, refreshed at every stage boundary that matters. *)
   Obs.record_gc_metrics ();
-  let n_individual = List.length sm.sm_modes
-  and n_merged = List.length sc.sc_groups in
+  let n_individual = List.length st.s_modes
+  and n_merged = List.length st.s_groups in
   Eventlog.log "run.finish"
     ~attrs:
       [ "scope", "merge";
         "groups", string_of_int n_merged;
-        "quarantined", string_of_int (List.length sc.sc_quar);
-        "degraded", string_of_int (List.length sc.sc_degraded) ];
+        "quarantined", string_of_int (List.length st.s_quar);
+        "degraded", string_of_int (List.length st.s_degraded) ];
   {
-    groups = sc.sc_groups;
-    mergeability = sm.sm_matrix;
-    quarantined = sc.sc_quar;
-    degraded = sc.sc_degraded;
-    diags = extra_diags @ sc.sc_diags;
+    groups = List.rev st.s_groups;
+    mergeability = st.s_matrix;
+    quarantined = List.rev st.s_quar;
+    degraded = List.rev st.s_degraded;
+    diags = extra_diags @ List.rev st.s_diags;
     n_individual;
     n_merged;
     reduction_percent =
       Stat.reduction_percent (float_of_int n_individual)
         (float_of_int n_merged);
     runtime_s = Obs.Clock.elapsed_s t0;
-    governed = snapshot_gov gs;
+    governed = { st.s_gov with gov_events = List.rev st.s_gov.gov_events };
   }
 
 let run ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
@@ -808,8 +687,7 @@ let run ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
   drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck:None
     ~extra_diags:[]
     ~t0:(Obs.Clock.now_ns ())
-    ~load:(fun ~tok:_ ~gs:_ ->
-      { sl_modes = modes; sl_quar = []; sl_diags = []; sl_gov = empty_governed })
+    ~load:(fun _ -> initial modes)
     ()
 
 (* ------------------------------------------------------------------ *)
@@ -841,7 +719,7 @@ let fingerprint ?tolerance ~check_equivalence ~policy ~key sources =
             List.map (fun s -> s.src_name, s.src_text) sources )
           []))
 
-let compute_load ~policy ~design ~pool ~budgets ~gs ~tok sources =
+let compute_load ~policy ~design ~pool ~budgets ~tok sources =
   Obs.with_span "merge.load"
     ~attrs:[ "sources", string_of_int (List.length sources) ]
   @@ fun () ->
@@ -853,50 +731,28 @@ let compute_load ~policy ~design ~pool ~budgets ~gs ~tok sources =
   in
   (* Fold outcomes in source order; diagnostics accumulate by reversed
      cons (the old [!d @ r.diags] was quadratic in the source count). *)
-  let modes, quar, diags =
+  let st =
     List.fold_left2
-      (fun (ms, qs, ds) src out ->
+      (fun st src out ->
         let name = src.src_name in
         Progress.tick "merge.load";
         match
-          rescue ~stage_tok:tok ~budgets ~scope:name (fun () -> task src) out
+          retry ~policy ~budgets tok ~scope:name (fun () -> task src) out
         with
         | Govern.Done (Ok (mode, diags)) ->
-          mode :: ms, qs, List.rev_append diags ds
-        | Govern.Done (Error q) -> ms, q :: qs, ds
-        | (Govern.Crashed _ | Govern.Interrupted _) as o
-          when policy = Strict ->
-          strict_fail o
-        | Govern.Crashed { exn; _ } ->
-          let q =
-            {
-              q_name = name;
-              q_stage = Load;
-              q_diags = [ exn_diag ~code:"merge.mode-failed" ~name exn ];
-            }
-          in
-          ms, q :: qs, ds
-        | Govern.Interrupted r ->
-          gs.gs_budget_quar <- gs.gs_budget_quar + 1;
-          event gs ~stage:"load" ~scope:name ~action:"quarantine"
-            ~detail:(Govern.reason_to_string r);
-          let q =
-            { q_name = name; q_stage = Load; q_diags = [ interrupt_diag ~name r ] }
-          in
-          ms, q :: qs, ds)
-      ([], [], []) sources outs
+          {
+            st with
+            s_modes = mode :: st.s_modes;
+            s_diags = List.rev_append diags st.s_diags;
+          }
+        | Govern.Done (Error diags) -> quarantine_into st Load name diags
+        | o -> settle st Load name o)
+      (initial []) sources outs
   in
-  let quar = List.rev quar in
-  Metrics.incr ~by:(List.length quar) "merge.quarantined";
-  List.iter (log_quarantine ~stage:"load") quar;
-  if Govern.cancelled tok <> None then gs.gs_deadline_hit <- true;
+  (* An `always` counter (DESIGN.md §9): registered even at zero. *)
+  Metrics.incr ~by:0 "merge.quarantined";
   Progress.finish "merge.load";
-  {
-    sl_modes = List.rev modes;
-    sl_quar = quar;
-    sl_diags = List.rev diags;
-    sl_gov = snapshot_gov gs;
-  }
+  note_deadline tok { st with s_modes = List.rev st.s_modes }
 
 let run_sources ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
     ?(budgets = default_budgets) ?checkpoint ~design sources =
@@ -925,66 +781,49 @@ let run_sources ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
   in
   drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck
     ~extra_diags:!extra_diags ~t0
-    ~load:(fun ~tok ~gs ->
-      compute_load ~policy ~design ~pool ~budgets ~gs ~tok sources)
+    ~load:(fun tok -> compute_load ~policy ~design ~pool ~budgets ~tok sources)
     ()
 
-let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs ?budgets
-    ?checkpoint ~design paths =
-  (* In strict mode an unreadable file raises [Sys_error]; in
-     permissive mode it is quarantined up front with a fatal io.read
-     diagnostic and the remaining files still merge. Reads run under
-     the retry rung so a transient IO fault never aborts a run. *)
-  let retry = (Option.value budgets ~default:default_budgets).bg_retry in
-  let read path =
-    Govern.with_retry ~policy:retry Govern.never ~scope:path
-      ~transient:(function
-        | Sys_error _ | Chaos.Injected _ -> true
-        | _ -> false)
-      (fun () ->
-        Chaos.hit "io.read";
-        source_of_file path)
+let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs
+    ?(budgets = default_budgets) ?checkpoint ~design paths =
+  (* Reads run under the retry rung, so a transient IO fault never
+     aborts a run. One that persists raises [Sys_error] under [Strict];
+     under [Permissive] the file is quarantined up front with a fatal
+     io.read diagnostic and the remaining files still merge. *)
+  let read path () =
+    Chaos.hit "io.read";
+    source_of_file path
   in
-  let io_failed = ref [] in
-  let sources =
-    List.filter_map
+  let sources, io_failed =
+    List.partition_map
       (fun path ->
-        match read path with
-        | s -> Some s
-        | exception Chaos.Injected site ->
-          if policy = Strict then raise (Chaos.Injected site);
-          io_failed :=
-            {
-              q_name = Filename.remove_extension (Filename.basename path);
-              q_stage = Load;
-              q_diags =
-                [
-                  Diag.makef ~loc:(Diag.loc path) Diag.Fatal ~code:"io.read"
-                    "injected fault at %s" site;
-                ];
-            }
-            :: !io_failed;
-          None
-        | exception Sys_error msg ->
-          if policy = Strict then raise (Sys_error msg);
-          io_failed :=
-            {
-              q_name = Filename.remove_extension (Filename.basename path);
-              q_stage = Load;
-              q_diags =
-                [ Diag.makef ~loc:(Diag.loc path) Diag.Fatal ~code:"io.read" "%s" msg ];
-            }
-            :: !io_failed;
-          None)
+        match
+          retry ~policy ~budgets Govern.never ~scope:path (read path)
+            (Govern.run Govern.never (read path))
+        with
+        | Govern.Done s -> Either.Left s
+        | o ->
+          let msg =
+            match o with
+            | Govern.Crashed { exn = Sys_error msg; _ } -> msg
+            | Govern.Crashed { exn = Chaos.Injected site; _ } ->
+              "injected fault at " ^ site
+            | o -> Govern.failure_to_string o
+          in
+          Either.Right
+            (quarantine Load
+               (Filename.remove_extension (Filename.basename path))
+               [
+                 Diag.makef ~loc:(Diag.loc path) Diag.Fatal ~code:"io.read"
+                   "%s" msg;
+               ]))
       paths
   in
   let r =
-    run_sources ?tolerance ?check_equivalence ~policy ?jobs ?budgets
+    run_sources ?tolerance ?check_equivalence ~policy ?jobs ~budgets
       ?checkpoint ~design sources
   in
-  Metrics.incr ~by:(List.length !io_failed) "merge.quarantined";
-  List.iter (log_quarantine ~stage:"load") !io_failed;
-  { r with quarantined = List.rev !io_failed @ r.quarantined }
+  { r with quarantined = io_failed @ r.quarantined }
 
 let merged_modes r = List.map (fun g -> g.grp_mode) r.groups
 

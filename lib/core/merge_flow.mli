@@ -42,21 +42,27 @@
     budget drains the pool in an orderly way instead of wedging it.
     Work that blows its budget walks a {e degradation ladder}:
 
-    + {b retry} — re-run under a fresh child budget with exponential
-      backoff ([govern.retries]); transient faults are absorbed here
-      with byte-identical output;
+    + {b retry} — every failed file read and load, probe, pair-check
+      and clique task is re-run by {!Mm_util.Govern.retry} under a
+      fresh child budget with exponential backoff, up to
+      [bg_retry.max_attempts] attempts ([govern.retries]); transient
+      faults are absorbed here with byte-identical output;
     + {b split} — a clique whose merge will not fit is split in half
       and the halves merged under their own budgets, recursively down
       to singletons ([govern.clique_splits]); splitting forfeits
       reduction, never correctness;
     + {b quarantine} — a mode that still does not fit is quarantined
-      exactly like a crashing one (PR-1 policy), counted in the
-      [governed] record.
+      exactly like a crashing one, counted in the [governed] record; a
+      pair check that still fails is settled as not mergeable
+      ([govern.conservative_pairs]), which also forfeits only
+      reduction.
 
-    Under [Strict] only the retry rung applies; exhausted budgets then
-    raise {!Mm_util.Govern.Cancelled}. The {!governed} result field
-    records every outcome-affecting governance decision (transparent
-    retries are metrics-only, so recovered runs stay byte-identical).
+    Under [Strict] only the retry rung applies: a failure it cannot
+    absorb propagates, a crash with its original backtrace and an
+    exhausted budget as {!Mm_util.Govern.Cancelled}. The {!governed}
+    result field records every outcome-affecting governance decision
+    (transparent retries are metrics-only, so recovered runs stay
+    byte-identical).
 
     {2 Checkpoint/resume}
 

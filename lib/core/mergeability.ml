@@ -154,25 +154,9 @@ let exact_cliques ?(limit = 20) adjacency =
     List.map (List.sort compare) !best |> List.sort compare
   end
 
-(* Verdict for a pair whose check could not be completed under the
-   governing budget: not mergeable. Merging only shrinks the mode set;
-   declining an edge can never violate the paper's inclusion guarantee,
-   it just forfeits some reduction — the safe direction to degrade. *)
-let conservative_check why =
-  Metrics.incr "govern.conservative_pairs";
-  {
-    mergeable = false;
-    reasons =
-      [
-        Printf.sprintf
-          "governance: pair check abandoned (%s); conservatively treated as \
-           not mergeable"
-          why;
-      ];
-  }
-
 let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
-    ?(govern = Govern.never) ?task_budget_s ?(conservative = false) modes =
+    ?(govern = Govern.never) ?task_budget_s
+    ?(settle = fun ~scope:_ _ o -> Govern.value o) modes =
   Obs.with_span
     ~attrs:[ "modes", string_of_int (List.length modes) ]
     "merge.mergeability"
@@ -213,40 +197,15 @@ let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
     | None ->
       List.map (fun p -> Govern.run govern (fun () -> check_one p)) !pairs
   in
-  (* Fold in pair order. An abandoned check gets one direct rescue
-     attempt while the stage token is still live (absorbs transient
-     faults deterministically); if that also fails, the conservative
-     verdict applies — or, outside a governed permissive run, the
-     failure propagates exactly as an ungoverned sweep would. *)
+  (* Fold in pair order; the caller settles a check that did not
+     complete, on this domain and in pair order. *)
   let resolve (i, j) = function
     | Govern.Done c -> c
-    | o when not conservative -> (
-      match Govern.reraise_crash o with
-      | Govern.Interrupted r -> raise (Govern.Cancelled r)
-      | Govern.Done _ | Govern.Crashed _ -> assert false)
-    | o -> (
-      (match o with
-      | Govern.Interrupted (Govern.Deadline_exceeded _) ->
-        Metrics.incr "govern.timeouts"
-      | Govern.Interrupted (Govern.Memory_watermark _) ->
-        Metrics.incr "govern.mem_trips"
-      | _ -> ());
-      let rescued =
-        if Govern.expired govern then None
-        else begin
-          Metrics.incr "govern.retries";
-          match Govern.run govern (fun () -> check_one (i, j)) with
-          | Govern.Done c -> Some c
-          | Govern.Interrupted _ | Govern.Crashed _ -> None
-        end
-      in
-      match rescued, o with
-      | Some c, _ -> c
-      | None, Govern.Interrupted r ->
-        conservative_check (Govern.reason_to_string r)
-      | None, Govern.Crashed { exn; _ } ->
-        conservative_check (Printexc.to_string exn)
-      | None, Govern.Done _ -> assert false)
+    | o ->
+      settle
+        ~scope:(arr.(i).Mode.mode_name ^ "+" ^ arr.(j).Mode.mode_name)
+        (fun () -> check_one (i, j))
+        o
   in
   List.iter2
     (fun (i, j) outcome ->

@@ -51,7 +51,11 @@ val analyze :
   ?strategy:strategy ->
   ?govern:Mm_util.Govern.token ->
   ?task_budget_s:float ->
-  ?conservative:bool ->
+  ?settle:
+    (scope:string ->
+    (unit -> pair_check) ->
+    pair_check Mm_util.Govern.outcome ->
+    pair_check) ->
   Mm_sdc.Mode.t list ->
   t
 (** The O(N^2) pairwise sweep runs on [pool] when given — each pair is
@@ -63,16 +67,15 @@ val analyze :
     that fails there is left to the pair checks that need it.
 
     The sweep runs under [govern] (with an optional per-pair
-    [task_budget_s]); an abandoned pair check gets one direct rescue
-    attempt (counted in [govern.retries]). If that also fails and
-    [conservative] is set, the pair is recorded as not mergeable with a
-    ["governance: ..."] reason and counted in
-    [govern.conservative_pairs] — a safe degradation, since declining
-    an edge only costs reduction, never correctness. With
-    [conservative] false (the default, and the strict-policy contract)
-    the underlying failure propagates: crashes re-raise with their
-    original backtrace, expired budgets raise
-    {!Mm_util.Govern.Cancelled}. *)
+    [task_budget_s]). The analysis owns no degradation policy: a pair
+    check that crashed or was abandoned is handed to
+    [settle ~scope recheck outcome], in pair order on the calling
+    domain, and its verdict becomes the pair's. [scope] names the pair
+    (["a+b"]) and [recheck] re-runs the check. The default settles by
+    {!Mm_util.Govern.value}: a crash re-raises with its original
+    backtrace, an expired budget raises {!Mm_util.Govern.Cancelled}.
+    {!Merge_flow} settles through the retry rung and, under its
+    permissive policy, a conservative not-mergeable verdict. *)
 
 val clique_modes : t -> Mm_sdc.Mode.t list -> Mm_sdc.Mode.t list list
 (** Map the clique cover back to mode values (same order as given to

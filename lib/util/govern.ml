@@ -167,7 +167,6 @@ let remaining_s t =
 let run_root_ref : token option Atomic.t = Atomic.make None
 
 let set_run_root t = Atomic.set run_root_ref (Some t)
-let clear_run_root () = Atomic.set run_root_ref None
 let run_root () = Atomic.get run_root_ref
 
 (* ------------------------------------------------------------------ *)
@@ -217,12 +216,18 @@ let outcome_map f = function
   | Interrupted r -> Interrupted r
   | Crashed c -> Crashed c
 
-let reraise_crash = function
+let value = function
+  | Done v -> v
+  | Interrupted r -> raise (Cancelled r)
   | Crashed { exn; backtrace } -> Printexc.raise_with_backtrace exn backtrace
-  | o -> o
+
+let failure_to_string = function
+  | Done _ -> ""
+  | Interrupted r -> reason_to_string r
+  | Crashed { exn; _ } -> Printexc.to_string exn
 
 (* ------------------------------------------------------------------ *)
-(* Retry with exponential backoff                                      *)
+(* Degradation ladder, rung 1: retry with exponential backoff          *)
 
 type retry_policy = {
   max_attempts : int;
@@ -242,32 +247,33 @@ let backoff_s p ~attempt =
 
 let sleep_s s = if s > 0. then Unix.sleepf s
 
-let with_retry ?(policy = default_retry) ?transient ?(sleep = sleep_s)
-    ?(metric = "govern.retries") token ~scope f =
-  let transient =
-    match transient with
-    | Some p -> p
-    | None -> ( function Cancelled _ -> false | _ -> true)
+(* Every attempt that ends on a blown budget is counted, whichever rung
+   later settles it. *)
+let count_interrupt = function
+  | Interrupted (Deadline_exceeded _) -> Metrics.incr "govern.timeouts"
+  | Interrupted (Memory_watermark _) -> Metrics.incr "govern.mem_trips"
+  | _ -> ()
+
+let retry ?(sleep = sleep_s) policy ?budget_s stage ~scope f first =
+  count_interrupt first;
+  let rec go attempt last =
+    match last with
+    | Done _ -> last
+    | _ when attempt > policy.max_attempts || expired stage -> last
+    | _ ->
+      Metrics.incr "govern.retries";
+      Eventlog.log "govern.retry"
+        ~attrs:
+          [ "scope", scope;
+            "attempt", string_of_int attempt;
+            "error", failure_to_string last ];
+      sleep (backoff_s policy ~attempt);
+      let o =
+        run (sub ~scope ?budget_s stage) (fun () ->
+            Chaos.hit "pool.retry";
+            f ())
+      in
+      count_interrupt o;
+      go (attempt + 1) o
   in
-  let max_attempts = max 1 policy.max_attempts in
-  let rec attempt n =
-    check token;
-    match f () with
-    | v -> v
-    | exception exn ->
-      let bt = Printexc.get_raw_backtrace () in
-      if n >= max_attempts || not (transient exn) then
-        Printexc.raise_with_backtrace exn bt
-      else begin
-        Metrics.incr metric;
-        Eventlog.log "govern.retry"
-          ~attrs:
-            [ "scope", scope;
-              "attempt", string_of_int (n + 1);
-              "error", Printexc.to_string exn ];
-        Obs.with_span "govern.backoff" ~attrs:[ "scope", scope ] (fun () ->
-            sleep (backoff_s policy ~attempt:(n + 1)));
-        attempt (n + 1)
-      end
-  in
-  attempt 1
+  go 2 first

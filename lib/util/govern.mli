@@ -15,8 +15,9 @@
       {!Mm_util.Pool}) is consulted and {!Cancelled} raised when the
       budget is gone. When no token is installed the call is a single
       physical-equality test — checkpoints may live in hot paths.
-    - {b Retry with exponential backoff} ({!with_retry}) for
-      transiently failing work, counted in the [govern.retries] metric.
+    - {b Retry with exponential backoff} ({!retry}): rung 1 of the
+      degradation ladder, the one retry loop every governed task and
+      file read goes through, counted in the [govern.retries] metric.
     - {b Memory watermarks}: an optional process-wide heap limit
       checked from {!check} via [Gc.quick_stat] (no heap walk), so a
       blown watermark surfaces as an orderly {!Cancelled} at the next
@@ -92,7 +93,6 @@ val remaining_s : token -> float option
     them. Purely informational: nothing cancels through this hook. *)
 
 val set_run_root : token -> unit
-val clear_run_root : unit -> unit
 val run_root : unit -> token option
 
 (** {2 Ambient token}
@@ -143,11 +143,16 @@ val run : token -> (unit -> 'a) -> 'a outcome
 
 val outcome_map : ('a -> 'b) -> 'a outcome -> 'b outcome
 
-val reraise_crash : 'a outcome -> 'a outcome
-(** Re-raise a [Crashed] outcome with its original backtrace; identity
-    otherwise. *)
+val value : 'a outcome -> 'a
+(** The value of a [Done] outcome. A [Crashed] one re-raises its
+    exception with the original backtrace; an [Interrupted] one raises
+    {!Cancelled}. *)
 
-(** {2 Retry with exponential backoff} *)
+val failure_to_string : 'a outcome -> string
+(** What went wrong: the reason of an [Interrupted] outcome, the
+    printed exception of a [Crashed] one ([""] for [Done]). *)
+
+(** {2 Degradation ladder, rung 1: retry with exponential backoff} *)
 
 type retry_policy = {
   max_attempts : int;  (** total attempts, including the first (>= 1) *)
@@ -164,23 +169,23 @@ val backoff_s : retry_policy -> attempt:int -> float
 (** Backoff before [attempt] (2-based): [base * multiplier^(a-2)],
     capped. *)
 
-val sleep_s : float -> unit
-(** Default sleep ([Unix.sleepf]; no-op for non-positive values). *)
-
-val with_retry :
-  ?policy:retry_policy ->
-  ?transient:(exn -> bool) ->
+val retry :
   ?sleep:(float -> unit) ->
-  ?metric:string ->
+  retry_policy ->
+  ?budget_s:float ->
   token ->
   scope:string ->
   (unit -> 'a) ->
-  'a
-(** Run the thunk, re-running it after [transient] failures (default:
-    every exception except {!Cancelled}) with exponential backoff,
-    until it succeeds, attempts are exhausted (the last exception is
-    re-raised with its backtrace), or [token] expires (checked before
-    every attempt; raises {!Cancelled}). Each re-attempt increments
-    [metric] (default ["govern.retries"]) and journals a
-    [govern.retry] event. [sleep] is injectable so tests retry without
-    wall-clock delay. *)
+  'a outcome ->
+  'a outcome
+(** [retry policy stage ~scope f first] is the pipeline's one retry
+    loop. [first] is the outcome of attempt 1. While the latest outcome
+    is not [Done], attempts remain and [stage] is live, [f] re-runs
+    after the {!backoff_s} sleep under a fresh child token of [stage]
+    with its own [budget_s]; the chaos site [pool.retry] fires inside
+    each re-run. Returns the first [Done] or the last failure. Re-runs
+    count in [govern.retries] and journal [govern.retry]; attempts cut
+    by a deadline count in [govern.timeouts], by the memory watermark
+    in [govern.mem_trips]. Run it on the driver in input order, never
+    inside pool tasks, so chaos occurrence numbering stays
+    deterministic. [sleep] is a test seam (default [Unix.sleepf]). *)

@@ -32,10 +32,10 @@ let endpoint () =
       Option.map (fun t -> Httpd.addr t, Httpd.port t) !current)
 
 (* Degradation-ladder position, worst observed rung first. The rungs
-   mirror Merge_flow's rescue ladder: a clean run is [nominal]; retries
-   mean transient trouble absorbed; quarantines mean constraints were
-   set aside; degraded cliques mean merge quality was traded for
-   completion. *)
+   mirror Merge_flow's ladder (DESIGN.md §12): a clean run is
+   [nominal]; retries (rung 1, Govern.retry) mean transient trouble
+   absorbed; quarantines mean constraints were set aside; degraded
+   cliques mean merge quality was traded for completion. *)
 let ladder_position ~retries ~quarantined ~degraded =
   if degraded > 0 then "degraded"
   else if quarantined > 0 then "quarantined"

@@ -3,10 +3,11 @@
    Three layers, all deterministic:
 
    - In-process recovery: every recoverable Fuzz_inputs chaos scenario
-     (task delays, injected raises at the pool/retry/IO sites) is run
-     at jobs=1 and jobs=4 and must produce audit + merged-SDC bytes
-     identical to an unfaulted baseline — the retry rung absorbs the
-     fault transparently, visible only in the govern.* metrics.
+     (task delays, injected raises at the pool/retry/IO sites), plus a
+     raising pair check under Strict, is run at jobs=1 and jobs=4 and
+     must produce audit + merged-SDC bytes identical to an unfaulted
+     baseline — the retry rung absorbs the fault transparently,
+     visible only in the govern.* metrics.
    - Degradation ladder: an exhausted cliques budget forces clique
      splits down to probed singletons; the outcome must preserve the
      mode partition and the paper's inclusion guarantee (a QCheck
@@ -25,6 +26,7 @@ module Metrics = Mm_util.Metrics
 module Govern = Mm_util.Govern
 module Chaos = Mm_util.Chaos
 module Merge_flow = Mm_core.Merge_flow
+module Checkpoint = Mm_core.Checkpoint
 module Audit = Mm_core.Audit
 module Equiv = Mm_core.Equiv
 module Gen_design = Mm_workload.Gen_design
@@ -186,18 +188,43 @@ let assert_inclusion ~ctx (r : Merge_flow.result) =
 (* ------------------------------------------------------------------ *)
 (* In-process recovery: the recoverable scenario matrix                *)
 
-let test_recoverable_matrix () =
-  let base = Lazy.force baseline in
-  List.iter
+let strict_baseline =
+  lazy (snd (run_files ~policy:Merge_flow.Strict ~jobs:1 ~spec:"" ()))
+
+(* The Fuzz_inputs scenarios run under Permissive. One more input pins
+   the retry rung on pair checks under Strict: 5 load tasks and 5
+   context builds run ahead of the sweep, so task 11 is the first pair
+   check, and one retry absorbs its raise. *)
+let recoverable_cases =
+  List.filter_map
     (fun (jobs, (sc : Fuzz.chaos_scenario)) ->
-      let _, bytes = run_files ~jobs ~spec:(Fuzz.chaos_spec [ sc ]) () in
-      check Alcotest.string
-        (Printf.sprintf "%s at jobs=%d recovers byte-identical" sc.Fuzz.cs_name
-           jobs)
-        base bytes)
-    (List.filter
-       (fun (_, sc) -> Fuzz.chaos_recoverable sc)
-       (Fuzz.chaos_matrix ()))
+      if Fuzz.chaos_recoverable sc then
+        Some
+          (Merge_flow.Permissive, jobs, sc.Fuzz.cs_name, Fuzz.chaos_spec [ sc ])
+      else None)
+    (Fuzz.chaos_matrix ())
+  @ List.map
+      (fun jobs ->
+        Merge_flow.Strict, jobs, "strict first pair-check raise",
+        "pool.task@11=raise")
+      [ 1; 4 ]
+
+let test_recoverable_matrix () =
+  List.iter
+    (fun (policy, jobs, name, spec) ->
+      let base =
+        Lazy.force
+          (match policy with
+          | Merge_flow.Strict -> strict_baseline
+          | Merge_flow.Permissive -> baseline)
+      in
+      let _, bytes = run_files ~policy ~jobs ~spec () in
+      let ctx = Printf.sprintf "%s at jobs=%d" name jobs in
+      check Alcotest.string (ctx ^ " recovers byte-identical") base bytes;
+      if policy = Merge_flow.Strict then
+        check Alcotest.int (ctx ^ ": absorbed by one retry") 1
+          (Metrics.get_counter "govern.retries"))
+    recoverable_cases
 
 let test_combined_faults () =
   let base = Lazy.force baseline in
@@ -233,6 +260,33 @@ let test_timeout_absorbed () =
         (Metrics.get_counter "govern.retries" > 0))
     [ 1; 4 ]
 
+(* --retries reaches pair checks: with a single attempt allowed, a
+   raising pair check is not retried but settled conservatively, and
+   the ladder's guarantees still hold. Under Permissive, 5 load tasks,
+   5 probes and 5 context builds run ahead of the sweep, so task 16 is
+   the first pair check. *)
+let test_pair_check_single_attempt () =
+  let budgets =
+    {
+      Merge_flow.default_budgets with
+      Merge_flow.bg_retry =
+        { Govern.default_retry with Govern.max_attempts = 1 };
+    }
+  in
+  List.iter
+    (fun jobs ->
+      let r, _ = run_files ~budgets ~jobs ~spec:"pool.task@16=raise" () in
+      let ctx = Printf.sprintf "single attempt, jobs=%d" jobs in
+      check Alcotest.int (ctx ^ ": pair check not retried") 0
+        (Metrics.get_counter "govern.retries");
+      check Alcotest.int (ctx ^ ": one conservative pair") 1
+        (Metrics.get_counter "govern.conservative_pairs");
+      check Alcotest.int (ctx ^ ": conservative pair in the result") 1
+        r.Merge_flow.governed.Merge_flow.gov_conservative_pairs;
+      assert_partition ~ctx mode_names r;
+      assert_inclusion ~ctx r)
+    [ 1; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* In-process checkpoint/resume                                        *)
 
@@ -265,6 +319,34 @@ let test_failed_resume_degrades () =
     (List.exists
        (fun (d : Diag.t) -> d.Diag.code = "govern.resume")
        r.Merge_flow.diags)
+
+(* A checkpoint written under stage-payload schema 1 is refused — its
+   payloads are never unmarshaled at this build's stage type — and the
+   resume runs fresh with one warning. *)
+let test_old_schema_refused () =
+  let base = Lazy.force baseline in
+  let dir = scratch "ck_schema_v1" in
+  let spec k = { Merge_flow.ck_dir = dir; ck_resume = k; ck_key = "inproc" } in
+  ignore (run_files ~checkpoint:(spec false) ~jobs:1 ~spec:"" ());
+  let manifest = Filename.concat dir "MANIFEST" in
+  let fingerprint, rest =
+    match String.split_on_char '\n' (read_file manifest) with
+    | _header :: fp_line :: rest ->
+      Scanf.sscanf fp_line "fingerprint %s" Fun.id, fp_line :: rest
+    | _ -> Alcotest.fail "manifest lacks a fingerprint line"
+  in
+  write_file manifest
+    (String.concat "\n" ("modemerge-checkpoint 1" :: rest));
+  (match Checkpoint.load_for_resume ~dir ~fingerprint with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a schema-1 manifest must be refused");
+  let r, bytes = run_files ~checkpoint:(spec true) ~jobs:1 ~spec:"" () in
+  check Alcotest.int "one resume warning" 1
+    (List.length
+       (List.filter
+          (fun (d : Diag.t) -> d.Diag.code = "govern.resume")
+          r.Merge_flow.diags));
+  check Alcotest.string "fresh run is byte-identical" base bytes
 
 (* A Strict merge resumed after the mergeability stage — its mock
    prelims done, the cliques payload torn so that stage recomputes —
@@ -618,11 +700,15 @@ let () =
           tc "recoverable scenario matrix" test_recoverable_matrix;
           tc "all recoverable faults at once" test_combined_faults;
           tc "task timeout absorbed by retry" test_timeout_absorbed;
+          tc "single attempt reaches pair checks"
+            test_pair_check_single_attempt;
         ] );
       ( "checkpoint",
         [
           tc "checkpoint + resume transparent" test_checkpoint_transparent;
           tc "failed resume degrades to fresh run" test_failed_resume_degrades;
+          tc "schema-1 checkpoint refused, resume runs fresh"
+            test_old_schema_refused;
           tc "strict resume after prelim is byte-identical"
             test_strict_resume_after_prelim;
         ] );

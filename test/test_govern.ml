@@ -138,8 +138,8 @@ let test_outcomes () =
   | _ -> Alcotest.fail "outcome_map maps Done");
   let crashed = Govern.run Govern.never (fun () -> failwith "again") in
   try
-    ignore (Govern.reraise_crash crashed);
-    Alcotest.fail "reraise_crash must re-raise"
+    ignore (Govern.value crashed);
+    Alcotest.fail "value must re-raise a crash"
   with Failure m -> check Alcotest.string "reraised exn" "again" m
 
 let test_memory_watermark () =
@@ -172,17 +172,24 @@ let test_backoff_values () =
   check f "capped" 0.05
     (Govern.backoff_s { p with Govern.base_backoff_s = 0.04 } ~attempt:3)
 
-let test_with_retry_recovers () =
+(* [Govern.retry] takes the outcome of attempt 1, as the pipeline
+   hands it a pool task's outcome; here attempt 1 is a plain [run]. *)
+let retry ?(sleep = ignore) token f =
+  Govern.retry ~sleep Govern.default_retry token ~scope:"t" f
+    (Govern.run token f)
+
+let test_retry_recovers () =
   Metrics.reset ();
   let sleeps = ref [] in
   let calls = ref 0 in
   let v =
-    Govern.with_retry
-      ~sleep:(fun s -> sleeps := s :: !sleeps)
-      Govern.never ~scope:"t"
-      (fun () ->
-        incr calls;
-        if !calls < 3 then failwith "flaky" else 7)
+    Govern.value
+      (retry
+         ~sleep:(fun s -> sleeps := s :: !sleeps)
+         Govern.never
+         (fun () ->
+           incr calls;
+           if !calls < 3 then failwith "flaky" else 7))
   in
   check Alcotest.int "value" 7 v;
   check Alcotest.int "attempts" 3 !calls;
@@ -191,59 +198,31 @@ let test_with_retry_recovers () =
     (List.rev !sleeps);
   Metrics.reset ()
 
-let test_with_retry_exhausts () =
+let test_retry_exhausts () =
   let calls = ref 0 in
   (try
      ignore
-       (Govern.with_retry ~sleep:ignore Govern.never ~scope:"t" (fun () ->
-            incr calls;
-            failwith "always"));
+       (Govern.value
+          (retry Govern.never (fun () ->
+               incr calls;
+               failwith "always")));
      Alcotest.fail "expected the last failure to re-raise"
    with Failure m -> check Alcotest.string "last exn re-raised" "always" m);
   check Alcotest.int "all attempts used" 3 !calls
 
-let test_with_retry_non_transient () =
-  let calls = ref 0 in
-  (try
-     ignore
-       (Govern.with_retry ~sleep:ignore
-          ~transient:(function Not_found -> true | _ -> false)
-          Govern.never ~scope:"t"
-          (fun () ->
-            incr calls;
-            failwith "hard"));
-     Alcotest.fail "expected immediate re-raise"
-   with Failure _ -> ());
-  check Alcotest.int "no retry on non-transient" 1 !calls
-
-let test_with_retry_cancelled () =
+let test_retry_cancelled () =
   let t = Govern.create () in
   Govern.cancel t ~why:"off";
   let calls = ref 0 in
   (try
      ignore
-       (Govern.with_retry ~sleep:ignore t ~scope:"t" (fun () ->
-            incr calls;
-            0));
+       (Govern.value
+          (retry t (fun () ->
+               incr calls;
+               0)));
      Alcotest.fail "expected Cancelled"
    with Govern.Cancelled _ -> ());
   check Alcotest.int "cancelled token runs nothing" 0 !calls
-
-let test_with_retry_custom_metric () =
-  Metrics.reset ();
-  let calls = ref 0 in
-  let v =
-    Govern.with_retry ~sleep:ignore ~metric:"test.custom" Govern.never
-      ~scope:"t"
-      (fun () ->
-        incr calls;
-        if !calls < 2 then failwith "once" else 9)
-  in
-  check Alcotest.int "value" 9 v;
-  check Alcotest.int "custom metric" 1 (Metrics.get_counter "test.custom");
-  check Alcotest.int "default metric untouched" 0
-    (Metrics.get_counter "govern.retries");
-  Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Governed pool batches                                               *)
@@ -572,11 +551,9 @@ let () =
       ( "retry",
         [
           tc "backoff values" test_backoff_values;
-          tc "recovers" test_with_retry_recovers;
-          tc "exhausts" test_with_retry_exhausts;
-          tc "non-transient" test_with_retry_non_transient;
-          tc "cancelled" test_with_retry_cancelled;
-          tc "custom metric" test_with_retry_custom_metric;
+          tc "recovers" test_retry_recovers;
+          tc "exhausts" test_retry_exhausts;
+          tc "cancelled" test_retry_cancelled;
         ] );
       ( "pool",
         [
