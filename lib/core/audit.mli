@@ -19,7 +19,10 @@
     - ["coverage"] — the stable per-pass coverage counters
       ([compare.endpoints_visited], [compare.endpoints_pruned],
       [compare.pairs_compared], [compare.reconv_points],
-      [merge.pairs_checked], [merge.cliques]).
+      [merge.pairs_checked], [merge.cliques]). The [compare.*]
+      counters count refinement's comparison passes only: each group's
+      equivalence verdict is read from refinement's final comparison,
+      not from a second one.
 
     The report contains no timings, gauges or hash-ordered data, so
     its bytes are identical across [--jobs] values (DESIGN.md §11). *)

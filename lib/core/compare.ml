@@ -454,14 +454,27 @@ let rename_rels rename rels = List.map (Relation.rename rename) rels
 (* Reusable state for repeated [run]s against the same individual sides
    and an exceptions-only-growing merged mode (the refinement loop):
    the sides' renamed relation tables are computed once, and the merged
-   side goes through the incremental {!Relation_prop.ep_cache}. *)
+   side goes through the incremental {!Relation_prop.ep_cache}.
+
+   [c_pass2] memoises pass 2's individual side per ambiguous endpoint
+   pin (see [pass2_candidates]). It stays valid for the whole loop: the
+   sides are fixed, and every merged context is
+   [Context.with_exceptions base_ctx _], which keeps the graph,
+   constants and clocks — and cones read only the graph and the
+   enabled arcs, so the merged cone that selects the candidates never
+   changes either. Only the merged relations are recomputed. *)
 type cache = {
   mutable c_sides : (Design.pin_id, Relation.t list) Hashtbl.t list option;
   c_merged : Relation_prop.ep_cache;
+  c_pass2 : (Design.pin_id, (Graph.startpoint * Relation.t list list) list) Hashtbl.t;
 }
 
 let create_cache () =
-  { c_sides = None; c_merged = Relation_prop.create_ep_cache () }
+  {
+    c_sides = None;
+    c_merged = Relation_prop.create_ep_cache ();
+    c_pass2 = Hashtbl.create 64;
+  }
 
 let pass1 ?cache ~individual ~(merged : Context.t) () =
   let design = merged.Context.design in
@@ -535,10 +548,50 @@ let find_endpoint (ctx : Context.t) pin =
     (fun ep -> Graph.endpoint_pin ep = pin)
     ctx.Context.graph.Graph.endpoints
 
-let pass2 ~individual ~(merged : Context.t) ambiguous_eps =
+(* The individual side of one ambiguous endpoint: in merged-graph
+   startpoint order, every startpoint inside the merged cone or any
+   individual cone, with its renamed per-side relations. A startpoint
+   outside the merged cone with no individual relations is dropped —
+   it can compare nothing, since a startpoint's seeds sit on its own
+   pin, so outside the merged cone the merged side has no relations
+   either. *)
+let pass2_candidates ~individual ~side_scratches ~(merged : Context.t)
+    ~mrg_cone ep_pin ep =
+  let side_cones =
+    List.map2
+      (fun side scratch ->
+        let cone = Relation_prop.backward_cone side.ctx [ ep_pin ] in
+        side, cone, Relation_prop.cone_order side.ctx cone, scratch)
+      individual side_scratches
+  in
+  List.filter_map
+    (fun sp ->
+      let sp_pin = Graph.startpoint_pin sp in
+      let in_mrg = mrg_cone.(sp_pin) in
+      if in_mrg || List.exists (fun (_, c, _, _) -> c.(sp_pin)) side_cones
+      then begin
+        let ind_rels =
+          List.map
+            (fun (side, within, order, scratch) ->
+              rename_rels side.rename
+                (relations_from_sp side.ctx sp ep ~within ~order ~scratch))
+            side_cones
+        in
+        if in_mrg || List.exists (( <> ) []) ind_rels then Some (sp, ind_rels)
+        else None
+      end
+      else None)
+    merged.Context.graph.Graph.startpoints
+
+let pass2 ?cache ~individual ~(merged : Context.t) ambiguous_eps =
   let design = merged.Context.design in
   let rows = ref [] and fixes = ref [] and unsound = ref []
   and pessimism = ref [] and ambiguous_pairs = ref [] and compared = ref 0 in
+  (* Tag buffers, reused by every endpoint's cone-restricted queries. *)
+  let mrg_scratch = lazy (Relation_prop.create_scratch merged)
+  and side_scratches =
+    lazy (List.map (fun side -> Relation_prop.create_scratch side.ctx) individual)
+  in
   List.iter
     (fun ep_pin ->
       (* Cooperative cancellation point, once per endpoint cone. *)
@@ -546,58 +599,58 @@ let pass2 ~individual ~(merged : Context.t) ambiguous_eps =
       match find_endpoint merged ep_pin with
       | None -> ()
       | Some ep ->
-        let prep ctx =
-          let cone = Relation_prop.backward_cone ctx [ ep_pin ] in
-          ( ctx,
-            (cone, Relation_prop.cone_order ctx cone, Relation_prop.create_scratch ctx) )
+        let mrg_cone = Relation_prop.backward_cone merged [ ep_pin ] in
+        let mrg_order = Relation_prop.cone_order merged mrg_cone
+        and mrg_scratch = Lazy.force mrg_scratch in
+        let candidates () =
+          pass2_candidates ~individual ~side_scratches:(Lazy.force side_scratches)
+            ~merged ~mrg_cone ep_pin ep
         in
-        let cones = prep merged :: List.map (fun side -> prep side.ctx) individual in
-        let in_any_cone pin =
-          List.exists (fun (_, (c, _, _)) -> c.(pin)) cones
+        let candidates =
+          match cache with
+          | None -> candidates ()
+          | Some c -> (
+            match Hashtbl.find_opt c.c_pass2 ep_pin with
+            | Some l -> l
+            | None ->
+              let l = candidates () in
+              Hashtbl.replace c.c_pass2 ep_pin l;
+              l)
         in
-        let mrg_cone, mrg_order, mrg_scratch = List.assq merged cones in
         List.iter
-          (fun sp ->
+          (fun (sp, ind_rels) ->
             let sp_pin = Graph.startpoint_pin sp in
-            if in_any_cone sp_pin then begin
-              let ind_rels =
-                List.map
-                  (fun side ->
-                    let within, order, scratch = List.assq side.ctx cones in
-                    rename_rels side.rename
-                      (relations_from_sp side.ctx sp ep ~within ~order ~scratch))
-                  individual
+            let mrels =
+              if mrg_cone.(sp_pin) then
+                relations_from_sp merged sp ep ~within:mrg_cone
+                  ~order:mrg_order ~scratch:mrg_scratch
+              else []
+            in
+            if List.for_all (( = ) []) ind_rels && mrels = [] then ()
+            else begin
+              incr compared;
+              let judged = make_buckets ~fine:false ind_rels mrels in
+              List.iter
+                (fun jb ->
+                  rows :=
+                    { p2_sp = sp_pin; p2_ep = ep_pin; p2_bucket = jb.bucket }
+                    :: !rows;
+                  if jb.bucket.bk_verdict = Ambiguous then
+                    ambiguous_pairs := (sp, ep) :: !ambiguous_pairs)
+                judged;
+              let sp_name = Design.pin_name design sp_pin
+              and ep_name = Design.pin_name design ep_pin in
+              let f, u, p =
+                fixes_for_point
+                  ~where:(Printf.sprintf "pass2: %s -> %s" sp_name ep_name)
+                  ~pass:2 ~sp_name:(Some sp_name) ~through_name:None ~ep_name
+                  ~prefix_pins:[ sp_pin ] ~ep:ep_pin judged
               in
-              let mrels =
-                relations_from_sp merged sp ep ~within:mrg_cone ~order:mrg_order
-                  ~scratch:mrg_scratch
-              in
-              if List.for_all (( = ) []) ind_rels && mrels = [] then ()
-              else begin
-                incr compared;
-                let judged = make_buckets ~fine:false ind_rels mrels in
-                List.iter
-                  (fun jb ->
-                    rows :=
-                      { p2_sp = sp_pin; p2_ep = ep_pin; p2_bucket = jb.bucket }
-                      :: !rows;
-                    if jb.bucket.bk_verdict = Ambiguous then
-                      ambiguous_pairs := (sp, ep) :: !ambiguous_pairs)
-                  judged;
-                let sp_name = Design.pin_name design sp_pin
-                and ep_name = Design.pin_name design ep_pin in
-                let f, u, p =
-                  fixes_for_point
-                    ~where:(Printf.sprintf "pass2: %s -> %s" sp_name ep_name)
-                    ~pass:2 ~sp_name:(Some sp_name) ~through_name:None ~ep_name
-                    ~prefix_pins:[ sp_pin ] ~ep:ep_pin judged
-                in
-                fixes := f @ !fixes;
-                unsound := u @ !unsound;
-                pessimism := p @ !pessimism
-              end
+              fixes := f @ !fixes;
+              unsound := u @ !unsound;
+              pessimism := p @ !pessimism
             end)
-          merged.Context.graph.Graph.startpoints)
+          candidates)
     ambiguous_eps;
   Mm_util.Metrics.incr ~by:!compared "compare.pairs_compared";
   ( List.rev !rows,
@@ -765,7 +818,7 @@ let run ?cache ~individual ~merged () =
   let p2_rows, p2_fixes, p2_uns, p2_pes, ambiguous_pairs =
     Obs.with_span "compare.pass2"
       ~attrs:[ "ambiguous_endpoints", string_of_int (List.length ambiguous_eps) ]
-      (fun () -> pass2 ~individual ~merged ambiguous_eps)
+      (fun () -> pass2 ?cache ~individual ~merged ambiguous_eps)
   in
   let p3_rows, p3_fixes, p3_uns, p3_pes =
     Obs.with_span "compare.pass3"

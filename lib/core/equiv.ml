@@ -12,32 +12,7 @@ type report = {
   compare_result : Compare.result;
 }
 
-let check ?ctx_cache ?merged_ctx ~individual ~rename ~merged () =
-  Mm_util.Obs.with_span
-    ~attrs:[ "merged", merged.Mode.mode_name ]
-    "merge.equiv"
-  @@ fun () ->
-  let design = merged.Mode.design in
-  let ctx_cache =
-    match ctx_cache with
-    | Some c -> c
-    | None -> Mm_timing.Ctx_cache.create ()
-  in
-  let sides =
-    List.map
-      (fun (m : Mode.t) ->
-        {
-          Compare.ctx = Mm_timing.Ctx_cache.find ctx_cache m;
-          rename = rename m.Mode.mode_name;
-        })
-      individual
-  in
-  let ctx_m =
-    match merged_ctx with
-    | Some ctx when ctx.Context.mode == merged -> ctx
-    | Some _ | None -> Context.create design merged
-  in
-  let result = Compare.run ~individual:sides ~merged:ctx_m () in
+let of_compare (result : Compare.result) =
   let count_mismatch verdict_of rows =
     List.length (List.filter (fun r -> verdict_of r = Compare.Mismatch) rows)
   in
@@ -72,6 +47,33 @@ let check ?ctx_cache ?merged_ctx ~individual ~rename ~merged () =
     pessimistic = result.Compare.pessimism;
     compare_result = result;
   }
+
+let check ?ctx_cache ?merged_ctx ~individual ~rename ~merged () =
+  Mm_util.Obs.with_span
+    ~attrs:[ "merged", merged.Mode.mode_name ]
+    "merge.equiv"
+  @@ fun () ->
+  let design = merged.Mode.design in
+  let ctx_cache =
+    match ctx_cache with
+    | Some c -> c
+    | None -> Mm_timing.Ctx_cache.create ()
+  in
+  let sides =
+    List.map
+      (fun (m : Mode.t) ->
+        {
+          Compare.ctx = Mm_timing.Ctx_cache.find ctx_cache m;
+          rename = rename m.Mode.mode_name;
+        })
+      individual
+  in
+  let ctx_m =
+    match merged_ctx with
+    | Some ctx when ctx.Context.mode == merged -> ctx
+    | Some _ | None -> Context.create design merged
+  in
+  of_compare (Compare.run ~individual:sides ~merged:ctx_m ())
 
 let pp fmt r =
   Format.fprintf fmt

@@ -12,7 +12,14 @@
       granularity also covers a valid capture). This is sign-off safe;
       it shows up as a QoR conformity loss exactly as in the paper's
       Table 6 (conformity < 100%). Reported but does not fail the
-      check. *)
+      check.
+
+    The verdict is a reading of one three-pass comparison
+    ({!of_compare}). The merge flow takes it from refinement's final
+    comparison ({!Refine.t.final_compare}), which already compared the
+    final merged mode against every member; {!check} runs a fresh
+    comparison for a merged mode that comes from elsewhere (the
+    [modemerge check] subcommand, benches, tests). *)
 
 type report = {
   equivalent : bool;
@@ -33,6 +40,10 @@ type report = {
   compare_result : Compare.result;
 }
 
+val of_compare : Compare.result -> report
+(** The verdict a comparison of the merged mode against its individual
+    modes implies. Pure: runs no comparison and records no span. *)
+
 val check :
   ?ctx_cache:Mm_timing.Ctx_cache.t ->
   ?merged_ctx:Mm_timing.Context.t ->
@@ -41,7 +52,9 @@ val check :
   merged:Mm_sdc.Mode.t ->
   unit ->
   report
-(** [rename mode_name clock] maps individual clocks to merged names
+(** Compare [merged] against [individual] from scratch (no refinement
+    cache) inside a [merge.equiv] span, then {!of_compare}.
+    [rename mode_name clock] maps individual clocks to merged names
     (use {!Prelim.rename_of}). [merged_ctx] supplies a ready-made
     context for [merged] (e.g. {!Refine.t.refined_ctx}); it is used
     only when its mode is physically the [merged] argument, otherwise

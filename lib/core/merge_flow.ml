@@ -118,10 +118,9 @@ let degenerate_mergeability modes =
   }
 
 (* Groups keep their prelim without its merged context, and their
-   refinement without its refined context once the equivalence check
-   (its only consumer) has run: nothing later reads them, they would pin
-   a context's arrays for the rest of the run, and contexts cannot be
-   marshaled into a checkpoint. *)
+   refinement without its refined context: nothing later reads them,
+   they would pin a context's arrays for the rest of the run, and
+   contexts cannot be marshaled into a checkpoint. *)
 let without_ctx (prelim : Prelim.t) = { prelim with Prelim.merged_ctx = None }
 
 let singleton_group ?tolerance ~ctx_cache (single : Mode.t) =
@@ -140,16 +139,18 @@ let singleton_group ?tolerance ~ctx_cache (single : Mode.t) =
 let merged_group ?tolerance ~check_equivalence ~ctx_cache ~name members =
   let prelim = Prelim.merge ?tolerance ~ctx_cache ~name members in
   let refine = Refine.run ~ctx_cache ~prelim ~individual:members () in
+  let mode = refine.Refine.refined in
+  (* Refinement's final comparison already compared [mode] against
+     every member: the verdict is read from it, not recomputed. *)
   let equiv =
     if check_equivalence then
       Some
-        (Equiv.check ~ctx_cache ?merged_ctx:refine.Refine.refined_ctx
-           ~individual:members
-           ~rename:(Prelim.rename_of prelim)
-           ~merged:refine.Refine.refined ())
+        (Mm_util.Obs.with_span
+           ~attrs:[ "merged", mode.Mode.mode_name ]
+           "merge.equiv"
+           (fun () -> Equiv.of_compare refine.Refine.final_compare))
     else None
   in
-  let mode = refine.Refine.refined in
   {
     grp_members = List.map (fun (m : Mode.t) -> m.Mode.mode_name) members;
     grp_prelim = without_ctx prelim;

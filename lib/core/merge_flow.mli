@@ -173,9 +173,11 @@ val run :
   ?budgets:budgets ->
   Mm_sdc.Mode.t list ->
   result
-(** [check_equivalence] (default true) re-runs the comparison on the
-    final merged mode of each group as independent validation; under
-    [Permissive] a group failing it is degraded to individual modes.
+(** [check_equivalence] (default true) derives each group's
+    equivalence verdict ({!group.grp_equiv}) from refinement's final
+    comparison of the merged mode against every member — the
+    comparison is not run a second time; under [Permissive] a group
+    failing it is degraded to individual modes.
     No checkpointing on this entry point — pre-built modes have no
     stable fingerprint; use {!run_sources}/{!run_files}. *)
 

@@ -41,7 +41,9 @@ type t = {
           origin that contributed to it (after coalescing) — the
           provenance source for refinement false paths *)
   final_compare : Compare.result;
-      (** the last comparison — clean iff the merge is equivalent *)
+      (** the last comparison, of [refined] against every individual
+          mode — clean iff the merge is equivalent; the merge flow's
+          equivalence verdict is read from it ({!Equiv.of_compare}) *)
   iterations : int;
 }
 

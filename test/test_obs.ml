@@ -420,6 +420,38 @@ let integration_cases =
         check Alcotest.int "flow at depth 0" 0 flow.Obs.sp_depth;
         check Alcotest.bool "runtime from the same clock" true
           (r.Merge_flow.runtime_s > 0.));
+    tc "the equivalence verdict runs no second comparison" (fun () ->
+        (* The verdict is read from refinement's final comparison; a
+           compare pass under merge.equiv means it is computed again. *)
+        fresh ();
+        let d = Pc.build () in
+        let a, b = Pc.constraint_set6 d in
+        ignore (Merge_flow.run [ a; b ]);
+        Obs.set_enabled false;
+        let spans = Obs.spans () in
+        let by_id = Hashtbl.create 64 in
+        List.iter (fun s -> Hashtbl.replace by_id s.Obs.sp_id s) spans;
+        let rec under_equiv (s : Obs.span) =
+          match Hashtbl.find_opt by_id s.Obs.sp_parent with
+          | None -> false
+          | Some p -> p.Obs.sp_name = "merge.equiv" || under_equiv p
+        in
+        let passes =
+          List.filter
+            (fun s ->
+              List.mem s.Obs.sp_name
+                [ "compare.pass1"; "compare.pass2"; "compare.pass3" ])
+            spans
+        in
+        check Alcotest.bool "refinement compared" true (passes <> []);
+        check Alcotest.bool "merge.equiv recorded" true
+          (List.mem "merge.equiv" (span_names ()));
+        check
+          (Alcotest.list Alcotest.string)
+          "compare passes under merge.equiv" []
+          (List.map
+             (fun s -> s.Obs.sp_name)
+             (List.filter under_equiv passes)));
     tc "sta emits propagate/check spans and counters" (fun () ->
         fresh ();
         let d = Pc.build () in

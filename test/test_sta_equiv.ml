@@ -12,6 +12,11 @@
    - incremental endpoint-relation re-propagation (the refinement-loop
      cache) equals a from-scratch recompute on randomized
      growing-exception families;
+   - the refinement compare cache (side tables, incremental pass 1,
+     pass-2 memo) equals a cold comparison on the same families, and on
+     presets B-F refinement's final comparison and each group's
+     equivalence verdict equal a from-scratch [Compare.run] /
+     [Equiv.check];
    - change-driven constant propagation equals the dense sweep
      (values, arc enablement, pin disables) on random designs with
      cases, disables and tie cells, on cased pins across a cycle
@@ -153,12 +158,9 @@ let jobs_invariance_cases =
 (* ------------------------------------------------------------------ *)
 (* Incremental endpoint relations equal from-scratch recompute         *)
 
-(* A growing-exception family over a generated design: each step
-   appends one random exception (false path or multicycle, scoped by
-   a random mix of -from clock / -through pin / -to endpoint), exactly
-   the shape the refinement loop feeds the pass-1 cache. *)
-let incremental_equals_scratch seed =
-  let st = Random.State.make [| seed |] in
+(* A small generated design and one two-mode family over it; [st]
+   draws the design's size. *)
+let random_family ?(combo_depth = 2) st seed =
   let params =
     {
       Mm_workload.Gen_design.default_params with
@@ -166,7 +168,7 @@ let incremental_equals_scratch seed =
       n_domains = 2;
       regs_per_domain = 12 + Random.State.int st 12;
       stages = 2 + Random.State.int st 2;
-      combo_depth = 2;
+      combo_depth;
       n_config_pins = 2;
       n_clock_muxes = 1;
     }
@@ -180,38 +182,50 @@ let incremental_equals_scratch seed =
       scan_family = false;
     }
   in
-  let modes = Mm_workload.Gen_modes.generate design info suite in
+  design, Mm_workload.Gen_modes.generate design info suite
+
+(* One random exception over [ctx]'s clocks and endpoints (false path
+   or multicycle, scoped by a random mix of -from clock / -through pin
+   / -to endpoint) — the shape of exception the refinement loop
+   appends. *)
+let random_exc st (ctx : Context.t) =
+  let design = ctx.Context.design in
+  let eps = Array.of_list (Graph.endpoint_pins ctx.Context.graph) in
+  let n_clocks = Clock_prop.n_clocks ctx.Context.clocks in
+  let kind =
+    if Random.State.bool st then Mode.False_path
+    else
+      Mode.Multicycle
+        { mult = 1 + Random.State.int st 2; start = Random.State.bool st }
+  in
+  let from_ =
+    if Random.State.int st 3 = 0 then None
+    else
+      Some
+        [
+          Mode.P_clock
+            (Clock_prop.clock_name ctx.Context.clocks
+               (Random.State.int st n_clocks));
+        ]
+  in
+  let to_ =
+    if Random.State.int st 3 = 0 then None
+    else Some [ Mode.P_pin eps.(Random.State.int st (Array.length eps)) ]
+  in
+  let through =
+    if Random.State.int st 2 = 0 then []
+    else [ [ Random.State.int st (Design.n_pins design) ] ]
+  in
+  Mode.exc ?from_ ?to_ ~through kind
+
+(* A growing-exception family over a generated design: each step
+   appends one random exception, exactly the shape the refinement loop
+   feeds the pass-1 cache. *)
+let incremental_equals_scratch seed =
+  let st = Random.State.make [| seed |] in
+  let design, modes = random_family st seed in
   let m0 = List.hd modes in
   let ctx0 = Context.create design m0 in
-  let eps = Array.of_list (Graph.endpoint_pins ctx0.Context.graph) in
-  let n_clocks = Clock_prop.n_clocks ctx0.Context.clocks in
-  let random_exc () =
-    let kind =
-      if Random.State.bool st then Mode.False_path
-      else
-        Mode.Multicycle
-          { mult = 1 + Random.State.int st 2; start = Random.State.bool st }
-    in
-    let from_ =
-      if Random.State.int st 3 = 0 then None
-      else
-        Some
-          [
-            Mode.P_clock
-              (Clock_prop.clock_name ctx0.Context.clocks
-                 (Random.State.int st n_clocks));
-          ]
-    in
-    let to_ =
-      if Random.State.int st 3 = 0 then None
-      else Some [ Mode.P_pin eps.(Random.State.int st (Array.length eps)) ]
-    in
-    let through =
-      if Random.State.int st 2 = 0 then []
-      else [ [ Random.State.int st (Design.n_pins design) ] ]
-    in
-    Mode.exc ?from_ ?to_ ~through kind
-  in
   let cache = Relation_prop.create_ep_cache () in
   let rec steps mode k =
     let scratch = Relation_prop.endpoint_relations (Context.create design mode) in
@@ -227,7 +241,7 @@ let incremental_equals_scratch seed =
     k >= 4
     ||
     let mode' =
-      { mode with Mode.exceptions = mode.Mode.exceptions @ [ random_exc () ] }
+      { mode with Mode.exceptions = mode.Mode.exceptions @ [ random_exc st ctx0 ] }
     in
     steps mode' (k + 1)
   in
@@ -240,6 +254,196 @@ let incremental_prop =
        ~count:12
        QCheck2.Gen.(int_range 0 10000)
        incremental_equals_scratch)
+
+(* ------------------------------------------------------------------ *)
+(* The refinement compare cache equals a cold comparison               *)
+
+module Compare = Mm_core.Compare
+module Equiv = Mm_core.Equiv
+module Prelim = Mm_core.Prelim
+module Refine = Mm_core.Refine
+
+(* The fields in which two comparisons differ, in declaration order. *)
+let compare_diff (a : Compare.result) (b : Compare.result) =
+  List.filter_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      "pass1", a.Compare.pass1 = b.Compare.pass1;
+      "pass2", a.Compare.pass2 = b.Compare.pass2;
+      "pass3", a.Compare.pass3 = b.Compare.pass3;
+      "fixes", a.Compare.fixes = b.Compare.fixes;
+      "unsound", a.Compare.unsound = b.Compare.unsound;
+      "pessimism", a.Compare.pessimism = b.Compare.pessimism;
+    ]
+
+let equiv_diff (a : Equiv.report) (b : Equiv.report) =
+  List.filter_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      "equivalent", a.Equiv.equivalent = b.Equiv.equivalent;
+      "strictly_equivalent",
+      a.Equiv.strictly_equivalent = b.Equiv.strictly_equivalent;
+      "mismatches", a.Equiv.mismatches = b.Equiv.mismatches;
+      "remaining_fixes", a.Equiv.remaining_fixes = b.Equiv.remaining_fixes;
+      "ambiguous_final", a.Equiv.ambiguous_final = b.Equiv.ambiguous_final;
+      "unsound", a.Equiv.unsound = b.Equiv.unsound;
+      "pessimistic", a.Equiv.pessimistic = b.Equiv.pessimistic;
+    ]
+  @ List.map
+      (fun f -> "compare_result." ^ f)
+      (compare_diff a.Equiv.compare_result b.Equiv.compare_result)
+
+(* A random exception scoped to one endpoint's cone: -to the endpoint,
+   -through a pin between one of the cone's startpoints and the
+   endpoint, -from that startpoint, or both. It splits the endpoint's
+   paths, so pass 1 leaves the endpoint ambiguous and passes 2 and 3
+   have work. *)
+let random_cone_exc st (ctx : Context.t) =
+  let g = ctx.Context.graph in
+  let eps = Array.of_list (Graph.endpoint_pins g) in
+  let ep = eps.(Random.State.int st (Array.length eps)) in
+  let cone = Relation_prop.backward_cone ctx [ ep ] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let kind =
+    if Random.State.bool st then Mode.False_path
+    else Mode.Multicycle { mult = 2; start = false }
+  in
+  match
+    List.filter (fun p -> cone.(p)) (List.map Graph.startpoint_pin g.Graph.startpoints)
+  with
+  | [] -> Mode.exc ~to_:[ Mode.P_pin ep ] kind
+  | sps ->
+    let sp = pick sps in
+    let fwd = Relation_prop.forward_cone ctx [ sp ] in
+    let between =
+      List.filter
+        (fun p -> fwd.(p) && cone.(p) && p <> sp && p <> ep)
+        (List.init (Array.length cone) Fun.id)
+    in
+    let from_ = [ Mode.P_pin sp ] and to_ = [ Mode.P_pin ep ] in
+    (match between, Random.State.int st 3 with
+    | [], _ | _, 0 -> Mode.exc ~from_ ~to_ kind
+    | _, 1 -> Mode.exc ~through:[ [ pick between ] ] ~to_ kind
+    | _, _ -> Mode.exc ~from_ ~through:[ [ pick between ] ] ~to_ kind)
+
+(* Steps at which the comparison reached pass 2 / pass 3 — evidence
+   that the property exercises the pass-2 memo, not just pass 1. *)
+let pass2_steps = ref 0
+let pass3_steps = ref 0
+
+(* The refinement loop's shape: a preliminary merge of a generated
+   family, then one random exception appended per step. Every step,
+   [Compare.run ~cache] over [Context.with_exceptions] must equal a
+   cold [Compare.run] over a freshly built context. *)
+let cached_compare_equals_cold seed =
+  let st = Random.State.make [| seed |] in
+  let design, modes = random_family ~combo_depth:4 st seed in
+  let prelim = Prelim.merge ~name:"merged" modes in
+  let sides =
+    List.map
+      (fun (m : Mode.t) ->
+        {
+          Compare.ctx = Context.create design m;
+          rename = Prelim.rename_of prelim m.Mode.mode_name;
+        })
+      modes
+  in
+  let m0 = prelim.Prelim.merged in
+  let ctx0 = Context.create design m0 in
+  let cache = Compare.create_cache () in
+  let rec steps mode k =
+    let cold =
+      Compare.run ~individual:sides ~merged:(Context.create design mode) ()
+    in
+    let cached =
+      Compare.run ~cache ~individual:sides
+        ~merged:(Context.with_exceptions ctx0 mode) ()
+    in
+    (match compare_diff cold cached with
+    | [] -> ()
+    | fields ->
+      QCheck2.Test.fail_reportf
+        "seed %d, step %d: cached compare differs from cold in %s" seed k
+        (String.concat ", " fields));
+    if cold.Compare.pass2 <> [] then incr pass2_steps;
+    if cold.Compare.pass3 <> [] then incr pass3_steps;
+    k >= 8
+    ||
+    let exc =
+      if Random.State.bool st then random_cone_exc st ctx0
+      else random_exc st ctx0
+    in
+    steps { mode with Mode.exceptions = mode.Mode.exceptions @ [ exc ] } (k + 1)
+  in
+  steps m0 0
+
+let compare_cache_prop =
+  tc "cached compare equals cold compare on growing exception families"
+    (fun () ->
+      pass2_steps := 0;
+      pass3_steps := 0;
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| 16 |])
+        (QCheck2.Test.make ~name:"cached compare equals cold" ~count:20
+           QCheck2.Gen.(int_range 0 10000)
+           cached_compare_equals_cold);
+      check Alcotest.bool "some steps reach pass 2" true (!pass2_steps > 0);
+      check Alcotest.bool "some steps reach pass 3" true (!pass3_steps > 0))
+
+(* On a preset, each merged group's verdict and refinement's final
+   comparison must equal what a from-scratch check computes. *)
+let final_compare_is_cold (p : Presets.preset) () =
+  let design, _info, modes = Presets.build p in
+  let r = Merge_flow.run ~jobs:1 modes in
+  let mode_named n = List.find (fun (m : Mode.t) -> m.Mode.mode_name = n) modes in
+  let checked = ref 0 in
+  List.iter
+    (fun (g : Merge_flow.group) ->
+      match g.Merge_flow.grp_refine, g.Merge_flow.grp_equiv with
+      | Some refine, Some equiv ->
+        incr checked;
+        let members = List.map mode_named g.Merge_flow.grp_members in
+        let rename = Prelim.rename_of g.Merge_flow.grp_prelim in
+        let merged = refine.Refine.refined in
+        let label = merged.Mode.mode_name in
+        let sides =
+          List.map
+            (fun (m : Mode.t) ->
+              { Compare.ctx = Context.create design m; rename = rename m.Mode.mode_name })
+            members
+        in
+        let cold =
+          Compare.run ~individual:sides ~merged:(Context.create design merged) ()
+        in
+        (match compare_diff refine.Refine.final_compare cold with
+        | [] -> ()
+        | fields ->
+          Alcotest.failf "%s %s: final_compare differs from a cold compare in %s"
+            p.Presets.pr_name label (String.concat ", " fields));
+        (match
+           equiv_diff equiv (Equiv.check ~individual:members ~rename ~merged ())
+         with
+        | [] -> ()
+        | fields ->
+          Alcotest.failf "%s %s: grp_equiv differs from Equiv.check in %s"
+            p.Presets.pr_name label (String.concat ", " fields))
+      | _ -> ())
+    r.Merge_flow.groups;
+  check Alcotest.bool (p.Presets.pr_name ^ ": a merged group was checked") true
+    (!checked > 0)
+
+let compare_cache_cases =
+  compare_cache_prop
+  :: List.filter_map
+       (fun (p : Presets.preset) ->
+         if p.Presets.pr_name = "A" then None
+         else
+           Some
+             (tc
+                (Printf.sprintf
+                   "preset %s: final compare and verdict equal a cold check"
+                   p.Presets.pr_name)
+                (final_compare_is_cold p)))
+       Presets.all
 
 (* ------------------------------------------------------------------ *)
 (* Change-driven constant propagation equals the dense sweep           *)
@@ -532,6 +736,7 @@ let () =
       "engine", engine_cases;
       "jobs_invariance", jobs_invariance_cases;
       "incremental", [ incremental_prop ];
+      "compare_cache", compare_cache_cases;
       "const_prop", const_prop_cases;
       "chaos", chaos_cases;
     ]
