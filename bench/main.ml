@@ -1,10 +1,14 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation, then runs one Bechamel micro-benchmark per
-   artefact.
+   paper's evaluation, plus the ablations, the design-size sweep and
+   the STA microbench.
 
-     dune exec bench/main.exe            # everything
+     dune exec bench/main.exe            # tables + ablations
      dune exec bench/main.exe -- tables  # reproduction tables only
-     dune exec bench/main.exe -- bech    # bechamel probes only
+
+   An unknown target name prints the list of targets ([targets] below).
+
+   Wall-clock performance of the merge itself is measured by
+   perfbench/, not here.
 
    Absolute numbers differ from the paper (its designs are 100x larger
    and ran on proprietary multi-threaded tooling); the shapes — merge
@@ -159,71 +163,7 @@ let run_design (p : Presets.preset) =
 (* per design plus the full observability snapshot (metric counters    *)
 (* and per-stage span durations) of the run that produced them.        *)
 
-(* One row of the domain-scaling sweep: the same workload merged and
-   STA-swept at a fixed --jobs count. *)
-type scaling_row = { sc_jobs : int; sc_merge_s : float; sc_sta_s : float }
-
-let scaling_json ~design_name rows =
-  let jf = Metrics.json_float in
-  let base =
-    match rows with r :: _ -> r.sc_merge_s | [] -> 0.0
-  in
-  let row r =
-    Printf.sprintf
-      {|{"jobs":%d,"merge_s":%s,"sta_s":%s,"merge_speedup":%s}|}
-      r.sc_jobs (jf r.sc_merge_s) (jf r.sc_sta_s)
-      (jf (if r.sc_merge_s > 0.0 then base /. r.sc_merge_s else 0.0))
-  in
-  Printf.sprintf {|{"design":"%s","runs":[%s]}|}
-    (Metrics.json_escape design_name)
-    (String.concat "," (List.map row rows))
-
-(* The sweep itself: merge + per-mode STA at each jobs count. The
-   workload and the results are identical at every point (the task
-   graph is deterministic); only the wall clock moves. On a single
-   hardware thread every point degenerates to sequential execution and
-   the recorded speedup is honestly ~1.0. *)
-let scaling_sweep ~jobs_list ~name design modes =
-  section
-    (Printf.sprintf "Scaling: %s merge + STA sweep vs worker domains" name);
-  let t =
-    Tab.create
-      ~aligns:[ Tab.Right; Tab.Right; Tab.Right; Tab.Right ]
-      [ "Jobs"; "Merge (s)"; "STA sweep (s)"; "Merge speedup" ]
-  in
-  let rows =
-    List.map
-      (fun jobs ->
-        let _, merge_s =
-          time (fun () -> Merge_flow.run ~check_equivalence:false ~jobs modes)
-        in
-        let _, sta_s =
-          time (fun () ->
-              Mm_util.Pool.with_pool ~jobs @@ fun pool ->
-              ignore (Sta.analyze_many ~pool design modes))
-        in
-        { sc_jobs = jobs; sc_merge_s = merge_s; sc_sta_s = sta_s })
-      jobs_list
-  in
-  let base = match rows with r :: _ -> r.sc_merge_s | [] -> 0.0 in
-  List.iter
-    (fun r ->
-      Tab.add_row t
-        [
-          string_of_int r.sc_jobs;
-          Stat.fmt_time_s r.sc_merge_s;
-          Stat.fmt_time_s r.sc_sta_s;
-          Printf.sprintf "%.2fx"
-            (if r.sc_merge_s > 0.0 then base /. r.sc_merge_s else 0.0);
-        ])
-    rows;
-  Tab.print t;
-  Printf.printf
-    "(hardware threads available: %d; speedup saturates at that count)\n"
-    (Domain.recommended_domain_count ());
-  rows
-
-let bench_json ~scaling ~sta runs =
+let bench_json ~sta runs =
   let jf = Metrics.json_float in
   let b = Buffer.create 4096 in
   let row5 r =
@@ -258,14 +198,11 @@ let bench_json ~scaling ~sta runs =
        (jf (Stat.mean (List.map (fun r -> r.dr_flow.Merge_flow.reduction_percent) runs)))
        (jf (Stat.mean (List.map (fun r -> Stat.reduction_percent r.dr_sta_ind r.dr_sta_mrg) runs)))
        (jf (Stat.mean (List.map (fun r -> r.dr_conformity) runs))));
-  Buffer.add_string b (Printf.sprintf {|"scaling":%s,|} scaling);
   (* STA microbench section: the compiled-arena payoff (compile-once
-     vs rebuild, full vs incremental re-analysis). "null" when the
-     invoking target did not run the microbench. *)
+     vs rebuild, full vs incremental re-analysis). *)
   Buffer.add_string b (Printf.sprintf {|"sta":%s,|} sta);
-  (* The flight recorder's resource sections: whole-run GC totals and
-     the pool.* metric slice (new keys only — existing consumers of the
-     bench json are unaffected). *)
+  (* Resource sections: whole-run GC totals and the pool.* metric
+     slice. *)
   Buffer.add_string b
     (Printf.sprintf {|"gc":{%s},|}
        (String.concat ","
@@ -289,24 +226,14 @@ let bench_json ~scaling ~sta runs =
 
 let bench_file = "BENCH_paper_tables.json"
 
-let write_bench_json ?(file = bench_file) ?(sta = "null") ~scaling runs =
+let write_bench_json ?(file = bench_file) ~sta runs =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (bench_json ~scaling ~sta runs);
+      output_string oc (bench_json ~sta runs);
       output_char oc '\n');
-  Printf.printf "\nwrote %s\n" file;
-  (* Every bench-json write also lands one flight-recorder history
-     record under .modemerge/history/ (advisory: a read-only checkout
-     must not fail the bench). *)
-  try
-    let r =
-      Mm_util.Runlog.capture ~label:"bench" ~jobs:(Mm_util.Pool.default_jobs ())
-        ()
-    in
-    Printf.printf "history record -> %s\n" (Mm_util.Runlog.append r)
-  with _ -> ()
+  Printf.printf "\nwrote %s\n" file
 
 (* Mandatory keys the bench trajectory (and CI's @bench-smoke) relies
    on: a run that stops emitting one of these is a regression even if
@@ -315,7 +242,7 @@ let mandatory_keys =
   [
     {|"table5"|}; {|"table6"|}; {|"merge_runtime_s"|}; {|"conformity"|};
     {|"merge.cliques"|}; {|"sta.tags_propagated"|}; {|"spans"|};
-    {|"sta.analyze"|}; {|"scaling"|}; {|"merge_speedup"|}; {|"sta":|};
+    {|"sta.analyze"|}; {|"sta":|};
     {|"gc":{|}; {|"gc.minor_words"|}; {|"pool":{|}; {|"pool.tasks_executed"|};
     {|"pool.occupancy"|};
   ]
@@ -350,9 +277,7 @@ let validate_bench_json ?(file = bench_file) () =
 (*      relations re-derived after each appended false path, from      *)
 (*      scratch vs through Context.with_exceptions + the pass-1        *)
 (*      relation cache (dirty-cone re-propagation only).               *)
-(* Results are recorded under "sta" in the bench json, and the run's   *)
-(* sta.compile / sta.incremental_reuse spans land in the Runlog        *)
-(* history record, so `modemerge perf check` gates their self-times.   *)
+(* Results are recorded under "sta" in the bench json.                *)
 
 type sta_row = {
   st_name : string;
@@ -548,16 +473,7 @@ let tables56 () =
         (Stat.mean (List.map (fun r -> (paper r).Presets.paper_conformity) runs));
     ];
   Tab.print t6;
-  (* Domain-scaling record for the committed trajectory: design A at
-     1/2/4/8 worker domains. *)
-  let pa = List.hd Presets.all in
-  let design_a, _info, modes_a = Presets.build pa in
-  let rows =
-    scaling_sweep ~jobs_list:[ 1; 2; 4; 8 ] ~name:pa.Presets.pr_name design_a
-      modes_a
-  in
   write_bench_json
-    ~scaling:(scaling_json ~design_name:pa.Presets.pr_name rows)
     ~sta:
       (sta_json
          (List.map sta_measure
@@ -580,12 +496,7 @@ let smoke () =
   Printf.printf "  merged %d -> %d mode(s), %.1f%% reduction, conformity %.2f\n"
     r.dr_flow.Merge_flow.n_individual r.dr_flow.Merge_flow.n_merged
     r.dr_flow.Merge_flow.reduction_percent r.dr_conformity;
-  (* Mini scaling record (two points) so the smoke json carries every
-     mandatory key; the full 1/2/4/8 sweep lives in the scaling target. *)
-  let rows = scaling_sweep ~jobs_list:[ 1; 2 ] ~name:"paper_circuit" d [ a; b ] in
-  write_bench_json ~scaling:(scaling_json ~design_name:"paper_circuit" rows)
-    ~sta:(sta_json [ sta_measure Presets.tiny ])
-    [ r ];
+  write_bench_json ~sta:(sta_json [ sta_measure Presets.tiny ]) [ r ];
   validate_bench_json ()
 
 (* ------------------------------------------------------------------ *)
@@ -634,26 +545,6 @@ let audit_smoke () =
     (List.length Mm_core.Audit.mandatory_keys)
 
 (* ------------------------------------------------------------------ *)
-(* Standalone scaling target: design A merged and STA-swept at         *)
-(* 1/2/4/8 worker domains, recorded under "scaling" in the bench json.  *)
-
-let scaling_target () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Metrics.reset ();
-  let pa = List.hd Presets.all in
-  let design, _info, modes = Presets.build pa in
-  let rows =
-    scaling_sweep ~jobs_list:[ 1; 2; 4; 8 ] ~name:pa.Presets.pr_name design
-      modes
-  in
-  let r = run_design pa in
-  write_bench_json
-    ~scaling:(scaling_json ~design_name:pa.Presets.pr_name rows)
-    [ r ];
-  validate_bench_json ()
-
-(* ------------------------------------------------------------------ *)
 (* STA microbench targets (measurement helpers live above tables56,    *)
 (* which embeds their rows into the committed bench trajectory).       *)
 
@@ -686,8 +577,7 @@ let sta_table rows =
   Tab.print t
 
 (* Full microbench over presets A-C, written into the paper-tables
-   bench json (a paper-circuit merge provides the table5/6 and scaling
-   payload). Gates the repeated-analysis acceptance bound: reusing the
+   bench json (a paper-circuit merge provides the table5/6 payload). Gates the repeated-analysis acceptance bound: reusing the
    compiled skeleton must beat recompiling by at least 2x. *)
 let sta_bench () =
   section "STA microbench: compile-once vs rebuild, full vs incremental (A-C)";
@@ -702,10 +592,7 @@ let sta_bench () =
   let d = Pc.build () in
   let a, b = Pc.constraint_set6 d in
   let r = run_modes ~name:"paper_circuit" d [ a; b ] in
-  let srows = scaling_sweep ~jobs_list:[ 1; 2 ] ~name:"paper_circuit" d [ a; b ] in
-  write_bench_json
-    ~scaling:(scaling_json ~design_name:"paper_circuit" srows)
-    ~sta:(sta_json rows) [ r ];
+  write_bench_json ~sta:(sta_json rows) [ r ];
   validate_bench_json ();
   let worst =
     List.fold_left
@@ -738,10 +625,7 @@ let sta_smoke () =
   let d = Pc.build () in
   let a, b = Pc.constraint_set6 d in
   let r = run_modes ~name:"paper_circuit" d [ a; b ] in
-  let srows = scaling_sweep ~jobs_list:[ 1 ] ~name:"paper_circuit" d [ a; b ] in
-  write_bench_json ~file:sta_file
-    ~scaling:(scaling_json ~design_name:"paper_circuit" srows)
-    ~sta:(sta_json rows) [ r ];
+  write_bench_json ~file:sta_file ~sta:(sta_json rows) [ r ];
   validate_bench_json ~file:sta_file ()
 
 (* ------------------------------------------------------------------ *)
@@ -926,97 +810,42 @@ let scale_sweep () =
 "
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel probes: one Test.make per paper artefact                   *)
 
-let bechamel_suite () =
-  section "Bechamel micro-benchmarks (one per table/figure)";
-  let open Bechamel in
-  (* Pre-built inputs so Test.make measures the algorithm, not setup. *)
-  let d = Pc.build () in
-  let set1 = Pc.constraint_set1 d in
-  let ctx1 = Context.create d set1 in
-  let a6, b6 = Pc.constraint_set6 d in
-  let prelim6 = Prelim.merge ~name:"A+B" [ a6; b6 ] in
-  let sides6 =
-    List.map
-      (fun (m : Mode.t) ->
-        {
-          Compare.ctx = Context.create d m;
-          rename = Prelim.rename_of prelim6 m.Mode.mode_name;
-        })
-      [ a6; b6 ]
-  in
-  let merged6 = Context.create d prelim6.Prelim.merged in
-  let tiny_design, tiny_info, tiny_modes = Presets.build Presets.tiny in
-  ignore tiny_info;
-  let tiny_mode = List.hd tiny_modes in
-  let tiny_ctx = Context.create tiny_design tiny_mode in
-  let tests =
-    [
-      Test.make ~name:"table1_relation_propagation" (Staged.stage (fun () ->
-          ignore (Mm_core.Relation_prop.endpoint_relations ctx1)));
-      Test.make ~name:"table2_3_4_three_pass_compare" (Staged.stage (fun () ->
-          ignore (Compare.run ~individual:sides6 ~merged:merged6 ())));
-      Test.make ~name:"figure2_mergeability_cliques" (Staged.stage (fun () ->
-          ignore (Mm_core.Mergeability.analyze tiny_modes)));
-      Test.make ~name:"table5_merge_flow" (Staged.stage (fun () ->
-          ignore (Merge_flow.run ~check_equivalence:false tiny_modes)));
-      Test.make ~name:"table6_sta_analysis" (Staged.stage (fun () ->
-          ignore (Sta.analyze ~ctx:tiny_ctx tiny_design tiny_mode)));
-    ]
-  in
-  let measure = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let benchmark test =
-    List.iter
-      (fun elt ->
-        let raw = Benchmark.run cfg [ measure ] elt in
-        let result = Analyze.one ols measure raw in
-        match Analyze.OLS.estimates result with
-        | Some [ est ] ->
-          Printf.printf "  %-42s %12.1f ns/run\n" (Test.Elt.name elt) est
-        | Some _ | None ->
-          Printf.printf "  %-42s (no estimate)\n" (Test.Elt.name elt))
-      (Test.elements test)
-  in
-  List.iter benchmark tests
+let tables () =
+  table1 ();
+  tables234 ();
+  figure2 ();
+  tables56 ()
 
-(* ------------------------------------------------------------------ *)
+(* Every target, in the order the unknown-target message lists them. *)
+let targets =
+  [
+    "tables", tables;
+    "table1", table1;
+    "table2", tables234;
+    "table3", tables234;
+    "table4", tables234;
+    "walkthrough", tables234;
+    "figure2", figure2;
+    "table5", tables56;
+    "table6", tables56;
+    "ablations", ablations;
+    "scale", scale_sweep;
+    "smoke", smoke;
+    "audit", audit_smoke;
+    "sta", sta_bench;
+    "sta-smoke", sta_smoke;
+    ( "all",
+      fun () ->
+        tables ();
+        ablations () );
+  ]
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  let tables () =
-    table1 ();
-    tables234 ();
-    figure2 ();
-    tables56 ()
-  in
-  match what with
-  | "tables" -> tables ()
-  | "ablations" -> ablations ()
-  | "scale" -> scale_sweep ()
-  | "table1" -> table1 ()
-  | "table2" | "table3" | "table4" | "walkthrough" -> tables234 ()
-  | "figure2" -> figure2 ()
-  | "table5" | "table6" -> tables56 ()
-  | "smoke" -> smoke ()
-  | "audit" -> audit_smoke ()
-  | "sta" -> sta_bench ()
-  | "sta-smoke" -> sta_smoke ()
-  | "scaling" -> scaling_target ()
-  | "bech" -> bechamel_suite ()
-  | "all" ->
-    tables ();
-    ablations ();
-    bechamel_suite ()
-  | other ->
-    Printf.eprintf
-      "unknown target %s (use \
-       tables|table1|table2|figure2|table5|smoke|audit|scaling|ablations|scale|bech|all)\n"
-      other;
+  match List.assoc_opt what targets with
+  | Some run -> run ()
+  | None ->
+    Printf.eprintf "unknown target %s (use %s)\n" what
+      (String.concat "|" (List.map fst targets));
     exit 1

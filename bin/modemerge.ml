@@ -8,7 +8,6 @@
      lint       constraint-quality checks for each mode
      check      equivalence-check a merged mode against individuals
      gen        emit a synthetic design + mode suite to a directory
-     perf       record/diff/check performance runs against history
 
    Netlists may be the text format (.nl) or structural Verilog (.v);
    a Liberty file supplies custom cells via --liberty.
@@ -220,7 +219,7 @@ type obs_opts = {
 }
 
 (* Every subcommand takes the identical observability flag set, so a
-   flag learned on merge works verbatim on sta or perf. *)
+   flag learned on merge works verbatim on every other subcommand. *)
 let obs_term =
   let mk trace metrics profile profile_gc serve events progress =
     {
@@ -980,193 +979,6 @@ let gen_cmd =
   Cmd.v info
     Term.(const run $ outdir $ seed $ domains $ regs $ families $ obs_term)
 
-(* ------------------------------------------------------------------ *)
-(* perf: the performance flight recorder's CLI (DESIGN.md §13).
-   record / diff / check all execute the same built-in synthetic
-   workload (generated design + two mode families, merge + STA sweep)
-   so runs are comparable without any input files, then read or write
-   the JSONL history under .modemerge/history/. *)
-
-module Runlog = Mm_util.Runlog
-
-let perf_workload ~jobs ~repeat =
-  let params =
-    {
-      Mm_workload.Gen_design.default_params with
-      Mm_workload.Gen_design.seed = 7;
-      n_domains = 2;
-      regs_per_domain = 48;
-    }
-  in
-  let design, info = Mm_workload.Gen_design.generate params in
-  let suite =
-    {
-      Mm_workload.Gen_modes.sp_seed = 8;
-      families = [ 3; 2 ];
-      base_period = 2.0;
-      scan_family = true;
-    }
-  in
-  let modes = Mm_workload.Gen_modes.generate design info suite in
-  for _ = 1 to repeat do
-    let result = Merge_flow.run ~jobs modes in
-    Mm_util.Pool.with_pool ~jobs @@ fun pool ->
-    ignore
-      (Sta.analyze_many ~pool design
-         (List.map
-            (fun (g : Merge_flow.group) -> g.Merge_flow.grp_mode)
-            result.Merge_flow.groups))
-  done
-
-let perf_capture ~jobs ~repeat ~label =
-  Obs.set_enabled true;
-  Obs.set_gc_enabled true;
-  (match perf_workload ~jobs ~repeat with
-  | () -> ()
-  | exception Govern.Cancelled reason ->
-    fatal ~code:(Govern.reason_code reason) "%s"
-      (Govern.reason_to_string reason));
-  Runlog.capture ~label ~jobs ()
-
-let perf_jobs_arg =
-  let doc =
-    "Worker domains for the perf workload (default 1 — sequential runs \
-     are the most stable baseline)."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let perf_repeat_arg =
-  let doc = "Workload iterations per run (more = steadier span times)." in
-  Arg.(value & opt int 2 & info [ "repeat" ] ~docv:"N" ~doc)
-
-let perf_label_arg =
-  let doc = "History stream label (one JSONL file per label)." in
-  Arg.(value & opt string "perf" & info [ "label" ] ~docv:"NAME" ~doc)
-
-let perf_dir_arg =
-  let doc = "History directory." in
-  Arg.(
-    value & opt string Runlog.default_dir & info [ "history-dir" ] ~docv:"DIR" ~doc)
-
-let perf_record_cmd =
-  let run jobs repeat label dir obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let r = perf_capture ~jobs ~repeat ~label in
-    let path = Runlog.append ~dir r in
-    Printf.printf "recorded run (rev %s, jobs=%d, %d spans) -> %s\n"
-      r.Runlog.r_git_rev r.Runlog.r_jobs
-      (List.length r.Runlog.r_spans)
-      path;
-    finish ()
-  in
-  let info =
-    Cmd.info "record"
-      ~doc:"Run the synthetic perf workload and append it to the history."
-  in
-  Cmd.v info
-    Term.(const run $ perf_jobs_arg $ perf_repeat_arg $ perf_label_arg
-          $ perf_dir_arg $ obs_term)
-
-let perf_diff_cmd =
-  let run label dir obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    match Runlog.last 2 (Runlog.load ~dir ~label ()) with
-    | [ older; newer ] ->
-      print_string (Runlog.diff_report older newer);
-      finish ()
-    | _ ->
-      fatal ~code:"perf.history"
-        "need at least two recorded runs in %s (label %s) to diff" dir label
-  in
-  let info = Cmd.info "diff" ~doc:"Compare the last two recorded runs." in
-  Cmd.v info Term.(const run $ perf_label_arg $ perf_dir_arg $ obs_term)
-
-let perf_check_cmd =
-  let threshold_arg =
-    let doc = "Relative self-time regression threshold in percent." in
-    Arg.(value & opt float 10. & info [ "threshold" ] ~docv:"PCT" ~doc)
-  in
-  let min_self_arg =
-    let doc =
-      "Absolute floor in seconds: spans under it on both sides are never \
-       judged, and any flagged delta must exceed it."
-    in
-    Arg.(value & opt float 0.01 & info [ "min-self" ] ~docv:"SEC" ~doc)
-  in
-  let window_arg =
-    let doc = "Baseline window: how many trailing history runs to compare \
-               against." in
-    Arg.(value & opt int 10 & info [ "window" ] ~docv:"N" ~doc)
-  in
-  let record_arg =
-    let doc = "Append the current run to the history after a passing check." in
-    Arg.(value & flag & info [ "record" ] ~doc)
-  in
-  let run jobs repeat label dir threshold min_self window record obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let config =
-      {
-        Runlog.default_config with
-        Runlog.threshold_pct = threshold;
-        min_self_s = min_self;
-        window;
-      }
-    in
-    (* Span self-times at different job counts are not comparable
-       (concurrent children sum wall time across domains), so the
-       baseline window is restricted to runs recorded at the same
-       concurrency. *)
-    let history =
-      List.filter
-        (fun r -> r.Runlog.r_jobs = jobs)
-        (Runlog.load ~dir ~label ())
-    in
-    let baselines = Runlog.last window history in
-    if baselines = [] then
-      fatal ~code:"perf.history"
-        "no baseline history at jobs=%d in %s (label %s); run 'modemerge \
-         perf record --jobs %d' first"
-        jobs dir label jobs;
-    let current = perf_capture ~jobs ~repeat ~label in
-    let verdicts = Runlog.check ~config ~baselines current in
-    print_string (Runlog.check_report verdicts);
-    if Runlog.has_regression verdicts then begin
-      print_diag
-        (Diag.makef Diag.Warning ~code:"perf.regression"
-           "performance regression against the last %d run(s)"
-           (List.length baselines))
-    end
-    else if record then begin
-      let path = Runlog.append ~dir current in
-      Printf.printf "check passed; recorded -> %s\n" path
-    end;
-    finish ()
-  in
-  let info =
-    Cmd.info "check"
-      ~doc:
-        "Run the perf workload and gate on self-time regressions against \
-         recent history (nonzero exit on regression)."
-  in
-  Cmd.v info
-    Term.(
-      const run $ perf_jobs_arg $ perf_repeat_arg $ perf_label_arg
-      $ perf_dir_arg $ threshold_arg $ min_self_arg $ window_arg $ record_arg
-      $ obs_term)
-
-let perf_cmd =
-  let info =
-    Cmd.info "perf"
-      ~doc:
-        "Performance flight recorder: record runs to \
-         .modemerge/history/, diff them, and gate on statistical \
-         regressions."
-  in
-  Cmd.group info [ perf_record_cmd; perf_diff_cmd; perf_check_cmd ]
-
 let () =
   (* Raw backtraces must be recorded for the pool's crash outcomes to
      carry real failure sites; chaos faults come from MM_CHAOS. *)
@@ -1181,5 +993,5 @@ let () =
        (Cmd.group info
           [
             merge_cmd; explain_cmd; sta_cmd; relations_cmd; lint_cmd;
-            check_cmd; gen_cmd; perf_cmd;
+            check_cmd; gen_cmd;
           ]))

@@ -75,8 +75,7 @@ val dropped : unit -> int
 val counts : unit -> (string * int) list
 (** Cumulative per-kind event counts since process start, sorted by
     kind — survives ring wraparound, so it is the "how many retries did
-    this whole run see" view {!Mm_util.Runlog} persists into the bench
-    history. *)
+    this whole run see" view. *)
 
 val reset : unit -> unit
 (** Drop every event and zero the cumulative counters (tests). *)

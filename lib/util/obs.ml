@@ -33,7 +33,7 @@ let enabled () = Atomic.get on
 
 (* GC telemetry is gated separately: Gc.quick_stat is cheap but not
    free (it allocates a stat record per call), so per-span GC deltas
-   are opt-in on top of tracing (--profile-gc, the perf harness). *)
+   are opt-in on top of tracing (--profile-gc). *)
 let gc_on = Atomic.make false
 let set_gc_enabled b = Atomic.set gc_on b
 let gc_enabled () = Atomic.get gc_on
@@ -71,8 +71,8 @@ let samples () =
   Mutex.unlock lock;
   List.sort (fun (_, a, _) (_, b, _) -> Int64.compare a b) l
 
-(* Per-process GC totals under stable gc.* names — the flight
-   recorder's resource axis. quick_stat reads the calling domain's
+(* Per-process GC totals under stable gc.* names — the whole-run
+   resource axis. quick_stat reads the calling domain's
    allocation counters plus global heap numbers; under --jobs > 1 the
    totals are therefore an approximation attributed to the driver
    domain, which is fine for run-over-run comparison (the workload,

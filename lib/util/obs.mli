@@ -24,8 +24,8 @@
     - [sdc.parse] / [sdc.resolve]
     - [sta.analyze] > [sta.propagate] | [sta.check]
 
-    On top of spans the module records two resource axes (the
-    "flight recorder", DESIGN.md §13): per-span {b GC deltas}
+    On top of spans the module records two resource axes (resource
+    telemetry, DESIGN.md §13): per-span {b GC deltas}
     (allocation words, collection counts — opt-in via
     {!set_gc_enabled} because [Gc.quick_stat] allocates) and
     time-stamped {b counter samples} ({!sample} — pool occupancy,
@@ -151,8 +151,7 @@ val samples : unit -> (string * int64 * float) list
     whole-run view the per-span deltas decompose. Always available
     (one [Gc.quick_stat] per call); under [--jobs > 1] allocation
     words are attributed to the calling domain, so totals are a
-    driver-domain approximation — stable run-over-run, which is what
-    the regression gate compares. *)
+    driver-domain approximation, stable run-over-run. *)
 
 val gc_totals : unit -> (string * float) list
 (** [gc.minor_words], [gc.promoted_words], [gc.major_words],
@@ -187,7 +186,7 @@ val trace_event_json : unit -> string
 val span_summaries : unit -> (string * int * float * float) list
 (** Per-span-name aggregates merged across paths, sorted by name:
     [(name, calls, total_s, self_s)]. The flat view behind
-    {!metrics_json} and the {!Runlog} history records. *)
+    {!metrics_json}. *)
 
 val metrics_json : unit -> string
 (** Flat machine-readable snapshot:

@@ -97,8 +97,8 @@ let run_task ~govern ~task_budget_s f x =
       Govern.check tok;
       f x)
 
-(* Live tasks across every pool — the occupancy series of the flight
-   recorder. Global, like the Obs sink the samples land in. *)
+(* Live tasks across every pool — the occupancy series of the pool
+   telemetry. Global, like the Obs sink the samples land in. *)
 let active = Atomic.make 0
 
 (* [run_task] plus the telemetry shell: per-task wall time into the

@@ -6,28 +6,6 @@ let mean_opt = function
 
 let mean xs = Option.value ~default:0. (mean_opt xs)
 
-let stddev_opt xs =
-  match finite xs with
-  | [] | [ _ ] -> None
-  | xs ->
-    let n = float_of_int (List.length xs) in
-    let m = mean xs in
-    let ss = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs in
-    Some (sqrt (ss /. (n -. 1.)))
-
-let stddev xs = Option.value ~default:0. (stddev_opt xs)
-
-(* Normal approximation: z = 1.96. Our baselines are a handful of runs,
-   where a t-quantile would be wider, but the regression gate adds its
-   own absolute slack on top (see Runlog), so the simple constant is
-   enough — and it keeps this module dependency-free. *)
-let ci95_halfwidth xs =
-  match finite xs with
-  | [] | [ _ ] -> 0.
-  | fs ->
-    let n = float_of_int (List.length fs) in
-    1.96 *. stddev fs /. sqrt n
-
 (* Nearest-rank percentile over the finite samples; [q] clamped to
    [0,1]. rank = ceil(q*n), 1-based, clamped into the sorted array. *)
 let percentile_opt q xs =
@@ -42,10 +20,6 @@ let percentile_opt q xs =
     Some a.(max 0 (min (n - 1) (rank - 1)))
 
 let percentile q xs = Option.value ~default:0. (percentile_opt q xs)
-
-let median xs = percentile 0.5 xs
-
-let percent part whole = if whole = 0. then 0. else 100. *. part /. whole
 
 let reduction_percent before after =
   if Float.is_nan before || Float.is_nan after || before <= 0. then 0.

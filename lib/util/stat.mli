@@ -1,17 +1,15 @@
-(** Numeric helpers for the benchmark harness, reports, and the
-    performance regression gate ({!Runlog}).
+(** Numeric helpers for the benchmark harness, reports and metrics
+    export.
 
-    Convention: the [float]-returning aggregates ([mean], [stddev],
-    [percentile], [percent], [reduction_percent]) return [0.] on empty
-    or degenerate input — convenient for report cells, but
+    Convention: the [float]-returning aggregates ([mean],
+    [percentile], [reduction_percent]) return [0.] on empty or
+    degenerate input — convenient for report cells, but
     indistinguishable from a true zero. Callers that must tell the two
     apart (e.g. metrics export) use the [_opt] variants.
 
-    NaN/infinity guards: the statistical aggregates ([stddev],
-    [ci95_halfwidth], [percentile], [median]) drop non-finite samples
-    before computing ({!finite}), so a stray [nan] in a timing list
-    cannot poison a baseline. [mean]/[mean_opt] are the historical
-    exceptions and average the raw list. *)
+    NaN/infinity guards: [percentile] drops non-finite samples before
+    ranking ({!finite}), so a stray [nan] in a timing list cannot shift
+    a quantile. [mean]/[mean_opt] average the raw list. *)
 
 val finite : float list -> float list
 (** The finite samples of the list, in order ([nan]/[±inf] dropped). *)
@@ -22,19 +20,6 @@ val mean_opt : float list -> float option
 val mean : float list -> float
 (** Arithmetic mean; [0.] on the empty list (see the module convention). *)
 
-val stddev_opt : float list -> float option
-(** Sample standard deviation (n-1 denominator) over the finite
-    samples; [None] with fewer than two. *)
-
-val stddev : float list -> float
-(** Sample standard deviation; [0.] with fewer than two finite samples. *)
-
-val ci95_halfwidth : float list -> float
-(** Half-width of the normal-approximation 95% confidence interval of
-    the mean: [1.96 * stddev / sqrt n] over the finite samples; [0.]
-    with fewer than two. The regression gate treats
-    [mean ± ci95_halfwidth] as the noise band of a baseline. *)
-
 val percentile_opt : float -> float list -> float option
 (** [percentile_opt q xs] is the nearest-rank [q]-quantile ([q]
     clamped to [0,1]) of the finite samples of [xs]; [None] when none
@@ -44,12 +29,6 @@ val percentile_opt : float -> float list -> float option
 
 val percentile : float -> float list -> float
 (** Like {!percentile_opt} with [0.] on empty input. *)
-
-val median : float list -> float
-(** [percentile 0.5]. *)
-
-val percent : float -> float -> float
-(** [percent part whole] is [100 * part / whole]; [0.] when [whole = 0]. *)
 
 val reduction_percent : float -> float -> float
 (** [reduction_percent before after] is the percentage reduction from

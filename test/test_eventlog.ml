@@ -24,7 +24,6 @@ module Metrics = Mm_util.Metrics
 module Obs = Mm_util.Obs
 module Httpd = Mm_util.Httpd
 module Serve = Mm_util.Serve
-module Runlog = Mm_util.Runlog
 module Merge_flow = Mm_core.Merge_flow
 module Gen_design = Mm_workload.Gen_design
 module Gen_modes = Mm_workload.Gen_modes
@@ -141,27 +140,27 @@ let test_ndjson () =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' nd)
   in
   check Alcotest.int "header + one line per event" 3 (List.length lines);
-  (match Runlog.parse_json (List.hd lines) with
+  (match Json_read.parse_json (List.hd lines) with
   | j ->
     check Alcotest.(option string) "schema header"
       (Some Eventlog.schema_version)
-      (match Runlog.member "schema" j with
-      | Some (Runlog.Str s) -> Some s
+      (match Json_read.member "schema" j with
+      | Some (Json_read.Str s) -> Some s
       | _ -> None);
     check Alcotest.bool "header total" true
-      (Runlog.member "total" j = Some (Runlog.Num 2.))
-  | exception Runlog.Parse_error e ->
+      (Json_read.member "total" j = Some (Json_read.Num 2.))
+  | exception Json_read.Parse_error e ->
     Alcotest.failf "NDJSON header does not parse: %s" e);
   List.iteri
     (fun i line ->
-      match Runlog.parse_json line with
+      match Json_read.parse_json line with
       | j ->
         if i > 0 then
           check Alcotest.bool
             (Printf.sprintf "line %d has seq" i)
             true
-            (Runlog.member "seq" j <> None)
-      | exception Runlog.Parse_error e ->
+            (Json_read.member "seq" j <> None)
+      | exception Json_read.Parse_error e ->
         Alcotest.failf "NDJSON line %d does not parse: %s (%s)" i e line)
     lines;
   (* ?limit keeps the newest events but the exact cumulative header. *)
@@ -171,8 +170,8 @@ let test_ndjson () =
   in
   check Alcotest.int "limited export" 2 (List.length llines);
   check Alcotest.bool "limited keeps the newest" true
-    (let j = Runlog.parse_json (List.nth llines 1) in
-     Runlog.member "kind" j = Some (Runlog.Str "x.finish"));
+    (let j = Json_read.parse_json (List.nth llines 1) in
+     Json_read.member "kind" j = Some (Json_read.Str "x.finish"));
   Eventlog.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -214,9 +213,9 @@ let test_progress_json () =
   Progress.add_total ~by:3 "merge.load";
   Progress.tick "merge.load";
   Progress.add_total ~by:5 "pool.tasks";
-  let j = Runlog.parse_json (Progress.to_json ()) in
-  (match Runlog.member "trackers" j with
-  | Some (Runlog.Arr ts) ->
+  let j = Json_read.parse_json (Progress.to_json ()) in
+  (match Json_read.member "trackers" j with
+  | Some (Json_read.Arr ts) ->
     check Alcotest.int "one entry per tracker" 2 (List.length ts);
     List.iter
       (fun t ->
@@ -225,14 +224,14 @@ let test_progress_json () =
             check Alcotest.bool
               (Printf.sprintf "tracker field %s" f)
               true
-              (Runlog.member f t <> None))
+              (Json_read.member f t <> None))
           [ "name"; "done"; "total"; "elapsed_s"; "finished" ])
       ts
   | _ -> Alcotest.fail "no trackers array");
-  (match Runlog.member "overall" j with
+  (match Json_read.member "overall" j with
   | Some o ->
     check Alcotest.bool "overall counts merge stages" true
-      (Runlog.member "units_total" o = Some (Runlog.Num 3.))
+      (Json_read.member "units_total" o = Some (Json_read.Num 3.))
   | None -> Alcotest.fail "no overall object");
   Progress.reset ()
 
@@ -351,11 +350,11 @@ let test_percentile_degenerate () =
   (* The JSON renderer hits the same path on an observed-once metric. *)
   Metrics.reset ();
   Metrics.observe "one.sample" 1.5;
-  let j = Runlog.parse_json (Metrics.to_json ()) in
-  (match Runlog.member "one.sample" j with
+  let j = Json_read.parse_json (Metrics.to_json ()) in
+  (match Json_read.member "one.sample" j with
   | Some h ->
     check Alcotest.bool "p99 of one sample" true
-      (Runlog.member "p99" h = Some (Runlog.Num 1.5))
+      (Json_read.member "p99" h = Some (Json_read.Num 1.5))
   | None -> Alcotest.fail "observed metric missing from JSON");
   Metrics.reset ()
 
@@ -500,15 +499,15 @@ let test_serve_endpoints () =
         body
       in
       (* /healthz: parses, says ok, reflects the journal. *)
-      let h = Runlog.parse_json (body "/healthz") in
+      let h = Json_read.parse_json (body "/healthz") in
       check Alcotest.bool "healthz ok" true
-        (Runlog.member "status" h = Some (Runlog.Str "ok"));
+        (Json_read.member "status" h = Some (Json_read.Str "ok"));
       check Alcotest.bool "healthz ladder" true
-        (Runlog.member "ladder" h = Some (Runlog.Str "nominal"));
+        (Json_read.member "ladder" h = Some (Json_read.Str "nominal"));
       (* /progress: the tracker we created is visible. *)
-      let p = Runlog.parse_json (body "/progress") in
-      (match Runlog.member "trackers" p with
-      | Some (Runlog.Arr (_ :: _)) -> ()
+      let p = Json_read.parse_json (body "/progress") in
+      (match Json_read.member "trackers" p with
+      | Some (Json_read.Arr (_ :: _)) -> ()
       | _ -> Alcotest.fail "progress lost the tracker");
       (* /metrics: Prometheus text with the sanitised counter. *)
       let m = body "/metrics" in
@@ -528,17 +527,17 @@ let test_serve_endpoints () =
       check Alcotest.bool "events has header + events" true
         (List.length lines >= 3);
       check Alcotest.bool "events header schema" true
-        (let j = Runlog.parse_json (List.hd lines) in
-         Runlog.member "schema" j = Some (Runlog.Str Eventlog.schema_version));
+        (let j = Json_read.parse_json (List.hd lines) in
+         Json_read.member "schema" j = Some (Json_read.Str Eventlog.schema_version));
       (* ?n= keeps the newest n events. *)
       let e1 = body "/events?n=1" in
       let l1 = List.filter (fun l -> l <> "") (String.split_on_char '\n' e1) in
       check Alcotest.int "events?n=1" 2 (List.length l1);
       check Alcotest.bool "events?n=1 keeps newest" true
-        (let j = Runlog.parse_json (List.nth l1 1) in
-         Runlog.member "kind" j = Some (Runlog.Str "serve.start"));
+        (let j = Json_read.parse_json (List.nth l1 1) in
+         Json_read.member "kind" j = Some (Json_read.Str "serve.start"));
       (* /trace parses as JSON. *)
-      ignore (Runlog.parse_json (body "/trace"));
+      ignore (Json_read.parse_json (body "/trace"));
       (* / is an index; unknown paths 404. *)
       ignore (body "/");
       check Alcotest.int "404" 404 (fst (Httpd.get ~port "/definitely-not"));

@@ -452,6 +452,53 @@ let integration_cases =
           (List.map
              (fun s -> s.Obs.sp_name)
              (List.filter under_equiv passes)));
+    tc "audit, metrics and diagnostic JSON parse" (fun () ->
+        (* The writers are hand-rolled; golden bytes elsewhere pin their
+           shape, this pins that a real parser accepts what they emit. *)
+        fresh ();
+        let d = Pc.build () in
+        let a, b = Pc.constraint_set6 d in
+        let r = Merge_flow.run [ a; b ] in
+        Obs.set_enabled false;
+        let parse what s =
+          match Json_read.parse_json s with
+          | j -> j
+          | exception Json_read.Parse_error e ->
+            Alcotest.failf "%s is not JSON: %s" what e
+        in
+        let audit = parse "Audit.to_json" (Mm_core.Audit.to_json r) in
+        List.iter
+          (fun k ->
+            check Alcotest.bool ("audit " ^ k) true
+              (Json_read.member k audit <> None))
+          Mm_core.Audit.mandatory_keys;
+        let metrics = parse "Obs.metrics_json" (Obs.metrics_json ()) in
+        (match Json_read.member "spans" metrics with
+        | Some spans ->
+          check Alcotest.bool "merge.flow span" true
+            (Json_read.member "merge.flow" spans <> None)
+        | None -> Alcotest.fail "metrics json has no spans");
+        (* The merge's own diagnostics plus two more: one without a
+           location, one carrying every character the writer must
+           escape. *)
+        let nasty = "q\"b\\n\n\001" in
+        let diags =
+          r.Merge_flow.diags
+          @ [
+              Mm_util.Diag.make Mm_util.Diag.Info ~code:"i" "no location";
+              Mm_util.Diag.make
+                ~loc:(Mm_util.Diag.loc ~line:3 ("f" ^ nasty))
+                Mm_util.Diag.Warning ~code:"c" ("m" ^ nasty);
+            ]
+        in
+        match parse "Diag.render_json" (Mm_util.Diag.render_json diags) with
+        | Json_read.Arr items ->
+          check Alcotest.int "one object per diagnostic" (List.length diags)
+            (List.length items);
+          check Alcotest.bool "escaped message round-trips" true
+            (Json_read.member "message" (List.nth items (List.length items - 1))
+            = Some (Json_read.Str ("m" ^ nasty)))
+        | _ -> Alcotest.fail "diagnostics json is not an array");
     tc "sta emits propagate/check spans and counters" (fun () ->
         fresh ();
         let d = Pc.build () in

@@ -15,7 +15,6 @@
    `serving telemetry on http://…` stderr line. *)
 
 module Httpd = Mm_util.Httpd
-module Runlog = Mm_util.Runlog
 module Eventlog = Mm_util.Eventlog
 
 let () = Printexc.record_backtrace true
@@ -300,9 +299,9 @@ let test_sigint_flushes () =
   check Alcotest.int "SIGINT exits 130" 130 (wait_exit pid);
   (* The trace flushed and parses as one JSON document. *)
   check Alcotest.bool "trace file written" true (Sys.file_exists trace);
-  (match Runlog.parse_json (read_file trace) with
+  (match Json_read.parse_json (read_file trace) with
   | _ -> ()
-  | exception Runlog.Parse_error e ->
+  | exception Json_read.Parse_error e ->
     Alcotest.failf "interrupted trace is not valid JSON: %s" e);
   (* The event dump flushed: schema header, parseable lines, and the
      run.signal event recorded by the handler. *)
@@ -313,19 +312,19 @@ let test_sigint_flushes () =
   in
   check Alcotest.bool "events dump has header + events" true
     (List.length lines >= 2);
-  (match Runlog.parse_json (List.hd lines) with
+  (match Json_read.parse_json (List.hd lines) with
   | j ->
     check Alcotest.bool "events header schema" true
-      (Runlog.member "schema" j = Some (Runlog.Str Eventlog.schema_version))
-  | exception Runlog.Parse_error e ->
+      (Json_read.member "schema" j = Some (Json_read.Str Eventlog.schema_version))
+  | exception Json_read.Parse_error e ->
     Alcotest.failf "events header does not parse: %s" e);
   let kinds =
     List.filter_map
       (fun line ->
-        match Runlog.member "kind" (Runlog.parse_json line) with
-        | Some (Runlog.Str k) -> Some k
+        match Json_read.member "kind" (Json_read.parse_json line) with
+        | Some (Json_read.Str k) -> Some k
         | _ -> None
-        | exception Runlog.Parse_error _ -> None)
+        | exception Json_read.Parse_error _ -> None)
       (List.tl lines)
   in
   check Alcotest.bool "run.signal journaled" true
