@@ -314,10 +314,18 @@ let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
   (* Coarse progress: one tracker unit per sweep block, not per pin —
      a mutex per pin would be measurable on million-pin arenas. *)
   let tick_every = 4096 in
-  let n_pins = Graph.n_pins g in
-  Mm_util.Progress.add_total ~by:((n_pins + tick_every - 1) / tick_every)
-    "sta.pins";
+  let blocks = (Graph.n_pins g + tick_every - 1) / tick_every in
+  Mm_util.Progress.add_total ~by:blocks "sta.pins";
   let visited = ref 0 in
+  (* On the way out, normal or not, tick the blocks this sweep
+     registered but did not tick. No [finish]: concurrent sweeps share
+     the tracker, and finishing it would snap [done] to a total that
+     includes their blocks. *)
+  Fun.protect
+    ~finally:(fun () ->
+      let rest = blocks - (!visited / tick_every) in
+      if rest > 0 then Mm_util.Progress.tick ~by:rest "sta.pins")
+  @@ fun () ->
   Array.iter
     (fun pin ->
       (* Cooperative cancellation point: the sweep dominates STA cost,
@@ -348,7 +356,6 @@ let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
             end)
       end)
     (Graph.topo g);
-  Mm_util.Progress.finish "sta.pins";
   sl, { ps_new_tags = !n_tags; ps_pins_swept = !swept }
 
 (* The per-pin Hashtbl engine the slab replaced, kept verbatim as the

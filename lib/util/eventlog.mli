@@ -7,7 +7,8 @@
     ring of structured events — stage starts and finishes, per-mode
     quarantines, retries, clique splits, checkpoint writes, GC-pressure
     trips, chaos injections — cheap enough to leave enabled in every
-    run (one mutex-guarded array write per event, bounded memory).
+    run (one mutex-guarded array write per event; the ring keeps the
+    newest 4096 events).
 
     Event kinds are a stable dotted taxonomy, documented in
     DESIGN.md §15 and checked bidirectionally against a real run by the
@@ -46,16 +47,6 @@ type event = {
 val schema_version : string
 (** ["modemerge-events/1"] — carried by the NDJSON header line. *)
 
-val default_capacity : int
-(** Ring capacity when none is set (4096 events). *)
-
-val set_capacity : int -> unit
-(** Resize the ring (clamped to at least 1). Existing events are
-    retained newest-first up to the new capacity; cumulative counters
-    ({!total}, {!counts}) are unaffected. *)
-
-val capacity : unit -> int
-
 val log : ?attrs:(string * string) list -> string -> unit
 (** Append one event of the given kind. Never raises, never blocks
     beyond the ring mutex; when the ring is full the oldest event is
@@ -72,13 +63,8 @@ val total : unit -> int
 val dropped : unit -> int
 (** [total () - length (recent ())]: events discarded by the cap. *)
 
-val counts : unit -> (string * int) list
-(** Cumulative per-kind event counts since process start, sorted by
-    kind — survives ring wraparound, so it is the "how many retries did
-    this whole run see" view. *)
-
 val reset : unit -> unit
-(** Drop every event and zero the cumulative counters (tests). *)
+(** Drop every event and zero the sequence counter (tests). *)
 
 val to_ndjson : ?limit:int -> unit -> string
 (** Schema-versioned NDJSON export: a header line

@@ -261,12 +261,21 @@ let prometheus_of_items items =
           (Printf.sprintf "%s %s\n" pname (prometheus_float x))
       | Histogram h ->
         Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" pname);
+        (* Bounds closer than %.9g can show print alike; one line per
+           printed bound, with the count of the last bound printed so. *)
+        let rec distinct = function
+          | (l, _) :: ((l', _) :: _ as rest) when l = l' -> distinct rest
+          | x :: rest -> x :: distinct rest
+          | [] -> []
+        in
         List.iter
           (fun (le, cum) ->
             Buffer.add_string b
-              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" pname
-                 (prometheus_float le) cum))
-          (prometheus_buckets h);
+              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" pname le cum))
+          (distinct
+             (List.map
+                (fun (le, cum) -> prometheus_float le, cum)
+                (prometheus_buckets h)));
         Buffer.add_string b
           (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" pname h.h_count);
         Buffer.add_string b

@@ -29,14 +29,12 @@ type span = {
 
 let on = Atomic.make false
 let set_enabled b = Atomic.set on b
-let enabled () = Atomic.get on
 
 (* GC telemetry is gated separately: Gc.quick_stat is cheap but not
    free (it allocates a stat record per call), so per-span GC deltas
    are opt-in on top of tracing (--profile-gc). *)
 let gc_on = Atomic.make false
 let set_gc_enabled b = Atomic.set gc_on b
-let gc_enabled () = Atomic.get gc_on
 
 let next_id = Atomic.make 0
 let lock = Mutex.create ()

@@ -54,15 +54,12 @@ module Clock : sig
 end
 
 val set_enabled : bool -> unit
-val enabled : unit -> bool
 
 val set_gc_enabled : bool -> unit
 (** Enable per-span GC deltas ([sp_gc]) and [gc.heap_words] counter
     samples at span close. Only meaningful together with
     {!set_enabled}; off by default because [Gc.quick_stat] allocates a
     record per call (two per span). *)
-
-val gc_enabled : unit -> bool
 
 type gc_delta = {
   gd_minor_words : float;      (** words allocated in the minor heap *)

@@ -46,7 +46,6 @@ let find_locked name =
 
 let render_on = Atomic.make false
 let set_render b = Atomic.set render_on b
-let render_enabled () = Atomic.get render_on
 
 let is_tty = lazy (try Unix.isatty Unix.stderr with _ -> false)
 

@@ -11,7 +11,12 @@
       not only at its boundary;
     - [sta.pins] — a coarse tick from inside [Sta.propagate]'s
       topological sweep (every {!Mm_timing} sweep block), the only
-      signal available mid-propagation.
+      signal available mid-propagation; each sweep ticks every block
+      it registered when it ends, normally or by an exception.
+
+    [pool.tasks] and [sta.pins] are shared by concurrent producers, so
+    they are never marked finished: [done] reaches [total] when the
+    last producer ends.
 
     Trackers are process-global and thread-safe; recording is always on
     (a tick is one mutex acquisition) and strictly read-only with
@@ -66,8 +71,6 @@ val set_render : bool -> unit
     tracker renders as an in-place bar at most every 100 ms; on a
     non-TTY, as a plain [progress: name done/total] line at most every
     2 s (so logs stay readable). *)
-
-val render_enabled : unit -> bool
 
 val render_finish : unit -> unit
 (** Terminate the bar line (newline on a TTY) so subsequent output

@@ -1,12 +1,12 @@
-(** The live telemetry plane: read-only HTTP endpoints over the
-    observability registries.
+(** The live telemetry plane: a minimal read-only HTTP/1.1 server over
+    the observability registries.
 
-    [--serve [ADDR:]PORT] starts one {!Httpd} server whose built-in
-    handler reads the process-global {!Metrics}, {!Progress},
-    {!Eventlog}, {!Obs} and {!Govern} state — all thread-safe, all
-    already maintained whether or not serving is on, so attaching the
-    server perturbs nothing: merged output is byte-identical with and
-    without [--serve]. Endpoints:
+    [--serve [ADDR:]PORT] starts one server whose fixed endpoints read
+    the process-global {!Metrics}, {!Progress}, {!Eventlog}, {!Obs} and
+    {!Govern} state — all thread-safe, all already maintained whether
+    or not serving is on, so attaching the server perturbs nothing:
+    merged output is byte-identical with and without [--serve].
+    Endpoints:
 
     - [GET /metrics] — Prometheus text exposition v0.0.4
       ({!Metrics.to_prometheus});
@@ -25,27 +25,39 @@
       which [--serve] enables);
     - [GET /] — a plain-text index of the above.
 
-    Unknown paths get a 404; {!Httpd} answers any method other than
-    [GET]/[HEAD] with a 405 before this handler runs. *)
+    Just enough HTTP for curl, Prometheus and a browser, with zero
+    dependencies beyond [unix]:
+
+    - one listening socket and one {e dedicated domain} running the
+      accept loop — the pipeline's driver and pool domains never block
+      on network I/O, and a slow scraper can at worst delay the next
+      scraper, never the merge;
+    - connections are served sequentially on that domain, one request
+      per connection ([Connection: close]);
+    - [GET] and [HEAD] only: a [HEAD] response carries the [GET]
+      headers, [Content-Length] included, and no body; any other
+      method is answered [405] with [Allow: GET, HEAD], a header block
+      over 16 KiB [413] and a malformed request line [400], all before
+      routing; no request body is ever read;
+    - reads run under a 5 s receive timeout, so a stuck client cannot
+      pin the server domain;
+    - unknown paths get a [404]; an exception while routing (the
+      [serve.request] chaos site sits inside that guard) is answered
+      [500] and the server keeps going. *)
 
 val parse_spec : string -> (string * int, string) result
 (** Parse a [--serve] argument: ["PORT"] or ["ADDR:PORT"], e.g.
-    ["9090"], ["127.0.0.1:9090"], ["0.0.0.0:0"]. Port 0 asks the OS
-    for a free port (the bound port is reported at startup).
-    [Error msg] on anything else. *)
-
-val endpoint : unit -> (string * int) option
-(** The bound [(addr, port)] of the most recently started server, if
-    one is running — what [/healthz] reports under ["serve"]. *)
-
-val handler : Httpd.handler
-(** The routing handler, exposed for in-process tests. *)
+    ["9090"], ["127.0.0.1:9090"], ["0.0.0.0:0"]. The port is decimal
+    digits only, 0..65535; port 0 asks the OS for a free port (the
+    bound port is reported at startup). [Error msg] on anything
+    else. *)
 
 type t
 
 val start : addr:string -> port:int -> unit -> t
-(** Bind and start serving, journal a [serve.start] event (attrs
-    [addr], [port] and the full [url]), and return the running server.
+(** Bind [addr:port], start the accept-loop domain, journal a
+    [serve.start] event (attrs [addr], [port] and the full [url]), and
+    return the running server.
     @raise Failure when the address cannot be parsed or bound. *)
 
 val addr : t -> string
@@ -53,4 +65,5 @@ val port : t -> int
 (** The bound address/port (the OS-assigned port when given 0). *)
 
 val stop : t -> unit
-(** Shut the server down and clear {!endpoint}. Idempotent. *)
+(** Close the listening socket and join the server domain. Idempotent.
+    In-flight responses finish; no new connections are accepted. *)

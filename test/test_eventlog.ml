@@ -4,17 +4,17 @@
 
    - Eventlog ring semantics: bounded capacity, gap-free sequence
      numbers, newest-retention under wraparound (unit tests plus a
-     QCheck property over random capacity/log-count mixes), and the
-     schema-versioned NDJSON export.
-   - Progress trackers: accumulation, finish/rearm, ETA presence and
-     the /progress JSON shape.
+     QCheck property over random log counts past the capacity), and
+     the schema-versioned NDJSON export.
+   - Progress trackers: accumulation, finish/rearm, ETA presence, the
+     /progress JSON shape and the shared sta.pins tracker.
    - Prometheus exposition: a golden rendering of a controlled
-     registry, name sanitisation, empty/single-sample histograms, and
-     a QCheck property that bucket series are monotone and end at the
-     exact count.
-   - The HTTP plane: Httpd request handling against a real socket on
-     an OS-assigned port, Serve's --serve spec parser, every endpoint
-     of the routing handler, and the DESIGN.md §15 event-kind table
+     registry, name sanitisation, empty/single-sample histograms and
+     bounds that print alike, and a QCheck property that bucket series
+     are monotone and end at the exact count.
+   - The HTTP plane: Serve against a real socket on an OS-assigned
+     port (404/405/413, a chaos-injected 500, HEAD), the --serve spec
+     parser, every endpoint, and the DESIGN.md §15 event-kind table
      checked bidirectionally against a real merge run (the same
      contract style as the §9 taxonomy suite). *)
 
@@ -22,11 +22,14 @@ module Eventlog = Mm_util.Eventlog
 module Progress = Mm_util.Progress
 module Metrics = Mm_util.Metrics
 module Obs = Mm_util.Obs
-module Httpd = Mm_util.Httpd
+module Chaos = Mm_util.Chaos
+module Govern = Mm_util.Govern
 module Serve = Mm_util.Serve
+module Sta = Mm_timing.Sta
 module Merge_flow = Mm_core.Merge_flow
 module Gen_design = Mm_workload.Gen_design
 module Gen_modes = Mm_workload.Gen_modes
+module Presets = Mm_workload.Presets
 
 let () = Printexc.record_backtrace true
 
@@ -38,9 +41,11 @@ module SS = Set.Make (String)
 (* ------------------------------------------------------------------ *)
 (* Eventlog ring                                                       *)
 
+(* The ring's fixed capacity: Eventlog keeps the newest 4096 events. *)
+let ring_cap = 4096
+
 let test_ring_basics () =
   Eventlog.reset ();
-  Eventlog.set_capacity Eventlog.default_capacity;
   check Alcotest.int "empty total" 0 (Eventlog.total ());
   check Alcotest.int "empty dropped" 0 (Eventlog.dropped ());
   Eventlog.log "a.one";
@@ -60,11 +65,6 @@ let test_ring_basics () =
     "attrs retained"
     [ ("k", "v") ]
     (List.nth evs 1).Eventlog.ev_attrs;
-  check
-    Alcotest.(list (pair string int))
-    "cumulative counts sorted"
-    [ ("a.one", 2); ("a.two", 1) ]
-    (Eventlog.counts ());
   let newest = Eventlog.recent ~limit:1 () in
   check Alcotest.int "limit keeps the newest" 2
     (List.hd newest).Eventlog.ev_seq;
@@ -72,63 +72,47 @@ let test_ring_basics () =
 
 let test_ring_wraparound () =
   Eventlog.reset ();
-  Eventlog.set_capacity 4;
-  for i = 0 to 9 do
+  let n = ring_cap + 6 in
+  for i = 0 to n - 1 do
     Eventlog.log (Printf.sprintf "k.%d" (i mod 2))
   done;
-  check Alcotest.int "total survives drops" 10 (Eventlog.total ());
+  check Alcotest.int "total survives drops" n (Eventlog.total ());
   check Alcotest.int "dropped = total - retained" 6 (Eventlog.dropped ());
   let evs = Eventlog.recent () in
-  check Alcotest.int "ring holds capacity" 4 (List.length evs);
+  check Alcotest.int "ring holds capacity" ring_cap (List.length evs);
   check
     Alcotest.(list int)
-    "newest retained, in order" [ 6; 7; 8; 9 ]
+    "newest retained, in order"
+    (List.init ring_cap (fun i -> 6 + i))
     (List.map (fun e -> e.Eventlog.ev_seq) evs);
   check
-    Alcotest.(list (pair string int))
-    "counts survive wraparound"
-    [ ("k.0", 5); ("k.1", 5) ]
-    (Eventlog.counts ());
-  (* Shrinking keeps the newest; growing keeps everything retained. *)
-  Eventlog.set_capacity 2;
-  check
-    Alcotest.(list int)
-    "shrink keeps newest" [ 8; 9 ]
-    (List.map (fun e -> e.Eventlog.ev_seq) (Eventlog.recent ()));
-  Eventlog.set_capacity 8;
-  Eventlog.log "k.0";
-  check
-    Alcotest.(list int)
-    "grow retains and appends" [ 8; 9; 10 ]
-    (List.map (fun e -> e.Eventlog.ev_seq) (Eventlog.recent ()));
-  Eventlog.reset ();
-  Eventlog.set_capacity Eventlog.default_capacity
+    Alcotest.(list string)
+    "kinds follow their events" [ "k.0"; "k.1" ]
+    (List.map (fun e -> e.Eventlog.ev_kind) (Eventlog.recent ~limit:2 ()));
+  Eventlog.reset ()
 
 let ring_property =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
        ~name:"ring never exceeds capacity and retains the newest events"
        ~count:200
-       QCheck2.Gen.(pair (1 -- 40) (0 -- 200))
-       (fun (cap, n) ->
+       QCheck2.Gen.(0 -- (3 * ring_cap))
+       (fun n ->
          Eventlog.reset ();
-         Eventlog.set_capacity cap;
          for i = 0 to n - 1 do
            Eventlog.log (Printf.sprintf "p.%d" (i mod 3))
          done;
          let evs = Eventlog.recent () in
          let len = List.length evs in
-         let expect_len = min cap n in
+         let expect_len = min ring_cap n in
          let seqs = List.map (fun e -> e.Eventlog.ev_seq) evs in
          let expect_seqs = List.init expect_len (fun i -> n - expect_len + i) in
          let ok =
            len = expect_len && seqs = expect_seqs
            && Eventlog.total () = n
            && Eventlog.dropped () = n - expect_len
-           && List.fold_left (fun a (_, c) -> a + c) 0 (Eventlog.counts ()) = n
          in
          Eventlog.reset ();
-         Eventlog.set_capacity Eventlog.default_capacity;
          ok))
 
 let test_ndjson () =
@@ -235,6 +219,40 @@ let test_progress_json () =
   | None -> Alcotest.fail "no overall object");
   Progress.reset ()
 
+(* Another sweep is in flight with 5 blocks registered when one
+   analysis of preset C runs start to end: the ended sweep must not
+   finish the shared tracker. *)
+let test_sta_pins_shared () =
+  Progress.reset ();
+  Progress.add_total ~by:5 "sta.pins";
+  let design, _info, modes = Presets.build Presets.design_c in
+  ignore (Sta.analyze design (List.hd modes));
+  let t = tracker "sta.pins" in
+  check Alcotest.bool "done <= total" true
+    (t.Progress.tr_done <= t.Progress.tr_total);
+  check Alcotest.int "the ended sweep ticked all its blocks"
+    (t.Progress.tr_total - 5) t.Progress.tr_done;
+  check Alcotest.bool "shared tracker not finished" false
+    t.Progress.tr_finished;
+  (* A sweep cut short by a cancelled budget still ticks its blocks. *)
+  let tok = Govern.create () in
+  Govern.cancel tok ~why:"test";
+  (match
+     Govern.with_current tok (fun () -> Sta.analyze design (List.hd modes))
+   with
+  | _ -> Alcotest.fail "a cancelled sweep returned"
+  | exception Govern.Cancelled _ -> ());
+  let t = tracker "sta.pins" in
+  check Alcotest.int "the cancelled sweep ticked all its blocks"
+    (t.Progress.tr_total - 5) t.Progress.tr_done;
+  for _ = 1 to 5 do
+    Progress.tick "sta.pins"
+  done;
+  let t = tracker "sta.pins" in
+  check Alcotest.int "done = total once every sweep ended"
+    t.Progress.tr_total t.Progress.tr_done;
+  Progress.reset ()
+
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition                                               *)
 
@@ -265,6 +283,13 @@ let test_prometheus_golden () =
       { Metrics.name = "9weird-name!x"; value = Metrics.Counter 1 };
       { Metrics.name = "t.single"; value = Metrics.Histogram (hist [ 2.5 ]) };
       { Metrics.name = "t.empty"; value = Metrics.Histogram (hist []) };
+      (* Samples closer than %.9g can show (plausible for the clamped
+         pool.occupancy): all eight log-spaced bounds print as "1", so
+         one le="1" line carries the last bound's count. *)
+      {
+        Metrics.name = "pool.occupancy";
+        value = Metrics.Histogram (hist [ 1.0; 1.0000000001 ]);
+      };
     ]
   in
   let expect =
@@ -285,6 +310,11 @@ let test_prometheus_golden () =
         "t_empty_bucket{le=\"+Inf\"} 0";
         "t_empty_sum 0";
         "t_empty_count 0";
+        "# TYPE pool_occupancy histogram";
+        "pool_occupancy_bucket{le=\"1\"} 2";
+        "pool_occupancy_bucket{le=\"+Inf\"} 2";
+        "pool_occupancy_sum 2";
+        "pool_occupancy_count 2";
         "";
       ]
   in
@@ -359,41 +389,52 @@ let test_percentile_degenerate () =
   Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Httpd                                                               *)
+(* Serve over a real socket                                            *)
 
-let with_httpd handler f =
-  let srv = Httpd.start ~addr:"127.0.0.1" ~port:0 handler in
-  Fun.protect ~finally:(fun () -> Httpd.stop srv) (fun () -> f srv)
+let with_serve f =
+  let srv = Serve.start ~addr:"127.0.0.1" ~port:0 () in
+  Fun.protect ~finally:(fun () -> Serve.stop srv) (fun () -> f (Serve.port srv))
 
-let test_httpd_roundtrip () =
-  with_httpd
-    (fun rq ->
-      match rq.Httpd.rq_path with
-      | "/hello" -> Httpd.respond "world"
-      | "/echo" ->
-        Httpd.respond
-          (String.concat ";"
-             (List.map (fun (k, v) -> k ^ "=" ^ v) rq.Httpd.rq_query))
-      | "/boom" -> failwith "handler crash"
-      | _ -> Httpd.not_found)
-    (fun srv ->
-      let port = Httpd.port srv in
+let nonempty_lines s =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+let configure_chaos spec =
+  match Chaos.configure spec with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "chaos spec %S: %s" spec e
+
+let test_serve_roundtrip () =
+  Eventlog.reset ();
+  Eventlog.log "x.alpha";
+  Eventlog.log "x.beta";
+  with_serve (fun port ->
       check Alcotest.bool "OS assigned a real port" true (port > 0);
-      check
-        Alcotest.(pair int string)
-        "basic GET" (200, "world")
-        (Httpd.get ~port "/hello");
-      check
-        Alcotest.(pair int string)
-        "query decoding" (200, "a=1;b=x y")
-        (Httpd.get ~port "/echo?a=1&b=x%20y");
+      check Alcotest.int "basic GET" 200 (fst (Http_client.get ~port "/"));
+      (* The query splits on '&', then keys and values are
+         percent-decoded: %31 is "1", %6E is "n". Either way the body
+         is the header line plus the newest event. *)
+      List.iter
+        (fun target ->
+          let status, body = Http_client.get ~port target in
+          check Alcotest.int (target ^ ": status") 200 status;
+          check Alcotest.int (target ^ " keeps one event") 2
+            (List.length (nonempty_lines body)))
+        [ "/events?n=%31"; "/events?x=a%20b&n=%31"; "/events?%6E=1";
+          "/events?x=%zz&n=1&y=%3" ];
+      (* The path is decoded before routing too: %6D is "m". *)
+      check Alcotest.int "decoded path" 200
+        (fst (Http_client.get ~port "/%6Detrics"));
       check Alcotest.int "unknown path is 404" 404
-        (fst (Httpd.get ~port "/nope"));
-      check Alcotest.int "handler exception is 500" 500
-        (fst (Httpd.get ~port "/boom"));
-      (* Sequential connections: one request per connection. *)
-      check Alcotest.int "second request served" 200
-        (fst (Httpd.get ~port "/hello")))
+        (fst (Http_client.get ~port "/nope"));
+      (* A fault while routing is a 500, and serving goes on. *)
+      configure_chaos "serve.request@1=raise";
+      Fun.protect ~finally:Chaos.clear (fun () ->
+          check Alcotest.int "routing fault is 500" 500
+            (fst (Http_client.get ~port "/"));
+          (* Sequential connections: one request per connection. *)
+          check Alcotest.int "next request served" 200
+            (fst (Http_client.get ~port "/"))));
+  Eventlog.reset ()
 
 (* A POST with a body, sent over a raw socket because the client sends
    no bodies; returns the status and the lowercased response headers. *)
@@ -424,44 +465,57 @@ let raw_post ~port path body =
   in
   status, headers []
 
-let test_httpd_limits () =
-  let calls = Atomic.make 0 in
-  let srv =
-    Httpd.start ~addr:"127.0.0.1" ~port:0 ~max_header_bytes:1024 (fun _ ->
-        Atomic.incr calls;
-        Httpd.respond "ok")
+let test_serve_limits () =
+  with_serve @@ fun port ->
+  (* Every routed request passes the serve.request site; a plan that
+     never fires counts them. *)
+  configure_chaos "serve.request@1000000=raise";
+  Fun.protect ~finally:Chaos.clear @@ fun () ->
+  let routed () = Chaos.hit_count "serve.request" in
+  let status, _, _ =
+    Http_client.request ~port ("/" ^ String.make ((16 * 1024) + 16) 'h')
   in
-  Fun.protect ~finally:(fun () -> Httpd.stop srv) @@ fun () ->
-  let port = Httpd.port srv in
-  let status, _, _ = Httpd.request ~port ("/" ^ String.make 1200 'h') in
-  check Alcotest.int "over-limit header block is 413" 413 status;
+  check Alcotest.int "header block over 16 KiB is 413" 413 status;
   let refused meth (status, headers) =
     check Alcotest.int (meth ^ " is 405") 405 status;
     check
       Alcotest.(option string)
       (meth ^ " 405 carries Allow") (Some "GET, HEAD")
-      (Httpd.header "allow" headers)
+      (Http_client.header "allow" headers)
   in
   List.iter
     (fun meth ->
-      let status, headers, _ = Httpd.request ~meth ~port "/x" in
+      let status, headers, _ = Http_client.request ~meth ~port "/" in
       refused meth (status, headers))
     [ "PUT"; "DELETE" ];
-  refused "POST with a body" (raw_post ~port "/x" "payload");
-  check Alcotest.int "refused requests never reach the handler" 0
-    (Atomic.get calls);
-  let status, _, _ = Httpd.request ~meth:"HEAD" ~port "/x" in
-  check Alcotest.int "HEAD is answered 200" 200 status;
-  check Alcotest.int "HEAD reaches the handler" 1 (Atomic.get calls)
+  refused "POST with a body" (raw_post ~port "/" "payload");
+  check Alcotest.int "refused requests are never routed" 0 (routed ());
+  let status, headers, body =
+    Http_client.request ~meth:"HEAD" ~port "/healthz"
+  in
+  check Alcotest.int "HEAD is routed" 1 (routed ());
+  check Alcotest.int "HEAD /healthz is 200" 200 status;
+  check
+    Alcotest.(option string)
+    "HEAD carries the GET content type" (Some "application/json")
+    (Http_client.header "content-type" headers);
+  check Alcotest.bool "HEAD carries a positive Content-Length" true
+    (match
+       Option.bind (Http_client.header "content-length" headers)
+         int_of_string_opt
+     with
+    | Some n -> n > 0
+    | None -> false);
+  check Alcotest.string "HEAD carries no body" "" body
 
-let test_httpd_stop_idempotent () =
-  let srv = Httpd.start ~addr:"127.0.0.1" ~port:0 (fun _ -> Httpd.not_found) in
-  Httpd.stop srv;
-  Httpd.stop srv;
+let test_serve_stop_idempotent () =
+  let srv = Serve.start ~addr:"127.0.0.1" ~port:0 () in
+  Serve.stop srv;
+  Serve.stop srv;
   check Alcotest.bool "stopped twice without raising" true true
 
 (* ------------------------------------------------------------------ *)
-(* Serve: spec parsing and the routing handler                         *)
+(* Serve: spec parsing and the endpoints                               *)
 
 let test_parse_spec () =
   let ok = Alcotest.(result (pair string int) string) in
@@ -478,7 +532,8 @@ let test_parse_spec () =
       match Serve.parse_spec bad with
       | Ok (a, p) -> Alcotest.failf "%S parsed as %s:%d" bad a p
       | Error _ -> ())
-    [ ""; "notaport"; "70000"; "-1"; ":8080"; "127.0.0.1:"; "a:b:c" ]
+    [ ""; "notaport"; "70000"; "-1"; ":8080"; "127.0.0.1:"; "a:b:c"; "0x50";
+      "1_0"; "+80"; "127.0.0.1:0x1F90" ]
 
 let test_serve_endpoints () =
   Eventlog.reset ();
@@ -493,9 +548,13 @@ let test_serve_endpoints () =
     ~finally:(fun () -> Serve.stop srv)
     (fun () ->
       let port = Serve.port srv in
-      let body path =
-        let status, body = Httpd.get ~port path in
+      let body ?(content_type = "application/json") path =
+        let status, headers, body = Http_client.request ~port path in
         check Alcotest.int (path ^ " is 200") 200 status;
+        check
+          Alcotest.(option string)
+          (path ^ " content type") (Some content_type)
+          (Http_client.header "content-type" headers);
         body
       in
       (* /healthz: parses, says ok, reflects the journal. *)
@@ -504,13 +563,19 @@ let test_serve_endpoints () =
         (Json_read.member "status" h = Some (Json_read.Str "ok"));
       check Alcotest.bool "healthz ladder" true
         (Json_read.member "ladder" h = Some (Json_read.Str "nominal"));
+      check Alcotest.bool "healthz reports the bound port" true
+        (Option.bind (Json_read.member "serve" h) (Json_read.member "port")
+        = Some (Json_read.Num (float_of_int port)));
       (* /progress: the tracker we created is visible. *)
       let p = Json_read.parse_json (body "/progress") in
       (match Json_read.member "trackers" p with
       | Some (Json_read.Arr (_ :: _)) -> ()
       | _ -> Alcotest.fail "progress lost the tracker");
       (* /metrics: Prometheus text with the sanitised counter. *)
-      let m = body "/metrics" in
+      let m =
+        body ~content_type:"text/plain; version=0.0.4; charset=utf-8"
+          "/metrics"
+      in
       let contains needle hay =
         let nl = String.length needle and hl = String.length hay in
         let rec find i =
@@ -522,7 +587,7 @@ let test_serve_endpoints () =
         (contains "# TYPE serve_test_counter counter" m
         && contains "serve_test_counter 1" m);
       (* /events: header + the two journal lines (serve.start is third). *)
-      let e = body "/events" in
+      let e = body ~content_type:"application/x-ndjson" "/events" in
       let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' e) in
       check Alcotest.bool "events has header + events" true
         (List.length lines >= 3);
@@ -530,7 +595,7 @@ let test_serve_endpoints () =
         (let j = Json_read.parse_json (List.hd lines) in
          Json_read.member "schema" j = Some (Json_read.Str Eventlog.schema_version));
       (* ?n= keeps the newest n events. *)
-      let e1 = body "/events?n=1" in
+      let e1 = body ~content_type:"application/x-ndjson" "/events?n=1" in
       let l1 = List.filter (fun l -> l <> "") (String.split_on_char '\n' e1) in
       check Alcotest.int "events?n=1" 2 (List.length l1);
       check Alcotest.bool "events?n=1 keeps newest" true
@@ -539,8 +604,9 @@ let test_serve_endpoints () =
       (* /trace parses as JSON. *)
       ignore (Json_read.parse_json (body "/trace"));
       (* / is an index; unknown paths 404. *)
-      ignore (body "/");
-      check Alcotest.int "404" 404 (fst (Httpd.get ~port "/definitely-not"));
+      ignore (body ~content_type:"text/plain; charset=utf-8" "/");
+      check Alcotest.int "404" 404
+        (fst (Http_client.get ~port "/definitely-not"));
       (* serve.start was journaled with the bound address. *)
       check Alcotest.bool "serve.start journaled" true
         (List.exists
@@ -648,7 +714,11 @@ let emitted_kinds =
         so `serve.start` counts as exercised. *)
      let srv = Serve.start ~addr:"127.0.0.1" ~port:0 () in
      Serve.stop srv;
-     let kinds = SS.of_list (List.map fst (Eventlog.counts ())) in
+     if Eventlog.dropped () > 0 then
+       Alcotest.fail "the reference run overflowed the event ring";
+     let kinds =
+       SS.of_list (List.map (fun e -> e.Eventlog.ev_kind) (Eventlog.recent ()))
+     in
      Eventlog.reset ();
      kinds)
 
@@ -712,6 +782,7 @@ let () =
           tc "totals accumulate, finish snaps, rearm works"
             test_progress_accumulation;
           tc "/progress JSON shape" test_progress_json;
+          tc "an ended STA sweep leaves sta.pins open" test_sta_pins_shared;
         ] );
       ( "prometheus",
         [
@@ -722,9 +793,9 @@ let () =
         ] );
       ( "http",
         [
-          tc "Httpd round-trip on an OS-assigned port" test_httpd_roundtrip;
-          tc "Httpd.stop is idempotent" test_httpd_stop_idempotent;
-          tc "Httpd limits (413) and methods (405)" test_httpd_limits;
+          tc "Serve round-trip on an OS-assigned port" test_serve_roundtrip;
+          tc "Serve.stop is idempotent" test_serve_stop_idempotent;
+          tc "Serve limits (413) and methods (405)" test_serve_limits;
           tc "--serve spec parsing" test_parse_spec;
           tc "every Serve endpoint answers over a real socket"
             test_serve_endpoints;

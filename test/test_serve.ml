@@ -14,7 +14,6 @@
    127.0.0.1:0 and the test parses the OS-assigned port from the
    `serving telemetry on http://…` stderr line. *)
 
-module Httpd = Mm_util.Httpd
 module Eventlog = Mm_util.Eventlog
 
 let () = Printexc.record_backtrace true
@@ -243,7 +242,7 @@ let test_scrape_under_load jobs () =
     let connected =
       List.for_all
         (fun path ->
-          match Httpd.get ~port path with
+          match Http_client.get ~port path with
           | reply ->
             incr scrapes;
             validate path reply;
