@@ -312,7 +312,7 @@ let sta_measure (p : Presets.preset) =
      the refinement loop replays. Variant i appends i false paths. *)
   let m0 = List.hd modes in
   let ctx0 = Context.create design m0 in
-  let eps = Mm_timing.Graph.endpoint_pins ctx0.Context.graph in
+  let eps = Mm_timing.Tgraph.endpoint_pins ctx0.Context.graph in
   let clock0 = Mm_timing.Clock_prop.clock_name ctx0.Context.clocks 0 in
   let variant i =
     let excs =

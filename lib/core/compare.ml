@@ -1,6 +1,6 @@
 module Design = Mm_netlist.Design
 module Mode = Mm_sdc.Mode
-module Graph = Mm_timing.Graph
+module Tgraph = Mm_timing.Tgraph
 module Context = Mm_timing.Context
 module Cs = Mm_timing.Constraint_state
 
@@ -466,7 +466,8 @@ let rename_rels rename rels = List.map (Relation.rename rename) rels
 type cache = {
   mutable c_sides : (Design.pin_id, Relation.t list) Hashtbl.t list option;
   c_merged : Relation_prop.ep_cache;
-  c_pass2 : (Design.pin_id, (Graph.startpoint * Relation.t list list) list) Hashtbl.t;
+  c_pass2 :
+    (Design.pin_id, (Tgraph.startpoint * Relation.t list list) list) Hashtbl.t;
 }
 
 let create_cache () =
@@ -545,8 +546,8 @@ let relations_from_sp ctx sp ep ~within ~order ~scratch =
 
 let find_endpoint (ctx : Context.t) pin =
   List.find_opt
-    (fun ep -> Graph.endpoint_pin ep = pin)
-    ctx.Context.graph.Graph.endpoints
+    (fun ep -> Tgraph.endpoint_pin ep = pin)
+    ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints
 
 (* The individual side of one ambiguous endpoint: in merged-graph
    startpoint order, every startpoint inside the merged cone or any
@@ -566,7 +567,7 @@ let pass2_candidates ~individual ~side_scratches ~(merged : Context.t)
   in
   List.filter_map
     (fun sp ->
-      let sp_pin = Graph.startpoint_pin sp in
+      let sp_pin = Tgraph.startpoint_pin sp in
       let in_mrg = mrg_cone.(sp_pin) in
       if in_mrg || List.exists (fun (_, c, _, _) -> c.(sp_pin)) side_cones
       then begin
@@ -581,7 +582,7 @@ let pass2_candidates ~individual ~side_scratches ~(merged : Context.t)
         else None
       end
       else None)
-    merged.Context.graph.Graph.startpoints
+    merged.Context.graph.Tgraph.sk.Tgraph.sk_startpoints
 
 let pass2 ?cache ~individual ~(merged : Context.t) ambiguous_eps =
   let design = merged.Context.design in
@@ -619,7 +620,7 @@ let pass2 ?cache ~individual ~(merged : Context.t) ambiguous_eps =
         in
         List.iter
           (fun (sp, ind_rels) ->
-            let sp_pin = Graph.startpoint_pin sp in
+            let sp_pin = Tgraph.startpoint_pin sp in
             let mrels =
               if mrg_cone.(sp_pin) then
                 relations_from_sp merged sp ep ~within:mrg_cone
@@ -677,9 +678,9 @@ let relations_through ctx fwd_tags t ep ~within ~order ~scratch =
 let successors (ctx : Context.t) pin =
   let g = ctx.Context.graph in
   let acc = ref [] in
-  Graph.iter_out g pin (fun aid ->
+  Tgraph.iter_out g pin (fun aid ->
       if Mm_timing.Const_prop.enabled ctx.Context.consts aid then
-        acc := Graph.arc_dst g aid :: !acc);
+        acc := Tgraph.arc_dst g aid :: !acc);
   List.rev !acc
 
 let pass3 ~individual ~(merged : Context.t) pairs =
@@ -688,7 +689,8 @@ let pass3 ~individual ~(merged : Context.t) pairs =
   and pessimism = ref [] and reconv = ref 0 in
   List.iter
     (fun (sp, ep) ->
-      let sp_pin = Graph.startpoint_pin sp and ep_pin = Graph.endpoint_pin ep in
+      let sp_pin = Tgraph.startpoint_pin sp
+      and ep_pin = Tgraph.endpoint_pin ep in
       (* Per-context restriction cone and one forward propagation from
          the startpoint, reused for every candidate through pin. *)
       let prepare ctx =

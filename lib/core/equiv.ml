@@ -74,11 +74,3 @@ let check ?ctx_cache ?merged_ctx ~individual ~rename ~merged () =
     | Some _ | None -> Context.create design merged
   in
   of_compare (Compare.run ~individual:sides ~merged:ctx_m ())
-
-let pp fmt r =
-  Format.fprintf fmt
-    "equivalent=%b strict=%b mismatches=%d remaining_fixes=%d unsound=%d \
-     pessimistic=%d"
-    r.equivalent r.strictly_equivalent r.mismatches r.remaining_fixes
-    (List.length r.unsound)
-    (List.length r.pessimistic)

@@ -59,5 +59,3 @@ val check :
     context for [merged] (e.g. {!Refine.t.refined_ctx}); it is used
     only when its mode is physically the [merged] argument, otherwise
     a fresh context is built. *)
-
-val pp : Format.formatter -> report -> unit

@@ -1,6 +1,6 @@
 module Design = Mm_netlist.Design
 module Mode = Mm_sdc.Mode
-module Graph = Mm_timing.Graph
+module Tgraph = Mm_timing.Tgraph
 module Clock_prop = Mm_timing.Clock_prop
 module Const_prop = Mm_timing.Const_prop
 module Context = Mm_timing.Context
@@ -14,7 +14,7 @@ let unclocked_registers (ctx : Context.t) =
   let design = ctx.Context.design in
   List.filter_map
     (function
-      | Graph.Sp_reg { sp_clock; sp_inst; _ } ->
+      | Tgraph.Sp_reg { sp_clock; sp_inst; _ } ->
         if
           Const_prop.pin_active ctx.Context.consts sp_clock
           && Clock_prop.mask_at ctx.Context.clocks sp_clock = 0
@@ -24,8 +24,8 @@ let unclocked_registers (ctx : Context.t) =
                (Design.pin_name design sp_clock)
                (Design.inst_name design sp_inst))
         else None
-      | Graph.Sp_port _ -> None)
-    ctx.Context.graph.Graph.startpoints
+      | Tgraph.Sp_port _ -> None)
+    ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints
 
 let unconstrained_ports (ctx : Context.t) =
   let design = ctx.Context.design in
@@ -65,10 +65,10 @@ let unused_clocks (ctx : Context.t) =
   let used = ref 0 in
   List.iter
     (function
-      | Graph.Sp_reg { sp_clock; _ } ->
+      | Tgraph.Sp_reg { sp_clock; _ } ->
         used := !used lor Clock_prop.mask_at ctx.Context.clocks sp_clock
-      | Graph.Sp_port _ -> ())
-    ctx.Context.graph.Graph.startpoints;
+      | Tgraph.Sp_port _ -> ())
+    ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints;
   let acc = ref [] in
   for i = 0 to Clock_prop.n_clocks ctx.Context.clocks - 1 do
     if !used land (1 lsl i) = 0 then
@@ -102,7 +102,7 @@ let cross_domain (ctx : Context.t) =
   let design = ctx.Context.design in
   List.filter_map
     (function
-      | Graph.Sp_reg { sp_clock; _ } ->
+      | Tgraph.Sp_reg { sp_clock; _ } ->
         let mask = Clock_prop.mask_at ctx.Context.clocks sp_clock in
         (* more than one clock and at least one non-exclusive pair *)
         let clocks = ref [] in
@@ -125,8 +125,8 @@ let cross_domain (ctx : Context.t) =
                (String.concat ", "
                   (List.map (Clock_prop.clock_name ctx.Context.clocks) !clocks)))
         else None
-      | Graph.Sp_port _ -> None)
-    ctx.Context.graph.Graph.startpoints
+      | Tgraph.Sp_port _ -> None)
+    ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints
 
 let run ctx =
   unclocked_registers ctx @ unconstrained_ports ctx @ unused_clocks ctx

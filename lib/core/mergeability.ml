@@ -7,7 +7,7 @@ module Govern = Mm_util.Govern
 module Context = Mm_timing.Context
 module Ctx_cache = Mm_timing.Ctx_cache
 module Clock_prop = Mm_timing.Clock_prop
-module Graph = Mm_timing.Graph
+module Tgraph = Mm_timing.Tgraph
 
 type pair_check = { mergeable : bool; reasons : string list }
 
@@ -27,7 +27,7 @@ let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
       let ctx_i : Context.t = Ctx_cache.find ctx_cache m in
       List.iter
         (function
-          | Graph.Sp_reg { sp_clock; _ } ->
+          | Tgraph.Sp_reg { sp_clock; _ } ->
             let mask = Clock_prop.mask_at ctx_i.Context.clocks sp_clock in
             for ci = 0 to Clock_prop.n_clocks ctx_i.Context.clocks - 1 do
               if mask land (1 lsl ci) <> 0 then begin
@@ -47,8 +47,8 @@ let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
                     :: !reasons
               end
             done
-          | Graph.Sp_port _ -> ())
-        ctx_i.Context.graph.Graph.startpoints)
+          | Tgraph.Sp_port _ -> ())
+        ctx_i.Context.graph.Tgraph.sk.Tgraph.sk_startpoints)
     individual;
   List.rev !reasons
 

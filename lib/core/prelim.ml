@@ -6,7 +6,7 @@ module Metrics = Mm_util.Metrics
 module Context = Mm_timing.Context
 module Ctx_cache = Mm_timing.Ctx_cache
 module Clock_prop = Mm_timing.Clock_prop
-module Graph = Mm_timing.Graph
+module Tgraph = Mm_timing.Tgraph
 
 type t = {
   merged : Mode.t;
@@ -562,11 +562,11 @@ let clock_refinement ~max_iters design modes ctxs clock_map merged0 =
           if e <> 0 then begin
             let pred_extra =
               let g = ctx_m.Context.graph in
-              Graph.fold_in g pin 0 (fun acc aid ->
+              Tgraph.fold_in g pin 0 (fun acc aid ->
                   if
                     Mm_timing.Const_prop.enabled ctx_m.Context.consts aid
-                    && Graph.arc_kind g aid <> Graph.Launch
-                  then acc lor extra (Graph.arc_src g aid)
+                    && Tgraph.arc_kind g aid <> Tgraph.Launch
+                  then acc lor extra (Tgraph.arc_src g aid)
                   else acc)
             in
             let frontier = e land lnot pred_extra in

@@ -2,7 +2,7 @@ module Design = Mm_netlist.Design
 module Mode = Mm_sdc.Mode
 module Context = Mm_timing.Context
 module Clock_prop = Mm_timing.Clock_prop
-module Graph = Mm_timing.Graph
+module Tgraph = Mm_timing.Tgraph
 
 type added_origin =
   | From_data_clock of string * Design.pin_id
@@ -25,7 +25,7 @@ type t = {
 (* Mapped union of individual data-network clock masks, expressed in
    the merged context's clock indices. *)
 let union_data_masks (prelim : Prelim.t) individual ctxs (ctx_m : Context.t) =
-  let n = Graph.n_pins ctx_m.Context.graph in
+  let n = Tgraph.n_pins ctx_m.Context.graph in
   let union = Array.make n 0 in
   List.iter2
     (fun (m : Mode.t) (ctx_i : Context.t) ->
@@ -160,9 +160,9 @@ let data_clock_refinement (prelim : Prelim.t) individual ctxs =
       if e <> 0 then begin
         let pred_extra =
           let g = ctx_m.Context.graph in
-          Graph.fold_in g pin 0 (fun acc aid ->
+          Tgraph.fold_in g pin 0 (fun acc aid ->
               if Mm_timing.Const_prop.enabled ctx_m.Context.consts aid then
-                acc lor extra (Graph.arc_src g aid)
+                acc lor extra (Tgraph.arc_src g aid)
               else acc)
         in
         let frontier = e land lnot pred_extra in

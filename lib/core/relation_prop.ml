@@ -1,6 +1,6 @@
 module Design = Mm_netlist.Design
 module Mode = Mm_sdc.Mode
-module Graph = Mm_timing.Graph
+module Tgraph = Mm_timing.Tgraph
 module Const_prop = Mm_timing.Const_prop
 module Clock_prop = Mm_timing.Clock_prop
 module Excmatch = Mm_timing.Excmatch
@@ -39,18 +39,18 @@ let key_state k = k / 4 / 128
 let key_edge k = edge_of_code (k land 3)
 
 (* Polarity transform along an arc. *)
-let edges_through_unate (u : Graph.unate) e =
+let edges_through_unate (u : Tgraph.unate) e =
   match e with
   | Mode.Any_edge -> [ Mode.Any_edge ]
   | Mode.Rise_edge | Mode.Fall_edge -> (
     match u with
-    | Graph.Positive -> [ e ]
-    | Graph.Negative ->
+    | Tgraph.Positive -> [ e ]
+    | Tgraph.Negative ->
       [ (if e = Mode.Rise_edge then Mode.Fall_edge else Mode.Rise_edge) ]
-    | Graph.Non_unate -> [ Mode.Rise_edge; Mode.Fall_edge ])
+    | Tgraph.Non_unate -> [ Mode.Rise_edge; Mode.Fall_edge ])
 
 let seeds_of_startpoint (ctx : Context.t) = function
-  | Graph.Sp_reg { sp_clock; sp_outputs; sp_edge; _ } ->
+  | Tgraph.Sp_reg { sp_clock; sp_outputs; sp_edge; _ } ->
     if Const_prop.pin_active ctx.Context.consts sp_clock then begin
       let mask = Clock_prop.mask_at ctx.Context.clocks sp_clock in
       let acc = ref [] in
@@ -68,7 +68,7 @@ let seeds_of_startpoint (ctx : Context.t) = function
       !acc
     end
     else []
-  | Graph.Sp_port { sp_pin } ->
+  | Tgraph.Sp_port { sp_pin } ->
     if Const_prop.pin_active ctx.Context.consts sp_pin then
       List.filter_map
         (fun (d : Mode.io_delay) ->
@@ -91,7 +91,8 @@ let seeds_of_startpoint (ctx : Context.t) = function
     else []
 
 let all_seeds (ctx : Context.t) =
-  List.concat_map (seeds_of_startpoint ctx) ctx.Context.graph.Graph.startpoints
+  List.concat_map (seeds_of_startpoint ctx)
+    ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints
 
 let add_tag (ts : tagsets) pin k =
   match ts.tags.(pin) with
@@ -101,7 +102,7 @@ let add_tag (ts : tagsets) pin k =
   | existing -> if not (List.mem k existing) then ts.tags.(pin) <- k :: existing
 
 let create_scratch (ctx : Context.t) =
-  { tags = Array.make (Graph.n_pins ctx.Context.graph) []; touched = [] }
+  { tags = Array.make (Tgraph.n_pins ctx.Context.graph) []; touched = [] }
 
 let reset_scratch ts =
   List.iter (fun pin -> ts.tags.(pin) <- []) ts.touched;
@@ -111,7 +112,7 @@ let reset_scratch ts =
    the per-startpoint queries of passes 2 and 3. *)
 let cone_order (ctx : Context.t) within =
   let acc = ref [] in
-  let topo = Graph.topo ctx.Context.graph in
+  let topo = ctx.Context.graph.Tgraph.sk.Tgraph.topo in
   for i = Array.length topo - 1 downto 0 do
     if within.(topo.(i)) then acc := topo.(i) :: !acc
   done;
@@ -120,11 +121,11 @@ let cone_order (ctx : Context.t) within =
 let sweep_pin (ctx : Context.t) (ts : tagsets) inside pin =
   let g = ctx.Context.graph in
   if ts.tags.(pin) <> [] then
-    Graph.iter_out g pin (fun aid ->
+    Tgraph.iter_out g pin (fun aid ->
         if Const_prop.enabled ctx.Context.consts aid then begin
-          let dst = Graph.arc_dst g aid in
+          let dst = Tgraph.arc_dst g aid in
           if inside dst then begin
-            let unate = Graph.arc_unate g aid in
+            let unate = Tgraph.arc_unate g aid in
             List.iter
               (fun k ->
                 let st' = Excmatch.advance ctx.Context.excs (key_state k) dst in
@@ -142,7 +143,7 @@ let sweep (ctx : Context.t) (ts : tagsets) ?within ?order () =
   | None ->
     Array.iter
       (fun pin -> sweep_pin ctx ts inside pin)
-      (Graph.topo ctx.Context.graph)
+      ctx.Context.graph.Tgraph.sk.Tgraph.topo
 
 let propagate (ctx : Context.t) ~seeds ?within ?order ?scratch () =
   let ts =
@@ -197,7 +198,7 @@ let tags_at (ts : tagsets) pin =
   |> List.sort compare
 
 let relations_at (ctx : Context.t) tags ep =
-  let ep_pin = Graph.endpoint_pin ep in
+  let ep_pin = Tgraph.endpoint_pin ep in
   let end_pins = Context.endpoint_alias_pins ctx ep in
   let captures = Context.capture_clocks_of_endpoint ctx ep in
   let rels = ref [] in
@@ -228,12 +229,12 @@ let relations_at (ctx : Context.t) tags ep =
 let endpoint_relations (ctx : Context.t) =
   let tags = propagate ctx ~seeds:(all_seeds ctx) () in
   List.map
-    (fun ep -> Graph.endpoint_pin ep, relations_at ctx tags ep)
-    ctx.Context.graph.Graph.endpoints
+    (fun ep -> Tgraph.endpoint_pin ep, relations_at ctx tags ep)
+    ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints
 
 let data_clock_masks (ctx : Context.t) =
   let g = ctx.Context.graph in
-  let n = Graph.n_pins g in
+  let n = Tgraph.n_pins g in
   let masks = Array.make n 0 in
   List.iter
     (fun s -> masks.(s.seed_pin) <- masks.(s.seed_pin) lor (1 lsl s.seed_clock))
@@ -241,17 +242,17 @@ let data_clock_masks (ctx : Context.t) =
   Array.iter
     (fun pin ->
       if masks.(pin) <> 0 then
-        Graph.iter_out g pin (fun aid ->
+        Tgraph.iter_out g pin (fun aid ->
             if Const_prop.enabled ctx.Context.consts aid then begin
-              let dst = Graph.arc_dst g aid in
+              let dst = Tgraph.arc_dst g aid in
               masks.(dst) <- masks.(dst) lor masks.(pin)
             end))
-    (Graph.topo g);
+    g.Tgraph.sk.Tgraph.topo;
   masks
 
 let cone (ctx : Context.t) pins ~forward =
   let g = ctx.Context.graph in
-  let n = Graph.n_pins g in
+  let n = Tgraph.n_pins g in
   let mark = Array.make n false in
   let queue = Queue.create () in
   List.iter
@@ -263,7 +264,9 @@ let cone (ctx : Context.t) pins ~forward =
     pins;
   let visit aid =
     if Const_prop.enabled ctx.Context.consts aid then begin
-      let next = if forward then Graph.arc_dst g aid else Graph.arc_src g aid in
+      let next =
+        if forward then Tgraph.arc_dst g aid else Tgraph.arc_src g aid
+      in
       if not mark.(next) then begin
         mark.(next) <- true;
         Queue.add next queue
@@ -272,7 +275,7 @@ let cone (ctx : Context.t) pins ~forward =
   in
   while not (Queue.is_empty queue) do
     let p = Queue.take queue in
-    if forward then Graph.iter_out g p visit else Graph.iter_in g p visit
+    if forward then Tgraph.iter_out g p visit else Tgraph.iter_in g p visit
   done;
   mark
 
@@ -318,7 +321,7 @@ let rec strip_prefix prefix l =
    Either restriction missing widens to "all"; both missing dirties
    every endpoint. Everything is over-approximate on purpose. *)
 let dirty_endpoints (ctx : Context.t) delta =
-  let eps = Array.of_list ctx.Context.graph.Graph.endpoints in
+  let eps = Array.of_list ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints in
   let n_eps = Array.length eps in
   let dirty = Array.make n_eps false in
   let seeds = lazy (all_seeds ctx) in
@@ -381,7 +384,7 @@ let dirty_endpoints (ctx : Context.t) delta =
         Array.iteri
           (fun i ep ->
             if not dirty.(i) then begin
-              let pin = Graph.endpoint_pin ep in
+              let pin = Tgraph.endpoint_pin ep in
               let in_cone =
                 match cone with None -> true | Some c -> c.(pin)
               in
@@ -434,7 +437,8 @@ let endpoint_relations_cached cache (ctx : Context.t) =
           let dirty_pins = ref [] in
           Array.iteri
             (fun i ep ->
-              if dirty.(i) then dirty_pins := Graph.endpoint_pin ep :: !dirty_pins)
+              if dirty.(i) then
+                dirty_pins := Tgraph.endpoint_pin ep :: !dirty_pins)
             eps;
           let within = backward_cone ctx !dirty_pins in
           let order = cone_order ctx within in
@@ -443,7 +447,7 @@ let endpoint_relations_cached cache (ctx : Context.t) =
             (Array.mapi
                (fun i ep ->
                  if dirty.(i) then
-                   Graph.endpoint_pin ep, relations_at ctx tags ep
+                   Tgraph.endpoint_pin ep, relations_at ctx tags ep
                  else cache.ec_rels.(i))
                eps)
         end)

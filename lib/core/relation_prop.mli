@@ -19,7 +19,7 @@ type seed = {
 }
 
 val seeds_of_startpoint :
-  Mm_timing.Context.t -> Mm_timing.Graph.startpoint -> seed list
+  Mm_timing.Context.t -> Mm_timing.Tgraph.startpoint -> seed list
 (** One seed per clock launching at the startpoint (clocks present at a
     register's clock pin; clocks referenced by a port's input delays). *)
 
@@ -64,7 +64,7 @@ val propagate_raw :
     the second hop of pass-3 "paths through pin t" queries. *)
 
 val relations_at :
-  Mm_timing.Context.t -> tagsets -> Mm_timing.Graph.endpoint -> Relation.t list
+  Mm_timing.Context.t -> tagsets -> Mm_timing.Tgraph.endpoint -> Relation.t list
 (** Convert the tags at an endpoint into timing relationships, one per
     (tag, capture clock) combination, skipping exclusive clock pairs. *)
 

@@ -26,5 +26,3 @@ let to_string s =
   Printf.sprintf
     "ports=%d insts=%d (seq=%d comb=%d) nets=%d pins=%d max_fanout=%d"
     s.ports s.insts s.registers s.combinational s.nets s.pins s.max_fanout
-
-let pp fmt s = Format.pp_print_string fmt (to_string s)

@@ -12,4 +12,3 @@ type t = {
 
 val of_design : Design.t -> t
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

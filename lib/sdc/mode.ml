@@ -482,15 +482,3 @@ let to_commands t = List.map snd (to_commands_tagged t)
 
 let to_sdc t =
   Writer.write_commands ~header:("mode " ^ t.mode_name) (to_commands t)
-
-let pp_summary fmt t =
-  Format.fprintf fmt
-    "mode %s: %d clocks, %d io delays, %d cases, %d disables, %d exceptions, \
-     %d groups, %d senses"
-    t.mode_name (List.length t.clocks)
-    (List.length t.io_delays)
-    (List.length t.cases)
-    (List.length t.disables)
-    (List.length t.exceptions)
-    (List.length t.groups)
-    (List.length t.senses)

@@ -178,6 +178,3 @@ val to_commands_tagged : t -> (section * Ast.command) list
 
 val to_sdc : t -> string
 (** [Writer.write_commands (to_commands t)] with a mode-name header. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line counts summary for logs and reports. *)

@@ -13,14 +13,14 @@ exception Too_many_clocks of int
 
 let key pin clk = (pin * 64) + clk
 
-let run (g : Graph.t) (cp : Const_prop.t) (mode : Mode.t) =
+let run (g : Tgraph.t) (cp : Const_prop.t) (mode : Mode.t) =
   let clocks = mode.Mode.clocks in
   let nclk = List.length clocks in
   if nclk > 62 then raise (Too_many_clocks nclk);
   let order = Array.of_list (List.map (fun c -> c.Mode.clk_name) clocks) in
   let index = Hashtbl.create 16 in
   Array.iteri (fun i n -> Hashtbl.replace index n i) order;
-  let n = Graph.n_pins g in
+  let n = Tgraph.n_pins g in
   let masks = Array.make n 0 in
   let arrivals = Hashtbl.create 256 in
   (* Stop pins per clock: set_clock_sense -stop_propagation. A sense
@@ -65,18 +65,20 @@ let run (g : Graph.t) (cp : Const_prop.t) (mode : Mode.t) =
   Array.iter
     (fun pin ->
       if masks.(pin) <> 0 then
-        Graph.iter_out g pin (fun aid ->
-            if Graph.arc_kind g aid <> Graph.Launch && Const_prop.enabled cp aid
+        Tgraph.iter_out g pin (fun aid ->
+            if
+              Tgraph.arc_kind g aid <> Tgraph.Launch
+              && Const_prop.enabled cp aid
             then begin
-              let dst = Graph.arc_dst g aid in
+              let dst = Tgraph.arc_dst g aid in
               let incoming = masks.(pin) land lnot (stopped_mask dst) in
               if incoming <> 0 then begin
                 masks.(dst) <- masks.(dst) lor incoming;
                 for ci = 0 to nclk - 1 do
                   if incoming land (1 lsl ci) <> 0 then begin
                     let smin, smax = Hashtbl.find arrivals (key pin ci) in
-                    let dmin = smin +. Graph.arc_dmin g aid
-                    and dmax = smax +. Graph.arc_dmax g aid in
+                    let dmin = smin +. Tgraph.arc_dmin g aid
+                    and dmax = smax +. Tgraph.arc_dmax g aid in
                     match Hashtbl.find_opt arrivals (key dst ci) with
                     | None -> Hashtbl.replace arrivals (key dst ci) (dmin, dmax)
                     | Some (emin, emax) ->
@@ -86,7 +88,7 @@ let run (g : Graph.t) (cp : Const_prop.t) (mode : Mode.t) =
                 done
               end
             end))
-    (Graph.topo g);
+    g.Tgraph.sk.Tgraph.topo;
   { order; index; masks; arrivals }
 
 let n_clocks t = Array.length t.order

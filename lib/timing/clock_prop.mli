@@ -14,7 +14,7 @@ type t
 
 exception Too_many_clocks of int
 
-val run : Graph.t -> Const_prop.t -> Mm_sdc.Mode.t -> t
+val run : Tgraph.t -> Const_prop.t -> Mm_sdc.Mode.t -> t
 (** @raise Too_many_clocks beyond 62 clocks (bitmask width). *)
 
 val n_clocks : t -> int

@@ -42,8 +42,8 @@ let eval_pin design ~read pin =
    whose value changes marks its later readers dirty. Returns the
    changed pins. *)
 let sweep g ~values ~forced ~dirty ~first =
-  let design = g.Graph.design in
-  let topo = Graph.topo g and pos = Graph.topo_pos g in
+  let design = g.Tgraph.sk.Tgraph.sk_design in
+  let topo = g.Tgraph.sk.Tgraph.topo and pos = g.Tgraph.sk.Tgraph.topo_pos in
   let initial q = Option.value (Hashtbl.find_opt forced q) ~default:Logic.X in
   let changed = ref [] in
   for k = first to Array.length topo - 1 do
@@ -59,8 +59,8 @@ let sweep g ~values ~forced ~dirty ~first =
       if v <> values.(p) then begin
         values.(p) <- v;
         changed := p :: !changed;
-        Graph.iter_out g p (fun aid ->
-            let r = pos.(Graph.arc_dst g aid) in
+        Tgraph.iter_out g p (fun aid ->
+            let r = pos.(Tgraph.arc_dst g aid) in
             if r > k then Bytes.set dirty r '\001')
       end
     end
@@ -70,8 +70,8 @@ let sweep g ~values ~forced ~dirty ~first =
 (* Enablement of one arc under final pin values and the mode's
    disables; see the interface for the rules. *)
 let arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid =
-  let design = g.Graph.design in
-  let src = Graph.arc_src g aid and dst = Graph.arc_dst g aid in
+  let design = g.Tgraph.sk.Tgraph.sk_design in
+  let src = Tgraph.arc_src g aid and dst = Tgraph.arc_dst g aid in
   if
     Hashtbl.mem inst_disabled aid
     || Hashtbl.mem broken aid
@@ -81,9 +81,9 @@ let arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid =
     || values.(dst) <> Logic.X
   then false
   else
-    match Graph.arc_kind g aid with
-    | Graph.Net | Graph.Launch -> true
-    | Graph.Comb -> (
+    match Tgraph.arc_kind g aid with
+    | Tgraph.Net | Tgraph.Launch -> true
+    | Tgraph.Comb -> (
       match Design.pin_owner design dst with
       | Design.Inst_pin (inst, out_idx) -> (
         let cell = Design.inst_cell design inst in
@@ -98,24 +98,26 @@ let arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid =
 
 let broken_table g =
   let broken = Hashtbl.create 16 in
-  List.iter (fun aid -> Hashtbl.replace broken aid ()) (Graph.broken_arcs g);
+  List.iter
+    (fun aid -> Hashtbl.replace broken aid ())
+    g.Tgraph.sk.Tgraph.broken;
   broken
 
 (* The cell and launch arcs of one instance: each leaves one of the
    instance's own pins. *)
 let iter_inst_arcs g inst f =
-  let design = g.Graph.design in
+  let design = g.Tgraph.sk.Tgraph.sk_design in
   let cell = Design.inst_cell design inst in
   for i = 0 to Array.length cell.Lib_cell.pins - 1 do
-    Graph.iter_out g (Design.inst_pin design inst i) (fun aid ->
-        if Graph.arc_inst g aid = inst && Graph.arc_kind g aid <> Graph.Net
+    Tgraph.iter_out g (Design.inst_pin design inst i) (fun aid ->
+        if Tgraph.arc_inst g aid = inst && Tgraph.arc_kind g aid <> Tgraph.Net
         then f aid)
   done
 
 (* The all-X baseline: every pin swept once from all-X with no cases,
    every arc evaluated with no disables. *)
 let compute_baseline g =
-  let n = Graph.n_pins g in
+  let n = Tgraph.n_pins g in
   let values = Array.make n Logic.X in
   ignore
     (sweep g ~values ~forced:(Hashtbl.create 1) ~dirty:(Bytes.make n '\001')
@@ -126,7 +128,7 @@ let compute_baseline g =
   for p = n - 1 downto 0 do
     if values.(p) <> Logic.X then constants := (p, values.(p)) :: !constants
   done;
-  for aid = Graph.n_arcs g - 1 downto 0 do
+  for aid = Tgraph.n_arcs g - 1 downto 0 do
     if not (arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid) then
       disabled := aid :: !disabled
   done;
@@ -139,7 +141,7 @@ let compute_baseline g =
    domains racing on a cold skeleton each compute it, the first
    publication wins and every caller returns that one. *)
 let baseline g =
-  let slot = g.Graph.tg.Tgraph.sk.Tgraph.const_base in
+  let slot = g.Tgraph.sk.Tgraph.const_base in
   match Atomic.get slot with
   | Some b -> b
   | None ->
@@ -147,10 +149,10 @@ let baseline g =
     if Atomic.compare_and_set slot None (Some b) then b
     else Option.get (Atomic.get slot)
 
-let run (g : Graph.t) (mode : Mode.t) =
-  let design = g.Graph.design in
-  let n = Graph.n_pins g in
-  let pos = Graph.topo_pos g in
+let run (g : Tgraph.t) (mode : Mode.t) =
+  let design = g.Tgraph.sk.Tgraph.sk_design in
+  let n = Tgraph.n_pins g in
+  let pos = g.Tgraph.sk.Tgraph.topo_pos in
   let base = baseline g in
   (* Case values; a pin cased twice keeps its last value. *)
   let forced = Hashtbl.create 16 in
@@ -168,8 +170,8 @@ let run (g : Graph.t) (mode : Mode.t) =
   Hashtbl.iter
     (fun pin _ ->
       mark pos.(pin);
-      Graph.iter_out g pin (fun aid ->
-          let r = pos.(Graph.arc_dst g aid) in
+      Tgraph.iter_out g pin (fun aid ->
+          let r = pos.(Tgraph.arc_dst g aid) in
           if r < pos.(pin) then mark r))
     forced;
   let values = Array.make n Logic.X in
@@ -195,15 +197,15 @@ let run (g : Graph.t) (mode : Mode.t) =
         in
         iter_inst_arcs g inst (fun aid ->
             if
-              matches from_ (Graph.arc_src g aid)
-              && matches to_ (Graph.arc_dst g aid)
+              matches from_ (Tgraph.arc_src g aid)
+              && matches to_ (Tgraph.arc_dst g aid)
             then Hashtbl.replace inst_disabled aid ()))
     mode.Mode.disables;
   (* Enablement differs from the baseline only on arcs that touch a
      changed or disabled pin, arcs of an instance with a changed pin
      (cell-arc observability reads the whole instance), and disabled
      instance arcs. *)
-  let arc_enabled = Array.make (Graph.n_arcs g) true in
+  let arc_enabled = Array.make (Tgraph.n_arcs g) true in
   Array.iter (fun aid -> arc_enabled.(aid) <- false) base.Tgraph.cb_disabled;
   let broken = broken_table g in
   let refresh aid =
@@ -211,8 +213,8 @@ let run (g : Graph.t) (mode : Mode.t) =
       arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid
   in
   let refresh_pin p =
-    Graph.iter_in g p refresh;
-    Graph.iter_out g p refresh
+    Tgraph.iter_in g p refresh;
+    Tgraph.iter_out g p refresh
   in
   List.iter
     (fun p ->

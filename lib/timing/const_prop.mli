@@ -27,9 +27,9 @@ type t = {
   pin_disabled : bool array;            (** per pin *)
 }
 
-val run : Graph.t -> Mm_sdc.Mode.t -> t
+val run : Tgraph.t -> Mm_sdc.Mode.t -> t
 
-val baseline : Graph.t -> Tgraph.const_base
+val baseline : Tgraph.t -> Tgraph.const_base
 (** The all-X baseline of the graph's skeleton, computed on first use
     and shared by every later call on any domain (racing first calls
     each compute it; one publication wins and all return it). Shared:

@@ -4,7 +4,7 @@ module Mode = Mm_sdc.Mode
 type t = {
   design : Design.t;
   mode : Mode.t;
-  graph : Graph.t;
+  graph : Tgraph.t;
   consts : Const_prop.t;
   clocks : Clock_prop.t;
   excs : Excmatch.t;
@@ -35,7 +35,7 @@ let build_exclusive (clocks : Clock_prop.t) (mode : Mode.t) =
 
 let create design mode =
   Mm_util.Metrics.incr "timing.context_builds";
-  let graph = Graph.build design mode in
+  let graph = Tgraph.build design mode in
   let consts = Const_prop.run graph mode in
   let clocks = Clock_prop.run graph consts mode in
   let excs = Excmatch.prepare graph clocks mode in
@@ -60,14 +60,14 @@ let find_clock t i =
   | None -> assert false
 
 let capture_clocks_of_endpoint t = function
-  | Graph.Ep_reg { ep_clock; _ } ->
+  | Tgraph.Ep_reg { ep_clock; _ } ->
     let mask = Clock_prop.mask_at t.clocks ep_clock in
     let acc = ref [] in
     for i = Clock_prop.n_clocks t.clocks - 1 downto 0 do
       if mask land (1 lsl i) <> 0 then acc := i :: !acc
     done;
     !acc
-  | Graph.Ep_port { ep_pin } ->
+  | Tgraph.Ep_port { ep_pin } ->
     List.filter_map
       (fun (d : Mode.io_delay) ->
         if (not d.iod_input) && d.iod_pin = ep_pin then
@@ -79,5 +79,5 @@ let capture_clocks_of_endpoint t = function
 let endpoint_alias_pins t ep =
   ignore t;
   match ep with
-  | Graph.Ep_reg { ep_data; _ } -> [ ep_data ]
-  | Graph.Ep_port { ep_pin } -> [ ep_pin ]
+  | Tgraph.Ep_reg { ep_data; _ } -> [ ep_data ]
+  | Tgraph.Ep_port { ep_pin } -> [ ep_pin ]

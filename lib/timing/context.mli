@@ -7,7 +7,7 @@
 type t = {
   design : Mm_netlist.Design.t;
   mode : Mm_sdc.Mode.t;
-  graph : Graph.t;
+  graph : Tgraph.t;
   consts : Const_prop.t;
   clocks : Clock_prop.t;
   excs : Excmatch.t;
@@ -34,11 +34,11 @@ val clocks_exclusive : t -> int -> int -> bool
 val find_clock : t -> int -> Mm_sdc.Mode.clock
 (** Clock record by propagation index. *)
 
-val capture_clocks_of_endpoint : t -> Graph.endpoint -> int list
+val capture_clocks_of_endpoint : t -> Tgraph.endpoint -> int list
 (** Clock indices that can capture at this endpoint: the clocks
     reaching a register's clock pin, or the clocks referenced by the
     output delays on a port. *)
 
-val endpoint_alias_pins : t -> Graph.endpoint -> Mm_netlist.Design.pin_id list
+val endpoint_alias_pins : t -> Tgraph.endpoint -> Mm_netlist.Design.pin_id list
 (** Pins by which exceptions may address the endpoint (data pin and
     port pin). *)

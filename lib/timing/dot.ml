@@ -35,54 +35,54 @@ let side_covers (merged : Context.t) side pin =
 let export ?(individual = []) ?(clock_network_only = false)
     (merged : Context.t) =
   let graph = merged.Context.graph in
-  let design = graph.Graph.design in
+  let design = graph.Tgraph.sk.Tgraph.sk_design in
   let b = Buffer.create 4096 in
   Buffer.add_string b "digraph timing {\n";
   Buffer.add_string b "  rankdir=LR;\n";
   Buffer.add_string b
     "  node [shape=box, fontsize=9, fontname=\"monospace\"];\n";
   Buffer.add_string b "  edge [fontsize=8, fontname=\"monospace\"];\n";
-  let used = Array.make (Graph.n_pins graph) false in
+  let used = Array.make (Tgraph.n_pins graph) false in
   let clocky pin = Clock_prop.mask_at merged.Context.clocks pin <> 0 in
   let edges = Buffer.create 4096 in
-  Graph.iter_arcs graph
-    (fun _aid (a : Graph.arc) ->
-      let src = a.Graph.a_src and dst = a.Graph.a_dst in
-      let on_clock_net = clocky src in
-      if (not clock_network_only) || on_clock_net then begin
-        used.(src) <- true;
-        used.(dst) <- true;
-        let style =
-          match a.Graph.a_kind with
-          | Graph.Comb -> "solid"
-          | Graph.Net -> "dashed"
-          | Graph.Launch -> "dotted"
-        in
-        let color, label =
-          if not on_clock_net then "gray60", ""
-          else begin
-            let covering =
-              List.filter_map
-                (fun side ->
-                  if side_covers merged side src then Some side.side_name
-                  else None)
-                individual
-            in
-            match covering, individual with
-            | [], _ :: _ ->
-              (* Clock propagation present only in the merged mode:
-                 exactly what data-clock refinement cuts. *)
-              "red", "merged-only"
-            | [], [] -> "blue", ""
-            | ms, _ -> "blue", String.concat "," ms
-          end
-        in
-        Buffer.add_string edges
-          (Printf.sprintf "  p%d -> p%d [style=%s, color=%s%s];\n" src dst
-             style color
-             (if label = "" then ""
-              else Printf.sprintf ", label=\"%s\"" (escape label)))
-      end);
+  for aid = 0 to Tgraph.n_arcs graph - 1 do
+    let src = Tgraph.arc_src graph aid and dst = Tgraph.arc_dst graph aid in
+    let on_clock_net = clocky src in
+    if (not clock_network_only) || on_clock_net then begin
+      used.(src) <- true;
+      used.(dst) <- true;
+      let style =
+        match Tgraph.arc_kind graph aid with
+        | Tgraph.Comb -> "solid"
+        | Tgraph.Net -> "dashed"
+        | Tgraph.Launch -> "dotted"
+      in
+      let color, label =
+        if not on_clock_net then "gray60", ""
+        else begin
+          let covering =
+            List.filter_map
+              (fun side ->
+                if side_covers merged side src then Some side.side_name
+                else None)
+              individual
+          in
+          match covering, individual with
+          | [], _ :: _ ->
+            (* Clock propagation present only in the merged mode:
+               exactly what data-clock refinement cuts. *)
+            "red", "merged-only"
+          | [], [] -> "blue", ""
+          | ms, _ -> "blue", String.concat "," ms
+        end
+      in
+      Buffer.add_string edges
+        (Printf.sprintf "  p%d -> p%d [style=%s, color=%s%s];\n" src dst
+           style color
+           (if label = "" then ""
+            else Printf.sprintf ", label=\"%s\"" (escape label)))
+    end
+  done;
   Array.iteri
     (fun pin u ->
       if u then begin

@@ -60,8 +60,8 @@ let reg_data_pins design inst =
   | Some seq ->
     List.map (fun d -> Design.inst_pin design inst d) seq.Lib_cell.data_pins
 
-let prepare (g : Graph.t) (clocks : Clock_prop.t) (mode : Mode.t) =
-  let design = g.Graph.design in
+let prepare (g : Tgraph.t) (clocks : Clock_prop.t) (mode : Mode.t) =
+  let design = g.Tgraph.sk.Tgraph.sk_design in
   let prepare_points ~as_from points =
     let pins = Hashtbl.create 8 and clock_mask = ref 0 in
     List.iter

@@ -13,7 +13,7 @@
     transition at the startpoint. [-rise_to]/[-fall_to] select the data
     transition arriving at the endpoint, which callers track by
     propagating tag polarity through arc unateness (see
-    {!Graph.unate}). Tag polarity only needs tracking when
+    {!Tgraph.unate}). Tag polarity only needs tracking when
     {!edge_sensitive} holds.
 
     Whole progress vectors are interned so a tag is just
@@ -29,7 +29,7 @@
 
 type t
 
-val prepare : Graph.t -> Clock_prop.t -> Mm_sdc.Mode.t -> t
+val prepare : Tgraph.t -> Clock_prop.t -> Mm_sdc.Mode.t -> t
 
 val n_exceptions : t -> int
 val n_states : t -> int

@@ -32,7 +32,7 @@ type report = {
    (drive resistance x load). *)
 let drc_checks (ctx : Context.t) =
   let design = ctx.Context.design in
-  let loads = Graph.loads ctx.Context.graph in
+  let loads = ctx.Context.graph.Tgraph.loads in
   List.filter_map
     (fun (l : Mode.drc_limit) ->
       let pin = l.Mode.drcl_pin in
@@ -79,15 +79,15 @@ let tag_clock key = ((key / 4) mod 128) - 1
 let tag_state key = key / 4 / 128
 let tag_edge key = edge_of_code (key land 3)
 
-let edges_through_unate (u : Graph.unate) e =
+let edges_through_unate (u : Tgraph.unate) e =
   match e with
   | Mode.Any_edge -> [ Mode.Any_edge ]
   | Mode.Rise_edge | Mode.Fall_edge -> (
     match u with
-    | Graph.Positive -> [ e ]
-    | Graph.Negative ->
+    | Tgraph.Positive -> [ e ]
+    | Tgraph.Negative ->
       [ (if e = Mode.Rise_edge then Mode.Fall_edge else Mode.Rise_edge) ]
-    | Graph.Non_unate -> [ Mode.Rise_edge; Mode.Fall_edge ])
+    | Tgraph.Non_unate -> [ Mode.Rise_edge; Mode.Fall_edge ])
 
 let edge_time (c : Mode.clock) (edge : Lib_cell.edge) =
   let r, f = c.waveform in
@@ -245,7 +245,7 @@ let seed_tags (ctx : Context.t) ~merge =
   (* Register launch points. *)
   List.iter
     (function
-      | Graph.Sp_reg { sp_clock; sp_outputs; sp_edge; _ } ->
+      | Tgraph.Sp_reg { sp_clock; sp_outputs; sp_edge; _ } ->
         if Const_prop.pin_active ctx.Context.consts sp_clock then begin
           let mask = Clock_prop.mask_at ctx.Context.clocks sp_clock in
           for ci = 0 to Clock_prop.n_clocks ctx.Context.clocks - 1 do
@@ -259,7 +259,7 @@ let seed_tags (ctx : Context.t) ~merge =
             end
           done
         end
-      | Graph.Sp_port { sp_pin } ->
+      | Tgraph.Sp_port { sp_pin } ->
         if Const_prop.pin_active ctx.Context.consts sp_pin then
           List.iter
             (fun (d : Mode.io_delay) ->
@@ -291,7 +291,7 @@ let seed_tags (ctx : Context.t) ~merge =
                       amin amax)
               end)
             ctx.Context.mode.Mode.io_delays)
-    g.Graph.startpoints
+    g.Tgraph.sk.Tgraph.sk_startpoints
 
 (* ------------------------------------------------------------------ *)
 
@@ -303,7 +303,7 @@ type prop_stats = {
 let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
   Mm_util.Chaos.hit "sta.propagate";
   let g = ctx.Context.graph in
-  let sl = slab_create (Graph.n_pins g) in
+  let sl = slab_create (Tgraph.n_pins g) in
   let n_tags = ref 0 in
   let merge pin key amin amax =
     if slab_merge sl pin key amin amax then incr n_tags
@@ -314,7 +314,7 @@ let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
   (* Coarse progress: one tracker unit per sweep block, not per pin —
      a mutex per pin would be measurable on million-pin arenas. *)
   let tick_every = 4096 in
-  let blocks = (Graph.n_pins g + tick_every - 1) / tick_every in
+  let blocks = (Tgraph.n_pins g + tick_every - 1) / tick_every in
   Mm_util.Progress.add_total ~by:blocks "sta.pins";
   let visited = ref 0 in
   (* On the way out, normal or not, tick the blocks this sweep
@@ -335,15 +335,15 @@ let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
       if !visited mod tick_every = 0 then Mm_util.Progress.tick "sta.pins";
       if slab_has_tags sl pin then begin
         incr swept;
-        Graph.iter_out g pin (fun aid ->
+        Tgraph.iter_out g pin (fun aid ->
             if Const_prop.enabled ctx.Context.consts aid then begin
               (* Data tags do not re-enter the clock network through a
                  register clock pin: launch arcs only carry tags seeded
                  at their own clock pin. *)
-              let dst = Graph.arc_dst g aid in
-              let dmin = Graph.arc_dmin g aid *. corner.Corner.derate_min
-              and dmax = Graph.arc_dmax g aid *. corner.Corner.derate_max in
-              let unate = Graph.arc_unate g aid in
+              let dst = Tgraph.arc_dst g aid in
+              let dmin = Tgraph.arc_dmin g aid *. corner.Corner.derate_min
+              and dmax = Tgraph.arc_dmax g aid *. corner.Corner.derate_max in
+              let unate = Tgraph.arc_unate g aid in
               slab_iter sl pin (fun key amin amax ->
                   let st = tag_state key in
                   let st' = Excmatch.advance ctx.Context.excs st dst in
@@ -355,7 +355,7 @@ let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
                     (edges_through_unate unate (tag_edge key)))
             end)
       end)
-    (Graph.topo g);
+    g.Tgraph.sk.Tgraph.topo;
   sl, { ps_new_tags = !n_tags; ps_pins_swept = !swept }
 
 (* The per-pin Hashtbl engine the slab replaced, kept verbatim as the
@@ -366,7 +366,7 @@ type tag_maps = (int, float * float) Hashtbl.t array
 let propagate_reference ?(corner = Corner.typical) (ctx : Context.t) :
     tag_maps * int =
   let g = ctx.Context.graph in
-  let n = Graph.n_pins g in
+  let n = Tgraph.n_pins g in
   let tags : tag_maps = Array.init n (fun _ -> Hashtbl.create 1) in
   let n_tags = ref 0 in
   let merge pin key amin amax =
@@ -384,12 +384,12 @@ let propagate_reference ?(corner = Corner.typical) (ctx : Context.t) :
     (fun pin ->
       Mm_util.Govern.checkpoint ();
       if Hashtbl.length tags.(pin) > 0 then
-        Graph.iter_out g pin (fun aid ->
+        Tgraph.iter_out g pin (fun aid ->
             if Const_prop.enabled ctx.Context.consts aid then begin
-              let dst = Graph.arc_dst g aid in
-              let dmin = Graph.arc_dmin g aid *. corner.Corner.derate_min
-              and dmax = Graph.arc_dmax g aid *. corner.Corner.derate_max in
-              let unate = Graph.arc_unate g aid in
+              let dst = Tgraph.arc_dst g aid in
+              let dmin = Tgraph.arc_dmin g aid *. corner.Corner.derate_min
+              and dmax = Tgraph.arc_dmax g aid *. corner.Corner.derate_max in
+              let unate = Tgraph.arc_unate g aid in
               Hashtbl.iter
                 (fun key (amin, amax) ->
                   let st = tag_state key in
@@ -402,7 +402,7 @@ let propagate_reference ?(corner = Corner.typical) (ctx : Context.t) :
                     (edges_through_unate unate (tag_edge key)))
                 tags.(pin)
             end))
-    (Graph.topo g);
+    g.Tgraph.sk.Tgraph.topo;
   tags, !n_tags
 
 (* ------------------------------------------------------------------ *)
@@ -447,25 +447,25 @@ let mcp_multipliers excs =
    oracle can share it. *)
 let check_endpoint ?(corner = Corner.typical) (ctx : Context.t) iter_tags
     n_checked ep acc =
-  let ep_pin = Graph.endpoint_pin ep in
+  let ep_pin = Tgraph.endpoint_pin ep in
   let end_pins = Context.endpoint_alias_pins ctx ep in
   let captures = Context.capture_clocks_of_endpoint ctx ep in
   let setup_margin, hold_margin =
     match ep with
-    | Graph.Ep_reg { ep_setup; ep_hold; _ } ->
+    | Tgraph.Ep_reg { ep_setup; ep_hold; _ } ->
       ep_setup +. corner.Corner.extra_setup, ep_hold +. corner.Corner.extra_hold
-    | Graph.Ep_port _ -> corner.Corner.extra_setup, corner.Corner.extra_hold
+    | Tgraph.Ep_port _ -> corner.Corner.extra_setup, corner.Corner.extra_hold
   in
   let capture_edge_kind =
     match ep with
-    | Graph.Ep_reg { ep_edge; _ } -> ep_edge
-    | Graph.Ep_port _ -> Lib_cell.Rising
+    | Tgraph.Ep_reg { ep_edge; _ } -> ep_edge
+    | Tgraph.Ep_port _ -> Lib_cell.Rising
   in
   (* Output-delay margins per capture clock for port endpoints. *)
   let out_delay_max cj =
     match ep with
-    | Graph.Ep_reg _ -> 0.
-    | Graph.Ep_port { ep_pin } ->
+    | Tgraph.Ep_reg _ -> 0.
+    | Tgraph.Ep_port { ep_pin } ->
       List.fold_left
         (fun acc (d : Mode.io_delay) ->
           if
@@ -505,9 +505,9 @@ let check_endpoint ?(corner = Corner.typical) (ctx : Context.t) iter_tags
               in
               let cap_lat_min, cap_lat_max =
                 match ep with
-                | Graph.Ep_reg { ep_clock; _ } ->
+                | Tgraph.Ep_reg { ep_clock; _ } ->
                   clock_latency_at ctx ~clock_idx:cj ~pin:ep_clock
-                | Graph.Ep_port _ -> 0., 0.
+                | Tgraph.Ep_port _ -> 0., 0.
               in
               let attr =
                 Mode.attr_of_clock ctx.Context.mode capture_clk.Mode.clk_name
@@ -566,12 +566,12 @@ let slacks_of ?corner (ctx : Context.t) iter_tags n_checked =
       in
       check_endpoint ?corner ctx iter_tags n_checked ep acc;
       {
-        es_pin = Graph.endpoint_pin ep;
+        es_pin = Tgraph.endpoint_pin ep;
         es_setup = acc.worst_setup;
         es_hold = acc.worst_hold;
         es_capture_period = acc.capture_period;
       })
-    ctx.Context.graph.Graph.endpoints
+    ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints
 
 let slacks_with ?corner (ctx : Context.t) tags_at =
   let iter pin f =
@@ -647,23 +647,23 @@ type path = {
 (* Setup checks of one endpoint with full detail (tag and capture kept),
    mirroring the max-path side of [check_endpoint]. *)
 let setup_checks_detailed (ctx : Context.t) ~corner sl ep =
-  let ep_pin = Graph.endpoint_pin ep in
+  let ep_pin = Tgraph.endpoint_pin ep in
   let end_pins = Context.endpoint_alias_pins ctx ep in
   let captures = Context.capture_clocks_of_endpoint ctx ep in
   let setup_margin =
     match ep with
-    | Graph.Ep_reg { ep_setup; _ } -> ep_setup +. corner.Corner.extra_setup
-    | Graph.Ep_port _ -> corner.Corner.extra_setup
+    | Tgraph.Ep_reg { ep_setup; _ } -> ep_setup +. corner.Corner.extra_setup
+    | Tgraph.Ep_port _ -> corner.Corner.extra_setup
   in
   let capture_edge_kind =
     match ep with
-    | Graph.Ep_reg { ep_edge; _ } -> ep_edge
-    | Graph.Ep_port _ -> Lib_cell.Rising
+    | Tgraph.Ep_reg { ep_edge; _ } -> ep_edge
+    | Tgraph.Ep_port _ -> Lib_cell.Rising
   in
   let out_delay_max cj =
     match ep with
-    | Graph.Ep_reg _ -> 0.
-    | Graph.Ep_port { ep_pin } ->
+    | Tgraph.Ep_reg _ -> 0.
+    | Tgraph.Ep_port { ep_pin } ->
       List.fold_left
         (fun acc (d : Mode.io_delay) ->
           if
@@ -696,9 +696,9 @@ let setup_checks_detailed (ctx : Context.t) ~corner sl ep =
               in
               let cap_lat_min, _ =
                 match ep with
-                | Graph.Ep_reg { ep_clock; _ } ->
+                | Tgraph.Ep_reg { ep_clock; _ } ->
                   clock_latency_at ctx ~clock_idx:cj ~pin:ep_clock
-                | Graph.Ep_port _ -> 0., 0.
+                | Tgraph.Ep_port _ -> 0., 0.
               in
               let attr =
                 Mode.attr_of_clock ctx.Context.mode capture_clk.Mode.clk_name
@@ -734,12 +734,12 @@ let backtrack (ctx : Context.t) ~corner sl ep_pin key arrival =
   let eps = 1e-9 in
   let rec go pin key arrival acc =
     let pred =
-      Graph.find_map_in g pin (fun aid ->
+      Tgraph.find_map_in g pin (fun aid ->
           if not (Const_prop.enabled ctx.Context.consts aid) then None
           else begin
-            let delay = Graph.arc_dmax g aid *. corner.Corner.derate_max in
-            let src = Graph.arc_src g aid in
-            let unate = Graph.arc_unate g aid in
+            let delay = Tgraph.arc_dmax g aid *. corner.Corner.derate_max in
+            let src = Tgraph.arc_src g aid in
+            let unate = Tgraph.arc_unate g aid in
             List.find_map
               (fun (key', _, amax') ->
                 if
@@ -772,7 +772,7 @@ let worst_paths ?ctx ?(corner = Corner.typical) ?(n = 3) design mode =
           (fun (slack, required, amax, key, cj) ->
             ep, slack, required, amax, key, cj)
           (setup_checks_detailed ctx ~corner sl ep))
-      ctx.Context.graph.Graph.endpoints
+      ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints
   in
   let sorted =
     List.sort
@@ -781,7 +781,7 @@ let worst_paths ?ctx ?(corner = Corner.typical) ?(n = 3) design mode =
   in
   List.filteri (fun i _ -> i < n) sorted
   |> List.map (fun (ep, slack, required, amax, key, cj) ->
-         let ep_pin = Graph.endpoint_pin ep in
+         let ep_pin = Tgraph.endpoint_pin ep in
          {
            pth_endpoint = ep_pin;
            pth_launch_clock =

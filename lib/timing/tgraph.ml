@@ -4,15 +4,9 @@ module Wire_load = Mm_netlist.Wire_load
 module Mode = Mm_sdc.Mode
 module Obs = Mm_util.Obs
 
-(* Arc kinds and unateness are stored as small int codes in the flat
-   arrays; {!Graph} re-exports them as variants. *)
-let kind_comb = 0
-let kind_net = 1
-let kind_launch = 2
+type arc_kind = Comb | Net | Launch
 
-let unate_pos = 0
-let unate_neg = 1
-let unate_non = 2
+type unate = Positive | Negative | Non_unate
 
 type endpoint =
   | Ep_reg of {
@@ -41,7 +35,7 @@ type startpoint =
    O(2^n * n). *)
 let unateness f i =
   let support = Mm_netlist.Logic.support f in
-  if not (List.mem i support) then unate_non
+  if not (List.mem i support) then Non_unate
   else begin
     let others = List.filter (fun j -> j <> i) support in
     let n = List.length others in
@@ -67,9 +61,9 @@ let unateness f i =
       | _ -> ())
     done;
     match !can_pos, !can_neg with
-    | true, false -> unate_pos
-    | false, true -> unate_neg
-    | true, true | false, false -> unate_non
+    | true, false -> Positive
+    | false, true -> Negative
+    | true, true | false, false -> Non_unate
   end
 
 let min_derate = 0.8
@@ -92,9 +86,9 @@ type skeleton = {
   (* One slot per arc, indexed by arc id. *)
   arc_src : int array;
   arc_dst : int array;
-  arc_kind : int array;  (* kind_* codes *)
+  arc_kind : arc_kind array;
   arc_inst : int array;
-  arc_unate : int array;  (* unate_* codes *)
+  arc_unate : unate array;
   (* Delay-model statics: base intrinsic delay, the drive-resistance
      multiplier on the driven load (cell arcs), the lumped capacitance
      a driving port sees (net arcs), and the load-model entry of the
@@ -113,10 +107,6 @@ type skeleton = {
   in_adj : int array;
   topo : int array;
   topo_pos : int array;
-  (* Levelization of the acyclic core: longest-path depth from any
-     source, clamped across broken-loop remnants. *)
-  level : int array;
-  n_levels : int;
   broken : int list;
   sk_endpoints : endpoint list;
   sk_startpoints : startpoint list;
@@ -178,9 +168,9 @@ let env_tables (mode : Mode.t) =
 type pre_arc = {
   p_src : int;
   p_dst : int;
-  p_kind : int;
+  p_kind : arc_kind;
   p_inst : int;
-  p_unate : int;
+  p_unate : unate;
   p_base : float;
   p_scale : float;
   p_caps : float;
@@ -229,13 +219,13 @@ let compile design =
           let p_unate =
             match Lib_cell.function_of_output cell o with
             | Some f -> unateness f i
-            | None -> unate_non
+            | None -> Non_unate
           in
           add_arc
             {
               p_src = src;
               p_dst = dst;
-              p_kind = kind_comb;
+              p_kind = Comb;
               p_inst = inst;
               p_unate;
               p_base = cell.Lib_cell.intrinsic;
@@ -257,11 +247,11 @@ let compile design =
               {
                 p_src = cp;
                 p_dst = q;
-                p_kind = kind_launch;
+                p_kind = Launch;
                 p_inst = inst;
                 (* Launched data can rise or fall regardless of the
                    clock edge. *)
-                p_unate = unate_non;
+                p_unate = Non_unate;
                 p_base = seq.Lib_cell.clk_to_q;
                 p_scale = cell.Lib_cell.drive_res;
                 p_caps = 0.;
@@ -312,9 +302,9 @@ let compile design =
               {
                 p_src = drv;
                 p_dst = s;
-                p_kind = kind_net;
+                p_kind = Net;
                 p_inst = -1;
-                p_unate = unate_pos;
+                p_unate = Positive;
                 p_base = base;
                 p_scale = 0.;
                 p_caps = caps;
@@ -333,9 +323,9 @@ let compile design =
   let n_arcs = !n_arcs in
   let arc_src = Array.make n_arcs 0
   and arc_dst = Array.make n_arcs 0
-  and arc_kind = Array.make n_arcs 0
+  and arc_kind = Array.make n_arcs Comb
   and arc_inst = Array.make n_arcs 0
-  and arc_unate = Array.make n_arcs 0
+  and arc_unate = Array.make n_arcs Positive
   and arc_base = Array.make n_arcs 0.
   and arc_scale = Array.make n_arcs 0.
   and arc_caps = Array.make n_arcs 0.
@@ -416,25 +406,6 @@ let compile design =
   end;
   let topo_pos = Array.make n 0 in
   Array.iteri (fun i p -> topo_pos.(p) <- i) topo;
-  let is_broken = Array.make (max 1 n_arcs) false in
-  List.iter (fun aid -> is_broken.(aid) <- true) !broken;
-  let level = Array.make n 0 in
-  Array.iter
-    (fun p ->
-      for k = out_row.(p) to out_row.(p + 1) - 1 do
-        let aid = out_adj.(k) in
-        if not is_broken.(aid) then begin
-          let d = arc_dst.(aid) in
-          (* Back edges inside broken-loop remnants are skipped so the
-             levelization stays monotone along [topo]. *)
-          if topo_pos.(p) < topo_pos.(d) && level.(p) + 1 > level.(d) then
-            level.(d) <- level.(p) + 1
-        end
-      done)
-    topo;
-  let n_levels =
-    if n = 0 then 0 else 1 + Array.fold_left max 0 level
-  in
   (* Load-model arenas. *)
   let ldm_n = !ldm_n in
   let ldm_pin = Array.make (max 1 ldm_n) 0
@@ -480,8 +451,6 @@ let compile design =
     in_adj;
     topo;
     topo_pos;
-    level;
-    n_levels;
     broken = !broken;
     sk_endpoints = List.rev !endpoints;
     sk_startpoints = List.rev !startpoints;
@@ -519,7 +488,7 @@ let overlay sk (mode : Mode.t) =
   and dmax = Array.make (max 1 sk.sk_n_arcs) 0. in
   for aid = 0 to sk.sk_n_arcs - 1 do
     let d =
-      if sk.arc_kind.(aid) = kind_net then begin
+      if sk.arc_kind.(aid) = Net then begin
         (* A port driving the net contributes its external drive and
            transition there, since it has no cell arc of its own. *)
         let drv = sk.arc_src.(aid) in
@@ -591,3 +560,59 @@ let build design mode =
       ~attrs:[ "what", "tgraph-skeleton" ]
       (fun () -> overlay sk mode)
   else overlay sk mode
+
+(* ------------------------------------------------------------------ *)
+(* Accessors                                                           *)
+
+let n_pins t = t.sk.sk_n_pins
+let n_arcs t = t.sk.sk_n_arcs
+
+let arc_src t aid = t.sk.arc_src.(aid)
+let arc_dst t aid = t.sk.arc_dst.(aid)
+let arc_kind t aid = t.sk.arc_kind.(aid)
+let arc_inst t aid = t.sk.arc_inst.(aid)
+let arc_unate t aid = t.sk.arc_unate.(aid)
+let arc_dmin t aid = t.dmin.(aid)
+let arc_dmax t aid = t.dmax.(aid)
+
+let iter_out t pin f =
+  let sk = t.sk in
+  for k = sk.out_row.(pin) to sk.out_row.(pin + 1) - 1 do
+    f sk.out_adj.(k)
+  done
+
+let iter_in t pin f =
+  let sk = t.sk in
+  for k = sk.in_row.(pin) to sk.in_row.(pin + 1) - 1 do
+    f sk.in_adj.(k)
+  done
+
+let fold_in t pin init f =
+  let sk = t.sk in
+  let acc = ref init in
+  for k = sk.in_row.(pin) to sk.in_row.(pin + 1) - 1 do
+    acc := f !acc sk.in_adj.(k)
+  done;
+  !acc
+
+let find_map_in t pin f =
+  let sk = t.sk in
+  let lo = sk.in_row.(pin) and hi = sk.in_row.(pin + 1) in
+  let rec go k =
+    if k >= hi then None
+    else
+      match f sk.in_adj.(k) with
+      | Some _ as r -> r
+      | None -> go (k + 1)
+  in
+  go lo
+
+let endpoint_pin = function
+  | Ep_reg { ep_data; _ } -> ep_data
+  | Ep_port { ep_pin } -> ep_pin
+
+let startpoint_pin = function
+  | Sp_reg { sp_clock; _ } -> sp_clock
+  | Sp_port { sp_pin } -> sp_pin
+
+let endpoint_pins t = List.map endpoint_pin t.sk.sk_endpoints

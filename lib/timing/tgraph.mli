@@ -1,8 +1,10 @@
-(** The compiled timing-graph arena.
+(** The timing graph, compiled into a flat arena.
 
-    The timing graph is flattened once per design into a CSR
-    (compressed-sparse-row) skeleton of int arrays — arc endpoints,
-    kinds, unateness, adjacency rows, topological order and levels —
+    Nodes are design pins; arcs are cell arcs (input to output, derived
+    from cell functions), launch arcs (register clock pin to outputs)
+    and net arcs (driver to sinks). The graph is flattened once per
+    design into a CSR (compressed-sparse-row) skeleton of arrays — arc
+    endpoints, kinds, unateness, adjacency rows and topological order —
     plus the static half of the delay/load model. A per-mode {e
     overlay} then derives the arc delay arrays from the mode's
     environment constraints without re-walking the netlist. Compiled
@@ -15,19 +17,20 @@
     the linked adjacency lists this arena replaced: topological
     tie-breaking and path backtracking are order-sensitive, and the
     merge pipeline's outputs must stay byte-identical across the
-    representation change. *)
+    representation change.
 
-(** {1 Arc code spaces} *)
+    Arcs are addressed by dense ids; hot paths use the scalar accessors
+    and the [iter_*] loops, which allocate nothing. *)
 
-val kind_comb : int
-val kind_net : int
-val kind_launch : int
+(** {1 Arcs and start/endpoints} *)
 
-val unate_pos : int
-val unate_neg : int
-val unate_non : int
+type arc_kind = Comb | Net | Launch
 
-(** {1 Start/endpoints} *)
+(** Transition-sense of an arc: a [Positive] arc propagates a rising
+    input as a rising output, [Negative] inverts, [Non_unate] can do
+    either (XOR, mux data-vs-select, register launch). Drives the
+    rise/fall dimension of exception matching. *)
+type unate = Positive | Negative | Non_unate
 
 type endpoint =
   | Ep_reg of {
@@ -50,14 +53,6 @@ type startpoint =
     }
   | Sp_port of { sp_pin : Mm_netlist.Design.pin_id }
 
-val unateness : Mm_netlist.Logic.t -> int -> int
-(** Unateness code of a cell function in one input, by exhaustive
-    evaluation over its support. *)
-
-val min_derate : float
-val default_port_drive : float
-val transition_delay_factor : float
-
 (** {1 The arena} *)
 
 type const_base = {
@@ -77,9 +72,9 @@ type skeleton = {
   sk_n_arcs : int;
   arc_src : int array;
   arc_dst : int array;
-  arc_kind : int array;
-  arc_inst : int array;
-  arc_unate : int array;
+  arc_kind : arc_kind array;
+  arc_inst : int array;  (** owning instance for Comb/Launch; -1 for Net *)
+  arc_unate : unate array;
   arc_base : float array;
   arc_scale : float array;
   arc_caps : float array;
@@ -88,11 +83,9 @@ type skeleton = {
   out_adj : int array;
   in_row : int array;
   in_adj : int array;
-  topo : int array;
-  topo_pos : int array;
-  level : int array;
-  n_levels : int;
-  broken : int list;
+  topo : int array;  (** pins in topological order *)
+  topo_pos : int array;  (** inverse permutation of [topo] *)
+  broken : int list;  (** arcs dropped to break combinational loops *)
   sk_endpoints : endpoint list;
   sk_startpoints : startpoint list;
   ldm_pin : int array;
@@ -111,7 +104,9 @@ type t = {
   dmin : float array;  (** per arc, derated min delay *)
   dmax : float array;  (** per arc, max delay *)
   loads : float array;
-      (** per pin: capacitive load driven (pF); 0 for non-drivers *)
+      (** per pin: capacitive load driven (pF); 0 for non-drivers.
+          Includes set_load and the wire-load estimate — the quantity
+          checked against set_max_capacitance. *)
 }
 
 val compile : Mm_netlist.Design.t -> skeleton
@@ -124,4 +119,38 @@ val overlay : skeleton -> Mm_sdc.Mode.t -> t
 (** Derive the per-mode delay arrays over a compiled skeleton. *)
 
 val build : Mm_netlist.Design.t -> Mm_sdc.Mode.t -> t
-(** [skeleton] + [overlay], with the compile/reuse spans. *)
+(** [skeleton] + [overlay], with the compile/reuse spans: the graph
+    with delays reflecting the mode's environment constraints. Loops
+    (if any) are broken at an arbitrary arc, recorded in [broken]. *)
+
+(** {1 Accessors (hot paths)} *)
+
+val n_pins : t -> int
+val n_arcs : t -> int
+
+val arc_src : t -> int -> Mm_netlist.Design.pin_id
+val arc_dst : t -> int -> Mm_netlist.Design.pin_id
+val arc_kind : t -> int -> arc_kind
+val arc_inst : t -> int -> int
+val arc_unate : t -> int -> unate
+val arc_dmin : t -> int -> float
+val arc_dmax : t -> int -> float
+
+val iter_out : t -> Mm_netlist.Design.pin_id -> (int -> unit) -> unit
+(** Arc ids leaving the pin, in the arena's row order (descending id —
+    the iteration order downstream tie-breaks rely on). *)
+
+val iter_in : t -> Mm_netlist.Design.pin_id -> (int -> unit) -> unit
+
+val fold_in : t -> Mm_netlist.Design.pin_id -> 'a -> ('a -> int -> 'a) -> 'a
+
+val find_map_in :
+  t -> Mm_netlist.Design.pin_id -> (int -> 'a option) -> 'a option
+(** First [Some] over the incoming arc ids, in row order. *)
+
+val endpoint_pin : endpoint -> Mm_netlist.Design.pin_id
+val startpoint_pin : startpoint -> Mm_netlist.Design.pin_id
+(** Canonical node of the point: data pin for register endpoints,
+    clock pin for register startpoints, the port pin otherwise. *)
+
+val endpoint_pins : t -> Mm_netlist.Design.pin_id list

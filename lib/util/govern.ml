@@ -211,11 +211,6 @@ let run t f =
     | exception exn ->
       Crashed { exn; backtrace = Printexc.get_raw_backtrace () })
 
-let outcome_map f = function
-  | Done v -> Done (f v)
-  | Interrupted r -> Interrupted r
-  | Crashed c -> Crashed c
-
 let value = function
   | Done v -> v
   | Interrupted r -> raise (Cancelled r)

@@ -141,8 +141,6 @@ val run : token -> (unit -> 'a) -> 'a outcome
 (** Execute the thunk with [token] installed as the ambient token,
     checking it once on entry. Never raises. *)
 
-val outcome_map : ('a -> 'b) -> 'a outcome -> 'b outcome
-
 val value : 'a outcome -> 'a
 (** The value of a [Done] outcome. A [Crashed] one re-raises its
     exception with the original backtrace; an [Interrupted] one raises

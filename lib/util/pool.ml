@@ -194,11 +194,9 @@ let outcome_array t ~govern ~task_budget_s f arr =
           match Govern.cancelled govern with
           | Some reason -> Govern.Interrupted reason
           | None ->
-            Govern.outcome_map
-              (fun v -> v)
-              (run_task_instrumented ~govern ~task_budget_s ~busy_ns
-                 (fun x -> Obs.with_context ctx (fun () -> f x))
-                 arr.(i))
+            run_task_instrumented ~govern ~task_budget_s ~busy_ns
+              (fun x -> Obs.with_context ctx (fun () -> f x))
+              arr.(i)
         in
         results.(i) <- Some r;
         if Atomic.fetch_and_add completed 1 = n - 1 then begin
@@ -236,9 +234,6 @@ let map_array t f arr =
   collect (outcome_array t ~govern:Govern.never ~task_budget_s:None f arr)
 
 let map t f xs = map_array t f (Array.of_list xs)
-
-let map_reduce t ~map:f ~fold ~init xs =
-  List.fold_left fold init (map t f xs)
 
 (* ------------------------------------------------------------------ *)
 (* Utilization report: the pool.* slice of the metrics registry,

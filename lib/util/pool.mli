@@ -9,8 +9,8 @@
 
     Semantics:
 
-    - {!map} and {!map_reduce} preserve input order regardless of the
-      execution interleaving.
+    - {!map} preserves input order regardless of the execution
+      interleaving.
     - A raising task does not abort its siblings; once the whole batch
       has finished, the exception of the {e lowest-index} failing task
       is re-raised (with its backtrace) — the same exception a
@@ -91,13 +91,6 @@ val map_outcome :
       [Crashed] with its raise-site backtrace.
     - The chaos site [pool.task] fires at each task entry, before the
       entry cancellation check ({!Mm_util.Chaos}). *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> fold:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
-(** [map_reduce t ~map ~fold ~init xs] folds the mapped results
-    {e in input order}: [fold (... (fold init (map x0))) (map xn)].
-    The fold itself runs on the calling domain, so it may touch
-    non-domain-safe state. *)
 
 val utilization_report : unit -> string
 (** Human-readable summary of the [pool.*] slice of the {!Metrics}

@@ -8,12 +8,12 @@ module Design = Mm_netlist.Design
 module Lib_cell = Mm_netlist.Lib_cell
 module Logic = Mm_netlist.Logic
 module Mode = Mm_sdc.Mode
-module Graph = Mm_timing.Graph
+module Tgraph = Mm_timing.Tgraph
 module Const_prop = Mm_timing.Const_prop
 
-let run (g : Graph.t) (mode : Mode.t) : Const_prop.t =
-  let design = g.Graph.design in
-  let n = Graph.n_pins g in
+let run (g : Tgraph.t) (mode : Mode.t) : Const_prop.t =
+  let design = g.Tgraph.sk.Tgraph.sk_design in
+  let n = Tgraph.n_pins g in
   let values = Array.make n Logic.X in
   let forced = Array.make n false in
   List.iter
@@ -49,7 +49,7 @@ let run (g : Graph.t) (mode : Mode.t) : Const_prop.t =
               | Some _ | None -> ())
           end
       end)
-    (Graph.topo g);
+    g.Tgraph.sk.Tgraph.topo;
   (* Disables. *)
   let pin_disabled = Array.make n false in
   let arc_disabled = Hashtbl.create 16 in
@@ -61,8 +61,8 @@ let run (g : Graph.t) (mode : Mode.t) : Const_prop.t =
         let matches name spec =
           match spec with None -> true | Some s -> String.equal s name
         in
-        for aid = 0 to Graph.n_arcs g - 1 do
-          if Graph.arc_inst g aid = inst && Graph.arc_kind g aid <> Graph.Net
+        for aid = 0 to Tgraph.n_arcs g - 1 do
+          if Tgraph.arc_inst g aid = inst && Tgraph.arc_kind g aid <> Tgraph.Net
           then begin
             let pin_name_of p =
               match Design.pin_owner design p with
@@ -71,18 +71,20 @@ let run (g : Graph.t) (mode : Mode.t) : Const_prop.t =
               | Design.Port_pin _ -> ""
             in
             if
-              matches (pin_name_of (Graph.arc_src g aid)) from_
-              && matches (pin_name_of (Graph.arc_dst g aid)) to_
+              matches (pin_name_of (Tgraph.arc_src g aid)) from_
+              && matches (pin_name_of (Tgraph.arc_dst g aid)) to_
             then Hashtbl.replace arc_disabled aid ()
           end
         done)
     mode.Mode.disables;
   let broken = Hashtbl.create 16 in
-  List.iter (fun aid -> Hashtbl.replace broken aid ()) (Graph.broken_arcs g);
+  List.iter
+    (fun aid -> Hashtbl.replace broken aid ())
+    g.Tgraph.sk.Tgraph.broken;
   (* Arc enablement. *)
   let arc_enabled =
-    Array.init (Graph.n_arcs g) (fun aid ->
-        let src = Graph.arc_src g aid and dst = Graph.arc_dst g aid in
+    Array.init (Tgraph.n_arcs g) (fun aid ->
+        let src = Tgraph.arc_src g aid and dst = Tgraph.arc_dst g aid in
         if
           Hashtbl.mem arc_disabled aid
           || Hashtbl.mem broken aid
@@ -92,9 +94,9 @@ let run (g : Graph.t) (mode : Mode.t) : Const_prop.t =
           || values.(dst) <> Logic.X
         then false
         else
-          match Graph.arc_kind g aid with
-          | Graph.Net | Graph.Launch -> true
-          | Graph.Comb -> (
+          match Tgraph.arc_kind g aid with
+          | Tgraph.Net | Tgraph.Launch -> true
+          | Tgraph.Comb -> (
             match Design.pin_owner design dst with
             | Design.Inst_pin (inst, out_idx) -> (
               let cell = Design.inst_cell design inst in

@@ -28,7 +28,7 @@
 module Design = Mm_netlist.Design
 module Mode = Mm_sdc.Mode
 module Context = Mm_timing.Context
-module Graph = Mm_timing.Graph
+module Tgraph = Mm_timing.Tgraph
 module Clock_prop = Mm_timing.Clock_prop
 module Sta = Mm_timing.Sta
 module Relation_prop = Mm_core.Relation_prop
@@ -190,7 +190,7 @@ let random_family ?(combo_depth = 2) st seed =
    appends. *)
 let random_exc st (ctx : Context.t) =
   let design = ctx.Context.design in
-  let eps = Array.of_list (Graph.endpoint_pins ctx.Context.graph) in
+  let eps = Array.of_list (Tgraph.endpoint_pins ctx.Context.graph) in
   let n_clocks = Clock_prop.n_clocks ctx.Context.clocks in
   let kind =
     if Random.State.bool st then Mode.False_path
@@ -300,7 +300,7 @@ let equiv_diff (a : Equiv.report) (b : Equiv.report) =
    have work. *)
 let random_cone_exc st (ctx : Context.t) =
   let g = ctx.Context.graph in
-  let eps = Array.of_list (Graph.endpoint_pins g) in
+  let eps = Array.of_list (Tgraph.endpoint_pins g) in
   let ep = eps.(Random.State.int st (Array.length eps)) in
   let cone = Relation_prop.backward_cone ctx [ ep ] in
   let pick l = List.nth l (Random.State.int st (List.length l)) in
@@ -309,7 +309,9 @@ let random_cone_exc st (ctx : Context.t) =
     else Mode.Multicycle { mult = 2; start = false }
   in
   match
-    List.filter (fun p -> cone.(p)) (List.map Graph.startpoint_pin g.Graph.startpoints)
+    List.filter
+      (fun p -> cone.(p))
+      (List.map Tgraph.startpoint_pin g.Tgraph.sk.Tgraph.sk_startpoints)
   with
   | [] -> Mode.exc ~to_:[ Mode.P_pin ep ] kind
   | sps ->
@@ -449,7 +451,6 @@ let compare_cache_cases =
 (* Change-driven constant propagation equals the dense sweep           *)
 
 module Const_prop = Mm_timing.Const_prop
-module Tgraph = Mm_timing.Tgraph
 module Library = Mm_netlist.Library
 module Logic = Mm_netlist.Logic
 
@@ -580,7 +581,7 @@ let sparse_equals_dense seed =
   in
   List.iter
     (fun (m : Mode.t) ->
-      let g = Graph.build design m in
+      let g = Tgraph.build design m in
       match consts_mismatch (Const_prop.run g m) (Const_prop_dense.run g m) with
       | None -> ()
       | Some why ->
@@ -624,15 +625,16 @@ let loop_design () =
 let loop_cases () =
   let d = loop_design () in
   let empty = Mm_sdc.Resolve.mode_exn d ~name:"none" [] in
-  let g = Graph.build d empty in
-  check Alcotest.bool "the loop is broken" true (Graph.broken_arcs g <> []);
-  let pos = Graph.topo_pos g in
+  let g = Tgraph.build d empty in
+  check Alcotest.bool "the loop is broken" true
+    (g.Tgraph.sk.Tgraph.broken <> []);
+  let pos = g.Tgraph.sk.Tgraph.topo_pos in
   (* Pins with a reader placed before them: their case value crosses a
      cycle-break back edge. *)
   let back_edge_pins = ref [] in
   Design.iter_pins d (fun p ->
-      Graph.iter_out g p (fun aid ->
-          if pos.(Graph.arc_dst g aid) < pos.(p) then
+      Tgraph.iter_out g p (fun aid ->
+          if pos.(Tgraph.arc_dst g aid) < pos.(p) then
             back_edge_pins := p :: !back_edge_pins));
   check Alcotest.bool "some pin feeds a back edge" true
     (!back_edge_pins <> []);
@@ -666,14 +668,7 @@ let racing_baseline () =
   let mode = Mm_sdc.Resolve.mode_exn d ~name:"none" [] in
   for _ = 1 to 20 do
     let sk = Tgraph.compile d in
-    let g =
-      {
-        Graph.design = d;
-        tg = Tgraph.overlay sk mode;
-        endpoints = sk.Tgraph.sk_endpoints;
-        startpoints = sk.Tgraph.sk_startpoints;
-      }
-    in
+    let g = Tgraph.overlay sk mode in
     let ready = Atomic.make 0 in
     let force () =
       Atomic.incr ready;

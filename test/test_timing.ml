@@ -6,7 +6,7 @@ module Library = Mm_netlist.Library
 module Logic = Mm_netlist.Logic
 module Resolve = Mm_sdc.Resolve
 module Mode = Mm_sdc.Mode
-module Graph = Mm_timing.Graph
+module Tgraph = Mm_timing.Tgraph
 module Const_prop = Mm_timing.Const_prop
 module Clock_prop = Mm_timing.Clock_prop
 module Cs = Mm_timing.Constraint_state
@@ -48,62 +48,70 @@ let pipeline () =
 let base_clock = "create_clock -name c -period 10 [get_ports clk]\n"
 
 (* ------------------------------------------------------------------ *)
-(* Graph                                                               *)
+(* Tgraph                                                              *)
 
 let graph_cases =
   [
     tc "arc inventory" (fun () ->
         let d = pipeline () in
-        let g = Graph.build d (resolve d base_clock) in
+        let g = Tgraph.build d (resolve d base_clock) in
         let count kind =
           let acc = ref 0 in
-          Graph.iter_arcs g (fun _ a -> if a.Graph.a_kind = kind then incr acc);
+          for aid = 0 to Tgraph.n_arcs g - 1 do
+            if Tgraph.arc_kind g aid = kind then incr acc
+          done;
           !acc
         in
         (* launch: 2 flops x (Q, QN) = 4; comb: inv 1 + mux 3 = 4. *)
-        check Alcotest.int "launch" 4 (count Graph.Launch);
-        check Alcotest.int "comb" 4 (count Graph.Comb);
-        check Alcotest.bool "nets" true (count Graph.Net > 0));
+        check Alcotest.int "launch" 4 (count Tgraph.Launch);
+        check Alcotest.int "comb" 4 (count Tgraph.Comb);
+        check Alcotest.bool "nets" true (count Tgraph.Net > 0));
     tc "endpoints and startpoints" (fun () ->
         let d = pipeline () in
-        let g = Graph.build d (resolve d base_clock) in
+        let g = Tgraph.build d (resolve d base_clock) in
         check Alcotest.int "endpoints (2 D pins + out port)" 3
-          (List.length g.Graph.endpoints);
+          (List.length g.Tgraph.sk.Tgraph.sk_endpoints);
         check Alcotest.int "startpoints (2 regs + 3 in ports)" 5
-          (List.length g.Graph.startpoints));
+          (List.length g.Tgraph.sk.Tgraph.sk_startpoints));
     tc "topological order respects arcs" (fun () ->
         let d = pipeline () in
-        let g = Graph.build d (resolve d base_clock) in
-        let pos = Graph.topo_pos g in
-        Graph.iter_arcs g (fun _ a ->
-            check Alcotest.bool "src before dst" true
-              (pos.(a.Graph.a_src) < pos.(a.Graph.a_dst)));
-        check Alcotest.(list int) "no broken arcs" [] (Graph.broken_arcs g));
+        let g = Tgraph.build d (resolve d base_clock) in
+        let pos = g.Tgraph.sk.Tgraph.topo_pos in
+        for aid = 0 to Tgraph.n_arcs g - 1 do
+          check Alcotest.bool "src before dst" true
+            (pos.(Tgraph.arc_src g aid) < pos.(Tgraph.arc_dst g aid))
+        done;
+        check Alcotest.(list int) "no broken arcs" []
+          g.Tgraph.sk.Tgraph.broken);
     tc "combinational loop broken, not fatal" (fun () ->
         let d = Design.create "loop" in
         ignore (Design.add_inst d "a" Library.inv);
         ignore (Design.add_inst d "b" Library.inv);
         Design.wire d "n1" [ "a/Z"; "b/A" ];
         Design.wire d "n2" [ "b/Z"; "a/A" ];
-        let g = Graph.build d (resolve d "set_case_analysis 0 a/A") in
-        check Alcotest.bool "loop recorded" true (Graph.broken_arcs g <> []));
+        let g = Tgraph.build d (resolve d "set_case_analysis 0 a/A") in
+        check Alcotest.bool "loop recorded" true
+          (g.Tgraph.sk.Tgraph.broken <> []));
     tc "arc delays positive and min<=max" (fun () ->
         let d = pipeline () in
-        let g = Graph.build d (resolve d base_clock) in
-        Graph.iter_arcs g (fun _ a ->
-            check Alcotest.bool "nonneg" true (a.Graph.a_dmin >= 0.);
-            check Alcotest.bool "ordered" true (a.Graph.a_dmin <= a.Graph.a_dmax)));
+        let g = Tgraph.build d (resolve d base_clock) in
+        for aid = 0 to Tgraph.n_arcs g - 1 do
+          let dmin = Tgraph.arc_dmin g aid and dmax = Tgraph.arc_dmax g aid in
+          check Alcotest.bool "nonneg" true (dmin >= 0.);
+          check Alcotest.bool "ordered" true (dmin <= dmax)
+        done);
     tc "set_load increases driver arc delay" (fun () ->
         let d = pipeline () in
-        let bare = Graph.build d (resolve d base_clock) in
+        let bare = Tgraph.build d (resolve d base_clock) in
         let loaded =
-          Graph.build d (resolve d (base_clock ^ "set_load 0.5 [get_ports out]"))
+          Tgraph.build d (resolve d (base_clock ^ "set_load 0.5 [get_ports out]"))
         in
         let q2 = Design.pin_of_name_exn d "r2/Q" in
         let launch_delay g =
           let acc = ref 0. in
-          Graph.iter_arcs g (fun _ a ->
-              if a.Graph.a_dst = q2 then acc := a.Graph.a_dmax);
+          for aid = 0 to Tgraph.n_arcs g - 1 do
+            if Tgraph.arc_dst g aid = q2 then acc := Tgraph.arc_dmax g aid
+          done;
           !acc
         in
         check Alcotest.bool "heavier" true (launch_delay loaded > launch_delay bare));
@@ -117,7 +125,7 @@ let const_cases =
     tc "case value propagates through inverter" (fun () ->
         let d = pipeline () in
         let mode = resolve d (base_clock ^ "set_case_analysis 1 r1/Q") in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         check Alcotest.bool "q const" true
           (Const_prop.value cp (Design.pin_of_name_exn d "r1/Q") = Logic.T);
@@ -126,44 +134,49 @@ let const_cases =
     tc "mux select case disables unselected clock leg" (fun () ->
         let d = pipeline () in
         let mode = resolve d (base_clock ^ "set_case_analysis 0 sel") in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         let d1 = Design.pin_of_name_exn d "mx/D1" in
         let enabled_from_d1 =
           let found = ref false in
-          Graph.iter_arcs g (fun aid a ->
-              if
-                a.Graph.a_src = d1 && a.Graph.a_kind = Graph.Comb
-                && Const_prop.enabled cp aid
-              then found := true);
+          for aid = 0 to Tgraph.n_arcs g - 1 do
+            if
+              Tgraph.arc_src g aid = d1
+              && Tgraph.arc_kind g aid = Tgraph.Comb
+              && Const_prop.enabled cp aid
+            then found := true
+          done;
           !found
         in
         check Alcotest.bool "D1 arc dead" false enabled_from_d1);
     tc "disable pin kills its arcs" (fun () ->
         let d = pipeline () in
         let mode = resolve d (base_clock ^ "set_disable_timing u1/A") in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         let a_pin = Design.pin_of_name_exn d "u1/A" in
-        Graph.iter_arcs g (fun aid a ->
-            if a.Graph.a_src = a_pin || a.Graph.a_dst = a_pin then
-              check Alcotest.bool "disabled" false (Const_prop.enabled cp aid)));
+        for aid = 0 to Tgraph.n_arcs g - 1 do
+          if Tgraph.arc_src g aid = a_pin || Tgraph.arc_dst g aid = a_pin then
+            check Alcotest.bool "disabled" false (Const_prop.enabled cp aid)
+        done);
     tc "disable instance arc with from/to" (fun () ->
         let d = pipeline () in
         let mode =
           resolve d (base_clock ^ "set_disable_timing -from A -to Z [get_cells u1]")
         in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         let src = Design.pin_of_name_exn d "u1/A" in
-        Graph.iter_arcs g (fun aid a ->
-            if a.Graph.a_src = src && a.Graph.a_kind = Graph.Comb then
-              check Alcotest.bool "cell arc dead" false
-                (Const_prop.enabled cp aid)));
+        for aid = 0 to Tgraph.n_arcs g - 1 do
+          if Tgraph.arc_src g aid = src && Tgraph.arc_kind g aid = Tgraph.Comb
+          then
+            check Alcotest.bool "cell arc dead" false
+              (Const_prop.enabled cp aid)
+        done);
     tc "pin_active reflects constants" (fun () ->
         let d = pipeline () in
         let mode = resolve d (base_clock ^ "set_case_analysis 1 r1/Q") in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         check Alcotest.bool "const not active" false
           (Const_prop.pin_active cp (Design.pin_of_name_exn d "r1/Q"));
@@ -185,7 +198,7 @@ let clock_cases =
     tc "clock reaches flops through mux when select unknown" (fun () ->
         let d = pipeline () in
         let mode = resolve d clocks_src in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         let ck = Clock_prop.run g cp mode in
         let at pin = Clock_prop.clocks_at ck (Design.pin_of_name_exn d pin) in
@@ -194,7 +207,7 @@ let clock_cases =
     tc "case analysis prunes one clock" (fun () ->
         let d = pipeline () in
         let mode = resolve d (clocks_src ^ "set_case_analysis 1 sel") in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         let ck = Clock_prop.run g cp mode in
         check
@@ -208,7 +221,7 @@ let clock_cases =
             (clocks_src
            ^ "set_clock_sense -stop_propagation -clock [get_clocks ca] [get_pins mx/Z]")
         in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         let ck = Clock_prop.run g cp mode in
         check
@@ -218,7 +231,7 @@ let clock_cases =
     tc "insertion delay accumulates" (fun () ->
         let d = pipeline () in
         let mode = resolve d clocks_src in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         let ck = Clock_prop.run g cp mode in
         let ca = Option.get (Clock_prop.clock_index ck "ca") in
@@ -229,7 +242,7 @@ let clock_cases =
     tc "mask helpers" (fun () ->
         let d = pipeline () in
         let mode = resolve d clocks_src in
-        let g = Graph.build d mode in
+        let g = Tgraph.build d mode in
         let cp = Const_prop.run g mode in
         let ck = Clock_prop.run g cp mode in
         check Alcotest.int "n_clocks" 2 (Clock_prop.n_clocks ck);
@@ -500,8 +513,10 @@ let sta_cases =
 let unate_of d g src dst =
   let s = Design.pin_of_name_exn d src and t = Design.pin_of_name_exn d dst in
   let r = ref None in
-  Graph.iter_arcs g (fun _ a ->
-      if a.Graph.a_src = s && a.Graph.a_dst = t then r := Some a.Graph.a_unate);
+  for aid = 0 to Tgraph.n_arcs g - 1 do
+    if Tgraph.arc_src g aid = s && Tgraph.arc_dst g aid = t then
+      r := Some (Tgraph.arc_unate g aid)
+  done;
   !r
 
 let edge_cases =
@@ -509,20 +524,20 @@ let edge_cases =
     tc "unateness of library gates" (fun () ->
         let d = Mm_workload.Paper_circuit.build () in
         let g =
-          Graph.build d (resolve d "create_clock -name c -period 10 [get_ports clk1]")
+          Tgraph.build d (resolve d "create_clock -name c -period 10 [get_ports clk1]")
         in
         check Alcotest.bool "inverter negative" true
-          (unate_of d g "inv1/A" "inv1/Z" = Some Graph.Negative);
+          (unate_of d g "inv1/A" "inv1/Z" = Some Tgraph.Negative);
         check Alcotest.bool "and positive" true
-          (unate_of d g "and1/A" "and1/Z" = Some Graph.Positive);
+          (unate_of d g "and1/A" "and1/Z" = Some Tgraph.Positive);
         check Alcotest.bool "xor non-unate" true
-          (unate_of d g "xorS/A" "xorS/Z" = Some Graph.Non_unate);
+          (unate_of d g "xorS/A" "xorS/Z" = Some Tgraph.Non_unate);
         check Alcotest.bool "mux data positive" true
-          (unate_of d g "mux1/D0" "mux1/Z" = Some Graph.Positive);
+          (unate_of d g "mux1/D0" "mux1/Z" = Some Tgraph.Positive);
         check Alcotest.bool "mux select non-unate" true
-          (unate_of d g "mux1/S" "mux1/Z" = Some Graph.Non_unate);
+          (unate_of d g "mux1/S" "mux1/Z" = Some Tgraph.Non_unate);
         check Alcotest.bool "launch non-unate" true
-          (unate_of d g "rA/CP" "rA/Q" = Some Graph.Non_unate));
+          (unate_of d g "rA/CP" "rA/Q" = Some Tgraph.Non_unate));
     tc "single-edge false path keeps the other edge timed" (fun () ->
         let d = pipeline () in
         let both =
@@ -762,10 +777,101 @@ let path_cases =
           (slow.Sta.pth_arrival > typ.Sta.pth_arrival));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Dot export                                                          *)
+
+(* A small generated design with a clock on every clock port, the
+   merged context over it, and the edge lines of its DOT export. *)
+let dot_fixture () =
+  let d, info =
+    Mm_workload.Gen_design.generate
+      {
+        Mm_workload.Gen_design.default_params with
+        seed = 7;
+        n_domains = 2;
+        regs_per_domain = 4;
+        stages = 2;
+        combo_depth = 1;
+      }
+  in
+  let clocks =
+    String.concat ""
+      (List.mapi
+         (fun i port ->
+           Printf.sprintf "create_clock -name c%d -period 10 [get_ports %s]\n"
+             i port)
+         info.Mm_workload.Gen_design.clock_ports)
+  in
+  d, Context.create d (resolve d clocks)
+
+let dot_edges dot =
+  List.filter
+    (fun l -> Str_probe.contains l " -> ")
+    (String.split_on_char '\n' dot)
+
+let count_with sub lines =
+  List.length (List.filter (fun l -> Str_probe.contains l sub) lines)
+
+let dot_cases =
+  [
+    tc "edge styles follow arc kinds, clock edges blue" (fun () ->
+        let _, ctx = dot_fixture () in
+        let g = ctx.Context.graph in
+        let edges = dot_edges (Mm_timing.Dot.export ctx) in
+        let kinds kind =
+          let n = ref 0 in
+          for aid = 0 to Tgraph.n_arcs g - 1 do
+            if Tgraph.arc_kind g aid = kind then incr n
+          done;
+          !n
+        in
+        check Alcotest.int "one edge per arc" (Tgraph.n_arcs g)
+          (List.length edges);
+        check Alcotest.int "solid = comb" (kinds Tgraph.Comb)
+          (count_with "style=solid" edges);
+        check Alcotest.int "dashed = net" (kinds Tgraph.Net)
+          (count_with "style=dashed" edges);
+        check Alcotest.int "dotted = launch" (kinds Tgraph.Launch)
+          (count_with "style=dotted" edges);
+        let blue =
+          List.filter (fun l -> Str_probe.contains l "color=blue") edges
+        in
+        check Alcotest.bool "clock edges exist" true (blue <> []);
+        check Alcotest.int "clock edges carry no label" 0
+          (count_with "label=" blue));
+    tc "clock_network_only drops data edges" (fun () ->
+        let _, ctx = dot_fixture () in
+        let edges =
+          dot_edges (Mm_timing.Dot.export ~clock_network_only:true ctx)
+        in
+        check Alcotest.bool "edges remain" true (edges <> []);
+        check Alcotest.int "no gray60 edge" 0 (count_with "gray60" edges));
+    tc "clockless side marks clock edges merged-only" (fun () ->
+        let d, ctx = dot_fixture () in
+        let side =
+          {
+            Mm_timing.Dot.side_name = "noclk";
+            side_ctx = Context.create d (resolve d "");
+            side_rename = Fun.id;
+          }
+        in
+        let edges =
+          dot_edges (Mm_timing.Dot.export ~individual:[ side ] ctx)
+        in
+        let clock_edges =
+          List.filter (fun l -> not (Str_probe.contains l "gray60")) edges
+        in
+        check Alcotest.bool "clock edges exist" true (clock_edges <> []);
+        check Alcotest.int "every clock edge is red, merged-only"
+          (List.length clock_edges)
+          (count_with "color=red, label=\"merged-only\"" clock_edges));
+  ]
+
 let () =
   Alcotest.run "mm_timing"
     [
       "graph", graph_cases;
+      "dot", dot_cases;
       "edges", edge_cases;
       "corners", corner_cases;
       "drc", drc_cases;

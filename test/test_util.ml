@@ -417,14 +417,6 @@ let pool_cases =
             [ i; i + 1 ]
             (Pool.map p (fun x -> x + i) [ 0; 1 ])
         done);
-    tc "map_reduce folds in input order" (fun () ->
-        Pool.with_pool ~jobs:4 @@ fun p ->
-        let s =
-          Pool.map_reduce p ~map:string_of_int
-            ~fold:(fun acc x -> acc ^ x)
-            ~init:"" [ 1; 2; 3; 4; 5 ]
-        in
-        check Alcotest.string "concat" "12345" s);
     tc "lowest-index exception is re-raised" (fun () ->
         Pool.with_pool ~jobs:4 @@ fun p ->
         match
