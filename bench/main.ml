@@ -4,6 +4,7 @@
 
      dune exec bench/main.exe            # tables + ablations
      dune exec bench/main.exe -- tables  # reproduction tables only
+     dune exec bench/main.exe -- presets DIR  # CLI inputs for presets A-F
 
    An unknown target name prints the list of targets ([targets] below).
 
@@ -811,6 +812,41 @@ let scale_sweep () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* CLI inputs for presets A-F: DIR/<preset>/design.nl plus one        *)
+(* m<family>_<index>.sdc per mode, the files the byte-identity checks  *)
+(* of a refactor feed to two modemerge builds.                         *)
+
+let write_presets () =
+  if Array.length Sys.argv < 3 then begin
+    prerr_endline "usage: main.exe presets DIR";
+    exit 1
+  end;
+  let dir = Sys.argv.(2) in
+  let mkdir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  mkdir dir;
+  List.iter
+    (fun (p : Presets.preset) ->
+      let pdir = Filename.concat dir p.Presets.pr_name in
+      mkdir pdir;
+      let design, info = Mm_workload.Gen_design.generate p.Presets.design_params in
+      write (Filename.concat pdir "design.nl")
+        (Mm_netlist.Netlist_io.to_string design);
+      let suite = p.Presets.suite in
+      List.iteri
+        (fun family n ->
+          for index = 0 to n - 1 do
+            write
+              (Filename.concat pdir (Printf.sprintf "m%d_%d.sdc" family index))
+              (Mm_workload.Gen_modes.sdc_of_mode_spec info suite ~family ~index)
+          done)
+        suite.Mm_workload.Gen_modes.families;
+      Printf.printf "wrote %s\n" pdir)
+    Presets.all
+
 let tables () =
   table1 ();
   tables234 ();
@@ -835,6 +871,7 @@ let targets =
     "audit", audit_smoke;
     "sta", sta_bench;
     "sta-smoke", sta_smoke;
+    "presets", write_presets;
     ( "all",
       fun () ->
         tables ();

@@ -123,10 +123,6 @@ let load_mode ~policy design path =
       r.Resolve.mode
     | exception Mm_sdc.Parser.Error { loc; msg } ->
       fatal ?loc ~code:(Mm_sdc.Parser.error_code msg) "%s" msg
-    | exception Mm_sdc.Lexer.Error { line; col; msg } ->
-      fatal
-        ~loc:{ Diag.file = path; line; col }
-        ~code:(Mm_sdc.Parser.lex_code msg) "%s" msg
     | exception Sys_error msg -> fatal ~code:"io.read" "%s" msg)
 
 (* ------------------------------------------------------------------ *)
@@ -237,17 +233,7 @@ let obs_term =
     $ serve_arg $ events_arg $ progress_arg)
 
 let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc contents;
-      output_char oc '\n')
-
-(* Drop one trailing newline (write_file adds its own). *)
-let chomp s =
-  let n = String.length s in
-  if n > 0 && s.[n - 1] = '\n' then String.sub s 0 (n - 1) else s
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 (* Span recording is off by default (it is the only part of the
    observability layer with a per-callsite cost); any flag whose
@@ -288,10 +274,14 @@ let obs_setup o =
     if not !flushed then begin
       flushed := true;
       Mm_util.Progress.render_finish ();
-      Option.iter (fun p -> write_file p (Obs.trace_event_json ())) o.oo_trace;
-      Option.iter (fun p -> write_file p (Obs.metrics_json ())) o.oo_metrics;
       Option.iter
-        (fun p -> write_file p (chomp (Mm_util.Eventlog.to_ndjson ())))
+        (fun p -> write_file p (Obs.trace_event_json () ^ "\n"))
+        o.oo_trace;
+      Option.iter
+        (fun p -> write_file p (Obs.metrics_json () ^ "\n"))
+        o.oo_metrics;
+      Option.iter
+        (fun p -> write_file p (Mm_util.Eventlog.to_ndjson ()))
         o.oo_events;
       if o.oo_profile || o.oo_profile_gc then begin
         prerr_string (Obs.profile_tree ~gc:o.oo_profile_gc ());
@@ -428,7 +418,7 @@ let checkpoint_spec_of ~checkpoint ~resume ~netlist =
     Some
       { Merge_flow.ck_dir = dir; ck_resume = resume; ck_key = netlist }
 
-(* Shared by merge and explain: run the flow with parser/lexer errors
+(* Shared by merge and explain: run the flow with SDC syntax errors
    routed through the exit-code convention. *)
 let run_flow ?check_equivalence ~policy ?jobs ?budgets ?checkpoint ~design sdcs
     =
@@ -450,10 +440,6 @@ let run_flow ?check_equivalence ~policy ?jobs ?budgets ?checkpoint ~design sdcs
     r
   | exception Mm_sdc.Parser.Error { loc; msg } ->
     fatal ?loc ~code:(Mm_sdc.Parser.error_code msg) "%s" msg
-  | exception Mm_sdc.Lexer.Error { line; col; msg } ->
-    fatal
-      ~loc:{ Diag.file = "<sdc>"; line; col }
-      ~code:(Mm_sdc.Parser.lex_code msg) "%s" msg
   | exception Govern.Cancelled reason ->
     fatal ~code:(Govern.reason_code reason) "%s"
       (Govern.reason_to_string reason)
@@ -580,10 +566,7 @@ let merge_cmd =
       (fun i ((g : Merge_flow.group), rep) ->
         let name, text = List.nth files i in
         let path = Filename.concat outdir name in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc text);
+        write_file path text;
         let slack_txt =
           match Sta.worst_setup_by_endpoint rep with
           | [] -> ""
@@ -942,9 +925,9 @@ let gen_cmd =
     let npath = Filename.concat outdir "design.nl" in
     Mm_netlist.Netlist_io.write_file npath design;
     Mm_netlist.Verilog.write_file (Filename.concat outdir "design.v") design;
-    let oc = open_out (Filename.concat outdir "cells.lib") in
-    output_string oc (Mm_netlist.Liberty.builtin_liberty ());
-    close_out oc;
+    write_file
+      (Filename.concat outdir "cells.lib")
+      (Mm_netlist.Liberty.builtin_liberty ());
     Printf.printf "wrote %s (+ design.v, cells.lib) (%s)\n" npath
       (Mm_netlist.Stats.to_string (Mm_netlist.Stats.of_design design));
     let suite =
@@ -964,10 +947,7 @@ let gen_cmd =
           let path =
             Filename.concat outdir (Printf.sprintf "m%d_%d.sdc" family index)
           in
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc sdc);
+          write_file path sdc;
           Printf.printf "wrote %s\n" path
         done)
       families;

@@ -540,7 +540,7 @@ let pass1 ?cache ~individual ~(merged : Context.t) () =
 (* Pass 2                                                              *)
 
 let relations_from_sp ctx sp ep ~within ~order ~scratch =
-  let seeds = Relation_prop.seeds_of_startpoint ctx sp in
+  let seeds = Mm_timing.Tag.launches ctx sp in
   let tags = Relation_prop.propagate ctx ~seeds ~within ~order ~scratch () in
   Relation_prop.relations_at ctx tags ep
 
@@ -694,8 +694,8 @@ let pass3 ~individual ~(merged : Context.t) pairs =
       (* Per-context restriction cone and one forward propagation from
          the startpoint, reused for every candidate through pin. *)
       let prepare ctx =
-        let seeds = Relation_prop.seeds_of_startpoint ctx sp in
-        let seed_pins = List.map (fun s -> s.Relation_prop.seed_pin) seeds in
+        let seeds = Mm_timing.Tag.launches ctx sp in
+        let seed_pins = List.map (fun l -> l.Mm_timing.Tag.launch_pin) seeds in
         if seed_pins = [] then None
         else begin
           let cone =

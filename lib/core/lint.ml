@@ -103,19 +103,19 @@ let cross_domain (ctx : Context.t) =
   List.filter_map
     (function
       | Tgraph.Sp_reg { sp_clock; _ } ->
-        let mask = Clock_prop.mask_at ctx.Context.clocks sp_clock in
         (* more than one clock and at least one non-exclusive pair *)
-        let clocks = ref [] in
-        for i = 0 to Clock_prop.n_clocks ctx.Context.clocks - 1 do
-          if mask land (1 lsl i) <> 0 then clocks := i :: !clocks
-        done;
+        let clocks =
+          Clock_prop.fold_indices
+            (Clock_prop.mask_at ctx.Context.clocks sp_clock)
+            List.cons []
+        in
         let unrelated_pair =
           List.exists
             (fun a ->
               List.exists
                 (fun b -> a < b && not (Context.clocks_exclusive ctx a b))
-                !clocks)
-            !clocks
+                clocks)
+            clocks
         in
         if unrelated_pair then
           Some
@@ -123,7 +123,7 @@ let cross_domain (ctx : Context.t) =
                "%s is clocked by %s with no clock-group relationship"
                (Design.pin_name design sp_clock)
                (String.concat ", "
-                  (List.map (Clock_prop.clock_name ctx.Context.clocks) !clocks)))
+                  (List.rev_map (Clock_prop.clock_name ctx.Context.clocks) clocks)))
         else None
       | Tgraph.Sp_port _ -> None)
     ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints

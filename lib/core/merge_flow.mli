@@ -203,7 +203,7 @@ val run_sources :
   source list ->
   result
 (** Load each source against [design] and merge. Under [Strict] a
-    syntax error raises ({!Mm_sdc.Parser.Error} / {!Mm_sdc.Lexer.Error});
+    syntax error raises {!Mm_sdc.Parser.Error};
     under [Permissive] parsing recovers at command boundaries and a
     mode with error-severity diagnostics is quarantined.
 

@@ -28,9 +28,8 @@ let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
       List.iter
         (function
           | Tgraph.Sp_reg { sp_clock; _ } ->
-            let mask = Clock_prop.mask_at ctx_i.Context.clocks sp_clock in
-            for ci = 0 to Clock_prop.n_clocks ctx_i.Context.clocks - 1 do
-              if mask land (1 lsl ci) <> 0 then begin
+            List.iter
+              (fun ci ->
                 let local = Clock_prop.clock_name ctx_i.Context.clocks ci in
                 let merged_name = Prelim.rename_of prelim m.Mode.mode_name local in
                 let live =
@@ -44,9 +43,10 @@ let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
                       "clock %s of mode %s blocked at %s in the merged mode"
                       local m.Mode.mode_name
                       (Design.pin_name design sp_clock)
-                    :: !reasons
-              end
-            done
+                    :: !reasons)
+              (Clock_prop.fold_indices
+                 (Clock_prop.mask_at ctx_i.Context.clocks sp_clock)
+                 List.cons [])
           | Tgraph.Sp_port _ -> ())
         ctx_i.Context.graph.Tgraph.sk.Tgraph.sk_startpoints)
     individual;

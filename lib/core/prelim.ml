@@ -515,71 +515,30 @@ let merge_exceptions ~ctx_of ~uniquify modes clock_map conflicts =
 (* ------------------------------------------------------------------ *)
 (* 3.1.8 Clock refinement                                              *)
 
-(* Translation table: individual-mode clock index -> merged clock index. *)
-let clock_translation clock_map (m : Mode.t) (ctx_i : Context.t) (ctx_m : Context.t) =
-  Array.init (Clock_prop.n_clocks ctx_i.Context.clocks) (fun i ->
-      let local = Clock_prop.clock_name ctx_i.Context.clocks i in
-      match Hashtbl.find_opt clock_map (m.Mode.mode_name, local) with
-      | Some merged -> (
-        match Clock_prop.clock_index ctx_m.Context.clocks merged with
-        | Some j -> j
-        | None -> -1)
-      | None -> -1)
-
-let mapped_union_masks clock_map modes ctxs ctx_m =
-  let n = Array.length ctx_m.Context.consts.Mm_timing.Const_prop.values in
-  let union = Array.make n 0 in
-  List.iter2
-    (fun (m : Mode.t) (ctx_i : Context.t) ->
-      let tr = clock_translation clock_map m ctx_i ctx_m in
-      for pin = 0 to n - 1 do
-        let mask = Clock_prop.mask_at ctx_i.Context.clocks pin in
-        if mask <> 0 then
-          Array.iteri
-            (fun i j ->
-              if j >= 0 && mask land (1 lsl i) <> 0 then
-                union.(pin) <- union.(pin) lor (1 lsl j))
-            tr
-      done)
-    modes ctxs;
-  union
-
 let clock_refinement ~max_iters design modes ctxs clock_map merged0 =
   let inferred_senses = ref [] in
   let rec go merged iter =
     if iter >= max_iters then merged, None
     else begin
       let ctx_m = Context.create design merged in
-      let union = mapped_union_masks clock_map modes ctxs ctx_m in
-      let extra pin =
-        Clock_prop.mask_at ctx_m.Context.clocks pin land lnot union.(pin)
+      let g = ctx_m.Context.graph and clocks_m = ctx_m.Context.clocks in
+      (* Descending (pin, clock) order: the merged SDC lists the
+         inferred senses that way. *)
+      let new_senses =
+        List.rev
+          (Clock_prop.extra_frontier clocks_m g
+             ~through:(fun aid ->
+               Mm_timing.Const_prop.enabled ctx_m.Context.consts aid
+               && Tgraph.arc_kind g aid <> Tgraph.Launch)
+             ~merged:(Clock_prop.mask_at clocks_m)
+             (List.map2
+                (fun (m : Mode.t) (ctx_i : Context.t) ->
+                  ( ctx_i.Context.clocks,
+                    (fun c -> Hashtbl.find_opt clock_map (m.Mode.mode_name, c)),
+                    Clock_prop.mask_at ctx_i.Context.clocks ))
+                modes ctxs))
       in
-      (* Frontier: pins where a clock is extra but is not extra at any
-         enabled predecessor. *)
-      let new_senses = ref [] in
-      Design.iter_pins design (fun pin ->
-          let e = extra pin in
-          if e <> 0 then begin
-            let pred_extra =
-              let g = ctx_m.Context.graph in
-              Tgraph.fold_in g pin 0 (fun acc aid ->
-                  if
-                    Mm_timing.Const_prop.enabled ctx_m.Context.consts aid
-                    && Tgraph.arc_kind g aid <> Tgraph.Launch
-                  then acc lor extra (Tgraph.arc_src g aid)
-                  else acc)
-            in
-            let frontier = e land lnot pred_extra in
-            if frontier <> 0 then
-              for ci = 0 to Clock_prop.n_clocks ctx_m.Context.clocks - 1 do
-                if frontier land (1 lsl ci) <> 0 then
-                  new_senses :=
-                    (Clock_prop.clock_name ctx_m.Context.clocks ci, pin)
-                    :: !new_senses
-              done
-          end)
-      ;
-      match !new_senses with
+      match new_senses with
       | [] -> merged, Some ctx_m
       | senses ->
         inferred_senses := senses @ !inferred_senses;

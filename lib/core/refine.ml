@@ -22,34 +22,6 @@ type t = {
   iterations : int;
 }
 
-(* Mapped union of individual data-network clock masks, expressed in
-   the merged context's clock indices. *)
-let union_data_masks (prelim : Prelim.t) individual ctxs (ctx_m : Context.t) =
-  let n = Tgraph.n_pins ctx_m.Context.graph in
-  let union = Array.make n 0 in
-  List.iter2
-    (fun (m : Mode.t) (ctx_i : Context.t) ->
-      let masks = Relation_prop.data_clock_masks ctx_i in
-      let tr =
-        Array.init (Clock_prop.n_clocks ctx_i.Context.clocks) (fun i ->
-            let local = Clock_prop.clock_name ctx_i.Context.clocks i in
-            let merged = Prelim.rename_of prelim m.Mode.mode_name local in
-            match Clock_prop.clock_index ctx_m.Context.clocks merged with
-            | Some j -> j
-            | None -> -1)
-      in
-      for pin = 0 to n - 1 do
-        let mask = masks.(pin) in
-        if mask <> 0 then
-          Array.iteri
-            (fun i j ->
-              if j >= 0 && mask land (1 lsl i) <> 0 then
-                union.(pin) <- union.(pin) lor (1 lsl j))
-            tr
-      done)
-    individual ctxs;
-  union
-
 (* Coalesce refinement exceptions, mirroring the paper's CSTR6 which
    lists several pins in one -through: exceptions identical except for
    their -to pin set merge into one (to-sets union); exceptions
@@ -151,28 +123,18 @@ let data_clock_refinement (prelim : Prelim.t) individual ctxs =
     | Some c -> c
     | None -> Context.create design merged
   in
-  let union = union_data_masks prelim individual ctxs ctx_m in
-  let masks_m = Relation_prop.data_clock_masks ctx_m in
-  let extra pin = masks_m.(pin) land lnot union.(pin) in
-  let fixes = ref [] in
-  Design.iter_pins design (fun pin ->
-      let e = extra pin in
-      if e <> 0 then begin
-        let pred_extra =
-          let g = ctx_m.Context.graph in
-          Tgraph.fold_in g pin 0 (fun acc aid ->
-              if Mm_timing.Const_prop.enabled ctx_m.Context.consts aid then
-                acc lor extra (Tgraph.arc_src g aid)
-              else acc)
-        in
-        let frontier = e land lnot pred_extra in
-        if frontier <> 0 then
-          for ci = 0 to Clock_prop.n_clocks ctx_m.Context.clocks - 1 do
-            if frontier land (1 lsl ci) <> 0 then
-              fixes := (Clock_prop.clock_name ctx_m.Context.clocks ci, pin) :: !fixes
-          done
-      end);
-  let fixes = List.rev !fixes in
+  let data_masks ctx = Array.get (Relation_prop.data_clock_masks ctx) in
+  let fixes =
+    Clock_prop.extra_frontier ctx_m.Context.clocks ctx_m.Context.graph
+      ~through:(Mm_timing.Const_prop.enabled ctx_m.Context.consts)
+      ~merged:(data_masks ctx_m)
+      (List.map2
+         (fun (m : Mode.t) (ctx_i : Context.t) ->
+           ( ctx_i.Context.clocks,
+             (fun c -> Some (Prelim.rename_of prelim m.Mode.mode_name c)),
+             data_masks ctx_i ))
+         individual ctxs)
+  in
   let tagged =
     coalesce_tagged
       (List.map

@@ -5,94 +5,13 @@ module Const_prop = Mm_timing.Const_prop
 module Clock_prop = Mm_timing.Clock_prop
 module Excmatch = Mm_timing.Excmatch
 module Context = Mm_timing.Context
-module Lib_cell = Mm_netlist.Lib_cell
+module Tag = Mm_timing.Tag
 
 (* Per-pin tag sets: small insertion lists of encoded
    (clock, state, polarity) keys, plus the list of touched pins so a
    scratch tagset can be reset in O(touched) — pass 2/3 run one
    propagation per startpoint and reuse the buffer. *)
 type tagsets = { tags : int list array; mutable touched : int list }
-
-type seed = {
-  seed_pin : Design.pin_id;
-  seed_clock : int;
-  seed_aliases : Design.pin_id list;
-  seed_launch_edge : Lib_cell.edge;
-}
-
-(* Tag keys pack (exception state, clock, data polarity). *)
-let edge_code = function
-  | Mode.Any_edge -> 0
-  | Mode.Rise_edge -> 1
-  | Mode.Fall_edge -> 2
-
-let edge_of_code = function
-  | 1 -> Mode.Rise_edge
-  | 2 -> Mode.Fall_edge
-  | _ -> Mode.Any_edge
-
-let key ?(edge = Mode.Any_edge) clock state =
-  ((((state * 128) + clock + 1) * 4) + edge_code edge [@warning "-27"])
-
-let key_clock k = (k / 4) mod 128 - 1
-let key_state k = k / 4 / 128
-let key_edge k = edge_of_code (k land 3)
-
-(* Polarity transform along an arc. *)
-let edges_through_unate (u : Tgraph.unate) e =
-  match e with
-  | Mode.Any_edge -> [ Mode.Any_edge ]
-  | Mode.Rise_edge | Mode.Fall_edge -> (
-    match u with
-    | Tgraph.Positive -> [ e ]
-    | Tgraph.Negative ->
-      [ (if e = Mode.Rise_edge then Mode.Fall_edge else Mode.Rise_edge) ]
-    | Tgraph.Non_unate -> [ Mode.Rise_edge; Mode.Fall_edge ])
-
-let seeds_of_startpoint (ctx : Context.t) = function
-  | Tgraph.Sp_reg { sp_clock; sp_outputs; sp_edge; _ } ->
-    if Const_prop.pin_active ctx.Context.consts sp_clock then begin
-      let mask = Clock_prop.mask_at ctx.Context.clocks sp_clock in
-      let acc = ref [] in
-      for ci = Clock_prop.n_clocks ctx.Context.clocks - 1 downto 0 do
-        if mask land (1 lsl ci) <> 0 then
-          acc :=
-            {
-              seed_pin = sp_clock;
-              seed_clock = ci;
-              seed_aliases = sp_clock :: sp_outputs;
-              seed_launch_edge = sp_edge;
-            }
-            :: !acc
-      done;
-      !acc
-    end
-    else []
-  | Tgraph.Sp_port { sp_pin } ->
-    if Const_prop.pin_active ctx.Context.consts sp_pin then
-      List.filter_map
-        (fun (d : Mode.io_delay) ->
-          if d.iod_input && d.iod_pin = sp_pin then
-            Option.bind d.iod_clock (fun cname ->
-                Option.map
-                  (fun ci ->
-                    {
-                      seed_pin = sp_pin;
-                      seed_clock = ci;
-                      seed_aliases = [ sp_pin ];
-                      seed_launch_edge =
-                        (if d.iod_clock_fall then Mm_netlist.Lib_cell.Falling
-                         else Mm_netlist.Lib_cell.Rising);
-                    })
-                  (Clock_prop.clock_index ctx.Context.clocks cname))
-          else None)
-        ctx.Context.mode.Mode.io_delays
-      |> List.sort_uniq compare
-    else []
-
-let all_seeds (ctx : Context.t) =
-  List.concat_map (seeds_of_startpoint ctx)
-    ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints
 
 let add_tag (ts : tagsets) pin k =
   match ts.tags.(pin) with
@@ -126,12 +45,9 @@ let sweep_pin (ctx : Context.t) (ts : tagsets) inside pin =
           let dst = Tgraph.arc_dst g aid in
           if inside dst then begin
             let unate = Tgraph.arc_unate g aid in
+            let add = add_tag ts dst in
             List.iter
-              (fun k ->
-                let st' = Excmatch.advance ctx.Context.excs (key_state k) dst in
-                List.iter
-                  (fun edge -> add_tag ts dst (key ~edge (key_clock k) st'))
-                  (edges_through_unate unate (key_edge k)))
+              (fun k -> Tag.step ctx.Context.excs unate dst k add)
               ts.tags.(pin)
           end
         end)
@@ -154,24 +70,9 @@ let propagate (ctx : Context.t) ~seeds ?within ?order ?scratch () =
     | None -> create_scratch ctx
   in
   let inside pin = match within with None -> true | Some w -> w.(pin) in
-  let seed_edges =
-    if Excmatch.edge_sensitive ctx.Context.excs then
-      [ Mode.Rise_edge; Mode.Fall_edge ]
-    else [ Mode.Any_edge ]
-  in
   List.iter
-    (fun s ->
-      if inside s.seed_pin then
-        List.iter
-          (fun edge ->
-            let st =
-              Excmatch.initial_state ctx.Context.excs
-                ~start_pins:s.seed_aliases ~launch_clock:(Some s.seed_clock)
-                ~launch_edge:s.seed_launch_edge ~data_edge:edge ()
-            in
-            let st = Excmatch.advance ctx.Context.excs st s.seed_pin in
-            add_tag ts s.seed_pin (key ~edge s.seed_clock st))
-          seed_edges)
+    (fun (l : Tag.launch) ->
+      if inside l.launch_pin then Tag.seed ctx l (add_tag ts l.launch_pin))
     seeds;
   sweep ctx ts ?within ?order ();
   ts
@@ -188,13 +89,15 @@ let propagate_raw (ctx : Context.t) ~tag_seeds ?within ?order ?scratch () =
   List.iter
     (fun (pin, triples) ->
       if inside pin then
-        List.iter (fun (ci, st, edge) -> add_tag ts pin (key ~edge ci st)) triples)
+        List.iter
+          (fun (ci, st, edge) -> add_tag ts pin (Tag.make ~edge ci st))
+          triples)
     tag_seeds;
   sweep ctx ts ?within ?order ();
   ts
 
 let tags_at (ts : tagsets) pin =
-  List.map (fun k -> key_clock k, key_state k, key_edge k) ts.tags.(pin)
+  List.map (fun k -> Tag.clock k, Tag.state k, Tag.edge k) ts.tags.(pin)
   |> List.sort compare
 
 let relations_at (ctx : Context.t) tags ep =
@@ -227,7 +130,7 @@ let relations_at (ctx : Context.t) tags ep =
   Relation.normalize !rels
 
 let endpoint_relations (ctx : Context.t) =
-  let tags = propagate ctx ~seeds:(all_seeds ctx) () in
+  let tags = propagate ctx ~seeds:(Tag.all_launches ctx) () in
   List.map
     (fun ep -> Tgraph.endpoint_pin ep, relations_at ctx tags ep)
     ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints
@@ -237,8 +140,9 @@ let data_clock_masks (ctx : Context.t) =
   let n = Tgraph.n_pins g in
   let masks = Array.make n 0 in
   List.iter
-    (fun s -> masks.(s.seed_pin) <- masks.(s.seed_pin) lor (1 lsl s.seed_clock))
-    (all_seeds ctx);
+    (fun (l : Tag.launch) ->
+      masks.(l.launch_pin) <- masks.(l.launch_pin) lor (1 lsl l.launch_clock))
+    (Tag.all_launches ctx);
   Array.iter
     (fun pin ->
       if masks.(pin) <> 0 then
@@ -324,7 +228,7 @@ let dirty_endpoints (ctx : Context.t) delta =
   let eps = Array.of_list ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints in
   let n_eps = Array.length eps in
   let dirty = Array.make n_eps false in
-  let seeds = lazy (all_seeds ctx) in
+  let launches = lazy (Tag.all_launches ctx) in
   List.iter
     (fun (e : Mode.exc) ->
       let cone =
@@ -345,9 +249,9 @@ let dirty_endpoints (ctx : Context.t) delta =
                     | None -> []
                     | Some ci ->
                       List.filter_map
-                        (fun s ->
-                          if s.seed_clock = ci then Some s.seed_pin else None)
-                        (Lazy.force seeds)))
+                        (fun (l : Tag.launch) ->
+                          if l.launch_clock = ci then Some l.launch_pin else None)
+                        (Lazy.force launches)))
                 pts
             in
             Some (forward_cone ctx pins))
@@ -442,7 +346,9 @@ let endpoint_relations_cached cache (ctx : Context.t) =
             eps;
           let within = backward_cone ctx !dirty_pins in
           let order = cone_order ctx within in
-          let tags = propagate ctx ~seeds:(all_seeds ctx) ~within ~order () in
+          let tags =
+            propagate ctx ~seeds:(Tag.all_launches ctx) ~within ~order ()
+          in
           store
             (Array.mapi
                (fun i ep ->

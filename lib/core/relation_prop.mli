@@ -1,29 +1,13 @@
 (** Relation-tag propagation over the timing graph.
 
-    The qualitative counterpart of STA arrival propagation: tags carry
-    (launch clock, exception progress) but no arrival times. Used for
+    The qualitative counterpart of STA arrival propagation: the same
+    {!Mm_timing.Tag} keys, launches and arc step, without arrival
+    times. Used for
     pass 1/2/3 relationship comparison, for the data-network clock
     refinement of section 3.2, and for cone restriction. *)
 
 type tagsets
 (** Per-pin sets of (clock index, exception state id). *)
-
-type seed = {
-  seed_pin : Mm_netlist.Design.pin_id;
-  seed_clock : int;          (** clock index *)
-  seed_aliases : Mm_netlist.Design.pin_id list;
-      (** startpoint aliases for -from matching *)
-  seed_launch_edge : Mm_netlist.Lib_cell.edge;
-      (** active edge of the launching register (for -rise_from clock
-          restrictions) *)
-}
-
-val seeds_of_startpoint :
-  Mm_timing.Context.t -> Mm_timing.Tgraph.startpoint -> seed list
-(** One seed per clock launching at the startpoint (clocks present at a
-    register's clock pin; clocks referenced by a port's input delays). *)
-
-val all_seeds : Mm_timing.Context.t -> seed list
 
 val create_scratch : Mm_timing.Context.t -> tagsets
 (** A reusable tag buffer; pass it as [scratch] to amortise the per-pin
@@ -35,16 +19,17 @@ val cone_order : Mm_timing.Context.t -> bool array -> Mm_netlist.Design.pin_id l
 
 val propagate :
   Mm_timing.Context.t ->
-  seeds:seed list ->
+  seeds:Mm_timing.Tag.launch list ->
   ?within:bool array ->
   ?order:Mm_netlist.Design.pin_id list ->
   ?scratch:tagsets ->
   unit ->
   tagsets
-(** Propagate tags through enabled arcs in topological order. [within]
-    restricts propagation to marked pins (cone restriction); [order]
-    limits the sweep to a precomputed cone pin list; [scratch] reuses a
-    buffer (the result aliases it — read before the next call). *)
+(** Seed the launches' tags ({!Mm_timing.Tag.seed}) and propagate them
+    through enabled arcs in topological order. [within] restricts
+    propagation to marked pins (cone restriction); [order] limits the
+    sweep to a precomputed cone pin list; [scratch] reuses a buffer (the
+    result aliases it — read before the next call). *)
 
 val tags_at :
   tagsets -> Mm_netlist.Design.pin_id -> (int * int * Mm_sdc.Mode.edge_sel) list

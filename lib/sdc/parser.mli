@@ -12,7 +12,7 @@ val parse_command : ?loc:Mm_util.Diag.loc -> Lexer.tok list -> Ast.command
 val parse_string : ?file:string -> string -> Ast.command list
 (** Tokenise and parse a whole SDC source. [file] (default
     ["<string>"]) names the source in error locations.
-    @raise Error / {!Lexer.Error}. *)
+    @raise Error on syntax, lexer errors included (located). *)
 
 val parse_file : string -> Ast.command list
 
@@ -33,6 +33,3 @@ val error_code : string -> string
     (e.g. ["sdc.unknown-command"], ["lex.unterminated-brace"]);
     ["sdc.parse"] when unclassified. *)
 
-val lex_code : string -> string
-(** Stable diagnostic code for a lexer-error message; ["lex.error"]
-    when unclassified. *)

@@ -23,7 +23,7 @@ val mode :
 
 val mode_of_string :
   ?file:string -> Mm_netlist.Design.t -> name:string -> string -> result
-(** Parse then resolve. @raise Parser.Error / Lexer.Error on syntax. *)
+(** Parse then resolve. @raise Parser.Error on syntax. *)
 
 val mode_of_file : Mm_netlist.Design.t -> name:string -> string -> result
 

@@ -96,12 +96,16 @@ let clock_name t i = t.order.(i)
 let clock_index t name = Hashtbl.find_opt t.index name
 let mask_at t pin = t.masks.(pin)
 
+let rec fold_bits i m f init =
+  if m = 0 then init
+  else
+    let rest = fold_bits (i + 1) (m lsr 1) f init in
+    if m land 1 <> 0 then f i rest else rest
+
+let fold_indices mask f init = fold_bits 0 mask f init
+
 let clocks_at t pin =
-  let acc = ref [] in
-  for i = Array.length t.order - 1 downto 0 do
-    if t.masks.(pin) land (1 lsl i) <> 0 then acc := t.order.(i) :: !acc
-  done;
-  !acc
+  fold_indices t.masks.(pin) (fun i names -> t.order.(i) :: names) []
 
 let has_clock t pin i = t.masks.(pin) land (1 lsl i) <> 0
 let arrival t pin i = Hashtbl.find_opt t.arrivals (key pin i)
@@ -111,3 +115,41 @@ let mask_of_clock_names t names =
     (fun acc nm ->
       match clock_index t nm with Some i -> acc lor (1 lsl i) | None -> acc)
     0 names
+
+let extra_frontier t g ~through ~merged individual =
+  let n = Tgraph.n_pins g in
+  (* Individual masks mapped into [t]'s clock indices, unioned. *)
+  let union = Array.make n 0 in
+  List.iter
+    (fun (t_i, rename, mask_i) ->
+      let tr =
+        Array.init (n_clocks t_i) (fun i ->
+            match Option.bind (rename (clock_name t_i i)) (clock_index t) with
+            | Some j -> 1 lsl j
+            | None -> 0)
+      in
+      let add i u = u lor tr.(i) in
+      for pin = 0 to n - 1 do
+        let mask = mask_i pin in
+        if mask <> 0 then union.(pin) <- fold_indices mask add union.(pin)
+      done)
+    individual;
+  (* Frontier: pins where a clock is extra but is not extra at any
+     predecessor across a [through] arc. Pins are visited in descending
+     order so consing yields ascending (pin, clock) order. *)
+  let extra pin = merged pin land lnot union.(pin) in
+  let frontier = ref [] in
+  for pin = n - 1 downto 0 do
+    let e = extra pin in
+    if e <> 0 then begin
+      let pred_extra =
+        Tgraph.fold_in g pin 0 (fun acc aid ->
+            if through aid then acc lor extra (Tgraph.arc_src g aid) else acc)
+      in
+      frontier :=
+        fold_indices (e land lnot pred_extra)
+          (fun ci acc -> (t.order.(ci), pin) :: acc)
+          !frontier
+    end
+  done;
+  !frontier

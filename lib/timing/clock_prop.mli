@@ -24,9 +24,30 @@ val mask_at : t -> Mm_netlist.Design.pin_id -> int
 val clocks_at : t -> Mm_netlist.Design.pin_id -> string list
 val has_clock : t -> Mm_netlist.Design.pin_id -> int -> bool
 
+val fold_indices : int -> (int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_indices mask f init] folds [f] over the clock indices set in
+    [mask] like [List.fold_right] over them in ascending order, so
+    [fold_indices mask List.cons []] lists them ascending. *)
+
 val arrival : t -> Mm_netlist.Design.pin_id -> int -> (float * float) option
 (** Min/max network insertion delay of clock [i] at [pin], when the
     clock reaches it. *)
 
 val mask_of_clock_names : t -> string list -> int
 (** Bitmask of the named clocks (unknown names ignored). *)
+
+val extra_frontier :
+  t ->
+  Tgraph.t ->
+  through:(int -> bool) ->
+  merged:(Mm_netlist.Design.pin_id -> int) ->
+  (t * (string -> string option) * (Mm_netlist.Design.pin_id -> int)) list ->
+  (string * Mm_netlist.Design.pin_id) list
+(** The extra-clock frontier shared by the clock refinements of
+    sections 3.1.8 and 3.2. [merged] gives per-pin clock masks over [t]
+    (the merged mode's clocks); each individual mode gives its clocks,
+    the renaming of its clock names into [t]'s (unmapped when [None])
+    and its per-pin masks. A clock is extra at a pin when [merged] has
+    it but no individual mode does; the result is every (clock, pin)
+    where it is extra but not extra at the source of any [through] arc
+    into the pin, in ascending (pin, clock index) order. *)

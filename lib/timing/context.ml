@@ -61,12 +61,7 @@ let find_clock t i =
 
 let capture_clocks_of_endpoint t = function
   | Tgraph.Ep_reg { ep_clock; _ } ->
-    let mask = Clock_prop.mask_at t.clocks ep_clock in
-    let acc = ref [] in
-    for i = Clock_prop.n_clocks t.clocks - 1 downto 0 do
-      if mask land (1 lsl i) <> 0 then acc := i :: !acc
-    done;
-    !acc
+    Clock_prop.fold_indices (Clock_prop.mask_at t.clocks ep_clock) List.cons []
   | Tgraph.Ep_port { ep_pin } ->
     List.filter_map
       (fun (d : Mode.io_delay) ->

@@ -60,35 +60,6 @@ let drc_checks (ctx : Context.t) =
       end)
     ctx.Context.mode.Mode.drcs
 
-(* Tag key: launch clock index (-1 for none), exception state id and
-   data polarity. *)
-let edge_code = function
-  | Mode.Any_edge -> 0
-  | Mode.Rise_edge -> 1
-  | Mode.Fall_edge -> 2
-
-let edge_of_code = function
-  | 1 -> Mode.Rise_edge
-  | 2 -> Mode.Fall_edge
-  | _ -> Mode.Any_edge
-
-let tag_key ?(edge = Mode.Any_edge) clock state =
-  (((state * 128) + clock + 1) * 4) + edge_code edge
-
-let tag_clock key = ((key / 4) mod 128) - 1
-let tag_state key = key / 4 / 128
-let tag_edge key = edge_of_code (key land 3)
-
-let edges_through_unate (u : Tgraph.unate) e =
-  match e with
-  | Mode.Any_edge -> [ Mode.Any_edge ]
-  | Mode.Rise_edge | Mode.Fall_edge -> (
-    match u with
-    | Tgraph.Positive -> [ e ]
-    | Tgraph.Negative ->
-      [ (if e = Mode.Rise_edge then Mode.Fall_edge else Mode.Rise_edge) ]
-    | Tgraph.Non_unate -> [ Mode.Rise_edge; Mode.Fall_edge ])
-
 let edge_time (c : Mode.clock) (edge : Lib_cell.edge) =
   let r, f = c.waveform in
   match edge with Lib_cell.Rising -> r | Lib_cell.Falling -> f
@@ -129,17 +100,16 @@ let setup_separation ~launch_period ~launch_edge ~capture_period ~capture_edge =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tag storage: a flat slab of (interned tag id, amin, amax) entries
-   chained per pin in insertion order, replacing one Hashtbl per pin.
+(* Tag storage: a flat slab of (tag key, amin, amax) entries chained
+   per pin in insertion order, replacing one Hashtbl per pin.
    Lookup is a linear scan of the pin's chain — the number of distinct
    tags per pin is small (clocks x live exception states x polarity) —
    and iteration is allocation-free.                                   *)
 
 type slab = {
-  sl_intern : Tag_intern.t;
   sl_first : int array;  (* per pin: first entry or -1 *)
   sl_last : int array;
-  mutable sl_tid : int array;
+  mutable sl_key : int array;
   mutable sl_next : int array;
   mutable sl_amin : float array;
   mutable sl_amax : float array;
@@ -148,10 +118,9 @@ type slab = {
 
 let slab_create n_pins =
   {
-    sl_intern = Tag_intern.create ();
     sl_first = Array.make (max 1 n_pins) (-1);
     sl_last = Array.make (max 1 n_pins) (-1);
-    sl_tid = Array.make 64 0;
+    sl_key = Array.make 64 0;
     sl_next = Array.make 64 (-1);
     sl_amin = Array.make 64 0.;
     sl_amax = Array.make 64 0.;
@@ -159,14 +128,14 @@ let slab_create n_pins =
   }
 
 let slab_grow sl =
-  let cap = Array.length sl.sl_tid in
+  let cap = Array.length sl.sl_key in
   if sl.sl_n = cap then begin
     let grow a fill =
       let b = Array.make (2 * cap) fill in
       Array.blit a 0 b 0 cap;
       b
     in
-    sl.sl_tid <- grow sl.sl_tid 0;
+    sl.sl_key <- grow sl.sl_key 0;
     sl.sl_next <- grow sl.sl_next (-1);
     sl.sl_amin <- grow sl.sl_amin 0.;
     sl.sl_amax <- grow sl.sl_amax 0.
@@ -174,16 +143,15 @@ let slab_grow sl =
 
 (* Merge an arrival into the pin's tag; true when the tag is new. *)
 let slab_merge sl pin key amin amax =
-  let tid = Tag_intern.intern sl.sl_intern key in
   let rec find e =
-    if e < 0 then -1 else if sl.sl_tid.(e) = tid then e else find sl.sl_next.(e)
+    if e < 0 then -1 else if sl.sl_key.(e) = key then e else find sl.sl_next.(e)
   in
   let e = find sl.sl_first.(pin) in
   if e < 0 then begin
     slab_grow sl;
     let e = sl.sl_n in
     sl.sl_n <- e + 1;
-    sl.sl_tid.(e) <- tid;
+    sl.sl_key.(e) <- key;
     sl.sl_next.(e) <- -1;
     sl.sl_amin.(e) <- amin;
     sl.sl_amax.(e) <- amax;
@@ -208,8 +176,7 @@ let slab_has_tags sl pin = sl.sl_first.(pin) >= 0
 let slab_iter sl pin f =
   let rec go e =
     if e >= 0 then begin
-      f (Tag_intern.key_of sl.sl_intern sl.sl_tid.(e)) sl.sl_amin.(e)
-        sl.sl_amax.(e);
+      f sl.sl_key.(e) sl.sl_amin.(e) sl.sl_amax.(e);
       go sl.sl_next.(e)
     end
   in
@@ -224,74 +191,17 @@ let slab_tags sl pin =
 (* Seeding, shared by the slab engine and the reference oracle.        *)
 
 let seed_tags (ctx : Context.t) ~merge =
-  let g = ctx.Context.graph in
-  let seed_edges =
-    if Excmatch.edge_sensitive ctx.Context.excs then
-      [ Mode.Rise_edge; Mode.Fall_edge ]
-    else [ Mode.Any_edge ]
-  in
-  let seed pin ~start_pins ~clock_idx ~launch_edge amin amax =
-    List.iter
-      (fun edge ->
-        let st =
-          Excmatch.initial_state ctx.Context.excs ~start_pins
-            ~launch_clock:(if clock_idx >= 0 then Some clock_idx else None)
-            ~launch_edge ~data_edge:edge ()
-        in
-        let st = Excmatch.advance ctx.Context.excs st pin in
-        merge pin (tag_key ~edge clock_idx st) amin amax)
-      seed_edges
-  in
-  (* Register launch points. *)
   List.iter
-    (function
-      | Tgraph.Sp_reg { sp_clock; sp_outputs; sp_edge; _ } ->
-        if Const_prop.pin_active ctx.Context.consts sp_clock then begin
-          let mask = Clock_prop.mask_at ctx.Context.clocks sp_clock in
-          for ci = 0 to Clock_prop.n_clocks ctx.Context.clocks - 1 do
-            if mask land (1 lsl ci) <> 0 then begin
-              let clk = Context.find_clock ctx ci in
-              let el = edge_time clk sp_edge in
-              let lmin, lmax = clock_latency_at ctx ~clock_idx:ci ~pin:sp_clock in
-              seed sp_clock
-                ~start_pins:(sp_clock :: sp_outputs)
-                ~clock_idx:ci ~launch_edge:sp_edge (el +. lmin) (el +. lmax)
-            end
-          done
-        end
-      | Tgraph.Sp_port { sp_pin } ->
-        if Const_prop.pin_active ctx.Context.consts sp_pin then
-          List.iter
-            (fun (d : Mode.io_delay) ->
-              if d.iod_input && d.iod_pin = sp_pin then begin
-                match d.iod_clock with
-                | None -> ()
-                | Some cname -> (
-                  match Clock_prop.clock_index ctx.Context.clocks cname with
-                  | None -> ()
-                  | Some ci ->
-                    let clk = Context.find_clock ctx ci in
-                    let el =
-                      edge_time clk
-                        (if d.iod_clock_fall then Lib_cell.Falling
-                         else Lib_cell.Rising)
-                    in
-                    let amin, amax =
-                      match d.iod_minmax with
-                      | Mm_sdc.Ast.Min -> el +. d.iod_value, neg_infinity
-                      | Mm_sdc.Ast.Max -> infinity, el +. d.iod_value
-                      | Mm_sdc.Ast.Both -> el +. d.iod_value, el +. d.iod_value
-                    in
-                    let amin = if Float.is_finite amin then amin else el +. d.iod_value
-                    and amax = if Float.is_finite amax then amax else el +. d.iod_value in
-                    seed sp_pin ~start_pins:[ sp_pin ] ~clock_idx:ci
-                      ~launch_edge:
-                        (if d.iod_clock_fall then Lib_cell.Falling
-                         else Lib_cell.Rising)
-                      amin amax)
-              end)
-            ctx.Context.mode.Mode.io_delays)
-    g.Tgraph.sk.Tgraph.sk_startpoints
+    (fun (l : Tag.launch) ->
+      let el = edge_time (Context.find_clock ctx l.launch_clock) l.launch_edge in
+      let lmin, lmax =
+        match l.input_delay with
+        | Some v -> v, v
+        | None -> clock_latency_at ctx ~clock_idx:l.launch_clock ~pin:l.launch_pin
+      in
+      Tag.seed ctx l (fun key ->
+          merge l.launch_pin key (el +. lmin) (el +. lmax)))
+    (Tag.all_launches ctx)
 
 (* ------------------------------------------------------------------ *)
 
@@ -345,14 +255,8 @@ let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
               and dmax = Tgraph.arc_dmax g aid *. corner.Corner.derate_max in
               let unate = Tgraph.arc_unate g aid in
               slab_iter sl pin (fun key amin amax ->
-                  let st = tag_state key in
-                  let st' = Excmatch.advance ctx.Context.excs st dst in
-                  List.iter
-                    (fun edge ->
-                      merge dst
-                        (tag_key ~edge (tag_clock key) st')
-                        (amin +. dmin) (amax +. dmax))
-                    (edges_through_unate unate (tag_edge key)))
+                  Tag.step ctx.Context.excs unate dst key (fun key' ->
+                      merge dst key' (amin +. dmin) (amax +. dmax)))
             end)
       end)
     g.Tgraph.sk.Tgraph.topo;
@@ -392,14 +296,8 @@ let propagate_reference ?(corner = Corner.typical) (ctx : Context.t) :
               let unate = Tgraph.arc_unate g aid in
               Hashtbl.iter
                 (fun key (amin, amax) ->
-                  let st = tag_state key in
-                  let st' = Excmatch.advance ctx.Context.excs st dst in
-                  List.iter
-                    (fun edge ->
-                      merge dst
-                        (tag_key ~edge (tag_clock key) st')
-                        (amin +. dmin) (amax +. dmax))
-                    (edges_through_unate unate (tag_edge key)))
+                  Tag.step ctx.Context.excs unate dst key (fun key' ->
+                      merge dst key' (amin +. dmin) (amax +. dmax)))
                 tags.(pin)
             end))
     g.Tgraph.sk.Tgraph.topo;
@@ -478,7 +376,7 @@ let check_endpoint ?(corner = Corner.typical) (ctx : Context.t) iter_tags
         0. ctx.Context.mode.Mode.io_delays
   in
   iter_tags ep_pin (fun key amin amax ->
-      let ci = tag_clock key and st = tag_state key in
+      let ci = Tag.clock key and st = Tag.state key in
       if ci >= 0 then
         List.iter
           (fun cj ->
@@ -486,7 +384,7 @@ let check_endpoint ?(corner = Corner.typical) (ctx : Context.t) iter_tags
               incr n_checked;
               let matched =
                 Excmatch.matches_at ctx.Context.excs st ~end_pins
-                  ~capture_clock:(Some cj) ~data_edge:(tag_edge key) ()
+                  ~capture_clock:(Some cj) ~data_edge:(Tag.edge key) ()
               in
               let launch_clk = Context.find_clock ctx ci
               and capture_clk = Context.find_clock ctx cj in
@@ -676,14 +574,14 @@ let setup_checks_detailed (ctx : Context.t) ~corner sl ep =
   in
   let results = ref [] in
   slab_iter sl ep_pin (fun key _amin amax ->
-      let ci = tag_clock key and st = tag_state key in
+      let ci = Tag.clock key and st = Tag.state key in
       if ci >= 0 then
         List.iter
           (fun cj ->
             if not (Context.clocks_exclusive ctx ci cj) then begin
               let matched =
                 Excmatch.matches_at ctx.Context.excs st ~end_pins
-                  ~capture_clock:(Some cj) ~data_edge:(tag_edge key) ()
+                  ~capture_clock:(Some cj) ~data_edge:(Tag.edge key) ()
               in
               let launch_clk = Context.find_clock ctx ci
               and capture_clk = Context.find_clock ctx cj in
@@ -742,13 +640,10 @@ let backtrack (ctx : Context.t) ~corner sl ep_pin key arrival =
             let unate = Tgraph.arc_unate g aid in
             List.find_map
               (fun (key', _, amax') ->
-                if
-                  tag_clock key' = tag_clock key
-                  && Excmatch.advance ctx.Context.excs (tag_state key') pin
-                     = tag_state key
-                  && List.mem (tag_edge key)
-                       (edges_through_unate unate (tag_edge key'))
-                  && Float.abs (amax' +. delay -. arrival) < eps
+                let steps_to_key = ref false in
+                Tag.step ctx.Context.excs unate pin key' (fun k ->
+                    if k = key then steps_to_key := true);
+                if !steps_to_key && Float.abs (amax' +. delay -. arrival) < eps
                 then Some (src, key', amax', delay)
                 else None)
               (slab_tags sl src)
@@ -785,7 +680,7 @@ let worst_paths ?ctx ?(corner = Corner.typical) ?(n = 3) design mode =
          {
            pth_endpoint = ep_pin;
            pth_launch_clock =
-             Clock_prop.clock_name ctx.Context.clocks (tag_clock key);
+             Clock_prop.clock_name ctx.Context.clocks (Tag.clock key);
            pth_capture_clock = Clock_prop.clock_name ctx.Context.clocks cj;
            pth_arrival = amax;
            pth_required = required;

@@ -2,8 +2,8 @@
 
     Tag-based arrival propagation over the timing graph with wire-load
     delays, followed by setup/hold checks at every endpoint. A tag is
-    (launch clock, exception-progress state); per node and tag the
-    min/max arrival times are kept. Checks honour exceptions (false
+    a {!Tag.key} (launch clock, exception-progress state, polarity);
+    per node and tag the min/max arrival times are kept. Checks honour exceptions (false
     paths skipped, multicycle cycle adjustment, min/max delay
     overrides), clock-group exclusivity, clock uncertainty and latency
     (ideal or propagated per clock).
@@ -41,7 +41,7 @@ type report = {
 (** {1 Arrival propagation}
 
     Exposed for differential testing: the production engine stores tags
-    in a flat {!slab} (interned tag ids chained per pin); the reference
+    in a flat {!slab} ({!Tag.key}s chained per pin); the reference
     engine keeps the historical one-Hashtbl-per-pin layout. Both must
     produce identical tag sets and arrivals. *)
 
@@ -74,16 +74,6 @@ val slacks_with :
 (** Run the endpoint checks over an arbitrary tag provider — lets tests
     compare slacks computed from {!propagate} and
     {!propagate_reference} storage. *)
-
-(** {2 Tag key packing} *)
-
-val tag_key : ?edge:Mm_sdc.Mode.edge_sel -> int -> int -> int
-(** [tag_key ~edge clock state] packs (clock index or -1, exception
-    state, data polarity) into one int. *)
-
-val tag_clock : int -> int
-val tag_state : int -> int
-val tag_edge : int -> Mm_sdc.Mode.edge_sel
 
 (** {1 Full analysis} *)
 

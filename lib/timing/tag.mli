@@ -1,0 +1,53 @@
+(** The tag algebra shared by STA arrival propagation and relationship
+    propagation.
+
+    A tag is (launch clock, exception-progress state, data polarity):
+    an STA arrival tag without the arrival time, which is exactly what a
+    timing relationship is before it meets a capture clock. Both engines
+    pack tags into one int key, seed them at the same launch points and
+    advance them through an arc with the same step, so the relationship
+    engine's launch semantics cannot drift from STA's. *)
+
+type key = int
+(** Packed (clock index or -1, exception state, polarity). *)
+
+val make : ?edge:Mm_sdc.Mode.edge_sel -> int -> int -> key
+(** [make ~edge clock state]; [edge] defaults to [Any_edge]. *)
+
+val clock : key -> int
+val state : key -> int
+val edge : key -> Mm_sdc.Mode.edge_sel
+
+val step :
+  Excmatch.t -> Tgraph.unate -> Mm_netlist.Design.pin_id -> key -> (key -> unit) -> unit
+(** [step excs unate dst key f]: the tags [key] becomes on an arc into
+    [dst] — the exception state advanced at [dst], the polarity carried
+    through the arc's unateness ([Any_edge] stays [Any_edge]; a
+    non-unate arc yields rise then fall). *)
+
+(** {1 Launch points} *)
+
+type launch = {
+  launch_pin : Mm_netlist.Design.pin_id;  (** where the tags are seeded *)
+  launch_clock : int;  (** clock index *)
+  launch_aliases : Mm_netlist.Design.pin_id list;
+      (** startpoint pins a -from matches *)
+  launch_edge : Mm_netlist.Lib_cell.edge;
+      (** active edge of the launching register, or the input delay's
+          reference edge (for -rise_from clock restrictions) *)
+  input_delay : float option;
+      (** the set_input_delay value at a port; [None] at a register *)
+}
+
+val launches : Context.t -> Tgraph.startpoint -> launch list
+(** One launch per clock at an active register clock pin (ascending
+    clock index), one per clocked input delay of an active port (in
+    constraint order). *)
+
+val all_launches : Context.t -> launch list
+(** {!launches} of every startpoint, in graph startpoint order. *)
+
+val seed : Context.t -> launch -> (key -> unit) -> unit
+(** The tags seeded at [launch_pin]: one per polarity (rise and fall
+    when the mode is edge-sensitive, else [Any_edge]), each with the
+    initial exception state advanced at the launch pin. *)

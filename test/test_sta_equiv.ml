@@ -7,6 +7,8 @@
 
    - slab and reference propagation produce identical tag sets,
      arrivals and endpoint slacks on every workload;
+   - STA's tags, without their arrivals, are the relationship engine's
+     tags at every pin;
    - the merge pipeline's audit JSON and merged SDC are byte-identical
      at jobs=1 and jobs=4;
    - incremental endpoint-relation re-propagation (the refinement-loop
@@ -31,6 +33,7 @@ module Context = Mm_timing.Context
 module Tgraph = Mm_timing.Tgraph
 module Clock_prop = Mm_timing.Clock_prop
 module Sta = Mm_timing.Sta
+module Tag = Mm_timing.Tag
 module Relation_prop = Mm_core.Relation_prop
 module Merge_flow = Mm_core.Merge_flow
 module Audit = Mm_core.Audit
@@ -68,8 +71,8 @@ let slab_tags_sorted slab pin = List.sort compare (Sta.slab_tags slab pin)
 (* Slab engine vs reference engine                                     *)
 
 let fmt_tag (k, amin, amax) =
-  Printf.sprintf "key=%d (clk=%d st=%d) amin=%h amax=%h" k (Sta.tag_clock k)
-    (Sta.tag_state k) amin amax
+  Printf.sprintf "key=%d (clk=%d st=%d) amin=%h amax=%h" k (Tag.clock k)
+    (Tag.state k) amin amax
 
 let propagation_matches (label, design, mode) =
   let ctx = Context.create design mode in
@@ -107,19 +110,45 @@ let slacks_match (label, design, mode) =
     Alcotest.failf "%s: Sta.analyze slacks diverge from the reference engine"
       label
 
+(* STA arrival tags without their times are exactly the relationship
+   engine's tags: same launches, seeds and arc step. *)
+let relation_tags_match (label, design, mode) =
+  let ctx = Context.create design mode in
+  let slab, _ = Sta.propagate ctx in
+  let ts = Relation_prop.propagate ctx ~seeds:(Tag.all_launches ctx) () in
+  let triple (k, _, _) = Tag.clock k, Tag.state k, Tag.edge k in
+  let fmt (c, st, e) =
+    Printf.sprintf "(clk=%d st=%d %s)" c st
+      (match e with
+      | Mode.Any_edge -> "any"
+      | Mode.Rise_edge -> "rise"
+      | Mode.Fall_edge -> "fall")
+  in
+  for pin = 0 to Design.n_pins design - 1 do
+    let s = List.sort_uniq compare (List.map triple (Sta.slab_tags slab pin)) in
+    let r = Relation_prop.tags_at ts pin in
+    if s <> r then
+      Alcotest.failf "%s: STA and relation tags diverge at %s\n  sta: %s\n  rel: %s"
+        label (Design.pin_name design pin)
+        (String.concat "; " (List.map fmt s))
+        (String.concat "; " (List.map fmt r))
+  done
+
 let engine_cases =
   [
     tc "slab tags equal reference tags on every workload" (fun () ->
         List.iter propagation_matches (workloads ()));
     tc "slab slacks equal reference slacks on every workload" (fun () ->
         List.iter slacks_match (workloads ()));
+    tc "STA tags equal relation tags on every workload" (fun () ->
+        List.iter relation_tags_match (workloads ()));
     tc "tag key packing round-trips" (fun () ->
         List.iter
           (fun (clock, state, edge) ->
-            let k = Sta.tag_key ~edge clock state in
-            check Alcotest.int "clock" clock (Sta.tag_clock k);
-            check Alcotest.int "state" state (Sta.tag_state k);
-            if Sta.tag_edge k <> edge then Alcotest.fail "edge")
+            let k = Tag.make ~edge clock state in
+            check Alcotest.int "clock" clock (Tag.clock k);
+            check Alcotest.int "state" state (Tag.state k);
+            if Tag.edge k <> edge then Alcotest.fail "edge")
           [
             -1, 0, Mode.Any_edge; 0, 0, Mode.Rise_edge; 5, 3, Mode.Fall_edge;
             126, 7, Mode.Any_edge; 42, 1, Mode.Rise_edge;
