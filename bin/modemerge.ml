@@ -191,7 +191,7 @@ let serve_arg =
 let events_arg =
   let doc =
     "Write the structured event journal (stage boundaries, quarantines, \
-     retries, clique splits, checkpoints, chaos injections) as \
+     retries, clique splits, chaos injections) as \
      schema-versioned NDJSON on exit — including fatal exits and \
      SIGINT/SIGTERM."
   in
@@ -303,6 +303,24 @@ let obs_setup o =
   try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
   with Invalid_argument _ | Sys_error _ -> ()
 
+(* Numeric values a run cannot honour are rejected while parsing the
+   command line, like any other malformed value (exit 124). *)
+let checked conv ~what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~what:"an integer >= 1" (fun n -> n >= 1)
+
+let non_negative_float =
+  checked Arg.float ~what:"a finite number >= 0" (fun x ->
+      Float.is_finite x && x >= 0.)
+
 let jobs_arg =
   let doc =
     "Number of worker domains for the parallel pipeline stages (mode \
@@ -311,7 +329,8 @@ let jobs_arg =
      count; 1 runs fully sequentially. Results are identical for any \
      value."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let policy_arg =
   let strict =
@@ -331,7 +350,7 @@ let policy_arg =
 
 (* ------------------------------------------------------------------ *)
 (* Resource governance: --deadline / --budget / --task-timeout /
-   --retries / --mem-limit-mb, and crash-safe --checkpoint/--resume.   *)
+   --retries / --mem-limit-mb.                                         *)
 
 let deadline_arg =
   let doc =
@@ -339,7 +358,10 @@ let deadline_arg =
      work is cancelled cooperatively and the run degrades (permissive) \
      or aborts (strict)."
   in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SEC" ~doc)
+  Arg.(
+    value
+    & opt (some non_negative_float) None
+    & info [ "deadline" ] ~docv:"SEC" ~doc)
 
 let budget_arg =
   let doc =
@@ -350,7 +372,7 @@ let budget_arg =
   in
   Arg.(
     value
-    & opt_all (pair ~sep:'=' string float) []
+    & opt_all (pair ~sep:'=' string non_negative_float) []
     & info [ "budget" ] ~docv:"STAGE=SEC" ~doc)
 
 let task_timeout_arg =
@@ -360,35 +382,26 @@ let task_timeout_arg =
      walks the degradation ladder (split, quarantine)."
   in
   Arg.(
-    value & opt (some float) None & info [ "task-timeout" ] ~docv:"SEC" ~doc)
+    value
+    & opt (some non_negative_float) None
+    & info [ "task-timeout" ] ~docv:"SEC" ~doc)
 
 let retries_arg =
   let doc =
     "Total attempts per governed task, including the first (default 3)."
   in
-  Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (some positive_int) None & info [ "retries" ] ~docv:"N" ~doc)
 
 let mem_limit_arg =
   let doc =
     "Process heap watermark in MiB; exceeding it cancels in-flight work \
      cooperatively instead of risking an OOM kill."
   in
-  Arg.(value & opt (some float) None & info [ "mem-limit-mb" ] ~docv:"MB" ~doc)
-
-let checkpoint_arg =
-  let doc =
-    "Persist each completed pipeline stage to this directory; a killed \
-     run restarted with $(b,--resume) continues from the last completed \
-     stage with byte-identical output."
-  in
-  Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc)
-
-let resume_arg =
-  let doc =
-    "Reuse completed stages from the $(b,--checkpoint) directory when \
-     its fingerprint matches the current inputs and options."
-  in
-  Arg.(value & flag & info [ "resume" ] ~doc)
+  Arg.(
+    value
+    & opt (some non_negative_float) None
+    & info [ "mem-limit-mb" ] ~docv:"MB" ~doc)
 
 let budgets_of ~deadline ~stage_budgets ~task_timeout ~retries ~mem_limit =
   List.iter
@@ -404,27 +417,15 @@ let budgets_of ~deadline ~stage_budgets ~task_timeout ~retries ~mem_limit =
     bg_retry =
       (match retries with
       | None -> Govern.default_retry
-      | Some n -> { Govern.default_retry with Govern.max_attempts = max 1 n });
+      | Some n -> { Govern.default_retry with Govern.max_attempts = n });
     bg_mem_limit_mb = mem_limit;
   }
 
-let checkpoint_spec_of ~checkpoint ~resume ~netlist =
-  match checkpoint with
-  | None ->
-    if resume then
-      fatal ~code:"cli.resume" "--resume requires --checkpoint DIR";
-    None
-  | Some dir ->
-    Some
-      { Merge_flow.ck_dir = dir; ck_resume = resume; ck_key = netlist }
-
 (* Shared by merge and explain: run the flow with SDC syntax errors
    routed through the exit-code convention. *)
-let run_flow ?check_equivalence ~policy ?jobs ?budgets ?checkpoint ~design sdcs
-    =
+let run_flow ?check_equivalence ~policy ?jobs ?budgets ~design sdcs =
   match
-    Merge_flow.run_files ?check_equivalence ~policy ?jobs ?budgets ?checkpoint
-      ~design sdcs
+    Merge_flow.run_files ?check_equivalence ~policy ?jobs ?budgets ~design sdcs
   with
   | r ->
     if Merge_flow.degraded_under_budget r.Merge_flow.governed then begin
@@ -478,16 +479,14 @@ let merge_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc)
   in
   let run netlist liberty sdcs outdir policy jobs diag_json audit annotate dot
-      obs deadline stage_budgets task_timeout retries mem_limit checkpoint
-      resume =
+      obs deadline stage_budgets task_timeout retries mem_limit =
     guard_io @@ fun () ->
     obs_setup obs;
     let budgets =
       budgets_of ~deadline ~stage_budgets ~task_timeout ~retries ~mem_limit
     in
-    let checkpoint = checkpoint_spec_of ~checkpoint ~resume ~netlist in
     let design = read_design ?liberty netlist in
-    let result = run_flow ~policy ?jobs ~budgets ?checkpoint ~design sdcs in
+    let result = run_flow ~policy ?jobs ~budgets ~design sdcs in
     print_diags result.Merge_flow.diags;
     List.iter
       (fun (q : Merge_flow.quarantined) ->
@@ -608,7 +607,7 @@ let merge_cmd =
       const run $ netlist_arg $ liberty_arg $ sdc_args $ outdir $ policy_arg
       $ jobs_arg $ diag_json $ audit_arg $ annotate_arg $ dot_arg $ obs_term
       $ deadline_arg $ budget_arg $ task_timeout_arg $ retries_arg
-      $ mem_limit_arg $ checkpoint_arg $ resume_arg)
+      $ mem_limit_arg)
 
 let explain_cmd =
   let line_arg =

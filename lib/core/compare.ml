@@ -45,22 +45,6 @@ type evidence = {
 
 type fix = { fix_exc : Mode.exc; fix_reason : string; fix_evidence : evidence }
 
-let evidence_to_string ev =
-  let point =
-    match ev.ev_startpoint, ev.ev_through with
-    | None, _ -> Printf.sprintf "at endpoint %s" ev.ev_endpoint
-    | Some sp, None -> Printf.sprintf "%s -> %s" sp ev.ev_endpoint
-    | Some sp, Some t -> Printf.sprintf "%s -> %s -> %s" sp t ev.ev_endpoint
-  in
-  let clocks =
-    match ev.ev_launch, ev.ev_capture with
-    | None, _ -> ""
-    | Some l, None -> Printf.sprintf " [launch %s]" l
-    | Some l, Some c -> Printf.sprintf " [launch %s capture %s]" l c
-  in
-  Printf.sprintf "pass%d %s%s: ind=%s mrg=%s" ev.ev_pass point clocks ev.ev_ind
-    ev.ev_mrg
-
 type result = {
   pass1 : pass1_row list;
   pass2 : pass2_row list;

@@ -112,10 +112,6 @@ val run :
     relations on either side) and [compare.reconv_points] (pass-3
     through-pins whose relation sets were bucketed) in {!Mm_util.Metrics}. *)
 
-val evidence_to_string : evidence -> string
-(** One-line human rendering, e.g.
-    ["pass2 CK1->ff3/D at endpoint ff9/D: ind=FP/FP mrg=V/V"]. *)
-
 val is_clean : result -> bool
 (** No mismatches anywhere, no unsoundness and no pessimism: the strict
     two-sided equivalence of paper section 2. *)

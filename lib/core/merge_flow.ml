@@ -81,8 +81,6 @@ let degraded_under_budget g =
   g.gov_clique_splits > 0 || g.gov_budget_quarantines > 0
   || g.gov_conservative_pairs > 0
 
-type checkpoint_spec = { ck_dir : string; ck_resume : bool; ck_key : string }
-
 type result = {
   groups : group list;
   mergeability : Mergeability.t;
@@ -119,8 +117,7 @@ let degenerate_mergeability modes =
 
 (* Groups keep their prelim without its merged context, and their
    refinement without its refined context: nothing later reads them,
-   they would pin a context's arrays for the rest of the run, and
-   contexts cannot be marshaled into a checkpoint. *)
+   and they would pin a context's arrays for the rest of the run. *)
 let without_ctx (prelim : Prelim.t) = { prelim with Prelim.merged_ctx = None }
 
 let singleton_group ?tolerance ~ctx_cache (single : Mode.t) =
@@ -165,10 +162,7 @@ let merged_group ?tolerance ~check_equivalence ~ctx_cache ~name members =
 (* Cumulative pipeline state
 
    One record carries everything the pipeline has decided so far. Each
-   stage maps it to the next, and [staged] checkpoints it as it is at
-   every stage boundary, so resuming needs only the latest completed
-   stage's payload. Closure-free (Marshal-safe); the list fields
-   accumulate newest first. *)
+   stage maps it to the next; the list fields accumulate newest first. *)
 
 type state = {
   s_modes : Mode.t list; (* modes still in the merge, analysis order *)
@@ -378,32 +372,13 @@ let stage_token ~budgets root name =
     ?budget_s:(List.assoc_opt name budgets.bg_stage_s)
     root
 
-(* Run one pipeline stage through the checkpoint store: a completed
-   stage reloads (with its metric-counter snapshot) instead of
-   recomputing; a computed stage persists {e before} the chaos kill
-   site fires, so a [merge.stage:*] kill always leaves a resumable
-   checkpoint. *)
-let staged ck ~stage compute =
-  let recompute () =
-    Eventlog.log "stage.start" ~attrs:[ "stage", stage ];
-    let v = compute () in
-    (match ck with
-    | Some t ->
-      Checkpoint.save_stage t ~stage ~counters:(Metrics.counters ()) v
-    | None -> ());
-    Eventlog.log "stage.finish" ~attrs:[ "stage", stage ];
-    Chaos.hit ("merge.stage:" ^ stage);
-    v
-  in
-  match ck with
-  | Some t when Checkpoint.has_stage t stage -> (
-    match Checkpoint.load_stage t ~stage with
-    | Some (v, counters) ->
-      Metrics.restore_counters counters;
-      Eventlog.log "stage.resumed" ~attrs:[ "stage", stage ];
-      v
-    | None -> recompute ())
-  | _ -> recompute ()
+(* Run one pipeline stage between its [stage.start]/[stage.finish]
+   events. *)
+let staged ~stage compute =
+  Eventlog.log "stage.start" ~attrs:[ "stage", stage ];
+  let v = compute () in
+  Eventlog.log "stage.finish" ~attrs:[ "stage", stage ];
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Stage computes                                                      *)
@@ -626,8 +601,7 @@ let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck
-    ~extra_diags ~t0 ~load () =
+let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
   Obs.with_span ~attrs:[ "policy", (match policy with Strict -> "strict" | Permissive -> "permissive") ]
     "merge.flow"
   @@ fun () ->
@@ -644,14 +618,14 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck
         "policy", (match policy with Strict -> "strict" | Permissive -> "permissive") ];
   let ctx_cache = Ctx_cache.create () in
   let st =
-    staged ck ~stage:"load" (fun () -> load (stage_token ~budgets root "load"))
+    staged ~stage:"load" (fun () -> load (stage_token ~budgets root "load"))
   in
   let st =
-    staged ck ~stage:"mergeability" (fun () ->
+    staged ~stage:"mergeability" (fun () ->
         compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st)
   in
   let st =
-    staged ck ~stage:"cliques" (fun () ->
+    staged ~stage:"cliques" (fun () ->
         compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
           ~ctx_cache ~root st)
   in
@@ -672,7 +646,7 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck
     mergeability = st.s_matrix;
     quarantined = List.rev st.s_quar;
     degraded = List.rev st.s_degraded;
-    diags = extra_diags @ List.rev st.s_diags;
+    diags = List.rev st.s_diags;
     n_individual;
     n_merged;
     reduction_percent =
@@ -685,8 +659,7 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck
 let run ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
     ?(budgets = default_budgets) modes =
   Pool.with_pool ?jobs @@ fun pool ->
-  drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck:None
-    ~extra_diags:[]
+  drive ?tolerance ~check_equivalence ~policy ~pool ~budgets
     ~t0:(Obs.Clock.now_ns ())
     ~load:(fun _ -> initial modes)
     ()
@@ -702,23 +675,6 @@ let source_of_file path =
     src_file = Some path;
     src_text = Mm_sdc.Parser.read_whole_file path;
   }
-
-(* The checkpoint fingerprint covers everything that shapes the result:
-   the inputs themselves plus the options the stage payloads bake in.
-   Budgets and jobs are deliberately excluded — resuming with a bigger
-   budget or different parallelism is legitimate (and jobs-invariance
-   guarantees the same bytes). *)
-let fingerprint ?tolerance ~check_equivalence ~policy ~key sources =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( Checkpoint.schema_version,
-            key,
-            policy,
-            check_equivalence,
-            tolerance,
-            List.map (fun s -> s.src_name, s.src_text) sources )
-          []))
 
 let compute_load ~policy ~design ~pool ~budgets ~tok sources =
   Obs.with_span "merge.load"
@@ -756,37 +712,15 @@ let compute_load ~policy ~design ~pool ~budgets ~tok sources =
   note_deadline tok { st with s_modes = List.rev st.s_modes }
 
 let run_sources ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
-    ?(budgets = default_budgets) ?checkpoint ~design sources =
+    ?(budgets = default_budgets) ~design sources =
   Pool.with_pool ?jobs @@ fun pool ->
   let t0 = Obs.Clock.now_ns () in
-  let extra_diags = ref [] in
-  let ck =
-    match checkpoint with
-    | None -> None
-    | Some spec ->
-      let fp =
-        fingerprint ?tolerance ~check_equivalence ~policy ~key:spec.ck_key
-          sources
-      in
-      if spec.ck_resume then
-        match Checkpoint.load_for_resume ~dir:spec.ck_dir ~fingerprint:fp with
-        | Ok t -> Some t
-        | Error msg ->
-          extra_diags :=
-            [
-              Diag.makef Diag.Warning ~code:"govern.resume"
-                "cannot resume: %s; starting fresh" msg;
-            ];
-          Some (Checkpoint.create ~dir:spec.ck_dir ~fingerprint:fp)
-      else Some (Checkpoint.create ~dir:spec.ck_dir ~fingerprint:fp)
-  in
-  drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~ck
-    ~extra_diags:!extra_diags ~t0
+  drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0
     ~load:(fun tok -> compute_load ~policy ~design ~pool ~budgets ~tok sources)
     ()
 
 let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs
-    ?(budgets = default_budgets) ?checkpoint ~design paths =
+    ?(budgets = default_budgets) ~design paths =
   (* Reads run under the retry rung, so a transient IO fault never
      aborts a run. One that persists raises [Sys_error] under [Strict];
      under [Permissive] the file is quarantined up front with a fatal
@@ -821,8 +755,8 @@ let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs
       paths
   in
   let r =
-    run_sources ?tolerance ?check_equivalence ~policy ?jobs ~budgets
-      ?checkpoint ~design sources
+    run_sources ?tolerance ?check_equivalence ~policy ?jobs ~budgets ~design
+      sources
   in
   { r with quarantined = io_failed @ r.quarantined }
 

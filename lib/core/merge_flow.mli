@@ -62,18 +62,7 @@
     exhausted budget as {!Mm_util.Govern.Cancelled}. The {!governed}
     result field records every outcome-affecting governance decision
     (transparent retries are metrics-only, so recovered runs stay
-    byte-identical).
-
-    {2 Checkpoint/resume}
-
-    With a {!checkpoint_spec}, {!run_sources}/{!run_files} persist each
-    completed stage ([load] -> [mergeability] -> [cliques]) to a
-    {!Checkpoint} store; a killed run re-invoked with [ck_resume]
-    restarts from the last completed stage and produces byte-identical
-    merged modes, diagnostics and audit bytes (stage payloads include
-    a metric-counter snapshot). A fingerprint over sources and
-    result-shaping options guards against resuming across edited
-    inputs. *)
+    byte-identical). *)
 
 type policy = Strict | Permissive
 
@@ -99,7 +88,7 @@ type group = {
       (** per-constraint lineage of [grp_mode] (see {!Provenance}) *)
 }
 
-(** {2 Budgets, governance record, checkpoints} *)
+(** {2 Budgets and the governance record} *)
 
 type budgets = {
   bg_deadline_s : float option;  (** global wall-clock deadline *)
@@ -140,12 +129,6 @@ val degraded_under_budget : governed -> bool
     quarantines or conservative pair verdicts) — the CLI's exit-3
     condition. *)
 
-type checkpoint_spec = {
-  ck_dir : string;    (** checkpoint directory ([--checkpoint DIR]) *)
-  ck_resume : bool;   (** reuse completed stages ([--resume]) *)
-  ck_key : string;    (** extra fingerprint salt, e.g. the design name *)
-}
-
 type result = {
   groups : group list;
   mergeability : Mergeability.t;
@@ -177,9 +160,7 @@ val run :
     equivalence verdict ({!group.grp_equiv}) from refinement's final
     comparison of the merged mode against every member — the
     comparison is not run a second time; under [Permissive] a group
-    failing it is degraded to individual modes.
-    No checkpointing on this entry point — pre-built modes have no
-    stable fingerprint; use {!run_sources}/{!run_files}. *)
+    failing it is degraded to individual modes. *)
 
 (** {2 Loading from SDC sources with per-mode quarantine} *)
 
@@ -198,20 +179,13 @@ val run_sources :
   ?policy:policy ->
   ?jobs:int ->
   ?budgets:budgets ->
-  ?checkpoint:checkpoint_spec ->
   design:Mm_netlist.Design.t ->
   source list ->
   result
 (** Load each source against [design] and merge. Under [Strict] a
     syntax error raises {!Mm_sdc.Parser.Error};
     under [Permissive] parsing recovers at command boundaries and a
-    mode with error-severity diagnostics is quarantined.
-
-    With [checkpoint], each completed stage persists to [ck_dir]; when
-    [ck_resume] is set and the directory holds a checkpoint whose
-    fingerprint matches, completed stages reload instead of
-    recomputing. A failed resume (missing/torn/mismatched checkpoint)
-    degrades to a fresh run with a [govern.resume] warning. *)
+    mode with error-severity diagnostics is quarantined. *)
 
 val run_files :
   ?tolerance:Mm_util.Toler.t ->
@@ -219,7 +193,6 @@ val run_files :
   ?policy:policy ->
   ?jobs:int ->
   ?budgets:budgets ->
-  ?checkpoint:checkpoint_spec ->
   design:Mm_netlist.Design.t ->
   string list ->
   result

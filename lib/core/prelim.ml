@@ -12,8 +12,8 @@ type t = {
   merged : Mode.t;
   merged_ctx : Context.t option;
       (* context of [merged] built by the converged clock refinement;
-         merge groups keep the prelim without it, so it never reaches
-         a checkpoint — contexts hold unmarshalable runtime state *)
+         merge groups keep the prelim without it, so it does not pin a
+         context's arrays for the rest of the run *)
   clock_map : (string * string, string) Hashtbl.t;
   dropped_cases : (string * Design.pin_id * bool) list;
   dropped_exceptions : (string * Mode.exc) list;

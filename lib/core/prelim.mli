@@ -27,8 +27,8 @@ type t = {
           instead of rebuilding it. [None] when refinement stopped at
           [max_refine_iters] (no context was built for the returned
           mode). {!Merge_flow} groups keep the prelim with this field
-          stripped to [None], so no context reaches a checkpoint:
-          contexts hold unmarshalable runtime state *)
+          stripped to [None], so a group does not pin a context's
+          arrays for the rest of the run *)
   clock_map : (string * string, string) Hashtbl.t;
       (** (mode name, individual clock) -> merged clock *)
   dropped_cases : (string * Mm_netlist.Design.pin_id * bool) list;

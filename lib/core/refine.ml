@@ -13,8 +13,8 @@ type t = {
   refined_ctx : Context.t option;
       (* analysis context matching [refined]; lets downstream stages
          (equivalence check) skip rebuilding graph/consts/clocks.
-         Stripped (None) when the result is checkpointed — contexts
-         hold unmarshalable runtime state *)
+         Merge groups keep the result with this stripped to None, so
+         a group does not pin a context's arrays *)
   data_clock_fixes : (string * Design.pin_id) list;
   added_exceptions : Mode.exc list;
   added_lineage : (Mode.exc * added_origin list) list;

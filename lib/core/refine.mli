@@ -30,8 +30,9 @@ type t = {
   refined_ctx : Mm_timing.Context.t option;
       (** analysis context matching [refined] — reusable by downstream
           stages (e.g. {!Equiv.check}) instead of rebuilding one.
-          [None] after a checkpoint round-trip: contexts hold
-          unmarshalable runtime state and are stripped before save *)
+          {!Merge_flow} groups keep the result with this field stripped
+          to [None], so a group does not pin a context's arrays for the
+          rest of the run *)
   data_clock_fixes : (string * Mm_netlist.Design.pin_id) list;
       (** (merged clock, frontier pin) false paths from step 1 *)
   added_exceptions : Mm_sdc.Mode.exc list;

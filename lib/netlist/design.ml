@@ -222,8 +222,3 @@ let registers t =
     if Lib_cell.is_sequential (inst_cell t i) then acc := i :: !acc
   done;
   !acc
-
-let fold_insts t ~init ~f =
-  let acc = ref init in
-  iter_insts t (fun i -> acc := f !acc i);
-  !acc

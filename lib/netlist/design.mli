@@ -108,5 +108,3 @@ val fanout_pins : t -> pin_id -> pin_id list
 
 val registers : t -> inst_id list
 (** All sequential instances, in creation order. *)
-
-val fold_insts : t -> init:'a -> f:('a -> inst_id -> 'a) -> 'a

@@ -45,21 +45,6 @@ let pin_index t name =
   in
   go 0
 
-let find_pin t name =
-  match pin_index t name with
-  | i -> Some t.pins.(i)
-  | exception Not_found -> None
-
-let indices_where p t =
-  let acc = ref [] in
-  for i = Array.length t.pins - 1 downto 0 do
-    if p t.pins.(i) then acc := i :: !acc
-  done;
-  !acc
-
-let input_indices t = indices_where (fun p -> p.dir = Input) t
-let output_indices t = indices_where (fun p -> p.dir = Output) t
-
 let function_of_output t o = List.assoc_opt o t.functions
 let is_sequential t = t.seq <> None
 let is_combinational t = t.seq = None

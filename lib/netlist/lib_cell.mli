@@ -61,9 +61,6 @@ val make :
 val pin_index : t -> string -> int
 (** Index of the pin named [s]. @raise Not_found when absent. *)
 
-val find_pin : t -> string -> pin option
-val input_indices : t -> int list
-val output_indices : t -> int list
 val function_of_output : t -> int -> Logic.t option
 val is_sequential : t -> bool
 val is_combinational : t -> bool

@@ -179,9 +179,3 @@ let command_name = function
   | Set_env { env_kind = Drive; _ } -> "set_drive"
   | Set_drc { drc_kind = Max_transition; _ } -> "set_max_transition"
   | Set_drc { drc_kind = Max_capacitance; _ } -> "set_max_capacitance"
-
-let patterns_of_query = function
-  | Get_ports ps | Get_pins ps | Get_cells ps | Get_clocks ps | Get_nets ps ->
-    ps
-  | All_inputs | All_outputs | All_clocks | All_registers _ -> []
-  | Name n -> [ n ]

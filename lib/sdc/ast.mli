@@ -165,6 +165,3 @@ type command =
 
 val command_name : command -> string
 (** The SDC command word, e.g. ["set_false_path"]. *)
-
-val patterns_of_query : obj_query -> string list
-(** The raw pattern list, empty for [all_*] forms. *)

@@ -593,6 +593,3 @@ let parse_string_recover ?file src =
       located
   in
   cmds, Diag.to_list diags
-
-let parse_file_recover path =
-  parse_string_recover ~file:path (read_whole_file path)

@@ -26,8 +26,6 @@ val parse_string_recover :
     diagnostic and the parse resynchronises at the next command
     boundary, so the well-formed remainder of the file is kept. *)
 
-val parse_file_recover : string -> Ast.command list * Mm_util.Diag.t list
-
 val error_code : string -> string
 (** Stable diagnostic code for a parse-error message
     (e.g. ["sdc.unknown-command"], ["lex.unterminated-brace"]);

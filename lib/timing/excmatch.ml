@@ -148,7 +148,6 @@ let locked t f =
     Mutex.unlock t.mx;
     raise e
 
-let n_exceptions t = Array.length t.pexcs
 let n_states t = locked t (fun () -> t.n_states)
 let edge_sensitive t = t.edge_sensitive
 

@@ -31,7 +31,6 @@ type t
 
 val prepare : Tgraph.t -> Clock_prop.t -> Mm_sdc.Mode.t -> t
 
-val n_exceptions : t -> int
 val n_states : t -> int
 (** Number of distinct interned progress vectors so far. *)
 

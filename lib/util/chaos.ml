@@ -5,7 +5,7 @@ let () =
     | Injected site -> Some (Printf.sprintf "Chaos.Injected(%s)" site)
     | _ -> None)
 
-type fault = Delay_s of float | Raise | Kill of int
+type fault = Delay_s of float | Raise
 
 type occurrence = Nth of int | Every
 
@@ -42,11 +42,6 @@ let parse_entry s =
       let fault =
         match String.split_on_char ':' rhs with
         | [ "raise" ] -> Ok Raise
-        | [ "kill" ] -> Ok (Kill 137)
-        | [ "kill"; st ] -> (
-          match int_of_string_opt st with
-          | Some st -> Ok (Kill st)
-          | None -> Error (Printf.sprintf "chaos entry %S: bad kill status" s))
         | [ "delay"; ms ] -> (
           match float_of_string_opt ms with
           | Some ms when ms >= 0. -> Ok (Delay_s (ms /. 1000.))
@@ -134,8 +129,8 @@ let hit site =
           p.entries
     in
     Mutex.unlock lock;
-    (* Journal the injection before firing: a Kill fault never returns,
-       and the crash-dump path wants the event in the ring. *)
+    (* Journal the injection before firing: a raise never comes back
+       here, and the event must still reach the ring. *)
     if faults <> [] then
       Eventlog.log "chaos.injected"
         ~attrs:
@@ -145,20 +140,13 @@ let hit site =
               (List.map
                  (function
                    | Delay_s s -> Printf.sprintf "delay:%g" s
-                   | Raise -> "raise"
-                   | Kill status -> Printf.sprintf "kill:%d" status)
+                   | Raise -> "raise")
                  faults) ];
     (* Fire outside the lock: a delay must not serialise other sites,
        and a raise must not leave the mutex held. *)
     List.iter
       (function
         | Delay_s s -> if s > 0. then Unix.sleepf s
-        | Raise -> raise (Injected site)
-        | Kill status ->
-          (* A hard crash: skip at_exit so nothing "cleans up" the
-             state the checkpoint/resume contract must recover from. *)
-          prerr_string (Printf.sprintf "chaos: killing process at %s\n" site);
-          flush stderr;
-          Unix._exit status)
+        | Raise -> raise (Injected site))
       faults
   end

@@ -1,11 +1,10 @@
 (** Deterministic fault injection for the chaos suite.
 
     The PR-1 {!Mm_workload.Fuzz_inputs} harness corrupts {e inputs};
-    this module injects {e execution} faults — task delays, raised
-    exceptions and hard mid-run kills — at named sites compiled into
-    the pipeline, so the [@chaos] matrix can exercise the governance
-    ladder (retry, clique split, quarantine) and the
-    checkpoint/resume path without races or sleeps in test code.
+    this module injects {e execution} faults — task delays and raised
+    exceptions — at named sites compiled into the pipeline, so the
+    [@chaos] matrix can exercise the governance ladder (retry, clique
+    split, quarantine) without races or sleeps in test code.
 
     A fault plan is a comma-separated spec, parsed from the
     [MM_CHAOS] environment variable (the CLI hooks it up) or set
@@ -14,16 +13,13 @@
     {v SITE@OCC=FAULT[,SITE@OCC=FAULT...] v}
 
     where [SITE] is a compiled-in site name ([pool.task], [io.read],
-    [merge.stage:load], ...), [OCC] is a 1-based occurrence number or
-    [*] for every occurrence, and [FAULT] is one of
+    ...), [OCC] is a 1-based occurrence number or [*] for every
+    occurrence, and [FAULT] is one of
 
     - [delay:MS] — sleep MS milliseconds at the site (drives the
       deadline/timeout paths);
     - [raise] — raise {!Injected} at the site (drives retry and
-      quarantine paths);
-    - [kill] / [kill:STATUS] — terminate the process immediately with
-      [Unix._exit] (default status 137), bypassing [at_exit] — the
-      crash the checkpoint/resume contract recovers from.
+      quarantine paths).
 
     Occurrences are counted per site under a mutex, so a plan is
     deterministic for a given execution order; sites fired from pool

@@ -62,19 +62,8 @@ let to_json d =
     (Printf.sprintf {|,"message":"%s"}|} (Metrics.json_escape d.message));
   Buffer.contents b
 
-let render_text ds = String.concat "\n" (List.map to_string ds)
 let render_json ds = "[" ^ String.concat "," (List.map to_json ds) ^ "]"
 let messages ds = List.map (fun d -> d.message) ds
-
-let max_severity = function
-  | [] -> None
-  | d :: ds ->
-    Some
-      (List.fold_left
-         (fun acc d ->
-           if severity_rank d.severity > severity_rank acc then d.severity
-           else acc)
-         d.severity ds)
 
 let has_errors ds =
   List.exists (fun d -> severity_rank d.severity >= severity_rank Error) ds

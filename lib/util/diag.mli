@@ -52,17 +52,11 @@ val to_json : t -> string
 (** One JSON object, e.g.
     [{"severity":"error","code":"sdc.parse","file":"a.sdc","line":3,"col":1,"message":"..."}] *)
 
-val render_text : t list -> string
-(** One {!to_string} line per diagnostic. *)
-
 val render_json : t list -> string
 (** JSON array of {!to_json} objects. *)
 
 val messages : t list -> string list
 (** Messages only, in order — the legacy [string list] warning shape. *)
-
-val max_severity : t list -> severity option
-(** Worst severity present, [None] on the empty list. *)
 
 val has_errors : t list -> bool
 (** True iff any diagnostic is [Error] or [Fatal]. *)

@@ -5,8 +5,8 @@
     answers "what just happened, in order?" when a run dies or is
     inspected mid-flight. The journal is an always-on, process-wide
     ring of structured events — stage starts and finishes, per-mode
-    quarantines, retries, clique splits, checkpoint writes, GC-pressure
-    trips, chaos injections — cheap enough to leave enabled in every
+    quarantines, retries, clique splits, GC-pressure trips, chaos
+    injections — cheap enough to leave enabled in every
     run (one mutex-guarded array write per event; the ring keeps the
     newest 4096 events).
 
@@ -18,12 +18,11 @@
     - [run.*]        process lifecycle ([run.start], [run.finish],
                      [run.signal])
     - [stage.*]      pipeline stage boundaries ([stage.start],
-                     [stage.finish], [stage.resumed])
+                     [stage.finish])
     - [merge.*]      merge-flow outcomes ([merge.quarantined],
                      [merge.degraded])
     - [govern.*]     governance actions ([govern.retry],
                      [govern.clique_split], [govern.pressure])
-    - [checkpoint.*] crash-safety ([checkpoint.saved])
     - [chaos.*]      fault injection ([chaos.injected])
     - [serve.*]      telemetry plane lifecycle ([serve.start])
 

@@ -2,9 +2,8 @@
 
     The merge pipeline is a long multi-stage computation whose cost
     grows with [#modes x #corners]; at production scale a runaway task
-    must not wedge the run and a killed process must not forfeit it.
-    This module is the mechanism half of that contract (policy lives in
-    [Mm_core.Merge_flow]):
+    must not wedge the run. This module is the mechanism half of that
+    contract (policy lives in [Mm_core.Merge_flow]):
 
     - {b Cancellation tokens} ({!token}) carry an optional absolute
       deadline on {!Obs.Clock} plus an explicit cancel flag, and form a

@@ -123,10 +123,6 @@ let counters () =
       | Gauge _ | Histogram _ -> None)
     (snapshot ())
 
-let restore_counters cs =
-  with_lock (fun () ->
-      List.iter (fun (name, n) -> Hashtbl.replace tbl name (C n)) cs)
-
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 

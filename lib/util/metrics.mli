@@ -77,15 +77,8 @@ val reset : unit -> unit
 (** Drop every metric (tests and fresh bench runs). *)
 
 val counters : unit -> (string * int) list
-(** Counters only, sorted by name — the slice of the registry the
-    checkpoint/resume machinery persists at stage boundaries (gauges
-    and histograms carry timings, which are run-local by design). *)
-
-val restore_counters : (string * int) list -> unit
-(** Set each named counter to the given absolute value (creating it if
-    absent). Used by [--resume] to re-establish the counter state of a
-    completed stage so audit coverage sections stay byte-identical to
-    an uninterrupted run. *)
+(** Counters only, sorted by name: the work counts of a run, without
+    the gauges and histograms that carry run-local timings. *)
 
 (** {2 JSON rendering}
 

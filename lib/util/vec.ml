@@ -48,7 +48,6 @@ let fold f acc v =
   !acc
 
 let to_list v = List.init v.len (fun i -> v.data.(i))
-let to_array v = Array.sub v.data 0 v.len
 
 let exists p v =
   let rec go i = i < v.len && (p v.data.(i) || go (i + 1)) in

@@ -17,6 +17,5 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
-val to_array : 'a t -> 'a array
 val exists : ('a -> bool) -> 'a t -> bool
 val find_index : ('a -> bool) -> 'a t -> int option

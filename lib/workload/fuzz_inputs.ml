@@ -15,15 +15,6 @@ let all_mutations =
     Flip_char; Unbalance;
   |]
 
-let mutation_name = function
-  | Delete_token -> "delete-token"
-  | Delete_line -> "delete-line"
-  | Duplicate_line -> "duplicate-line"
-  | Truncate -> "truncate"
-  | Garbage_splice -> "garbage-splice"
-  | Flip_char -> "flip-char"
-  | Unbalance -> "unbalance"
-
 let lines_of s = String.split_on_char '\n' s
 let unlines ls = String.concat "\n" ls
 
@@ -115,12 +106,12 @@ let corrupt_seeded ~seed ?rounds src = corrupt ?rounds (Prng.create seed) src
 (* Chaos mode: execution-fault scenarios
 
    Where the mutations above corrupt inputs, a chaos scenario injects
-   an execution fault (delay, exception, mid-run kill) at a named
-   Mm_util.Chaos site. Scenarios are plain data so the chaos suite can
-   build its jobs x fault matrix and render each cell to a spec string
-   for [Chaos.configure] (in-process) or MM_CHAOS (subprocess kills). *)
+   an execution fault (delay or exception) at a named Mm_util.Chaos
+   site. Scenarios are plain data so the chaos suite can build its
+   jobs x fault matrix and render each cell to a spec string for
+   [Chaos.configure] or MM_CHAOS. *)
 
-type chaos_fault = Delay_ms of int | Raise | Kill of int
+type chaos_fault = Delay_ms of int | Raise
 
 type chaos_scenario = {
   cs_name : string;
@@ -132,7 +123,6 @@ type chaos_scenario = {
 let chaos_fault_to_string = function
   | Delay_ms ms -> Printf.sprintf "delay:%d" ms
   | Raise -> "raise"
-  | Kill status -> Printf.sprintf "kill:%d" status
 
 let chaos_spec scenarios =
   String.concat ","
@@ -145,10 +135,8 @@ let chaos_spec scenarios =
            (chaos_fault_to_string c.cs_fault))
        scenarios)
 
-(* The standard scenario set. Delay/raise faults are recoverable
-   in-process (absorbed by the retry rung); kill faults terminate the
-   process at a stage boundary and only make sense for subprocess runs
-   exercising --checkpoint/--resume. *)
+(* The standard scenario set; every fault is recoverable in-process
+   (absorbed by the retry rung). *)
 let chaos_scenarios =
   [
     { cs_name = "task-delay"; cs_site = "pool.task"; cs_occurrence = Some 2;
@@ -161,15 +149,7 @@ let chaos_scenarios =
       cs_fault = Raise };
     { cs_name = "io-raise"; cs_site = "io.read"; cs_occurrence = Some 1;
       cs_fault = Raise };
-    { cs_name = "kill-load"; cs_site = "merge.stage:load";
-      cs_occurrence = Some 1; cs_fault = Kill 137 };
-    { cs_name = "kill-mergeability"; cs_site = "merge.stage:mergeability";
-      cs_occurrence = Some 1; cs_fault = Kill 137 };
-    { cs_name = "kill-cliques"; cs_site = "merge.stage:cliques";
-      cs_occurrence = Some 1; cs_fault = Kill 137 };
   ]
-
-let chaos_recoverable c = match c.cs_fault with Kill _ -> false | _ -> true
 
 let chaos_matrix ?(jobs = [ 1; 4 ]) () =
   List.concat_map

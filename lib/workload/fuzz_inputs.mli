@@ -17,7 +17,6 @@ type mutation =
   | Unbalance        (** insert a lone bracket/brace/quote *)
 
 val all_mutations : mutation array
-val mutation_name : mutation -> string
 
 val apply : Mm_util.Prng.t -> mutation -> string -> string
 (** Apply one mutation. Degenerate inputs (empty text, no command
@@ -33,8 +32,8 @@ val corrupt_seeded : seed:int -> ?rounds:int -> string -> string
 (** {2 Chaos mode: execution-fault scenarios}
 
     Where the mutations above corrupt {e inputs}, a chaos scenario
-    injects an {e execution} fault — a task delay, a raised exception
-    or a hard mid-run kill — at a named {!Mm_util.Chaos} site.
+    injects an {e execution} fault — a task delay or a raised
+    exception — at a named {!Mm_util.Chaos} site.
     Scenarios are plain data; {!chaos_spec} renders them to the
     [SITE@OCC=FAULT] spec language of {!Mm_util.Chaos.configure} /
     the [MM_CHAOS] environment variable. *)
@@ -42,7 +41,6 @@ val corrupt_seeded : seed:int -> ?rounds:int -> string -> string
 type chaos_fault =
   | Delay_ms of int  (** sleep at the site *)
   | Raise            (** raise {!Mm_util.Chaos.Injected} at the site *)
-  | Kill of int      (** [Unix._exit status] at the site *)
 
 type chaos_scenario = {
   cs_name : string;            (** matrix-cell label *)
@@ -57,13 +55,8 @@ val chaos_spec : chaos_scenario list -> string
 (** Render scenarios as one comma-separated fault plan. *)
 
 val chaos_scenarios : chaos_scenario list
-(** The standard scenario set: recoverable delay/raise faults at task,
-    retry and IO sites, plus kill faults at each [merge.stage:*]
-    checkpoint boundary. *)
-
-val chaos_recoverable : chaos_scenario -> bool
-(** False for [Kill] scenarios — those terminate the process and are
-    only meaningful for subprocess runs under [--checkpoint]. *)
+(** The standard scenario set: delay/raise faults at task, retry and
+    IO sites, each recoverable in-process by the retry rung. *)
 
 val chaos_matrix : ?jobs:int list -> unit -> (int * chaos_scenario) list
 (** The jobs x scenario matrix (default jobs = [[1; 4]]). *)

@@ -10,9 +10,6 @@ type suite_params = {
   scan_family : bool;
 }
 
-let default_suite =
-  { sp_seed = 7; families = [ 3; 2 ]; base_period = 2.0; scan_family = true }
-
 let buf = Buffer.create 1024
 
 let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt

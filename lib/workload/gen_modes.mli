@@ -22,8 +22,6 @@ type suite_params = {
           enable case) when the design has scan *)
 }
 
-val default_suite : suite_params
-
 val generate :
   Mm_netlist.Design.t ->
   Gen_design.info ->

@@ -2,8 +2,8 @@
 
    Three layers, all deterministic:
 
-   - In-process recovery: every recoverable Fuzz_inputs chaos scenario
-     (task delays, injected raises at the pool/retry/IO sites), plus a
+   - In-process recovery: every Fuzz_inputs chaos scenario (task
+     delays, injected raises at the pool/retry/IO sites), plus a
      raising pair check under Strict, is run at jobs=1 and jobs=4 and
      must produce audit + merged-SDC bytes identical to an unfaulted
      baseline — the retry rung absorbs the fault transparently,
@@ -13,20 +13,16 @@
      mode partition and the paper's inclusion guarantee (a QCheck
      property re-checks this over random workloads and fault mixes at
      jobs=1 and jobs=4).
-   - Subprocess kill/resume: the modemerge binary (path in the
-     MODEMERGE env var, wired by the dune @chaos rule) is killed by a
-     chaos fault after each pipeline stage and restarted with
-     --checkpoint/--resume; the resumed run's audit JSON and merged
-     SDC files must be byte-identical to an uninterrupted run, and a
-     budget-degraded run must exit with status 3. *)
+   - CLI exit codes: the modemerge binary (path in the MODEMERGE env
+     var, wired by the dune @chaos rule) must exit with status 3 on a
+     budget-degraded run and reject out-of-range numeric options with
+     cmdliner's status 124. *)
 
 module Mode = Mm_sdc.Mode
-module Diag = Mm_util.Diag
 module Metrics = Mm_util.Metrics
 module Govern = Mm_util.Govern
 module Chaos = Mm_util.Chaos
 module Merge_flow = Mm_core.Merge_flow
-module Checkpoint = Mm_core.Checkpoint
 module Audit = Mm_core.Audit
 module Equiv = Mm_core.Equiv
 module Gen_design = Mm_workload.Gen_design
@@ -123,15 +119,14 @@ let result_bytes r =
   ^ String.concat "\n" (List.map Mode.to_sdc (Merge_flow.merged_modes r))
 
 let run_files ?(budgets = Merge_flow.default_budgets)
-    ?(policy = Merge_flow.Permissive) ?checkpoint ~jobs ~spec () =
+    ?(policy = Merge_flow.Permissive) ~jobs ~spec () =
   Metrics.reset ();
   (match Chaos.configure spec with
   | Ok () -> ()
   | Error e -> Alcotest.failf "chaos spec %S rejected: %s" spec e);
   Fun.protect ~finally:Chaos.clear (fun () ->
       let r =
-        Merge_flow.run_files ~policy ~jobs ~budgets ?checkpoint ~design
-          sdc_paths
+        Merge_flow.run_files ~policy ~jobs ~budgets ~design sdc_paths
       in
       r, result_bytes r)
 
@@ -196,12 +191,9 @@ let strict_baseline =
    context builds run ahead of the sweep, so task 11 is the first pair
    check, and one retry absorbs its raise. *)
 let recoverable_cases =
-  List.filter_map
+  List.map
     (fun (jobs, (sc : Fuzz.chaos_scenario)) ->
-      if Fuzz.chaos_recoverable sc then
-        Some
-          (Merge_flow.Permissive, jobs, sc.Fuzz.cs_name, Fuzz.chaos_spec [ sc ])
-      else None)
+      Merge_flow.Permissive, jobs, sc.Fuzz.cs_name, Fuzz.chaos_spec [ sc ])
     (Fuzz.chaos_matrix ())
   @ List.map
       (fun jobs ->
@@ -228,9 +220,7 @@ let test_recoverable_matrix () =
 
 let test_combined_faults () =
   let base = Lazy.force baseline in
-  let spec =
-    Fuzz.chaos_spec (List.filter Fuzz.chaos_recoverable Fuzz.chaos_scenarios)
-  in
+  let spec = Fuzz.chaos_spec Fuzz.chaos_scenarios in
   List.iter
     (fun jobs ->
       let _, bytes = run_files ~jobs ~spec () in
@@ -288,108 +278,29 @@ let test_pair_check_single_attempt () =
     [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* In-process checkpoint/resume                                        *)
+(* Merge groups hold no analysis contexts                             *)
 
-let test_checkpoint_transparent () =
-  let base = Lazy.force baseline in
-  let dir = scratch "ck_transparent" in
-  let spec k =
-    { Merge_flow.ck_dir = dir; ck_resume = k; ck_key = "inproc" }
-  in
-  let _, first = run_files ~checkpoint:(spec false) ~jobs:1 ~spec:"" () in
-  check Alcotest.string "checkpointing does not perturb the output" base first;
-  let r, resumed = run_files ~checkpoint:(spec true) ~jobs:1 ~spec:"" () in
-  check Alcotest.string "full-cache resume is byte-identical" base resumed;
-  check Alcotest.bool "resume produced no resume warning" false
-    (List.exists
-       (fun (d : Diag.t) -> d.Diag.code = "govern.resume")
-       r.Merge_flow.diags);
-  (* resume against jobs=4 reuses the same stages (fingerprint skips jobs) *)
-  let _, resumed4 = run_files ~checkpoint:(spec true) ~jobs:4 ~spec:"" () in
-  check Alcotest.string "resume at a different jobs count" base resumed4
-
-let test_failed_resume_degrades () =
-  let base = Lazy.force baseline in
-  let dir = Filename.concat scratch_root "ck_never_written" in
-  let ck = { Merge_flow.ck_dir = dir; ck_resume = true; ck_key = "inproc" } in
-  let r, bytes = run_files ~checkpoint:ck ~jobs:1 ~spec:"" () in
-  check Alcotest.string "failed resume still completes byte-identical" base
-    bytes;
-  check Alcotest.bool "failed resume is diagnosed" true
-    (List.exists
-       (fun (d : Diag.t) -> d.Diag.code = "govern.resume")
-       r.Merge_flow.diags)
-
-(* A checkpoint written under stage-payload schema 1 is refused — its
-   payloads are never unmarshaled at this build's stage type — and the
-   resume runs fresh with one warning. *)
-let test_old_schema_refused () =
-  let base = Lazy.force baseline in
-  let dir = scratch "ck_schema_v1" in
-  let spec k = { Merge_flow.ck_dir = dir; ck_resume = k; ck_key = "inproc" } in
-  ignore (run_files ~checkpoint:(spec false) ~jobs:1 ~spec:"" ());
-  let manifest = Filename.concat dir "MANIFEST" in
-  let fingerprint, rest =
-    match String.split_on_char '\n' (read_file manifest) with
-    | _header :: fp_line :: rest ->
-      Scanf.sscanf fp_line "fingerprint %s" Fun.id, fp_line :: rest
-    | _ -> Alcotest.fail "manifest lacks a fingerprint line"
-  in
-  write_file manifest
-    (String.concat "\n" ("modemerge-checkpoint 1" :: rest));
-  (match Checkpoint.load_for_resume ~dir ~fingerprint with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a schema-1 manifest must be refused");
-  let r, bytes = run_files ~checkpoint:(spec true) ~jobs:1 ~spec:"" () in
-  check Alcotest.int "one resume warning" 1
-    (List.length
-       (List.filter
-          (fun (d : Diag.t) -> d.Diag.code = "govern.resume")
-          r.Merge_flow.diags));
-  check Alcotest.string "fresh run is byte-identical" base bytes
-
-(* A Strict merge resumed after the mergeability stage — its mock
-   prelims done, the cliques payload torn so that stage recomputes —
-   is byte-identical to an uninterrupted run. Prelim contexts never
-   reach a payload: no group carries one. *)
-let test_strict_resume_after_prelim () =
-  let strict ?checkpoint () =
-    run_files ~policy:Merge_flow.Strict ?checkpoint ~jobs:1 ~spec:"" ()
-  in
-  let no_prelim_ctx ~ctx (r : Merge_flow.result) =
-    check Alcotest.bool (ctx ^ ": prelim contexts stripped") true
-      (List.for_all
-         (fun (g : Merge_flow.group) ->
-           g.Merge_flow.grp_prelim.Mm_core.Prelim.merged_ctx = None)
-         r.Merge_flow.groups)
-  in
-  let r0, base = strict () in
-  no_prelim_ctx ~ctx:"uninterrupted" r0;
-  let dir = scratch "ck_strict_prelim" in
-  let spec k = { Merge_flow.ck_dir = dir; ck_resume = k; ck_key = "strict" } in
-  let r1, first = strict ~checkpoint:(spec false) () in
-  check Alcotest.string "checkpointed strict run is byte-identical" base first;
-  no_prelim_ctx ~ctx:"checkpointed" r1;
-  write_file (Filename.concat dir "cliques.bin") "torn";
-  Mm_util.Eventlog.reset ();
-  let r2, resumed = strict ~checkpoint:(spec true) () in
-  let stage_events kind =
-    List.filter_map
-      (fun (e : Mm_util.Eventlog.event) ->
-        if e.Mm_util.Eventlog.ev_kind = kind then
-          List.assoc_opt "stage" e.Mm_util.Eventlog.ev_attrs
-        else None)
-      (Mm_util.Eventlog.recent ())
-  in
-  check
-    Alcotest.(list string)
-    "load and mergeability resumed" [ "load"; "mergeability" ]
-    (stage_events "stage.resumed");
-  check
-    Alcotest.(list string)
-    "cliques recomputed" [ "cliques" ] (stage_events "stage.start");
-  check Alcotest.string "resumed after prelim, byte-identical" base resumed;
-  no_prelim_ctx ~ctx:"resumed" r2
+(* A group keeps its prelim and refinement without their merged
+   contexts: nothing later reads them, and they would pin a context's
+   arrays for the rest of the run. *)
+let test_groups_hold_no_context () =
+  let r, _ = run_files ~policy:Merge_flow.Strict ~jobs:1 ~spec:"" () in
+  let groups = r.Merge_flow.groups in
+  check Alcotest.bool "some group was refined" true
+    (List.exists (fun (g : Merge_flow.group) -> g.Merge_flow.grp_refine <> None)
+       groups);
+  check Alcotest.bool "prelim contexts stripped" true
+    (List.for_all
+       (fun (g : Merge_flow.group) ->
+         g.Merge_flow.grp_prelim.Mm_core.Prelim.merged_ctx = None)
+       groups);
+  check Alcotest.bool "refined contexts stripped" true
+    (List.for_all
+       (fun (g : Merge_flow.group) ->
+         match g.Merge_flow.grp_refine with
+         | None -> true
+         | Some rf -> rf.Mm_core.Refine.refined_ctx = None)
+       groups)
 
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder under an exhausted stage budget                  *)
@@ -520,7 +431,7 @@ let prop_ladder_inclusion =
        ~count:6 ladder_case_gen prop_inclusion)
 
 (* ------------------------------------------------------------------ *)
-(* Subprocess kill/resume golden test                                  *)
+(* Subprocess CLI runs                                                *)
 
 let modemerge =
   lazy
@@ -590,54 +501,6 @@ let merged_sdcs out =
          (fun f -> Filename.check_suffix f ".sdc")
          (Array.to_list (Sys.readdir out)))
 
-let golden = lazy (run_merge ~tag:"golden" ~extra:"" ())
-
-let assert_same_outputs ~ctx (g_out, g_audit) (out, audit) =
-  check Alcotest.string (ctx ^ ": audit bytes") (read_file g_audit)
-    (read_file audit);
-  let names = merged_sdcs g_out in
-  check Alcotest.bool (ctx ^ ": golden run produced merged SDCs") true
-    (names <> []);
-  check Alcotest.(list string) (ctx ^ ": same merged files") names
-    (merged_sdcs out);
-  List.iter
-    (fun n ->
-      check Alcotest.string
-        (Printf.sprintf "%s: %s bytes" ctx n)
-        (read_file (Filename.concat g_out n))
-        (read_file (Filename.concat out n)))
-    names
-
-let test_kill_resume_golden () =
-  let g_rc, g_out, g_audit = Lazy.force golden in
-  List.iter
-    (fun stage ->
-      let tag = "kill_" ^ stage in
-      let ck = Filename.concat scratch_root (tag ^ "_ck") in
-      rm_rf ck;
-      let extra = Printf.sprintf "--checkpoint %s" (Filename.quote ck) in
-      let rc, _, _ =
-        run_merge
-          ~env:
-            (Printf.sprintf "MM_CHAOS=merge.stage:%s@1=kill:137" stage)
-          ~tag ~extra ()
-      in
-      check Alcotest.int
-        (Printf.sprintf "kill after %s exits with the chaos status" stage)
-        137 rc;
-      let rc2, out, audit =
-        run_merge ~tag
-          ~extra:(Printf.sprintf "%s --resume" extra)
-          ()
-      in
-      check Alcotest.int
-        (Printf.sprintf "resume after %s kill exits like the golden run" stage)
-        g_rc rc2;
-      assert_same_outputs
-        ~ctx:(Printf.sprintf "resume after %s kill" stage)
-        (g_out, g_audit) (out, audit))
-    Merge_flow.stage_names
-
 let test_cli_budget_exit_code () =
   let rc, out, _ =
     run_merge ~tag:"budget3" ~extra:"--budget cliques=0" ()
@@ -645,6 +508,29 @@ let test_cli_budget_exit_code () =
   check Alcotest.int "budget-degraded run exits 3" 3 rc;
   check Alcotest.bool "degraded run still writes merged modes" true
     (merged_sdcs out <> [])
+
+(* Out-of-range numbers are rejected while parsing the command line,
+   before any work starts. *)
+let test_cli_rejects_out_of_range () =
+  let exe, netlist, sdcs = Lazy.force cli_fixture in
+  let out = Filename.concat scratch_root "bad_number_out" in
+  let log = Filename.concat scratch_root "bad_number.log" in
+  List.iter
+    (fun extra ->
+      let rc =
+        sh "%s merge -n %s -o %s %s %s > %s 2>&1" (Filename.quote exe)
+          (Filename.quote netlist) (Filename.quote out) extra
+          (String.concat " " (List.map Filename.quote sdcs))
+          (Filename.quote log)
+      in
+      check Alcotest.int (Printf.sprintf "%s is rejected" extra) 124 rc;
+      check Alcotest.bool
+        (Printf.sprintf "%s: nothing was merged" extra)
+        false (Sys.file_exists out))
+    [ "--jobs=0"; "--jobs=-3"; "-j 0"; "--retries=-2"; "--retries=0";
+      "--deadline=nan"; "--deadline=-1"; "--task-timeout=nan";
+      "--mem-limit-mb=nan"; "--mem-limit-mb=-5"; "--mem-limit-mb=inf";
+      "--budget cliques=nan"; "--budget cliques=-1" ]
 
 (* The acceptance check: a chaos run with injected timeouts completes
    degraded and its metrics export carries nonzero govern.retries,
@@ -703,23 +589,15 @@ let () =
           tc "single attempt reaches pair checks"
             test_pair_check_single_attempt;
         ] );
-      ( "checkpoint",
-        [
-          tc "checkpoint + resume transparent" test_checkpoint_transparent;
-          tc "failed resume degrades to fresh run" test_failed_resume_degrades;
-          tc "schema-1 checkpoint refused, resume runs fresh"
-            test_old_schema_refused;
-          tc "strict resume after prelim is byte-identical"
-            test_strict_resume_after_prelim;
-        ] );
+      ( "merge_flow",
+        [ tc "merge groups hold no contexts" test_groups_hold_no_context ] );
       ( "ladder",
         [ tc "cliques budget forces sound splits" test_budget_split_ladder;
           prop_ladder_inclusion ] );
       ( "cli",
         [
-          tc "kill after each stage, resume byte-identical"
-            test_kill_resume_golden;
           tc "budget-degraded exit code 3" test_cli_budget_exit_code;
+          tc "out-of-range numbers rejected" test_cli_rejects_out_of_range;
           tc "chaos metrics export" test_cli_metrics_export;
         ] );
     ]
