@@ -14,11 +14,12 @@
 
    Error handling: every problem is reported to stderr as one
    [file:line:col: severity[code]: message] line. Exit codes are
-   0 (clean), 1 (completed with warnings / findings), 2 (fatal) and
-   3 (completed, but degraded under budget pressure — see --deadline /
-   --budget / --task-timeout). --strict (default) fails fast on
-   malformed input; --permissive recovers, quarantines broken modes
-   and reports. *)
+   0 (clean), 1 (completed with warnings / findings), 2 (fatal,
+   including a budget exhausted under --strict or outside the merge
+   flow) and 3 (completed, but degraded under budget pressure — see
+   --deadline / --budget / --task-timeout / --mem-limit-mb). --strict
+   (default) fails fast on malformed input; --permissive recovers,
+   quarantines broken modes and reports. *)
 
 module Design = Mm_netlist.Design
 module Mode = Mm_sdc.Mode
@@ -68,12 +69,17 @@ let finish () =
      else if !warned then exit_warn
      else exit_clean)
 
-(* Catch stray IO failures from any subcommand body and route them
-   through the exit-code convention instead of a backtrace. *)
+(* Catch stray IO failures and exhausted budgets from any subcommand
+   body and route them through the exit-code convention instead of a
+   backtrace. A memory watermark set by --mem-limit-mb is process-wide,
+   so it can trip after the merge, in the post-merge STA pass. *)
 let guard_io f =
   try f () with
   | Sys_error msg -> fatal ~code:"io.error" "%s" msg
   | Failure msg -> fatal ~code:"cli.failure" "%s" msg
+  | Govern.Cancelled reason ->
+    fatal ~code:(Govern.reason_code reason) "%s"
+      (Govern.reason_to_string reason)
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
@@ -191,7 +197,7 @@ let serve_arg =
 let events_arg =
   let doc =
     "Write the structured event journal (stage boundaries, quarantines, \
-     retries, clique splits, chaos injections) as \
+     clique splits, chaos injections) as \
      schema-versioned NDJSON on exit — including fatal exits and \
      SIGINT/SIGTERM."
   in
@@ -350,7 +356,7 @@ let policy_arg =
 
 (* ------------------------------------------------------------------ *)
 (* Resource governance: --deadline / --budget / --task-timeout /
-   --retries / --mem-limit-mb.                                         *)
+   --mem-limit-mb.                                                     *)
 
 let deadline_arg =
   let doc =
@@ -378,20 +384,13 @@ let budget_arg =
 let task_timeout_arg =
   let doc =
     "Per-task timeout in seconds (one mode load, probe, pair check or \
-     clique merge). A timed-out task is retried with backoff, then \
-     walks the degradation ladder (split, quarantine)."
+     clique merge). A timed-out task walks the degradation ladder \
+     (split, quarantine)."
   in
   Arg.(
     value
     & opt (some non_negative_float) None
     & info [ "task-timeout" ] ~docv:"SEC" ~doc)
-
-let retries_arg =
-  let doc =
-    "Total attempts per governed task, including the first (default 3)."
-  in
-  Arg.(
-    value & opt (some positive_int) None & info [ "retries" ] ~docv:"N" ~doc)
 
 let mem_limit_arg =
   let doc =
@@ -403,7 +402,7 @@ let mem_limit_arg =
     & opt (some non_negative_float) None
     & info [ "mem-limit-mb" ] ~docv:"MB" ~doc)
 
-let budgets_of ~deadline ~stage_budgets ~task_timeout ~retries ~mem_limit =
+let budgets_of ~deadline ~stage_budgets ~task_timeout ~mem_limit =
   List.iter
     (fun (stage, _) ->
       if not (List.mem stage Merge_flow.stage_names) then
@@ -414,10 +413,6 @@ let budgets_of ~deadline ~stage_budgets ~task_timeout ~retries ~mem_limit =
     Merge_flow.bg_deadline_s = deadline;
     bg_stage_s = stage_budgets;
     bg_task_s = task_timeout;
-    bg_retry =
-      (match retries with
-      | None -> Govern.default_retry
-      | Some n -> { Govern.default_retry with Govern.max_attempts = n });
     bg_mem_limit_mb = mem_limit;
   }
 
@@ -441,9 +436,6 @@ let run_flow ?check_equivalence ~policy ?jobs ?budgets ~design sdcs =
     r
   | exception Mm_sdc.Parser.Error { loc; msg } ->
     fatal ?loc ~code:(Mm_sdc.Parser.error_code msg) "%s" msg
-  | exception Govern.Cancelled reason ->
-    fatal ~code:(Govern.reason_code reason) "%s"
-      (Govern.reason_to_string reason)
 
 let merge_cmd =
   let outdir =
@@ -479,11 +471,11 @@ let merge_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc)
   in
   let run netlist liberty sdcs outdir policy jobs diag_json audit annotate dot
-      obs deadline stage_budgets task_timeout retries mem_limit =
+      obs deadline stage_budgets task_timeout mem_limit =
     guard_io @@ fun () ->
     obs_setup obs;
     let budgets =
-      budgets_of ~deadline ~stage_budgets ~task_timeout ~retries ~mem_limit
+      budgets_of ~deadline ~stage_budgets ~task_timeout ~mem_limit
     in
     let design = read_design ?liberty netlist in
     let result = run_flow ~policy ?jobs ~budgets ~design sdcs in
@@ -516,6 +508,17 @@ let merge_cmd =
         Printf.printf "audit report -> %s\n" path)
       audit;
     if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
+    (* Like the audit, the merged files are written before the graph
+       and STA passes, so a budget those passes exhaust (the memory
+       watermark is process-wide) still leaves them on disk. *)
+    let paths =
+      List.map
+        (fun (name, text) ->
+          let path = Filename.concat outdir name in
+          write_file path text;
+          path)
+        (Merge_flow.merged_files ~annotate result)
+    in
     if dot then begin
       (* Rebuild the individual sides to attribute clock-network edges;
          quarantined modes simply contribute no side. *)
@@ -560,12 +563,8 @@ let merge_cmd =
            (fun (g : Merge_flow.group) -> g.Merge_flow.grp_mode)
            result.Merge_flow.groups)
     in
-    let files = Merge_flow.merged_files ~annotate result in
-    List.iteri
-      (fun i ((g : Merge_flow.group), rep) ->
-        let name, text = List.nth files i in
-        let path = Filename.concat outdir name in
-        write_file path text;
+    List.iter2
+      (fun path ((g : Merge_flow.group), rep) ->
         let slack_txt =
           match Sta.worst_setup_by_endpoint rep with
           | [] -> ""
@@ -583,6 +582,7 @@ let merge_cmd =
               e.Mm_core.Equiv.mismatches
           | None -> "")
           rep.Sta.rep_n_tags slack_txt)
+      paths
       (List.combine result.Merge_flow.groups reports);
     if
       List.exists
@@ -606,8 +606,7 @@ let merge_cmd =
     Term.(
       const run $ netlist_arg $ liberty_arg $ sdc_args $ outdir $ policy_arg
       $ jobs_arg $ diag_json $ audit_arg $ annotate_arg $ dot_arg $ obs_term
-      $ deadline_arg $ budget_arg $ task_timeout_arg $ retries_arg
-      $ mem_limit_arg)
+      $ deadline_arg $ budget_arg $ task_timeout_arg $ mem_limit_arg)
 
 let explain_cmd =
   let line_arg =

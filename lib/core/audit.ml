@@ -104,10 +104,8 @@ let quarantined_json (q : Merge_flow.quarantined) =
     (str (Merge_flow.stage_to_string q.Merge_flow.q_stage))
     (Diag.render_json q.Merge_flow.q_diags)
 
-(* Only outcome-affecting governance decisions are reported here —
-   transparent recoveries (retries, absorbed timeouts) live in the
-   metrics export, so a run that recovered cleanly audits
-   byte-identical to one that never faulted. *)
+(* Only outcome-affecting governance decisions are reported here; the
+   govern.* counters live in the metrics export. *)
 let governance_json (g : Merge_flow.governed) =
   let event (e : Merge_flow.govern_event) =
     Printf.sprintf

@@ -14,8 +14,8 @@
     - ["quarantined"] / ["degraded"] — fault-tolerance outcomes;
     - ["governance"] — outcome-affecting resource-governance decisions
       (clique splits, budget quarantines, conservative pair verdicts,
-      the chronological event list); transparent recoveries such as
-      retries are metrics-only so recovered runs audit byte-identical;
+      the chronological event list, whether a deadline was hit); the
+      [govern.*] counters live in the metrics export only;
     - ["coverage"] — the stable per-pass coverage counters
       ([compare.endpoints_visited], [compare.endpoints_pruned],
       [compare.pairs_compared], [compare.reconv_points],

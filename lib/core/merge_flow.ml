@@ -6,7 +6,6 @@ module Obs = Mm_util.Obs
 module Metrics = Mm_util.Metrics
 module Pool = Mm_util.Pool
 module Govern = Mm_util.Govern
-module Chaos = Mm_util.Chaos
 module Eventlog = Mm_util.Eventlog
 module Progress = Mm_util.Progress
 module Ctx_cache = Mm_timing.Ctx_cache
@@ -38,7 +37,6 @@ type budgets = {
   bg_deadline_s : float option;
   bg_stage_s : (string * float) list;
   bg_task_s : float option;
-  bg_retry : Govern.retry_policy;
   bg_mem_limit_mb : float option;
 }
 
@@ -47,7 +45,6 @@ let default_budgets =
     bg_deadline_s = None;
     bg_stage_s = [];
     bg_task_s = None;
-    bg_retry = Govern.default_retry;
     bg_mem_limit_mb = None;
   }
 
@@ -197,10 +194,13 @@ let decide st ~count ~stage ~scope ~action ~detail =
   let g = st.s_gov in
   { st with s_gov = count { g with gov_events = ev :: g.gov_events } }
 
+(* Only a deadline counts: memory pressure also expires a token but is
+   not a deadline hit. *)
 let note_deadline tok st =
-  if Govern.expired tok then
+  match Govern.cancelled tok with
+  | Some (Govern.Deadline_exceeded _) ->
     { st with s_gov = { st.s_gov with gov_deadline_hit = true } }
-  else st
+  | _ -> st
 
 (* The pipeline stage each kind of quarantine happens in. *)
 let stage_key = function
@@ -220,11 +220,32 @@ let quarantine q_stage name diags =
 let quarantine_into st q_stage name diags =
   { st with s_quar = quarantine q_stage name diags :: st.s_quar }
 
-(* Ladder rung 3: settle a mode whose task the retry rung could not
-   save by quarantining it. A crash reports its exception; a blown
-   budget reports the governance reason and is also a governance
-   decision. *)
-let settle st q_stage name (o : _ Govern.outcome) =
+(* The one place a task outcome is settled. A finished task goes to
+   [ok]. A task that crashed or was interrupted (at entry or at a
+   checkpoint inside) has its blown budget counted once, then under
+   [Strict] propagates through [Govern.value] (a crash with its original
+   backtrace, an expired budget as [Govern.Cancelled]) and under
+   [Permissive] goes to [failed], the degradation ladder for that kind
+   of task. *)
+let settle ~policy ~ok ~failed (o : _ Govern.outcome) =
+  match o with
+  | Govern.Done v -> ok v
+  | o -> (
+    (match o with
+    | Govern.Interrupted (Govern.Deadline_exceeded _) ->
+      Metrics.incr "govern.timeouts"
+    | Govern.Interrupted (Govern.Memory_watermark _) ->
+      Metrics.incr "govern.mem_trips"
+    | _ -> ());
+    match policy with
+    | Strict -> ok (Govern.value o)
+    | Permissive -> failed o)
+
+(* Permissive ladder for a load, probe or single-mode clique task that
+   did not finish: quarantine the mode. A crash reports its exception;
+   a blown budget reports the governance reason and is also a
+   governance decision. *)
+let quarantine_failed st q_stage name (o : _ Govern.outcome) =
   match o with
   | Govern.Done _ -> st
   | Govern.Crashed { exn; _ } ->
@@ -253,7 +274,6 @@ let settle st q_stage name (o : _ Govern.outcome) =
 (* Outcome of one stage-3 clique task. *)
 type task_out = {
   tk_groups : group list;
-  tk_quarantined : (string * Diag.t list) list; (* mode name, diagnostics *)
   tk_degraded : string list list;
   tk_diags : Diag.t list;
 }
@@ -264,11 +284,24 @@ type task_out = {
    The probe's group is kept — stage 3 reuses it for singleton cliques
    and degraded members instead of merging the mode a second time. *)
 let probe_task ?tolerance ~ctx_cache (m : Mode.t) =
-  let ctx_cache = Ctx_cache.fork ctx_cache in
-  match singleton_group ?tolerance ~ctx_cache m with
-  | g -> Ok g
-  | exception exn ->
-    Error [ exn_diag ~code:"merge.mode-failed" ~name:m.Mode.mode_name exn ]
+  singleton_group ?tolerance ~ctx_cache:(Ctx_cache.fork ctx_cache) m
+
+(* Permissive fallback for a clique whose merge crashed or failed the
+   equivalence check: keep its modes individual ("when in doubt, don't
+   merge"). Under [Permissive] every mode that reaches stage 3 passed
+   the probe, so each member's singleton group is in [probed]. *)
+let degrade ~probed members reason =
+  let names = List.map (fun (m : Mode.t) -> m.Mode.mode_name) members in
+  {
+    tk_groups = List.map (fun n -> List.assoc n probed) names;
+    tk_degraded = [ names ];
+    tk_diags =
+      [
+        Diag.makef Diag.Warning ~code:"merge.group-degraded"
+          "group [%s] kept as individual modes: %s" (String.concat ", " names)
+          reason;
+      ];
+  }
 
 (* Stage-3 task: merge one clique. [probed] holds the memoized
    singleton groups from stage 1 (empty under [Strict]). [name] is the
@@ -277,40 +310,7 @@ let probe_task ?tolerance ~ctx_cache (m : Mode.t) =
 let clique_task ?tolerance ~check_equivalence ~policy ~probed ~ctx_cache ~name
     members =
   let ctx_cache = Ctx_cache.fork ctx_cache in
-  let singleton (m : Mode.t) =
-    match List.assoc_opt m.Mode.mode_name probed with
-    | Some g -> g
-    | None -> singleton_group ?tolerance ~ctx_cache m
-  in
-  let ok g = { tk_groups = [ g ]; tk_quarantined = []; tk_degraded = []; tk_diags = [] } in
-  let quarantine (m : Mode.t) exn =
-    let name = m.Mode.mode_name in
-    name, [ exn_diag ~code:"merge.mode-failed" ~name exn ]
-  in
-  (* Permissive fallback: keep the clique's modes individual
-     ("when in doubt, don't merge"). *)
-  let degrade reason =
-    let names = List.map (fun (m : Mode.t) -> m.Mode.mode_name) members in
-    let diag =
-      Diag.makef Diag.Warning ~code:"merge.group-degraded"
-        "group [%s] kept as individual modes: %s" (String.concat ", " names)
-        reason
-    in
-    let groups, quarantines =
-      List.fold_left
-        (fun (gs, qs) (m : Mode.t) ->
-          match singleton m with
-          | g -> g :: gs, qs
-          | exception exn -> gs, quarantine m exn :: qs)
-        ([], []) members
-    in
-    {
-      tk_groups = List.rev groups;
-      tk_quarantined = List.rev quarantines;
-      tk_degraded = [ names ];
-      tk_diags = [ diag ];
-    }
-  in
+  let ok g = { tk_groups = [ g ]; tk_degraded = []; tk_diags = [] } in
   Obs.with_span "merge.group"
     ~attrs:
       [
@@ -319,52 +319,22 @@ let clique_task ?tolerance ~check_equivalence ~policy ~probed ~ctx_cache ~name
           (List.map (fun (m : Mode.t) -> m.Mode.mode_name) members);
       ]
   @@ fun () ->
-  match members, policy with
-  | [ single ], Strict -> ok (singleton single)
-  | [ single ], Permissive -> (
-    match singleton single with
-    | g -> ok g
-    | exception exn ->
-      {
-        tk_groups = [];
-        tk_quarantined = [ quarantine single exn ];
-        tk_degraded = [];
-        tk_diags = [];
-      })
-  | _, Strict ->
-    ok
-      (merged_group ?tolerance ~check_equivalence ~ctx_cache ~name members)
-  | _, Permissive -> (
-    match
+  match members with
+  | [ single ] -> (
+    match List.assoc_opt single.Mode.mode_name probed with
+    | Some g -> ok g
+    | None -> ok (singleton_group ?tolerance ~ctx_cache single))
+  | _ -> (
+    let g =
       merged_group ?tolerance ~check_equivalence ~ctx_cache ~name members
-    with
-    | g -> (
-      match g.grp_equiv with
-      | Some e when not e.Equiv.equivalent ->
-        degrade
-          (Printf.sprintf
-             "merged mode failed the equivalence check (%d mismatches)"
-             e.Equiv.mismatches)
-      | _ -> ok g)
-    | exception exn ->
-      degrade (Printf.sprintf "merge failed with %s" (Printexc.to_string exn)))
-
-(* ------------------------------------------------------------------ *)
-(* Degradation ladder, rung 1, for one task: {!Govern.retry} under the
-   run's budgets. Transient faults (an injected chaos exception, a
-   task-budget timeout under momentary load) are absorbed here with
-   byte-identical output — the re-run computes exactly what the first
-   run would have. Under [Strict] this is the whole ladder: a failure
-   the retries could not absorb propagates, a crash with its original
-   backtrace and a blown budget as [Govern.Cancelled]. Under
-   [Permissive] it comes back for the outcome-changing rungs (split,
-   quarantine, conservative pair verdict). *)
-let retry ~policy ~budgets tok ~scope f first =
-  let o =
-    Govern.retry budgets.bg_retry ?budget_s:budgets.bg_task_s tok ~scope f
-      first
-  in
-  match policy with Strict -> Govern.Done (Govern.value o) | Permissive -> o
+    in
+    match policy, g.grp_equiv with
+    | Permissive, Some e when not e.Equiv.equivalent ->
+      degrade ~probed members
+        (Printf.sprintf
+           "merged mode failed the equivalence check (%d mismatches)"
+           e.Equiv.mismatches)
+    | _ -> ok g)
 
 let stage_token ~budgets root name =
   Govern.sub
@@ -408,29 +378,24 @@ let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
     match policy with
     | Strict -> st
     | Permissive ->
-      let task = probe_task ?tolerance ~ctx_cache in
       let outs =
         Pool.map_outcome pool ~govern:tok ?task_budget_s:budgets.bg_task_s
-          task st.s_modes
+          (probe_task ?tolerance ~ctx_cache)
+          st.s_modes
       in
       let st =
         List.fold_left2
           (fun st (m : Mode.t) out ->
             let name = m.Mode.mode_name in
             Progress.tick "merge.mergeability";
-            match
-              retry ~policy ~budgets tok ~scope:name (fun () -> task m) out
-            with
-            | Govern.Done (Ok g) ->
-              {
-                st with
-                s_modes = m :: st.s_modes;
-                s_probed = (name, g) :: st.s_probed;
-              }
-            | Govern.Done (Error diags) -> quarantine_into st Probe name diags
-            (* Ladder rung 3: a mode whose probe never fit the budget is
-               quarantined, like a crashing one. *)
-            | o -> settle st Probe name o)
+            settle ~policy out
+              ~ok:(fun g ->
+                {
+                  st with
+                  s_modes = m :: st.s_modes;
+                  s_probed = (name, g) :: st.s_probed;
+                })
+              ~failed:(quarantine_failed st Probe name))
           { st with s_modes = [] } st.s_modes outs
       in
       { st with s_modes = List.rev st.s_modes }
@@ -438,25 +403,23 @@ let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
   (* Stage 2: mergeability graph + clique cover (pairwise checks are
      pool tasks inside [Mergeability.analyze], settled here). Declining
      an edge only costs reduction, never the paper's inclusion
-     guarantee, so a pair check that does not survive the retry rung is
-     conservatively treated as not mergeable. *)
+     guarantee, so a pair check that did not finish is conservatively
+     treated as not mergeable. *)
   let conservative = ref 0 in
-  let settle_pair ~scope recheck o =
-    match retry ~policy ~budgets tok ~scope recheck o with
-    | Govern.Done c -> c
-    | failed ->
-      incr conservative;
-      Metrics.incr "govern.conservative_pairs";
-      {
-        Mergeability.mergeable = false;
-        reasons =
-          [
-            Printf.sprintf
-              "governance: pair check abandoned (%s); conservatively treated \
-               as not mergeable"
-              (Govern.failure_to_string failed);
-          ];
-      }
+  let settle_pair ~scope:_ o =
+    settle ~policy o ~ok:Fun.id ~failed:(fun failed ->
+        incr conservative;
+        Metrics.incr "govern.conservative_pairs";
+        {
+          Mergeability.mergeable = false;
+          reasons =
+            [
+              Printf.sprintf
+                "governance: pair check abandoned (%s); conservatively \
+                 treated as not mergeable"
+                (Govern.failure_to_string failed);
+            ];
+        })
   in
   let st =
     match
@@ -506,11 +469,6 @@ let absorb st t =
       Eventlog.log "merge.degraded"
         ~attrs:[ "stage", "cliques"; "modes", String.concat "," members ])
     t.tk_degraded;
-  let st =
-    List.fold_left
-      (fun st (name, diags) -> quarantine_into st Merge name diags)
-      st t.tk_quarantined
-  in
   {
     st with
     s_groups = List.rev_append t.tk_groups st.s_groups;
@@ -539,53 +497,54 @@ let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
     Pool.map_outcome pool ~govern:tok ?task_budget_s:budgets.bg_task_s task
       named
   in
-  (* Degradation ladder for a clique the retry rung could not save:
-     split it in half and merge the halves under their own budgets
-     (recursively, down to singletons), then quarantine what still
-     does not fit. Splitting only forfeits reduction — every surviving
-     half is a normal merged group with the full refine/equivalence
-     treatment — so the paper's inclusion guarantee is preserved. *)
+  (* Permissive ladder for a clique task that did not finish. A crashed
+     clique keeps its modes individual. An interrupted one is split in
+     half and the halves merged under their own budgets (recursively,
+     down to singletons), then what still does not fit is quarantined.
+     Splitting only forfeits reduction — every surviving half is a
+     normal merged group with the full refine/equivalence treatment —
+     so the paper's inclusion guarantee is preserved. *)
   let rec resolve st (name, members) out =
-    let rerun () = task (name, members) in
-    match retry ~policy ~budgets tok ~scope:name rerun out with
-    | Govern.Done t -> absorb st t
-    | o -> (
-      match members with
-      | [] -> st
-      | [ (m : Mode.t) ] -> (
-        match o, List.assoc_opt m.Mode.mode_name st.s_probed with
-        | Govern.Interrupted _, Some g ->
-          (* The probe already computed this mode's singleton group;
-             reusing it is byte-identical to the un-interrupted task. *)
-          { st with s_groups = g :: st.s_groups }
-        | _ -> settle st Merge m.Mode.mode_name o)
-      | _ ->
-        let why = Govern.failure_to_string o in
-        Metrics.incr "govern.clique_splits";
-        Eventlog.log "govern.clique_split"
-          ~attrs:
-            [ "clique", name;
-              "members", string_of_int (List.length members);
-              "why", why ];
-        let st =
-          decide st
-            ~count:(fun g ->
-              { g with gov_clique_splits = g.gov_clique_splits + 1 })
-            ~stage:"cliques" ~scope:name ~action:"split" ~detail:why
-        in
-        let diag =
-          Diag.makef Diag.Warning ~code:"govern.clique-split"
-            "clique %s split under budget pressure: %s" name why
-        in
-        let k = (List.length members + 1) / 2 in
-        let half st i mem =
-          let nm = Printf.sprintf "%s_s%d" name i in
-          let t2 = Govern.sub ~scope:nm ?budget_s:budgets.bg_task_s tok in
-          resolve st (nm, mem) (Govern.run t2 (fun () -> task (nm, mem)))
-        in
-        let st = { st with s_diags = diag :: st.s_diags } in
-        let st = half st 0 (List.filteri (fun i _ -> i < k) members) in
-        half st 1 (List.filteri (fun i _ -> i >= k) members))
+    settle ~policy out ~ok:(absorb st) ~failed:(fun o ->
+        match members, o with
+        | [ (m : Mode.t) ], _ -> (
+          match o, List.assoc_opt m.Mode.mode_name st.s_probed with
+          | Govern.Interrupted _, Some g ->
+            (* The probe already computed this mode's singleton group;
+               reusing it is byte-identical to the un-interrupted task. *)
+            { st with s_groups = g :: st.s_groups }
+          | _ -> quarantine_failed st Merge m.Mode.mode_name o)
+        | _, Govern.Crashed { exn; _ } ->
+          absorb st
+            (degrade ~probed:st.s_probed members
+               (Printf.sprintf "merge failed with %s" (Printexc.to_string exn)))
+        | _ ->
+          let why = Govern.failure_to_string o in
+          Metrics.incr "govern.clique_splits";
+          Eventlog.log "govern.clique_split"
+            ~attrs:
+              [ "clique", name;
+                "members", string_of_int (List.length members);
+                "why", why ];
+          let st =
+            decide st
+              ~count:(fun g ->
+                { g with gov_clique_splits = g.gov_clique_splits + 1 })
+              ~stage:"cliques" ~scope:name ~action:"split" ~detail:why
+          in
+          let diag =
+            Diag.makef Diag.Warning ~code:"govern.clique-split"
+              "clique %s split under budget pressure: %s" name why
+          in
+          let k = (List.length members + 1) / 2 in
+          let half st i mem =
+            let nm = Printf.sprintf "%s_s%d" name i in
+            let t2 = Govern.sub ~scope:nm ?budget_s:budgets.bg_task_s tok in
+            resolve st (nm, mem) (Govern.run t2 (fun () -> task (nm, mem)))
+          in
+          let st = { st with s_diags = diag :: st.s_diags } in
+          let st = half st 0 (List.filteri (fun i _ -> i < k) members) in
+          half st 1 (List.filteri (fun i _ -> i >= k) members))
   in
   let st =
     List.fold_left2
@@ -693,17 +652,16 @@ let compute_load ~policy ~design ~pool ~budgets ~tok sources =
       (fun st src out ->
         let name = src.src_name in
         Progress.tick "merge.load";
-        match
-          retry ~policy ~budgets tok ~scope:name (fun () -> task src) out
-        with
-        | Govern.Done (Ok (mode, diags)) ->
-          {
-            st with
-            s_modes = mode :: st.s_modes;
-            s_diags = List.rev_append diags st.s_diags;
-          }
-        | Govern.Done (Error diags) -> quarantine_into st Load name diags
-        | o -> settle st Load name o)
+        settle ~policy out
+          ~ok:(function
+            | Ok (mode, diags) ->
+              {
+                st with
+                s_modes = mode :: st.s_modes;
+                s_diags = List.rev_append diags st.s_diags;
+              }
+            | Error diags -> quarantine_into st Load name diags)
+          ~failed:(quarantine_failed st Load name))
       (initial []) sources outs
   in
   (* An `always` counter (DESIGN.md §9): registered even at zero. *)
@@ -719,32 +677,17 @@ let run_sources ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
     ~load:(fun tok -> compute_load ~policy ~design ~pool ~budgets ~tok sources)
     ()
 
-let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs
-    ?(budgets = default_budgets) ~design paths =
-  (* Reads run under the retry rung, so a transient IO fault never
-     aborts a run. One that persists raises [Sys_error] under [Strict];
-     under [Permissive] the file is quarantined up front with a fatal
-     io.read diagnostic and the remaining files still merge. *)
-  let read path () =
-    Chaos.hit "io.read";
-    source_of_file path
-  in
+let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs ?budgets
+    ~design paths =
+  (* An unreadable file raises [Sys_error] under [Strict]; under
+     [Permissive] it is quarantined up front with a fatal io.read
+     diagnostic and the remaining files still merge. *)
   let sources, io_failed =
     List.partition_map
       (fun path ->
-        match
-          retry ~policy ~budgets Govern.never ~scope:path (read path)
-            (Govern.run Govern.never (read path))
-        with
-        | Govern.Done s -> Either.Left s
-        | o ->
-          let msg =
-            match o with
-            | Govern.Crashed { exn = Sys_error msg; _ } -> msg
-            | Govern.Crashed { exn = Chaos.Injected site; _ } ->
-              "injected fault at " ^ site
-            | o -> Govern.failure_to_string o
-          in
+        match source_of_file path with
+        | s -> Either.Left s
+        | exception Sys_error msg when policy = Permissive ->
           Either.Right
             (quarantine Load
                (Filename.remove_extension (Filename.basename path))
@@ -755,7 +698,7 @@ let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs
       paths
   in
   let r =
-    run_sources ?tolerance ?check_equivalence ~policy ?jobs ~budgets ~design
+    run_sources ?tolerance ?check_equivalence ~policy ?jobs ?budgets ~design
       sources
   in
   { r with quarantined = io_failed @ r.quarantined }

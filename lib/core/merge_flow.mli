@@ -20,6 +20,11 @@
       (correctness-preserving degradation: "when in doubt, don't
       merge"). Permissive mode never raises on bad constraint input.
 
+    Tasks catch nothing: every crash and every
+    {!Mm_util.Govern.Cancelled} comes back from the pool as a
+    {!Mm_util.Govern.outcome}, and one function of the flow settles it
+    under the run's policy.
+
     {2 Parallel execution}
 
     Every stage is a batch of pure tasks executed on an
@@ -36,33 +41,29 @@
     {2 Resource governance}
 
     A run may carry {!budgets}: a global deadline, per-stage budgets
-    (keyed by {!stage_names}), a per-task timeout, a retry policy and
-    a memory watermark — all enforced through {!Mm_util.Govern}
-    cancellation tokens with cooperative checkpoints, so an exhausted
-    budget drains the pool in an orderly way instead of wedging it.
-    Work that blows its budget walks a {e degradation ladder}:
+    (keyed by {!stage_names}), a per-task timeout and a memory
+    watermark — all enforced through {!Mm_util.Govern} cancellation
+    tokens with cooperative checkpoints, so an exhausted budget drains
+    the pool in an orderly way instead of wedging it. A task whose
+    budget runs out, at entry or mid-task, walks a {e degradation
+    ladder} under [Permissive]:
 
-    + {b retry} — every failed file read and load, probe, pair-check
-      and clique task is re-run by {!Mm_util.Govern.retry} under a
-      fresh child budget with exponential backoff, up to
-      [bg_retry.max_attempts] attempts ([govern.retries]); transient
-      faults are absorbed here with byte-identical output;
     + {b split} — a clique whose merge will not fit is split in half
       and the halves merged under their own budgets, recursively down
       to singletons ([govern.clique_splits]); splitting forfeits
       reduction, never correctness;
     + {b quarantine} — a mode that still does not fit is quarantined
       exactly like a crashing one, counted in the [governed] record; a
-      pair check that still fails is settled as not mergeable
+      pair check that does not finish is settled as not mergeable
       ([govern.conservative_pairs]), which also forfeits only
       reduction.
 
-    Under [Strict] only the retry rung applies: a failure it cannot
-    absorb propagates, a crash with its original backtrace and an
-    exhausted budget as {!Mm_util.Govern.Cancelled}. The {!governed}
-    result field records every outcome-affecting governance decision
-    (transparent retries are metrics-only, so recovered runs stay
-    byte-identical). *)
+    Every interrupted task counts once in [govern.timeouts] (deadline)
+    or [govern.mem_trips] (memory watermark). Under [Strict] nothing
+    degrades: a failed task propagates, a crash with its original
+    backtrace and an exhausted budget as {!Mm_util.Govern.Cancelled}.
+    The {!governed} result field records every outcome-affecting
+    governance decision. *)
 
 type policy = Strict | Permissive
 
@@ -95,13 +96,12 @@ type budgets = {
   bg_stage_s : (string * float) list;
       (** per-stage budgets, keyed by {!stage_names} *)
   bg_task_s : float option;      (** per-task timeout *)
-  bg_retry : Mm_util.Govern.retry_policy;
   bg_mem_limit_mb : float option;  (** process heap watermark *)
 }
 
 val default_budgets : budgets
-(** No deadline, no stage/task budgets, {!Mm_util.Govern.default_retry},
-    no memory limit — governance off. *)
+(** No deadline, no stage/task budgets, no memory limit — governance
+    off. *)
 
 val stage_names : string list
 (** The budgetable stage keys, in pipeline order:
@@ -196,9 +196,9 @@ val run_files :
   design:Mm_netlist.Design.t ->
   string list ->
   result
-(** {!run_sources} over {!source_of_file}; unreadable files quarantine
-    under [Permissive] instead of raising (after the retry rung —
-    transient IO faults are retried with backoff). *)
+(** {!run_sources} over {!source_of_file}; an unreadable file raises
+    [Sys_error] under [Strict] and is quarantined with an [io.read]
+    diagnostic under [Permissive]. *)
 
 val merged_modes : result -> Mm_sdc.Mode.t list
 

@@ -156,7 +156,7 @@ let exact_cliques ?(limit = 20) adjacency =
 
 let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
     ?(govern = Govern.never) ?task_budget_s
-    ?(settle = fun ~scope:_ _ o -> Govern.value o) modes =
+    ?(settle = fun ~scope:_ o -> Govern.value o) modes =
   Obs.with_span
     ~attrs:[ "modes", string_of_int (List.length modes) ]
     "merge.mergeability"
@@ -202,10 +202,7 @@ let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
   let resolve (i, j) = function
     | Govern.Done c -> c
     | o ->
-      settle
-        ~scope:(arr.(i).Mode.mode_name ^ "+" ^ arr.(j).Mode.mode_name)
-        (fun () -> check_one (i, j))
-        o
+      settle ~scope:(arr.(i).Mode.mode_name ^ "+" ^ arr.(j).Mode.mode_name) o
   in
   List.iter2
     (fun (i, j) outcome ->

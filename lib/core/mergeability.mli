@@ -51,11 +51,7 @@ val analyze :
   ?strategy:strategy ->
   ?govern:Mm_util.Govern.token ->
   ?task_budget_s:float ->
-  ?settle:
-    (scope:string ->
-    (unit -> pair_check) ->
-    pair_check Mm_util.Govern.outcome ->
-    pair_check) ->
+  ?settle:(scope:string -> pair_check Mm_util.Govern.outcome -> pair_check) ->
   Mm_sdc.Mode.t list ->
   t
 (** The O(N^2) pairwise sweep runs on [pool] when given — each pair is
@@ -69,13 +65,13 @@ val analyze :
     The sweep runs under [govern] (with an optional per-pair
     [task_budget_s]). The analysis owns no degradation policy: a pair
     check that crashed or was abandoned is handed to
-    [settle ~scope recheck outcome], in pair order on the calling
-    domain, and its verdict becomes the pair's. [scope] names the pair
-    (["a+b"]) and [recheck] re-runs the check. The default settles by
-    {!Mm_util.Govern.value}: a crash re-raises with its original
-    backtrace, an expired budget raises {!Mm_util.Govern.Cancelled}.
-    {!Merge_flow} settles through the retry rung and, under its
-    permissive policy, a conservative not-mergeable verdict. *)
+    [settle ~scope outcome], in pair order on the calling domain, and
+    its verdict becomes the pair's. [scope] names the pair (["a+b"]).
+    The default settles by {!Mm_util.Govern.value}: a crash re-raises
+    with its original backtrace, an expired budget raises
+    {!Mm_util.Govern.Cancelled}. {!Merge_flow} settles the same way
+    under its strict policy and with a conservative not-mergeable
+    verdict under its permissive one. *)
 
 val clique_modes : t -> Mm_sdc.Mode.t list -> Mm_sdc.Mode.t list list
 (** Map the clique cover back to mode values (same order as given to

@@ -1,10 +1,11 @@
 (** Deterministic fault injection for the chaos suite.
 
-    The PR-1 {!Mm_workload.Fuzz_inputs} harness corrupts {e inputs};
-    this module injects {e execution} faults — task delays and raised
+    The {!Mm_workload.Fuzz_inputs} harness corrupts {e inputs}; this
+    module injects {e execution} faults — task delays and raised
     exceptions — at named sites compiled into the pipeline, so the
-    [@chaos] matrix can exercise the governance ladder (retry, clique
-    split, quarantine) without races or sleeps in test code.
+    [@chaos] suite can exercise the degradation ladder (clique split,
+    quarantine, conservative pair verdict) without races or sleeps in
+    test code.
 
     A fault plan is a comma-separated spec, parsed from the
     [MM_CHAOS] environment variable (the CLI hooks it up) or set
@@ -12,21 +13,21 @@
 
     {v SITE@OCC=FAULT[,SITE@OCC=FAULT...] v}
 
-    where [SITE] is a compiled-in site name ([pool.task], [io.read],
-    ...), [OCC] is a 1-based occurrence number or [*] for every
-    occurrence, and [FAULT] is one of
+    where [SITE] is a compiled-in site name ([pool.task],
+    [sta.propagate], [serve.request]), [OCC] is a 1-based occurrence
+    number or [*] for every occurrence, and [FAULT] is one of
 
     - [delay:MS] — sleep MS milliseconds at the site (drives the
       deadline/timeout paths);
-    - [raise] — raise {!Injected} at the site (drives retry and
-      quarantine paths).
+    - [raise] — raise {!Injected} at the site (drives the crash
+      paths: quarantine, degraded clique, conservative pair verdict).
 
     Occurrences are counted per site under a mutex, so a plan is
-    deterministic for a given execution order; sites fired from pool
-    workers are deterministic in {e effect} (any governed task hit by
-    a fault is retried or degraded identically) even when the hit
-    task index varies with scheduling. With no plan configured,
-    {!hit} is one atomic load. *)
+    deterministic for a given execution order. Within a parallel pool
+    batch the task that draws a given occurrence varies with
+    scheduling, so a fault meant to give the same outcome at any
+    [jobs] targets a batch of one task (or every occurrence). With no
+    plan configured, {!hit} is one atomic load. *)
 
 exception Injected of string
 (** Raised by a [raise] fault; the payload is the site name. *)

@@ -5,7 +5,7 @@
     answers "what just happened, in order?" when a run dies or is
     inspected mid-flight. The journal is an always-on, process-wide
     ring of structured events — stage starts and finishes, per-mode
-    quarantines, retries, clique splits, GC-pressure trips, chaos
+    quarantines, clique splits, GC-pressure trips, chaos
     injections — cheap enough to leave enabled in every
     run (one mutex-guarded array write per event; the ring keeps the
     newest 4096 events).
@@ -21,8 +21,8 @@
                      [stage.finish])
     - [merge.*]      merge-flow outcomes ([merge.quarantined],
                      [merge.degraded])
-    - [govern.*]     governance actions ([govern.retry],
-                     [govern.clique_split], [govern.pressure])
+    - [govern.*]     governance actions ([govern.clique_split],
+                     [govern.conservative], [govern.pressure])
     - [chaos.*]      fault injection ([chaos.injected])
     - [serve.*]      telemetry plane lifecycle ([serve.start])
 

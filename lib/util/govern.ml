@@ -43,13 +43,18 @@ let never =
 
 let scope t = t.tk_scope
 
+(* The absolute instant [budget_s] from now; [None] when that instant
+   lies past the int64 nanosecond range, which no run can reach. *)
 let deadline_of ~budget_s =
-  Int64.add (Obs.Clock.now_ns ()) (Int64.of_float (budget_s *. 1e9))
+  let now = Obs.Clock.now_ns () in
+  if Int64.to_float now +. (budget_s *. 1e9) < Int64.to_float Int64.max_int
+  then Some (Int64.add now (Int64.of_float (budget_s *. 1e9)))
+  else None
 
 let create ?deadline_s ?(scope = "run") () =
   {
     tk_scope = scope;
-    tk_deadline_ns = Option.map (fun s -> deadline_of ~budget_s:s) deadline_s;
+    tk_deadline_ns = Option.bind deadline_s (fun s -> deadline_of ~budget_s:s);
     tk_budget_s = Option.value deadline_s ~default:infinity;
     tk_flag = Atomic.make None;
     tk_parent = None;
@@ -58,7 +63,7 @@ let create ?deadline_s ?(scope = "run") () =
 let sub ?scope ?budget_s parent =
   if parent == never && budget_s = None && scope = None then never
   else
-    let own = Option.map (fun s -> deadline_of ~budget_s:s) budget_s in
+    let own = Option.bind budget_s (fun s -> deadline_of ~budget_s:s) in
     let deadline_ns, budget =
       match own, parent.tk_deadline_ns with
       | None, d -> d, parent.tk_budget_s
@@ -220,55 +225,3 @@ let failure_to_string = function
   | Done _ -> ""
   | Interrupted r -> reason_to_string r
   | Crashed { exn; _ } -> Printexc.to_string exn
-
-(* ------------------------------------------------------------------ *)
-(* Degradation ladder, rung 1: retry with exponential backoff          *)
-
-type retry_policy = {
-  max_attempts : int;
-  base_backoff_s : float;
-  multiplier : float;
-  max_backoff_s : float;
-}
-
-let default_retry =
-  { max_attempts = 3; base_backoff_s = 0.001; multiplier = 2.; max_backoff_s = 0.05 }
-
-let backoff_s p ~attempt =
-  if attempt <= 1 then 0.
-  else
-    Float.min p.max_backoff_s
-      (p.base_backoff_s *. (p.multiplier ** float_of_int (attempt - 2)))
-
-let sleep_s s = if s > 0. then Unix.sleepf s
-
-(* Every attempt that ends on a blown budget is counted, whichever rung
-   later settles it. *)
-let count_interrupt = function
-  | Interrupted (Deadline_exceeded _) -> Metrics.incr "govern.timeouts"
-  | Interrupted (Memory_watermark _) -> Metrics.incr "govern.mem_trips"
-  | _ -> ()
-
-let retry ?(sleep = sleep_s) policy ?budget_s stage ~scope f first =
-  count_interrupt first;
-  let rec go attempt last =
-    match last with
-    | Done _ -> last
-    | _ when attempt > policy.max_attempts || expired stage -> last
-    | _ ->
-      Metrics.incr "govern.retries";
-      Eventlog.log "govern.retry"
-        ~attrs:
-          [ "scope", scope;
-            "attempt", string_of_int attempt;
-            "error", failure_to_string last ];
-      sleep (backoff_s policy ~attempt);
-      let o =
-        run (sub ~scope ?budget_s stage) (fun () ->
-            Chaos.hit "pool.retry";
-            f ())
-      in
-      count_interrupt o;
-      go (attempt + 1) o
-  in
-  go 2 first

@@ -1,4 +1,4 @@
-(** Resource governance: cancellation, deadlines, retries, watermarks.
+(** Resource governance: cancellation, deadlines, watermarks.
 
     The merge pipeline is a long multi-stage computation whose cost
     grows with [#modes x #corners]; at production scale a runaway task
@@ -14,9 +14,6 @@
       {!Mm_util.Pool}) is consulted and {!Cancelled} raised when the
       budget is gone. When no token is installed the call is a single
       physical-equality test — checkpoints may live in hot paths.
-    - {b Retry with exponential backoff} ({!retry}): rung 1 of the
-      degradation ladder, the one retry loop every governed task and
-      file read goes through, counted in the [govern.retries] metric.
     - {b Memory watermarks}: an optional process-wide heap limit
       checked from {!check} via [Gc.quick_stat] (no heap walk), so a
       blown watermark surfaces as an orderly {!Cancelled} at the next
@@ -30,7 +27,7 @@
     a token that never expires makes every combinator the identity.
     Only the {e policies} reacting to [Interrupted] outcomes (see the
     Merge_flow degradation ladder) change output, and they do so
-    through the same quarantine/degrade values as PR 1. *)
+    through the same quarantine/degrade values as a crashing task. *)
 
 (** Why a computation was interrupted. *)
 type reason =
@@ -49,7 +46,9 @@ val reason_code : reason -> string
 exception Cancelled of reason
 (** Raised by {!check}/{!checkpoint} when the governing token has
     expired. {!Mm_util.Pool.map_outcome} converts it into
-    [Interrupted]; it never escapes a governed pool batch. *)
+    [Interrupted]; it never escapes a governed pool batch. Outside one,
+    a checkpoint under the process-wide memory watermark raises it to
+    the caller. *)
 
 type token
 
@@ -59,11 +58,13 @@ val never : token
 
 val create : ?deadline_s:float -> ?scope:string -> unit -> token
 (** Root token. [deadline_s] is a relative budget from now, measured
-    on {!Obs.Clock}; omitted means no deadline. *)
+    on {!Obs.Clock}; omitted means no deadline, and so does a budget
+    whose deadline would lie past the int64 nanosecond range. *)
 
 val sub : ?scope:string -> ?budget_s:float -> token -> token
 (** Child token: expires at [min] of the parent's deadline and
-    [now + budget_s], and additionally whenever the parent is
+    [now + budget_s] (no own deadline when that lies past the int64
+    nanosecond range), and additionally whenever the parent is
     cancelled. [sub never] with no budget is [never] itself. *)
 
 val scope : token -> string
@@ -148,41 +149,3 @@ val value : 'a outcome -> 'a
 val failure_to_string : 'a outcome -> string
 (** What went wrong: the reason of an [Interrupted] outcome, the
     printed exception of a [Crashed] one ([""] for [Done]). *)
-
-(** {2 Degradation ladder, rung 1: retry with exponential backoff} *)
-
-type retry_policy = {
-  max_attempts : int;  (** total attempts, including the first (>= 1) *)
-  base_backoff_s : float;  (** sleep before attempt 2 *)
-  multiplier : float;  (** backoff growth per further attempt *)
-  max_backoff_s : float;  (** backoff ceiling *)
-}
-
-val default_retry : retry_policy
-(** 3 attempts, 1 ms base, x2, capped at 50 ms — tuned for transient
-    in-process hiccups, not remote services. *)
-
-val backoff_s : retry_policy -> attempt:int -> float
-(** Backoff before [attempt] (2-based): [base * multiplier^(a-2)],
-    capped. *)
-
-val retry :
-  ?sleep:(float -> unit) ->
-  retry_policy ->
-  ?budget_s:float ->
-  token ->
-  scope:string ->
-  (unit -> 'a) ->
-  'a outcome ->
-  'a outcome
-(** [retry policy stage ~scope f first] is the pipeline's one retry
-    loop. [first] is the outcome of attempt 1. While the latest outcome
-    is not [Done], attempts remain and [stage] is live, [f] re-runs
-    after the {!backoff_s} sleep under a fresh child token of [stage]
-    with its own [budget_s]; the chaos site [pool.retry] fires inside
-    each re-run. Returns the first [Done] or the last failure. Re-runs
-    count in [govern.retries] and journal [govern.retry]; attempts cut
-    by a deadline count in [govern.timeouts], by the memory watermark
-    in [govern.mem_trips]. Run it on the driver in input order, never
-    inside pool tasks, so chaos occurrence numbering stays
-    deterministic. [sleep] is a test seam (default [Unix.sleepf]). *)

@@ -88,9 +88,11 @@ val map_outcome :
       of wedging it.
     - A task raising {!Govern.Cancelled} (from a cooperative
       checkpoint) becomes [Interrupted]; any other exception becomes
-      [Crashed] with its raise-site backtrace.
+      [Crashed] with its raise-site backtrace. Task bodies therefore
+      catch nothing: the caller settles every outcome.
     - The chaos site [pool.task] fires at each task entry, before the
-      entry cancellation check ({!Mm_util.Chaos}). *)
+      entry cancellation check ({!Mm_util.Chaos}). In a parallel batch
+      the task that draws a given occurrence varies with scheduling. *)
 
 val utilization_report : unit -> string
 (** Human-readable summary of the [pool.*] slice of the {!Metrics}

@@ -223,19 +223,16 @@ let started_ns = Obs.Clock.now_ns ()
 
 (* Degradation-ladder position, worst observed rung first. The rungs
    mirror Merge_flow's ladder (DESIGN.md §12): a clean run is
-   [nominal]; retries (rung 1, Govern.retry) mean transient trouble
-   absorbed; quarantines mean constraints were set aside; degraded
+   [nominal]; quarantines mean constraints were set aside; degraded
    cliques mean merge quality was traded for completion. *)
-let ladder_position ~retries ~quarantined ~degraded =
+let ladder_position ~quarantined ~degraded =
   if degraded > 0 then "degraded"
   else if quarantined > 0 then "quarantined"
-  else if retries > 0 then "retried"
   else "nominal"
 
 let healthz_json t =
   let fl = Metrics.json_float and esc = Metrics.json_escape in
-  let retries = Metrics.get_counter "govern.retries"
-  and quarantined = Metrics.get_counter "merge.quarantined"
+  let quarantined = Metrics.get_counter "merge.quarantined"
   and degraded = Metrics.get_counter "merge.degraded_cliques" in
   let governance =
     match Govern.run_root () with
@@ -254,12 +251,12 @@ let healthz_json t =
       (Govern.memory_pressure () <> None)
   in
   Printf.sprintf
-    {|{"status":"ok","pid":%d,"uptime_s":%s,"serve":{"addr":"%s","port":%d,"url":"%s"},"ladder":"%s","governance":%s,"memory":%s,"counters":{"govern.retries":%d,"merge.quarantined":%d,"merge.degraded_cliques":%d},"events_total":%d}|}
+    {|{"status":"ok","pid":%d,"uptime_s":%s,"serve":{"addr":"%s","port":%d,"url":"%s"},"ladder":"%s","governance":%s,"memory":%s,"counters":{"merge.quarantined":%d,"merge.degraded_cliques":%d},"events_total":%d}|}
     (Unix.getpid ())
     (fl (Obs.Clock.elapsed_s started_ns))
     (esc t.t_addr) t.t_port (esc (url t))
-    (ladder_position ~retries ~quarantined ~degraded)
-    governance memory retries quarantined degraded (Eventlog.total ())
+    (ladder_position ~quarantined ~degraded)
+    governance memory quarantined degraded (Eventlog.total ())
 
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)

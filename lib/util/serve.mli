@@ -14,7 +14,7 @@
       governance state: uptime, the bound serve endpoint
       ([{"addr","port","url"}] — how clients discover an autopicked
       port programmatically), run-root deadline remaining, memory
-      watermark, retry/quarantine/degradation counters and the derived
+      watermark, quarantine/degradation counters and the derived
       degradation-ladder position;
     - [GET /progress] — per-stage done/total/ETA JSON
       ({!Progress.to_json});

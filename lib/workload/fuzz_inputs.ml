@@ -101,57 +101,3 @@ let corrupt ?(rounds = 3) rng src =
   go 0 src
 
 let corrupt_seeded ~seed ?rounds src = corrupt ?rounds (Prng.create seed) src
-
-(* ------------------------------------------------------------------ *)
-(* Chaos mode: execution-fault scenarios
-
-   Where the mutations above corrupt inputs, a chaos scenario injects
-   an execution fault (delay or exception) at a named Mm_util.Chaos
-   site. Scenarios are plain data so the chaos suite can build its
-   jobs x fault matrix and render each cell to a spec string for
-   [Chaos.configure] or MM_CHAOS. *)
-
-type chaos_fault = Delay_ms of int | Raise
-
-type chaos_scenario = {
-  cs_name : string;
-  cs_site : string;
-  cs_occurrence : int option; (* None = every occurrence *)
-  cs_fault : chaos_fault;
-}
-
-let chaos_fault_to_string = function
-  | Delay_ms ms -> Printf.sprintf "delay:%d" ms
-  | Raise -> "raise"
-
-let chaos_spec scenarios =
-  String.concat ","
-    (List.map
-       (fun c ->
-         Printf.sprintf "%s@%s=%s" c.cs_site
-           (match c.cs_occurrence with
-           | None -> "*"
-           | Some n -> string_of_int n)
-           (chaos_fault_to_string c.cs_fault))
-       scenarios)
-
-(* The standard scenario set; every fault is recoverable in-process
-   (absorbed by the retry rung). *)
-let chaos_scenarios =
-  [
-    { cs_name = "task-delay"; cs_site = "pool.task"; cs_occurrence = Some 2;
-      cs_fault = Delay_ms 30 };
-    { cs_name = "task-raise"; cs_site = "pool.task"; cs_occurrence = Some 1;
-      cs_fault = Raise };
-    { cs_name = "task-raise-late"; cs_site = "pool.task";
-      cs_occurrence = Some 5; cs_fault = Raise };
-    { cs_name = "retry-raise"; cs_site = "pool.retry"; cs_occurrence = Some 1;
-      cs_fault = Raise };
-    { cs_name = "io-raise"; cs_site = "io.read"; cs_occurrence = Some 1;
-      cs_fault = Raise };
-  ]
-
-let chaos_matrix ?(jobs = [ 1; 4 ]) () =
-  List.concat_map
-    (fun j -> List.map (fun s -> j, s) chaos_scenarios)
-    jobs

@@ -1,21 +1,20 @@
-(* @chaos: execution-fault matrix for the governed merge pipeline.
+(* @chaos: execution-fault suite for the governed merge pipeline.
 
-   Three layers, all deterministic:
+   Two layers, all deterministic:
 
-   - In-process recovery: every Fuzz_inputs chaos scenario (task
-     delays, injected raises at the pool/retry/IO sites), plus a
-     raising pair check under Strict, is run at jobs=1 and jobs=4 and
-     must produce audit + merged-SDC bytes identical to an unfaulted
-     baseline — the retry rung absorbs the fault transparently,
-     visible only in the govern.* metrics.
-   - Degradation ladder: an exhausted cliques budget forces clique
-     splits down to probed singletons; the outcome must preserve the
-     mode partition and the paper's inclusion guarantee (a QCheck
-     property re-checks this over random workloads and fault mixes at
-     jobs=1 and jobs=4).
+   - Degradation ladder: a crashed or interrupted task is settled by
+     the merge flow. Under Permissive a crashed clique keeps its modes
+     individual, a crashed pair check is not mergeable, a timed-out or
+     mid-merge expired clique is split down to probed singletons;
+     under Strict the crash propagates. Every outcome must preserve
+     the mode partition and the paper's inclusion guarantee and be
+     identical at jobs=1 and jobs=4 (a QCheck property re-checks the
+     guarantees over random workloads and fault mixes).
    - CLI exit codes: the modemerge binary (path in the MODEMERGE env
      var, wired by the dune @chaos rule) must exit with status 3 on a
-     budget-degraded run and reject out-of-range numeric options with
+     budget-degraded run and 2 on a budget it cannot finish under,
+     treat a deadline past the clock range as none, and reject
+     out-of-range numeric options and the retired --retries with
      cmdliner's status 124. *)
 
 module Mode = Mm_sdc.Mode
@@ -27,7 +26,6 @@ module Audit = Mm_core.Audit
 module Equiv = Mm_core.Equiv
 module Gen_design = Mm_workload.Gen_design
 module Gen_modes = Mm_workload.Gen_modes
-module Fuzz = Mm_workload.Fuzz_inputs
 
 let () = Printexc.record_backtrace true
 
@@ -35,8 +33,8 @@ let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
 (* ------------------------------------------------------------------ *)
-(* Shared fixture: one generated design + mode suite written to disk
-   (run_files is used everywhere so the io.read chaos site is live).   *)
+(* Shared fixture: one generated design + mode suite written to disk,
+   merged through run_files as the CLI does.                           *)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -70,6 +68,11 @@ let write_file path contents =
     (fun () -> output_string oc contents)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let contains ~sub s =
+  let ln = String.length sub and ls = String.length s in
+  let rec at i = i + ln <= ls && (String.sub s i ln = sub || at (i + 1)) in
+  at 0
 
 let families = [ 3; 2 ]
 
@@ -118,19 +121,20 @@ let result_bytes r =
   Audit.to_json r ^ "\n"
   ^ String.concat "\n" (List.map Mode.to_sdc (Merge_flow.merged_modes r))
 
-let run_files ?(budgets = Merge_flow.default_budgets)
-    ?(policy = Merge_flow.Permissive) ~jobs ~spec () =
-  Metrics.reset ();
+let with_chaos spec f =
   (match Chaos.configure spec with
   | Ok () -> ()
   | Error e -> Alcotest.failf "chaos spec %S rejected: %s" spec e);
-  Fun.protect ~finally:Chaos.clear (fun () ->
+  Fun.protect ~finally:Chaos.clear f
+
+let run_files ?(budgets = Merge_flow.default_budgets)
+    ?(policy = Merge_flow.Permissive) ~jobs ~spec () =
+  Metrics.reset ();
+  with_chaos spec (fun () ->
       let r =
         Merge_flow.run_files ~policy ~jobs ~budgets ~design sdc_paths
       in
       r, result_bytes r)
-
-let baseline = lazy (snd (run_files ~jobs:1 ~spec:"" ()))
 
 (* ------------------------------------------------------------------ *)
 (* Soundness invariants shared by every ladder outcome                  *)
@@ -181,103 +185,6 @@ let assert_inclusion ~ctx (r : Merge_flow.result) =
     r.Merge_flow.groups
 
 (* ------------------------------------------------------------------ *)
-(* In-process recovery: the recoverable scenario matrix                *)
-
-let strict_baseline =
-  lazy (snd (run_files ~policy:Merge_flow.Strict ~jobs:1 ~spec:"" ()))
-
-(* The Fuzz_inputs scenarios run under Permissive. One more input pins
-   the retry rung on pair checks under Strict: 5 load tasks and 5
-   context builds run ahead of the sweep, so task 11 is the first pair
-   check, and one retry absorbs its raise. *)
-let recoverable_cases =
-  List.map
-    (fun (jobs, (sc : Fuzz.chaos_scenario)) ->
-      Merge_flow.Permissive, jobs, sc.Fuzz.cs_name, Fuzz.chaos_spec [ sc ])
-    (Fuzz.chaos_matrix ())
-  @ List.map
-      (fun jobs ->
-        Merge_flow.Strict, jobs, "strict first pair-check raise",
-        "pool.task@11=raise")
-      [ 1; 4 ]
-
-let test_recoverable_matrix () =
-  List.iter
-    (fun (policy, jobs, name, spec) ->
-      let base =
-        Lazy.force
-          (match policy with
-          | Merge_flow.Strict -> strict_baseline
-          | Merge_flow.Permissive -> baseline)
-      in
-      let _, bytes = run_files ~policy ~jobs ~spec () in
-      let ctx = Printf.sprintf "%s at jobs=%d" name jobs in
-      check Alcotest.string (ctx ^ " recovers byte-identical") base bytes;
-      if policy = Merge_flow.Strict then
-        check Alcotest.int (ctx ^ ": absorbed by one retry") 1
-          (Metrics.get_counter "govern.retries"))
-    recoverable_cases
-
-let test_combined_faults () =
-  let base = Lazy.force baseline in
-  let spec = Fuzz.chaos_spec Fuzz.chaos_scenarios in
-  List.iter
-    (fun jobs ->
-      let _, bytes = run_files ~jobs ~spec () in
-      check Alcotest.string
-        (Printf.sprintf "all recoverable faults at once, jobs=%d" jobs)
-        base bytes;
-      check Alcotest.bool "recovery is visible in govern.retries" true
-        (Metrics.get_counter "govern.retries" > 0))
-    [ 1; 4 ]
-
-let test_timeout_absorbed () =
-  let base = Lazy.force baseline in
-  let budgets =
-    { Merge_flow.default_budgets with Merge_flow.bg_task_s = Some 0.05 }
-  in
-  List.iter
-    (fun jobs ->
-      let _, bytes =
-        run_files ~budgets ~jobs ~spec:"pool.task@1=delay:120" ()
-      in
-      check Alcotest.string
-        (Printf.sprintf "timed-out task rescued byte-identical, jobs=%d" jobs)
-        base bytes;
-      check Alcotest.bool "timeout counted" true
-        (Metrics.get_counter "govern.timeouts" > 0);
-      check Alcotest.bool "rescue counted" true
-        (Metrics.get_counter "govern.retries" > 0))
-    [ 1; 4 ]
-
-(* --retries reaches pair checks: with a single attempt allowed, a
-   raising pair check is not retried but settled conservatively, and
-   the ladder's guarantees still hold. Under Permissive, 5 load tasks,
-   5 probes and 5 context builds run ahead of the sweep, so task 16 is
-   the first pair check. *)
-let test_pair_check_single_attempt () =
-  let budgets =
-    {
-      Merge_flow.default_budgets with
-      Merge_flow.bg_retry =
-        { Govern.default_retry with Govern.max_attempts = 1 };
-    }
-  in
-  List.iter
-    (fun jobs ->
-      let r, _ = run_files ~budgets ~jobs ~spec:"pool.task@16=raise" () in
-      let ctx = Printf.sprintf "single attempt, jobs=%d" jobs in
-      check Alcotest.int (ctx ^ ": pair check not retried") 0
-        (Metrics.get_counter "govern.retries");
-      check Alcotest.int (ctx ^ ": one conservative pair") 1
-        (Metrics.get_counter "govern.conservative_pairs");
-      check Alcotest.int (ctx ^ ": conservative pair in the result") 1
-        r.Merge_flow.governed.Merge_flow.gov_conservative_pairs;
-      assert_partition ~ctx mode_names r;
-      assert_inclusion ~ctx r)
-    [ 1; 4 ]
-
-(* ------------------------------------------------------------------ *)
 (* Merge groups hold no analysis contexts                             *)
 
 (* A group keeps its prelim and refinement without their merged
@@ -303,51 +210,16 @@ let test_groups_hold_no_context () =
        groups)
 
 (* ------------------------------------------------------------------ *)
-(* Degradation ladder under an exhausted stage budget                  *)
+(* In-memory workloads: [seed] picks the design and mode suite,
+   [fams] the family sizes, [regs] the registers per clock domain.     *)
 
-let test_budget_split_ladder () =
-  let budgets =
-    {
-      Merge_flow.default_budgets with
-      Merge_flow.bg_stage_s = [ "cliques", 0.0 ];
-    }
-  in
-  let outcomes =
-    List.map
-      (fun jobs ->
-        let r, bytes = run_files ~budgets ~jobs ~spec:"" () in
-        let ctx = Printf.sprintf "ladder jobs=%d" jobs in
-        check Alcotest.bool (ctx ^ ": splits recorded in the result") true
-          (r.Merge_flow.governed.Merge_flow.gov_clique_splits > 0);
-        check Alcotest.bool (ctx ^ ": splits recorded in metrics") true
-          (Metrics.get_counter "govern.clique_splits" > 0);
-        check Alcotest.bool (ctx ^ ": flagged degraded-under-budget") true
-          (Merge_flow.degraded_under_budget r.Merge_flow.governed);
-        check Alcotest.bool (ctx ^ ": split events in the audit trail") true
-          (List.exists
-             (fun (e : Merge_flow.govern_event) ->
-               e.Merge_flow.ge_action = "split")
-             r.Merge_flow.governed.Merge_flow.gov_events);
-        assert_partition ~ctx mode_names r;
-        assert_inclusion ~ctx r;
-        bytes)
-      [ 1; 4 ]
-  in
-  match outcomes with
-  | [ b1; b4 ] ->
-    check Alcotest.string "ladder outcome is jobs-invariant" b1 b4
-  | _ -> assert false
-
-(* ------------------------------------------------------------------ *)
-(* QCheck: every ladder outcome keeps the inclusion guarantee          *)
-
-let build_sources seed fams =
+let build_sources ?(regs = 12) seed fams =
   let params =
     {
       Gen_design.default_params with
       Gen_design.seed;
       n_domains = 2;
-      regs_per_domain = 12;
+      regs_per_domain = regs;
       stages = 2;
       combo_depth = 2;
     }
@@ -375,9 +247,222 @@ let build_sources seed fams =
   in
   design, sources
 
+(* ------------------------------------------------------------------ *)
+(* Degradation ladder under an exhausted stage budget                  *)
+
+let test_budget_split_ladder () =
+  let budgets =
+    {
+      Merge_flow.default_budgets with
+      Merge_flow.bg_stage_s = [ "cliques", 0.0 ];
+    }
+  in
+  let outcomes =
+    List.map
+      (fun jobs ->
+        let r, bytes = run_files ~budgets ~jobs ~spec:"" () in
+        let ctx = Printf.sprintf "ladder jobs=%d" jobs in
+        check Alcotest.bool (ctx ^ ": splits recorded in the result") true
+          (r.Merge_flow.governed.Merge_flow.gov_clique_splits > 0);
+        check Alcotest.bool (ctx ^ ": splits recorded in metrics") true
+          (Metrics.get_counter "govern.clique_splits" > 0);
+        check Alcotest.bool (ctx ^ ": flagged degraded-under-budget") true
+          (Merge_flow.degraded_under_budget r.Merge_flow.governed);
+        check Alcotest.bool (ctx ^ ": deadline hit") true
+          r.Merge_flow.governed.Merge_flow.gov_deadline_hit;
+        check Alcotest.bool (ctx ^ ": split events in the audit trail") true
+          (List.exists
+             (fun (e : Merge_flow.govern_event) ->
+               e.Merge_flow.ge_action = "split")
+             r.Merge_flow.governed.Merge_flow.gov_events);
+        assert_partition ~ctx mode_names r;
+        assert_inclusion ~ctx r;
+        bytes)
+      [ 1; 4 ]
+  in
+  match outcomes with
+  | [ b1; b4 ] ->
+    check Alcotest.string "ladder outcome is jobs-invariant" b1 b4
+  | _ -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Settling crashed and interrupted tasks                              *)
+
+(* Merge [sources] under Permissive with the chaos plan [spec] at
+   jobs=1 and jobs=4. Each run must keep the partition and inclusion
+   guarantees and pass [each] (called while the run's metrics are
+   live); both runs must render to the same [bytes]. Returns the jobs=1
+   result. *)
+let at_both_jobs ?(budgets = Merge_flow.default_budgets)
+    ?(bytes = result_bytes) ?(each = fun _ _ -> ()) ~ctx ~spec
+    (design, sources) =
+  let names = List.map (fun s -> s.Merge_flow.src_name) sources in
+  let runs =
+    List.map
+      (fun jobs ->
+        Metrics.reset ();
+        with_chaos spec (fun () ->
+            let r =
+              Merge_flow.run_sources ~policy:Merge_flow.Permissive ~jobs
+                ~budgets ~design sources
+            in
+            let ctx = Printf.sprintf "%s, jobs=%d" ctx jobs in
+            assert_partition ~ctx names r;
+            assert_inclusion ~ctx r;
+            each ctx r;
+            r, bytes r))
+      [ 1; 4 ]
+  in
+  match runs with
+  | [ (r, b1); (_, b4) ] ->
+    check Alcotest.string (ctx ^ ": same outcome at jobs=1 and jobs=4") b1 b4;
+    r
+  | _ -> assert false
+
+(* Two mergeable modes of one family. Under Permissive the run's pool
+   tasks are, in order: 2 loads, 2 probes, 2 context builds, the pair
+   check (occurrence 7) and the clique merge (occurrence 8). Both
+   faulted batches hold a single task, so an occurrence names the same
+   task at any jobs count. *)
+let pair_workload = lazy (build_sources 7 [ 2 ])
+
+let test_crashed_clique_degrades () =
+  let r0 = at_both_jobs ~ctx:"unfaulted pair" ~spec:"" (Lazy.force pair_workload) in
+  check Alcotest.int "the two modes merge when unfaulted" 1 r0.Merge_flow.n_merged;
+  let r =
+    at_both_jobs ~ctx:"crashed clique" ~spec:"pool.task@8=raise"
+      (Lazy.force pair_workload)
+  in
+  check
+    Alcotest.(list (list string))
+    "the clique is kept as individual modes" [ [ "m0_0"; "m0_1" ] ]
+    r.Merge_flow.degraded;
+  let expected =
+    "group [m0_0, m0_1] kept as individual modes: merge failed with "
+    ^ Printexc.to_string (Chaos.Injected "pool.task")
+  in
+  check Alcotest.bool "degraded with the crash's own text" true
+    (List.exists
+       (fun (d : Mm_util.Diag.t) ->
+         d.Mm_util.Diag.code = "merge.group-degraded"
+         && d.Mm_util.Diag.message = expected)
+       r.Merge_flow.diags);
+  check Alcotest.bool "a crash is not a budget outcome" false
+    (Merge_flow.degraded_under_budget r.Merge_flow.governed)
+
+let test_crashed_pair_conservative () =
+  ignore
+    (at_both_jobs ~ctx:"crashed pair check" ~spec:"pool.task@7=raise"
+       ~each:(fun ctx r ->
+         check Alcotest.int (ctx ^ ": one conservative pair counted") 1
+           (Metrics.get_counter "govern.conservative_pairs");
+         check Alcotest.int (ctx ^ ": one conservative pair recorded") 1
+           r.Merge_flow.governed.Merge_flow.gov_conservative_pairs;
+         check Alcotest.int (ctx ^ ": the modes stay apart") 2
+           r.Merge_flow.n_merged)
+       (Lazy.force pair_workload))
+
+let test_strict_reraises () =
+  List.iter
+    (fun jobs ->
+      match
+        run_files ~policy:Merge_flow.Strict ~jobs ~spec:"pool.task@1=raise" ()
+      with
+      | _ -> Alcotest.failf "jobs=%d: the injected crash must propagate" jobs
+      | exception Chaos.Injected site ->
+        check Alcotest.string
+          (Printf.sprintf "jobs=%d: the original exception" jobs)
+          "pool.task" site)
+    [ 1; 4 ]
+
+let test_timeout_counted_once () =
+  let budgets =
+    { Merge_flow.default_budgets with Merge_flow.bg_task_s = Some 0.05 }
+  in
+  ignore
+    (at_both_jobs ~budgets ~ctx:"timed-out clique"
+       ~spec:"pool.task@8=delay:120"
+       ~each:(fun ctx r ->
+         check Alcotest.int (ctx ^ ": one timeout") 1
+           (Metrics.get_counter "govern.timeouts");
+         check Alcotest.int (ctx ^ ": the clique is split") 1
+           r.Merge_flow.governed.Merge_flow.gov_clique_splits)
+       (Lazy.force pair_workload))
+
+(* A clique merge many times longer than the cliques budget: the budget
+   runs out at a checkpoint inside the merge, and the clique is split
+   rather than degraded as if the merge had crashed. The interrupted
+   merge may have finished some comparison passes, whose coverage
+   counters then depend on timing, so the two job counts are compared
+   on the merged modes, diagnostics and governance record. *)
+let slow_workload = lazy (build_sources ~regs:800 5 [ 3 ])
+
+let outcome_text (r : Merge_flow.result) =
+  let g = r.Merge_flow.governed in
+  String.concat "\n"
+    (List.map Mode.to_sdc (Merge_flow.merged_modes r)
+    @ List.map Mm_util.Diag.to_string r.Merge_flow.diags
+    @ List.map
+        (fun (e : Merge_flow.govern_event) ->
+          String.concat " "
+            [ e.Merge_flow.ge_stage; e.Merge_flow.ge_scope;
+              e.Merge_flow.ge_action; e.Merge_flow.ge_detail ])
+        g.Merge_flow.gov_events)
+
+let test_mid_merge_expiry_splits () =
+  let budgets =
+    {
+      Merge_flow.default_budgets with
+      Merge_flow.bg_stage_s = [ "cliques", 0.005 ];
+    }
+  in
+  ignore
+    (at_both_jobs ~budgets ~bytes:outcome_text ~ctx:"mid-merge expiry"
+       ~spec:""
+       ~each:(fun ctx r ->
+         let g = r.Merge_flow.governed in
+         check Alcotest.bool (ctx ^ ": the clique is split") true
+           (g.Merge_flow.gov_clique_splits > 0);
+         check Alcotest.bool (ctx ^ ": degraded under budget") true
+           (Merge_flow.degraded_under_budget g);
+         check Alcotest.bool (ctx ^ ": deadline hit") true
+           g.Merge_flow.gov_deadline_hit;
+         let cancelled (d : Mm_util.Diag.t) =
+           contains ~sub:"Govern.Cancelled" d.Mm_util.Diag.message
+         in
+         check Alcotest.bool (ctx ^ ": no diagnostic names Govern.Cancelled")
+           false
+           (List.exists cancelled
+              (r.Merge_flow.diags
+              @ List.concat_map
+                  (fun (q : Merge_flow.quarantined) -> q.Merge_flow.q_diags)
+                  r.Merge_flow.quarantined)))
+       (Lazy.force slow_workload))
+
+(* The memory watermark expires every token, but it is not a deadline:
+   the audit's deadline_hit stays false. *)
+let test_memory_is_not_deadline () =
+  let budgets =
+    { Merge_flow.default_budgets with Merge_flow.bg_mem_limit_mb = Some 0.0001 }
+  in
+  Fun.protect
+    ~finally:(fun () -> Govern.set_memory_limit_mb None)
+    (fun () ->
+      let r, _ = run_files ~budgets ~jobs:1 ~spec:"" () in
+      assert_partition ~ctx:"memory watermark" mode_names r;
+      check Alcotest.bool "memory trips counted" true
+        (Metrics.get_counter "govern.mem_trips" > 0);
+      check Alcotest.bool "degraded under budget" true
+        (Merge_flow.degraded_under_budget r.Merge_flow.governed);
+      check Alcotest.bool "no deadline hit" false
+        r.Merge_flow.governed.Merge_flow.gov_deadline_hit)
+
+(* ------------------------------------------------------------------ *)
+(* QCheck: every ladder outcome keeps the inclusion guarantee          *)
+
 (* Three pressure mixes, all ending in a valid run: a dead cliques
-   budget (guaranteed splits), a single task timeout (retry rung), and
-   a crash plus a crashing first retry (retry rung, twice). *)
+   budget (guaranteed splits), a single task timeout, and a single
+   crashed task. *)
 let pressure_of = function
   | 0 ->
     ( "cliques-budget",
@@ -388,8 +473,7 @@ let pressure_of = function
       { Merge_flow.default_budgets with Merge_flow.bg_task_s = Some 0.03 },
       "pool.task@3=delay:80" )
   | _ ->
-    "double-crash", Merge_flow.default_budgets,
-    "pool.task@1=raise,pool.retry@1=raise"
+    "crash", Merge_flow.default_budgets, "pool.task@1=raise"
 
 let ladder_case_gen =
   QCheck2.Gen.(
@@ -405,10 +489,7 @@ let prop_inclusion (seed, fams, pressure) =
   List.iter
     (fun jobs ->
       Metrics.reset ();
-      (match Chaos.configure spec with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "chaos spec %S rejected: %s" spec e);
-      Fun.protect ~finally:Chaos.clear (fun () ->
+      with_chaos spec (fun () ->
           let r =
             Merge_flow.run_sources ~policy:Merge_flow.Permissive ~jobs ~budgets
               ~design sources
@@ -527,14 +608,13 @@ let test_cli_rejects_out_of_range () =
       check Alcotest.bool
         (Printf.sprintf "%s: nothing was merged" extra)
         false (Sys.file_exists out))
-    [ "--jobs=0"; "--jobs=-3"; "-j 0"; "--retries=-2"; "--retries=0";
-      "--deadline=nan"; "--deadline=-1"; "--task-timeout=nan";
+    [ "--jobs=0"; "--jobs=-3"; "-j 0"; "--deadline=nan"; "--deadline=-1"; "--task-timeout=nan";
       "--mem-limit-mb=nan"; "--mem-limit-mb=-5"; "--mem-limit-mb=inf";
       "--budget cliques=nan"; "--budget cliques=-1" ]
 
-(* The acceptance check: a chaos run with injected timeouts completes
-   degraded and its metrics export carries nonzero govern.retries,
-   govern.timeouts and govern.clique_splits. *)
+(* A chaos run with an injected timeout completes degraded and its
+   metrics export carries nonzero govern.timeouts and
+   govern.clique_splits. *)
 let counter_in_json json name =
   let needle = Printf.sprintf "\"%s\":" name in
   let nh = String.length needle and lh = String.length json in
@@ -574,30 +654,69 @@ let test_cli_metrics_export () =
       | Some v when v > 0. -> ()
       | Some _ -> Alcotest.failf "metrics export has %s = 0" name
       | None -> Alcotest.failf "metrics export is missing %s" name)
-    [ "govern.retries"; "govern.timeouts"; "govern.clique_splits" ]
+    [ "govern.timeouts"; "govern.clique_splits" ]
+
+(* The retry rung is gone, and so is its option. *)
+let test_cli_no_retries () =
+  let rc, out, _ = run_merge ~tag:"retries" ~extra:"--retries 3" () in
+  check Alcotest.int "--retries is an unknown option" 124 rc;
+  check Alcotest.bool "nothing was merged" true (merged_sdcs out = [])
+
+(* A deadline past the clock range is no deadline: same exit, same
+   merged modes as a run without one. *)
+let test_cli_huge_deadline () =
+  let rc0, out0, _ = run_merge ~tag:"no_deadline" ~extra:"" () in
+  let rc, out, _ = run_merge ~tag:"huge_deadline" ~extra:"--deadline 1e10" () in
+  check Alcotest.int "no deadline exits 0" 0 rc0;
+  check Alcotest.int "--deadline 1e10 exits 0" 0 rc;
+  check Alcotest.(list string) "same merged files" (merged_sdcs out0)
+    (merged_sdcs out);
+  List.iter
+    (fun f ->
+      check Alcotest.string (f ^ " is identical")
+        (read_file (Filename.concat out0 f))
+        (read_file (Filename.concat out f)))
+    (merged_sdcs out0)
+
+(* The heap watermark is process-wide, so it can trip after the merge,
+   in the post-merge STA pass: the run ends with a located govern.memory
+   fatal, not an uncaught exception, and the merged modes are already
+   on disk. *)
+let test_cli_memory_watermark () =
+  let rc, out, _ = run_merge ~tag:"memory" ~extra:"--mem-limit-mb 1" () in
+  let log = read_file (Filename.concat scratch_root "memory.log") in
+  check Alcotest.int "exits 2" 2 rc;
+  check Alcotest.bool "govern.memory diagnostic" true
+    (contains ~sub:"fatal[govern.memory]" log);
+  check Alcotest.bool "no internal error" false
+    (contains ~sub:"internal error" log);
+  check Alcotest.bool "merged modes written" true (merged_sdcs out <> [])
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mm_chaos"
     [
-      ( "recovery",
-        [
-          tc "recoverable scenario matrix" test_recoverable_matrix;
-          tc "all recoverable faults at once" test_combined_faults;
-          tc "task timeout absorbed by retry" test_timeout_absorbed;
-          tc "single attempt reaches pair checks"
-            test_pair_check_single_attempt;
-        ] );
       ( "merge_flow",
         [ tc "merge groups hold no contexts" test_groups_hold_no_context ] );
       ( "ladder",
         [ tc "cliques budget forces sound splits" test_budget_split_ladder;
-          prop_ladder_inclusion ] );
+          prop_ladder_inclusion;
+          tc "crashed clique degrades" test_crashed_clique_degrades;
+          tc "crashed pair check is conservative"
+            test_crashed_pair_conservative;
+          tc "strict re-raises a crashed task" test_strict_reraises;
+          tc "timeout counted once" test_timeout_counted_once;
+          tc "mid-merge expiry splits the clique" test_mid_merge_expiry_splits;
+          tc "memory pressure is no deadline hit" test_memory_is_not_deadline;
+        ] );
       ( "cli",
         [
           tc "budget-degraded exit code 3" test_cli_budget_exit_code;
           tc "out-of-range numbers rejected" test_cli_rejects_out_of_range;
           tc "chaos metrics export" test_cli_metrics_export;
+          tc "--retries is unknown" test_cli_no_retries;
+          tc "--deadline 1e10 is no deadline" test_cli_huge_deadline;
+          tc "memory watermark exits 2" test_cli_memory_watermark;
         ] );
     ]
