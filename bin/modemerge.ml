@@ -436,6 +436,9 @@ let run_flow ?check_equivalence ~policy ?jobs ?budgets ~design sdcs =
     r
   | exception Mm_sdc.Parser.Error { loc; msg } ->
     fatal ?loc ~code:(Mm_sdc.Parser.error_code msg) "%s" msg
+  | exception Merge_flow.Duplicate_mode d ->
+    print_diag d;
+    exit exit_fatal
 
 let merge_cmd =
   let outdir =
@@ -521,12 +524,15 @@ let merge_cmd =
     in
     if dot then begin
       (* Rebuild the individual sides to attribute clock-network edges;
-         quarantined modes simply contribute no side. *)
+         quarantined modes simply contribute no side. The first source
+         of a mode name is the one the merge kept. *)
       let by_name = Hashtbl.create 8 in
       List.iter
         (fun path ->
           match load_mode ~policy design path with
-          | m -> Hashtbl.replace by_name m.Mode.mode_name m
+          | m ->
+            if not (Hashtbl.mem by_name m.Mode.mode_name) then
+              Hashtbl.replace by_name m.Mode.mode_name m
           | exception _ -> ())
         sdcs;
       List.iteri

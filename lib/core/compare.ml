@@ -531,7 +531,7 @@ let relations_from_sp ctx sp ep ~within ~order ~scratch =
 let find_endpoint (ctx : Context.t) pin =
   List.find_opt
     (fun ep -> Tgraph.endpoint_pin ep = pin)
-    ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints
+    ctx.Context.graph.Tgraph.sk_endpoints
 
 (* The individual side of one ambiguous endpoint: in merged-graph
    startpoint order, every startpoint inside the merged cone or any
@@ -566,7 +566,7 @@ let pass2_candidates ~individual ~side_scratches ~(merged : Context.t)
         else None
       end
       else None)
-    merged.Context.graph.Tgraph.sk.Tgraph.sk_startpoints
+    merged.Context.graph.Tgraph.sk_startpoints
 
 let pass2 ?cache ~individual ~(merged : Context.t) ambiguous_eps =
   let design = merged.Context.design in

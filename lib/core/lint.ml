@@ -25,7 +25,7 @@ let unclocked_registers (ctx : Context.t) =
                (Design.inst_name design sp_inst))
         else None
       | Tgraph.Sp_port _ -> None)
-    ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints
+    ctx.Context.graph.Tgraph.sk_startpoints
 
 let unconstrained_ports (ctx : Context.t) =
   let design = ctx.Context.design in
@@ -68,7 +68,7 @@ let unused_clocks (ctx : Context.t) =
       | Tgraph.Sp_reg { sp_clock; _ } ->
         used := !used lor Clock_prop.mask_at ctx.Context.clocks sp_clock
       | Tgraph.Sp_port _ -> ())
-    ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints;
+    ctx.Context.graph.Tgraph.sk_startpoints;
   let acc = ref [] in
   for i = 0 to Clock_prop.n_clocks ctx.Context.clocks - 1 do
     if !used land (1 lsl i) = 0 then
@@ -126,7 +126,7 @@ let cross_domain (ctx : Context.t) =
                   (List.rev_map (Clock_prop.clock_name ctx.Context.clocks) clocks)))
         else None
       | Tgraph.Sp_port _ -> None)
-    ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints
+    ctx.Context.graph.Tgraph.sk_startpoints
 
 let run ctx =
   unclocked_registers ctx @ unconstrained_ports ctx @ unused_clocks ctx

@@ -635,10 +635,40 @@ let source_of_file path =
     src_text = Mm_sdc.Parser.read_whole_file path;
   }
 
+exception Duplicate_mode of Diag.t
+
+(* Every per-mode table of the flow (the context cache, prelim's clock
+   map) is keyed by mode name, so a source whose name is taken is
+   refused before it can stand in for the first one. Returns the
+   sources to load and, under [Permissive], the refused ones with
+   their diagnostics. *)
+let split_duplicates ~policy sources =
+  let seen = Hashtbl.create 16 in
+  let file src = Option.value src.src_file ~default:src.src_name in
+  List.partition_map
+    (fun src ->
+      match Hashtbl.find_opt seen src.src_name with
+      | None ->
+        Hashtbl.replace seen src.src_name src;
+        Either.Left src
+      | Some first -> (
+        let diag severity =
+          Diag.makef ~loc:(Diag.loc (file src)) severity
+            ~code:"merge.duplicate-mode"
+            "mode name %s is already taken by %s (mode names are source \
+             basenames and must be unique)"
+            src.src_name (file first)
+        in
+        match policy with
+        | Strict -> raise (Duplicate_mode (diag Diag.Fatal))
+        | Permissive -> Either.Right (src.src_name, diag Diag.Error)))
+    sources
+
 let compute_load ~policy ~design ~pool ~budgets ~tok sources =
   Obs.with_span "merge.load"
     ~attrs:[ "sources", string_of_int (List.length sources) ]
   @@ fun () ->
+  let sources, duplicates = split_duplicates ~policy sources in
   Progress.add_total ~by:(List.length sources) "merge.load";
   let task src = load_task ~policy ~design src.src_name src.src_file src.src_text in
   let outs =
@@ -662,7 +692,10 @@ let compute_load ~policy ~design ~pool ~budgets ~tok sources =
               }
             | Error diags -> quarantine_into st Load name diags)
           ~failed:(quarantine_failed st Load name))
-      (initial []) sources outs
+      (List.fold_left
+         (fun st (name, diag) -> quarantine_into st Load name [ diag ])
+         (initial []) duplicates)
+      sources outs
   in
   (* An `always` counter (DESIGN.md §9): registered even at zero. *)
   Metrics.incr ~by:0 "merge.quarantined";

@@ -171,7 +171,17 @@ type source = {
 }
 
 val source_of_file : string -> source
-(** @raise Sys_error when unreadable. *)
+(** The mode name is the file's basename without its extension.
+    @raise Sys_error when unreadable. *)
+
+exception Duplicate_mode of Mm_util.Diag.t
+(** Raised at load under [Strict] when two sources share a mode name;
+    the fatal [merge.duplicate-mode] diagnostic is located at the later
+    source and names the earlier one. Every per-mode table of the flow
+    is keyed by mode name, so the flow refuses the pair rather than
+    merge one mode's constraints under the other's name. Under
+    [Permissive] the later source is quarantined at load with the same
+    diagnostic at error severity. *)
 
 val run_sources :
   ?tolerance:Mm_util.Toler.t ->
@@ -183,9 +193,10 @@ val run_sources :
   source list ->
   result
 (** Load each source against [design] and merge. Under [Strict] a
-    syntax error raises {!Mm_sdc.Parser.Error};
-    under [Permissive] parsing recovers at command boundaries and a
-    mode with error-severity diagnostics is quarantined. *)
+    syntax error raises {!Mm_sdc.Parser.Error} and a repeated mode name
+    {!Duplicate_mode}; under [Permissive] parsing recovers at command
+    boundaries, and a mode with error-severity diagnostics or a taken
+    name is quarantined. *)
 
 val run_files :
   ?tolerance:Mm_util.Toler.t ->

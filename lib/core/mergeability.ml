@@ -48,7 +48,7 @@ let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
                  (Clock_prop.mask_at ctx_i.Context.clocks sp_clock)
                  List.cons [])
           | Tgraph.Sp_port _ -> ())
-        ctx_i.Context.graph.Tgraph.sk.Tgraph.sk_startpoints)
+        ctx_i.Context.graph.Tgraph.sk_startpoints)
     individual;
   List.rev !reasons
 

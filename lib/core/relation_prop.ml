@@ -31,7 +31,7 @@ let reset_scratch ts =
    the per-startpoint queries of passes 2 and 3. *)
 let cone_order (ctx : Context.t) within =
   let acc = ref [] in
-  let topo = ctx.Context.graph.Tgraph.sk.Tgraph.topo in
+  let topo = ctx.Context.graph.Tgraph.topo in
   for i = Array.length topo - 1 downto 0 do
     if within.(topo.(i)) then acc := topo.(i) :: !acc
   done;
@@ -59,7 +59,7 @@ let sweep (ctx : Context.t) (ts : tagsets) ?within ?order () =
   | None ->
     Array.iter
       (fun pin -> sweep_pin ctx ts inside pin)
-      ctx.Context.graph.Tgraph.sk.Tgraph.topo
+      ctx.Context.graph.Tgraph.topo
 
 let propagate (ctx : Context.t) ~seeds ?within ?order ?scratch () =
   let ts =
@@ -133,7 +133,7 @@ let endpoint_relations (ctx : Context.t) =
   let tags = propagate ctx ~seeds:(Tag.all_launches ctx) () in
   List.map
     (fun ep -> Tgraph.endpoint_pin ep, relations_at ctx tags ep)
-    ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints
+    ctx.Context.graph.Tgraph.sk_endpoints
 
 let data_clock_masks (ctx : Context.t) =
   let g = ctx.Context.graph in
@@ -151,7 +151,7 @@ let data_clock_masks (ctx : Context.t) =
               let dst = Tgraph.arc_dst g aid in
               masks.(dst) <- masks.(dst) lor masks.(pin)
             end))
-    g.Tgraph.sk.Tgraph.topo;
+    g.Tgraph.topo;
   masks
 
 let cone (ctx : Context.t) pins ~forward =
@@ -225,7 +225,7 @@ let rec strip_prefix prefix l =
    Either restriction missing widens to "all"; both missing dirties
    every endpoint. Everything is over-approximate on purpose. *)
 let dirty_endpoints (ctx : Context.t) delta =
-  let eps = Array.of_list ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints in
+  let eps = Array.of_list ctx.Context.graph.Tgraph.sk_endpoints in
   let n_eps = Array.length eps in
   let dirty = Array.make n_eps false in
   let launches = lazy (Tag.all_launches ctx) in

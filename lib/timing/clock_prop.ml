@@ -5,13 +5,9 @@ type t = {
   order : string array;
   index : (string, int) Hashtbl.t;
   masks : int array;
-  arrivals : (int, float * float) Hashtbl.t;
-      (** key: [pin * 64 + clock_index] *)
 }
 
 exception Too_many_clocks of int
-
-let key pin clk = (pin * 64) + clk
 
 let run (g : Tgraph.t) (cp : Const_prop.t) (mode : Mode.t) =
   let clocks = mode.Mode.clocks in
@@ -22,7 +18,6 @@ let run (g : Tgraph.t) (cp : Const_prop.t) (mode : Mode.t) =
   Array.iteri (fun i n -> Hashtbl.replace index n i) order;
   let n = Tgraph.n_pins g in
   let masks = Array.make n 0 in
-  let arrivals = Hashtbl.create 256 in
   (* Stop pins per clock: set_clock_sense -stop_propagation. A sense
      without -clock stops every clock at the pin. *)
   let stop = Hashtbl.create 16 in
@@ -55,10 +50,7 @@ let run (g : Tgraph.t) (cp : Const_prop.t) (mode : Mode.t) =
       List.iter
         (fun src ->
           if Const_prop.pin_active cp src && stopped_mask src land (1 lsl ci) = 0
-          then begin
-            masks.(src) <- masks.(src) lor (1 lsl ci);
-            Hashtbl.replace arrivals (key src ci) (0., 0.)
-          end)
+          then masks.(src) <- masks.(src) lor (1 lsl ci))
         c.Mode.sources)
     clocks;
   (* Topological sweep over enabled Comb/Net arcs. *)
@@ -71,25 +63,11 @@ let run (g : Tgraph.t) (cp : Const_prop.t) (mode : Mode.t) =
               && Const_prop.enabled cp aid
             then begin
               let dst = Tgraph.arc_dst g aid in
-              let incoming = masks.(pin) land lnot (stopped_mask dst) in
-              if incoming <> 0 then begin
-                masks.(dst) <- masks.(dst) lor incoming;
-                for ci = 0 to nclk - 1 do
-                  if incoming land (1 lsl ci) <> 0 then begin
-                    let smin, smax = Hashtbl.find arrivals (key pin ci) in
-                    let dmin = smin +. Tgraph.arc_dmin g aid
-                    and dmax = smax +. Tgraph.arc_dmax g aid in
-                    match Hashtbl.find_opt arrivals (key dst ci) with
-                    | None -> Hashtbl.replace arrivals (key dst ci) (dmin, dmax)
-                    | Some (emin, emax) ->
-                      Hashtbl.replace arrivals (key dst ci)
-                        (Float.min emin dmin, Float.max emax dmax)
-                  end
-                done
-              end
+              masks.(dst) <-
+                masks.(dst) lor (masks.(pin) land lnot (stopped_mask dst))
             end))
-    g.Tgraph.sk.Tgraph.topo;
-  { order; index; masks; arrivals }
+    g.Tgraph.topo;
+  { order; index; masks }
 
 let n_clocks t = Array.length t.order
 let clock_name t i = t.order.(i)
@@ -108,7 +86,6 @@ let clocks_at t pin =
   fold_indices t.masks.(pin) (fun i names -> t.order.(i) :: names) []
 
 let has_clock t pin i = t.masks.(pin) land (1 lsl i) <> 0
-let arrival t pin i = Hashtbl.find_opt t.arrivals (key pin i)
 
 let mask_of_clock_names t names =
   List.fold_left

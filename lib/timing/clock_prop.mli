@@ -4,8 +4,9 @@
     combinational and net arcs (never through register launch arcs) in
     topological order, honouring [set_clock_sense -stop_propagation]
     constraints. The result records, per pin, the set of clocks present
-    (as a bitmask over the mode's clock order) and the min/max
-    insertion delay of each clock at each reached pin.
+    (as a bitmask over the mode's clock order). It holds no times: the
+    insertion delays of propagated clocks are STA's ({!Sta}), swept
+    over these masks.
 
     This is the machinery behind the paper's clock refinement (3.1.8):
     comparing per-node clock sets between merged and individual modes. *)
@@ -28,10 +29,6 @@ val fold_indices : int -> (int -> 'a -> 'a) -> 'a -> 'a
 (** [fold_indices mask f init] folds [f] over the clock indices set in
     [mask] like [List.fold_right] over them in ascending order, so
     [fold_indices mask List.cons []] lists them ascending. *)
-
-val arrival : t -> Mm_netlist.Design.pin_id -> int -> (float * float) option
-(** Min/max network insertion delay of clock [i] at [pin], when the
-    clock reaches it. *)
 
 val mask_of_clock_names : t -> string list -> int
 (** Bitmask of the named clocks (unknown names ignored). *)

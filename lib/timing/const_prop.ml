@@ -42,8 +42,8 @@ let eval_pin design ~read pin =
    whose value changes marks its later readers dirty. Returns the
    changed pins. *)
 let sweep g ~values ~forced ~dirty ~first =
-  let design = g.Tgraph.sk.Tgraph.sk_design in
-  let topo = g.Tgraph.sk.Tgraph.topo and pos = g.Tgraph.sk.Tgraph.topo_pos in
+  let design = g.Tgraph.sk_design in
+  let topo = g.Tgraph.topo and pos = g.Tgraph.topo_pos in
   let initial q = Option.value (Hashtbl.find_opt forced q) ~default:Logic.X in
   let changed = ref [] in
   for k = first to Array.length topo - 1 do
@@ -70,7 +70,7 @@ let sweep g ~values ~forced ~dirty ~first =
 (* Enablement of one arc under final pin values and the mode's
    disables; see the interface for the rules. *)
 let arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid =
-  let design = g.Tgraph.sk.Tgraph.sk_design in
+  let design = g.Tgraph.sk_design in
   let src = Tgraph.arc_src g aid and dst = Tgraph.arc_dst g aid in
   if
     Hashtbl.mem inst_disabled aid
@@ -100,13 +100,13 @@ let broken_table g =
   let broken = Hashtbl.create 16 in
   List.iter
     (fun aid -> Hashtbl.replace broken aid ())
-    g.Tgraph.sk.Tgraph.broken;
+    g.Tgraph.broken;
   broken
 
 (* The cell and launch arcs of one instance: each leaves one of the
    instance's own pins. *)
 let iter_inst_arcs g inst f =
-  let design = g.Tgraph.sk.Tgraph.sk_design in
+  let design = g.Tgraph.sk_design in
   let cell = Design.inst_cell design inst in
   for i = 0 to Array.length cell.Lib_cell.pins - 1 do
     Tgraph.iter_out g (Design.inst_pin design inst i) (fun aid ->
@@ -137,11 +137,11 @@ let compute_baseline g =
     cb_disabled = Array.of_list !disabled;
   }
 
-(* Computed once per skeleton and published with a compare-and-set:
-   domains racing on a cold skeleton each compute it, the first
+(* Computed once per compiled graph and published with a compare-and-set:
+   domains racing on a cold graph each compute it, the first
    publication wins and every caller returns that one. *)
 let baseline g =
-  let slot = g.Tgraph.sk.Tgraph.const_base in
+  let slot = g.Tgraph.const_base in
   match Atomic.get slot with
   | Some b -> b
   | None ->
@@ -150,9 +150,9 @@ let baseline g =
     else Option.get (Atomic.get slot)
 
 let run (g : Tgraph.t) (mode : Mode.t) =
-  let design = g.Tgraph.sk.Tgraph.sk_design in
+  let design = g.Tgraph.sk_design in
   let n = Tgraph.n_pins g in
-  let pos = g.Tgraph.sk.Tgraph.topo_pos in
+  let pos = g.Tgraph.topo_pos in
   let base = baseline g in
   (* Case values; a pin cased twice keeps its last value. *)
   let forced = Hashtbl.create 16 in

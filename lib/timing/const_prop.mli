@@ -14,7 +14,7 @@
 
     Propagation is change-driven. The design's all-X {!baseline} (no
     cases, no disables: tie cells and what they imply) is computed once
-    per compiled skeleton; {!run} expands it and re-evaluates, in
+    per compiled graph; {!run} expands it and re-evaluates, in
     topological order, only the pins whose inputs changed, then
     re-decides enablement only for arcs a changed or disabled pin can
     affect. The result is the one a single topological sweep from
@@ -30,7 +30,7 @@ type t = {
 val run : Tgraph.t -> Mm_sdc.Mode.t -> t
 
 val baseline : Tgraph.t -> Tgraph.const_base
-(** The all-X baseline of the graph's skeleton, computed on first use
+(** The all-X baseline of the compiled graph, computed on first use
     and shared by every later call on any domain (racing first calls
     each compute it; one publication wins and all return it). Shared:
     do not mutate. *)

@@ -35,18 +35,18 @@ let build_exclusive (clocks : Clock_prop.t) (mode : Mode.t) =
 
 let create design mode =
   Mm_util.Metrics.incr "timing.context_builds";
-  let graph = Tgraph.build design mode in
+  let graph = Tgraph.skeleton design in
   let consts = Const_prop.run graph mode in
   let clocks = Clock_prop.run graph consts mode in
   let excs = Excmatch.prepare graph clocks mode in
   { design; mode; graph; consts; clocks; excs; exclusive = build_exclusive clocks mode }
 
-(* Swap the mode without recomputing graph/constants/clocks: only the
+(* Swap the mode without recomputing constants/clocks: only the
    exception automaton and clock-group exclusivity depend on the parts
    of a mode that refinement changes (exceptions, groups, senses used
    as lineage carriers). The caller guarantees the new mode matches
    [t.mode] in everything the reused layers were computed from: cases,
-   disables, environment (loads/drives) and clock definitions. *)
+   disables and clock definitions. *)
 let with_exceptions t mode =
   let excs = Excmatch.prepare t.graph t.clocks mode in
   { t with mode; excs; exclusive = build_exclusive t.clocks mode }

@@ -2,7 +2,11 @@
 
     Bundles the timing graph, constant propagation, clock propagation
     and the prepared exception matcher — everything both the STA engine
-    and the mode-merging relation comparison need. *)
+    and the mode-merging relation comparison need. A context carries no
+    delays: the graph is the design's shared compiled arena, and
+    clock propagation records which clocks reach a pin, not when. STA
+    derives arc delays, pin loads and clock insertion delays from the
+    context when it analyses a mode ({!Sta.view}). *)
 
 type t = {
   design : Mm_netlist.Design.t;
@@ -25,9 +29,11 @@ val with_exceptions : t -> Mm_sdc.Mode.t -> t
     only the exception matcher and clock-group exclusivity; the timing
     graph, constant propagation and clock propagation are reused as-is.
     Sound only when [mode] agrees with [t.mode] on everything those
-    layers read: cases, disables, environment constraints and clock
-    definitions — the refinement loop's situation, where iterations
-    differ only by appended exceptions. *)
+    layers read: cases, disables and clock definitions — the refinement
+    loop's situation, where iterations differ only by appended
+    exceptions. Environment constraints (set_load, set_drive,
+    set_input_transition) may differ: only delays read them, and STA
+    derives those from the context's mode. *)
 
 val clocks_exclusive : t -> int -> int -> bool
 

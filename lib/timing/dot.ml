@@ -35,7 +35,7 @@ let side_covers (merged : Context.t) side pin =
 let export ?(individual = []) ?(clock_network_only = false)
     (merged : Context.t) =
   let graph = merged.Context.graph in
-  let design = graph.Tgraph.sk.Tgraph.sk_design in
+  let design = graph.Tgraph.sk_design in
   let b = Buffer.create 4096 in
   Buffer.add_string b "digraph timing {\n";
   Buffer.add_string b "  rankdir=LR;\n";

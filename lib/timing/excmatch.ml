@@ -61,7 +61,7 @@ let reg_data_pins design inst =
     List.map (fun d -> Design.inst_pin design inst d) seq.Lib_cell.data_pins
 
 let prepare (g : Tgraph.t) (clocks : Clock_prop.t) (mode : Mode.t) =
-  let design = g.Tgraph.sk.Tgraph.sk_design in
+  let design = g.Tgraph.sk_design in
   let prepare_points ~as_from points =
     let pins = Hashtbl.create 8 and clock_mask = ref 0 in
     List.iter

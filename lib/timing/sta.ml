@@ -27,12 +27,101 @@ type report = {
   rep_runtime : float;
 }
 
+(* ------------------------------------------------------------------ *)
+(* The analysed view of a mode: its context plus the timing data only
+   STA reads — arc delays, pin loads and the insertion delays of the
+   propagated clocks. Built once per analysed mode and shared across
+   corners (corners scale the delays, they do not change them).        *)
+
+type view = {
+  ctx : Context.t;
+  delays : Tgraph.delays;
+  clock_arrivals : (int, float * float) Hashtbl.t;
+      (* min/max insertion delay, keyed by [arrival_key pin clock] *)
+}
+
+let arrival_key pin clk = (pin * 64) + clk
+
+(* The insertion delays of the propagated clocks: each clock swept from
+   its sources over the clock network in topological order, min/max
+   folded per (pin, clock). The network is Clock_prop's: enabled
+   Comb/Net arcs, and a clock crosses an arc exactly when Clock_prop's
+   final masks have it at both ends (a clock stopped at a pin never
+   reaches its mask). Enabled arcs run forward in topological order
+   (loop-breaking arcs are disabled), so a pin's arrivals are final
+   when it is swept. Each clock's sweep is independent of the others,
+   so ideal clocks are skipped, and a mode without a propagated clock
+   sweeps nothing. *)
+let clock_arrivals (ctx : Context.t) (dl : Tgraph.delays) =
+  let g = ctx.Context.graph
+  and clocks = ctx.Context.clocks
+  and mode = ctx.Context.mode in
+  let propagated = ref 0 in
+  List.iteri
+    (fun ci (c : Mode.clock) ->
+      if (Mode.attr_of_clock mode c.Mode.clk_name).Mode.propagated then
+        propagated := !propagated lor (1 lsl ci))
+    mode.Mode.clocks;
+  let propagated = !propagated in
+  let arrivals = Hashtbl.create (if propagated = 0 then 1 else 256) in
+  if propagated <> 0 then begin
+    (* Seeds: every source pin the clock reaches (a cased or stopped
+       source defines the clock but has it in no mask). *)
+    List.iteri
+      (fun ci (c : Mode.clock) ->
+        if propagated land (1 lsl ci) <> 0 then
+          List.iter
+            (fun src ->
+              if
+                Const_prop.pin_active ctx.Context.consts src
+                && Clock_prop.has_clock clocks src ci
+              then Hashtbl.replace arrivals (arrival_key src ci) (0., 0.))
+            c.Mode.sources)
+      mode.Mode.clocks;
+    let nclk = Clock_prop.n_clocks clocks in
+    Array.iter
+      (fun pin ->
+        let live = Clock_prop.mask_at clocks pin land propagated in
+        if live <> 0 then
+          Tgraph.iter_out g pin (fun aid ->
+              if
+                Tgraph.arc_kind g aid <> Tgraph.Launch
+                && Const_prop.enabled ctx.Context.consts aid
+              then begin
+                let dst = Tgraph.arc_dst g aid in
+                let incoming = live land Clock_prop.mask_at clocks dst in
+                for ci = 0 to nclk - 1 do
+                  if incoming land (1 lsl ci) <> 0 then begin
+                    let smin, smax = Hashtbl.find arrivals (arrival_key pin ci) in
+                    let dmin = smin +. dl.Tgraph.dmin.(aid)
+                    and dmax = smax +. dl.Tgraph.dmax.(aid) in
+                    let k = arrival_key dst ci in
+                    match Hashtbl.find_opt arrivals k with
+                    | None -> Hashtbl.replace arrivals k (dmin, dmax)
+                    | Some (emin, emax) ->
+                      Hashtbl.replace arrivals k
+                        (Float.min emin dmin, Float.max emax dmax)
+                  end
+                done
+              end))
+      g.Tgraph.topo
+  end;
+  arrivals
+
+let view (ctx : Context.t) =
+  let delays = Tgraph.delays ctx.Context.graph ctx.Context.mode in
+  { ctx; delays; clock_arrivals = clock_arrivals ctx delays }
+
+let clock_arrival v pin clk =
+  Hashtbl.find_opt v.clock_arrivals (arrival_key pin clk)
+
 (* Design-rule checks against the wire-load model quantities: the
    capacitance a driver sees, and an RC transition estimate
    (drive resistance x load). *)
-let drc_checks (ctx : Context.t) =
+let drc_checks v =
+  let ctx = v.ctx in
   let design = ctx.Context.design in
-  let loads = ctx.Context.graph.Tgraph.loads in
+  let loads = v.delays.Tgraph.loads in
   List.filter_map
     (fun (l : Mode.drc_limit) ->
       let pin = l.Mode.drcl_pin in
@@ -67,19 +156,20 @@ let edge_time (c : Mode.clock) (edge : Lib_cell.edge) =
 (* Clock arrival (insertion delay) at [pin], excluding the edge time:
    source latency plus either the propagated network delay or the ideal
    network latency. *)
-let clock_latency_at (ctx : Context.t) ~clock_idx ~pin =
+let clock_latency_at v ~clock_idx ~pin =
+  let ctx = v.ctx in
   let name = Clock_prop.clock_name ctx.Context.clocks clock_idx in
   let attr = Mode.attr_of_clock ctx.Context.mode name in
-  let v d o = Option.value ~default:d o in
-  let src_min = v 0. attr.Mode.src_latency_min
-  and src_max = v 0. attr.Mode.src_latency_max in
+  let or0 = Option.value ~default:0. in
+  let src_min = or0 attr.Mode.src_latency_min
+  and src_max = or0 attr.Mode.src_latency_max in
   if attr.Mode.propagated then
-    match Clock_prop.arrival ctx.Context.clocks pin clock_idx with
+    match clock_arrival v pin clock_idx with
     | Some (tmin, tmax) -> src_min +. tmin, src_max +. tmax
     | None -> src_min, src_max
   else
-    src_min +. v 0. attr.Mode.net_latency_min,
-    src_max +. v 0. attr.Mode.net_latency_max
+    src_min +. or0 attr.Mode.net_latency_min,
+    src_max +. or0 attr.Mode.net_latency_max
 
 (* Minimal positive separation from a launch edge to a capture edge,
    scanning launch edges over a bounded window (covers rationally
@@ -190,14 +280,15 @@ let slab_tags sl pin =
 (* ------------------------------------------------------------------ *)
 (* Seeding, shared by the slab engine and the reference oracle.        *)
 
-let seed_tags (ctx : Context.t) ~merge =
+let seed_tags v ~merge =
+  let ctx = v.ctx in
   List.iter
     (fun (l : Tag.launch) ->
       let el = edge_time (Context.find_clock ctx l.launch_clock) l.launch_edge in
       let lmin, lmax =
         match l.input_delay with
         | Some v -> v, v
-        | None -> clock_latency_at ctx ~clock_idx:l.launch_clock ~pin:l.launch_pin
+        | None -> clock_latency_at v ~clock_idx:l.launch_clock ~pin:l.launch_pin
       in
       Tag.seed ctx l (fun key ->
           merge l.launch_pin key (el +. lmin) (el +. lmax)))
@@ -210,15 +301,16 @@ type prop_stats = {
   ps_pins_swept : int;    (* pins with at least one tag visited *)
 }
 
-let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
+let propagate ?(corner = Corner.typical) v : slab * prop_stats =
   Mm_util.Chaos.hit "sta.propagate";
+  let ctx = v.ctx and dl = v.delays in
   let g = ctx.Context.graph in
   let sl = slab_create (Tgraph.n_pins g) in
   let n_tags = ref 0 in
   let merge pin key amin amax =
     if slab_merge sl pin key amin amax then incr n_tags
   in
-  seed_tags ctx ~merge;
+  seed_tags v ~merge;
   (* Topological sweep over the arena. *)
   let swept = ref 0 in
   (* Coarse progress: one tracker unit per sweep block, not per pin —
@@ -251,15 +343,15 @@ let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
                  register clock pin: launch arcs only carry tags seeded
                  at their own clock pin. *)
               let dst = Tgraph.arc_dst g aid in
-              let dmin = Tgraph.arc_dmin g aid *. corner.Corner.derate_min
-              and dmax = Tgraph.arc_dmax g aid *. corner.Corner.derate_max in
+              let dmin = dl.Tgraph.dmin.(aid) *. corner.Corner.derate_min
+              and dmax = dl.Tgraph.dmax.(aid) *. corner.Corner.derate_max in
               let unate = Tgraph.arc_unate g aid in
               slab_iter sl pin (fun key amin amax ->
                   Tag.step ctx.Context.excs unate dst key (fun key' ->
                       merge dst key' (amin +. dmin) (amax +. dmax)))
             end)
       end)
-    g.Tgraph.sk.Tgraph.topo;
+    g.Tgraph.topo;
   sl, { ps_new_tags = !n_tags; ps_pins_swept = !swept }
 
 (* The per-pin Hashtbl engine the slab replaced, kept verbatim as the
@@ -267,8 +359,8 @@ let propagate ?(corner = Corner.typical) (ctx : Context.t) : slab * prop_stats =
    independent storage and merge bookkeeping. *)
 type tag_maps = (int, float * float) Hashtbl.t array
 
-let propagate_reference ?(corner = Corner.typical) (ctx : Context.t) :
-    tag_maps * int =
+let propagate_reference ?(corner = Corner.typical) v : tag_maps * int =
+  let ctx = v.ctx and dl = v.delays in
   let g = ctx.Context.graph in
   let n = Tgraph.n_pins g in
   let tags : tag_maps = Array.init n (fun _ -> Hashtbl.create 1) in
@@ -283,7 +375,7 @@ let propagate_reference ?(corner = Corner.typical) (ctx : Context.t) :
       if nmin < emin || nmax > emax then
         Hashtbl.replace tags.(pin) key (nmin, nmax)
   in
-  seed_tags ctx ~merge;
+  seed_tags v ~merge;
   Array.iter
     (fun pin ->
       Mm_util.Govern.checkpoint ();
@@ -291,8 +383,8 @@ let propagate_reference ?(corner = Corner.typical) (ctx : Context.t) :
         Tgraph.iter_out g pin (fun aid ->
             if Const_prop.enabled ctx.Context.consts aid then begin
               let dst = Tgraph.arc_dst g aid in
-              let dmin = Tgraph.arc_dmin g aid *. corner.Corner.derate_min
-              and dmax = Tgraph.arc_dmax g aid *. corner.Corner.derate_max in
+              let dmin = dl.Tgraph.dmin.(aid) *. corner.Corner.derate_min
+              and dmax = dl.Tgraph.dmax.(aid) *. corner.Corner.derate_max in
               let unate = Tgraph.arc_unate g aid in
               Hashtbl.iter
                 (fun key (amin, amax) ->
@@ -300,7 +392,7 @@ let propagate_reference ?(corner = Corner.typical) (ctx : Context.t) :
                       merge dst key' (amin +. dmin) (amax +. dmax)))
                 tags.(pin)
             end))
-    g.Tgraph.sk.Tgraph.topo;
+    g.Tgraph.topo;
   tags, !n_tags
 
 (* ------------------------------------------------------------------ *)
@@ -343,8 +435,8 @@ let mcp_multipliers excs =
 (* [iter_tags pin f] feeds every (key, amin, amax) at the pin to [f] —
    the check phase is storage-agnostic so the slab engine and any
    oracle can share it. *)
-let check_endpoint ?(corner = Corner.typical) (ctx : Context.t) iter_tags
-    n_checked ep acc =
+let check_endpoint ?(corner = Corner.typical) v iter_tags n_checked ep acc =
+  let ctx = v.ctx in
   let ep_pin = Tgraph.endpoint_pin ep in
   let end_pins = Context.endpoint_alias_pins ctx ep in
   let captures = Context.capture_clocks_of_endpoint ctx ep in
@@ -404,7 +496,7 @@ let check_endpoint ?(corner = Corner.typical) (ctx : Context.t) iter_tags
               let cap_lat_min, cap_lat_max =
                 match ep with
                 | Tgraph.Ep_reg { ep_clock; _ } ->
-                  clock_latency_at ctx ~clock_idx:cj ~pin:ep_clock
+                  clock_latency_at v ~clock_idx:cj ~pin:ep_clock
                 | Tgraph.Ep_port _ -> 0., 0.
               in
               let attr =
@@ -456,47 +548,49 @@ let check_endpoint ?(corner = Corner.typical) (ctx : Context.t) iter_tags
             end)
           captures)
 
-let slacks_of ?corner (ctx : Context.t) iter_tags n_checked =
+let slacks_of ?corner v iter_tags n_checked =
   List.map
     (fun ep ->
       let acc =
         { worst_setup = None; worst_hold = None; capture_period = None }
       in
-      check_endpoint ?corner ctx iter_tags n_checked ep acc;
+      check_endpoint ?corner v iter_tags n_checked ep acc;
       {
         es_pin = Tgraph.endpoint_pin ep;
         es_setup = acc.worst_setup;
         es_hold = acc.worst_hold;
         es_capture_period = acc.capture_period;
       })
-    ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints
+    v.ctx.Context.graph.Tgraph.sk_endpoints
 
-let slacks_with ?corner (ctx : Context.t) tags_at =
+let slacks_with ?corner v tags_at =
   let iter pin f =
     List.iter (fun (key, amin, amax) -> f key amin amax) (tags_at pin)
   in
-  slacks_of ?corner ctx iter (ref 0)
+  slacks_of ?corner v iter (ref 0)
 
-let analyze ?ctx ?(corner = Corner.typical) design mode =
+(* [view] runs inside the timed span: a report's runtime includes
+   deriving the mode's delays, as it includes building its context. *)
+let run ~name ~corner view =
   let (slacks, drc, n_tags, n_checked), runtime =
-    Obs.timed ~attrs:[ "mode", mode.Mode.mode_name ] "sta.analyze" @@ fun () ->
-    let ctx = match ctx with Some c -> c | None -> Context.create design mode in
+    Obs.timed ~attrs:[ "mode", name ] "sta.analyze" @@ fun () ->
+    let v = view () in
     let (sl, stats) =
-      Obs.with_span "sta.propagate" (fun () -> propagate ~corner ctx)
+      Obs.with_span "sta.propagate" (fun () -> propagate ~corner v)
     in
     let n_checked = ref 0 in
     let slacks =
       Obs.with_span "sta.check" @@ fun () ->
-      slacks_of ~corner ctx (fun pin f -> slab_iter sl pin f) n_checked
+      slacks_of ~corner v (fun pin f -> slab_iter sl pin f) n_checked
     in
     Metrics.incr ~by:stats.ps_new_tags "sta.tags_propagated";
     Metrics.incr ~by:stats.ps_pins_swept "sta.pins_repropagated";
     Metrics.incr ~by:!n_checked "sta.endpoints_checked";
     Obs.record_gc_metrics ();
-    slacks, drc_checks ctx, stats.ps_new_tags, !n_checked
+    slacks, drc_checks v, stats.ps_new_tags, !n_checked
   in
   {
-    rep_mode = mode.Mode.mode_name;
+    rep_mode = name;
     rep_slacks = slacks;
     rep_drc = drc;
     rep_n_tags = n_tags;
@@ -504,9 +598,16 @@ let analyze ?ctx ?(corner = Corner.typical) design mode =
     rep_runtime = runtime;
   }
 
+let analyze ?ctx ?(corner = Corner.typical) design mode =
+  run ~name:mode.Mode.mode_name ~corner (fun () ->
+      view (match ctx with Some c -> c | None -> Context.create design mode))
+
+let analyze_view ?(corner = Corner.typical) v =
+  run ~name:v.ctx.Context.mode.Mode.mode_name ~corner (fun () -> v)
+
 (* Per-mode STA is embarrassingly parallel: each task builds its own
-   context over the shared compiled skeleton, so tasks share nothing
-   mutable but the (immutable) design and arena. *)
+   context and view over the shared compiled graph, so tasks share
+   nothing mutable but the (immutable) design and arena. *)
 let analyze_many ?corner ?pool design modes =
   let one (m : Mode.t) = analyze ?corner design m in
   match pool with
@@ -516,10 +617,10 @@ let analyze_many ?corner ?pool design modes =
 let analyze_scenarios design ~modes ~corners =
   List.concat_map
     (fun (m : Mode.t) ->
-      let ctx = Context.create design m in
+      let v = view (Context.create design m) in
       List.map
         (fun (c : Corner.t) ->
-          m.Mode.mode_name, c.Corner.corner_name, analyze ~ctx ~corner:c design m)
+          m.Mode.mode_name, c.Corner.corner_name, analyze_view ~corner:c v)
         corners)
     modes
 
@@ -544,7 +645,8 @@ type path = {
 
 (* Setup checks of one endpoint with full detail (tag and capture kept),
    mirroring the max-path side of [check_endpoint]. *)
-let setup_checks_detailed (ctx : Context.t) ~corner sl ep =
+let setup_checks_detailed v ~corner sl ep =
+  let ctx = v.ctx in
   let ep_pin = Tgraph.endpoint_pin ep in
   let end_pins = Context.endpoint_alias_pins ctx ep in
   let captures = Context.capture_clocks_of_endpoint ctx ep in
@@ -595,7 +697,7 @@ let setup_checks_detailed (ctx : Context.t) ~corner sl ep =
               let cap_lat_min, _ =
                 match ep with
                 | Tgraph.Ep_reg { ep_clock; _ } ->
-                  clock_latency_at ctx ~clock_idx:cj ~pin:ep_clock
+                  clock_latency_at v ~clock_idx:cj ~pin:ep_clock
                 | Tgraph.Ep_port _ -> 0., 0.
               in
               let attr =
@@ -627,7 +729,8 @@ let setup_checks_detailed (ctx : Context.t) ~corner sl ep =
 
 (* Walk backwards through the tag slab, matching arrival arithmetic to
    recover the worst path's arcs. *)
-let backtrack (ctx : Context.t) ~corner sl ep_pin key arrival =
+let backtrack v ~corner sl ep_pin key arrival =
+  let ctx = v.ctx in
   let g = ctx.Context.graph in
   let eps = 1e-9 in
   let rec go pin key arrival acc =
@@ -635,7 +738,7 @@ let backtrack (ctx : Context.t) ~corner sl ep_pin key arrival =
       Tgraph.find_map_in g pin (fun aid ->
           if not (Const_prop.enabled ctx.Context.consts aid) then None
           else begin
-            let delay = Tgraph.arc_dmax g aid *. corner.Corner.derate_max in
+            let delay = v.delays.Tgraph.dmax.(aid) *. corner.Corner.derate_max in
             let src = Tgraph.arc_src g aid in
             let unate = Tgraph.arc_unate g aid in
             List.find_map
@@ -659,15 +762,16 @@ let backtrack (ctx : Context.t) ~corner sl ep_pin key arrival =
 
 let worst_paths ?ctx ?(corner = Corner.typical) ?(n = 3) design mode =
   let ctx = match ctx with Some c -> c | None -> Context.create design mode in
-  let sl, _ = propagate ~corner ctx in
+  let v = view ctx in
+  let sl, _ = propagate ~corner v in
   let candidates =
     List.concat_map
       (fun ep ->
         List.map
           (fun (slack, required, amax, key, cj) ->
             ep, slack, required, amax, key, cj)
-          (setup_checks_detailed ctx ~corner sl ep))
-      ctx.Context.graph.Tgraph.sk.Tgraph.sk_endpoints
+          (setup_checks_detailed v ~corner sl ep))
+      ctx.Context.graph.Tgraph.sk_endpoints
   in
   let sorted =
     List.sort
@@ -685,7 +789,7 @@ let worst_paths ?ctx ?(corner = Corner.typical) ?(n = 3) design mode =
            pth_arrival = amax;
            pth_required = required;
            pth_slack = slack;
-           pth_steps = backtrack ctx ~corner sl ep_pin key amax;
+           pth_steps = backtrack v ~corner sl ep_pin key amax;
          })
 
 let path_to_string design p =

@@ -8,6 +8,11 @@
     overrides), clock-group exclusivity, clock uncertainty and latency
     (ideal or propagated per clock).
 
+    STA is the only reader of delays. An analysis {!Context.t} carries
+    none; STA derives the mode's arc delays and pin loads
+    ({!Tgraph.delays}) and the insertion delays of its propagated
+    clocks into a {!view}, once per analysed mode.
+
     Absolute accuracy is not the goal — Table 6 of the paper needs
     relative STA runtime and endpoint worst-slack agreement between
     individual and merged modes, which this engine provides. *)
@@ -38,6 +43,23 @@ type report = {
   rep_runtime : float;     (** seconds *)
 }
 
+(** {1 The analysed view} *)
+
+type view
+(** A context plus the timing data only STA reads: the mode's arc
+    delays and pin loads, and the min/max insertion delay of each
+    propagated clock at each pin it reaches. *)
+
+val view : Context.t -> view
+(** Derive the delays and clock insertion delays of the context's mode.
+    The clock sweep runs only when the mode has a propagated clock. *)
+
+val clock_arrival :
+  view -> Mm_netlist.Design.pin_id -> int -> (float * float) option
+(** Min/max network insertion delay of propagated clock [i] (a
+    {!Clock_prop} index) at [pin], when the clock reaches it; [None]
+    for ideal clocks. *)
+
 (** {1 Arrival propagation}
 
     Exposed for differential testing: the production engine stores tags
@@ -54,7 +76,7 @@ type prop_stats = {
   ps_pins_swept : int;  (** pins visited with at least one tag *)
 }
 
-val propagate : ?corner:Corner.t -> Context.t -> slab * prop_stats
+val propagate : ?corner:Corner.t -> view -> slab * prop_stats
 (** Seed startpoints and sweep arrivals forward in topological order. *)
 
 val slab_tags :
@@ -63,12 +85,12 @@ val slab_tags :
 
 type tag_maps = (int, float * float) Hashtbl.t array
 
-val propagate_reference : ?corner:Corner.t -> Context.t -> tag_maps * int
+val propagate_reference : ?corner:Corner.t -> view -> tag_maps * int
 (** The pre-slab engine, kept as the differential-testing oracle. *)
 
 val slacks_with :
   ?corner:Corner.t ->
-  Context.t ->
+  view ->
   (Mm_netlist.Design.pin_id -> (int * float * float) list) ->
   endpoint_slack list
 (** Run the endpoint checks over an arbitrary tag provider — lets tests
@@ -84,7 +106,13 @@ val analyze :
   Mm_sdc.Mode.t ->
   report
 (** Run a full analysis; [ctx] can be supplied to reuse a prepared
-    context, [corner] applies PVT derating (default {!Corner.typical}). *)
+    context (e.g. from a {!Ctx_cache}), [corner] applies PVT derating
+    (default {!Corner.typical}). The view is derived inside the
+    analysis and dropped with it. *)
+
+val analyze_view : ?corner:Corner.t -> view -> report
+(** {!analyze} over a prepared view: the report of its context's mode.
+    Analysing one view at several corners derives its delays once. *)
 
 val analyze_many :
   ?corner:Corner.t ->
@@ -94,7 +122,7 @@ val analyze_many :
   report list
 (** One {!analyze} per mode, reports in input order. Runs the modes as
     independent pool tasks when [pool] is given — each task builds its
-    own context, so the reports (and the [sta.*] counters) are
+    own context and view, so the reports (and the [sta.*] counters) are
     identical with and without a pool. *)
 
 val analyze_scenarios :
@@ -103,7 +131,8 @@ val analyze_scenarios :
   corners:Corner.t list ->
   (string * string * report) list
 (** One STA per (mode, corner) scenario — the paper's
-    [#modes x #corners] product. Returns (mode, corner, report). *)
+    [#modes x #corners] product, one {!view} per mode reused across its
+    corners. Returns (mode, corner, report). *)
 
 val worst_setup_by_endpoint : report -> (Mm_netlist.Design.pin_id * float) list
 (** Endpoints that have a setup check, with their worst slack. *)

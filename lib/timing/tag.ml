@@ -74,7 +74,7 @@ let launches (ctx : Context.t) = function
         ctx.Context.mode.Mode.io_delays
 
 let all_launches (ctx : Context.t) =
-  List.concat_map (launches ctx) ctx.Context.graph.Tgraph.sk.Tgraph.sk_startpoints
+  List.concat_map (launches ctx) ctx.Context.graph.Tgraph.sk_startpoints
 
 let seed (ctx : Context.t) l f =
   let excs = ctx.Context.excs in

@@ -71,15 +71,15 @@ let default_port_drive = 0.5 (* ns/pF when no set_drive given *)
 let transition_delay_factor = 0.3
 
 (* ------------------------------------------------------------------ *)
-(* Mode-independent skeleton: arc structure, adjacency, topological
-   order and the static parts of the load model.                       *)
+(* The mode-independent graph: arc structure, adjacency, topological
+   order and the static parts of the delay/load model.                 *)
 
 type const_base = {
   cb_constants : (int * Mm_netlist.Logic.tri) array;
   cb_disabled : int array;
 }
 
-type skeleton = {
+type t = {
   sk_design : Design.t;
   sk_n_pins : int;
   sk_n_arcs : int;
@@ -128,9 +128,7 @@ type skeleton = {
   const_base : const_base option Atomic.t;
 }
 
-(* The per-(skeleton, mode) overlay: everything delay. *)
-type t = {
-  sk : skeleton;
+type delays = {
   dmin : float array;
   dmax : float array;
   loads : float array;
@@ -464,67 +462,67 @@ let compile design =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-mode overlay                                                    *)
+(* Per-mode delays                                                     *)
 
-let overlay sk (mode : Mode.t) =
+let delays g (mode : Mode.t) =
   let env = env_tables mode in
   let find tbl pin = Option.value ~default:0. (Hashtbl.find_opt tbl pin) in
-  let ldm_n = Array.length sk.ldm_pin in
+  let ldm_n = Array.length g.ldm_pin in
   let ldval = Array.make (max 1 ldm_n) 0. in
   for e = 0 to ldm_n - 1 do
     (* Total capacitive load seen by the entry's pin: connected sink
        pin caps plus any set_load on the net's pins plus estimated wire
        cap — term order matters bit-for-bit. *)
     let extra = ref 0. in
-    for k = sk.ldm_sink_row.(e) to sk.ldm_sink_row.(e + 1) - 1 do
-      extra := !extra +. find env.extra_load sk.ldm_sinks.(k)
+    for k = g.ldm_sink_row.(e) to g.ldm_sink_row.(e + 1) - 1 do
+      extra := !extra +. find env.extra_load g.ldm_sinks.(k)
     done;
-    let extra = !extra +. find env.extra_load sk.ldm_pin.(e) in
-    ldval.(e) <- sk.ldm_pin_caps.(e) +. extra +. sk.ldm_wire_cap.(e)
+    let extra = !extra +. find env.extra_load g.ldm_pin.(e) in
+    ldval.(e) <- g.ldm_pin_caps.(e) +. extra +. g.ldm_wire_cap.(e)
   done;
-  let loads = Array.make sk.sk_n_pins 0. in
-  Array.iter (fun e -> loads.(sk.ldm_pin.(e)) <- ldval.(e)) sk.ldm_drivers;
-  let dmin = Array.make (max 1 sk.sk_n_arcs) 0.
-  and dmax = Array.make (max 1 sk.sk_n_arcs) 0. in
-  for aid = 0 to sk.sk_n_arcs - 1 do
+  let loads = Array.make g.sk_n_pins 0. in
+  Array.iter (fun e -> loads.(g.ldm_pin.(e)) <- ldval.(e)) g.ldm_drivers;
+  let dmin = Array.make (max 1 g.sk_n_arcs) 0.
+  and dmax = Array.make (max 1 g.sk_n_arcs) 0. in
+  for aid = 0 to g.sk_n_arcs - 1 do
     let d =
-      if sk.arc_kind.(aid) = Net then begin
+      if g.arc_kind.(aid) = Net then begin
         (* A port driving the net contributes its external drive and
            transition there, since it has no cell arc of its own. *)
-        let drv = sk.arc_src.(aid) in
+        let drv = g.arc_src.(aid) in
         let port_extra =
-          match Design.pin_owner sk.sk_design drv with
+          match Design.pin_owner g.sk_design drv with
           | Design.Port_pin _ ->
             let drive =
               Option.value ~default:default_port_drive
                 (Hashtbl.find_opt env.port_drive drv)
             in
             let transition = find env.port_transition drv in
-            (drive *. sk.arc_caps.(aid))
+            (drive *. g.arc_caps.(aid))
             +. (transition *. transition_delay_factor)
           | Design.Inst_pin _ -> 0.
         in
-        sk.arc_base.(aid) +. port_extra
+        g.arc_base.(aid) +. port_extra
       end
       else begin
-        let load = if sk.arc_ldm.(aid) < 0 then 0. else ldval.(sk.arc_ldm.(aid)) in
-        sk.arc_base.(aid) +. (sk.arc_scale.(aid) *. load)
+        let load = if g.arc_ldm.(aid) < 0 then 0. else ldval.(g.arc_ldm.(aid)) in
+        g.arc_base.(aid) +. (g.arc_scale.(aid) *. load)
       end
     in
     dmax.(aid) <- d;
     dmin.(aid) <- d *. min_derate
   done;
-  { sk; dmin; dmax; loads }
+  { dmin; dmax; loads }
 
 (* ------------------------------------------------------------------ *)
-(* Skeleton cache: one compiled arena per live design, so analysing N
+(* Graph cache: one compiled arena per live design, so analysing N
    modes (or N refinement iterations) compiles once. Keyed by physical
    identity — a Design.t is immutable after construction — and bounded
    because benchmarks churn through many generated designs.            *)
 
 let cache_bound = 8
 let cache_lock = Mutex.create ()
-let cache : (Design.t * skeleton) list ref = ref []
+let cache : (Design.t * t) list ref = ref []
 
 let rec take k = function
   | [] -> []
@@ -537,71 +535,57 @@ let skeleton design =
         List.find_opt (fun (d, _) -> d == design) !cache)
   in
   match hit with
-  | Some (_, sk) -> sk, true
+  | Some (_, g) -> g
   | None ->
-    (* Compile outside the lock; on a race the first-published skeleton
+    (* Compile outside the lock; on a race the first-published graph
        wins (the values are identical by construction). *)
-    let sk =
+    let g =
       Obs.with_span "sta.compile"
         ~attrs:[ "pins", string_of_int (Design.n_pins design) ]
         (fun () -> compile design)
     in
     Mutex.protect cache_lock (fun () ->
         match List.find_opt (fun (d, _) -> d == design) !cache with
-        | Some (_, sk') -> sk', true
+        | Some (_, g') -> g'
         | None ->
-          cache := (design, sk) :: take (cache_bound - 1) !cache;
-          sk, false)
-
-let build design mode =
-  let sk, reused = skeleton design in
-  if reused then
-    Obs.with_span "sta.incremental_reuse"
-      ~attrs:[ "what", "tgraph-skeleton" ]
-      (fun () -> overlay sk mode)
-  else overlay sk mode
+          cache := (design, g) :: take (cache_bound - 1) !cache;
+          g)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 
-let n_pins t = t.sk.sk_n_pins
-let n_arcs t = t.sk.sk_n_arcs
+let n_pins t = t.sk_n_pins
+let n_arcs t = t.sk_n_arcs
 
-let arc_src t aid = t.sk.arc_src.(aid)
-let arc_dst t aid = t.sk.arc_dst.(aid)
-let arc_kind t aid = t.sk.arc_kind.(aid)
-let arc_inst t aid = t.sk.arc_inst.(aid)
-let arc_unate t aid = t.sk.arc_unate.(aid)
-let arc_dmin t aid = t.dmin.(aid)
-let arc_dmax t aid = t.dmax.(aid)
+let arc_src t aid = t.arc_src.(aid)
+let arc_dst t aid = t.arc_dst.(aid)
+let arc_kind t aid = t.arc_kind.(aid)
+let arc_inst t aid = t.arc_inst.(aid)
+let arc_unate t aid = t.arc_unate.(aid)
 
 let iter_out t pin f =
-  let sk = t.sk in
-  for k = sk.out_row.(pin) to sk.out_row.(pin + 1) - 1 do
-    f sk.out_adj.(k)
+  for k = t.out_row.(pin) to t.out_row.(pin + 1) - 1 do
+    f t.out_adj.(k)
   done
 
 let iter_in t pin f =
-  let sk = t.sk in
-  for k = sk.in_row.(pin) to sk.in_row.(pin + 1) - 1 do
-    f sk.in_adj.(k)
+  for k = t.in_row.(pin) to t.in_row.(pin + 1) - 1 do
+    f t.in_adj.(k)
   done
 
 let fold_in t pin init f =
-  let sk = t.sk in
   let acc = ref init in
-  for k = sk.in_row.(pin) to sk.in_row.(pin + 1) - 1 do
-    acc := f !acc sk.in_adj.(k)
+  for k = t.in_row.(pin) to t.in_row.(pin + 1) - 1 do
+    acc := f !acc t.in_adj.(k)
   done;
   !acc
 
 let find_map_in t pin f =
-  let sk = t.sk in
-  let lo = sk.in_row.(pin) and hi = sk.in_row.(pin + 1) in
+  let lo = t.in_row.(pin) and hi = t.in_row.(pin + 1) in
   let rec go k =
     if k >= hi then None
     else
-      match f sk.in_adj.(k) with
+      match f t.in_adj.(k) with
       | Some _ as r -> r
       | None -> go (k + 1)
   in
@@ -615,4 +599,4 @@ let startpoint_pin = function
   | Sp_reg { sp_clock; _ } -> sp_clock
   | Sp_port { sp_pin } -> sp_pin
 
-let endpoint_pins t = List.map endpoint_pin t.sk.sk_endpoints
+let endpoint_pins t = List.map endpoint_pin t.sk_endpoints

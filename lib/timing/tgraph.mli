@@ -3,15 +3,16 @@
     Nodes are design pins; arcs are cell arcs (input to output, derived
     from cell functions), launch arcs (register clock pin to outputs)
     and net arcs (driver to sinks). The graph is flattened once per
-    design into a CSR (compressed-sparse-row) skeleton of arrays — arc
+    design into a CSR (compressed-sparse-row) arena of arrays — arc
     endpoints, kinds, unateness, adjacency rows and topological order —
-    plus the static half of the delay/load model. A per-mode {e
-    overlay} then derives the arc delay arrays from the mode's
-    environment constraints without re-walking the netlist. Compiled
-    skeletons are cached per design (physical identity), so analysing N
-    modes or running N refinement iterations compiles exactly once; the
-    cache hit is visible as an [sta.incremental_reuse] span, the miss
-    as [sta.compile].
+    plus the static half of the delay/load model. The graph holds no
+    delays: it is mode-independent, so every analysis context of a
+    design shares one compiled graph. {!delays} derives a mode's arc
+    delays and pin loads from its environment constraints without
+    re-walking the netlist; only STA calls it. Compiled graphs are
+    cached per design (physical identity), so analysing N modes or
+    running N refinement iterations compiles exactly once; the compile
+    is the [sta.compile] span.
 
     Adjacency rows preserve the descending-arc-id iteration order of
     the linked adjacency lists this arena replaced: topological
@@ -64,9 +65,11 @@ type const_base = {
     arc enablement with no case analysis and no disables (tie cells
     only), kept as its exceptions to all-X and all-enabled — a few
     entries, where full arrays would add two per-pin and per-arc
-    arrays to every cached skeleton's live heap. See {!Const_prop}. *)
+    arrays to every cached graph's live heap. See {!Const_prop}. *)
 
-type skeleton = {
+(** The compiled graph of one design: structure and the static delay
+    model, nothing per mode. *)
+type t = {
   sk_design : Mm_netlist.Design.t;
   sk_n_pins : int;
   sk_n_arcs : int;
@@ -96,11 +99,20 @@ type skeleton = {
   ldm_drivers : int array;
   const_base : const_base option Atomic.t;
       (** empty after {!compile}; {!Const_prop} publishes the baseline
-          on first use, once per skeleton *)
+          on first use, once per graph *)
 }
 
-type t = {
-  sk : skeleton;
+val compile : Mm_netlist.Design.t -> t
+(** Compile without consulting the cache (benchmark baseline). *)
+
+val skeleton : Mm_netlist.Design.t -> t
+(** The design's compiled graph, from the cache; a miss compiles under
+    the [sta.compile] span. Loops (if any) are broken at an arbitrary
+    arc, recorded in [broken]. *)
+
+(** {1 Delays} *)
+
+type delays = {
   dmin : float array;  (** per arc, derated min delay *)
   dmax : float array;  (** per arc, max delay *)
   loads : float array;
@@ -109,19 +121,9 @@ type t = {
           checked against set_max_capacitance. *)
 }
 
-val compile : Mm_netlist.Design.t -> skeleton
-(** Compile without consulting the cache (benchmark baseline). *)
-
-val skeleton : Mm_netlist.Design.t -> skeleton * bool
-(** Cached compile; the flag is true on a cache hit. *)
-
-val overlay : skeleton -> Mm_sdc.Mode.t -> t
-(** Derive the per-mode delay arrays over a compiled skeleton. *)
-
-val build : Mm_netlist.Design.t -> Mm_sdc.Mode.t -> t
-(** [skeleton] + [overlay], with the compile/reuse spans: the graph
-    with delays reflecting the mode's environment constraints. Loops
-    (if any) are broken at an arbitrary arc, recorded in [broken]. *)
+val delays : t -> Mm_sdc.Mode.t -> delays
+(** The mode's arc delays and pin loads: the graph's static delay model
+    plus the mode's set_load, set_drive and set_input_transition. *)
 
 (** {1 Accessors (hot paths)} *)
 
@@ -133,8 +135,6 @@ val arc_dst : t -> int -> Mm_netlist.Design.pin_id
 val arc_kind : t -> int -> arc_kind
 val arc_inst : t -> int -> int
 val arc_unate : t -> int -> unate
-val arc_dmin : t -> int -> float
-val arc_dmax : t -> int -> float
 
 val iter_out : t -> Mm_netlist.Design.pin_id -> (int -> unit) -> unit
 (** Arc ids leaving the pin, in the arena's row order (descending id —

@@ -1,6 +1,6 @@
 (* Dense constant propagation: the single topological sweep over every
    pin and arc that [Mm_timing.Const_prop.run] replaced with
-   change-driven propagation from a per-skeleton baseline. Kept only as
+   change-driven propagation from a per-graph baseline. Kept only as
    the differential oracle: the sparse result must equal this one in
    every value, arc enablement and pin disable. *)
 
@@ -12,7 +12,7 @@ module Tgraph = Mm_timing.Tgraph
 module Const_prop = Mm_timing.Const_prop
 
 let run (g : Tgraph.t) (mode : Mode.t) : Const_prop.t =
-  let design = g.Tgraph.sk.Tgraph.sk_design in
+  let design = g.Tgraph.sk_design in
   let n = Tgraph.n_pins g in
   let values = Array.make n Logic.X in
   let forced = Array.make n false in
@@ -49,7 +49,7 @@ let run (g : Tgraph.t) (mode : Mode.t) : Const_prop.t =
               | Some _ | None -> ())
           end
       end)
-    g.Tgraph.sk.Tgraph.topo;
+    g.Tgraph.topo;
   (* Disables. *)
   let pin_disabled = Array.make n false in
   let arc_disabled = Hashtbl.create 16 in
@@ -80,7 +80,7 @@ let run (g : Tgraph.t) (mode : Mode.t) : Const_prop.t =
   let broken = Hashtbl.create 16 in
   List.iter
     (fun aid -> Hashtbl.replace broken aid ())
-    g.Tgraph.sk.Tgraph.broken;
+    g.Tgraph.broken;
   (* Arc enablement. *)
   let arc_enabled =
     Array.init (Tgraph.n_arcs g) (fun aid ->

@@ -269,6 +269,52 @@ let quarantine_cases =
         with
         | _ -> Alcotest.fail "expected Sys_error"
         | exception Sys_error _ -> ());
+    tc "permissive: a taken mode name is quarantined at load" (fun () ->
+        let design, sources = tiny_sources () in
+        let first = List.hd sources and other = List.nth sources 1 in
+        let on_disk dir (s : Merge_flow.source) =
+          { s with Merge_flow.src_file = Some (dir ^ "/m.sdc") }
+        in
+        let clean = on_disk "x" first :: List.tl sources in
+        (* [other]'s constraints under [first]'s name, from another
+           directory. *)
+        let dup =
+          { (on_disk "y" other) with Merge_flow.src_name = first.Merge_flow.src_name }
+        in
+        let run srcs =
+          Merge_flow.run_sources ~policy:Merge_flow.Permissive ~design srcs
+        in
+        let r = run (clean @ [ dup ]) and r0 = run clean in
+        check Alcotest.int "one quarantined" 1 (List.length r.Merge_flow.quarantined);
+        let q = List.hd r.Merge_flow.quarantined in
+        check Alcotest.string "quarantined name" first.Merge_flow.src_name
+          q.Merge_flow.q_name;
+        check Alcotest.bool "load stage" true (q.Merge_flow.q_stage = Merge_flow.Load);
+        (match q.Merge_flow.q_diags with
+        | [ d ] ->
+          check Alcotest.string "code" "merge.duplicate-mode" d.Diag.code;
+          check Alcotest.bool "error severity" true (d.Diag.severity = Diag.Error);
+          check Alcotest.(option string) "located at the later source"
+            (Some "y/m.sdc")
+            (Option.map (fun l -> l.Diag.file) d.Diag.dloc);
+          check Alcotest.bool "names the earlier source" true
+            (Str_probe.contains d.Diag.message "x/m.sdc")
+        | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds));
+        check Alcotest.(list (pair string string)) "merged as without the duplicate"
+          (Merge_flow.merged_files r0) (Merge_flow.merged_files r));
+    tc "strict: a taken mode name fails fast" (fun () ->
+        let design, sources = tiny_sources () in
+        let first = List.hd sources in
+        let dup =
+          { (List.nth sources 1) with Merge_flow.src_name = first.Merge_flow.src_name }
+        in
+        match
+          Merge_flow.run_sources ~policy:Merge_flow.Strict ~design (sources @ [ dup ])
+        with
+        | _ -> Alcotest.fail "expected Duplicate_mode"
+        | exception Merge_flow.Duplicate_mode d ->
+          check Alcotest.string "code" "merge.duplicate-mode" d.Diag.code;
+          check Alcotest.bool "fatal" true (d.Diag.severity = Diag.Fatal));
     tc "permissive equals strict on clean inputs" (fun () ->
         let design, sources = tiny_sources () in
         let rp =

@@ -9,6 +9,9 @@
      arrivals and endpoint slacks on every workload;
    - STA's tags, without their arrivals, are the relationship engine's
      tags at every pin;
+   - on presets A-F, with ideal and with propagated clocks, analysing a
+     context taken from a context cache gives the report of an
+     analysis that builds its own context;
    - the merge pipeline's audit JSON and merged SDC are byte-identical
      at jobs=1 and jobs=4;
    - incremental endpoint-relation re-propagation (the refinement-loop
@@ -30,6 +33,7 @@
 module Design = Mm_netlist.Design
 module Mode = Mm_sdc.Mode
 module Context = Mm_timing.Context
+module Ctx_cache = Mm_timing.Ctx_cache
 module Tgraph = Mm_timing.Tgraph
 module Clock_prop = Mm_timing.Clock_prop
 module Sta = Mm_timing.Sta
@@ -75,9 +79,9 @@ let fmt_tag (k, amin, amax) =
     (Tag.state k) amin amax
 
 let propagation_matches (label, design, mode) =
-  let ctx = Context.create design mode in
-  let slab, stats = Sta.propagate ctx in
-  let maps, ref_tags = Sta.propagate_reference ctx in
+  let v = Sta.view (Context.create design mode) in
+  let slab, stats = Sta.propagate v in
+  let maps, ref_tags = Sta.propagate_reference v in
   let n = Design.n_pins design in
   let total = ref 0 in
   for pin = 0 to n - 1 do
@@ -96,16 +100,16 @@ let propagation_matches (label, design, mode) =
   check Alcotest.int (label ^ ": slab holds every tag") !total ref_tags
 
 let slacks_match (label, design, mode) =
-  let ctx = Context.create design mode in
-  let slab, _ = Sta.propagate ctx in
-  let maps, _ = Sta.propagate_reference ctx in
-  let via_slab = Sta.slacks_with ctx (Sta.slab_tags slab) in
-  let via_ref = Sta.slacks_with ctx (reference_tags maps) in
+  let v = Sta.view (Context.create design mode) in
+  let slab, _ = Sta.propagate v in
+  let maps, _ = Sta.propagate_reference v in
+  let via_slab = Sta.slacks_with v (Sta.slab_tags slab) in
+  let via_ref = Sta.slacks_with v (reference_tags maps) in
   if via_slab <> via_ref then
     Alcotest.failf "%s: endpoint slacks diverge between slab and reference"
       label;
   (* And the public entry point agrees with the oracle's slacks. *)
-  let report = Sta.analyze ~ctx design mode in
+  let report = Sta.analyze_view v in
   if report.Sta.rep_slacks <> via_ref then
     Alcotest.failf "%s: Sta.analyze slacks diverge from the reference engine"
       label
@@ -114,7 +118,7 @@ let slacks_match (label, design, mode) =
    engine's tags: same launches, seeds and arc step. *)
 let relation_tags_match (label, design, mode) =
   let ctx = Context.create design mode in
-  let slab, _ = Sta.propagate ctx in
+  let slab, _ = Sta.propagate (Sta.view ctx) in
   let ts = Relation_prop.propagate ctx ~seeds:(Tag.all_launches ctx) () in
   let triple (k, _, _) = Tag.clock k, Tag.state k, Tag.edge k in
   let fmt (c, st, e) =
@@ -154,6 +158,48 @@ let engine_cases =
             126, 7, Mode.Any_edge; 42, 1, Mode.Rise_edge;
           ]);
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Context handoff: a context taken from the merge flow's cache carries
+   no delays; STA derives them, so analysing it must give the report of
+   an analysis that builds its own context.                            *)
+
+let report_fields (r : Sta.report) =
+  r.Sta.rep_mode, r.Sta.rep_slacks, r.Sta.rep_drc, r.Sta.rep_n_tags,
+  r.Sta.rep_n_checked
+
+(* Each mode as given and with every clock propagated (under another
+   name: the cache is keyed by mode name). *)
+let with_propagated (m : Mode.t) =
+  let attrs =
+    List.map
+      (fun (c : Mode.clock) ->
+        c.Mode.clk_name,
+        { (Mode.attr_of_clock m c.Mode.clk_name) with Mode.propagated = true })
+      m.Mode.clocks
+  in
+  [ m; { m with Mode.mode_name = m.Mode.mode_name ^ "+propagated"; attrs } ]
+
+let handoff_matches (p : Presets.preset) () =
+  let design, _info, modes = Presets.build p in
+  let cache = Ctx_cache.create () in
+  List.iter
+    (fun (m : Mode.t) ->
+      let handed = Sta.analyze ~ctx:(Ctx_cache.find cache m) design m
+      and own = Sta.analyze design m in
+      if report_fields handed <> report_fields own then
+        Alcotest.failf "preset %s, %s: the cached context's report differs"
+          p.Presets.pr_name m.Mode.mode_name)
+    (List.concat_map with_propagated modes)
+
+let handoff_cases =
+  List.map
+    (fun (p : Presets.preset) ->
+      tc
+        (Printf.sprintf "preset %s: a cached context analyses like a fresh one"
+           p.Presets.pr_name)
+        (handoff_matches p))
+    Presets.all
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline byte-identity across job counts                            *)
@@ -340,7 +386,7 @@ let random_cone_exc st (ctx : Context.t) =
   match
     List.filter
       (fun p -> cone.(p))
-      (List.map Tgraph.startpoint_pin g.Tgraph.sk.Tgraph.sk_startpoints)
+      (List.map Tgraph.startpoint_pin g.Tgraph.sk_startpoints)
   with
   | [] -> Mode.exc ~to_:[ Mode.P_pin ep ] kind
   | sps ->
@@ -610,7 +656,7 @@ let sparse_equals_dense seed =
   in
   List.iter
     (fun (m : Mode.t) ->
-      let g = Tgraph.build design m in
+      let g = Tgraph.skeleton design in
       match consts_mismatch (Const_prop.run g m) (Const_prop_dense.run g m) with
       | None -> ()
       | Some why ->
@@ -654,10 +700,10 @@ let loop_design () =
 let loop_cases () =
   let d = loop_design () in
   let empty = Mm_sdc.Resolve.mode_exn d ~name:"none" [] in
-  let g = Tgraph.build d empty in
+  let g = Tgraph.skeleton d in
   check Alcotest.bool "the loop is broken" true
-    (g.Tgraph.sk.Tgraph.broken <> []);
-  let pos = g.Tgraph.sk.Tgraph.topo_pos in
+    (g.Tgraph.broken <> []);
+  let pos = g.Tgraph.topo_pos in
   (* Pins with a reader placed before them: their case value crosses a
      cycle-break back edge. *)
   let back_edge_pins = ref [] in
@@ -690,14 +736,13 @@ let loop_cases () =
     cases
 
 (* Both domains get the one published baseline, with no exception,
-   when they force a cold skeleton at the same moment; it lists the
+   when they force a cold graph at the same moment; it lists the
    loop design's tie constants and broken arcs. *)
 let racing_baseline () =
   let d = loop_design () in
   let mode = Mm_sdc.Resolve.mode_exn d ~name:"none" [] in
   for _ = 1 to 20 do
-    let sk = Tgraph.compile d in
-    let g = Tgraph.overlay sk mode in
+    let g = Tgraph.compile d in
     let ready = Atomic.make 0 in
     let force () =
       Atomic.incr ready;
@@ -709,7 +754,7 @@ let racing_baseline () =
     let theirs = Domain.join other in
     check Alcotest.bool "both domains return the published baseline" true
       (mine == theirs
-      && Option.get (Atomic.get sk.Tgraph.const_base) == mine);
+      && Option.get (Atomic.get g.Tgraph.const_base) == mine);
     let dense =
       Const_prop_dense.run g { mode with Mode.cases = []; disables = [] }
     in
@@ -758,6 +803,7 @@ let () =
   Alcotest.run "sta_equiv"
     [
       "engine", engine_cases;
+      "handoff", handoff_cases;
       "jobs_invariance", jobs_invariance_cases;
       "incremental", [ incremental_prop ];
       "compare_cache", compare_cache_cases;
