@@ -54,18 +54,17 @@ let check ?ctx_cache ?merged_ctx ~individual ~rename ~merged () =
     "merge.equiv"
   @@ fun () ->
   let design = merged.Mode.design in
-  let ctx_cache =
+  (* Without a shared cache each side gets its own context: a cache
+     keyed by mode name would give two same-named modes one context. *)
+  let ctx_of =
     match ctx_cache with
-    | Some c -> c
-    | None -> Mm_timing.Ctx_cache.create ()
+    | Some c -> Mm_timing.Ctx_cache.find c
+    | None -> Context.create design
   in
   let sides =
     List.map
       (fun (m : Mode.t) ->
-        {
-          Compare.ctx = Mm_timing.Ctx_cache.find ctx_cache m;
-          rename = rename m.Mode.mode_name;
-        })
+        { Compare.ctx = ctx_of m; rename = rename m.Mode.mode_name })
       individual
   in
   let ctx_m =

@@ -55,7 +55,10 @@ val check :
 (** Compare [merged] against [individual] from scratch (no refinement
     cache) inside a [merge.equiv] span, then {!of_compare}.
     [rename mode_name clock] maps individual clocks to merged names
-    (use {!Prelim.rename_of}). [merged_ctx] supplies a ready-made
+    (use {!Prelim.rename_of}). [ctx_cache] supplies the individual
+    contexts, keyed by mode name; without it each individual mode gets
+    a context of its own, so same-named modes stay apart.
+    [merged_ctx] supplies a ready-made
     context for [merged] (e.g. {!Refine.t.refined_ctx}); it is used
     only when its mode is physically the [merged] argument, otherwise
     a fresh context is built. *)
