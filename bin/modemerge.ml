@@ -874,6 +874,12 @@ let check_cmd =
       (List.length report.Mm_core.Equiv.pessimistic);
     List.iter (Printf.printf "  %s\n") report.Mm_core.Equiv.unsound;
     List.iter (Printf.printf "  %s\n") report.Mm_core.Equiv.pessimistic;
+    List.iter
+      (fun (sp, ep) ->
+        Printf.printf "  undecided: pass 3 ran out of budget on %s -> %s\n"
+          (Mm_netlist.Design.pin_name design sp)
+          (Mm_netlist.Design.pin_name design ep))
+      report.Mm_core.Equiv.compare_result.Mm_core.Compare.undecided;
     if not report.Mm_core.Equiv.equivalent then begin
       print_diag
         (Diag.make Diag.Fatal ~code:"merge.not-equivalent"

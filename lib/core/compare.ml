@@ -52,6 +52,7 @@ type result = {
   fixes : fix list;
   unsound : string list;
   pessimism : string list;
+  undecided : (Design.pin_id * Design.pin_id) list;
 }
 
 type side = { ctx : Context.t; rename : string -> string }
@@ -343,8 +344,8 @@ let resolve_mismatch ~where ~ev ~from_points ~through ~to_points
 
 (* Emit the fixes for all judged buckets of one comparison point — an
    endpoint (pass 1), a (startpoint, endpoint) pair (pass 2) or a
-   (startpoint, through, endpoint) triple (pass 3); [prefix_pins] are
-   the identifying pins in path order (e.g. [sp] or [sp; t]).
+   (startpoint, through, endpoint) triple (pass 3), identified by
+   [ep], [sp] and [through].
 
    Granularity is chosen to stay exact: when every bucket of the point
    mismatches identically, one pin-scoped exception suffices (the
@@ -352,14 +353,26 @@ let resolve_mismatch ~where ~ev ~from_points ~through ~to_points
    the capture clock restrict the exception — a capture restriction is
    encoded as "-through <endpoint pin> -to <capture clock>", which is
    precise because endpoint pins have no fanout. *)
-let fixes_for_point ~where ~pass ~sp_name ~through_name ~ep_name ~prefix_pins
-    ~ep judged =
+let fixes_for_point ~design ?sp ?through ~ep judged =
   let mismatches =
     List.filter (fun jb -> jb.bucket.bk_verdict = Mismatch) judged
   in
   match mismatches with
   | [] -> [], [], []
   | first :: rest_mismatches ->
+    (* Names are for the fixes and diagnostics only: most points match,
+       so they are built here, not by the caller. *)
+    let name = Design.pin_name design in
+    let sp_name = Option.map name sp
+    and through_name = Option.map name through
+    and ep_name = name ep in
+    let pass, where =
+      match sp_name, through_name with
+      | None, _ -> 1, Printf.sprintf "pass1: endpoint %s" ep_name
+      | Some s, None -> 2, Printf.sprintf "pass2: %s -> %s" s ep_name
+      | Some s, Some t -> 3, Printf.sprintf "pass3: %s -> %s -> %s" s t ep_name
+    in
+    let prefix_pins = Option.to_list sp @ Option.to_list through in
     let uniform l =
       List.for_all (fun jb -> jb.decision = first.decision) l
     in
@@ -431,6 +444,55 @@ let fixes_for_point ~where ~pass ~sp_name ~through_name ~ep_name ~prefix_pins
     end
 
 (* ------------------------------------------------------------------ *)
+(* Cone buffers                                                        *)
+
+(* One context's buffers for passes 2 and 3: the mark buffer its cones
+   are walked into, the tag buffer of pass 2's per-startpoint and pass
+   3's forward propagations, and the tag buffer of pass 3's second hop. *)
+type lane = {
+  l_marks : Relation_prop.marks;
+  l_tags : Relation_prop.tagsets;
+  l_hop : Relation_prop.tagsets;
+}
+
+(* What the cone queries of passes 2 and 3 write to and look up: a lane
+   for the merged context and one per individual side, and the
+   position of each pin among the graph's startpoints and endpoints
+   ({!Relation_prop.positions}). It belongs to one [run] or to the
+   refinement cache. Contexts hold no buffers: {!Mm_timing.Ctx_cache}
+   shares them across domains. *)
+type work = {
+  w_graph : Tgraph.t;
+  w_mrg : lane;
+  w_sides : lane list;
+  w_sps : Tgraph.startpoint array;
+  w_sp_pos : int array;
+  w_eps : Tgraph.endpoint array;
+  w_ep_pos : int array;
+}
+
+let create_work ~individual ~(merged : Context.t) =
+  let g = merged.Context.graph in
+  let lane (ctx : Context.t) =
+    {
+      l_marks = Relation_prop.create_marks g;
+      l_tags = Relation_prop.create_scratch ctx;
+      l_hop = Relation_prop.create_scratch ctx;
+    }
+  in
+  let sps = Array.of_list g.Tgraph.sk_startpoints
+  and eps = Array.of_list g.Tgraph.sk_endpoints in
+  {
+    w_graph = g;
+    w_mrg = lane merged;
+    w_sides = List.map (fun side -> lane side.ctx) individual;
+    w_sps = sps;
+    w_sp_pos = Relation_prop.positions g Tgraph.startpoint_pin sps;
+    w_eps = eps;
+    w_ep_pos = Relation_prop.positions g Tgraph.endpoint_pin eps;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Pass 1                                                              *)
 
 let rename_rels rename rels = List.map (Relation.rename rename) rels
@@ -446,12 +508,16 @@ let rename_rels rename rels = List.map (Relation.rename rename) rels
    [Context.with_exceptions base_ctx _], which keeps the graph,
    constants and clocks — and cones read only the graph and the
    enabled arcs, so the merged cone that selects the candidates never
-   changes either. Only the merged relations are recomputed. *)
+   changes either. Only the merged relations are recomputed.
+
+   [c_work] keeps the cone buffers of the first run that needed them
+   for the rest of the loop. *)
 type cache = {
   mutable c_sides : (Design.pin_id, Relation.t list) Hashtbl.t list option;
   c_merged : Relation_prop.ep_cache;
   c_pass2 :
     (Design.pin_id, (Tgraph.startpoint * Relation.t list list) list) Hashtbl.t;
+  mutable c_work : work option;
 }
 
 let create_cache () =
@@ -459,6 +525,7 @@ let create_cache () =
     c_sides = None;
     c_merged = Relation_prop.create_ep_cache ();
     c_pass2 = Hashtbl.create 64;
+    c_work = None;
   }
 
 let pass1 ?cache ~individual ~(merged : Context.t) () =
@@ -502,13 +569,7 @@ let pass1 ?cache ~individual ~(merged : Context.t) () =
       in
       let judged = make_buckets ~fine:false ind_rels mrels in
       List.iter (fun jb -> rows := { p1_ep = ep; p1_bucket = jb.bucket } :: !rows) judged;
-      let ep_name = Design.pin_name design ep in
-      let f, u, p =
-        fixes_for_point
-          ~where:(Printf.sprintf "pass1: endpoint %s" ep_name)
-          ~pass:1 ~sp_name:None ~through_name:None ~ep_name ~prefix_pins:[] ~ep
-          judged
-      in
+      let f, u, p = fixes_for_point ~design ~ep judged in
       fixes := f @ !fixes;
       unsound := u @ !unsound;
       pessimism := p @ !pessimism)
@@ -523,15 +584,10 @@ let pass1 ?cache ~individual ~(merged : Context.t) () =
 (* ------------------------------------------------------------------ *)
 (* Pass 2                                                              *)
 
-let relations_from_sp ctx sp ep ~within ~order ~scratch =
+let relations_from_sp ctx sp ep ~cone ~scratch =
   let seeds = Mm_timing.Tag.launches ctx sp in
-  let tags = Relation_prop.propagate ctx ~seeds ~within ~order ~scratch () in
+  let tags = Relation_prop.propagate ctx ~seeds ~cone ~scratch () in
   Relation_prop.relations_at ctx tags ep
-
-let find_endpoint (ctx : Context.t) pin =
-  List.find_opt
-    (fun ep -> Tgraph.endpoint_pin ep = pin)
-    ctx.Context.graph.Tgraph.sk_endpoints
 
 (* The individual side of one ambiguous endpoint: in merged-graph
    startpoint order, every startpoint inside the merged cone or any
@@ -539,57 +595,59 @@ let find_endpoint (ctx : Context.t) pin =
    outside the merged cone with no individual relations is dropped —
    it can compare nothing, since a startpoint's seeds sit on its own
    pin, so outside the merged cone the merged side has no relations
-   either. *)
-let pass2_candidates ~individual ~side_scratches ~(merged : Context.t)
-    ~mrg_cone ep_pin ep =
+   either. The startpoints are read off the cones' pins. *)
+let pass2_candidates ~individual ~work ~mrg_cone ep_pin ep =
   let side_cones =
     List.map2
-      (fun side scratch ->
-        let cone = Relation_prop.backward_cone side.ctx [ ep_pin ] in
-        side, cone, Relation_prop.cone_order side.ctx cone, scratch)
-      individual side_scratches
+      (fun side lane ->
+        side, Relation_prop.backward_cone lane.l_marks side.ctx [ ep_pin ], lane)
+      individual work.w_sides
   in
+  let positions = ref [] in
+  let collect cone =
+    List.iter
+      (fun pin ->
+        let i = work.w_sp_pos.(pin) in
+        if i >= 0 then positions := i :: !positions)
+      (Relation_prop.cone_pins cone)
+  in
+  collect mrg_cone;
+  List.iter (fun (_, cone, _) -> collect cone) side_cones;
   List.filter_map
-    (fun sp ->
-      let sp_pin = Tgraph.startpoint_pin sp in
-      let in_mrg = mrg_cone.(sp_pin) in
-      if in_mrg || List.exists (fun (_, c, _, _) -> c.(sp_pin)) side_cones
-      then begin
-        let ind_rels =
-          List.map
-            (fun (side, within, order, scratch) ->
-              rename_rels side.rename
-                (relations_from_sp side.ctx sp ep ~within ~order ~scratch))
-            side_cones
-        in
-        if in_mrg || List.exists (( <> ) []) ind_rels then Some (sp, ind_rels)
-        else None
-      end
+    (fun i ->
+      let sp = work.w_sps.(i) in
+      let ind_rels =
+        List.map
+          (fun (side, cone, lane) ->
+            rename_rels side.rename
+              (relations_from_sp side.ctx sp ep ~cone ~scratch:lane.l_tags))
+          side_cones
+      in
+      if
+        Relation_prop.in_cone mrg_cone (Tgraph.startpoint_pin sp)
+        || List.exists (( <> ) []) ind_rels
+      then Some (sp, ind_rels)
       else None)
-    merged.Context.graph.Tgraph.sk_startpoints
+    (List.sort_uniq Int.compare !positions)
 
-let pass2 ?cache ~individual ~(merged : Context.t) ambiguous_eps =
+let pass2 ?cache ~individual ~(merged : Context.t) ~work ambiguous_eps =
   let design = merged.Context.design in
   let rows = ref [] and fixes = ref [] and unsound = ref []
   and pessimism = ref [] and ambiguous_pairs = ref [] and compared = ref 0 in
-  (* Tag buffers, reused by every endpoint's cone-restricted queries. *)
-  let mrg_scratch = lazy (Relation_prop.create_scratch merged)
-  and side_scratches =
-    lazy (List.map (fun side -> Relation_prop.create_scratch side.ctx) individual)
-  in
   List.iter
     (fun ep_pin ->
       (* Cooperative cancellation point, once per endpoint cone. *)
       Mm_util.Govern.checkpoint ();
-      match find_endpoint merged ep_pin with
-      | None -> ()
-      | Some ep ->
-        let mrg_cone = Relation_prop.backward_cone merged [ ep_pin ] in
-        let mrg_order = Relation_prop.cone_order merged mrg_cone
-        and mrg_scratch = Lazy.force mrg_scratch in
+      let work = Lazy.force work in
+      match work.w_ep_pos.(ep_pin) with
+      | -1 -> ()
+      | i ->
+        let ep = work.w_eps.(i) and mrg_lane = work.w_mrg in
+        let mrg_cone =
+          Relation_prop.backward_cone mrg_lane.l_marks merged [ ep_pin ]
+        in
         let candidates () =
-          pass2_candidates ~individual ~side_scratches:(Lazy.force side_scratches)
-            ~merged ~mrg_cone ep_pin ep
+          pass2_candidates ~individual ~work ~mrg_cone ep_pin ep
         in
         let candidates =
           match cache with
@@ -606,9 +664,9 @@ let pass2 ?cache ~individual ~(merged : Context.t) ambiguous_eps =
           (fun (sp, ind_rels) ->
             let sp_pin = Tgraph.startpoint_pin sp in
             let mrels =
-              if mrg_cone.(sp_pin) then
-                relations_from_sp merged sp ep ~within:mrg_cone
-                  ~order:mrg_order ~scratch:mrg_scratch
+              if Relation_prop.in_cone mrg_cone sp_pin then
+                relations_from_sp merged sp ep ~cone:mrg_cone
+                  ~scratch:mrg_lane.l_tags
               else []
             in
             if List.for_all (( = ) []) ind_rels && mrels = [] then ()
@@ -623,13 +681,8 @@ let pass2 ?cache ~individual ~(merged : Context.t) ambiguous_eps =
                   if jb.bucket.bk_verdict = Ambiguous then
                     ambiguous_pairs := (sp, ep) :: !ambiguous_pairs)
                 judged;
-              let sp_name = Design.pin_name design sp_pin
-              and ep_name = Design.pin_name design ep_pin in
               let f, u, p =
-                fixes_for_point
-                  ~where:(Printf.sprintf "pass2: %s -> %s" sp_name ep_name)
-                  ~pass:2 ~sp_name:(Some sp_name) ~through_name:None ~ep_name
-                  ~prefix_pins:[ sp_pin ] ~ep:ep_pin judged
+                fixes_for_point ~design ~sp:sp_pin ~ep:ep_pin judged
               in
               fixes := f @ !fixes;
               unsound := u @ !unsound;
@@ -647,15 +700,18 @@ let pass2 ?cache ~individual ~(merged : Context.t) ambiguous_eps =
 (* ------------------------------------------------------------------ *)
 (* Pass 3                                                              *)
 
-let cone_and a b = Array.mapi (fun i x -> x && b.(i)) a
+(* Through-pins pass 3 may visit per (startpoint, endpoint) pair. A
+   pair whose exploration still has pins queued when it runs out is
+   undecided: it goes to [result.undecided], which makes the
+   equivalence verdict fail. *)
+let budget = 2000
 
-let relations_through ctx fwd_tags t ep ~within ~order ~scratch =
+let relations_through ctx fwd_tags t ep ~cone ~scratch =
   let at_t = Relation_prop.tags_at fwd_tags t in
   if at_t = [] then []
   else
     let tags =
-      Relation_prop.propagate_raw ctx ~tag_seeds:[ t, at_t ] ~within ~order
-        ~scratch ()
+      Relation_prop.propagate_raw ctx ~tag_seeds:[ t, at_t ] ~cone ~scratch ()
     in
     Relation_prop.relations_at ctx tags ep
 
@@ -667,43 +723,51 @@ let successors (ctx : Context.t) pin =
         acc := Tgraph.arc_dst g aid :: !acc);
   List.rev !acc
 
-let pass3 ~individual ~(merged : Context.t) pairs =
+let pass3 ~individual ~(merged : Context.t) ~work pairs =
   let design = merged.Context.design in
   let rows = ref [] and fixes = ref [] and unsound = ref []
-  and pessimism = ref [] and reconv = ref 0 in
+  and pessimism = ref [] and undecided = ref [] and reconv = ref 0 in
   List.iter
     (fun (sp, ep) ->
+      let work = Lazy.force work in
       let sp_pin = Tgraph.startpoint_pin sp
       and ep_pin = Tgraph.endpoint_pin ep in
-      (* Per-context restriction cone and one forward propagation from
-         the startpoint, reused for every candidate through pin. *)
-      let prepare ctx =
+      (* Per context: the cone between the startpoint and the endpoint,
+         and one forward propagation from the startpoint inside it,
+         read for every candidate through-pin; the second hop reuses
+         the lane's other tag buffer. *)
+      let prepare lane ctx =
         let seeds = Mm_timing.Tag.launches ctx sp in
         let seed_pins = List.map (fun l -> l.Mm_timing.Tag.launch_pin) seeds in
         if seed_pins = [] then None
         else begin
-          let cone =
-            cone_and
-              (Relation_prop.forward_cone ctx seed_pins)
-              (Relation_prop.backward_cone ctx [ ep_pin ])
+          let within =
+            Relation_prop.backward_cone lane.l_marks ctx [ ep_pin ]
           in
-          let order = Relation_prop.cone_order ctx cone in
-          (* The forward tags are read for every candidate pin, so they
-             get their own (non-reused) buffer; the second hop reuses a
-             scratch. *)
-          let fwd = Relation_prop.propagate ctx ~seeds ~within:cone ~order () in
-          Some (cone, order, Relation_prop.create_scratch ctx, fwd)
+          let cone =
+            Relation_prop.forward_cone lane.l_marks ~within ctx seed_pins
+          in
+          let fwd =
+            Relation_prop.propagate ctx ~seeds ~cone ~scratch:lane.l_tags ()
+          in
+          Some (cone, lane.l_hop, fwd)
         end
       in
-      let mrg_prep = prepare merged in
+      let mrg_prep = prepare work.w_mrg merged in
       let side_preps =
-        List.filter_map
-          (fun side -> Option.map (fun p -> side, p) (prepare side.ctx))
-          individual
+        List.concat
+          (List.map2
+             (fun side lane ->
+               match prepare lane side.ctx with
+               | Some p -> [ side, p ]
+               | None -> [])
+             individual work.w_sides)
       in
       let in_union pin =
-        (match mrg_prep with Some (c, _, _, _) -> c.(pin) | None -> false)
-        || List.exists (fun (_, (c, _, _, _)) -> c.(pin)) side_preps
+        (match mrg_prep with
+        | Some (c, _, _) -> Relation_prop.in_cone c pin
+        | None -> false)
+        || List.exists (fun (_, (c, _, _)) -> Relation_prop.in_cone c pin) side_preps
       in
       let visited = Hashtbl.create 32 in
       let queue = Queue.create () in
@@ -717,22 +781,22 @@ let pass3 ~individual ~(merged : Context.t) pairs =
       List.iter
         (fun (side, _) -> List.iter push (successors side.ctx sp_pin))
         side_preps;
-      let budget = ref 2000 in
-      while not (Queue.is_empty queue) && !budget > 0 do
-        decr budget;
+      let left = ref budget in
+      while not (Queue.is_empty queue) && !left > 0 do
+        decr left;
         let t = Queue.take queue in
         let fine = t = ep_pin in
         let ind_rels =
           List.map
-            (fun (side, (cone, order, scratch, fwd)) ->
+            (fun (side, (cone, scratch, fwd)) ->
               rename_rels side.rename
-                (relations_through side.ctx fwd t ep ~within:cone ~order ~scratch))
+                (relations_through side.ctx fwd t ep ~cone ~scratch))
             side_preps
         in
         let mrels =
           match mrg_prep with
-          | Some (cone, order, scratch, fwd) ->
-            relations_through merged fwd t ep ~within:cone ~order ~scratch
+          | Some (cone, scratch, fwd) ->
+            relations_through merged fwd t ep ~cone ~scratch
           | None -> []
         in
         if List.for_all (( = ) []) ind_rels && mrels = [] then
@@ -750,15 +814,8 @@ let pass3 ~individual ~(merged : Context.t) pairs =
                   { p3_sp = sp_pin; p3_through = t; p3_ep = ep_pin; p3_bucket = jb.bucket }
                   :: !rows)
             judged;
-          let sp_name = Design.pin_name design sp_pin
-          and t_name = Design.pin_name design t
-          and ep_name = Design.pin_name design ep_pin in
           let f, u, p =
-            fixes_for_point
-              ~where:
-                (Printf.sprintf "pass3: %s -> %s -> %s" sp_name t_name ep_name)
-              ~pass:3 ~sp_name:(Some sp_name) ~through_name:(Some t_name)
-              ~ep_name ~prefix_pins:[ sp_pin; t ] ~ep:ep_pin judged
+            fixes_for_point ~design ~sp:sp_pin ~through:t ~ep:ep_pin judged
           in
           fixes := f @ !fixes;
           unsound := u @ !unsound;
@@ -770,10 +827,16 @@ let pass3 ~individual ~(merged : Context.t) pairs =
               side_preps
           end
         end
-      done)
+      done;
+      if not (Queue.is_empty queue) then
+        undecided := (sp_pin, ep_pin) :: !undecided)
     pairs;
   Mm_util.Metrics.incr ~by:!reconv "compare.reconv_points";
-  List.rev !rows, List.rev !fixes, List.rev !unsound, List.rev !pessimism
+  ( List.rev !rows,
+    List.rev !fixes,
+    List.rev !unsound,
+    List.rev !pessimism,
+    List.rev !undecided )
 
 (* ------------------------------------------------------------------ *)
 
@@ -789,6 +852,16 @@ let dedup_fixes fixes =
 
 let run ?cache ~individual ~merged () =
   let module Obs = Mm_util.Obs in
+  let work =
+    lazy
+      (match cache with
+      | Some { c_work = Some w; _ } when w.w_graph == merged.Context.graph -> w
+      | Some c ->
+        let w = create_work ~individual ~merged in
+        c.c_work <- Some w;
+        w
+      | None -> create_work ~individual ~merged)
+  in
   let n_eps, p1_rows, p1_fixes, p1_uns, p1_pes =
     Obs.with_span "compare.pass1" (fun () -> pass1 ?cache ~individual ~merged ())
   in
@@ -804,12 +877,12 @@ let run ?cache ~individual ~merged () =
   let p2_rows, p2_fixes, p2_uns, p2_pes, ambiguous_pairs =
     Obs.with_span "compare.pass2"
       ~attrs:[ "ambiguous_endpoints", string_of_int (List.length ambiguous_eps) ]
-      (fun () -> pass2 ?cache ~individual ~merged ambiguous_eps)
+      (fun () -> pass2 ?cache ~individual ~merged ~work ambiguous_eps)
   in
-  let p3_rows, p3_fixes, p3_uns, p3_pes =
+  let p3_rows, p3_fixes, p3_uns, p3_pes, undecided =
     Obs.with_span "compare.pass3"
       ~attrs:[ "ambiguous_pairs", string_of_int (List.length ambiguous_pairs) ]
-      (fun () -> pass3 ~individual ~merged ambiguous_pairs)
+      (fun () -> pass3 ~individual ~merged ~work ambiguous_pairs)
   in
   let fixes = dedup_fixes (p1_fixes @ p2_fixes @ p3_fixes) in
   Mm_util.Metrics.incr ~by:(List.length fixes) "compare.fixes";
@@ -820,10 +893,11 @@ let run ?cache ~individual ~merged () =
     fixes;
     unsound = List.sort_uniq compare (p1_uns @ p2_uns @ p3_uns);
     pessimism = List.sort_uniq compare (p1_pes @ p2_pes @ p3_pes);
+    undecided;
   }
 
 let is_clean r =
-  r.unsound = [] && r.pessimism = []
+  r.unsound = [] && r.pessimism = [] && r.undecided = []
   && List.for_all (fun x -> x.p1_bucket.bk_verdict <> Mismatch) r.pass1
   && List.for_all (fun x -> x.p2_bucket.bk_verdict <> Mismatch) r.pass2
   && List.for_all (fun x -> x.p3_bucket.bk_verdict <> Mismatch) r.pass3

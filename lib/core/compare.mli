@@ -7,6 +7,17 @@
     exception to add to the merged mode so it stops timing paths no
     individual mode times.
 
+    Pass 3 explores each pair breadth-first from the startpoint's
+    fanout, descending past a through-pin only while its buckets stay
+    ambiguous, and visits at most 2,000 through-pins per pair. A pair
+    still unexplored when that budget runs out is reported in
+    [undecided], never counted as matching.
+
+    Passes 2 and 3 work inside one endpoint's fan-in cone, and their
+    cone queries cost that cone, not the design: cones are walked into
+    mark buffers that one {!run} (or the refinement {!cache}) owns,
+    and start- and endpoints are looked up by pin.
+
     Clock names of individual modes are mapped to merged-mode names via
     the renaming supplied with each individual context. *)
 
@@ -81,6 +92,10 @@ type result = {
       (** the merged mode checks a bundle more tightly than the
           individual-mode union requires — safe, but costs QoR
           conformity (the paper's < 100% Table-6 entries) *)
+  undecided : (Mm_netlist.Design.pin_id * Mm_netlist.Design.pin_id) list;
+      (** (startpoint, endpoint) pairs pass 3 left undecided: their
+          exploration still had through-pins queued when it ran out of
+          budget, so a mismatch may remain unfound. Pairs in pass order. *)
 }
 
 type side = {

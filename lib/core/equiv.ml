@@ -27,13 +27,7 @@ let of_compare (result : Compare.result) =
         (fun (r : Compare.pass3_row) -> r.Compare.p3_bucket.Compare.bk_verdict)
         result.Compare.pass3
   in
-  let ambiguous_final =
-    List.length
-      (List.filter
-         (fun (r : Compare.pass3_row) ->
-           r.Compare.p3_bucket.Compare.bk_verdict = Compare.Ambiguous)
-         result.Compare.pass3)
-  in
+  let ambiguous_final = List.length result.Compare.undecided in
   let remaining_fixes = List.length result.Compare.fixes in
   {
     equivalent =

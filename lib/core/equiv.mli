@@ -32,7 +32,12 @@ type report = {
   remaining_fixes : int;
       (** fixes the comparison would still add — optimism evidence *)
   ambiguous_final : int;
-      (** pass-3 buckets still ambiguous (none expected, per paper) *)
+      (** (startpoint, endpoint) pairs pass 3 left undecided because
+          their exploration ran out of budget
+          ({!Compare.result.undecided}); any makes the merge
+          non-equivalent, as a pair not compared to the end may hide a
+          mismatch. Pass 3 records no ambiguous bucket otherwise: it
+          explores past each one until the endpoint decides it. *)
   unsound : string list;
       (** required checks the merged mode relaxes or drops — must be
           empty for a sign-off-accurate merge *)

@@ -27,15 +27,78 @@ let reset_scratch ts =
   List.iter (fun pin -> ts.tags.(pin) <- []) ts.touched;
   ts.touched <- []
 
-(* Topologically ordered pins of a cone, computed once and shared by
-   the per-startpoint queries of passes 2 and 3. *)
-let cone_order (ctx : Context.t) within =
-  let acc = ref [] in
-  let topo = ctx.Context.graph.Tgraph.topo in
-  for i = Array.length topo - 1 downto 0 do
-    if within.(topo.(i)) then acc := topo.(i) :: !acc
-  done;
-  !acc
+(* ------------------------------------------------------------------ *)
+(* Cones.
+
+   A cone is the set of pins a walk over enabled arcs visits, kept as
+   its pins in topological order plus a membership test. The walk marks
+   pins in a caller-owned buffer by epoch: every walk takes a fresh
+   epoch, so it costs the cone, never the design, and needs no clearing
+   — not even after a walk abandoned by cancellation. *)
+
+type marks = { stamp : int array; mutable epoch : int }
+
+let create_marks (g : Tgraph.t) =
+  { stamp = Array.make (Tgraph.n_pins g) 0; epoch = 0 }
+
+type cone = { c_marks : marks; c_epoch : int; c_pins : Design.pin_id list }
+
+let check_current c =
+  if c.c_epoch <> c.c_marks.epoch then invalid_arg "Relation_prop: stale cone"
+
+let in_cone c pin =
+  check_current c;
+  c.c_marks.stamp.(pin) = c.c_epoch
+
+let cone_pins c = c.c_pins
+
+(* Walk from [pins] along enabled arcs into a fresh epoch of [marks],
+   entering only pins [within] holds. [within] is read by raw stamp: it
+   may live in [marks] itself, whose old epoch this walk overwrites. *)
+let walk marks (ctx : Context.t) ?within pins ~forward =
+  Option.iter check_current within;
+  let g = ctx.Context.graph in
+  let epoch = marks.epoch + 1 in
+  marks.epoch <- epoch;
+  let stamp = marks.stamp in
+  let allowed =
+    match within with
+    | None -> fun _ -> true
+    | Some w -> fun p -> w.c_marks.stamp.(p) = w.c_epoch
+  in
+  let visited = ref [] and stack = ref [] in
+  let enter p =
+    if stamp.(p) <> epoch && allowed p then begin
+      stamp.(p) <- epoch;
+      visited := p :: !visited;
+      stack := p :: !stack
+    end
+  in
+  List.iter enter pins;
+  let visit aid =
+    if Const_prop.enabled ctx.Context.consts aid then
+      enter (if forward then Tgraph.arc_dst g aid else Tgraph.arc_src g aid)
+  in
+  let rec drain () =
+    match !stack with
+    | [] -> ()
+    | p :: rest ->
+      stack := rest;
+      if forward then Tgraph.iter_out g p visit else Tgraph.iter_in g p visit;
+      drain ()
+  in
+  drain ();
+  let order = Array.of_list !visited and pos = g.Tgraph.topo_pos in
+  Array.sort (fun a b -> Int.compare pos.(a) pos.(b)) order;
+  { c_marks = marks; c_epoch = epoch; c_pins = Array.to_list order }
+
+let forward_cone marks ?within ctx pins = walk marks ctx ?within pins ~forward:true
+let backward_cone marks ctx pins = walk marks ctx pins ~forward:false
+
+let positions (g : Tgraph.t) pin_of items =
+  let pos = Array.make (Tgraph.n_pins g) (-1) in
+  Array.iteri (fun i x -> pos.(pin_of x) <- i) items;
+  pos
 
 let sweep_pin (ctx : Context.t) (ts : tagsets) inside pin =
   let g = ctx.Context.graph in
@@ -52,40 +115,35 @@ let sweep_pin (ctx : Context.t) (ts : tagsets) inside pin =
           end
         end)
 
-let sweep (ctx : Context.t) (ts : tagsets) ?within ?order () =
-  let inside pin = match within with None -> true | Some w -> w.(pin) in
-  match order with
-  | Some pins -> List.iter (fun pin -> sweep_pin ctx ts inside pin) pins
-  | None ->
-    Array.iter
-      (fun pin -> sweep_pin ctx ts inside pin)
-      ctx.Context.graph.Tgraph.topo
+(* Membership in [cone] (every pin without one), checked current once. *)
+let inside_of = function
+  | None -> fun _ -> true
+  | Some c ->
+    check_current c;
+    fun pin -> c.c_marks.stamp.(pin) = c.c_epoch
 
-let propagate (ctx : Context.t) ~seeds ?within ?order ?scratch () =
-  let ts =
-    match scratch with
-    | Some ts ->
-      reset_scratch ts;
-      ts
-    | None -> create_scratch ctx
-  in
-  let inside pin = match within with None -> true | Some w -> w.(pin) in
+let sweep (ctx : Context.t) (ts : tagsets) ?cone inside =
+  match cone with
+  | Some c -> List.iter (sweep_pin ctx ts inside) c.c_pins
+  | None -> Array.iter (sweep_pin ctx ts inside) ctx.Context.graph.Tgraph.topo
+
+let scratch_for ctx = function
+  | Some ts ->
+    reset_scratch ts;
+    ts
+  | None -> create_scratch ctx
+
+let propagate (ctx : Context.t) ~seeds ?cone ?scratch () =
+  let ts = scratch_for ctx scratch and inside = inside_of cone in
   List.iter
     (fun (l : Tag.launch) ->
       if inside l.launch_pin then Tag.seed ctx l (add_tag ts l.launch_pin))
     seeds;
-  sweep ctx ts ?within ?order ();
+  sweep ctx ts ?cone inside;
   ts
 
-let propagate_raw (ctx : Context.t) ~tag_seeds ?within ?order ?scratch () =
-  let ts =
-    match scratch with
-    | Some ts ->
-      reset_scratch ts;
-      ts
-    | None -> create_scratch ctx
-  in
-  let inside pin = match within with None -> true | Some w -> w.(pin) in
+let propagate_raw (ctx : Context.t) ~tag_seeds ?cone ?scratch () =
+  let ts = scratch_for ctx scratch and inside = inside_of cone in
   List.iter
     (fun (pin, triples) ->
       if inside pin then
@@ -93,7 +151,7 @@ let propagate_raw (ctx : Context.t) ~tag_seeds ?within ?order ?scratch () =
           (fun (ci, st, edge) -> add_tag ts pin (Tag.make ~edge ci st))
           triples)
     tag_seeds;
-  sweep ctx ts ?within ?order ();
+  sweep ctx ts ?cone inside;
   ts
 
 let tags_at (ts : tagsets) pin =
@@ -154,38 +212,6 @@ let data_clock_masks (ctx : Context.t) =
     g.Tgraph.topo;
   masks
 
-let cone (ctx : Context.t) pins ~forward =
-  let g = ctx.Context.graph in
-  let n = Tgraph.n_pins g in
-  let mark = Array.make n false in
-  let queue = Queue.create () in
-  List.iter
-    (fun p ->
-      if not mark.(p) then begin
-        mark.(p) <- true;
-        Queue.add p queue
-      end)
-    pins;
-  let visit aid =
-    if Const_prop.enabled ctx.Context.consts aid then begin
-      let next =
-        if forward then Tgraph.arc_dst g aid else Tgraph.arc_src g aid
-      in
-      if not mark.(next) then begin
-        mark.(next) <- true;
-        Queue.add next queue
-      end
-    end
-  in
-  while not (Queue.is_empty queue) do
-    let p = Queue.take queue in
-    if forward then Tgraph.iter_out g p visit else Tgraph.iter_in g p visit
-  done;
-  mark
-
-let forward_cone ctx pins = cone ctx pins ~forward:true
-let backward_cone ctx pins = cone ctx pins ~forward:false
-
 (* ------------------------------------------------------------------ *)
 (* Incremental endpoint relations.
 
@@ -201,15 +227,45 @@ let backward_cone ctx pins = cone ctx pins ~forward:false
    exception-state ids, so they stay valid across the re-prepared
    exception automaton. *)
 
+(* The graph's endpoints, each pin's position among them, the mark
+   buffer the scope and re-propagation cones are walked into, and the
+   re-propagation's tag buffer. *)
+type ep_walk = {
+  w_graph : Tgraph.t;
+  w_eps : Tgraph.endpoint array;
+  w_ep_pos : int array;
+  w_marks : marks;
+  w_tags : tagsets;
+}
+
 type ep_cache = {
   mutable ec_excs : Mode.exc list option;  (* None = cold *)
   mutable ec_edge_sensitive : bool;
   mutable ec_rels : (Design.pin_id * Relation.t list) array;
       (* graph endpoint order *)
+  mutable ec_walk : ep_walk option;
 }
 
 let create_ep_cache () =
-  { ec_excs = None; ec_edge_sensitive = false; ec_rels = [||] }
+  { ec_excs = None; ec_edge_sensitive = false; ec_rels = [||]; ec_walk = None }
+
+let ep_walk cache (ctx : Context.t) =
+  let g = ctx.Context.graph in
+  match cache.ec_walk with
+  | Some w when w.w_graph == g -> w
+  | Some _ | None ->
+    let eps = Array.of_list g.Tgraph.sk_endpoints in
+    let w =
+      {
+        w_graph = g;
+        w_eps = eps;
+        w_ep_pos = positions g Tgraph.endpoint_pin eps;
+        w_marks = create_marks g;
+        w_tags = create_scratch ctx;
+      }
+    in
+    cache.ec_walk <- Some w;
+    w
 
 (* [strip_prefix cached now] = the suffix of [now] after [cached], or
    None when [cached] is not a prefix — refinement only appends, so a
@@ -224,8 +280,8 @@ let rec strip_prefix prefix l =
    -through (first group) or -from pins, AND matching its -to points.
    Either restriction missing widens to "all"; both missing dirties
    every endpoint. Everything is over-approximate on purpose. *)
-let dirty_endpoints (ctx : Context.t) delta =
-  let eps = Array.of_list ctx.Context.graph.Tgraph.sk_endpoints in
+let dirty_endpoints (ctx : Context.t) w delta =
+  let eps = w.w_eps in
   let n_eps = Array.length eps in
   let dirty = Array.make n_eps false in
   let launches = lazy (Tag.all_launches ctx) in
@@ -233,7 +289,7 @@ let dirty_endpoints (ctx : Context.t) delta =
     (fun (e : Mode.exc) ->
       let cone =
         match e.Mode.exc_through with
-        | grp :: _ -> Some (forward_cone ctx grp)
+        | grp :: _ -> Some (forward_cone w.w_marks ctx grp)
         | [] -> (
           match e.Mode.exc_from with
           | None -> None
@@ -254,7 +310,7 @@ let dirty_endpoints (ctx : Context.t) delta =
                         (Lazy.force launches)))
                 pts
             in
-            Some (forward_cone ctx pins))
+            Some (forward_cone w.w_marks ctx pins))
       in
       let to_pred =
         match e.Mode.exc_to with
@@ -282,24 +338,23 @@ let dirty_endpoints (ctx : Context.t) delta =
                     | Some cj -> List.mem cj (Lazy.force captures)))
                 pts)
       in
+      let consider i =
+        if not dirty.(i) then
+          match to_pred with
+          | None -> dirty.(i) <- true
+          | Some f -> if f eps.(i) then dirty.(i) <- true
+      in
       match cone, to_pred with
       | None, None -> Array.fill dirty 0 n_eps true
-      | _ ->
-        Array.iteri
-          (fun i ep ->
-            if not dirty.(i) then begin
-              let pin = Tgraph.endpoint_pin ep in
-              let in_cone =
-                match cone with None -> true | Some c -> c.(pin)
-              in
-              if in_cone then
-                match to_pred with
-                | None -> dirty.(i) <- true
-                | Some f -> if f ep then dirty.(i) <- true
-            end)
-          eps)
+      | None, Some _ -> Array.iteri (fun i _ -> consider i) eps
+      | Some c, _ ->
+        List.iter
+          (fun pin ->
+            let i = w.w_ep_pos.(pin) in
+            if i >= 0 then consider i)
+          (cone_pins c))
     delta;
-  eps, dirty
+  dirty
 
 let endpoint_relations_cached cache (ctx : Context.t) =
   let excs_now = ctx.Context.mode.Mode.exceptions in
@@ -322,9 +377,11 @@ let endpoint_relations_cached cache (ctx : Context.t) =
     | None -> full ()
     | Some [] -> Array.to_list cache.ec_rels
     | Some delta ->
-      let eps, dirty = dirty_endpoints ctx delta in
+      let w = ep_walk cache ctx in
+      let eps = w.w_eps in
       if Array.length eps <> Array.length cache.ec_rels then full ()
       else
+        let dirty = dirty_endpoints ctx w delta in
         Mm_util.Obs.with_span "sta.incremental_reuse"
           ~attrs:
             [
@@ -344,10 +401,9 @@ let endpoint_relations_cached cache (ctx : Context.t) =
               if dirty.(i) then
                 dirty_pins := Tgraph.endpoint_pin ep :: !dirty_pins)
             eps;
-          let within = backward_cone ctx !dirty_pins in
-          let order = cone_order ctx within in
+          let cone = backward_cone w.w_marks ctx !dirty_pins in
           let tags =
-            propagate ctx ~seeds:(Tag.all_launches ctx) ~within ~order ()
+            propagate ctx ~seeds:(Tag.all_launches ctx) ~cone ~scratch:w.w_tags ()
           in
           store
             (Array.mapi

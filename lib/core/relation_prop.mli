@@ -9,26 +9,73 @@
 type tagsets
 (** Per-pin sets of (clock index, exception state id). *)
 
+(** {1 Cones}
+
+    A cone is the set of pins a walk along enabled arcs visits: its
+    pins in topological order plus a membership test. A walk costs the
+    cone, not the design. It marks pins in a {!marks} buffer that
+    belongs to the caller — one {!Compare.run}, or a refinement run's
+    cache — and takes a fresh epoch of that buffer, so nothing needs
+    clearing, also after a walk that cancellation abandoned. *)
+
+type marks
+(** A per-pin mark buffer, sized for one compiled graph. Contexts never
+    hold one: {!Mm_timing.Ctx_cache} shares contexts across domains,
+    and a buffer serves one walk at a time. *)
+
+val create_marks : Mm_timing.Tgraph.t -> marks
+
+type cone
+(** Valid until the next walk into its buffer; a stale cone raises
+    [Invalid_argument] when read. Live cones need one buffer each. *)
+
+val backward_cone :
+  marks -> Mm_timing.Context.t -> Mm_netlist.Design.pin_id list -> cone
+(** The given pins and every pin that reaches one of them through
+    enabled arcs. *)
+
+val forward_cone :
+  marks ->
+  ?within:cone ->
+  Mm_timing.Context.t ->
+  Mm_netlist.Design.pin_id list ->
+  cone
+(** The given pins and every pin reachable from them through enabled
+    arcs, entering only pins of [within]. For a backward cone [within]
+    this is exactly the intersection of the two cones, since a path to
+    a pin of a backward cone stays inside it. [within] may live in the
+    same buffer; the walk then makes it stale. *)
+
+val in_cone : cone -> Mm_netlist.Design.pin_id -> bool
+val cone_pins : cone -> Mm_netlist.Design.pin_id list
+(** The cone's pins in topological order ([Tgraph.topo_pos]). *)
+
+val positions :
+  Mm_timing.Tgraph.t -> ('a -> Mm_netlist.Design.pin_id) -> 'a array -> int array
+(** Per pin of the graph, the position in [items] of the item [pin_of]
+    maps to it, or -1: a lookup by pin for items whose pins are
+    distinct, such as the graph's startpoints (a register clock pin or
+    an input port) or endpoints (a register data pin or an output
+    port). *)
+
+(** {1 Propagation} *)
+
 val create_scratch : Mm_timing.Context.t -> tagsets
 (** A reusable tag buffer; pass it as [scratch] to amortise the per-pin
-    array across many cone-restricted propagations. *)
-
-val cone_order : Mm_timing.Context.t -> bool array -> Mm_netlist.Design.pin_id list
-(** The cone's pins in topological order — pass as [order] so the sweep
-    only visits them. *)
+    array across many cone-restricted propagations. Reset in the number
+    of pins the previous propagation touched. *)
 
 val propagate :
   Mm_timing.Context.t ->
   seeds:Mm_timing.Tag.launch list ->
-  ?within:bool array ->
-  ?order:Mm_netlist.Design.pin_id list ->
+  ?cone:cone ->
   ?scratch:tagsets ->
   unit ->
   tagsets
 (** Seed the launches' tags ({!Mm_timing.Tag.seed}) and propagate them
-    through enabled arcs in topological order. [within] restricts
-    propagation to marked pins (cone restriction); [order] limits the
-    sweep to a precomputed cone pin list; [scratch] reuses a buffer (the
+    through enabled arcs in topological order. [cone] restricts seeds
+    and propagation to its pins and sweeps only them; without it the
+    sweep covers the whole design. [scratch] reuses a buffer (the
     result aliases it — read before the next call). *)
 
 val tags_at :
@@ -40,8 +87,7 @@ val propagate_raw :
   Mm_timing.Context.t ->
   tag_seeds:
     (Mm_netlist.Design.pin_id * (int * int * Mm_sdc.Mode.edge_sel) list) list ->
-  ?within:bool array ->
-  ?order:Mm_netlist.Design.pin_id list ->
+  ?cone:cone ->
   ?scratch:tagsets ->
   unit ->
   tagsets
@@ -73,7 +119,8 @@ val endpoint_relations_cached :
     only append exceptions to an otherwise identical mode), only the
     endpoints inside the new exceptions' from/through/to scope are
     re-propagated (restricted to their backward cone); the rest reuse
-    the cached lists. Falls back to a full recompute whenever the
+    the cached lists. The cache owns the mark buffer those cones are
+    walked into. Falls back to a full recompute whenever the
     prefix property does not hold. Results are identical to
     {!endpoint_relations} either way. *)
 
@@ -81,9 +128,3 @@ val data_clock_masks : Mm_timing.Context.t -> int array
 (** Per pin, the bitmask of launch clocks whose data can reach it —
     the "clocks at any node in the data network" of section 3.2. *)
 
-val forward_cone :
-  Mm_timing.Context.t -> Mm_netlist.Design.pin_id list -> bool array
-(** Pins reachable through enabled arcs from the given pins. *)
-
-val backward_cone :
-  Mm_timing.Context.t -> Mm_netlist.Design.pin_id list -> bool array

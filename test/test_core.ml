@@ -108,13 +108,15 @@ let relprop_cases =
     tc "cones are directional" (fun () ->
         let d = Pc.build () in
         let ctx = Context.create d (Pc.constraint_set1 d) in
-        let fwd = Relation_prop.forward_cone ctx [ Design.pin_of_name_exn d "rA/Q" ] in
+        let marks = Relation_prop.create_marks ctx.Context.graph in
+        let fwd = Relation_prop.forward_cone marks ctx [ Design.pin_of_name_exn d "rA/Q" ] in
+        let fwd = Relation_prop.in_cone fwd in
         check Alcotest.bool "reaches rY/D" true
-          fwd.(Design.pin_of_name_exn d "rY/D");
-        check Alcotest.bool "not rZ/D" false fwd.(Design.pin_of_name_exn d "rZ/D");
-        let bwd = Relation_prop.backward_cone ctx [ Design.pin_of_name_exn d "rY/D" ] in
+          (fwd (Design.pin_of_name_exn d "rY/D"));
+        check Alcotest.bool "not rZ/D" false (fwd (Design.pin_of_name_exn d "rZ/D"));
+        let bwd = Relation_prop.backward_cone marks ctx [ Design.pin_of_name_exn d "rY/D" ] in
         check Alcotest.bool "back to rB/Q" true
-          bwd.(Design.pin_of_name_exn d "rB/Q"));
+          (Relation_prop.in_cone bwd (Design.pin_of_name_exn d "rB/Q")));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -141,6 +143,43 @@ let verdict_at rows pin_of get d name =
       else None)
     rows
   |> fun l -> ignore pin_of; l
+
+(* A chain of [k] reconvergent diamonds (two BUFs into an OR2) from
+   rS/Q to rE/D on clock c. The individual mode false-paths the paths
+   through the last diamond's first arm; the merged mode has only the
+   clock. One comparison's verdict. *)
+let diamond_verdict k =
+  let d = Design.create "diamonds" in
+  ignore (Design.add_port d "c" Design.In);
+  ignore (Design.add_inst d "rS" Library.dff);
+  ignore (Design.add_inst d "rE" Library.dff);
+  Design.wire d "n_c" [ "c"; "rS/CP"; "rE/CP" ];
+  let prev = ref "rS/Q" in
+  for i = 0 to k - 1 do
+    let arm j = Printf.sprintf "b%d_%d" i j and a = Printf.sprintf "a%d" i in
+    ignore (Design.add_inst d (arm 0) Library.buf);
+    ignore (Design.add_inst d (arm 1) Library.buf);
+    ignore (Design.add_inst d a Library.or2);
+    Design.wire d (Printf.sprintf "n_x%d" i) [ !prev; arm 0 ^ "/A"; arm 1 ^ "/A" ];
+    Design.wire d (Printf.sprintf "n_y%d_0" i) [ arm 0 ^ "/Z"; a ^ "/A" ];
+    Design.wire d (Printf.sprintf "n_y%d_1" i) [ arm 1 ^ "/Z"; a ^ "/B" ];
+    prev := a ^ "/Z"
+  done;
+  Design.wire d "n_e" [ !prev; "rE/D" ];
+  let clock = "create_clock -name c -period 10 [get_ports c]\n" in
+  let ind =
+    resolve d "ind"
+      (clock
+      ^ Printf.sprintf
+          "set_false_path -from [get_pins rS/CP] -through [get_pins b%d_0/Z] \
+           -to [get_pins rE/D]"
+          (k - 1))
+  in
+  let merged = resolve d "mrg" clock in
+  Equiv.of_compare
+    (Compare.run
+       ~individual:[ { Compare.ctx = Context.create d ind; rename = Fun.id } ]
+       ~merged:(Context.create d merged) ())
 
 let compare_cases =
   [
@@ -235,6 +274,22 @@ let compare_cases =
         in
         check Alcotest.bool "clean" true (Compare.is_clean cmp);
         check Alcotest.int "no fixes" 0 (List.length cmp.Compare.fixes));
+    tc "pass 3 out of budget leaves the merge undecided" (fun () ->
+        (* The path's last diamond arm is false in the individual mode
+           only, so every endpoint and pair stays ambiguous and pass 3
+           must walk the whole chain to find the mismatch: about 1,400
+           through-pins at 200 diamonds, more than its 2,000-pin budget
+           at 300. *)
+        let k200 = diamond_verdict 200 and k300 = diamond_verdict 300 in
+        check Alcotest.int "200: the fix is found" 1 k200.Equiv.remaining_fixes;
+        check Alcotest.bool "200: not equivalent" false k200.Equiv.equivalent;
+        check Alcotest.int "200: decided" 0 k200.Equiv.ambiguous_final;
+        check Alcotest.int "300: budget runs out first" 0
+          k300.Equiv.remaining_fixes;
+        check Alcotest.int "300: one pair undecided" 1 k300.Equiv.ambiguous_final;
+        check Alcotest.bool "300: not equivalent" false k300.Equiv.equivalent;
+        check Alcotest.bool "300: not clean" false
+          (Compare.is_clean k300.Equiv.compare_result));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -22,6 +22,10 @@
      presets B-F refinement's final comparison and each group's
      equivalence verdict equal a from-scratch [Compare.run] /
      [Equiv.check];
+   - cones walked into a reused mark buffer (backward from endpoints,
+     forward from startpoints, and pass 3's forward-within-backward
+     intersection) hold the dense reference's pins in its order, on
+     presets A-F and on random designs;
    - change-driven constant propagation equals the dense sweep
      (values, arc enablement, pin disables) on random designs with
      cases, disables and tie cells, on cased pins across a cycle
@@ -259,6 +263,86 @@ let random_family ?(combo_depth = 2) st seed =
   in
   design, Mm_workload.Gen_modes.generate design info suite
 
+(* ------------------------------------------------------------------ *)
+(* Cones equal the dense reference                                     *)
+
+(* [n] rounds over one context, each with a random endpoint, a random
+   startpoint and three more endpoints: the endpoint's backward cone,
+   the three endpoints' joint backward cone, the startpoint's forward
+   cone, and pass 3's forward cone within the backward cone (walked
+   into the backward cone's own buffer, as pass 3 does) must hold
+   exactly the dense reference's pins, in its topological order. Every
+   round reuses the same two buffers, so a leaked mark would show. *)
+let cones_match_dense ~label st (ctx : Context.t) n =
+  let g = ctx.Context.graph in
+  let a = Relation_prop.create_marks g and b = Relation_prop.create_marks g in
+  let eps = Array.of_list (Tgraph.endpoint_pins g)
+  and sps =
+    Array.of_list (List.map Tgraph.startpoint_pin g.Tgraph.sk_startpoints)
+  in
+  let pick arr = arr.(Random.State.int st (Array.length arr)) in
+  let same what dense cone =
+    let expect = Cone_dense.cone_order ctx dense in
+    if Relation_prop.cone_pins cone <> expect then
+      Alcotest.failf "%s: %s cone differs in pins or order (%d vs %d pins)"
+        label what
+        (List.length (Relation_prop.cone_pins cone))
+        (List.length expect);
+    Array.iteri
+      (fun p d ->
+        if Relation_prop.in_cone cone p <> d then
+          Alcotest.failf "%s: %s cone membership differs at %s" label what
+            (Design.pin_name ctx.Context.design p))
+      dense
+  in
+  for _ = 1 to n do
+    let ep = pick eps and sp = pick sps in
+    let more = [ pick eps; pick eps; pick eps ] in
+    same "joint backward" (Cone_dense.backward_cone ctx more)
+      (Relation_prop.backward_cone a ctx more);
+    same "forward" (Cone_dense.forward_cone ctx [ sp ])
+      (Relation_prop.forward_cone b ctx [ sp ]);
+    let bwd_dense = Cone_dense.backward_cone ctx [ ep ] in
+    let bwd = Relation_prop.backward_cone a ctx [ ep ] in
+    same "backward" bwd_dense bwd;
+    same "forward within backward"
+      (Cone_dense.cone_and (Cone_dense.forward_cone ctx [ sp ]) bwd_dense)
+      (Relation_prop.forward_cone a ~within:bwd ctx [ sp ])
+  done
+
+let cone_cases =
+  List.map
+    (fun (p : Presets.preset) ->
+      tc
+        (Printf.sprintf "preset %s: cones equal the dense reference"
+           p.Presets.pr_name)
+        (fun () ->
+          let design, _info, modes = Presets.build p in
+          let st = Random.State.make [| 24 |] in
+          List.iter
+            (fun (m : Mode.t) ->
+              cones_match_dense
+                ~label:(p.Presets.pr_name ^ " " ^ m.Mode.mode_name)
+                st (Context.create design m) 8)
+            (List.filteri (fun i _ -> i < 2) modes)))
+    Presets.all
+  @ [
+      tc "random designs: cones equal the dense reference" (fun () ->
+          QCheck2.Test.check_exn ~rand:(Random.State.make [| 24 |])
+            (QCheck2.Test.make ~name:"cones equal dense" ~count:30
+               QCheck2.Gen.(int_range 0 10000)
+               (fun seed ->
+                 let st = Random.State.make [| seed |] in
+                 let design, modes = random_family ~combo_depth:4 st seed in
+                 List.iter
+                   (fun (m : Mode.t) ->
+                     cones_match_dense
+                       ~label:(Printf.sprintf "seed %d %s" seed m.Mode.mode_name)
+                       st (Context.create design m) 8)
+                   modes;
+                 true)));
+    ]
+
 (* One random exception over [ctx]'s clocks and endpoints (false path
    or multicycle, scoped by a random mix of -from clock / -through pin
    / -to endpoint) — the shape of exception the refinement loop
@@ -349,6 +433,7 @@ let compare_diff (a : Compare.result) (b : Compare.result) =
       "fixes", a.Compare.fixes = b.Compare.fixes;
       "unsound", a.Compare.unsound = b.Compare.unsound;
       "pessimism", a.Compare.pessimism = b.Compare.pessimism;
+      "undecided", a.Compare.undecided = b.Compare.undecided;
     ]
 
 let equiv_diff (a : Equiv.report) (b : Equiv.report) =
@@ -377,7 +462,9 @@ let random_cone_exc st (ctx : Context.t) =
   let g = ctx.Context.graph in
   let eps = Array.of_list (Tgraph.endpoint_pins g) in
   let ep = eps.(Random.State.int st (Array.length eps)) in
-  let cone = Relation_prop.backward_cone ctx [ ep ] in
+  let marks = Relation_prop.create_marks g
+  and fwd_marks = Relation_prop.create_marks g in
+  let cone = Relation_prop.in_cone (Relation_prop.backward_cone marks ctx [ ep ]) in
   let pick l = List.nth l (Random.State.int st (List.length l)) in
   let kind =
     if Random.State.bool st then Mode.False_path
@@ -385,17 +472,19 @@ let random_cone_exc st (ctx : Context.t) =
   in
   match
     List.filter
-      (fun p -> cone.(p))
+      cone
       (List.map Tgraph.startpoint_pin g.Tgraph.sk_startpoints)
   with
   | [] -> Mode.exc ~to_:[ Mode.P_pin ep ] kind
   | sps ->
     let sp = pick sps in
-    let fwd = Relation_prop.forward_cone ctx [ sp ] in
+    let fwd =
+      Relation_prop.in_cone (Relation_prop.forward_cone fwd_marks ctx [ sp ])
+    in
     let between =
       List.filter
-        (fun p -> fwd.(p) && cone.(p) && p <> sp && p <> ep)
-        (List.init (Array.length cone) Fun.id)
+        (fun p -> fwd p && cone p && p <> sp && p <> ep)
+        (List.init (Tgraph.n_pins g) Fun.id)
     in
     let from_ = [ Mode.P_pin sp ] and to_ = [ Mode.P_pin ep ] in
     (match between, Random.State.int st 3 with
@@ -804,6 +893,7 @@ let () =
     [
       "engine", engine_cases;
       "handoff", handoff_cases;
+      "cones", cone_cases;
       "jobs_invariance", jobs_invariance_cases;
       "incremental", [ incremental_prop ];
       "compare_cache", compare_cache_cases;
