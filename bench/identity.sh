@@ -6,7 +6,9 @@
 # PRESETS_DIR holds one directory per preset, as written by
 # `dune exec bench/main.exe -- presets PRESETS_DIR`. For each preset at
 # -j 1 and -j 2, both binaries run:
-#   - merge with --audit and --dot (merged SDC, audit JSON, dot files);
+#   - merge with --audit, --dot and --progress (merged SDC, audit JSON,
+#     dot files; --progress checks that the stderr renderer leaves the
+#     results alone);
 #   - merge --annotate (annotated merged SDC);
 #   - sta --paths 3 on the first three modes, runtime column masked.
 # The outputs, the exit codes and the merge `group [` stdout lines (output
@@ -26,7 +28,7 @@ run() {
   bin=$1 p=$2 j=$3 out=$4
   rm -rf "$out" && mkdir -p "$out"
   "$bin" merge -n "$p/design.nl" -o "$out/plain" --audit "$out/audit.json" \
-    --dot -j "$j" "$p"/*.sdc > "$out/stdout" 2> "$out/stderr"
+    --dot --progress -j "$j" "$p"/*.sdc > "$out/stdout" 2> "$out/stderr"
   echo "merge $?" > "$out/codes"
   "$bin" merge -n "$p/design.nl" -o "$out/ann" --annotate -j "$j" \
     "$p"/*.sdc > /dev/null 2>&1

@@ -184,7 +184,7 @@ let serve_arg =
   let doc =
     "Serve live telemetry over HTTP while the command runs: GET \
      /metrics (Prometheus text format), /healthz (governance state), \
-     /progress (per-stage ETA), /events (recent journal as NDJSON), \
+     /progress (open stage, tasks done with ETA), /events (recent journal as NDJSON), \
      /trace (Chrome trace of spans so far). $(docv) is PORT or \
      ADDR:PORT; the default address is 127.0.0.1, and port 0 asks the \
      OS for a free port. The bound endpoint is reported on stderr. \
@@ -205,8 +205,9 @@ let events_arg =
 
 let progress_arg =
   let doc =
-    "Render live per-stage progress (done/total with ETA) to stderr: an \
-     in-place bar on a TTY, occasional plain lines on a pipe."
+    "Render live progress to stderr: the open merge stage, then pool \
+     tasks and STA sweep blocks done/total with ETA; an in-place bar on \
+     a TTY, occasional plain lines on a pipe."
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
 

@@ -7,7 +7,6 @@ module Metrics = Mm_util.Metrics
 module Pool = Mm_util.Pool
 module Govern = Mm_util.Govern
 module Eventlog = Mm_util.Eventlog
-module Progress = Mm_util.Progress
 module Ctx_cache = Mm_timing.Ctx_cache
 
 type policy = Strict | Permissive
@@ -372,7 +371,6 @@ let load_task ~policy ~design src_name src_file src_text =
 
 let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
   let tok = stage_token ~budgets root "mergeability" in
-  Progress.add_total ~by:(List.length st.s_modes) "merge.mergeability";
   (* Stage 1 (permissive): per-mode probe tasks. *)
   let st =
     match policy with
@@ -387,7 +385,6 @@ let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
         List.fold_left2
           (fun st (m : Mode.t) out ->
             let name = m.Mode.mode_name in
-            Progress.tick "merge.mergeability";
             settle ~policy out
               ~ok:(fun g ->
                 {
@@ -458,7 +455,6 @@ let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
   Metrics.incr
     ~by:(List.length st.s_matrix.Mergeability.cliques)
     "merge.cliques";
-  Progress.finish "merge.mergeability";
   note_deadline tok st
 
 (* Fold one clique task's outcome into the state. *)
@@ -483,7 +479,6 @@ let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
   let named =
     List.mapi (fun gi members -> Printf.sprintf "merged_%d" gi, members) cliques
   in
-  Progress.add_total ~by:(List.length named) "merge.cliques";
   let task (name, members) =
     clique_task ?tolerance ~check_equivalence ~policy ~probed:st.s_probed
       ~ctx_cache ~name members
@@ -546,16 +541,7 @@ let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
           let st = half st 0 (List.filteri (fun i _ -> i < k) members) in
           half st 1 (List.filteri (fun i _ -> i >= k) members))
   in
-  let st =
-    List.fold_left2
-      (fun st nm out ->
-        let st = resolve st nm out in
-        Progress.tick "merge.cliques";
-        st)
-      st named outs
-  in
-  Progress.finish "merge.cliques";
-  note_deadline tok st
+  note_deadline tok (List.fold_left2 resolve st named outs)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -669,7 +655,6 @@ let compute_load ~policy ~design ~pool ~budgets ~tok sources =
     ~attrs:[ "sources", string_of_int (List.length sources) ]
   @@ fun () ->
   let sources, duplicates = split_duplicates ~policy sources in
-  Progress.add_total ~by:(List.length sources) "merge.load";
   let task src = load_task ~policy ~design src.src_name src.src_file src.src_text in
   let outs =
     Pool.map_outcome pool ~govern:tok ?task_budget_s:budgets.bg_task_s task
@@ -681,7 +666,6 @@ let compute_load ~policy ~design ~pool ~budgets ~tok sources =
     List.fold_left2
       (fun st src out ->
         let name = src.src_name in
-        Progress.tick "merge.load";
         settle ~policy out
           ~ok:(function
             | Ok (mode, diags) ->
@@ -699,7 +683,6 @@ let compute_load ~policy ~design ~pool ~budgets ~tok sources =
   in
   (* An `always` counter (DESIGN.md §9): registered even at zero. *)
   Metrics.incr ~by:0 "merge.quarantined";
-  Progress.finish "merge.load";
   note_deadline tok { st with s_modes = List.rev st.s_modes }
 
 let run_sources ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs

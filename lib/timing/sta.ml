@@ -314,19 +314,18 @@ let propagate ?(corner = Corner.typical) v : slab * prop_stats =
   (* Topological sweep over the arena. *)
   let swept = ref 0 in
   (* Coarse progress: one tracker unit per sweep block, not per pin —
-     a mutex per pin would be measurable on million-pin arenas. *)
+     an atomic per pin would be measurable on million-pin arenas. *)
   let tick_every = 4096 in
   let blocks = (Tgraph.n_pins g + tick_every - 1) / tick_every in
-  Mm_util.Progress.add_total ~by:blocks "sta.pins";
+  Mm_util.Progress.(add_total sta_pins blocks);
   let visited = ref 0 in
   (* On the way out, normal or not, tick the blocks this sweep
-     registered but did not tick. No [finish]: concurrent sweeps share
-     the tracker, and finishing it would snap [done] to a total that
-     includes their blocks. *)
+     registered but did not tick, so [done] reaches [total] once every
+     sweep sharing the tracker has ended. *)
   Fun.protect
     ~finally:(fun () ->
       let rest = blocks - (!visited / tick_every) in
-      if rest > 0 then Mm_util.Progress.tick ~by:rest "sta.pins")
+      if rest > 0 then Mm_util.Progress.(tick ~by:rest sta_pins))
   @@ fun () ->
   Array.iter
     (fun pin ->
@@ -334,7 +333,7 @@ let propagate ?(corner = Corner.typical) v : slab * prop_stats =
          so a blown budget must be observable from inside it. *)
       Mm_util.Govern.checkpoint ();
       incr visited;
-      if !visited mod tick_every = 0 then Mm_util.Progress.tick "sta.pins";
+      if !visited mod tick_every = 0 then Mm_util.Progress.(tick sta_pins);
       if slab_has_tags sl pin then begin
         incr swept;
         Tgraph.iter_out g pin (fun aid ->

@@ -1,20 +1,16 @@
 type reason =
   | Deadline_exceeded of { scope : string; budget_s : float }
-  | Cancelled_by of { scope : string; why : string }
   | Memory_watermark of { used_mb : float; limit_mb : float }
 
 let reason_to_string = function
   | Deadline_exceeded { scope; budget_s } ->
     Printf.sprintf "deadline exceeded in %s (budget %.3gs)" scope budget_s
-  | Cancelled_by { scope; why } ->
-    Printf.sprintf "%s cancelled: %s" scope why
   | Memory_watermark { used_mb; limit_mb } ->
     Printf.sprintf "memory watermark: %.1f MiB heap over %.1f MiB limit"
       used_mb limit_mb
 
 let reason_code = function
   | Deadline_exceeded _ -> "govern.deadline"
-  | Cancelled_by _ -> "govern.cancelled"
   | Memory_watermark _ -> "govern.memory"
 
 exception Cancelled of reason
@@ -28,8 +24,6 @@ type token = {
   tk_scope : string;
   tk_deadline_ns : int64 option; (* absolute Obs.Clock.now_ns instant *)
   tk_budget_s : float; (* the relative budget behind tk_deadline_ns *)
-  tk_flag : reason option Atomic.t;
-  tk_parent : token option;
 }
 
 let never =
@@ -37,8 +31,6 @@ let never =
     tk_scope = "govern";
     tk_deadline_ns = None;
     tk_budget_s = infinity;
-    tk_flag = Atomic.make None;
-    tk_parent = None;
   }
 
 let scope t = t.tk_scope
@@ -56,8 +48,6 @@ let create ?deadline_s ?(scope = "run") () =
     tk_scope = scope;
     tk_deadline_ns = Option.bind deadline_s (fun s -> deadline_of ~budget_s:s);
     tk_budget_s = Option.value deadline_s ~default:infinity;
-    tk_flag = Atomic.make None;
-    tk_parent = None;
   }
 
 let sub ?scope ?budget_s parent =
@@ -76,13 +66,7 @@ let sub ?scope ?budget_s parent =
       tk_scope = Option.value scope ~default:parent.tk_scope;
       tk_deadline_ns = deadline_ns;
       tk_budget_s = budget;
-      tk_flag = Atomic.make None;
-      tk_parent = Some parent;
     }
-
-let cancel t ~why =
-  if t != never && Atomic.get t.tk_flag = None then
-    Atomic.set t.tk_flag (Some (Cancelled_by { scope = t.tk_scope; why }))
 
 (* ------------------------------------------------------------------ *)
 (* Memory watermark                                                    *)
@@ -128,11 +112,6 @@ let memory_pressure () =
 (* ------------------------------------------------------------------ *)
 (* Expiry checks                                                       *)
 
-let rec flagged t =
-  match Atomic.get t.tk_flag with
-  | Some _ as r -> r
-  | None -> ( match t.tk_parent with None -> None | Some p -> flagged p)
-
 (* The deadline tree is already folded into each token's own deadline
    at [sub] time, so one comparison covers every ancestor budget. *)
 let deadline_hit t =
@@ -146,16 +125,11 @@ let deadline_hit t =
 let cancelled t =
   if t == never then None
   else
-    match flagged t with
+    match deadline_hit t with
     | Some _ as r -> r
-    | None -> (
-      match deadline_hit t with
-      | Some _ as r -> r
-      | None -> memory_pressure ())
+    | None -> memory_pressure ()
 
 let check t = match cancelled t with None -> () | Some r -> raise (Cancelled r)
-
-let expired t = cancelled t <> None
 
 let remaining_s t =
   match t.tk_deadline_ns with
@@ -178,8 +152,6 @@ let run_root () = Atomic.get run_root_ref
 (* Ambient token                                                       *)
 
 let current_key : token Domain.DLS.key = Domain.DLS.new_key (fun () -> never)
-
-let current () = Domain.DLS.get current_key
 
 let with_current t f =
   let saved = Domain.DLS.get current_key in

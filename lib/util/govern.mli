@@ -1,14 +1,15 @@
-(** Resource governance: cancellation, deadlines, watermarks.
+(** Resource governance: deadlines and memory watermarks.
 
     The merge pipeline is a long multi-stage computation whose cost
     grows with [#modes x #corners]; at production scale a runaway task
     must not wedge the run. This module is the mechanism half of that
     contract (policy lives in [Mm_core.Merge_flow]):
 
-    - {b Cancellation tokens} ({!token}) carry an optional absolute
-      deadline on {!Obs.Clock} plus an explicit cancel flag, and form a
-      tree: a child created with {!sub} expires when its own budget or
-      any ancestor does.
+    - {b Tokens} ({!token}) carry an optional absolute deadline on
+      {!Obs.Clock}. A child created with {!sub} folds its parent's
+      deadline into its own, so it expires when its own budget or any
+      ancestor's does. A token expires only by deadline or by the
+      memory watermark.
     - {b Cooperative checkpoints}: compute code calls {!checkpoint} at
       loop boundaries; the ambient token (installed per pool task by
       {!Mm_util.Pool}) is consulted and {!Cancelled} raised when the
@@ -32,7 +33,6 @@
 (** Why a computation was interrupted. *)
 type reason =
   | Deadline_exceeded of { scope : string; budget_s : float }
-  | Cancelled_by of { scope : string; why : string }
   | Memory_watermark of { used_mb : float; limit_mb : float }
 
 val reason_to_string : reason -> string
@@ -40,8 +40,7 @@ val reason_to_string : reason -> string
     ["deadline exceeded in merge.cliques (budget 2.5s)"]. *)
 
 val reason_code : reason -> string
-(** Stable {!Diag} code: [govern.deadline], [govern.cancelled] or
-    [govern.memory]. *)
+(** Stable {!Diag} code: [govern.deadline] or [govern.memory]. *)
 
 exception Cancelled of reason
 (** Raised by {!check}/{!checkpoint} when the governing token has
@@ -53,8 +52,9 @@ exception Cancelled of reason
 type token
 
 val never : token
-(** The non-expiring token: no deadline, cannot be cancelled. All
-    governance entry points treat it as "governance off". *)
+(** The non-expiring token: no deadline, blind to the memory
+    watermark. All governance entry points treat it as "governance
+    off". *)
 
 val create : ?deadline_s:float -> ?scope:string -> unit -> token
 (** Root token. [deadline_s] is a relative budget from now, measured
@@ -64,23 +64,16 @@ val create : ?deadline_s:float -> ?scope:string -> unit -> token
 val sub : ?scope:string -> ?budget_s:float -> token -> token
 (** Child token: expires at [min] of the parent's deadline and
     [now + budget_s] (no own deadline when that lies past the int64
-    nanosecond range), and additionally whenever the parent is
-    cancelled. [sub never] with no budget is [never] itself. *)
+    nanosecond range). [sub never] with no budget is [never] itself. *)
 
 val scope : token -> string
 
-val cancel : token -> why:string -> unit
-(** Explicitly cancel (idempotent). {!never} ignores it. *)
-
 val cancelled : token -> reason option
-(** Polling check: explicit cancel, expired deadline (own or
-    ancestor's), or memory watermark — cheapest first. [None] on a
-    live token. *)
+(** Polling check: expired deadline (own or ancestor's), then memory
+    watermark. [None] on a live token and always on {!never}. *)
 
 val check : token -> unit
 (** @raise Cancelled when {!cancelled} is [Some _]. *)
-
-val expired : token -> bool
 
 val remaining_s : token -> float option
 (** Seconds until the nearest deadline; [None] when undeadlined. *)
@@ -90,7 +83,7 @@ val remaining_s : token -> float option
     The driver registers its root token here so out-of-band observers —
     the telemetry server's [/healthz] endpoint — can report the run's
     remaining budget and liveness without the token being threaded to
-    them. Purely informational: nothing cancels through this hook. *)
+    them. Purely informational. *)
 
 val set_run_root : token -> unit
 val run_root : unit -> token option
@@ -106,12 +99,10 @@ val with_current : token -> (unit -> 'a) -> 'a
 (** Install [token] as this domain's ambient token for the extent of
     the thunk (restored on raise). *)
 
-val current : unit -> token
-(** The ambient token; {!never} when nothing is installed. *)
-
 val checkpoint : unit -> unit
-(** [check (current ())] — the cooperative cancellation point. Free
-    (one physical-equality test) when no token is installed. *)
+(** {!check} the ambient token — the cooperative cancellation point.
+    Free (one physical-equality test) when no token is installed and
+    no memory watermark is set. *)
 
 (** {2 Memory watermark} *)
 

@@ -115,7 +115,7 @@ let run_task_instrumented ~govern ~task_budget_s ~busy_ns f x =
       let dt = Int64.sub (Obs.Clock.now_ns ()) t0 in
       ignore (Atomic.fetch_and_add busy_ns (Int64.to_int dt));
       Metrics.observe "pool.task_s" (Int64.to_float dt /. 1e9);
-      Progress.tick "pool.tasks";
+      Progress.tick Progress.pool_tasks;
       Obs.sample "pool.active_workers"
         (float_of_int (Atomic.fetch_and_add active (-1) - 1)))
     (fun () -> run_task ~govern ~task_budget_s f x)
@@ -146,7 +146,7 @@ let outcome_array t ~govern ~task_budget_s f arr =
   let n = Array.length arr in
   Metrics.incr ~by:n "pool.tasks_executed";
   Metrics.incr "pool.batches";
-  Progress.add_total ~by:n "pool.tasks";
+  Progress.add_total Progress.pool_tasks n;
   let busy_ns = Atomic.make 0 in
   let batch_t0 = Obs.Clock.now_ns () in
   (* Batch occupancy: summed task time over (wall × workers) — 1.0 is a
@@ -189,10 +189,12 @@ let outcome_array t ~govern ~task_budget_s f arr =
         (* Worker-side cancellation checkpoint: once the batch token
            has expired, remaining tasks are marked interrupted without
            running, so an exhausted budget drains the batch instead of
-           wedging the pool. *)
+           wedging the pool. A drained task still ticks: it is settled. *)
         let r =
           match Govern.cancelled govern with
-          | Some reason -> Govern.Interrupted reason
+          | Some reason ->
+            Progress.tick Progress.pool_tasks;
+            Govern.Interrupted reason
           | None ->
             run_task_instrumented ~govern ~task_budget_s ~busy_ns
               (fun x -> Obs.with_context ctx (fun () -> f x))

@@ -80,8 +80,8 @@ val map_outcome :
 
     - Each task runs under a token derived from [govern] (plus
       [task_budget_s] when given, yielding a per-task deadline),
-      installed as the ambient {!Govern.current} so checkpoints inside
-      the task body observe it.
+      installed as the ambient token ({!Govern.with_current}) so
+      checkpoints inside the task body observe it.
     - Workers re-check [govern] before claiming each task: once the
       batch token expires, remaining tasks drain as [Interrupted]
       without running — an exhausted budget empties the pool instead

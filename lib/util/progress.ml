@@ -1,210 +1,167 @@
-(* Named done/total trackers with ETA, mutex-protected and always on.
-   Rendering to stderr is opt-in (--progress) and throttled so the
-   tick path stays cheap; the data path never writes anything, so
-   progress tracking is read-only with respect to results. *)
+(* Two fixed done/total trackers with ETA, lock-free and always on.
+   The stage comes from the event journal, so it is not recorded twice.
+   Rendering to stderr is opt-in (--progress) and throttled; the data
+   path never writes anything, so progress tracking is read-only with
+   respect to results. *)
 
 type tracker = {
-  tr_name : string;
-  tr_done : int;
-  tr_total : int;
-  tr_start_ns : int64;
-  tr_finished : bool;
-  tr_elapsed_s : float;
-  tr_eta_s : float option;
+  name : string;
+  done_ : int Atomic.t;
+  total : int Atomic.t;
+  start_ns : int Atomic.t; (* first activity on Obs.Clock; 0 = none yet *)
 }
 
-type cell = {
-  c_name : string;
-  mutable c_done : int;
-  mutable c_total : int;
-  c_start_ns : int64;
-  mutable c_finished : bool;
-}
+let make name =
+  { name; done_ = Atomic.make 0; total = Atomic.make 0; start_ns = Atomic.make 0 }
 
-let lock = Mutex.create ()
-let cells : (string, cell) Hashtbl.t = Hashtbl.create 8
-let order : string list ref = ref [] (* reversed first-activity order *)
+let pool_tasks = make "pool.tasks"
+let sta_pins = make "sta.pins"
+let trackers = [ pool_tasks; sta_pins ]
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let now_ns () = Int64.to_int (Obs.Clock.now_ns ())
 
-let find_locked name =
-  match Hashtbl.find_opt cells name with
-  | Some c -> c
-  | None ->
-    let c =
-      { c_name = name; c_done = 0; c_total = 0;
-        c_start_ns = Obs.Clock.now_ns (); c_finished = false }
-    in
-    Hashtbl.replace cells name c;
-    order := name :: !order;
-    c
-
-(* ------------------------------------------------------------------ *)
-(* Rendering (forward declaration so tick can trigger it)              *)
-
-let render_on = Atomic.make false
-let set_render b = Atomic.set render_on b
-
-let is_tty = lazy (try Unix.isatty Unix.stderr with _ -> false)
-
-(* Last render instant; the bar redraws at most every 100 ms on a TTY
-   and every 2 s on a pipe. Written under [lock]. *)
-let last_render_ns = ref 0L
-let bar_open = ref false (* a \r-bar line is currently unterminated *)
-
-let bar_of c =
-  let width = 24 in
-  if c.c_total <= 0 then
-    Printf.sprintf "[%s] %s %d" (String.make width '?') c.c_name c.c_done
-  else begin
-    let frac =
-      Float.max 0. (Float.min 1. (float_of_int c.c_done /. float_of_int c.c_total))
-    in
-    let full = int_of_float (frac *. float_of_int width) in
-    let elapsed = Obs.Clock.elapsed_s c.c_start_ns in
-    let eta =
-      if c.c_done <= 0 || c.c_done >= c.c_total then ""
-      else
-        Printf.sprintf " ETA %.1fs"
-          (elapsed /. float_of_int c.c_done
-           *. float_of_int (c.c_total - c.c_done))
-    in
-    Printf.sprintf "[%s%s] %s %d/%d%s"
-      (String.make full '#')
-      (String.make (width - full) '-')
-      c.c_name c.c_done c.c_total eta
-  end
-
-(* Pick the newest unfinished tracker (most recently created still
-   running), falling back to the newest overall. Caller holds lock. *)
-let current_cell_locked () =
-  let rec first_active = function
-    | [] -> None
-    | name :: rest -> (
-      match Hashtbl.find_opt cells name with
-      | Some c when not c.c_finished -> Some c
-      | _ -> first_active rest)
-  in
-  match first_active !order with
-  | Some c -> Some c
-  | None -> (
-    match !order with
-    | [] -> None
-    | name :: _ -> Hashtbl.find_opt cells name)
-
-let render_locked ~force =
-  if Atomic.get render_on then begin
-    let now = Obs.Clock.now_ns () in
-    let min_gap_ns = if Lazy.force is_tty then 100_000_000L else 2_000_000_000L in
-    if force || Int64.compare (Int64.sub now !last_render_ns) min_gap_ns >= 0
-    then begin
-      last_render_ns := now;
-      match current_cell_locked () with
-      | None -> ()
-      | Some c ->
-        if Lazy.force is_tty then begin
-          (* Pad so a shrinking line leaves no tail characters. *)
-          Printf.eprintf "\r%-70s%!" (bar_of c);
-          bar_open := true
-        end
-        else Printf.eprintf "progress: %s %d%s\n%!" c.c_name c.c_done
-               (if c.c_total > 0 then Printf.sprintf "/%d" c.c_total else "")
-    end
-  end
-
-let render_finish () =
-  with_lock (fun () ->
-      if !bar_open then begin
-        prerr_newline ();
-        flush stderr;
-        bar_open := false
-      end)
-
-(* ------------------------------------------------------------------ *)
-(* Recording                                                           *)
-
-let add_total ?(by = 1) name =
-  with_lock (fun () ->
-      let c = find_locked name in
-      c.c_total <- c.c_total + by;
-      c.c_finished <- false)
-
-let tick ?(by = 1) name =
-  with_lock (fun () ->
-      let c = find_locked name in
-      c.c_done <- c.c_done + by;
-      render_locked ~force:false)
-
-let finish name =
-  with_lock (fun () ->
-      let c = find_locked name in
-      if c.c_total > 0 then c.c_done <- c.c_total;
-      c.c_finished <- true;
-      render_locked ~force:true)
-
-let reset () =
-  with_lock (fun () ->
-      Hashtbl.reset cells;
-      order := [];
-      last_render_ns := 0L)
+let stamp t =
+  if Atomic.get t.start_ns = 0 then
+    ignore (Atomic.compare_and_set t.start_ns 0 (now_ns ()))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 
-let freeze c =
-  let elapsed = Obs.Clock.elapsed_s c.c_start_ns in
+type view = {
+  tr_name : string;
+  tr_done : int;
+  tr_total : int;
+  tr_elapsed_s : float;
+  tr_eta_s : float option;
+}
+
+let view t =
+  let start = Atomic.get t.start_ns in
+  let d = Atomic.get t.done_ and n = Atomic.get t.total in
+  let elapsed = if start = 0 then 0. else float_of_int (now_ns () - start) /. 1e9 in
   {
-    tr_name = c.c_name;
-    tr_done = c.c_done;
-    tr_total = c.c_total;
-    tr_start_ns = c.c_start_ns;
-    tr_finished = c.c_finished;
+    tr_name = t.name;
+    tr_done = d;
+    tr_total = n;
     tr_elapsed_s = elapsed;
     tr_eta_s =
-      (if c.c_finished || c.c_total <= 0 || c.c_done <= 0
-          || c.c_done >= c.c_total
-       then None
-       else
-         Some
-           (elapsed /. float_of_int c.c_done
-            *. float_of_int (c.c_total - c.c_done)));
+      (if n <= 0 || d <= 0 || d >= n then None
+       else Some (elapsed /. float_of_int d *. float_of_int (n - d)));
   }
 
-let snapshot () =
-  with_lock (fun () ->
-      List.rev_map
-        (fun name -> freeze (Hashtbl.find cells name))
-        !order)
+let active () =
+  List.filter_map
+    (fun t -> if Atomic.get t.start_ns = 0 then None else Some (view t))
+    trackers
+
+(* The open stage and the finished-stage count of the newest run, read
+   from the [run.start] / [stage.start] / [stage.finish] journal events
+   that [Merge_flow.staged] logs. *)
+let stages () =
+  let stage ev = List.assoc_opt "stage" ev.Eventlog.ev_attrs in
+  let open_, finished =
+    List.fold_left
+      (fun ((open_, finished) as acc) ev ->
+        match ev.Eventlog.ev_kind, stage ev with
+        | "run.start", _ -> [], 0
+        | "stage.start", Some s -> s :: open_, finished
+        | "stage.finish", Some s -> List.filter (( <> ) s) open_, finished + 1
+        | _ -> acc)
+      ([], 0) (Eventlog.recent ())
+  in
+  (match open_ with s :: _ -> Some s | [] -> None), finished
 
 let to_json () =
-  let trackers = snapshot () in
-  let tr t =
-    Printf.sprintf
-      {|{"name":"%s","done":%d,"total":%d,"elapsed_s":%s,"eta_s":%s,"finished":%b}|}
-      (Metrics.json_escape t.tr_name)
-      t.tr_done t.tr_total
-      (Metrics.json_float t.tr_elapsed_s)
-      (match t.tr_eta_s with
-      | None -> "null"
-      | Some e -> Metrics.json_float e)
-      t.tr_finished
+  let stage, stages_done = stages () in
+  let tr v =
+    Printf.sprintf {|{"name":"%s","done":%d,"total":%d,"elapsed_s":%s,"eta_s":%s}|}
+      (Metrics.json_escape v.tr_name) v.tr_done v.tr_total
+      (Metrics.json_float v.tr_elapsed_s)
+      (match v.tr_eta_s with None -> "null" | Some e -> Metrics.json_float e)
   in
-  (* Overall view: the three merge stages summed — the coarse "how far
-     through the merge are we" number a dashboard wants first. *)
-  let stages =
-    List.filter
-      (fun t ->
-        List.mem t.tr_name
-          [ "merge.load"; "merge.mergeability"; "merge.cliques" ])
-      trackers
-  in
-  let sum f = List.fold_left (fun a t -> a + f t) 0 stages in
-  Printf.sprintf
-    {|{"trackers":[%s],"overall":{"stages_done":%d,"stages_total":%d,"units_done":%d,"units_total":%d}}|}
-    (String.concat "," (List.map tr trackers))
-    (List.length (List.filter (fun t -> t.tr_finished) stages))
-    (List.length stages)
-    (sum (fun t -> t.tr_done))
-    (sum (fun t -> t.tr_total))
+  Printf.sprintf {|{"stage":%s,"stages_done":%d,"trackers":[%s]}|}
+    (match stage with
+    | None -> "null"
+    | Some s -> Printf.sprintf {|"%s"|} (Metrics.json_escape s))
+    stages_done
+    (String.concat "," (List.map tr (active ())))
+
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+
+let render_on = Atomic.make false
+let set_render b = Atomic.set render_on b
+
+(* Eager: forcing a lazy from several domains at once is a race. *)
+let is_tty = try Unix.isatty Unix.stderr with _ -> false
+
+(* Last render instant; the bar redraws at most every 100 ms on a TTY
+   and every 2 s on a pipe. A tick claims a redraw by compare-and-set,
+   so concurrent ticks draw it once. *)
+let last_render_ns = Atomic.make 0
+let bar_open = Atomic.make false (* a \r-bar line is unterminated *)
+
+let bar_of v =
+  let width = 10 in
+  let full = v.tr_done * width / v.tr_total in
+  Printf.sprintf "%s [%s%s] %d/%d%s" v.tr_name (String.make full '#')
+    (String.make (width - full) '-')
+    v.tr_done v.tr_total
+    (match v.tr_eta_s with None -> "" | Some e -> Printf.sprintf " ETA %.1fs" e)
+
+(* The open stage, then every tracker with work outstanding. *)
+let render () =
+  let stage, _ = stages () in
+  let busy = List.filter (fun v -> v.tr_done < v.tr_total) (active ()) in
+  if stage <> None || busy <> [] then
+    if is_tty then begin
+      let line =
+        String.concat "  " (Option.to_list stage @ List.map bar_of busy)
+      in
+      (* Pad so a shrinking line leaves no tail; cut so it never wraps. *)
+      Printf.eprintf "\r%-79s%!"
+        (if String.length line > 79 then String.sub line 0 79 else line);
+      Atomic.set bar_open true
+    end
+    else
+      Printf.eprintf "progress:%s%s\n%!"
+        (match stage with None -> "" | Some s -> " " ^ s)
+        (String.concat ""
+           (List.map
+              (fun v -> Printf.sprintf " %s %d/%d" v.tr_name v.tr_done v.tr_total)
+              busy))
+
+let maybe_render () =
+  if Atomic.get render_on then begin
+    let now = now_ns () and last = Atomic.get last_render_ns in
+    let gap = if is_tty then 100_000_000 else 2_000_000_000 in
+    if now - last >= gap && Atomic.compare_and_set last_render_ns last now then
+      render ()
+  end
+
+let render_finish () =
+  if Atomic.exchange bar_open false then begin
+    prerr_newline ();
+    flush stderr
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Recording                                                           *)
+
+let add_total t n =
+  stamp t;
+  ignore (Atomic.fetch_and_add t.total n)
+
+let tick ?(by = 1) t =
+  stamp t;
+  ignore (Atomic.fetch_and_add t.done_ by);
+  maybe_render ()
+
+let reset () =
+  List.iter
+    (fun t ->
+      Atomic.set t.done_ 0;
+      Atomic.set t.total 0;
+      Atomic.set t.start_ns 0)
+    trackers;
+  Atomic.set last_render_ns 0

@@ -268,7 +268,7 @@ let index_body =
       "";
       "  /metrics   Prometheus text exposition";
       "  /healthz   liveness + governance state (JSON)";
-      "  /progress  per-stage done/total with ETA (JSON)";
+      "  /progress  open stage + done/total with ETA (JSON)";
       "  /events    recent event journal (NDJSON; ?n=N for newest N)";
       "  /trace     Chrome trace_event JSON of spans so far";
       "";

@@ -16,8 +16,8 @@
       port programmatically), run-root deadline remaining, memory
       watermark, quarantine/degradation counters and the derived
       degradation-ladder position;
-    - [GET /progress] — per-stage done/total/ETA JSON
-      ({!Progress.to_json});
+    - [GET /progress] — the open stage and done/total/ETA per tracker
+      as JSON ({!Progress.to_json});
     - [GET /events] — the recent event journal as NDJSON
       ({!Eventlog.to_ndjson}); [?n=N] limits to the newest N events;
     - [GET /trace] — Chrome trace_event JSON of the spans recorded so

@@ -6,8 +6,10 @@
      numbers, newest-retention under wraparound (unit tests plus a
      QCheck property over random log counts past the capacity), and
      the schema-versioned NDJSON export.
-   - Progress trackers: accumulation, finish/rearm, ETA presence, the
-     /progress JSON shape and the shared sta.pins tracker.
+   - Progress: tracker accumulation and ETA presence, the /progress
+     JSON shape with the stage read from the journal, pool.tasks ticks
+     per settled task, the state after a merge, and the shared
+     sta.pins tracker.
    - Prometheus exposition: a golden rendering of a controlled
      registry, name sanitisation, empty/single-sample histograms and
      bounds that print alike, and a QCheck property that bucket series
@@ -25,6 +27,7 @@ module Obs = Mm_util.Obs
 module Chaos = Mm_util.Chaos
 module Govern = Mm_util.Govern
 module Serve = Mm_util.Serve
+module Pool = Mm_util.Pool
 module Sta = Mm_timing.Sta
 module Merge_flow = Mm_core.Merge_flow
 module Gen_design = Mm_workload.Gen_design
@@ -161,96 +164,127 @@ let test_ndjson () =
 (* ------------------------------------------------------------------ *)
 (* Progress                                                            *)
 
-let tracker name =
-  match
-    List.find_opt (fun t -> t.Progress.tr_name = name) (Progress.snapshot ())
-  with
-  | Some t -> t
-  | None -> Alcotest.failf "tracker %s not found" name
-
 let test_progress_accumulation () =
   Progress.reset ();
-  Progress.add_total ~by:4 "t.a";
-  Progress.tick "t.a";
-  Progress.tick ~by:2 "t.a";
-  let t = tracker "t.a" in
-  check Alcotest.int "done" 3 t.Progress.tr_done;
-  check Alcotest.int "total" 4 t.Progress.tr_total;
-  check Alcotest.bool "not finished" false t.Progress.tr_finished;
+  let t = Progress.sta_pins in
+  Progress.add_total t 4;
+  Progress.tick t;
+  Progress.tick ~by:2 t;
+  let v = Progress.view t in
+  check Alcotest.int "done" 3 v.Progress.tr_done;
+  check Alcotest.int "total" 4 v.Progress.tr_total;
   check Alcotest.bool "eta present once work is done" true
-    (t.Progress.tr_eta_s <> None);
+    (v.Progress.tr_eta_s <> None);
   (* Concurrent producers accumulate. *)
-  Progress.add_total ~by:6 "t.a";
-  check Alcotest.int "totals accumulate" 10 (tracker "t.a").Progress.tr_total;
-  Progress.finish "t.a";
-  let t = tracker "t.a" in
-  check Alcotest.bool "finished" true t.Progress.tr_finished;
-  check Alcotest.int "finish snaps done to total" 10 t.Progress.tr_done;
-  (* A later add_total rearms the tracker (repeated STA sweeps). *)
-  Progress.add_total ~by:2 "t.a";
-  let t = tracker "t.a" in
-  check Alcotest.bool "rearmed" false t.Progress.tr_finished;
+  Progress.add_total t 6;
+  check Alcotest.int "totals accumulate" 10 (Progress.view t).Progress.tr_total;
   Progress.reset ()
+
+let progress_json () = Json_read.parse_json (Progress.to_json ())
 
 let test_progress_json () =
   Progress.reset ();
-  Progress.add_total ~by:3 "merge.load";
-  Progress.tick "merge.load";
-  Progress.add_total ~by:5 "pool.tasks";
-  let j = Json_read.parse_json (Progress.to_json ()) in
+  Eventlog.reset ();
+  (* An older run's open stage is forgotten at the newest run.start. *)
+  List.iter
+    (fun (kind, stage) -> Eventlog.log kind ~attrs:[ "stage", stage ])
+    [ "run.start", ""; "stage.start", "old";
+      "run.start", ""; "stage.start", "load"; "stage.finish", "load";
+      "stage.start", "mergeability" ];
+  Progress.add_total Progress.pool_tasks 5;
+  let j = progress_json () in
+  check Alcotest.bool "stage is the open one" true
+    (Json_read.member "stage" j = Some (Json_read.Str "mergeability"));
+  check Alcotest.bool "stages_done counts this run's finishes" true
+    (Json_read.member "stages_done" j = Some (Json_read.Num 1.));
+  (match Json_read.member "trackers" j with
+  | Some (Json_read.Arr [ t ]) ->
+    check Alcotest.bool "only the active tracker" true
+      (Json_read.member "name" t = Some (Json_read.Str "pool.tasks"));
+    List.iter
+      (fun f ->
+        check Alcotest.bool
+          (Printf.sprintf "tracker field %s" f)
+          true
+          (Json_read.member f t <> None))
+      [ "name"; "done"; "total"; "elapsed_s"; "eta_s" ]
+  | _ -> Alcotest.fail "expected exactly one tracker");
+  Eventlog.reset ();
+  Progress.reset ()
+
+(* Task k of a jobs=1 batch sees the k tasks before it settled; a
+   batch drained by an expired budget still settles every task. *)
+let test_pool_tasks_tracker () =
+  Progress.reset ();
+  Pool.with_pool ~jobs:1 (fun pool ->
+      let seen =
+        Pool.map pool
+          (fun k -> k, (Progress.view Progress.pool_tasks).Progress.tr_done)
+          (List.init 5 Fun.id)
+      in
+      List.iter
+        (fun (k, d) ->
+          check Alcotest.int (Printf.sprintf "task %d sees done = %d" k k) k d)
+        seen);
+  Pool.with_pool ~jobs:2 (fun pool ->
+      ignore
+        (Pool.map_outcome pool ~govern:(Govern.create ~deadline_s:0. ())
+           Fun.id [ 1; 2; 3 ]));
+  let v = Progress.view Progress.pool_tasks in
+  check Alcotest.int "total" 8 v.Progress.tr_total;
+  check Alcotest.int "drained tasks tick" 8 v.Progress.tr_done;
+  Progress.reset ()
+
+(* After a merge, the journal says every stage finished and no
+   merge-stage tracker exists. *)
+let test_progress_after_merge () =
+  Progress.reset ();
+  let _design, _info, modes = Presets.build Presets.tiny in
+  ignore (Merge_flow.run ~jobs:1 modes);
+  let j = progress_json () in
+  check Alcotest.bool "no open stage" true
+    (Json_read.member "stage" j = Some Json_read.Null);
+  check Alcotest.bool "three stages done" true
+    (Json_read.member "stages_done" j = Some (Json_read.Num 3.));
   (match Json_read.member "trackers" j with
   | Some (Json_read.Arr ts) ->
-    check Alcotest.int "one entry per tracker" 2 (List.length ts);
     List.iter
       (fun t ->
-        List.iter
-          (fun f ->
-            check Alcotest.bool
-              (Printf.sprintf "tracker field %s" f)
-              true
-              (Json_read.member f t <> None))
-          [ "name"; "done"; "total"; "elapsed_s"; "finished" ])
+        match Json_read.member "name" t with
+        | Some (Json_read.Str n) ->
+          check Alcotest.bool (n ^ " is not a merge-stage tracker") false
+            (String.length n >= 6 && String.sub n 0 6 = "merge.")
+        | _ -> Alcotest.fail "tracker without a name")
       ts
   | _ -> Alcotest.fail "no trackers array");
-  (match Json_read.member "overall" j with
-  | Some o ->
-    check Alcotest.bool "overall counts merge stages" true
-      (Json_read.member "units_total" o = Some (Json_read.Num 3.))
-  | None -> Alcotest.fail "no overall object");
   Progress.reset ()
 
 (* Another sweep is in flight with 5 blocks registered when one
-   analysis of preset C runs start to end: the ended sweep must not
-   finish the shared tracker. *)
+   analysis of preset C runs start to end: the ended sweep must leave
+   the shared tracker's other blocks outstanding. *)
 let test_sta_pins_shared () =
   Progress.reset ();
-  Progress.add_total ~by:5 "sta.pins";
+  let t = Progress.sta_pins in
+  Progress.add_total t 5;
   let design, _info, modes = Presets.build Presets.design_c in
   ignore (Sta.analyze design (List.hd modes));
-  let t = tracker "sta.pins" in
-  check Alcotest.bool "done <= total" true
-    (t.Progress.tr_done <= t.Progress.tr_total);
+  let v = Progress.view t in
   check Alcotest.int "the ended sweep ticked all its blocks"
-    (t.Progress.tr_total - 5) t.Progress.tr_done;
-  check Alcotest.bool "shared tracker not finished" false
-    t.Progress.tr_finished;
-  (* A sweep cut short by a cancelled budget still ticks its blocks. *)
-  let tok = Govern.create () in
-  Govern.cancel tok ~why:"test";
+    (v.Progress.tr_total - 5) v.Progress.tr_done;
+  (* A sweep cut short by an expired budget still ticks its blocks. *)
   (match
-     Govern.with_current tok (fun () -> Sta.analyze design (List.hd modes))
+     Govern.with_current (Govern.create ~deadline_s:0. ()) (fun () ->
+         Sta.analyze design (List.hd modes))
    with
-  | _ -> Alcotest.fail "a cancelled sweep returned"
+  | _ -> Alcotest.fail "an interrupted sweep returned"
   | exception Govern.Cancelled _ -> ());
-  let t = tracker "sta.pins" in
-  check Alcotest.int "the cancelled sweep ticked all its blocks"
-    (t.Progress.tr_total - 5) t.Progress.tr_done;
-  for _ = 1 to 5 do
-    Progress.tick "sta.pins"
-  done;
-  let t = tracker "sta.pins" in
+  let v = Progress.view t in
+  check Alcotest.int "the interrupted sweep ticked all its blocks"
+    (v.Progress.tr_total - 5) v.Progress.tr_done;
+  Progress.tick ~by:5 t;
+  let v = Progress.view t in
   check Alcotest.int "done = total once every sweep ended"
-    t.Progress.tr_total t.Progress.tr_done;
+    v.Progress.tr_total v.Progress.tr_done;
   Progress.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -540,7 +574,7 @@ let test_serve_endpoints () =
   Progress.reset ();
   Metrics.reset ();
   Metrics.incr "serve.test_counter";
-  Progress.add_total ~by:2 "merge.load";
+  Progress.add_total Progress.pool_tasks 2;
   Eventlog.log "x.alpha";
   Eventlog.log "x.beta";
   let srv = Serve.start ~addr:"127.0.0.1" ~port:0 () in
@@ -779,9 +813,11 @@ let () =
         ] );
       ( "progress",
         [
-          tc "totals accumulate, finish snaps, rearm works"
-            test_progress_accumulation;
+          tc "totals accumulate and give an ETA" test_progress_accumulation;
           tc "/progress JSON shape" test_progress_json;
+          tc "pool.tasks ticks once per settled task" test_pool_tasks_tracker;
+          tc "after a merge, no open stage and no merge.* tracker"
+            test_progress_after_merge;
           tc "an ended STA sweep leaves sta.pins open" test_sta_pins_shared;
         ] );
       ( "prometheus",

@@ -1,5 +1,5 @@
 (* Tier-1 unit tests for the resource-governance layer: Govern tokens
-   (deadlines, cancellation trees, the ambient checkpoint), structured
+   (deadlines, the sub tree, the ambient checkpoint), structured
    outcomes, the memory watermark, governed Pool batches with crash
    backtraces, Chaos fault plans and the Metrics counter snapshot. *)
 
@@ -14,12 +14,10 @@ let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
 (* ------------------------------------------------------------------ *)
-(* Tokens: deadlines, cancellation, the sub tree                       *)
+(* Tokens: deadlines and the sub tree                                  *)
 
 let test_never () =
   check Alcotest.bool "never is live" true (Govern.cancelled Govern.never = None);
-  Govern.cancel Govern.never ~why:"ignored";
-  check Alcotest.bool "never ignores cancel" false (Govern.expired Govern.never);
   check Alcotest.bool "never has no deadline" true
     (Govern.remaining_s Govern.never = None);
   Govern.check Govern.never
@@ -35,35 +33,17 @@ let test_deadline () =
     | exception Govern.Cancelled (Govern.Deadline_exceeded _) -> true
     | () -> false);
   let live = Govern.create ~deadline_s:60.0 () in
-  check Alcotest.bool "live token not expired" false (Govern.expired live);
+  check Alcotest.bool "live token not expired" true (Govern.cancelled live = None);
   (match Govern.remaining_s live with
   | Some r -> check Alcotest.bool "remaining_s near budget" true (r > 50. && r <= 60.)
   | None -> Alcotest.fail "deadlined token must report remaining_s")
 
-let test_cancel () =
-  let t = Govern.create ~scope:"root" () in
-  check Alcotest.bool "fresh token live" true (Govern.cancelled t = None);
-  Govern.cancel t ~why:"user abort";
-  (match Govern.cancelled t with
-  | Some (Govern.Cancelled_by { scope; why }) ->
-    check Alcotest.string "cancel scope" "root" scope;
-    check Alcotest.string "cancel why" "user abort" why
-  | _ -> Alcotest.fail "expected Cancelled_by");
-  (* idempotent: the first reason wins *)
-  Govern.cancel t ~why:"second";
-  match Govern.cancelled t with
-  | Some (Govern.Cancelled_by { why; _ }) ->
-    check Alcotest.string "first cancel wins" "user abort" why
-  | _ -> Alcotest.fail "expected Cancelled_by"
-
 let test_sub_tree () =
   let p = Govern.create ~scope:"p" () in
   let blown = Govern.sub ~scope:"c" ~budget_s:0.0 p in
-  check Alcotest.bool "child budget expires child" true (Govern.expired blown);
-  check Alcotest.bool "parent unaffected" false (Govern.expired p);
-  let c2 = Govern.sub ~scope:"c2" p in
-  Govern.cancel p ~why:"stop";
-  check Alcotest.bool "parent cancel reaches child" true (Govern.expired c2);
+  check Alcotest.bool "child budget expires child" true
+    (Govern.cancelled blown <> None);
+  check Alcotest.bool "parent unaffected" true (Govern.cancelled p = None);
   (* the parent deadline folds into the child at sub time *)
   let p2 = Govern.create ~deadline_s:0.0 ~scope:"p2" () in
   let c3 = Govern.sub ~scope:"c3" ~budget_s:1000.0 p2 in
@@ -77,11 +57,12 @@ let test_sub_tree () =
    is no deadline at all, not one that wrapped into the past. *)
 let test_huge_budget () =
   let root = Govern.create ~deadline_s:1e10 ~scope:"huge" () in
-  check Alcotest.bool "1e10 s root not expired" false (Govern.expired root);
+  check Alcotest.bool "1e10 s root not expired" true (Govern.cancelled root = None);
   check Alcotest.bool "1e10 s root has no deadline" true
     (Govern.remaining_s root = None);
   let child = Govern.sub ~scope:"c" ~budget_s:1e12 (Govern.create ()) in
-  check Alcotest.bool "1e12 s child not expired" false (Govern.expired child);
+  check Alcotest.bool "1e12 s child not expired" true
+    (Govern.cancelled child = None);
   let capped = Govern.sub ~budget_s:1e12 (Govern.create ~deadline_s:60. ()) in
   match Govern.remaining_s capped with
   | Some r -> check Alcotest.bool "parent deadline still applies" true (r <= 60.)
@@ -91,8 +72,6 @@ let test_reason_codes () =
   check Alcotest.string "deadline code" "govern.deadline"
     (Govern.reason_code
        (Govern.Deadline_exceeded { scope = "x"; budget_s = 1.0 }));
-  check Alcotest.string "cancel code" "govern.cancelled"
-    (Govern.reason_code (Govern.Cancelled_by { scope = "x"; why = "y" }));
   check Alcotest.string "memory code" "govern.memory"
     (Govern.reason_code
        (Govern.Memory_watermark { used_mb = 2.0; limit_mb = 1.0 }))
@@ -103,14 +82,13 @@ let test_reason_codes () =
 let test_ambient_checkpoint () =
   (* free when nothing is installed *)
   Govern.checkpoint ();
-  let t = Govern.create ~scope:"amb" () in
-  Govern.cancel t ~why:"gone";
+  let t = Govern.create ~deadline_s:0. ~scope:"amb" () in
   let raised =
     try
       Govern.with_current t (fun () ->
           Govern.checkpoint ();
           false)
-    with Govern.Cancelled (Govern.Cancelled_by _) -> true
+    with Govern.Cancelled (Govern.Deadline_exceeded _) -> true
   in
   check Alcotest.bool "checkpoint observes the ambient token" true raised;
   (* the previous ambient token is restored on raise *)
@@ -123,25 +101,30 @@ let test_outcomes () =
   (match Govern.run Govern.never (fun () -> 41 + 1) with
   | Govern.Done v -> check Alcotest.int "done value" 42 v
   | _ -> Alcotest.fail "expected Done");
-  let pre = Govern.create () in
-  Govern.cancel pre ~why:"pre";
-  (match Govern.run pre (fun () -> 0) with
-  | Govern.Interrupted (Govern.Cancelled_by _) -> ()
+  let pre = Govern.create ~deadline_s:0. () in
+  let ran = ref false in
+  (match Govern.run pre (fun () -> ran := true) with
+  | Govern.Interrupted (Govern.Deadline_exceeded _) ->
+    check Alcotest.bool "an expired token runs nothing" false !ran
   | _ -> Alcotest.fail "expected Interrupted at entry");
   (match Govern.run Govern.never (fun () -> failwith "boom") with
   | Govern.Crashed { exn = Failure m; _ } ->
     check Alcotest.string "crash exn" "boom" m
   | _ -> Alcotest.fail "expected Crashed");
-  (* a checkpoint inside the thunk surfaces as Interrupted, not a raise *)
-  let mid = Govern.create ~scope:"mid" () in
+  (* a checkpoint inside the thunk surfaces as Interrupted, not a raise:
+     the deadline passes while the thunk sleeps *)
+  let mid = Govern.create ~deadline_s:0.1 ~scope:"mid" () in
+  let entered = ref false in
   (match
      Govern.run mid (fun () ->
-         Govern.cancel mid ~why:"mid-flight";
+         entered := true;
+         Unix.sleepf 0.15;
          Govern.checkpoint ();
          0)
    with
-  | Govern.Interrupted (Govern.Cancelled_by { why; _ }) ->
-    check Alcotest.string "interrupt reason" "mid-flight" why
+  | Govern.Interrupted (Govern.Deadline_exceeded { scope; _ }) ->
+    check Alcotest.bool "passed the entry check" true !entered;
+    check Alcotest.string "interrupt scope" "mid" scope
   | _ -> Alcotest.fail "expected Interrupted from checkpoint");
   let crashed = Govern.run Govern.never (fun () -> failwith "again") in
   try
@@ -222,8 +205,7 @@ let test_pool_map_reraises_with_backtrace () =
 
 let test_pool_precancelled_drains () =
   Pool.with_pool ~jobs:4 (fun pool ->
-      let t = Govern.create ~scope:"drain" () in
-      Govern.cancel t ~why:"before the batch";
+      let t = Govern.create ~deadline_s:0. ~scope:"drain" () in
       let outs = Pool.map_outcome pool ~govern:t (fun x -> x) [ 1; 2; 3 ] in
       check Alcotest.int "all tasks drained as Interrupted" 3
         (List.length
@@ -244,14 +226,14 @@ let test_pool_task_budget () =
         outs)
 
 let test_pool_midbatch_cancel () =
-  (* jobs=1 is sequential, so the drain point is deterministic: tasks
-     after the cancelling one never run. *)
+  (* jobs=1 is sequential, so the drain point is deterministic: task 1
+     outlives the batch budget, and the tasks after it never run. *)
   Pool.with_pool ~jobs:1 (fun pool ->
-      let t = Govern.create ~scope:"mid" () in
+      let t = Govern.create ~deadline_s:0.1 ~scope:"mid" () in
       let outs =
         Pool.map_outcome pool ~govern:t
           (fun x ->
-            if x = 1 then Govern.cancel t ~why:"task 1 pulled the plug";
+            if x = 1 then Unix.sleepf 0.15;
             x)
           [ 0; 1; 2; 3 ]
       in
@@ -354,7 +336,6 @@ let () =
         [
           tc "never" test_never;
           tc "deadline" test_deadline;
-          tc "cancel" test_cancel;
           tc "sub tree" test_sub_tree;
           tc "budget past the clock range" test_huge_budget;
           tc "reason codes" test_reason_codes;
