@@ -344,7 +344,15 @@ let sta_measure (p : Presets.preset) =
         List.iter
           (fun m ->
             let ctx = Context.with_exceptions ctx0 m in
-            incr_last := Mm_core.Relation_prop.endpoint_relations_cached cache ctx)
+            let value tags ep =
+              ( Mm_timing.Tgraph.endpoint_pin ep,
+                Mm_core.Relation_prop.relations_at ctx tags ep )
+            in
+            incr_last :=
+              Array.to_list
+                (fst
+                   (Mm_core.Relation_prop.endpoint_relations_cached cache ctx
+                      value)))
           variants)
   in
   (* The speedup only counts if the answers agree. *)
@@ -764,9 +772,13 @@ let scale_sweep () =
   section "Scaling sweep: 3-mode merge and STA vs design size";
   let t =
     Tab.create
-      ~aligns:[ Tab.Right; Tab.Right; Tab.Right; Tab.Right; Tab.Right ]
-      [ "Cells"; "Pins"; "Merge (s)"; "STA individual (s)"; "STA merged (s)" ]
+      ~aligns:[ Tab.Right; Tab.Right; Tab.Right; Tab.Right; Tab.Right; Tab.Right ]
+      [
+        "Cells"; "Pins"; "Merge (s)"; "Pass 1 (s)"; "STA individual (s)";
+        "STA merged (s)";
+      ]
   in
+  Obs.set_enabled true;
   List.iter
     (fun regs ->
       let params =
@@ -791,7 +803,14 @@ let scale_sweep () =
         }
       in
       let modes = Mm_workload.Gen_modes.generate design info suite in
+      Obs.reset ();
       let flow, t_merge = time (fun () -> Merge_flow.run modes) in
+      let t_pass1 =
+        List.fold_left
+          (fun acc (name, _, total_s, _) ->
+            if name = "compare.pass1" then acc +. total_s else acc)
+          0. (Obs.span_summaries ())
+      in
       let _, t_ind =
         time (fun () -> List.map (fun m -> Sta.analyze design m) modes)
       in
@@ -804,6 +823,7 @@ let scale_sweep () =
           string_of_int (Design.n_insts design);
           string_of_int (Design.n_pins design);
           Stat.fmt_time_s t_merge;
+          Stat.fmt_time_s t_pass1;
           Stat.fmt_time_s t_ind;
           Stat.fmt_time_s t_mrg;
         ])

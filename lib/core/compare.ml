@@ -497,10 +497,111 @@ let create_work ~individual ~(merged : Context.t) =
 
 let rename_rels rename rels = List.map (Relation.rename rename) rels
 
+(* Packed relation keys. Pass 1 judges an endpoint by its relation
+   sets, one per individual side plus the merged one. Each relation is
+   interned as an int key in the merged clock namespace and each set
+   packed into a sorted key array: a side renames once per clock, not
+   per relation, and endpoints with equal sets — most of a design —
+   share one [make_buckets] judgement, which is blind to relation order
+   and repeats, so a decoded set judges exactly as the relation list it
+   packs. *)
+module Sets = Hashtbl.Make (struct
+  type t = int array list
+
+  let equal = ( = )
+
+  let hash sets =
+    List.fold_left
+      (fun h a ->
+        Array.fold_left (fun h k -> (h * 31) + k) ((h * 31) + Array.length a) a)
+      17 sets
+    land max_int
+end)
+
+type keys = {
+  k_clocks : (string, int) Hashtbl.t;  (* merged clock name -> id *)
+  k_names : string Mm_util.Vec.t;  (* id -> merged clock name *)
+  k_ids : (int * int * Mode.edge_sel * Cs.t * Cs.t, int) Hashtbl.t;
+  k_rels : Relation.t Mm_util.Vec.t;  (* key -> relation *)
+  k_judged : judged_bucket list Sets.t;  (* merged set :: side sets *)
+}
+
+let create_keys () =
+  {
+    k_clocks = Hashtbl.create 16;
+    k_names = Mm_util.Vec.create ();
+    k_ids = Hashtbl.create 64;
+    k_rels = Mm_util.Vec.create ();
+    k_judged = Sets.create 64;
+  }
+
+(* Per clock index of [ctx], the id of its merged-namespace name. *)
+let clock_ids keys (ctx : Context.t) rename =
+  let clocks = ctx.Context.clocks in
+  Array.init (Mm_timing.Clock_prop.n_clocks clocks) (fun ci ->
+      let name = rename (Mm_timing.Clock_prop.clock_name clocks ci) in
+      match Hashtbl.find_opt keys.k_clocks name with
+      | Some id -> id
+      | None ->
+        let id = Mm_util.Vec.push keys.k_names name in
+        Hashtbl.replace keys.k_clocks name id;
+        id)
+
+let key keys l c data_edge setup hold =
+  let k = l, c, data_edge, setup, hold in
+  match Hashtbl.find_opt keys.k_ids k with
+  | Some id -> id
+  | None ->
+    let name = Mm_util.Vec.get keys.k_names in
+    let id =
+      Mm_util.Vec.push keys.k_rels
+        (Relation.make ~data_edge ~launch:(name l) ~capture:(name c) ~setup
+           ~hold ())
+    in
+    Hashtbl.replace keys.k_ids k id;
+    id
+
+(* The packed relation set at an endpoint of [ctx], whose clock indices
+   map to merged ids by [ids]. *)
+let pack keys ids ctx tags ep =
+  Relation_prop.fold_relations ctx tags ep
+    (fun ci cj edge setup hold acc ->
+      key keys ids.(ci) ids.(cj) edge setup hold :: acc)
+    []
+  |> List.sort_uniq Int.compare
+  |> Array.of_list
+
+let judge_sets keys mrg_set ind_sets =
+  let sets = mrg_set :: ind_sets in
+  match Sets.find_opt keys.k_judged sets with
+  | Some judged -> judged
+  | None ->
+    let decode a = Array.to_list (Array.map (Mm_util.Vec.get keys.k_rels) a) in
+    let judged =
+      make_buckets ~fine:false (List.map decode ind_sets) (decode mrg_set)
+    in
+    Sets.replace keys.k_judged sets judged;
+    judged
+
+(* One endpoint's pass-1 judgement, in the order the result lists take
+   it: rows in bucket order, fixes, unsound and pessimism entries
+   reversed, as the fold over endpoints has always emitted them. *)
+type judged_ep = {
+  j_rows : pass1_row list;
+  j_fixes : fix list;
+  j_unsound : string list;
+  j_pessimism : string list;
+}
+
 (* Reusable state for repeated [run]s against the same individual sides
    and an exceptions-only-growing merged mode (the refinement loop):
-   the sides' renamed relation tables are computed once, and the merged
-   side goes through the incremental {!Relation_prop.ep_cache}.
+   the sides' packed relation sets are computed once, per merged
+   endpoint position, and the merged side goes through the incremental
+   {!Relation_prop.ep_cache}. [c_keys] interns the relations of every
+   pass. [c_judged] keeps the last pass 1's judgement per endpoint, in
+   graph endpoint order: the sides are fixed, so an endpoint whose
+   merged set was not recomputed judges the same, and a later pass
+   re-judges only the endpoints the ep_cache recomputed.
 
    [c_pass2] memoises pass 2's individual side per ambiguous endpoint
    pin (see [pass2_candidates]). It stays valid for the whole loop: the
@@ -513,8 +614,10 @@ let rename_rels rename rels = List.map (Relation.rename rename) rels
    [c_work] keeps the cone buffers of the first run that needed them
    for the rest of the loop. *)
 type cache = {
-  mutable c_sides : (Design.pin_id, Relation.t list) Hashtbl.t list option;
-  c_merged : Relation_prop.ep_cache;
+  c_keys : keys;
+  mutable c_sides : int array array list option;
+  c_merged : (Design.pin_id * int array) Relation_prop.ep_cache;
+  mutable c_judged : judged_ep array;
   c_pass2 :
     (Design.pin_id, (Tgraph.startpoint * Relation.t list list) list) Hashtbl.t;
   mutable c_work : work option;
@@ -522,64 +625,101 @@ type cache = {
 
 let create_cache () =
   {
+    c_keys = create_keys ();
     c_sides = None;
     c_merged = Relation_prop.create_ep_cache ();
+    c_judged = [||];
     c_pass2 = Hashtbl.create 64;
     c_work = None;
   }
 
-let pass1 ?cache ~individual ~(merged : Context.t) () =
-  let design = merged.Context.design in
-  let mrg_rels =
-    match cache with
-    | Some c -> Relation_prop.endpoint_relations_cached c.c_merged merged
-    | None -> Relation_prop.endpoint_relations merged
+let judge_endpoint ~design keys side_sets i (ep, mset) =
+  Mm_util.Govern.checkpoint ();
+  let judged =
+    judge_sets keys mset (List.map (fun sets -> sets.(i)) side_sets)
   in
-  let compute_side_tables () =
+  let f, u, p = fixes_for_point ~design ~ep judged in
+  {
+    j_rows = List.map (fun jb -> { p1_ep = ep; p1_bucket = jb.bucket }) judged;
+    j_fixes = List.rev f;
+    j_unsound = List.rev u;
+    j_pessimism = List.rev p;
+  }
+
+(* Pass 1: the endpoint count, the number of endpoints judged (only
+   those whose merged set was recomputed, when a cache holds the
+   rest's judgements), and the rows, fixes, unsound and pessimism
+   entries in endpoint order. *)
+let pass1 ?cache ~individual ~(merged : Context.t) () =
+  let design = merged.Context.design and g = merged.Context.graph in
+  let keys = match cache with Some c -> c.c_keys | None -> create_keys () in
+  let mrg_value =
+    let ids = clock_ids keys merged Fun.id in
+    fun tags ep -> Tgraph.endpoint_pin ep, pack keys ids merged tags ep
+  in
+  let mrg_sets, recomputed =
+    match cache with
+    | Some c ->
+      Relation_prop.endpoint_relations_cached c.c_merged merged mrg_value
+    | None -> Relation_prop.endpoint_map merged mrg_value, None
+  in
+  (* Each side's sets by merged endpoint position; an endpoint the side
+     lacks has the empty set. *)
+  let compute_side_sets () =
+    let pos =
+      Relation_prop.positions g Tgraph.endpoint_pin
+        (Array.of_list g.Tgraph.sk_endpoints)
+    in
     List.map
       (fun side ->
-        let tbl = Hashtbl.create 256 in
-        List.iter
-          (fun (ep, rels) ->
-            Hashtbl.replace tbl ep (rename_rels side.rename rels))
-          (Relation_prop.endpoint_relations side.ctx);
-        tbl)
+        let ids = clock_ids keys side.ctx side.rename in
+        let sets = Array.make (Array.length mrg_sets) [||] in
+        Array.iter
+          (fun (ep, set) -> if pos.(ep) >= 0 then sets.(pos.(ep)) <- set)
+          (Relation_prop.endpoint_map side.ctx (fun tags ep ->
+               Tgraph.endpoint_pin ep, pack keys ids side.ctx tags ep));
+        sets)
       individual
   in
-  let ind_rels_per_mode =
+  let side_sets =
     match cache with
-    | None -> compute_side_tables ()
+    | None -> compute_side_sets ()
     | Some c -> (
       match c.c_sides with
-      | Some tbls -> tbls
+      | Some sets -> sets
       | None ->
-        let tbls = compute_side_tables () in
-        c.c_sides <- Some tbls;
-        tbls)
+        let sets = compute_side_sets () in
+        c.c_sides <- Some sets;
+        sets)
   in
-  let rows = ref [] and fixes = ref [] and unsound = ref []
-  and pessimism = ref [] in
-  List.iter
-    (fun (ep, mrels) ->
-      Mm_util.Govern.checkpoint ();
-      let ind_rels =
-        List.map
-          (fun tbl -> Option.value ~default:[] (Hashtbl.find_opt tbl ep))
-          ind_rels_per_mode
-      in
-      let judged = make_buckets ~fine:false ind_rels mrels in
-      List.iter (fun jb -> rows := { p1_ep = ep; p1_bucket = jb.bucket } :: !rows) judged;
-      let f, u, p = fixes_for_point ~design ~ep judged in
-      fixes := f @ !fixes;
-      unsound := u @ !unsound;
-      pessimism := p @ !pessimism)
-    mrg_rels;
-  Mm_util.Metrics.incr ~by:(List.length mrg_rels) "compare.endpoints_visited";
-  ( List.length mrg_rels,
-    List.rev !rows,
-    List.rev !fixes,
-    List.rev !unsound,
-    List.rev !pessimism )
+  let judge = judge_endpoint ~design keys side_sets in
+  let previous =
+    match cache with
+    | None -> [||]
+    | Some c ->
+      (* Emptied until this pass completes: an interrupted pass must
+         not leave judgements older than the ep_cache's sets. *)
+      let p = c.c_judged in
+      c.c_judged <- [||];
+      p
+  in
+  let judged, n_judged =
+    match recomputed with
+    | Some positions when Array.length previous = Array.length mrg_sets ->
+      let judged = Array.copy previous in
+      List.iter (fun i -> judged.(i) <- judge i mrg_sets.(i)) positions;
+      judged, List.length positions
+    | Some _ | None -> Array.mapi judge mrg_sets, Array.length mrg_sets
+  in
+  Option.iter (fun c -> c.c_judged <- judged) cache;
+  Mm_util.Metrics.incr ~by:(Array.length mrg_sets) "compare.endpoints_visited";
+  let concat field = Array.fold_right (fun j acc -> field j @ acc) judged [] in
+  ( Array.length mrg_sets,
+    n_judged,
+    concat (fun j -> j.j_rows),
+    concat (fun j -> j.j_fixes),
+    concat (fun j -> j.j_unsound),
+    concat (fun j -> j.j_pessimism) )
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2                                                              *)
@@ -862,8 +1002,11 @@ let run ?cache ~individual ~merged () =
         w
       | None -> create_work ~individual ~merged)
   in
-  let n_eps, p1_rows, p1_fixes, p1_uns, p1_pes =
-    Obs.with_span "compare.pass1" (fun () -> pass1 ?cache ~individual ~merged ())
+  let n_eps, _, p1_rows, p1_fixes, p1_uns, p1_pes =
+    Obs.with_span "compare.pass1"
+      ~result_attrs:(fun (_, n_judged, _, _, _, _) ->
+        [ "rejudged", string_of_int n_judged ])
+      (fun () -> pass1 ?cache ~individual ~merged ())
   in
   let ambiguous_eps =
     List.filter_map

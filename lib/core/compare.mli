@@ -107,9 +107,12 @@ type side = {
 type cache
 (** Reusable state for repeated {!run}s against the same individual
     sides and an exceptions-only-growing merged mode (the refinement
-    loop): side relation tables are computed once, and the merged
-    side's pass-1 relations update incrementally — only endpoints in
-    the scope of newly appended exceptions are re-propagated. *)
+    loop): the sides' pass-1 relation sets are computed once; the
+    merged side's update incrementally, re-propagating only the
+    endpoints newly appended exceptions can change
+    ({!Relation_prop.endpoint_relations_cached}); and pass 1 keeps each
+    endpoint's judgement (rows, fixes, unsound and pessimism entries),
+    so a later pass re-judges only those endpoints. *)
 
 val create_cache : unit -> cache
 
@@ -118,7 +121,15 @@ val run :
   unit -> result
 (** Results are identical with and without [cache]; a cache must only
     be shared across runs whose individual sides are fixed and whose
-    merged modes differ solely by appended exceptions.
+    merged modes differ solely by appended exceptions. Without a cache
+    pass 1 judges every endpoint with the same code.
+
+    Pass 1 packs each endpoint's relation set per side into a sorted
+    array of int keys, one per (launch, capture, polarity, setup, hold)
+    relation in the merged clock namespace: a side renames its clocks
+    once, not per relation, and endpoints with equal sets share one
+    judgement. The [compare.pass1] span's [rejudged] attribute counts
+    the endpoints a pass judged.
 
     Besides the result, each run accumulates the stable coverage
     counters [compare.endpoints_visited], [compare.endpoints_pruned]

@@ -6,6 +6,7 @@ module Clock_prop = Mm_timing.Clock_prop
 module Excmatch = Mm_timing.Excmatch
 module Context = Mm_timing.Context
 module Tag = Mm_timing.Tag
+module Constraint_state = Mm_timing.Constraint_state
 
 (* Per-pin tag sets: small insertion lists of encoded
    (clock, state, polarity) keys, plus the list of touched pins so a
@@ -158,40 +159,47 @@ let tags_at (ts : tagsets) pin =
   List.map (fun k -> Tag.clock k, Tag.state k, Tag.edge k) ts.tags.(pin)
   |> List.sort compare
 
-let relations_at (ctx : Context.t) tags ep =
-  let ep_pin = Tgraph.endpoint_pin ep in
+let fold_relations (ctx : Context.t) tags ep f init =
   let end_pins = Context.endpoint_alias_pins ctx ep in
   let captures = Context.capture_clocks_of_endpoint ctx ep in
-  let rels = ref [] in
-  List.iter
-    (fun (ci, st, edge) ->
-      if ci >= 0 then
-        List.iter
-          (fun cj ->
-            if not (Context.clocks_exclusive ctx ci cj) then begin
-              let setup_state =
-                Excmatch.state_at ctx.Context.excs ~setup:true st ~end_pins
-                  ~capture_clock:(Some cj) ~data_edge:edge ()
-              and hold_state =
-                Excmatch.state_at ctx.Context.excs ~setup:false st ~end_pins
+  List.fold_left
+    (fun acc (ci, st, edge) ->
+      if ci < 0 then acc
+      else
+        List.fold_left
+          (fun acc cj ->
+            if Context.clocks_exclusive ctx ci cj then acc
+            else
+              let excs =
+                Excmatch.matches_at ctx.Context.excs st ~end_pins
                   ~capture_clock:(Some cj) ~data_edge:edge ()
               in
-              rels :=
-                Relation.make ~data_edge:edge
-                  ~launch:(Clock_prop.clock_name ctx.Context.clocks ci)
-                  ~capture:(Clock_prop.clock_name ctx.Context.clocks cj)
-                  ~setup:setup_state ~hold:hold_state ()
-                :: !rels
-            end)
-          captures)
-    (tags_at tags ep_pin);
-  Relation.normalize !rels
+              f ci cj edge
+                (Constraint_state.of_exceptions ~setup:true excs)
+                (Constraint_state.of_exceptions ~setup:false excs)
+                acc)
+          acc captures)
+    init
+    (tags_at tags (Tgraph.endpoint_pin ep))
+
+let relations_at (ctx : Context.t) tags ep =
+  let name = Clock_prop.clock_name ctx.Context.clocks in
+  fold_relations ctx tags ep
+    (fun ci cj data_edge setup hold rels ->
+      Relation.make ~data_edge ~launch:(name ci) ~capture:(name cj) ~setup
+        ~hold ()
+      :: rels)
+    []
+  |> Relation.normalize
+
+let endpoint_map (ctx : Context.t) value =
+  let tags = propagate ctx ~seeds:(Tag.all_launches ctx) () in
+  Array.of_list (List.map (value tags) ctx.Context.graph.Tgraph.sk_endpoints)
 
 let endpoint_relations (ctx : Context.t) =
-  let tags = propagate ctx ~seeds:(Tag.all_launches ctx) () in
-  List.map
-    (fun ep -> Tgraph.endpoint_pin ep, relations_at ctx tags ep)
-    ctx.Context.graph.Tgraph.sk_endpoints
+  Array.to_list
+    (endpoint_map ctx (fun tags ep ->
+         Tgraph.endpoint_pin ep, relations_at ctx tags ep))
 
 let data_clock_masks (ctx : Context.t) =
   let g = ctx.Context.graph in
@@ -238,16 +246,15 @@ type ep_walk = {
   w_tags : tagsets;
 }
 
-type ep_cache = {
+type 'a ep_cache = {
   mutable ec_excs : Mode.exc list option;  (* None = cold *)
   mutable ec_edge_sensitive : bool;
-  mutable ec_rels : (Design.pin_id * Relation.t list) array;
-      (* graph endpoint order *)
+  mutable ec_vals : 'a array;  (* graph endpoint order *)
   mutable ec_walk : ep_walk option;
 }
 
 let create_ep_cache () =
-  { ec_excs = None; ec_edge_sensitive = false; ec_rels = [||]; ec_walk = None }
+  { ec_excs = None; ec_edge_sensitive = false; ec_vals = [||]; ec_walk = None }
 
 let ep_walk cache (ctx : Context.t) =
   let g = ctx.Context.graph in
@@ -276,30 +283,51 @@ let rec strip_prefix prefix l =
   | p :: ps, x :: xs when p == x || Mode.exc_equal p x -> strip_prefix ps xs
   | _ :: _, _ -> None
 
-(* Endpoints an exception could affect: inside the forward cone of its
-   -through (first group) or -from pins, AND matching its -to points.
-   Either restriction missing widens to "all"; both missing dirties
-   every endpoint. Everything is over-approximate on purpose. *)
+(* Endpoints an appended exception can change. [Excmatch.matches_at]
+   tests -to pins only at the endpoint's own pin, so a -to of pins and
+   instances alone changes exactly the endpoints at those pins (an
+   instance's -to pins are its register data pins) and needs no walk.
+   Any other exception changes only endpoints its matched paths reach:
+   inside the forward cone of its last -through group (every matching
+   path crosses it), else of its -from pins, and matching its -to
+   points. Either restriction missing widens to "all"; both missing
+   dirties every endpoint. *)
 let dirty_endpoints (ctx : Context.t) w delta =
   let eps = w.w_eps in
   let n_eps = Array.length eps in
   let dirty = Array.make n_eps false in
+  let design = ctx.Context.design in
+  let mark_pin pin =
+    let i = w.w_ep_pos.(pin) in
+    if i >= 0 then dirty.(i) <- true
+  in
   let launches = lazy (Tag.all_launches ctx) in
+  let scope_pins pts =
+    List.concat_map
+      (function
+        | Mode.P_pin p -> [ p ]
+        | Mode.P_inst inst -> Array.to_list (Design.inst_pins design inst)
+        | Mode.P_clock _ -> [])
+      pts
+  in
+  let pins_only =
+    List.for_all (function
+      | Mode.P_pin _ | Mode.P_inst _ -> true
+      | Mode.P_clock _ -> false)
+  in
   List.iter
     (fun (e : Mode.exc) ->
-      let cone =
-        match e.Mode.exc_through with
-        | grp :: _ -> Some (forward_cone w.w_marks ctx grp)
-        | [] -> (
-          match e.Mode.exc_from with
-          | None -> None
-          | Some pts ->
-            let pins =
+      match e.Mode.exc_to with
+      | Some pts when pins_only pts -> List.iter mark_pin (scope_pins pts)
+      | to_ ->
+        let cone =
+          match List.rev e.Mode.exc_through, e.Mode.exc_from with
+          | last :: _, _ -> Some (forward_cone w.w_marks ctx last)
+          | [], None -> None
+          | [], Some pts ->
+            let clock_pins =
               List.concat_map
                 (function
-                  | Mode.P_pin p -> [ p ]
-                  | Mode.P_inst inst ->
-                    Array.to_list (Design.inst_pins ctx.Context.design inst)
                   | Mode.P_clock c -> (
                     match Clock_prop.clock_index ctx.Context.clocks c with
                     | None -> []
@@ -307,65 +335,61 @@ let dirty_endpoints (ctx : Context.t) w delta =
                       List.filter_map
                         (fun (l : Tag.launch) ->
                           if l.launch_clock = ci then Some l.launch_pin else None)
-                        (Lazy.force launches)))
+                        (Lazy.force launches))
+                  | Mode.P_pin _ | Mode.P_inst _ -> [])
                 pts
             in
-            Some (forward_cone w.w_marks ctx pins))
-      in
-      let to_pred =
-        match e.Mode.exc_to with
-        | None -> None
-        | Some pts ->
-          Some
-            (fun ep ->
-              let aliases = Context.endpoint_alias_pins ctx ep in
+            Some (forward_cone w.w_marks ctx (scope_pins pts @ clock_pins))
+        in
+        let to_pred =
+          Option.map
+            (fun pts ep ->
+              let ep_pin = Tgraph.endpoint_pin ep in
               let captures =
                 lazy (Context.capture_clocks_of_endpoint ctx ep)
               in
               List.exists
                 (function
-                  | Mode.P_pin p -> List.mem p aliases
-                  | Mode.P_inst inst ->
-                    List.exists
-                      (fun p ->
-                        match Design.pin_owner ctx.Context.design p with
-                        | Design.Inst_pin (i, _) -> i = inst
-                        | Design.Port_pin _ -> false)
-                      aliases
+                  | Mode.P_pin p -> p = ep_pin
+                  | Mode.P_inst inst -> (
+                    match Design.pin_owner design ep_pin with
+                    | Design.Inst_pin (i, _) -> i = inst
+                    | Design.Port_pin _ -> false)
                   | Mode.P_clock c -> (
                     match Clock_prop.clock_index ctx.Context.clocks c with
                     | None -> false
                     | Some cj -> List.mem cj (Lazy.force captures)))
                 pts)
-      in
-      let consider i =
-        if not dirty.(i) then
-          match to_pred with
-          | None -> dirty.(i) <- true
-          | Some f -> if f eps.(i) then dirty.(i) <- true
-      in
-      match cone, to_pred with
-      | None, None -> Array.fill dirty 0 n_eps true
-      | None, Some _ -> Array.iteri (fun i _ -> consider i) eps
-      | Some c, _ ->
-        List.iter
-          (fun pin ->
-            let i = w.w_ep_pos.(pin) in
-            if i >= 0 then consider i)
-          (cone_pins c))
+            to_
+        in
+        let consider i =
+          if not dirty.(i) then
+            match to_pred with
+            | None -> dirty.(i) <- true
+            | Some f -> if f eps.(i) then dirty.(i) <- true
+        in
+        (match cone, to_pred with
+        | None, None -> Array.fill dirty 0 n_eps true
+        | None, Some _ -> Array.iteri (fun i _ -> consider i) eps
+        | Some c, _ ->
+          List.iter
+            (fun pin ->
+              let i = w.w_ep_pos.(pin) in
+              if i >= 0 then consider i)
+            (cone_pins c)))
     delta;
   dirty
 
-let endpoint_relations_cached cache (ctx : Context.t) =
+let endpoint_relations_cached cache (ctx : Context.t) value =
   let excs_now = ctx.Context.mode.Mode.exceptions in
   let es_now = Excmatch.edge_sensitive ctx.Context.excs in
-  let store rels =
+  let store vals recomputed =
     cache.ec_excs <- Some excs_now;
     cache.ec_edge_sensitive <- es_now;
-    cache.ec_rels <- rels;
-    Array.to_list rels
+    cache.ec_vals <- vals;
+    vals, recomputed
   in
-  let full () = store (Array.of_list (endpoint_relations ctx)) in
+  let full () = store (endpoint_map ctx value) None in
   match cache.ec_excs with
   | None -> full ()
   | Some _ when es_now <> cache.ec_edge_sensitive ->
@@ -375,41 +399,36 @@ let endpoint_relations_cached cache (ctx : Context.t) =
   | Some cached_excs -> (
     match strip_prefix cached_excs excs_now with
     | None -> full ()
-    | Some [] -> Array.to_list cache.ec_rels
+    | Some [] -> cache.ec_vals, Some []
     | Some delta ->
       let w = ep_walk cache ctx in
       let eps = w.w_eps in
-      if Array.length eps <> Array.length cache.ec_rels then full ()
+      if Array.length eps <> Array.length cache.ec_vals then full ()
       else
-        let dirty = dirty_endpoints ctx w delta in
         Mm_util.Obs.with_span "sta.incremental_reuse"
-          ~attrs:
+          ~attrs:[ "what", "endpoint-relations" ]
+          ~result_attrs:(fun (_, recomputed) ->
             [
-              "what", "endpoint-relations";
               ( "dirty",
                 string_of_int
-                  (Array.fold_left
-                     (fun acc d -> if d then acc + 1 else acc)
-                     0 dirty) );
-            ]
+                  (List.length (Option.value ~default:[] recomputed)) );
+            ])
         @@ fun () ->
-        if not (Array.exists Fun.id dirty) then store (Array.copy cache.ec_rels)
+        let dirty = dirty_endpoints ctx w delta in
+        let positions = ref [] in
+        for i = Array.length eps - 1 downto 0 do
+          if dirty.(i) then positions := i :: !positions
+        done;
+        if !positions = [] then store cache.ec_vals (Some [])
         else begin
-          let dirty_pins = ref [] in
-          Array.iteri
-            (fun i ep ->
-              if dirty.(i) then
-                dirty_pins := Tgraph.endpoint_pin ep :: !dirty_pins)
-            eps;
-          let cone = backward_cone w.w_marks ctx !dirty_pins in
+          let cone =
+            backward_cone w.w_marks ctx
+              (List.map (fun i -> Tgraph.endpoint_pin eps.(i)) !positions)
+          in
           let tags =
             propagate ctx ~seeds:(Tag.all_launches ctx) ~cone ~scratch:w.w_tags ()
           in
-          store
-            (Array.mapi
-               (fun i ep ->
-                 if dirty.(i) then
-                   Tgraph.endpoint_pin ep, relations_at ctx tags ep
-                 else cache.ec_rels.(i))
-               eps)
+          let vals = Array.copy cache.ec_vals in
+          List.iter (fun i -> vals.(i) <- value tags eps.(i)) !positions;
+          store vals (Some !positions)
         end)

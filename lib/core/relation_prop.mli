@@ -94,35 +94,71 @@ val propagate_raw :
 (** Propagate pre-formed (clock, state) tags from the given pins —
     the second hop of pass-3 "paths through pin t" queries. *)
 
+val fold_relations :
+  Mm_timing.Context.t ->
+  tagsets ->
+  Mm_timing.Tgraph.endpoint ->
+  (int ->
+  int ->
+  Mm_sdc.Mode.edge_sel ->
+  Mm_timing.Constraint_state.t ->
+  Mm_timing.Constraint_state.t ->
+  'a ->
+  'a) ->
+  'a ->
+  'a
+(** Fold over the timing relationships at an endpoint, one per (tag,
+    capture clock) combination, skipping exclusive clock pairs, as
+    (launch clock index, capture clock index, data polarity, setup
+    state, hold state). Repeats are possible; no order is promised. *)
+
 val relations_at :
   Mm_timing.Context.t -> tagsets -> Mm_timing.Tgraph.endpoint -> Relation.t list
-(** Convert the tags at an endpoint into timing relationships, one per
-    (tag, capture clock) combination, skipping exclusive clock pairs. *)
+(** {!fold_relations} as a normalized relation list. *)
+
+val endpoint_map :
+  Mm_timing.Context.t ->
+  (tagsets -> Mm_timing.Tgraph.endpoint -> 'a) ->
+  'a array
+(** Propagate every launch of the design under this context's mode and
+    read each endpoint's tags with the given function, in graph
+    endpoint order. *)
 
 val endpoint_relations :
   Mm_timing.Context.t -> (Mm_netlist.Design.pin_id * Relation.t list) list
 (** Pass-1 input: relations at every endpoint of the design under this
     context's mode, keyed by endpoint pin, in graph endpoint order. *)
 
-type ep_cache
+type 'a ep_cache
 (** Cache for {!endpoint_relations_cached}: remembers the exception
-    list and per-endpoint relations of the last call. *)
+    list and per-endpoint values of the last call. *)
 
-val create_ep_cache : unit -> ep_cache
+val create_ep_cache : unit -> 'a ep_cache
 
 val endpoint_relations_cached :
-  ep_cache ->
+  'a ep_cache ->
   Mm_timing.Context.t ->
-  (Mm_netlist.Design.pin_id * Relation.t list) list
-(** Like {!endpoint_relations}, but when the context's exception list
-    extends the cached one (the refinement-loop pattern — iterations
-    only append exceptions to an otherwise identical mode), only the
-    endpoints inside the new exceptions' from/through/to scope are
-    re-propagated (restricted to their backward cone); the rest reuse
-    the cached lists. The cache owns the mark buffer those cones are
-    walked into. Falls back to a full recompute whenever the
-    prefix property does not hold. Results are identical to
-    {!endpoint_relations} either way. *)
+  (tagsets -> Mm_timing.Tgraph.endpoint -> 'a) ->
+  'a array * int list option
+(** Like {!endpoint_map}, plus the positions (in graph endpoint order,
+    ascending) of the endpoints this call recomputed; [None] when it
+    recomputed every endpoint. The value function must give the same
+    value on every call for the same tags at an endpoint.
+
+    When the context's exception list extends the cached one (the
+    refinement-loop pattern — iterations only append exceptions to an
+    otherwise identical mode), only the endpoints the new exceptions
+    can change are re-propagated, restricted to their backward cone;
+    the rest keep their cached values. An exception whose [-to] names
+    only pins and instances changes exactly the endpoints at those pins
+    and needs no walk ([Excmatch] tests [-to] pins only at the
+    endpoint's own pin). Any other exception changes the endpoints in
+    the forward cone of its last [-through] group, or without one of
+    its [-from] points, that match its [-to] points. The cache owns the
+    mark buffer those cones are walked into. Falls back to a full
+    recompute whenever the prefix property does not hold. Values are
+    those of {!endpoint_map} either way. The returned array is shared
+    with the cache: do not mutate it. *)
 
 val data_clock_masks : Mm_timing.Context.t -> int array
 (** Per pin, the bitmask of launch clocks whose data can reach it —

@@ -90,7 +90,7 @@ let gc_totals () =
 let record_gc_metrics () =
   List.iter (fun (k, v) -> Metrics.set k v) (gc_totals ())
 
-let with_span ?(attrs = []) name f =
+let with_span ?(attrs = []) ?result_attrs name f =
   if not (Atomic.get on) then f ()
   else begin
     let stack = Domain.DLS.get stack_key in
@@ -100,7 +100,7 @@ let with_span ?(attrs = []) name f =
     in
     stack := (id, depth) :: !stack;
     let g0 = if Atomic.get gc_on then Some (Gc.quick_stat ()) else None in
-    let t0 = Clock.now_ns () in
+    let t0 = Clock.now_ns () and extra = ref [] in
     Fun.protect
       ~finally:(fun () ->
         let dur = Int64.sub (Clock.now_ns ()) t0 in
@@ -133,12 +133,15 @@ let with_span ?(attrs = []) name f =
             sp_depth = depth;
             sp_tid = (Domain.self () :> int);
             sp_name = name;
-            sp_attrs = attrs;
+            sp_attrs = attrs @ !extra;
             sp_start_ns = t0;
             sp_dur_ns = dur;
             sp_gc = gc;
           })
-      f
+      (fun () ->
+        let r = f () in
+        Option.iter (fun g -> extra := g r) result_attrs;
+        r)
   end
 
 (* Cross-domain span context: the innermost open frame of the capturing

@@ -84,10 +84,16 @@ type span = {
   sp_gc : gc_delta option;  (** present iff GC telemetry was enabled *)
 }
 
-val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
+val with_span :
+  ?attrs:(string * string) list ->
+  ?result_attrs:('a -> (string * string) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
 (** [with_span name f] runs [f] inside a span. The span is recorded
-    even when [f] raises. When recording is disabled this is just
-    [f ()]. *)
+    even when [f] raises. [result_attrs] adds attributes read off
+    [f]'s result, after [attrs] (none when [f] raises). When recording
+    is disabled this is just [f ()]. *)
 
 (** {2 Cross-domain span context}
 

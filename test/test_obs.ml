@@ -8,6 +8,7 @@ module Metrics = Mm_util.Metrics
 module Pc = Mm_workload.Paper_circuit
 module Merge_flow = Mm_core.Merge_flow
 module Sta = Mm_timing.Sta
+module Presets = Mm_workload.Presets
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -63,19 +64,40 @@ let span_cases =
     tc "attrs preserved" (fun () ->
         fresh ();
         Obs.with_span ~attrs:[ "mode", "func" ] "s" (fun () -> ());
+        let n =
+          Obs.with_span ~attrs:[ "what", "x" ]
+            ~result_attrs:(fun n -> [ "n", string_of_int n ])
+            "r"
+            (fun () -> 3)
+        in
         Obs.set_enabled false;
-        let s = List.hd (Obs.spans ()) in
-        check
-          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
-          "attrs" [ "mode", "func" ] s.Obs.sp_attrs);
+        check Alcotest.int "result passed through" 3 n;
+        let attrs name =
+          (List.find (fun s -> s.Obs.sp_name = name) (Obs.spans ()))
+            .Obs.sp_attrs
+        in
+        let pairs =
+          Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)
+        in
+        check pairs "attrs" [ "mode", "func" ] (attrs "s");
+        check pairs "result attrs follow attrs" [ "what", "x"; "n", "3" ]
+          (attrs "r"));
     tc "span recorded on exception" (fun () ->
         fresh ();
-        (try Obs.with_span "boom" (fun () -> failwith "x")
+        (try
+           Obs.with_span ~attrs:[ "a", "1" ]
+             ~result_attrs:(fun () -> [ "never", "" ])
+             "boom"
+             (fun () -> failwith "x")
          with Failure _ -> ());
         Obs.set_enabled false;
         check
           (Alcotest.list Alcotest.string)
-          "recorded" [ "boom" ] (span_names ()));
+          "recorded" [ "boom" ] (span_names ());
+        check
+          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+          "no result attrs" [ "a", "1" ]
+          (List.hd (Obs.spans ())).Obs.sp_attrs);
     tc "timed measures even when disabled" (fun () ->
         Obs.reset ();
         Obs.set_enabled false;
@@ -420,6 +442,56 @@ let integration_cases =
         check Alcotest.int "flow at depth 0" 0 flow.Obs.sp_depth;
         check Alcotest.bool "runtime from the same clock" true
           (r.Merge_flow.runtime_s > 0.));
+    tc "pass 1 reports the endpoints it re-judged" (fun () ->
+        (* Each refinement's first pass judges every endpoint; a later
+           pass judges only the dirty ones counted by its
+           sta.incremental_reuse child, which covers the dirty scan. *)
+        fresh ();
+        let design, _, modes = Presets.build Presets.design_f in
+        ignore (Merge_flow.run ~jobs:1 modes);
+        Obs.set_enabled false;
+        let spans = Obs.spans () in
+        let n_eps =
+          List.length
+            (Mm_timing.Tgraph.endpoint_pins (Mm_timing.Tgraph.skeleton design))
+        in
+        let attr k (s : Obs.span) = List.assoc_opt k s.Obs.sp_attrs in
+        let dirty_child (p : Obs.span) =
+          List.find_map
+            (fun (s : Obs.span) ->
+              if
+                s.Obs.sp_parent = p.Obs.sp_id
+                && attr "what" s = Some "endpoint-relations"
+              then Option.map int_of_string (attr "dirty" s)
+              else None)
+            spans
+        in
+        let passes =
+          List.filter_map
+            (fun (s : Obs.span) ->
+              if s.Obs.sp_name = "compare.pass1" then
+                Some
+                  ( int_of_string (Option.get (attr "rejudged" s)),
+                    dirty_child s )
+              else None)
+            spans
+        in
+        let count p l = List.length (List.filter p l) in
+        check Alcotest.int "one full pass per refinement"
+          (count (fun n -> n = "merge.refine") (span_names ()))
+          (count (fun (r, d) -> r = n_eps && d = None) passes);
+        List.iter
+          (fun (r, d) ->
+            match d with
+            | Some d -> check Alcotest.int "re-judged = dirty" d r
+            | None ->
+              check Alcotest.bool "full or empty pass" true
+                (r = n_eps || r = 0))
+          passes;
+        check Alcotest.bool "a later pass re-judged a few endpoints" true
+          (List.exists
+             (fun (r, d) -> d <> None && r > 0 && r * 10 < n_eps)
+             passes));
     tc "the equivalence verdict runs no second comparison" (fun () ->
         (* The verdict is read from refinement's final comparison; a
            compare pass under merge.equiv means it is computed again. *)

@@ -16,10 +16,13 @@
      at jobs=1 and jobs=4;
    - incremental endpoint-relation re-propagation (the refinement-loop
      cache) equals a from-scratch recompute on randomized
-     growing-exception families;
-   - the refinement compare cache (side tables, incremental pass 1,
-     pass-2 memo) equals a cold comparison on the same families, and on
-     presets B-F refinement's final comparison and each group's
+     growing-exception families, and its dirty set holds every endpoint
+     whose relations an append changed;
+   - the refinement compare cache (side sets, incremental pass 1 and
+     its per-endpoint judgements, pass-2 memo) equals a cold comparison
+     on the same families, whose pass-1 buckets match the relation
+     lists they are read from, and on
+     presets A-F refinement's final comparison and each group's
      equivalence verdict equal a from-scratch [Compare.run] /
      [Equiv.check];
    - cones walked into a reused mark buffer (backward from endpoints,
@@ -343,76 +346,170 @@ let cone_cases =
                  true)));
     ]
 
-(* One random exception over [ctx]'s clocks and endpoints (false path
-   or multicycle, scoped by a random mix of -from clock / -through pin
-   / -to endpoint) — the shape of exception the refinement loop
-   appends. *)
+(* One random exception over [ctx]'s clocks and pins (false path or
+   multicycle, on setup, hold or both) — the shapes the refinement loop
+   appends and the scopes the pass-1 dirty set reads: -from a clock;
+   -to an endpoint pin, the
+   instance owning one, a clock, an endpoint pin and a clock, or a pin
+   that is no endpoint; none, one or two -through groups, the second
+   downstream of the first. *)
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
 let random_exc st (ctx : Context.t) =
   let design = ctx.Context.design in
-  let eps = Array.of_list (Tgraph.endpoint_pins ctx.Context.graph) in
-  let n_clocks = Clock_prop.n_clocks ctx.Context.clocks in
+  let g = ctx.Context.graph in
+  let eps = Array.of_list (Tgraph.endpoint_pins g) in
+  let n_pins = Design.n_pins design in
+  let clock () =
+    Mode.P_clock
+      (Clock_prop.clock_name ctx.Context.clocks
+         (Random.State.int st (Clock_prop.n_clocks ctx.Context.clocks)))
+  in
+  let ep_pin () = eps.(Random.State.int st (Array.length eps)) in
+  let any_pin () = Random.State.int st n_pins in
   let kind =
     if Random.State.bool st then Mode.False_path
     else
       Mode.Multicycle
         { mult = 1 + Random.State.int st 2; start = Random.State.bool st }
   in
-  let from_ =
-    if Random.State.int st 3 = 0 then None
-    else
-      Some
-        [
-          Mode.P_clock
-            (Clock_prop.clock_name ctx.Context.clocks
-               (Random.State.int st n_clocks));
-        ]
-  in
+  let from_ = if Random.State.int st 3 = 0 then None else Some [ clock () ] in
   let to_ =
-    if Random.State.int st 3 = 0 then None
-    else Some [ Mode.P_pin eps.(Random.State.int st (Array.length eps)) ]
+    match Random.State.int st 8 with
+    | 0 | 1 -> None
+    | 2 | 3 -> Some [ Mode.P_pin (ep_pin ()) ]
+    | 4 -> (
+      match Design.pin_owner design (ep_pin ()) with
+      | Design.Inst_pin (inst, _) -> Some [ Mode.P_inst inst ]
+      | Design.Port_pin _ ->
+        Some [ Mode.P_inst (Random.State.int st (Design.n_insts design)) ])
+    | 5 -> Some [ clock () ]
+    | 6 -> Some [ Mode.P_pin (ep_pin ()); clock () ]
+    | _ -> (
+      match
+        List.filter (fun p -> not (Array.mem p eps)) (List.init n_pins Fun.id)
+      with
+      | [] -> None
+      | others -> Some [ Mode.P_pin (pick st others) ])
   in
   let through =
-    if Random.State.int st 2 = 0 then []
-    else [ [ Random.State.int st (Design.n_pins design) ] ]
+    match Random.State.int st 4 with
+    | 0 | 1 -> []
+    | 2 -> [ [ any_pin () ] ]
+    | _ ->
+      let first = any_pin () in
+      let downstream =
+        Relation_prop.cone_pins
+          (Relation_prop.forward_cone
+             (Relation_prop.create_marks g)
+             ctx [ first ])
+      in
+      [ [ first ]; [ pick st downstream ] ]
   in
-  Mode.exc ?from_ ?to_ ~through kind
+  let setup, hold =
+    match Random.State.int st 4 with
+    | 0 -> true, false
+    | 1 -> false, true
+    | _ -> true, true
+  in
+  Mode.exc ~setup ~hold ?from_ ?to_ ~through kind
+
+(* Endpoints whose relations an appended exception changed, and steps
+   whose dirty set a -to of pins and instances alone bounded — evidence
+   that the dirty-set property below is not vacuous. *)
+let changed_endpoints = ref 0
+let scope_pin_steps = ref 0
 
 (* A growing-exception family over a generated design: each step
    appends one random exception, exactly the shape the refinement loop
-   feeds the pass-1 cache. *)
+   feeds the pass-1 cache. The incremental relations must equal a
+   from-scratch recompute; every endpoint whose from-scratch relations
+   changed must be among the recomputed ones; and an exception whose
+   -to names only pins and instances recomputes only endpoints at
+   those pins. *)
 let incremental_equals_scratch seed =
   let st = Random.State.make [| seed |] in
   let design, modes = random_family st seed in
   let m0 = List.hd modes in
   let ctx0 = Context.create design m0 in
   let cache = Relation_prop.create_ep_cache () in
-  let rec steps mode k =
-    let scratch = Relation_prop.endpoint_relations (Context.create design mode) in
-    let incr =
-      Relation_prop.endpoint_relations_cached cache
-        (Context.with_exceptions ctx0 mode)
+  let rec steps mode appended previous k =
+    let scratch =
+      Array.of_list
+        (Relation_prop.endpoint_relations (Context.create design mode))
     in
-    if scratch <> incr then
+    let ctx = Context.with_exceptions ctx0 mode in
+    let cached, recomputed =
+      Relation_prop.endpoint_relations_cached cache ctx (fun tags ep ->
+          Tgraph.endpoint_pin ep, Relation_prop.relations_at ctx tags ep)
+    in
+    (match previous, recomputed with
+    | None, _ | _, None -> ()
+    | Some previous, Some positions ->
+      Array.iteri
+        (fun i (ep, rels) ->
+          if rels <> snd previous.(i) then begin
+            incr changed_endpoints;
+            if not (List.mem i positions) then
+              QCheck2.Test.fail_reportf
+                "seed %d, step %d: endpoint pin %d changed but is not in \
+                 the dirty set"
+                seed k ep
+          end)
+        scratch;
+      match appended with
+      | Some { Mode.exc_to = Some pts; _ }
+        when List.for_all
+               (function
+                 | Mode.P_clock _ -> false
+                 | Mode.P_pin _ | Mode.P_inst _ -> true)
+               pts ->
+        incr scope_pin_steps;
+        let scope =
+          List.concat_map
+            (function
+              | Mode.P_pin p -> [ p ]
+              | Mode.P_inst inst -> Array.to_list (Design.inst_pins design inst)
+              | Mode.P_clock _ -> [])
+            pts
+        in
+        List.iter
+          (fun i ->
+            if not (List.mem (fst scratch.(i)) scope) then
+              QCheck2.Test.fail_reportf
+                "seed %d, step %d: a -to of pins dirtied endpoint pin %d \
+                 outside its scope"
+                seed k (fst scratch.(i)))
+          positions
+      | _ -> ());
+    if scratch <> cached then
       QCheck2.Test.fail_reportf
         "seed %d, step %d: incremental endpoint relations diverge from \
          scratch recompute"
         seed k;
     k >= 4
     ||
-    let mode' =
-      { mode with Mode.exceptions = mode.Mode.exceptions @ [ random_exc st ctx0 ] }
-    in
-    steps mode' (k + 1)
+    let exc = random_exc st ctx0 in
+    steps
+      { mode with Mode.exceptions = mode.Mode.exceptions @ [ exc ] }
+      (Some exc) (Some scratch) (k + 1)
   in
-  steps m0 0
+  steps m0 None None 0
 
 let incremental_prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make
-       ~name:"incremental endpoint relations equal from-scratch recompute"
-       ~count:12
-       QCheck2.Gen.(int_range 0 10000)
-       incremental_equals_scratch)
+  tc "incremental endpoint relations equal from-scratch recompute" (fun () ->
+      changed_endpoints := 0;
+      scope_pin_steps := 0;
+      QCheck2.Test.check_exn
+        (QCheck2.Test.make
+           ~name:"incremental endpoint relations equal from-scratch recompute"
+           ~count:12
+           QCheck2.Gen.(int_range 0 10000)
+           incremental_equals_scratch);
+      check Alcotest.bool "some appends change relations" true
+        (!changed_endpoints > 0);
+      check Alcotest.bool "some appends scope -to pins only" true
+        (!scope_pin_steps > 0))
 
 (* ------------------------------------------------------------------ *)
 (* The refinement compare cache equals a cold comparison               *)
@@ -421,6 +518,7 @@ module Compare = Mm_core.Compare
 module Equiv = Mm_core.Equiv
 module Prelim = Mm_core.Prelim
 module Refine = Mm_core.Refine
+module Relation = Mm_core.Relation
 
 (* The fields in which two comparisons differ, in declaration order. *)
 let compare_diff (a : Compare.result) (b : Compare.result) =
@@ -492,6 +590,83 @@ let random_cone_exc st (ctx : Context.t) =
     | _, 1 -> Mode.exc ~through:[ [ pick between ] ] ~to_ kind
     | _, _ -> Mode.exc ~from_ ~through:[ [ pick between ] ] ~to_ kind)
 
+(* The pass-1 rows of one endpoint read straight off the relation
+   lists: one bucket per (launch, capture, polarity) in key order,
+   polarity-blind relations split into both polarities when any side
+   is polarity-aware, the merged (setup, hold) pairs, and for an
+   ambiguous bucket the individual pairs flattened. *)
+let expected_pass1 ind_rels mrg_rels =
+  let sides = mrg_rels :: ind_rels in
+  let sensitive =
+    List.exists
+      (List.exists (fun (r : Relation.t) ->
+           r.Relation.data_edge <> Mode.Any_edge))
+      sides
+  in
+  let split (r : Relation.t) =
+    if sensitive && r.Relation.data_edge = Mode.Any_edge then
+      [
+        { r with Relation.data_edge = Mode.Rise_edge };
+        { r with Relation.data_edge = Mode.Fall_edge };
+      ]
+    else [ r ]
+  in
+  let sides = List.map (List.concat_map split) sides in
+  let key (r : Relation.t) =
+    r.Relation.launch, r.Relation.capture, r.Relation.data_edge
+  in
+  let pairs k rels =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (r : Relation.t) ->
+           if key r = k then
+             Some (r.Relation.setup_state, r.Relation.hold_state)
+           else None)
+         rels)
+  in
+  List.map
+    (fun k ->
+      k, pairs k (List.hd sides), pairs k (List.concat (List.tl sides)))
+    (List.sort_uniq compare (List.concat_map (List.map key) sides))
+
+let pass1_matches_relations ~sides ~merged (result : Compare.result) =
+  let ind_tables =
+    List.map
+      (fun (side : Compare.side) ->
+        List.map
+          (fun (ep, rels) ->
+            ep, List.map (Relation.rename side.Compare.rename) rels)
+          (Relation_prop.endpoint_relations side.Compare.ctx))
+      sides
+  in
+  let expected =
+    List.concat_map
+      (fun (ep, mrels) ->
+        let ind =
+          List.map
+            (fun t -> Option.value ~default:[] (List.assoc_opt ep t))
+            ind_tables
+        in
+        List.map (fun e -> ep, e) (expected_pass1 ind mrels))
+      (Relation_prop.endpoint_relations merged)
+  in
+  let actual =
+    List.map
+      (fun (r : Compare.pass1_row) ->
+        let b = r.Compare.p1_bucket in
+        ( r.Compare.p1_ep,
+          ( (b.Compare.bk_launch, b.Compare.bk_capture, b.Compare.bk_edge),
+            b.Compare.bk_mrg,
+            if b.Compare.bk_verdict = Compare.Ambiguous then b.Compare.bk_ind
+            else [] ) ))
+      result.Compare.pass1
+  in
+  List.length expected = List.length actual
+  && List.for_all2
+       (fun (ep, (k, mrg, ind)) (ep', (k', mrg', ind')) ->
+         ep = ep' && k = k' && mrg = mrg' && (ind' = [] || ind = ind'))
+       expected actual
+
 (* Steps at which the comparison reached pass 2 / pass 3 — evidence
    that the property exercises the pass-2 memo, not just pass 1. *)
 let pass2_steps = ref 0
@@ -531,6 +706,13 @@ let cached_compare_equals_cold seed =
       QCheck2.Test.fail_reportf
         "seed %d, step %d: cached compare differs from cold in %s" seed k
         (String.concat ", " fields));
+    if
+      not
+        (pass1_matches_relations ~sides ~merged:(Context.create design mode)
+           cold)
+    then
+      QCheck2.Test.fail_reportf
+        "seed %d, step %d: pass-1 rows differ from the relation lists" seed k;
     if cold.Compare.pass2 <> [] then incr pass2_steps;
     if cold.Compare.pass3 <> [] then incr pass3_steps;
     k >= 8
@@ -599,16 +781,13 @@ let final_compare_is_cold (p : Presets.preset) () =
 
 let compare_cache_cases =
   compare_cache_prop
-  :: List.filter_map
+  :: List.map
        (fun (p : Presets.preset) ->
-         if p.Presets.pr_name = "A" then None
-         else
-           Some
-             (tc
-                (Printf.sprintf
-                   "preset %s: final compare and verdict equal a cold check"
-                   p.Presets.pr_name)
-                (final_compare_is_cold p)))
+         tc
+           (Printf.sprintf
+              "preset %s: final compare and verdict equal a cold check"
+              p.Presets.pr_name)
+           (final_compare_is_cold p))
        Presets.all
 
 (* ------------------------------------------------------------------ *)
@@ -649,8 +828,6 @@ let consts_mismatch (sparse : Const_prop.t) (dense : Const_prop.t) =
     | None ->
       first "pin_disabled" Bool.equal string_of_bool
         sparse.Const_prop.pin_disabled dense.Const_prop.pin_disabled)
-
-let pick st l = List.nth l (Random.State.int st (List.length l))
 
 (* Tie cells feeding fresh gates whose other input joins an existing
    driven net, each followed by an inverter: tie constants flow into
