@@ -333,11 +333,17 @@ let jobs_arg =
     "Number of worker domains for the parallel pipeline stages (mode \
      loading, mergeability checks, per-clique merges, STA sweeps). \
      Defaults to $(b,MM_JOBS) or the hardware's recommended domain \
-     count; 1 runs fully sequentially. Results are identical for any \
-     value."
+     count; 1 runs fully sequentially. A value above the recommended \
+     domain count, here or in $(b,MM_JOBS), is lowered to it: more \
+     workers than hardware threads only slow the run. Results are \
+     identical for any value."
   in
-  Arg.(
-    value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Term.(
+    const (Option.map Mm_util.Pool.clamp_jobs)
+    $ Arg.(
+        value
+        & opt (some positive_int) None
+        & info [ "j"; "jobs" ] ~docv:"N" ~doc))
 
 let policy_arg =
   let strict =

@@ -8,6 +8,7 @@ module Context = Mm_timing.Context
 module Ctx_cache = Mm_timing.Ctx_cache
 module Clock_prop = Mm_timing.Clock_prop
 module Tgraph = Mm_timing.Tgraph
+module Toler = Mm_util.Toler
 
 type pair_check = { mergeable : bool; reasons : string list }
 
@@ -52,30 +53,31 @@ let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
     individual;
   List.rev !reasons
 
+(* The pair check, and whether it ran the mock merge. Stage 1 compares
+   the two modes' conflict keys: value/tolerance conflicts and
+   non-uniquifiable exceptions reject the pair with no merge at all,
+   which settles most of the O(N^2) sweep over many modes. Stage 2
+   runs the full mock merge with clock refinement and the
+   clock-blocking soundness check. *)
+let check_keys ?(tolerance = Toler.default) ~ctx_cache ka kb =
+  let ctx_of = Ctx_cache.find ctx_cache in
+  match Conflict_key.conflicts ~tolerance ~ctx_of (Conflict_key.merge [ ka; kb ]) with
+  | _ :: _ as reasons -> { mergeable = false; reasons }, false
+  | [] ->
+    let pair = [ Conflict_key.mode ka; Conflict_key.mode kb ] in
+    let prelim =
+      Prelim.merge ~tolerance ~max_refine_iters:3 ~ctx_cache ~name:"__mock" pair
+    in
+    let reasons = blocked_clocks ctx_cache prelim pair in
+    { mergeable = reasons = []; reasons }, true
+
 let check_pair ?tolerance ?ctx_cache a b =
   let ctx_cache =
     match ctx_cache with Some c -> c | None -> Ctx_cache.create ()
   in
-  (* Stage 1: value/tolerance conflicts are detected without any graph
-     work (refinement disabled), which rejects most non-mergeable pairs
-     cheaply — important for the O(N^2) sweep over many modes. *)
-  let quick =
-    Prelim.merge ?tolerance ~max_refine_iters:0 ~ctx_cache ~name:"__mock" [ a; b ]
-  in
-  if quick.Prelim.conflicts <> [] then
-    { mergeable = false; reasons = quick.Prelim.conflicts }
-  else begin
-    (* Stage 2: full mock with clock refinement and the clock-blocking
-       soundness check. *)
-    let prelim =
-      Prelim.merge ?tolerance ~max_refine_iters:3 ~ctx_cache ~name:"__mock"
-        [ a; b ]
-    in
-    let reasons =
-      prelim.Prelim.conflicts @ blocked_clocks ctx_cache prelim [ a; b ]
-    in
-    { mergeable = reasons = []; reasons }
-  end
+  fst
+    (check_keys ?tolerance ~ctx_cache (Conflict_key.of_mode a)
+       (Conflict_key.of_mode b))
 
 type t = {
   mode_names : string array;
@@ -154,13 +156,10 @@ let exact_cliques ?(limit = 20) adjacency =
     List.map (List.sort compare) !best |> List.sort compare
   end
 
-let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
-    ?(govern = Govern.never) ?task_budget_s
-    ?(settle = fun ~scope:_ o -> Govern.value o) modes =
-  Obs.with_span
-    ~attrs:[ "modes", string_of_int (List.length modes) ]
-    "merge.mergeability"
-  @@ fun () ->
+(* The sweep, with the number of pairs the key compare rejected and
+   the number that ran the mock merge. *)
+let sweep ?tolerance ?ctx_cache ?pool ~strategy ~govern ?task_budget_s ~settle
+    modes =
   let ctx_cache =
     match ctx_cache with Some c -> c | None -> Ctx_cache.create ()
   in
@@ -174,22 +173,29 @@ let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
       pairs := (i, j) :: !pairs
     done
   done;
-  (* Build every individual context first, one task per mode, so pair
-     tasks on different workers never race to build the same one. A
-     build that fails here is left to the pair checks that need it,
-     which own the failure handling. *)
-  (match pool with
-  | Some pool when n >= 2 ->
-    ignore
-      (Pool.map_outcome pool ~govern
-         (fun m -> ignore (Ctx_cache.find (Ctx_cache.fork ctx_cache) m))
-         modes)
-  | Some _ | None -> ());
+  (* Build every individual context and conflict key first, one task
+     per mode, so pair tasks on different workers never race to build
+     the same context. A build that fails here is left to the pair
+     checks that need it, which own the failure handling. *)
+  let keys =
+    match pool with
+    | Some pool when n >= 2 ->
+      Pool.map_outcome pool ~govern
+        (fun m ->
+          ignore (Ctx_cache.find (Ctx_cache.fork ctx_cache) m);
+          Conflict_key.of_mode m)
+        modes
+      |> List.map (function Govern.Done k -> Some k | _ -> None)
+      |> Array.of_list
+    | Some _ | None -> Array.map (fun m -> Some (Conflict_key.of_mode m)) arr
+  in
+  let key i =
+    match keys.(i) with Some k -> k | None -> Conflict_key.of_mode arr.(i)
+  in
   (* Each pairwise check is an independent task: a forked cache handle
      keeps lookups lock-free after the first touch of each mode. *)
   let check_one (i, j) =
-    let ctx_cache = Ctx_cache.fork ctx_cache in
-    check_pair ?tolerance ~ctx_cache arr.(i) arr.(j)
+    check_keys ?tolerance ~ctx_cache:(Ctx_cache.fork ctx_cache) (key i) (key j)
   in
   let outcomes =
     match pool with
@@ -199,10 +205,17 @@ let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
   in
   (* Fold in pair order; the caller settles a check that did not
      complete, on this domain and in pair order. *)
-  let resolve (i, j) = function
-    | Govern.Done c -> c
-    | o ->
+  let key_rejected = ref 0 and mock_merged = ref 0 in
+  let resolve (i, j) outcome =
+    let settled o =
       settle ~scope:(arr.(i).Mode.mode_name ^ "+" ^ arr.(j).Mode.mode_name) o
+    in
+    match outcome with
+    | Govern.Done (c, mocked) ->
+      incr (if mocked then mock_merged else key_rejected);
+      c
+    | Govern.Interrupted r -> settled (Govern.Interrupted r)
+    | Govern.Crashed c -> settled (Govern.Crashed c)
   in
   List.iter2
     (fun (i, j) outcome ->
@@ -218,12 +231,32 @@ let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
     | Greedy -> greedy_cliques adjacency
     | Exact -> exact_cliques adjacency
   in
-  {
-    mode_names = Array.map (fun (m : Mode.t) -> m.Mode.mode_name) arr;
-    adjacency;
-    cliques;
-    pair_reasons;
-  }
+  ( {
+      mode_names = Array.map (fun (m : Mode.t) -> m.Mode.mode_name) arr;
+      adjacency;
+      cliques;
+      pair_reasons;
+    },
+    !key_rejected,
+    !mock_merged )
+
+let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
+    ?(govern = Govern.never) ?task_budget_s
+    ?(settle = fun ~scope:_ o -> Govern.value o) modes =
+  let t, _, _ =
+    Obs.with_span
+      ~attrs:[ "modes", string_of_int (List.length modes) ]
+      ~result_attrs:(fun (_, key_rejected, mock_merged) ->
+        [
+          "key_rejected", string_of_int key_rejected;
+          "mock_merged", string_of_int mock_merged;
+        ])
+      "merge.mergeability"
+      (fun () ->
+        sweep ?tolerance ?ctx_cache ?pool ~strategy ~govern ?task_budget_s
+          ~settle modes)
+  in
+  t
 
 let clique_modes t modes =
   let arr = Array.of_list modes in

@@ -1,20 +1,22 @@
 (** Mergeability analysis (paper section 3, Figure 2).
 
-    A mock run of preliminary mode merging decides whether two modes
-    can merge: tolerance/value conflicts veto the pair, and so does
-    clock blocking — a register clock live in one mode that the merged
-    mode's clock refinement would sever. Mergeable pairs form the edges
+    Two modes can merge unless a conflict vetoes the pair: attribute or
+    drive/load values beyond tolerance, or a mode-local relaxation that
+    cannot be uniquified ({!Conflict_key.conflicts}, read off the two
+    modes' conflict keys) — or clock blocking, a register clock live in
+    one mode that a mock run of preliminary merging with clock
+    refinement would sever. Mergeable pairs form the edges
     of the mergeability graph; maximal sets of mutually mergeable modes
     are found with a greedy clique cover (the paper uses a greedy
     algorithm "as the number of modes is small"). *)
 
 type pair_check = { mergeable : bool; reasons : string list }
 
-(** Stage 1 merges with refinement disabled and vetoes on conflicts;
-    stage 2 runs the full mock merge and the clock-blocking check on
-    the merged context the mock merge hands back
-    ({!Prelim.t.merged_ctx}), building one only when clock refinement
-    did not converge. *)
+(** Stage 1 compares the two modes' conflict keys and vetoes on
+    conflicts, with no merge; stage 2 runs the full mock merge and the
+    clock-blocking check on the merged context the mock merge hands
+    back ({!Prelim.t.merged_ctx}), building one only when clock
+    refinement did not converge. *)
 val check_pair :
   ?tolerance:Mm_util.Toler.t ->
   ?ctx_cache:Mm_timing.Ctx_cache.t ->
@@ -58,9 +60,12 @@ val analyze :
     an independent task over a {!Mm_timing.Ctx_cache.fork} of
     [ctx_cache]; results are folded in pair order, so the analysis is
     identical with and without a pool. Before the pair tasks, one pool
-    batch builds every mode's individual context into [ctx_cache] (one
-    task per mode), so no two workers build the same context; a build
-    that fails there is left to the pair checks that need it.
+    batch builds every mode's individual context into [ctx_cache] and
+    its {!Conflict_key.t} (one task per mode), so no two workers build
+    the same context; a build that fails there is left to the pair
+    checks that need it. The [merge.mergeability] span carries
+    [key_rejected] (pairs vetoed by the key compare) and [mock_merged]
+    (pairs that ran the mock merge) as result attributes.
 
     The sweep runs under [govern] (with an optional per-pair
     [task_budget_s]). The analysis owns no degradation policy: a pair

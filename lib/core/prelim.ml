@@ -32,106 +32,52 @@ let rename_of t mode_name clock =
 (* ------------------------------------------------------------------ *)
 (* 3.1.1 Union of clocks                                               *)
 
-let union_clocks modes =
+let union_clocks keys =
   let clock_map = Hashtbl.create 32 in
-  let merged_clocks = ref [] in (* reversed *)
-  let by_key = Hashtbl.create 32 in
-  let name_taken name =
-    List.exists (fun c -> String.equal c.Mode.clk_name name) !merged_clocks
-  in
-  let unique_name base =
-    if not (name_taken base) then base
-    else begin
-      let rec go i =
-        let cand = Printf.sprintf "%s_%d" base i in
-        if name_taken cand then go (i + 1) else cand
-      in
-      go 1
-    end
-  in
   List.iter
-    (fun (m : Mode.t) ->
+    (fun mb ->
+      let mode_name = (Conflict_key.member_mode mb).Mode.mode_name in
       List.iter
-        (fun (c : Mode.clock) ->
-          let key = Mode.clock_key c in
-          match Hashtbl.find_opt by_key key with
-          | Some merged_name ->
-            Hashtbl.replace clock_map (m.Mode.mode_name, c.Mode.clk_name) merged_name
-          | None ->
-            let name = unique_name c.Mode.clk_name in
-            let c' = { c with Mode.clk_name = name } in
-            merged_clocks := c' :: !merged_clocks;
-            Hashtbl.replace by_key key name;
-            Hashtbl.replace clock_map (m.Mode.mode_name, c.Mode.clk_name) name)
-        m.Mode.clocks)
-    modes;
-  List.rev !merged_clocks, clock_map
+        (fun (ck, (c : Mode.clock)) ->
+          Hashtbl.replace clock_map (mode_name, c.Mode.clk_name)
+            (Conflict_key.merged_name keys ck))
+        (Conflict_key.member_clocks mb))
+    (Conflict_key.members keys);
+  List.map snd (Conflict_key.merged_clocks keys), clock_map
 
 (* ------------------------------------------------------------------ *)
 (* 3.1.2 Clock attributes with tolerance                               *)
 
-let merge_attr_field ~tolerance ~is_min conflicts what values =
-  (* [values]: the per-mode Some/None settings for one attribute of one
-     merged clock. Modes without the attribute contribute None, which
-     merges as "unconstrained" (the field stays only if all modes that
-     set it agree within tolerance; min/max conservative combination). *)
-  let set = List.filter_map Fun.id values in
-  match set with
-  | [] -> None
-  | v0 :: rest ->
-    List.iter
-      (fun v ->
-        if not (Toler.within tolerance v0 v) then
-          conflicts :=
-            Printf.sprintf "%s: values %g and %g beyond tolerance" what v0 v
-            :: !conflicts)
-      rest;
-    Some
-      (List.fold_left
-         (if is_min then Toler.merge_min else Toler.merge_max)
-         v0 rest)
-
-let merge_attrs ~tolerance conflicts modes clock_map merged_clocks =
+(* The values of a merged clock's attribute merge conservatively: min
+   of mins, max of maxs. A mode without the attribute leaves it
+   unconstrained; {!Conflict_key.conflicts} vetoes values beyond
+   tolerance. *)
+let merge_attrs keys =
   List.map
-    (fun (mc : Mode.clock) ->
-      let contributions =
-        List.concat_map
-          (fun (m : Mode.t) ->
-            List.filter_map
-              (fun (c : Mode.clock) ->
-                match Hashtbl.find_opt clock_map (m.Mode.mode_name, c.Mode.clk_name) with
-                | Some name when String.equal name mc.Mode.clk_name ->
-                  Some (Mode.attr_of_clock m c.Mode.clk_name)
-                | Some _ | None -> None)
-              m.Mode.clocks)
-          modes
-      in
-      let field ~is_min what get =
-        merge_attr_field ~tolerance ~is_min conflicts
-          (Printf.sprintf "clock %s %s" mc.Mode.clk_name what)
-          (List.map get contributions)
+    (fun (ck, (mc : Mode.clock)) ->
+      let contributions = Conflict_key.attr_contributions keys ck in
+      let field ~is_min get =
+        match List.filter_map get contributions with
+        | [] -> None
+        | v0 :: rest ->
+          Some
+            (List.fold_left
+               (if is_min then Toler.merge_min else Toler.merge_max)
+               v0 rest)
       in
       ( mc.Mode.clk_name,
         {
-          Mode.src_latency_min =
-            field ~is_min:true "source latency min" (fun a -> a.Mode.src_latency_min);
-          src_latency_max =
-            field ~is_min:false "source latency max" (fun a -> a.Mode.src_latency_max);
-          net_latency_min =
-            field ~is_min:true "network latency min" (fun a -> a.Mode.net_latency_min);
-          net_latency_max =
-            field ~is_min:false "network latency max" (fun a -> a.Mode.net_latency_max);
-          uncertainty_setup =
-            field ~is_min:false "setup uncertainty" (fun a -> a.Mode.uncertainty_setup);
-          uncertainty_hold =
-            field ~is_min:false "hold uncertainty" (fun a -> a.Mode.uncertainty_hold);
-          transition_min =
-            field ~is_min:true "transition min" (fun a -> a.Mode.transition_min);
-          transition_max =
-            field ~is_min:false "transition max" (fun a -> a.Mode.transition_max);
+          Mode.src_latency_min = field ~is_min:true (fun a -> a.Mode.src_latency_min);
+          src_latency_max = field ~is_min:false (fun a -> a.Mode.src_latency_max);
+          net_latency_min = field ~is_min:true (fun a -> a.Mode.net_latency_min);
+          net_latency_max = field ~is_min:false (fun a -> a.Mode.net_latency_max);
+          uncertainty_setup = field ~is_min:false (fun a -> a.Mode.uncertainty_setup);
+          uncertainty_hold = field ~is_min:false (fun a -> a.Mode.uncertainty_hold);
+          transition_min = field ~is_min:true (fun a -> a.Mode.transition_min);
+          transition_max = field ~is_min:false (fun a -> a.Mode.transition_max);
           propagated = List.exists (fun a -> a.Mode.propagated) contributions;
         } ))
-    merged_clocks
+    (Conflict_key.merged_clocks keys)
 
 (* ------------------------------------------------------------------ *)
 (* 3.1.3 Union of external delays                                      *)
@@ -224,49 +170,16 @@ let intersect_disables modes =
 (* ------------------------------------------------------------------ *)
 (* 3.1.6 Drive and load constraints                                    *)
 
-let merge_envs ~tolerance conflicts modes =
-  let design_name pin (m : Mode.t) = Design.pin_name m.Mode.design pin in
-  let keys =
-    List.concat_map
-      (fun (m : Mode.t) ->
-        List.map (fun (e : Mode.env_constraint) -> e.Mode.envc_kind, e.Mode.envc_pin, e.Mode.envc_minmax) m.Mode.envs)
-      modes
-    |> List.sort_uniq compare
-  in
+(* The merged value per (kind, pin, minmax) is the maximum;
+   {!Conflict_key.conflicts} vetoes a missing or out-of-tolerance one. *)
+let merge_envs keys =
   List.filter_map
-    (fun (kind, pin, minmax) ->
-      let values =
-        List.map
-          (fun (m : Mode.t) ->
-            ( m,
-              List.filter_map
-                (fun (e : Mode.env_constraint) ->
-                  if e.Mode.envc_kind = kind && e.Mode.envc_pin = pin
-                     && e.Mode.envc_minmax = minmax
-                  then Some e.Mode.envc_value
-                  else None)
-                m.Mode.envs ))
-          modes
-      in
-      let present = List.concat_map snd values in
-      (match present, values with
-      | v0 :: _, (m0, _) :: _ ->
-        if List.exists (fun (_, vs) -> vs = []) values then
-          conflicts :=
-            Printf.sprintf "environment constraint on %s missing in some modes"
-              (design_name pin m0)
-            :: !conflicts;
-        List.iter
-          (fun v ->
-            if not (Toler.within tolerance v0 v) then
-              conflicts :=
-                Printf.sprintf
-                  "environment constraint on %s: %g vs %g beyond tolerance"
-                  (design_name pin m0) v0 v
-                :: !conflicts)
-          present
-      | _ -> ());
-      match present with
+    (fun ((kind, pin, minmax) as ek) ->
+      match
+        List.concat_map
+          (fun mb -> Conflict_key.env_values mb ek)
+          (Conflict_key.members keys)
+      with
       | [] -> None
       | v0 :: rest ->
         Some
@@ -276,7 +189,7 @@ let merge_envs ~tolerance conflicts modes =
             envc_minmax = minmax;
             envc_value = List.fold_left Float.max v0 rest;
           })
-    keys
+    (Conflict_key.env_keys keys)
 
 (* ------------------------------------------------------------------ *)
 (* 3.1.7 Clock exclusivity                                             *)
@@ -362,154 +275,59 @@ let rename_exc_points clock_map mode_name (e : Mode.exc) =
 let clocks_of_points points =
   List.filter_map (function Mode.P_clock c -> Some c | Mode.P_pin _ | Mode.P_inst _ -> None) points
 
-let pins_of_points design points =
-  List.concat_map
-    (function
-      | Mode.P_pin p -> [ p ]
-      | Mode.P_clock _ -> []
-      | Mode.P_inst i -> (
-        let cell = Design.inst_cell design i in
-        match cell.Mm_netlist.Lib_cell.seq with
-        | Some seq ->
-          Design.inst_pin design i seq.Mm_netlist.Lib_cell.clock_pin
-          :: List.map (Design.inst_pin design i) seq.Mm_netlist.Lib_cell.q_pins
-        | None -> []))
-    points
-
-(* Can exception [e] (already renamed, restricted to [clocks]) wrongly
-   constrain paths of mode [m']? Conservatively: yes when any restricting
-   clock also exists in [m'] (mapped) — unless [e]'s from-pins receive
-   none of those clocks in [m']'s clock propagation. *)
-let unsafe_for_mode ctx_of clock_map restriction_clocks from_pins (m' : Mode.t) =
-  let local_clocks =
-    List.filter_map
-      (fun (c : Mode.clock) ->
-        match Hashtbl.find_opt clock_map (m'.Mode.mode_name, c.Mode.clk_name) with
-        | Some mc when List.mem mc restriction_clocks -> Some c.Mode.clk_name
-        | Some _ | None -> None)
-      m'.Mode.clocks
-  in
-  if local_clocks = [] then false
-  else if from_pins = [] then true
-  else begin
-    (* Shared clock: unsafe only if it actually reaches the startpoint
-       pins in m'. *)
-    let ctx : Context.t = ctx_of m' in
-    List.exists
-      (fun pin ->
-        List.exists
-          (fun lc ->
-            match Clock_prop.clock_index ctx.Context.clocks lc with
-            | Some i -> Clock_prop.has_clock ctx.Context.clocks pin i
-            | None -> false)
-          local_clocks)
-      from_pins
-  end
-
-let merge_exceptions ~ctx_of ~uniquify modes clock_map conflicts =
-  let design =
-    match modes with (m : Mode.t) :: _ -> m.Mode.design | [] -> assert false
-  in
-  let renamed =
-    List.concat_map
-      (fun (m : Mode.t) ->
-        List.map
-          (fun e -> m, rename_exc_points clock_map m.Mode.mode_name e)
-          m.Mode.exceptions)
-      modes
-  in
-  let in_all e =
-    List.for_all
-      (fun (m : Mode.t) ->
-        List.exists
-          (fun e' ->
-            Mode.exc_equal e (rename_exc_points clock_map m.Mode.mode_name e'))
-          m.Mode.exceptions)
-      modes
-  in
+let merge_exceptions ~ctx_of ~uniquify keys clock_map =
   let added = ref [] and dropped = ref [] and uniquified = ref [] in
   let add e = if not (List.exists (Mode.exc_equal e) !added) then added := e :: !added in
   List.iter
-    (fun ((m : Mode.t), e) ->
-      if in_all e then add e
-      else begin
-        (* 3.1.10: uniquify by restricting to this mode's clocks. *)
-        let mode_clocks =
-          List.filter_map
-            (fun (c : Mode.clock) ->
-              Hashtbl.find_opt clock_map (m.Mode.mode_name, c.Mode.clk_name))
-            m.Mode.clocks
-          |> List.sort_uniq String.compare
-        in
-        let from_clocks =
-          match e.Mode.exc_from with Some pts -> clocks_of_points pts | None -> []
-        in
-        let restriction =
-          if from_clocks <> [] then from_clocks else mode_clocks
-        in
-        let from_pins =
-          match e.Mode.exc_from with
-          | Some pts -> pins_of_points design pts
-          | None -> []
-        in
-        let others_lacking =
-          List.filter
-            (fun (m' : Mode.t) ->
-              (not (String.equal m'.Mode.mode_name m.Mode.mode_name))
-              && not
-                   (List.exists
-                      (fun e' ->
-                        Mode.exc_equal e
-                          (rename_exc_points clock_map m'.Mode.mode_name e'))
-                      m'.Mode.exceptions))
-            modes
-        in
-        let unsafe =
-          (* A pin-based -rise_from/-fall_from cannot survive the
-             demote-to-through rewrite (the edge qualification would be
-             lost), so such exceptions are never uniquified. *)
-          (not uniquify)
-          || (e.Mode.exc_from_edge <> Mode.Any_edge
-             && from_pins <> []
-             && from_clocks = [])
-          || List.exists
-               (unsafe_for_mode ctx_of clock_map restriction from_pins)
-               others_lacking
-        in
-        if unsafe then begin
-          match e.Mode.exc_kind with
-          | Mode.False_path ->
+    (fun mb ->
+      let m = Conflict_key.member_mode mb in
+      List.iter
+        (fun ((orig : Mode.exc), ek) ->
+          let e = rename_exc_points clock_map m.Mode.mode_name orig in
+          if Conflict_key.in_all keys ek then add e
+          else if Conflict_key.unsafe ~uniquify ~ctx_of keys mb (orig, ek) then
+            (* A mode-local false path is dropped; any other exception
+               is a conflict ({!Conflict_key.conflicts}). *)
             dropped := (m.Mode.mode_name, e) :: !dropped
-          | Mode.Multicycle _ | Mode.Min_delay _ | Mode.Max_delay _ ->
-            conflicts :=
-              Printf.sprintf
-                "mode %s: non-false-path exception cannot be uniquified"
-                m.Mode.mode_name
-              :: !conflicts;
-            dropped := (m.Mode.mode_name, e) :: !dropped
-        end
-        else begin
-          (* Safe: rewrite with the clock restriction, demoting any
-             from-pins to a leading -through group (the paper's
-             MCP1 -> MCP1' rewrite). *)
-          let e' =
-            if from_clocks <> [] then e
-            else
-              {
-                e with
-                Mode.exc_from =
-                  Some (List.map (fun c -> Mode.P_clock c) restriction);
-                exc_through =
-                  (if from_pins = [] then e.Mode.exc_through
-                   else [ from_pins ] @ e.Mode.exc_through);
-              }
-          in
-          if not (Mode.exc_equal e e') then
-            uniquified := (m.Mode.mode_name, e') :: !uniquified;
-          add e'
-        end
-      end)
-    renamed;
+          else begin
+            (* 3.1.10: uniquify by restricting to the -from clocks, or
+               else to this mode's clocks, demoting any from-pins to a
+               leading -through group (the paper's MCP1 -> MCP1'
+               rewrite). *)
+            let from_clocks =
+              match e.Mode.exc_from with Some pts -> clocks_of_points pts | None -> []
+            in
+            let e' =
+              if from_clocks <> [] then e
+              else begin
+                let mode_clocks =
+                  List.filter_map
+                    (fun (c : Mode.clock) ->
+                      Hashtbl.find_opt clock_map (m.Mode.mode_name, c.Mode.clk_name))
+                    m.Mode.clocks
+                  |> List.sort_uniq String.compare
+                in
+                let from_pins =
+                  match e.Mode.exc_from with
+                  | Some pts -> Conflict_key.pins_of_points m.Mode.design pts
+                  | None -> []
+                in
+                {
+                  e with
+                  Mode.exc_from =
+                    Some (List.map (fun c -> Mode.P_clock c) mode_clocks);
+                  exc_through =
+                    (if from_pins = [] then e.Mode.exc_through
+                     else [ from_pins ] @ e.Mode.exc_through);
+                }
+              end
+            in
+            if not (Mode.exc_equal e e') then
+              uniquified := (m.Mode.mode_name, e') :: !uniquified;
+            add e'
+          end)
+        (Conflict_key.member_excs mb))
+    (Conflict_key.members keys);
   List.rev !added, List.rev !dropped, List.rev !uniquified
 
 (* ------------------------------------------------------------------ *)
@@ -602,22 +420,23 @@ let merge ?(tolerance = Toler.default) ?(max_refine_iters = 5) ?ctx_cache
     "merge.prelim"
   @@ fun () ->
   let design = (List.hd modes).Mode.design in
-  let conflicts = ref [] in
   (* Individual contexts, shared by uniquification and refinement. *)
   let ctx_cache =
     match ctx_cache with Some c -> c | None -> Ctx_cache.create ()
   in
   let ctx_of (m : Mode.t) = Ctx_cache.find ctx_cache m in
-  let merged_clocks, clock_map = union_clocks modes in
-  let attrs = merge_attrs ~tolerance conflicts modes clock_map merged_clocks in
+  let keys = Conflict_key.merge (List.map Conflict_key.of_mode modes) in
+  let conflicts = Conflict_key.conflicts ~uniquify ~tolerance ~ctx_of keys in
+  let merged_clocks, clock_map = union_clocks keys in
+  let attrs = merge_attrs keys in
   let io_delays = union_io_delays modes clock_map in
   let cases, dropped_cases = intersect_cases modes in
   let disables = intersect_disables modes in
-  let envs = merge_envs ~tolerance conflicts modes in
+  let envs = merge_envs keys in
   let derived_groups = derive_exclusivity modes clock_map merged_clocks in
   let groups = derived_groups @ inherit_groups modes clock_map in
   let exceptions, dropped_exceptions, uniquified =
-    merge_exceptions ~ctx_of ~uniquify modes clock_map conflicts
+    merge_exceptions ~ctx_of ~uniquify keys clock_map
   in
   let inferred_disables = infer_disables modes dropped_cases in
   let merged0 =
@@ -643,7 +462,7 @@ let merge ?(tolerance = Toler.default) ?(max_refine_iters = 5) ?ctx_cache
   in
   Metrics.incr ~by:(List.length uniquified) "prelim.exceptions_uniquified";
   Metrics.incr ~by:(List.length dropped_exceptions) "prelim.exceptions_dropped";
-  Metrics.incr ~by:(List.length !conflicts) "prelim.conflicts";
+  Metrics.incr ~by:(List.length conflicts) "prelim.conflicts";
   {
     merged;
     merged_ctx;
@@ -654,5 +473,5 @@ let merge ?(tolerance = Toler.default) ?(max_refine_iters = 5) ?ctx_cache
     inferred_disables;
     inferred_senses;
     derived_groups;
-    conflicts = List.rev !conflicts;
+    conflicts;
   }

@@ -46,8 +46,9 @@ type t = {
           groups inherited from the source modes — the provenance layer
           attributes the two differently *)
   conflicts : string list;
-      (** tolerance/value incompatibilities: non-empty means the modes
-          should not have been merged (mergeability veto) *)
+      (** tolerance/value incompatibilities ({!Conflict_key.conflicts}):
+          non-empty means the modes should not have been merged
+          (mergeability veto) *)
 }
 
 val rename_of : t -> string -> string -> string

@@ -19,11 +19,13 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
+let clamp_jobs n = min n (Domain.recommended_domain_count ())
+
 let default_jobs () =
   match Sys.getenv_opt "MM_JOBS" with
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
+    | Some n when n >= 1 -> clamp_jobs n
     | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 

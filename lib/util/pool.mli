@@ -39,16 +39,21 @@
 
 type t
 
+val clamp_jobs : int -> int
+(** [min n (Domain.recommended_domain_count ())]: workers beyond the
+    hardware threads make merging slower, not faster. *)
+
 val default_jobs : unit -> int
 (** Worker count used when the caller does not pin one: the [MM_JOBS]
-    environment variable when set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()]. *)
+    environment variable when set to a positive integer (clamped by
+    {!clamp_jobs}), otherwise [Domain.recommended_domain_count ()]. *)
 
 val create : jobs:int -> t
 (** A pool executing up to [jobs] tasks concurrently ([jobs - 1]
     spawned domains plus the calling domain, which participates in
-    every batch). [jobs] is clamped to at least 1; at 1 the pool is
-    purely sequential. Call {!shutdown} when done. *)
+    every batch). [jobs] is clamped to at least 1, and not to the
+    hardware (an oversubscribed pool is a stress-test configuration);
+    at 1 the pool is purely sequential. Call {!shutdown} when done. *)
 
 val jobs : t -> int
 (** The (clamped) concurrency of the pool. *)

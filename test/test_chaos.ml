@@ -662,6 +662,64 @@ let test_cli_no_retries () =
   check Alcotest.int "--retries is an unknown option" 124 rc;
   check Alcotest.bool "nothing was merged" true (merged_sdcs out = [])
 
+(* More workers than hardware threads only slow a merge, so a --jobs
+   or MM_JOBS above the recommended domain count is lowered to it (the
+   merge.jobs gauge shows the pool size). On preset C, -j 8 and
+   MM_JOBS=8 write the bytes of -j 2. *)
+let test_cli_jobs_clamped () =
+  let exe = Lazy.force modemerge in
+  let p = Mm_workload.Presets.design_c in
+  let design, info, _ = Mm_workload.Presets.build p in
+  let dir = scratch "preset_c" in
+  let netlist = Filename.concat dir "design.nl" in
+  write_file netlist (Mm_netlist.Netlist_io.to_string design);
+  let suite = p.Mm_workload.Presets.suite in
+  let sdcs =
+    List.concat
+      (List.mapi
+         (fun family size ->
+           List.init size (fun index ->
+               let path =
+                 Filename.concat dir (Printf.sprintf "m%d_%d.sdc" family index)
+               in
+               write_file path (Gen_modes.sdc_of_mode_spec info suite ~family ~index);
+               path))
+         suite.Gen_modes.families)
+  in
+  let merge ~tag ~env ~jobs =
+    let out = Filename.concat scratch_root (tag ^ "_out") in
+    rm_rf out;
+    let metrics = Filename.concat scratch_root (tag ^ "_metrics.json") in
+    let rc =
+      sh "%s %s merge -n %s %s -o %s --metrics %s %s > %s 2>&1" env
+        (Filename.quote exe) (Filename.quote netlist) jobs (Filename.quote out)
+        (Filename.quote metrics)
+        (String.concat " " (List.map Filename.quote sdcs))
+        (Filename.quote (Filename.concat scratch_root (tag ^ ".log")))
+    in
+    check Alcotest.int (tag ^ " exits 0") 0 rc;
+    out, counter_in_json (read_file metrics) "merge.jobs"
+  in
+  let hw = float_of_int (Domain.recommended_domain_count ()) in
+  let out2, jobs2 = merge ~tag:"jobs_2" ~env:"" ~jobs:"-j 2" in
+  check Alcotest.(option (float 0.)) "-j 2 runs min 2 hw workers"
+    (Some (Float.min 2. hw)) jobs2;
+  List.iter
+    (fun (tag, env, jobs) ->
+      let out, n = merge ~tag ~env ~jobs in
+      check Alcotest.(option (float 0.)) (tag ^ ": clamped to the hardware")
+        (Some (Float.min 8. hw)) n;
+      check Alcotest.(list string) (tag ^ ": same merged files") (merged_sdcs out2)
+        (merged_sdcs out);
+      List.iter
+        (fun f ->
+          check Alcotest.string
+            (Printf.sprintf "%s: %s is identical" tag f)
+            (read_file (Filename.concat out2 f))
+            (read_file (Filename.concat out f)))
+        (merged_sdcs out2))
+    [ "jobs_8", "", "-j 8"; "env_8", "MM_JOBS=8", "" ]
+
 (* A deadline past the clock range is no deadline: same exit, same
    merged modes as a run without one. *)
 let test_cli_huge_deadline () =
@@ -788,6 +846,7 @@ let () =
           tc "out-of-range numbers rejected" test_cli_rejects_out_of_range;
           tc "chaos metrics export" test_cli_metrics_export;
           tc "--retries is unknown" test_cli_no_retries;
+          tc "-j above the hardware is clamped" test_cli_jobs_clamped;
           tc "--deadline 1e10 is no deadline" test_cli_huge_deadline;
           tc "memory watermark exits 2" test_cli_memory_watermark;
           tc "duplicate basename refused" test_cli_duplicate_basename;

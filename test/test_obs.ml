@@ -646,6 +646,36 @@ let integration_cases =
           (contains ~needle:"occupancy" report
           && contains ~needle:"tasks" report);
         Metrics.reset ());
+    tc "the mergeability sweep mock-merges only key-accepted pairs" (fun () ->
+        (* Preset A's 4,465 pairs are each either rejected by the
+           conflict-key compare or mock-merged; only a mock merge runs
+           Prelim, so the sweep's merge.prelim spans count the
+           mock-merged pairs. *)
+        let _design, _, modes = Presets.build Presets.design_a in
+        fresh ();
+        ignore
+          (Mm_util.Pool.with_pool ~jobs:1 (fun pool ->
+               Mm_core.Mergeability.analyze ~pool modes));
+        Obs.set_enabled false;
+        let spans = Obs.spans () in
+        let sweep =
+          List.find (fun s -> s.Obs.sp_name = "merge.mergeability") spans
+        in
+        let attr k =
+          match List.assoc_opt k sweep.Obs.sp_attrs with
+          | Some v -> int_of_string v
+          | None -> Alcotest.failf "merge.mergeability has no %s attribute" k
+        in
+        let key_rejected = attr "key_rejected" and mock_merged = attr "mock_merged" in
+        check Alcotest.int "every pair is key-rejected or mock-merged" 4465
+          (key_rejected + mock_merged);
+        check Alcotest.int "one merge.prelim per mock-merged pair" mock_merged
+          (List.length
+             (List.filter
+                (fun s ->
+                  s.Obs.sp_name = "merge.prelim"
+                  && s.Obs.sp_parent = sweep.Obs.sp_id)
+                spans)));
   ]
 
 let () =

@@ -33,6 +33,11 @@
      (values, arc enablement, pin disables) on random designs with
      cases, disables and tie cells, on cased pins across a cycle
      break, and when two domains race to compute one baseline;
+   - the mergeability conflict keys give the conflicts of the
+     rename-and-scan reference ([Conflicts_ref]), string for string, on
+     every pair of presets A-F and on random families (generated,
+     fuzz-corrupted and paper-circuit modes), at tolerances 0, the
+     default and 0.5;
    - the [sta.propagate] chaos site fires.
 
    Runs on the default `dune runtest` gate via the @sta-equiv alias. *)
@@ -1046,6 +1051,214 @@ let const_prop_cases =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Conflict keys equal the rename-and-scan conflicts                   *)
+
+module Conflict_key = Mm_core.Conflict_key
+module Toler = Mm_util.Toler
+module Resolve = Mm_sdc.Resolve
+module Gen_design = Mm_workload.Gen_design
+module Gen_modes = Mm_workload.Gen_modes
+
+let tolerances =
+  [ "0", Toler.exact; "default", Toler.default; "0.5", Toler.make ~rel:0.5 () ]
+
+(* Conflicts seen per class, so the families are known to exercise
+   every rule. *)
+let conflict_classes =
+  [
+    "exception", "cannot be uniquified";
+    "attribute", "clock ";
+    "missing env", "missing in some modes";
+    "env value", "environment constraint";
+  ]
+
+let class_counts = Hashtbl.create 4
+
+let count_classes reasons =
+  List.iter
+    (fun r ->
+      let cls, _ =
+        List.find
+          (fun (_, needle) ->
+            let n = String.length needle and l = String.length r in
+            let rec go i = i + n <= l && (String.sub r i n = needle || go (i + 1)) in
+            go 0)
+          conflict_classes
+      in
+      Hashtbl.replace class_counts cls
+        (1 + Option.value (Hashtbl.find_opt class_counts cls) ~default:0))
+    reasons
+
+(* Under each tolerance, and with uniquification on and (when
+   [both_uniquify]) off, the key compare's conflicts for every pair of
+   [modes], and for [modes] as one merge when [whole], equal the
+   reference's. [Some message] on the first difference. *)
+let conflicts_mismatch ?(both_uniquify = false) ?(whole = false) modes =
+  let cache = Ctx_cache.create () in
+  let ctx_of = Ctx_cache.find cache in
+  let keyed = List.map (fun m -> m, Conflict_key.of_mode m) modes in
+  let rec pairs = function
+    | [] -> []
+    | a :: rest -> List.map (fun b -> [ a; b ]) rest @ pairs rest
+  in
+  let sets = pairs keyed @ if whole then [ keyed ] else [] in
+  let names set =
+    String.concat "+" (List.map (fun ((m : Mode.t), _) -> m.Mode.mode_name) set)
+  in
+  List.find_map
+    (fun (tname, tolerance) ->
+      List.find_map
+        (fun uniquify ->
+          List.find_map
+            (fun set ->
+              let got =
+                Conflict_key.conflicts ~uniquify ~tolerance ~ctx_of
+                  (Conflict_key.merge (List.map snd set))
+              and want =
+                Conflicts_ref.conflicts ~uniquify ~tolerance ~ctx_of
+                  (List.map fst set)
+              in
+              count_classes want;
+              if got = want then None
+              else
+                Some
+                  (Printf.sprintf
+                     "%s at tolerance %s (uniquify %b):\n  keys: [%s]\n  reference: [%s]"
+                     (names set) tname uniquify (String.concat "; " got)
+                     (String.concat "; " want)))
+            sets)
+        (if both_uniquify then [ true; false ] else [ true ]))
+    tolerances
+
+let preset_conflicts_match (p : Presets.preset) () =
+  let _design, _info, modes = Presets.build p in
+  match conflicts_mismatch modes with
+  | None -> ()
+  | Some msg -> Alcotest.failf "preset %s: %s" p.Presets.pr_name msg
+
+(* A generated family of three sub-families, as resolved and with
+   roughly half the modes' SDC text corrupted by [Fuzz_inputs]:
+   deleted, duplicated or mangled lines drop constraints from one mode
+   only. *)
+let generated_families seed =
+  let st = Random.State.make [| seed |] in
+  let params =
+    {
+      Gen_design.default_params with
+      Gen_design.seed = 3000 + seed;
+      n_domains = 2;
+      regs_per_domain = 6 + Random.State.int st 8;
+      stages = 2;
+      combo_depth = 2;
+      n_config_pins = 2;
+      n_clock_muxes = 1;
+    }
+  in
+  let design, info = Gen_design.generate params in
+  let suite =
+    {
+      Gen_modes.sp_seed = 4000 + seed;
+      families = [ 2; 2; 1 ];
+      base_period = 2.0;
+      scan_family = false;
+    }
+  in
+  let fuzzed =
+    List.concat
+      (List.mapi
+         (fun family size ->
+           List.init size (fun index ->
+               let text = Gen_modes.sdc_of_mode_spec info suite ~family ~index in
+               let text =
+                 if Random.State.bool st then
+                   Mm_workload.Fuzz_inputs.corrupt_seeded
+                     ~seed:((seed * 31) + (family * 7) + index)
+                     text
+                 else text
+               in
+               (Resolve.mode_of_string_robust design
+                  ~name:(Printf.sprintf "f%d_%d" family index)
+                  text)
+                 .Resolve.mode))
+         suite.Gen_modes.families)
+  in
+  [ Gen_modes.generate design info suite; fuzzed ]
+
+(* Random modes on the paper circuit: clocks that share a source, and
+   so a clock key, under different names; attribute and drive/load
+   values near each other and far apart; mode-local exceptions of
+   every kind, some from pins, some with an edge and some with a NaN
+   delay, which equals nothing; and exceptions naming a clock that a
+   later create_clock displaced, which the merged mode may give to
+   another mode's clock. *)
+let paper_family seed =
+  let st = Random.State.make [| seed |] in
+  let d = Pc.build () in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let coin () = Random.State.bool st in
+  let value base = pick [ base; base *. 1.01; base *. 1.4; base *. 3. ] in
+  let mode name =
+    let b = Buffer.create 512 in
+    let line fmt =
+      Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt
+    in
+    let c1 = pick [ "c"; "ca"; "k3" ] in
+    line "create_clock -name %s -period %g [get_ports clk1]" c1 (pick [ 10.; 10.; 5. ]);
+    if coin () then
+      line "create_clock -name %s -period 5 [get_ports clk2]" (pick [ "c2"; "cb" ]);
+    if coin () then begin
+      line "create_clock -name k3 -period 4 [get_ports clk3]";
+      line "set_multicycle_path 2 -from [get_clocks k3]";
+      if coin () then line "create_clock -name k4 -period 4 [get_ports clk3]"
+    end;
+    if coin () then line "set_clock_uncertainty -setup %g [get_clocks %s]" (value 0.1) c1;
+    if coin () then line "set_clock_latency -source %g [get_clocks %s]" (value 1.0) c1;
+    if coin () then line "set_clock_transition %g [get_clocks %s]" (value 0.05) c1;
+    if coin () then line "set_load %g [get_ports out1]" (value 0.01);
+    if coin () then line "set_input_transition %g [get_ports in1]" (value 0.2);
+    if coin () then line "set_case_analysis %d sel1" (Random.State.int st 2);
+    if coin () then line "set_multicycle_path 2 -from [get_clocks %s] -to rX/D" c1;
+    if coin () then line "set_multicycle_path 2 -from rA/CP -to rX/D";
+    if coin () then line "set_max_delay %g -from rB/CP" (pick [ 3.; 4.; Float.nan ]);
+    if coin () then line "set_min_delay 0.5 -rise_from rC/CP -to rZ/D";
+    if coin () then line "set_multicycle_path 3 -from [get_cells rA] -through inv1/Z";
+    if coin () then line "set_false_path -from rA/CP -to rY/D";
+    (Resolve.mode_of_string_robust d ~name (Buffer.contents b)).Resolve.mode
+  in
+  List.init (2 + Random.State.int st 3) (fun i -> mode (Printf.sprintf "p%d" i))
+
+let conflicts_prop =
+  tc "conflict keys equal the reference on random families" (fun () ->
+      Hashtbl.reset class_counts;
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| 27 |])
+        (QCheck2.Test.make ~name:"conflict keys equal the reference" ~count:40
+           QCheck2.Gen.(int_range 0 10000)
+           (fun seed ->
+             List.iter
+               (fun modes ->
+                 match conflicts_mismatch ~both_uniquify:true ~whole:true modes with
+                 | None -> ()
+                 | Some msg -> QCheck2.Test.fail_reportf "seed %d: %s" seed msg)
+               (paper_family seed :: generated_families seed);
+             true));
+      List.iter
+        (fun (cls, _) ->
+          let n = Option.value (Hashtbl.find_opt class_counts cls) ~default:0 in
+          check Alcotest.bool (Printf.sprintf "%s conflicts seen (%d)" cls n) true
+            (n > 0))
+        conflict_classes)
+
+let conflict_cases =
+  List.map
+    (fun (p : Presets.preset) ->
+      tc
+        (Printf.sprintf "preset %s: conflict keys equal the reference on every pair"
+           p.Presets.pr_name)
+        (preset_conflicts_match p))
+    Presets.all
+  @ [ conflicts_prop ]
+
+(* ------------------------------------------------------------------ *)
 (* Chaos: the sta.propagate fault site                                 *)
 
 let chaos_cases =
@@ -1075,5 +1288,6 @@ let () =
       "incremental", [ incremental_prop ];
       "compare_cache", compare_cache_cases;
       "const_prop", const_prop_cases;
+      "conflict_keys", conflict_cases;
       "chaos", chaos_cases;
     ]

@@ -444,8 +444,14 @@ let pool_cases =
         check Alcotest.int "jobs=4" 10 (count 4);
         Metrics.reset ());
     tc "default_jobs honours MM_JOBS" (fun () ->
-        Unix.putenv "MM_JOBS" "3";
-        check Alcotest.int "env wins" 3 (Pool.default_jobs ());
+        let hw = Domain.recommended_domain_count () in
+        Unix.putenv "MM_JOBS" "1";
+        check Alcotest.int "env wins" 1 (Pool.default_jobs ());
+        Unix.putenv "MM_JOBS" (string_of_int hw);
+        check Alcotest.int "env wins up to the hardware" hw (Pool.default_jobs ());
+        Unix.putenv "MM_JOBS" (string_of_int (hw + 3));
+        check Alcotest.int "env above the hardware is clamped" hw
+          (Pool.default_jobs ());
         Unix.putenv "MM_JOBS" "bogus";
         check Alcotest.int "bad value falls back"
           (Domain.recommended_domain_count ())
