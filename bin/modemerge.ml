@@ -148,8 +148,8 @@ let sdc_args =
 
 (* ------------------------------------------------------------------ *)
 (* Observability: one flag set shared by every subcommand
-   (--trace / --metrics / --profile / --profile-gc / --serve /
-   --events / --progress)                                              *)
+   (--trace / --metrics / --profile / --profile-gc / --events /
+   --progress)                                                         *)
 
 let trace_arg =
   let doc =
@@ -180,20 +180,6 @@ let profile_gc_arg =
   in
   Arg.(value & flag & info [ "profile-gc" ] ~doc)
 
-let serve_arg =
-  let doc =
-    "Serve live telemetry over HTTP while the command runs: GET \
-     /metrics (Prometheus text format), /healthz (governance state), \
-     /progress (open stage, tasks done with ETA), /events (recent journal as NDJSON), \
-     /trace (Chrome trace of spans so far). $(docv) is PORT or \
-     ADDR:PORT; the default address is 127.0.0.1, and port 0 asks the \
-     OS for a free port. The bound endpoint is reported on stderr. \
-     Serving is read-only: results are byte-identical with and without \
-     it."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "serve" ] ~docv:"[ADDR:]PORT" ~doc)
-
 let events_arg =
   let doc =
     "Write the structured event journal (stage boundaries, quarantines, \
@@ -216,7 +202,6 @@ type obs_opts = {
   oo_metrics : string option;
   oo_profile : bool;
   oo_profile_gc : bool;
-  oo_serve : string option;
   oo_events : string option;
   oo_progress : bool;
 }
@@ -224,28 +209,26 @@ type obs_opts = {
 (* Every subcommand takes the identical observability flag set, so a
    flag learned on merge works verbatim on every other subcommand. *)
 let obs_term =
-  let mk trace metrics profile profile_gc serve events progress =
+  let mk trace metrics profile profile_gc events progress =
     {
       oo_trace = trace;
       oo_metrics = metrics;
       oo_profile = profile;
       oo_profile_gc = profile_gc;
-      oo_serve = serve;
       oo_events = events;
       oo_progress = progress;
     }
   in
   Term.(
     const mk $ trace_arg $ metrics_arg $ profile_arg $ profile_gc_arg
-    $ serve_arg $ events_arg $ progress_arg)
+    $ events_arg $ progress_arg)
 
 let write_file path contents =
   Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 (* Span recording is off by default (it is the only part of the
    observability layer with a per-callsite cost); any flag whose
-   exporter reads the span sink turns it on — including --serve, whose
-   /trace endpoint streams the spans recorded so far.
+   exporter reads the span sink turns it on.
 
    All exports run through one idempotent flush, registered both with
    at_exit (covers clean, warn, fatal and uncaught-exception exits) and
@@ -258,24 +241,10 @@ let write_file path contents =
 let obs_setup o =
   if
     o.oo_trace <> None || o.oo_metrics <> None || o.oo_profile
-    || o.oo_profile_gc || o.oo_serve <> None
+    || o.oo_profile_gc
   then Obs.set_enabled true;
   if o.oo_profile_gc then Obs.set_gc_enabled true;
   if o.oo_progress then Mm_util.Progress.set_render true;
-  let server =
-    Option.map
-      (fun spec ->
-        match Mm_util.Serve.parse_spec spec with
-        | Error msg -> fatal ~code:"cli.serve" "--serve %s" msg
-        | Ok (addr, port) -> (
-          match Mm_util.Serve.start ~addr ~port () with
-          | srv ->
-            Printf.eprintf "serving telemetry on http://%s:%d/\n%!"
-              (Mm_util.Serve.addr srv) (Mm_util.Serve.port srv);
-            srv
-          | exception Failure msg -> fatal ~code:"cli.serve" "%s" msg))
-      o.oo_serve
-  in
   let flushed = ref false in
   let flush_exports () =
     if not !flushed then begin
@@ -293,8 +262,7 @@ let obs_setup o =
       if o.oo_profile || o.oo_profile_gc then begin
         prerr_string (Obs.profile_tree ~gc:o.oo_profile_gc ());
         prerr_string (Mm_util.Pool.utilization_report ())
-      end;
-      Option.iter Mm_util.Serve.stop server
+      end
     end
   in
   at_exit flush_exports;

@@ -555,7 +555,6 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
   | Some _ as l -> Govern.set_memory_limit_mb l
   | None -> ());
   let root = Govern.create ?deadline_s:budgets.bg_deadline_s ~scope:"merge" () in
-  Govern.set_run_root root;
   Eventlog.log "run.start"
     ~attrs:
       [ "scope", "merge";

@@ -13,8 +13,8 @@
 
     {v SITE@OCC=FAULT[,SITE@OCC=FAULT...] v}
 
-    where [SITE] is a compiled-in site name ([pool.task],
-    [sta.propagate], [serve.request]), [OCC] is a 1-based occurrence
+    where [SITE] is a compiled-in site name ([pool.task] or
+    [sta.propagate]), [OCC] is a 1-based occurrence
     number or [*] for every occurrence, and [FAULT] is one of
 
     - [delay:MS] — sleep MS milliseconds at the site (drives the

@@ -54,14 +54,7 @@ let log ?(attrs = []) kind =
       if st.live < capacity then st.live <- st.live + 1;
       st.seq <- st.seq + 1)
 
-let recent ?limit () =
-  let all = with_lock retained_locked in
-  match limit with
-  | None -> all
-  | Some l when l >= List.length all -> all
-  | Some l ->
-    let drop = List.length all - max 0 l in
-    List.filteri (fun i _ -> i >= drop) all
+let recent () = with_lock retained_locked
 
 let total () = with_lock (fun () -> st.seq)
 
@@ -92,8 +85,8 @@ let event_json e =
     (if Float.is_finite e.ev_ts then e.ev_ts else 0.)
     e.ev_t_ns (esc e.ev_kind) attrs
 
-let to_ndjson ?limit () =
-  let events = recent ?limit () in
+let to_ndjson () =
+  let events = recent () in
   let header =
     Printf.sprintf {|{"schema":"%s","total":%d,"dropped":%d}|} schema_version
       (total ()) (dropped ())

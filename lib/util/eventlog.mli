@@ -24,13 +24,12 @@
     - [govern.*]     governance actions ([govern.clique_split],
                      [govern.conservative], [govern.pressure])
     - [chaos.*]      fault injection ([chaos.injected])
-    - [serve.*]      telemetry plane lifecycle ([serve.start])
 
     The journal is {b read-only with respect to results}: nothing in
     the pipeline ever consults it, so logging an event can never
     perturb merged output. Export is schema-versioned NDJSON
     ({!to_ndjson}), written by [--events FILE] on every exit path
-    including signals, and served live at [GET /events]. *)
+    including signals. *)
 
 type event = {
   ev_seq : int;
@@ -51,9 +50,8 @@ val log : ?attrs:(string * string) list -> string -> unit
     beyond the ring mutex; when the ring is full the oldest event is
     dropped. *)
 
-val recent : ?limit:int -> unit -> event list
-(** The retained events, oldest first (newest last). [limit] keeps only
-    the newest [limit] of them. *)
+val recent : unit -> event list
+(** The retained events, oldest first (newest last). *)
 
 val total : unit -> int
 (** Events logged since process start (or {!reset}), including ones the
@@ -65,10 +63,9 @@ val dropped : unit -> int
 val reset : unit -> unit
 (** Drop every event and zero the sequence counter (tests). *)
 
-val to_ndjson : ?limit:int -> unit -> string
+val to_ndjson : unit -> string
 (** Schema-versioned NDJSON export: a header line
     [{"schema":"modemerge-events/1","total":n,"dropped":d}] followed by
     one JSON object per retained event (oldest first) with fields
     [seq], [ts], [t_ns], [kind] and [attrs]. This is the format
-    written by [--events FILE], dumped on crash/signal, and served at
-    [GET /events]. *)
+    written by [--events FILE] and dumped on crash/signal. *)

@@ -73,8 +73,6 @@ let sub ?scope ?budget_s parent =
 
 let mem_limit_mb : float option Atomic.t = Atomic.make None
 
-let memory_limit_mb () = Atomic.get mem_limit_mb
-
 let words_to_mb w = w *. float_of_int (Sys.word_size / 8) /. (1024. *. 1024.)
 
 (* The watermark is consulted from every checkpoint, so a tripped limit
@@ -136,17 +134,6 @@ let remaining_s t =
   | None -> None
   | Some d ->
     Some (Float.max 0. (Obs.Clock.ns_to_s (Int64.sub d (Obs.Clock.now_ns ()))))
-
-(* ------------------------------------------------------------------ *)
-(* Run root (for /healthz)                                             *)
-
-(* The run's root token, registered by the driver so out-of-band
-   observers (the telemetry server's /healthz endpoint) can report
-   remaining budget without plumbing the token through the CLI. *)
-let run_root_ref : token option Atomic.t = Atomic.make None
-
-let set_run_root t = Atomic.set run_root_ref (Some t)
-let run_root () = Atomic.get run_root_ref
 
 (* ------------------------------------------------------------------ *)
 (* Ambient token                                                       *)

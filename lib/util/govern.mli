@@ -78,16 +78,6 @@ val check : token -> unit
 val remaining_s : token -> float option
 (** Seconds until the nearest deadline; [None] when undeadlined. *)
 
-(** {2 Run root}
-
-    The driver registers its root token here so out-of-band observers —
-    the telemetry server's [/healthz] endpoint — can report the run's
-    remaining budget and liveness without the token being threaded to
-    them. Purely informational. *)
-
-val set_run_root : token -> unit
-val run_root : unit -> token option
-
 (** {2 Ambient token}
 
     The pool installs each task's token in domain-local storage so
@@ -110,8 +100,6 @@ val set_memory_limit_mb : float option -> unit
 (** Process-wide heap watermark in MiB of major+minor heap words
     ([None] disables, the default). Checked by {!check}/{!checkpoint}
     via [Gc.quick_stat]. *)
-
-val memory_limit_mb : unit -> float option
 
 val memory_pressure : unit -> reason option
 (** [Some (Memory_watermark _)] when the live heap exceeds the

@@ -169,115 +169,3 @@ let json_of_items items =
   "{" ^ String.concat "," (List.map field items) ^ "}"
 
 let to_json () = json_of_items (snapshot ())
-
-(* ------------------------------------------------------------------ *)
-(* Prometheus text exposition (v0.0.4)                                 *)
-
-(* Metric names: [a-zA-Z_:][a-zA-Z0-9_:]* — our dotted names map dots
-   (and anything else illegal) to underscores, and a leading digit gets
-   a '_' prefix. *)
-let prometheus_name name =
-  let b = Buffer.create (String.length name + 1) in
-  String.iteri
-    (fun i c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> Buffer.add_char b c
-      | '0' .. '9' ->
-        if i = 0 then Buffer.add_char b '_';
-        Buffer.add_char b c
-      | _ -> Buffer.add_char b '_')
-    name;
-  if Buffer.length b = 0 then "_" else Buffer.contents b
-
-(* Prometheus floats: plain decimal or exponent notation; non-finite
-   values are representable (+Inf/-Inf/NaN) but we never emit them —
-   the registry's exports are NaN-free by contract. *)
-let prometheus_float x =
-  if not (Float.is_finite x) then "0"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.9g" x
-
-(* Cumulative histogram buckets derived from the retained reservoir.
-
-   The reservoir is a uniform sample of the observation stream, so the
-   cumulative count at bound [le] is estimated as
-   [count_in_reservoir(<= le) * h_count / filled] (floored — monotone
-   because the reservoir's cumulative counts are monotone and the
-   scale factor is a positive constant), while [_count] and [_sum]
-   stay exact. Below [max_samples] observations the reservoir is the
-   whole stream and the buckets are exact too. Bounds: 8 log-spaced
-   cut points between the reservoir's min and max (linear when the
-   data spans zero or negatives), a pure function of the sample set so
-   repeated scrapes of an idle registry are byte-identical. *)
-let prometheus_buckets h =
-  let samples = List.filter Float.is_finite h.h_samples in
-  match samples with
-  | [] -> []
-  | _ ->
-    let filled = List.length samples in
-    let lo = List.fold_left Float.min Float.infinity samples
-    and hi = List.fold_left Float.max Float.neg_infinity samples in
-    let n_bounds = 8 in
-    let bounds =
-      if lo >= hi then [ hi ]
-      else if lo > 0. then
-        (* log-spaced: right for latency-style data spanning decades *)
-        List.init n_bounds (fun i ->
-            lo
-            *. Float.exp
-                 (Float.log (hi /. lo)
-                 *. float_of_int (i + 1)
-                 /. float_of_int n_bounds))
-      else
-        List.init n_bounds (fun i ->
-            lo +. ((hi -. lo) *. float_of_int (i + 1) /. float_of_int n_bounds))
-    in
-    let scale = float_of_int h.h_count /. float_of_int filled in
-    List.map
-      (fun le ->
-        let in_res =
-          List.length (List.filter (fun s -> s <= le) samples)
-        in
-        le, int_of_float (Float.of_int in_res *. scale))
-      bounds
-
-let prometheus_of_items items =
-  let b = Buffer.create 2048 in
-  List.iter
-    (fun { name; value } ->
-      let pname = prometheus_name name in
-      (match value with
-      | Counter n ->
-        Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" pname);
-        Buffer.add_string b (Printf.sprintf "%s %d\n" pname n)
-      | Gauge x ->
-        Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" pname);
-        Buffer.add_string b
-          (Printf.sprintf "%s %s\n" pname (prometheus_float x))
-      | Histogram h ->
-        Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" pname);
-        (* Bounds closer than %.9g can show print alike; one line per
-           printed bound, with the count of the last bound printed so. *)
-        let rec distinct = function
-          | (l, _) :: ((l', _) :: _ as rest) when l = l' -> distinct rest
-          | x :: rest -> x :: distinct rest
-          | [] -> []
-        in
-        List.iter
-          (fun (le, cum) ->
-            Buffer.add_string b
-              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" pname le cum))
-          (distinct
-             (List.map
-                (fun (le, cum) -> prometheus_float le, cum)
-                (prometheus_buckets h)));
-        Buffer.add_string b
-          (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" pname h.h_count);
-        Buffer.add_string b
-          (Printf.sprintf "%s_sum %s\n" pname (prometheus_float h.h_sum));
-        Buffer.add_string b (Printf.sprintf "%s_count %d\n" pname h.h_count)))
-    items;
-  Buffer.contents b
-
-let to_prometheus () = prometheus_of_items (snapshot ())

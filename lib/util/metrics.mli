@@ -93,22 +93,6 @@ val to_json : unit -> string
 
 val json_of_items : item list -> string
 
-(** {2 Prometheus rendering}
-
-    The [GET /metrics] exposition (Prometheus text format v0.0.4).
-    Dotted metric names are sanitised to the Prometheus charset
-    ([merge.cliques] → [merge_cliques]); counters and gauges render
-    with a [# TYPE] line; histograms render cumulative
-    [name_bucket{le=…}] lines derived from the retained reservoir —
-    per-bound reservoir counts scaled to the exact observation count
-    and floored, which keeps the series monotone by construction and
-    exact below {!max_samples} observations — plus exact [name_sum] /
-    [name_count] lines and a [+Inf] bucket pinned to the exact count. *)
-
-val to_prometheus : unit -> string
-
-val prometheus_of_items : item list -> string
-
 val percentile : histogram -> float -> float
 (** [percentile h q] is the nearest-rank [q]-quantile ([q] in [0,1],
     {!Stat.percentile}) of the histogram's retained samples; [0.] for

@@ -49,11 +49,6 @@ let view t =
        else Some (elapsed /. float_of_int d *. float_of_int (n - d)));
   }
 
-let active () =
-  List.filter_map
-    (fun t -> if Atomic.get t.start_ns = 0 then None else Some (view t))
-    trackers
-
 (* The open stage and the finished-stage count of the newest run, read
    from the [run.start] / [stage.start] / [stage.finish] journal events
    that [Merge_flow.staged] logs. *)
@@ -70,21 +65,6 @@ let stages () =
       ([], 0) (Eventlog.recent ())
   in
   (match open_ with s :: _ -> Some s | [] -> None), finished
-
-let to_json () =
-  let stage, stages_done = stages () in
-  let tr v =
-    Printf.sprintf {|{"name":"%s","done":%d,"total":%d,"elapsed_s":%s,"eta_s":%s}|}
-      (Metrics.json_escape v.tr_name) v.tr_done v.tr_total
-      (Metrics.json_float v.tr_elapsed_s)
-      (match v.tr_eta_s with None -> "null" | Some e -> Metrics.json_float e)
-  in
-  Printf.sprintf {|{"stage":%s,"stages_done":%d,"trackers":[%s]}|}
-    (match stage with
-    | None -> "null"
-    | Some s -> Printf.sprintf {|"%s"|} (Metrics.json_escape s))
-    stages_done
-    (String.concat "," (List.map tr (active ())))
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -109,10 +89,13 @@ let bar_of v =
     v.tr_done v.tr_total
     (match v.tr_eta_s with None -> "" | Some e -> Printf.sprintf " ETA %.1fs" e)
 
-(* The open stage, then every tracker with work outstanding. *)
+(* The open stage, then every tracker with work outstanding (a tracker
+   that has never run has done = total = 0, so it is skipped). *)
 let render () =
   let stage, _ = stages () in
-  let busy = List.filter (fun v -> v.tr_done < v.tr_total) (active ()) in
+  let busy =
+    List.filter (fun v -> v.tr_done < v.tr_total) (List.map view trackers)
+  in
   if stage <> None || busy <> [] then
     if is_tty then begin
       let line =

@@ -19,10 +19,9 @@
     [stage.start] and [stage.finish] events of the {!Eventlog} journal.
 
     Recording is always on and strictly read-only with respect to
-    results. Two consumers: the [GET /progress] endpoint ({!to_json})
-    and the [--progress] stderr bar ({!set_render}), which is
-    TTY-aware — a terminal gets an in-place [\r]-rewritten bar, a pipe
-    gets an occasional plain line. *)
+    results. Its consumer is the [--progress] stderr bar
+    ({!set_render}), which is TTY-aware — a terminal gets an in-place
+    [\r]-rewritten bar, a pipe gets an occasional plain line. *)
 
 type tracker
 
@@ -50,14 +49,11 @@ type view = {
 
 val view : tracker -> view
 
-val to_json : unit -> string
-(** The [GET /progress] document:
-    [{"stage":S|null,"stages_done":N,"trackers":[{"name","done",
-    "total","elapsed_s","eta_s"}…]}]. [stage] is the newest
-    [stage.start] after the newest [run.start] with no matching
-    [stage.finish]; [stages_done] counts the [stage.finish] events
-    since that [run.start]. A tracker is listed once it has seen
-    activity. *)
+val stages : unit -> string option * int
+(** The open stage and the finished-stage count of the newest run: the
+    stage is the newest [stage.start] after the newest [run.start] with
+    no matching [stage.finish]; the count is the [stage.finish] events
+    since that [run.start]. *)
 
 val reset : unit -> unit
 (** Zero both trackers and forget their activity (tests). *)

@@ -13,14 +13,16 @@
    - CLI exit codes: the modemerge binary (path in the MODEMERGE env
      var, wired by the dune @chaos rule) must exit with status 3 on a
      budget-degraded run and 2 on a budget it cannot finish under,
-     treat a deadline past the clock range as none, and reject
-     out-of-range numeric options and the retired --retries with
-     cmdliner's status 124. *)
+     treat a deadline past the clock range as none, reject out-of-range
+     numeric options and the retired --retries and --serve with
+     cmdliner's status 124, and exit 130 on SIGINT with the trace and
+     event dump still written. *)
 
 module Mode = Mm_sdc.Mode
 module Metrics = Mm_util.Metrics
 module Govern = Mm_util.Govern
 module Chaos = Mm_util.Chaos
+module Eventlog = Mm_util.Eventlog
 module Merge_flow = Mm_core.Merge_flow
 module Audit = Mm_core.Audit
 module Equiv = Mm_core.Equiv
@@ -656,11 +658,121 @@ let test_cli_metrics_export () =
       | None -> Alcotest.failf "metrics export is missing %s" name)
     [ "govern.timeouts"; "govern.clique_splits" ]
 
-(* The retry rung is gone, and so is its option. *)
-let test_cli_no_retries () =
-  let rc, out, _ = run_merge ~tag:"retries" ~extra:"--retries 3" () in
-  check Alcotest.int "--retries is an unknown option" 124 rc;
-  check Alcotest.bool "nothing was merged" true (merged_sdcs out = [])
+(* The retry rung and the HTTP server are gone, and so are their
+   options. *)
+let test_cli_retired_options () =
+  List.iter
+    (fun (tag, extra) ->
+      let rc, out, _ = run_merge ~tag ~extra () in
+      check Alcotest.int (extra ^ " is an unknown option") 124 rc;
+      check Alcotest.bool (extra ^ ": nothing was merged") true
+        (merged_sdcs out = []))
+    [ "retries", "--retries 3"; "serve", "--serve 0" ]
+
+(* SIGINT mid-merge exits 130 and still flushes a valid Chrome trace
+   and a schema-versioned NDJSON event dump holding the run.signal
+   event (the default disposition would kill the process without
+   running at_exit). A pool.task delay stretches the run; the first
+   `progress:` line on stderr shows it is in flight. *)
+let test_cli_sigint_flushes () =
+  let exe, netlist, sdcs = Lazy.force cli_fixture in
+  let out = Filename.concat scratch_root "sigint_out" in
+  rm_rf out;
+  let trace = Filename.concat scratch_root "sigint_trace.json" in
+  let events = Filename.concat scratch_root "sigint_events.ndjson" in
+  let err = Filename.concat scratch_root "sigint.err" in
+  let argv =
+    Array.of_list
+      ([ exe; "merge"; "-n"; netlist; "--permissive"; "-j"; "1"; "-o"; out;
+         "--progress"; "--trace"; trace; "--events"; events ]
+      @ sdcs)
+  in
+  let env =
+    Array.of_list
+      ("MM_CHAOS=pool.task@*=delay:200"
+      :: List.filter
+           (fun kv -> not (String.starts_with ~prefix:"MM_CHAOS=" kv))
+           (Array.to_list (Unix.environment ())))
+  in
+  let flags = [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] in
+  let err_fd = Unix.openfile err flags 0o644 in
+  let null_fd = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close err_fd;
+        Unix.close null_fd)
+      (fun () -> Unix.create_process_env exe argv env Unix.stdin null_fd err_fd)
+  in
+  let exited = ref None in
+  let alive () =
+    !exited = None
+    &&
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> true
+    | _, st ->
+      exited := Some st;
+      false
+  in
+  let deadline = Unix.gettimeofday () +. 20. in
+  let rec wait_progress () =
+    if not (contains ~sub:"progress:" (read_file err)) then
+      if not (alive ()) then
+        Alcotest.failf "merge ended before its first progress line"
+      else if Unix.gettimeofday () > deadline then begin
+        Unix.kill pid Sys.sigkill;
+        Alcotest.failf "no progress line in %s after 20 s" err
+      end
+      else begin
+        Unix.sleepf 0.02;
+        wait_progress ()
+      end
+  in
+  wait_progress ();
+  check Alcotest.bool "child still running when interrupted" true (alive ());
+  Unix.kill pid Sys.sigint;
+  let code =
+    match
+      match !exited with Some st -> st | None -> snd (Unix.waitpid [] pid)
+    with
+    | Unix.WEXITED n -> n
+    | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+      Alcotest.failf "merge stopped by signal %d, not exited" n
+  in
+  check Alcotest.int "SIGINT exits 130" 130 code;
+  (* The trace flushed and parses as one JSON document. *)
+  check Alcotest.bool "trace file written" true (Sys.file_exists trace);
+  (match Json_read.parse_json (read_file trace) with
+  | _ -> ()
+  | exception Json_read.Parse_error e ->
+    Alcotest.failf "interrupted trace is not valid JSON: %s" e);
+  (* The event dump flushed: schema header, parseable lines, and the
+     run.signal event recorded by the handler. *)
+  check Alcotest.bool "events file written" true (Sys.file_exists events);
+  let lines =
+    List.filter (fun l -> String.trim l <> "")
+      (String.split_on_char '\n' (read_file events))
+  in
+  check Alcotest.bool "events dump has header + events" true
+    (List.length lines >= 2);
+  (match Json_read.parse_json (List.hd lines) with
+  | j ->
+    check Alcotest.bool "events header schema" true
+      (Json_read.member "schema" j = Some (Json_read.Str Eventlog.schema_version))
+  | exception Json_read.Parse_error e ->
+    Alcotest.failf "events header does not parse: %s" e);
+  let kinds =
+    List.filter_map
+      (fun line ->
+        match Json_read.member "kind" (Json_read.parse_json line) with
+        | Some (Json_read.Str k) -> Some k
+        | _ -> None
+        | exception Json_read.Parse_error _ -> None)
+      (List.tl lines)
+  in
+  check Alcotest.bool "run.signal journaled" true (List.mem "run.signal" kinds);
+  check Alcotest.bool "run.start journaled before the interrupt" true
+    (List.mem "run.start" kinds)
 
 (* More workers than hardware threads only slow a merge, so a --jobs
    or MM_JOBS above the recommended domain count is lowered to it (the
@@ -845,11 +957,12 @@ let () =
           tc "budget-degraded exit code 3" test_cli_budget_exit_code;
           tc "out-of-range numbers rejected" test_cli_rejects_out_of_range;
           tc "chaos metrics export" test_cli_metrics_export;
-          tc "--retries is unknown" test_cli_no_retries;
+          tc "--retries and --serve are unknown" test_cli_retired_options;
           tc "-j above the hardware is clamped" test_cli_jobs_clamped;
           tc "--deadline 1e10 is no deadline" test_cli_huge_deadline;
           tc "memory watermark exits 2" test_cli_memory_watermark;
           tc "duplicate basename refused" test_cli_duplicate_basename;
           tc "check keeps same-named modes apart" test_cli_check_same_basename;
+          tc "SIGINT flushes trace and event dump" test_cli_sigint_flushes;
         ] );
     ]
