@@ -6,9 +6,11 @@
 # PRESETS_DIR holds one directory per preset, as written by
 # `dune exec bench/main.exe -- presets PRESETS_DIR`. For each preset at
 # -j 1 and -j 2, both binaries run:
-#   - merge with --audit, --dot and --progress (merged SDC, audit JSON,
-#     dot files; --progress checks that the stderr renderer leaves the
-#     results alone);
+#   - merge with --audit, --dot, --progress, --events and --metrics
+#     (merged SDC, audit JSON, dot files; --progress checks that the
+#     stderr renderer leaves the results alone; the event journal and
+#     the metrics JSON are compared with every number masked, which
+#     covers the ts/t_ns stamps and the timings);
 #   - merge --annotate (annotated merged SDC);
 #   - sta --paths 3 on the first three modes, runtime column masked.
 # The outputs, the exit codes and the merge `group [` stdout lines (output
@@ -28,8 +30,12 @@ run() {
   bin=$1 p=$2 j=$3 out=$4
   rm -rf "$out" && mkdir -p "$out"
   "$bin" merge -n "$p/design.nl" -o "$out/plain" --audit "$out/audit.json" \
-    --dot --progress -j "$j" "$p"/*.sdc > "$out/stdout" 2> "$out/stderr"
+    --dot --progress --events "$out/events.raw" --metrics "$out/metrics.raw" \
+    -j "$j" "$p"/*.sdc > "$out/stdout" 2> "$out/stderr"
   echo "merge $?" > "$out/codes"
+  for f in events metrics; do
+    sed -E 's/([:,[])-?[0-9][0-9.eE+-]*/\1N/g' "$out/$f.raw" > "$out/$f.txt"
+  done
   "$bin" merge -n "$p/design.nl" -o "$out/ann" --annotate -j "$j" \
     "$p"/*.sdc > /dev/null 2>&1
   echo "annotate $?" >> "$out/codes"
@@ -38,7 +44,8 @@ run() {
   echo "sta $?" >> "$out/codes"
   sed -E 's/, [0-9.]+s$/, Xs/' "$out/sta.raw" > "$out/sta.txt"
   grep '^ *group \[' "$out/stdout" | sed "s|$out/||g" > "$out/groups.txt"
-  rm -f "$out/stdout" "$out/stderr" "$out/sta.raw"
+  rm -f "$out/stdout" "$out/stderr" "$out/sta.raw" "$out/events.raw" \
+    "$out/metrics.raw"
 }
 
 status=0

@@ -22,6 +22,7 @@ module Context = Mm_timing.Context
 module Sta = Mm_timing.Sta
 module Tab = Mm_util.Tab
 module Stat = Mm_util.Stat
+module Json = Mm_util.Json
 module Obs = Mm_util.Obs
 module Metrics = Mm_util.Metrics
 module Pc = Mm_workload.Paper_circuit
@@ -165,52 +166,28 @@ let run_design (p : Presets.preset) =
 (* and per-stage span durations) of the run that produced them.        *)
 
 let bench_json ~sta runs =
-  let jf = Metrics.json_float in
-  let b = Buffer.create 4096 in
+  let num = Json.num and int = string_of_int in
   let row5 r =
-    Printf.sprintf
-      {|{"design":"%s","cells":%d,"n_individual":%d,"n_merged":%d,"reduction_percent":%s,"merge_runtime_s":%s}|}
-      (Metrics.json_escape r.dr_name)
-      r.dr_cells r.dr_flow.Merge_flow.n_individual
-      r.dr_flow.Merge_flow.n_merged
-      (jf r.dr_flow.Merge_flow.reduction_percent)
-      (jf r.dr_flow.Merge_flow.runtime_s)
+    Json.obj
+      [ "design", Json.str r.dr_name;
+        "cells", int r.dr_cells;
+        "n_individual", int r.dr_flow.Merge_flow.n_individual;
+        "n_merged", int r.dr_flow.Merge_flow.n_merged;
+        "reduction_percent", num r.dr_flow.Merge_flow.reduction_percent;
+        "merge_runtime_s", num r.dr_flow.Merge_flow.runtime_s ]
   in
   let row6 r =
-    Printf.sprintf
-      {|{"design":"%s","sta_individual_s":%s,"sta_merged_s":%s,"sta_reduction_percent":%s,"conformity":%s,"equivalent":%b,"quarantined":%d,"degraded_cliques":%d}|}
-      (Metrics.json_escape r.dr_name)
-      (jf r.dr_sta_ind) (jf r.dr_sta_mrg)
-      (jf (Stat.reduction_percent r.dr_sta_ind r.dr_sta_mrg))
-      (jf r.dr_conformity) r.dr_all_equivalent
-      (List.length r.dr_flow.Merge_flow.quarantined)
-      (List.length r.dr_flow.Merge_flow.degraded)
+    Json.obj
+      [ "design", Json.str r.dr_name;
+        "sta_individual_s", num r.dr_sta_ind;
+        "sta_merged_s", num r.dr_sta_mrg;
+        "sta_reduction_percent",
+        num (Stat.reduction_percent r.dr_sta_ind r.dr_sta_mrg);
+        "conformity", num r.dr_conformity;
+        "equivalent", string_of_bool r.dr_all_equivalent;
+        "quarantined", int (List.length r.dr_flow.Merge_flow.quarantined);
+        "degraded_cliques", int (List.length r.dr_flow.Merge_flow.degraded) ]
   in
-  Buffer.add_string b {|{"schema":"modemerge-bench/1","run":"paper_tables",|};
-  Buffer.add_string b
-    (Printf.sprintf {|"table5":[%s],|}
-       (String.concat "," (List.map row5 runs)));
-  Buffer.add_string b
-    (Printf.sprintf {|"table6":[%s],|}
-       (String.concat "," (List.map row6 runs)));
-  Buffer.add_string b
-    (Printf.sprintf
-       {|"summary":{"avg_reduction_percent":%s,"avg_sta_reduction_percent":%s,"avg_conformity":%s},|}
-       (jf (Stat.mean (List.map (fun r -> r.dr_flow.Merge_flow.reduction_percent) runs)))
-       (jf (Stat.mean (List.map (fun r -> Stat.reduction_percent r.dr_sta_ind r.dr_sta_mrg) runs)))
-       (jf (Stat.mean (List.map (fun r -> r.dr_conformity) runs))));
-  (* STA microbench section: the compiled-arena payoff (compile-once
-     vs rebuild, full vs incremental re-analysis). *)
-  Buffer.add_string b (Printf.sprintf {|"sta":%s,|} sta);
-  (* Resource sections: whole-run GC totals and the pool.* metric
-     slice. *)
-  Buffer.add_string b
-    (Printf.sprintf {|"gc":{%s},|}
-       (String.concat ","
-          (List.map
-             (fun (k, v) ->
-               Printf.sprintf {|"%s":%s|} (Metrics.json_escape k) (jf v))
-             (Obs.gc_totals ()))));
   let pool_items =
     List.filter
       (fun (i : Metrics.item) ->
@@ -218,12 +195,27 @@ let bench_json ~sta runs =
         && String.sub i.Metrics.name 0 5 = "pool.")
       (Metrics.snapshot ())
   in
-  Buffer.add_string b
-    (Printf.sprintf {|"pool":%s,|} (Metrics.json_of_items pool_items));
-  (* Obs.metrics_json is {"metrics":...,"spans":...} — embed verbatim. *)
-  Buffer.add_string b
-    (Printf.sprintf {|"observability":%s}|} (Obs.metrics_json ()));
-  Buffer.contents b
+  Json.obj
+    [ "schema", Json.str "modemerge-bench/1";
+      "run", Json.str "paper_tables";
+      "table5", Json.arr (List.map row5 runs);
+      "table6", Json.arr (List.map row6 runs);
+      "summary",
+      Json.obj
+        [ "avg_reduction_percent",
+          num (Stat.mean (List.map (fun r -> r.dr_flow.Merge_flow.reduction_percent) runs));
+          "avg_sta_reduction_percent",
+          num (Stat.mean (List.map (fun r -> Stat.reduction_percent r.dr_sta_ind r.dr_sta_mrg) runs));
+          "avg_conformity", num (Stat.mean (List.map (fun r -> r.dr_conformity) runs)) ];
+      (* STA microbench section: the compiled-arena payoff (compile-once
+         vs rebuild, full vs incremental re-analysis). *)
+      "sta", sta;
+      (* Resource sections: whole-run GC totals and the pool.* metric
+         slice. *)
+      "gc", Json.obj (List.map (fun (k, v) -> k, num v) (Obs.gc_totals ()));
+      "pool", Obs.metrics_items_json pool_items;
+      (* {"metrics":...,"spans":...}, embedded verbatim. *)
+      "observability", Obs.metrics_json () ]
 
 let bench_file = "BENCH_paper_tables.json"
 
@@ -374,24 +366,30 @@ let sta_measure (p : Presets.preset) =
   }
 
 let sta_json rows =
-  let jf = Metrics.json_float in
+  let num = Json.num in
   let row r =
-    Printf.sprintf
-      {|{"design":"%s","pins":%d,"modes":%d,"rebuild_s":%s,"reuse_s":%s,"compile_speedup":%s,"full_s":%s,"incremental_s":%s,"incremental_speedup":%s}|}
-      (Metrics.json_escape r.st_name)
-      r.st_pins r.st_modes (jf r.st_rebuild_s) (jf r.st_reuse_s)
-      (jf (sta_speedup r.st_rebuild_s r.st_reuse_s))
-      (jf r.st_full_s) (jf r.st_incr_s)
-      (jf (sta_speedup r.st_full_s r.st_incr_s))
+    Json.obj
+      [ "design", Json.str r.st_name;
+        "pins", string_of_int r.st_pins;
+        "modes", string_of_int r.st_modes;
+        "rebuild_s", num r.st_rebuild_s;
+        "reuse_s", num r.st_reuse_s;
+        "compile_speedup", num (sta_speedup r.st_rebuild_s r.st_reuse_s);
+        "full_s", num r.st_full_s;
+        "incremental_s", num r.st_incr_s;
+        "incremental_speedup", num (sta_speedup r.st_full_s r.st_incr_s) ]
   in
   let min_of get =
     List.fold_left (fun acc r -> Float.min acc (get r)) infinity rows
   in
-  Printf.sprintf
-    {|{"rows":[%s],"summary":{"min_compile_speedup":%s,"min_incremental_speedup":%s}}|}
-    (String.concat "," (List.map row rows))
-    (jf (min_of (fun r -> sta_speedup r.st_rebuild_s r.st_reuse_s)))
-    (jf (min_of (fun r -> sta_speedup r.st_full_s r.st_incr_s)))
+  Json.obj
+    [ "rows", Json.arr (List.map row rows);
+      "summary",
+      Json.obj
+        [ "min_compile_speedup",
+          num (min_of (fun r -> sta_speedup r.st_rebuild_s r.st_reuse_s));
+          "min_incremental_speedup",
+          num (min_of (fun r -> sta_speedup r.st_full_s r.st_incr_s)) ] ]
 
 let tables56 () =
   (* Tables 5/6 are the committed bench trajectory, so they run with
@@ -523,12 +521,7 @@ let audit_smoke () =
   section "Audit smoke: paper circuit, Constraint Set 6, provenance audit";
   let d = Pc.build () in
   let a, b = Pc.constraint_set6 d in
-  let audit_at jobs =
-    (* Counters feed the audit's coverage section; reset between runs
-       so both job counts start from the same cumulative state. *)
-    Metrics.reset ();
-    Mm_core.Audit.to_json (Merge_flow.run ~jobs [ a; b ])
-  in
+  let audit_at jobs = Mm_core.Audit.to_json (Merge_flow.run ~jobs [ a; b ]) in
   let j1 = audit_at 1 in
   let j4 = audit_at 4 in
   if j1 <> j4 then begin

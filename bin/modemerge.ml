@@ -257,7 +257,7 @@ let obs_setup o =
         (fun p -> write_file p (Obs.metrics_json () ^ "\n"))
         o.oo_metrics;
       Option.iter
-        (fun p -> write_file p (Mm_util.Eventlog.to_ndjson ()))
+        (fun p -> write_file p (Obs.events_ndjson ()))
         o.oo_events;
       if o.oo_profile || o.oo_profile_gc then begin
         prerr_string (Obs.profile_tree ~gc:o.oo_profile_gc ());
@@ -270,7 +270,7 @@ let obs_setup o =
     let name, code =
       if signum = Sys.sigterm then "SIGTERM", 143 else "SIGINT", 130
     in
-    Mm_util.Eventlog.log "run.signal" ~attrs:[ "signal", name ];
+    Obs.event "run.signal" ~attrs:[ "signal", name ];
     Stdlib.exit code
   in
   (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
@@ -498,35 +498,23 @@ let merge_cmd =
         (Merge_flow.merged_files ~annotate result)
     in
     if dot then begin
-      (* Rebuild the individual sides to attribute clock-network edges;
-         quarantined modes simply contribute no side. The first source
-         of a mode name is the one the merge kept. *)
-      let by_name = Hashtbl.create 8 in
-      List.iter
-        (fun path ->
-          match load_mode ~policy design path with
-          | m ->
-            if not (Hashtbl.mem by_name m.Mode.mode_name) then
-              Hashtbl.replace by_name m.Mode.mode_name m
-          | exception _ -> ())
-        sdcs;
+      (* The individual sides that attribute clock-network edges are
+         the modes the merge loaded; every group member is one of them. *)
       List.iteri
         (fun i (g : Merge_flow.group) ->
-          let sides =
-            List.filter_map
-              (fun name ->
-                match Hashtbl.find_opt by_name name with
-                | None -> None
-                | Some m ->
-                  Some
-                    {
-                      Mm_timing.Dot.side_name = name;
-                      side_ctx = Context.create design m;
-                      side_rename =
-                        Mm_core.Prelim.rename_of g.Merge_flow.grp_prelim name;
-                    })
-              g.Merge_flow.grp_members
+          let side name =
+            List.find_opt
+              (fun (m : Mode.t) -> m.Mode.mode_name = name)
+              result.Merge_flow.modes
+            |> Option.map (fun m ->
+                   {
+                     Mm_timing.Dot.side_name = name;
+                     side_ctx = Context.create design m;
+                     side_rename =
+                       Mm_core.Prelim.rename_of g.Merge_flow.grp_prelim name;
+                   })
           in
+          let sides = List.filter_map side g.Merge_flow.grp_members in
           let ctx = Context.create design g.Merge_flow.grp_mode in
           let path = Filename.concat outdir (Printf.sprintf "merged_%d.dot" i) in
           Mm_timing.Dot.write path ~individual:sides ~clock_network_only:true

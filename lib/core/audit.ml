@@ -1,5 +1,5 @@
 module Diag = Mm_util.Diag
-module Metrics = Mm_util.Metrics
+module Json = Mm_util.Json
 module Prov = Mm_util.Prov
 
 let schema_version = 2
@@ -10,31 +10,20 @@ let mandatory_keys =
     "governance";
   ]
 
-(* The coverage section reads only counters, which the parallel-stress
-   contract keeps byte-identical across --jobs values; gauges (e.g.
-   merge.jobs) and timings are deliberately excluded so the audit file
-   itself is jobs-invariant. *)
-let coverage_counters =
-  [
-    "compare.endpoints_visited";
-    "compare.endpoints_pruned";
-    "compare.pairs_compared";
-    "compare.reconv_points";
-    "merge.pairs_checked";
-    "merge.cliques";
-  ]
-
-let str s = "\"" ^ Metrics.json_escape s ^ "\""
-let str_list l = "[" ^ String.concat "," (List.map str l) ^ "]"
+let str = Json.str
+let int = string_of_int
+let bool = string_of_bool
+let null_or f = function None -> "null" | Some x -> f x
 
 let summary_json (r : Merge_flow.result) =
-  Printf.sprintf
-    "{\"n_individual\":%d,\"n_merged\":%d,\"reduction_percent\":%s,\"cliques\":%d,\"quarantined\":%d,\"degraded\":%d}"
-    r.Merge_flow.n_individual r.Merge_flow.n_merged
-    (Metrics.json_float r.Merge_flow.reduction_percent)
-    (List.length r.Merge_flow.mergeability.Mergeability.cliques)
-    (List.length r.Merge_flow.quarantined)
-    (List.length r.Merge_flow.degraded)
+  Json.obj
+    [ "n_individual", int r.Merge_flow.n_individual;
+      "n_merged", int r.Merge_flow.n_merged;
+      "reduction_percent", Json.num r.Merge_flow.reduction_percent;
+      "cliques",
+      int (List.length r.Merge_flow.mergeability.Mergeability.cliques);
+      "quarantined", int (List.length r.Merge_flow.quarantined);
+      "degraded", int (List.length r.Merge_flow.degraded) ]
 
 (* Verdict matrix in canonical (i, j), i < j index order — never in
    hash-table order (DESIGN.md §11). *)
@@ -44,111 +33,82 @@ let mergeability_json (m : Mergeability.t) =
   let pairs = ref [] in
   for i = n - 1 downto 0 do
     for j = n - 1 downto i + 1 do
-      let mergeable = m.Mergeability.adjacency.(i).(j) in
       let reasons =
-        match Hashtbl.find_opt m.Mergeability.pair_reasons (i, j) with
-        | Some rs -> rs
-        | None -> []
-      in
-      let reason =
-        match reasons with [] -> "null" | r :: _ -> str r
+        Option.value ~default:[]
+          (Hashtbl.find_opt m.Mergeability.pair_reasons (i, j))
       in
       pairs :=
-        Printf.sprintf
-          "{\"a\":%s,\"b\":%s,\"mergeable\":%b,\"reason\":%s,\"reasons\":%s}"
-          (str names.(i)) (str names.(j)) mergeable reason (str_list reasons)
+        Json.obj
+          [ "a", str names.(i);
+            "b", str names.(j);
+            "mergeable", bool m.Mergeability.adjacency.(i).(j);
+            "reason", null_or str (List.nth_opt reasons 0);
+            "reasons", Json.strs reasons ]
         :: !pairs
     done
   done;
-  Printf.sprintf
-    "{\"modes\":%s,\"cliques\":%s,\"pairs\":[%s]}"
-    (str_list (Array.to_list names))
-    ("["
-    ^ String.concat ","
-        (List.map
-           (fun c ->
-             "[" ^ String.concat "," (List.map string_of_int c) ^ "]")
-           m.Mergeability.cliques)
-    ^ "]")
-    (String.concat "," !pairs)
+  Json.obj
+    [ "modes", Json.strs (Array.to_list names);
+      "cliques",
+      Json.arr
+        (List.map (fun c -> Json.arr (List.map int c)) m.Mergeability.cliques);
+      "pairs", Json.arr !pairs ]
 
 let group_json (g : Merge_flow.group) =
-  let equiv =
-    match g.Merge_flow.grp_equiv with
-    | None -> "null"
-    | Some e ->
-      Printf.sprintf "{\"equivalent\":%b,\"mismatches\":%d}" e.Equiv.equivalent
-        e.Equiv.mismatches
+  let equiv (e : Equiv.report) =
+    Json.obj
+      [ "equivalent", bool e.Equiv.equivalent;
+        "mismatches", int e.Equiv.mismatches ]
   in
-  let refinement =
-    match g.Merge_flow.grp_refine with
-    | None -> "null"
-    | Some r ->
-      Printf.sprintf
-        "{\"iterations\":%d,\"data_clock_fixes\":%d,\"added_false_paths\":%d}"
-        r.Refine.iterations
-        (List.length r.Refine.data_clock_fixes)
-        (List.length r.Refine.added_exceptions)
+  let refinement (r : Refine.t) =
+    Json.obj
+      [ "iterations", int r.Refine.iterations;
+        "data_clock_fixes", int (List.length r.Refine.data_clock_fixes);
+        "added_false_paths", int (List.length r.Refine.added_exceptions) ]
   in
-  Printf.sprintf
-    "{\"name\":%s,\"members\":%s,\"singleton\":%b,\"equivalence\":%s,\"refinement\":%s,\"lineage\":%s}"
-    (str g.Merge_flow.grp_mode.Mm_sdc.Mode.mode_name)
-    (str_list g.Merge_flow.grp_members)
-    (g.Merge_flow.grp_refine = None)
-    equiv refinement
-    (Prov.to_json g.Merge_flow.grp_prov)
+  Json.obj
+    [ "name", str g.Merge_flow.grp_mode.Mm_sdc.Mode.mode_name;
+      "members", Json.strs g.Merge_flow.grp_members;
+      "singleton", bool (g.Merge_flow.grp_refine = None);
+      "equivalence", null_or equiv g.Merge_flow.grp_equiv;
+      "refinement", null_or refinement g.Merge_flow.grp_refine;
+      "lineage", Prov.to_json g.Merge_flow.grp_prov ]
 
 let quarantined_json (q : Merge_flow.quarantined) =
-  Printf.sprintf "{\"name\":%s,\"stage\":%s,\"diags\":%s}"
-    (str q.Merge_flow.q_name)
-    (str (Merge_flow.stage_to_string q.Merge_flow.q_stage))
-    (Diag.render_json q.Merge_flow.q_diags)
+  Json.obj
+    [ "name", str q.Merge_flow.q_name;
+      "stage", str (Merge_flow.stage_to_string q.Merge_flow.q_stage);
+      "diags", Diag.render_json q.Merge_flow.q_diags ]
 
 (* Only outcome-affecting governance decisions are reported here; the
    govern.* counters live in the metrics export. *)
 let governance_json (g : Merge_flow.governed) =
   let event (e : Merge_flow.govern_event) =
-    Printf.sprintf
-      "{\"stage\":%s,\"scope\":%s,\"action\":%s,\"detail\":%s}"
-      (str e.Merge_flow.ge_stage) (str e.Merge_flow.ge_scope)
-      (str e.Merge_flow.ge_action) (str e.Merge_flow.ge_detail)
+    Json.obj
+      [ "stage", str e.Merge_flow.ge_stage;
+        "scope", str e.Merge_flow.ge_scope;
+        "action", str e.Merge_flow.ge_action;
+        "detail", str e.Merge_flow.ge_detail ]
   in
-  Printf.sprintf
-    "{\"clique_splits\":%d,\"budget_quarantines\":%d,\"conservative_pairs\":%d,\"deadline_hit\":%b,\"events\":[%s]}"
-    g.Merge_flow.gov_clique_splits g.Merge_flow.gov_budget_quarantines
-    g.Merge_flow.gov_conservative_pairs g.Merge_flow.gov_deadline_hit
-    (String.concat "," (List.map event g.Merge_flow.gov_events))
-
-let coverage_json () =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun name ->
-           Printf.sprintf "%s:%d" (str name) (Metrics.get_counter name))
-         coverage_counters)
-  ^ "}"
+  Json.obj
+    [ "clique_splits", int g.Merge_flow.gov_clique_splits;
+      "budget_quarantines", int g.Merge_flow.gov_budget_quarantines;
+      "conservative_pairs", int g.Merge_flow.gov_conservative_pairs;
+      "deadline_hit", bool g.Merge_flow.gov_deadline_hit;
+      "events", Json.arr (List.map event g.Merge_flow.gov_events) ]
 
 let to_json (r : Merge_flow.result) =
-  String.concat ""
-    [
-      "{\"audit_schema_version\":";
-      string_of_int schema_version;
-      ",\"summary\":";
-      summary_json r;
-      ",\"mergeability\":";
-      mergeability_json r.Merge_flow.mergeability;
-      ",\"groups\":[";
-      String.concat "," (List.map group_json r.Merge_flow.groups);
-      "],\"quarantined\":[";
-      String.concat "," (List.map quarantined_json r.Merge_flow.quarantined);
-      "],\"degraded\":[";
-      String.concat "," (List.map str_list r.Merge_flow.degraded);
-      "],\"governance\":";
-      governance_json r.Merge_flow.governed;
-      ",\"coverage\":";
-      coverage_json ();
-      "}";
-    ]
+  Json.obj
+    [ "audit_schema_version", int schema_version;
+      "summary", summary_json r;
+      "mergeability", mergeability_json r.Merge_flow.mergeability;
+      "groups", Json.arr (List.map group_json r.Merge_flow.groups);
+      "quarantined",
+      Json.arr (List.map quarantined_json r.Merge_flow.quarantined);
+      "degraded", Json.arr (List.map Json.strs r.Merge_flow.degraded);
+      "governance", governance_json r.Merge_flow.governed;
+      "coverage",
+      Json.obj (List.map (fun (name, n) -> name, int n) r.Merge_flow.coverage) ]
 
 let write path r =
   let oc = open_out path in

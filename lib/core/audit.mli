@@ -16,10 +16,9 @@
       (clique splits, budget quarantines, conservative pair verdicts,
       the chronological event list, whether a deadline was hit); the
       [govern.*] counters live in the metrics export only;
-    - ["coverage"] — the stable per-pass coverage counters
-      ([compare.endpoints_visited], [compare.endpoints_pruned],
-      [compare.pairs_compared], [compare.reconv_points],
-      [merge.pairs_checked], [merge.cliques]). The [compare.*]
+    - ["coverage"] — what this merge added to the stable per-pass
+      coverage counters ({!Merge_flow.coverage_counters}), so a second
+      merge in the same process reports its own counts. The [compare.*]
       counters count refinement's comparison passes only: each group's
       equivalence verdict is read from refinement's final comparison,
       not from a second one.
@@ -32,9 +31,6 @@ val schema_version : int
 val mandatory_keys : string list
 (** Top-level keys every audit file must carry — what the
     [@audit-smoke] alias validates. *)
-
-val coverage_counters : string list
-(** The stable counter names exported in the ["coverage"] section. *)
 
 val to_json : Merge_flow.result -> string
 

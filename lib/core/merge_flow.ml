@@ -6,7 +6,6 @@ module Obs = Mm_util.Obs
 module Metrics = Mm_util.Metrics
 module Pool = Mm_util.Pool
 module Govern = Mm_util.Govern
-module Eventlog = Mm_util.Eventlog
 module Ctx_cache = Mm_timing.Ctx_cache
 
 type policy = Strict | Permissive
@@ -78,6 +77,7 @@ let degraded_under_budget g =
   || g.gov_conservative_pairs > 0
 
 type result = {
+  modes : Mode.t list;
   groups : group list;
   mergeability : Mergeability.t;
   quarantined : quarantined list;
@@ -88,7 +88,21 @@ type result = {
   reduction_percent : float;
   runtime_s : float;
   governed : governed;
+  coverage : (string * int) list;
 }
+
+(* Counters only, which the parallel-stress contract keeps identical
+   across --jobs values; gauges and timings would make the audit's
+   coverage section jobs-dependent. *)
+let coverage_counters =
+  [
+    "compare.endpoints_visited";
+    "compare.endpoints_pruned";
+    "compare.pairs_compared";
+    "compare.reconv_points";
+    "merge.pairs_checked";
+    "merge.cliques";
+  ]
 
 let exn_diag ~code ~name exn =
   Diag.makef ~loc:(Diag.loc name) Diag.Error ~code "%s: %s" name
@@ -212,7 +226,7 @@ let stage_key = function
    once, and kept with its diagnostics. *)
 let quarantine q_stage name diags =
   Metrics.incr "merge.quarantined";
-  Eventlog.log "merge.quarantined"
+  Obs.event "merge.quarantined"
     ~attrs:[ "stage", stage_key q_stage; "mode", name ];
   { q_name = name; q_stage; q_diags = diags }
 
@@ -344,9 +358,9 @@ let stage_token ~budgets root name =
 (* Run one pipeline stage between its [stage.start]/[stage.finish]
    events. *)
 let staged ~stage compute =
-  Eventlog.log "stage.start" ~attrs:[ "stage", stage ];
+  Obs.event "stage.start" ~attrs:[ "stage", stage ];
   let v = compute () in
-  Eventlog.log "stage.finish" ~attrs:[ "stage", stage ];
+  Obs.event "stage.finish" ~attrs:[ "stage", stage ];
   v
 
 (* ------------------------------------------------------------------ *)
@@ -440,7 +454,7 @@ let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
     if !conservative = 0 then st
     else begin
       let n = !conservative in
-      Eventlog.log "govern.conservative"
+      Obs.event "govern.conservative"
         ~attrs:[ "stage", "mergeability"; "pairs", string_of_int n ];
       decide st
         ~count:(fun g ->
@@ -462,7 +476,7 @@ let absorb st t =
   Metrics.incr ~by:(List.length t.tk_degraded) "merge.degraded_cliques";
   List.iter
     (fun members ->
-      Eventlog.log "merge.degraded"
+      Obs.event "merge.degraded"
         ~attrs:[ "stage", "cliques"; "modes", String.concat "," members ])
     t.tk_degraded;
   {
@@ -516,7 +530,7 @@ let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
         | _ ->
           let why = Govern.failure_to_string o in
           Metrics.incr "govern.clique_splits";
-          Eventlog.log "govern.clique_split"
+          Obs.event "govern.clique_split"
             ~attrs:
               [ "clique", name;
                 "members", string_of_int (List.length members);
@@ -551,11 +565,14 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
     "merge.flow"
   @@ fun () ->
   Metrics.set "merge.jobs" (float_of_int (Pool.jobs pool));
+  (* The registry accumulates over the process; the run's coverage is
+     what it adds. *)
+  let coverage0 = List.map Metrics.get_counter coverage_counters in
   (match budgets.bg_mem_limit_mb with
   | Some _ as l -> Govern.set_memory_limit_mb l
   | None -> ());
   let root = Govern.create ?deadline_s:budgets.bg_deadline_s ~scope:"merge" () in
-  Eventlog.log "run.start"
+  Obs.event "run.start"
     ~attrs:
       [ "scope", "merge";
         "jobs", string_of_int (Pool.jobs pool);
@@ -579,13 +596,14 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
   Obs.record_gc_metrics ();
   let n_individual = List.length st.s_modes
   and n_merged = List.length st.s_groups in
-  Eventlog.log "run.finish"
+  Obs.event "run.finish"
     ~attrs:
       [ "scope", "merge";
         "groups", string_of_int n_merged;
         "quarantined", string_of_int (List.length st.s_quar);
         "degraded", string_of_int (List.length st.s_degraded) ];
   {
+    modes = st.s_modes;
     groups = List.rev st.s_groups;
     mergeability = st.s_matrix;
     quarantined = List.rev st.s_quar;
@@ -598,6 +616,10 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
         (float_of_int n_merged);
     runtime_s = Obs.Clock.elapsed_s t0;
     governed = { st.s_gov with gov_events = List.rev st.s_gov.gov_events };
+    coverage =
+      List.map2
+        (fun name n0 -> name, Metrics.get_counter name - n0)
+        coverage_counters coverage0;
   }
 
 let run ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs

@@ -130,6 +130,9 @@ val degraded_under_budget : governed -> bool
     condition. *)
 
 type result = {
+  modes : Mm_sdc.Mode.t list;
+      (** the modes that entered the merge (quarantined excluded), in
+          source order, as loaded and resolved *)
   groups : group list;
   mergeability : Mergeability.t;
   quarantined : quarantined list;
@@ -146,7 +149,17 @@ type result = {
   governed : governed;
       (** outcome-affecting governance decisions ({!empty_governed}
           for an ungoverned or unpressured run) *)
+  coverage : (string * int) list;
+      (** what this run added to each of {!coverage_counters}, in that
+          order — the audit's coverage section, independent of any
+          earlier run in the process *)
 }
+
+val coverage_counters : string list
+(** The per-pass coverage counters a result carries:
+    [compare.endpoints_visited], [compare.endpoints_pruned],
+    [compare.pairs_compared], [compare.reconv_points],
+    [merge.pairs_checked] and [merge.cliques]. *)
 
 val run :
   ?tolerance:Mm_util.Toler.t ->

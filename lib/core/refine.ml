@@ -150,7 +150,10 @@ let data_clock_refinement (prelim : Prelim.t) individual ctxs =
     tagged,
     ctx_m )
 
-let run ?(max_iters = 4) ?ctx_cache ~(prelim : Prelim.t) ~individual () =
+(* Bound on the compare/fix loop's iterations. *)
+let max_iters = 4
+
+let run ?ctx_cache ~(prelim : Prelim.t) ~individual () =
   Mm_util.Obs.with_span
     ~attrs:[ "merged", prelim.Prelim.merged.Mode.mode_name ]
     "merge.refine"

@@ -49,10 +49,9 @@ type t = {
 }
 
 val run :
-  ?max_iters:int ->
   ?ctx_cache:Mm_timing.Ctx_cache.t ->
   prelim:Prelim.t ->
   individual:Mm_sdc.Mode.t list ->
   unit ->
   t
-(** [max_iters] bounds the compare/fix loop (default 4). *)
+(** The compare/fix loop runs at most 4 iterations. *)

@@ -132,7 +132,7 @@ let hit site =
     (* Journal the injection before firing: a raise never comes back
        here, and the event must still reach the ring. *)
     if faults <> [] then
-      Eventlog.log "chaos.injected"
+      Obs.event "chaos.injected"
         ~attrs:
           [ "site", site;
             "faults",

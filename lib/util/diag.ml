@@ -46,23 +46,22 @@ let to_string d =
     d.code d.message
 
 let to_json d =
-  let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf {|{"severity":"%s","code":"%s"|}
-       (severity_to_string d.severity)
-       (Metrics.json_escape d.code));
-  (match d.dloc with
-  | None -> ()
-  | Some { file; line; col } ->
-    Buffer.add_string b
-      (Printf.sprintf {|,"file":"%s"|} (Metrics.json_escape file));
-    if line > 0 then Buffer.add_string b (Printf.sprintf {|,"line":%d|} line);
-    if col > 0 then Buffer.add_string b (Printf.sprintf {|,"col":%d|} col));
-  Buffer.add_string b
-    (Printf.sprintf {|,"message":"%s"}|} (Metrics.json_escape d.message));
-  Buffer.contents b
+  let where =
+    match d.dloc with
+    | None -> []
+    | Some { file; line; col } ->
+      ("file", Json.str file)
+      :: List.filter_map
+           (fun (k, n) -> if n > 0 then Some (k, string_of_int n) else None)
+           [ "line", line; "col", col ]
+  in
+  Json.obj
+    ([ "severity", Json.str (severity_to_string d.severity);
+       "code", Json.str d.code ]
+    @ where
+    @ [ "message", Json.str d.message ])
 
-let render_json ds = "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+let render_json ds = Json.arr (List.map to_json ds)
 let messages ds = List.map (fun d -> d.message) ds
 
 let has_errors ds =

@@ -99,7 +99,7 @@ let memory_pressure () =
     in
     if used_mb > limit_mb then begin
       if not (Atomic.exchange pressure_logged true) then
-        Eventlog.log "govern.pressure"
+        Obs.event "govern.pressure"
           ~attrs:
             [ "used_mb", Printf.sprintf "%.1f" used_mb;
               "limit_mb", Printf.sprintf "%.1f" limit_mb ];
@@ -128,12 +128,6 @@ let cancelled t =
     | None -> memory_pressure ()
 
 let check t = match cancelled t with None -> () | Some r -> raise (Cancelled r)
-
-let remaining_s t =
-  match t.tk_deadline_ns with
-  | None -> None
-  | Some d ->
-    Some (Float.max 0. (Obs.Clock.ns_to_s (Int64.sub d (Obs.Clock.now_ns ()))))
 
 (* ------------------------------------------------------------------ *)
 (* Ambient token                                                       *)

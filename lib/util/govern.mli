@@ -75,9 +75,6 @@ val cancelled : token -> reason option
 val check : token -> unit
 (** @raise Cancelled when {!cancelled} is [Some _]. *)
 
-val remaining_s : token -> float option
-(** Seconds until the nearest deadline; [None] when undeadlined. *)
-
 (** {2 Ambient token}
 
     The pool installs each task's token in domain-local storage so

@@ -1,8 +1,9 @@
 (** Process-wide metrics registry.
 
     Named counters, gauges and histograms accumulated by the pipeline
-    stages and exported as flat JSON — the numeric half of the
-    observability layer ({!Obs} holds the tracing half). The registry
+    stages — the numeric half of the observability layer. {!Obs} holds
+    the spans, counter samples and event journal, and renders this
+    registry into its metrics export ({!Obs.metrics_json}). The registry
     is global and thread-safe (one mutex, coarse-grained: every
     operation is O(1) and instrumentation sites record per-stage or
     per-task values — never per-element in hot inner loops — so
@@ -80,29 +81,7 @@ val counters : unit -> (string * int) list
 (** Counters only, sorted by name: the work counts of a run, without
     the gauges and histograms that carry run-local timings. *)
 
-(** {2 JSON rendering}
-
-    The registry renders as one flat object keyed by metric name:
-    counters as integers, gauges as numbers, histograms as
-    [{"count":n,"sum":s,"min":a,"max":b,"mean":m,"p50":…,"p90":…,"p99":…}]
-    where the percentiles are nearest-rank values over the retained
-    reservoir — exact below {!max_samples} observations, a documented
-    estimate above it. *)
-
-val to_json : unit -> string
-
-val json_of_items : item list -> string
-
 val percentile : histogram -> float -> float
 (** [percentile h q] is the nearest-rank [q]-quantile ([q] in [0,1],
     {!Stat.percentile}) of the histogram's retained samples; [0.] for
     an empty histogram. *)
-
-(** {2 JSON helpers shared with {!Obs}} *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
-
-val json_float : float -> string
-(** Render a float as a JSON number; non-finite values become [0] so an
-    exported file never contains [nan]/[inf] tokens. *)

@@ -176,10 +176,61 @@ let spans () =
     (fun a b -> compare (a.sp_start_ns, a.sp_id) (b.sp_start_ns, b.sp_id))
     l
 
+(* ------------------------------------------------------------------ *)
+(* Event journal: a ring of the newest [ring_capacity] events, always  *)
+(* on, under the sink lock. Event [seq] lives in slot                  *)
+(* [seq mod ring_capacity], so the sequence counter alone says which   *)
+(* slots are live and how many events were dropped.                    *)
+
+type event = {
+  ev_seq : int;
+  ev_t_ns : int64;
+  ev_ts : float;
+  ev_kind : string;
+  ev_attrs : (string * string) list;
+}
+
+let schema_version = "modemerge-events/1"
+let ring_capacity = 4096
+let ring : event option array = Array.make ring_capacity None
+let ring_seq = ref 0 (* events logged since start or reset *)
+
+let event ?(attrs = []) kind =
+  let t_ns = Clock.now_ns () and ts = Unix.gettimeofday () in
+  Mutex.lock lock;
+  let seq = !ring_seq in
+  ring.(seq mod ring_capacity) <-
+    Some { ev_seq = seq; ev_t_ns = t_ns; ev_ts = ts; ev_kind = kind;
+           ev_attrs = attrs };
+  ring_seq := seq + 1;
+  Mutex.unlock lock
+
+(* The events logged so far and the retained ones, oldest first, read
+   in one critical section. *)
+let journal () =
+  Mutex.lock lock;
+  let n = !ring_seq in
+  let live = min n ring_capacity in
+  let slots = List.init live (fun i -> ring.((n - live + i) mod ring_capacity)) in
+  Mutex.unlock lock;
+  n, List.filter_map Fun.id slots
+
+let events () = snd (journal ())
+
+let events_total () =
+  Mutex.lock lock;
+  let n = !ring_seq in
+  Mutex.unlock lock;
+  n
+
+let events_dropped () = max 0 (events_total () - ring_capacity)
+
 let reset () =
   Mutex.lock lock;
   sink := [];
   csink := [];
+  Array.fill ring 0 ring_capacity None;
+  ring_seq := 0;
   Mutex.unlock lock
 
 (* ------------------------------------------------------------------ *)
@@ -296,6 +347,8 @@ let profile_tree ?(gc = false) () =
   List.iter emit roots;
   Buffer.contents b
 
+let attrs_json attrs = Json.obj (List.map (fun (k, v) -> k, Json.str v) attrs)
+
 let trace_event_json () =
   let ss = spans () in
   let cs = samples () in
@@ -306,55 +359,47 @@ let trace_event_json () =
     | [], (_, t, _) :: _ -> t
     | [], [] -> 0L
   in
-  let us ns = Int64.to_float ns /. 1e3 in
+  let us ns = Json.num (Int64.to_float ns /. 1e3) in
+  let since_base t = us (Int64.sub t base) in
   (* Perfetto metadata: name the process, and label each span lane by
      its OCaml domain id instead of a bare tid. *)
   let tids =
     List.sort_uniq compare (List.map (fun s -> s.sp_tid) ss)
   in
   let meta =
-    Printf.sprintf
-      {|{"name":"process_name","ph":"M","pid":0,"args":{"name":"modemerge"}}|}
+    Json.obj
+      [ "name", Json.str "process_name"; "ph", Json.str "M"; "pid", "0";
+        "args", attrs_json [ "name", "modemerge" ] ]
     :: List.map
          (fun tid ->
-           Printf.sprintf
-             {|{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"domain %d%s"}}|}
-             tid tid
-             (if tid = 0 then " (driver)" else " (pool worker)"))
+           Json.obj
+             [ "name", Json.str "thread_name"; "ph", Json.str "M"; "pid", "0";
+               "tid", string_of_int tid;
+               "args",
+               attrs_json
+                 [ "name",
+                   Printf.sprintf "domain %d%s" tid
+                     (if tid = 0 then " (driver)" else " (pool worker)") ] ])
          tids
   in
   let event s =
-    let args =
-      match s.sp_attrs with
-      | [] -> ""
-      | attrs ->
-        let field (k, v) =
-          Printf.sprintf {|"%s":"%s"|} (Metrics.json_escape k)
-            (Metrics.json_escape v)
-        in
-        Printf.sprintf {|,"args":{%s}|}
-          (String.concat "," (List.map field attrs))
-    in
-    Printf.sprintf
-      {|{"name":"%s","cat":"modemerge","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d%s}|}
-      (Metrics.json_escape s.sp_name)
-      (Metrics.json_float (us (Int64.sub s.sp_start_ns base)))
-      (Metrics.json_float (us s.sp_dur_ns))
-      s.sp_tid args
+    Json.obj
+      ([ "name", Json.str s.sp_name; "cat", Json.str "modemerge";
+         "ph", Json.str "X"; "ts", since_base s.sp_start_ns;
+         "dur", us s.sp_dur_ns; "pid", "0"; "tid", string_of_int s.sp_tid ]
+      @ match s.sp_attrs with [] -> [] | attrs -> [ "args", attrs_json attrs ])
   in
   (* Counter tracks ("ph":"C"): one series per sample name — pool
      occupancy, queue depth, heap watermark — rendered by Perfetto as
      counter lanes alongside the span lanes. *)
   let counter (name, t, v) =
-    Printf.sprintf
-      {|{"name":"%s","cat":"modemerge","ph":"C","ts":%s,"pid":0,"args":{"value":%s}}|}
-      (Metrics.json_escape name)
-      (Metrics.json_float (us (Int64.sub t base)))
-      (Metrics.json_float v)
+    Json.obj
+      [ "name", Json.str name; "cat", Json.str "modemerge"; "ph", Json.str "C";
+        "ts", since_base t; "pid", "0"; "args", Json.obj [ "value", Json.num v ] ]
   in
-  Printf.sprintf {|{"traceEvents":[%s],"displayTimeUnit":"ms"}|}
-    (String.concat ","
-       (meta @ List.map event ss @ List.map counter cs))
+  Json.obj
+    [ "traceEvents", Json.arr (meta @ List.map event ss @ List.map counter cs);
+      "displayTimeUnit", Json.str "ms" ]
 
 (* Per-name aggregates for the flat export: nodes of the same span name
    merged across paths. *)
@@ -380,12 +425,52 @@ let span_summaries () =
       name, count, Clock.ns_to_s total, Clock.ns_to_s self)
     (List.sort String.compare !order)
 
+let metric_json = function
+  | Metrics.Counter n -> string_of_int n
+  | Metrics.Gauge x -> Json.num x
+  | Metrics.Histogram h ->
+    Json.obj
+      [ "count", string_of_int h.Metrics.h_count;
+        "sum", Json.num h.Metrics.h_sum;
+        "min", Json.num h.Metrics.h_min;
+        "max", Json.num h.Metrics.h_max;
+        "mean",
+        Json.num
+          (if h.Metrics.h_count = 0 then 0.
+           else h.Metrics.h_sum /. float_of_int h.Metrics.h_count);
+        "p50", Json.num (Metrics.percentile h 0.50);
+        "p90", Json.num (Metrics.percentile h 0.90);
+        "p99", Json.num (Metrics.percentile h 0.99) ]
+
+let metrics_items_json items =
+  Json.obj (List.map (fun i -> i.Metrics.name, metric_json i.Metrics.value) items)
+
 let metrics_json () =
   let span_field (name, calls, total_s, self_s) =
-    Printf.sprintf {|"%s":{"calls":%d,"total_s":%s,"self_s":%s}|}
-      (Metrics.json_escape name) calls
-      (Metrics.json_float total_s)
-      (Metrics.json_float self_s)
+    ( name,
+      Json.obj
+        [ "calls", string_of_int calls; "total_s", Json.num total_s;
+          "self_s", Json.num self_s ] )
   in
-  Printf.sprintf {|{"metrics":%s,"spans":{%s}}|} (Metrics.to_json ())
-    (String.concat "," (List.map span_field (span_summaries ())))
+  Json.obj
+    [ "metrics", metrics_items_json (Metrics.snapshot ());
+      "spans", Json.obj (List.map span_field (span_summaries ())) ]
+
+let event_json e =
+  Json.obj
+    [ "seq", string_of_int e.ev_seq;
+      (* ts needs microsecond wall-clock resolution, which Json.num's 9
+         significant digits would truncate away on epoch seconds. *)
+      "ts", Printf.sprintf "%.6f" (if Float.is_finite e.ev_ts then e.ev_ts else 0.);
+      "t_ns", Int64.to_string e.ev_t_ns;
+      "kind", Json.str e.ev_kind;
+      "attrs", attrs_json e.ev_attrs ]
+
+let events_ndjson () =
+  let total, evs = journal () in
+  let header =
+    Json.obj
+      [ "schema", Json.str schema_version; "total", string_of_int total;
+        "dropped", string_of_int (total - List.length evs) ]
+  in
+  String.concat "\n" (header :: List.map event_json evs) ^ "\n"

@@ -1,19 +1,20 @@
-(** Pipeline tracing: hierarchical spans on a monotonic clock.
+(** Run telemetry: spans, counter samples and the event journal, and
+    their exporters.
 
-    The tracing half of the observability layer ({!Metrics} holds the
-    numbers). A {e span} is one timed region of the pipeline — an SDC
-    parse, a preliminary merge, a tag propagation — with a name, an
-    optional set of key/value attributes, and a start/duration pair
-    read from the process monotonic clock. Spans nest: the span opened
-    by {!with_span} while another is live on the same domain becomes
-    its child, so a run records a forest mirroring the call structure
-    of the merge flow.
+    One store under one mutex holds the three time-stamped records of a
+    run; the {!Metrics} registry holds the numbers. A {e span} is one
+    timed region of the pipeline — an SDC parse, a preliminary merge, a
+    tag propagation — with a name, an optional set of key/value
+    attributes, and a start/duration pair read from the process
+    monotonic clock. Spans nest: the span opened by {!with_span} while
+    another is live on the same domain becomes its child, so a run
+    records a forest mirroring the call structure of the merge flow.
 
-    Recording is {b off by default} and costs one atomic load per
+    Span recording is {b off by default} and costs one atomic load per
     {!with_span} when disabled — instrumentation can therefore live
     permanently in hot paths. When enabled (CLI [--trace]/[--profile],
-    the bench harness, tests) completed spans accumulate in a
-    thread-safe in-memory sink until {!reset}.
+    the bench harness, tests) completed spans accumulate in memory
+    until {!reset}.
 
     Span names are a stable taxonomy, like {!Diag} codes and
     {!Metrics} names (see DESIGN.md "Observability"):
@@ -31,12 +32,16 @@
     time-stamped {b counter samples} ({!sample} — pool occupancy,
     queue depth, heap watermark) exported as Perfetto counter tracks.
 
-    Three exporters: a human-readable profile tree
-    ({!profile_tree}), Chrome [trace_event] JSON ({!trace_event_json},
-    loadable in [chrome://tracing] or {{:https://ui.perfetto.dev}
-    Perfetto}), and a flat metrics JSON ({!metrics_json}) combining the
-    {!Metrics} registry with per-span duration aggregates — the format
-    committed as [BENCH_<run>.json]. *)
+    The {b event journal} ({!event}) is an always-on ring of the
+    newest 4096 structured events (DESIGN.md §15).
+
+    Exporters, all rendered through {!Json}: a human-readable profile
+    tree ({!profile_tree}), Chrome [trace_event] JSON
+    ({!trace_event_json}, loadable in [chrome://tracing] or
+    {{:https://ui.perfetto.dev} Perfetto}), a flat metrics JSON
+    ({!metrics_json}) combining the {!Metrics} registry with per-span
+    duration aggregates — the format committed as [BENCH_<run>.json] —
+    and the journal's NDJSON ({!events_ndjson}). *)
 
 (** The monotonic clock behind every span — also the timer the pipeline
     uses for its reported runtimes ([Merge_flow.result.runtime_s],
@@ -131,8 +136,51 @@ val spans : unit -> span list
 (** Completed spans in start order. Parents precede their children. *)
 
 val reset : unit -> unit
-(** Drop recorded spans and counter samples (leaves the enabled flags
-    and {!Metrics} alone). *)
+(** Drop recorded spans, counter samples and journal events, and zero
+    the journal's sequence counter (leaves the enabled flags and
+    {!Metrics} alone). *)
+
+(** {2 Event journal}
+
+    Always on, whatever {!set_enabled} says: one lock and one array
+    write per event, and the ring keeps the newest 4096 events, so even
+    a misplaced per-element {!event} cannot grow the process. Nothing
+    in the pipeline reads the journal back to decide anything, so
+    logging an event never perturbs merged output.
+
+    Event kinds ([run.*], [stage.*], [merge.*], [govern.*],
+    [chaos.*]) are a stable dotted taxonomy, documented in DESIGN.md
+    §15 and checked both ways against a real run by the eventlog test
+    suite. *)
+
+type event = {
+  ev_seq : int;
+      (** 0-based sequence number, gap-free across drops: the newest
+          event's [ev_seq] is [events_total () - 1] even after the ring
+          has discarded older entries *)
+  ev_t_ns : int64;  (** {!Clock.now_ns} at log time (monotonic) *)
+  ev_ts : float;    (** [Unix.gettimeofday] at log time (wall clock) *)
+  ev_kind : string; (** stable taxonomy kind, e.g. ["stage.start"] *)
+  ev_attrs : (string * string) list;
+}
+
+val schema_version : string
+(** ["modemerge-events/1"] — carried by the NDJSON header line. *)
+
+val event : ?attrs:(string * string) list -> string -> unit
+(** Append one event of the given kind. Never raises; when the ring is
+    full the oldest event is dropped. *)
+
+val events : unit -> event list
+(** The retained events, oldest first. *)
+
+val events_total : unit -> int
+(** Events logged since process start (or {!reset}), including ones the
+    ring has already dropped. *)
+
+val events_dropped : unit -> int
+(** Events the ring has discarded: [events_total ()] minus the retained
+    count. *)
 
 (** {2 Counter samples}
 
@@ -191,7 +239,23 @@ val span_summaries : unit -> (string * int * float * float) list
     [(name, calls, total_s, self_s)]. The flat view behind
     {!metrics_json}. *)
 
+val metrics_items_json : Metrics.item list -> string
+(** Registry items as one flat object keyed by metric name: counters
+    as integers, gauges as numbers, histograms as
+    [{"count":n,"sum":s,"min":a,"max":b,"mean":m,"p50":…,"p90":…,"p99":…}]
+    where the percentiles are nearest-rank values over the retained
+    reservoir — exact below {!Metrics.max_samples} observations, an
+    estimate above it. *)
+
 val metrics_json : unit -> string
 (** Flat machine-readable snapshot:
     [{"metrics":{...},"spans":{name:{"calls":n,"total_s":t,"self_s":s}}}]
-    — the {!Metrics} registry plus per-span-name duration aggregates. *)
+    — the whole {!Metrics} registry ({!metrics_items_json}) plus
+    per-span-name duration aggregates. *)
+
+val events_ndjson : unit -> string
+(** Schema-versioned NDJSON export of the journal: a header line
+    [{"schema":"modemerge-events/1","total":n,"dropped":d}] followed by
+    one JSON object per retained event (oldest first) with fields
+    [seq], [ts], [t_ns], [kind] and [attrs]. This is the format
+    written by [--events FILE] on every exit path, signals included. *)

@@ -53,16 +53,16 @@ let view t =
    from the [run.start] / [stage.start] / [stage.finish] journal events
    that [Merge_flow.staged] logs. *)
 let stages () =
-  let stage ev = List.assoc_opt "stage" ev.Eventlog.ev_attrs in
+  let stage ev = List.assoc_opt "stage" ev.Obs.ev_attrs in
   let open_, finished =
     List.fold_left
       (fun ((open_, finished) as acc) ev ->
-        match ev.Eventlog.ev_kind, stage ev with
+        match ev.Obs.ev_kind, stage ev with
         | "run.start", _ -> [], 0
         | "stage.start", Some s -> s :: open_, finished
         | "stage.finish", Some s -> List.filter (( <> ) s) open_, finished + 1
         | _ -> acc)
-      ([], 0) (Eventlog.recent ())
+      ([], 0) (Obs.events ())
   in
   (match open_ with s :: _ -> Some s | [] -> None), finished
 

@@ -16,7 +16,8 @@
     takes no lock.
 
     The stage is not tracked here: it is read from the [run.start],
-    [stage.start] and [stage.finish] events of the {!Eventlog} journal.
+    [stage.start] and [stage.finish] events of the {!Obs} event
+    journal.
 
     Recording is always on and strictly read-only with respect to
     results. Its consumer is the [--progress] stderr bar

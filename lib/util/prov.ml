@@ -118,23 +118,19 @@ let explain_entry e =
   Buffer.contents b
 
 let entry_to_json e =
-  let str s = Printf.sprintf {|"%s"|} (Metrics.json_escape s) in
-  let strs l = "[" ^ String.concat "," (List.map str l) ^ "]" in
-  let ev_obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf {|%s:%s|} (str k) (str v)) fields)
-    ^ "}"
-  in
-  Printf.sprintf
-    {|{"id":%s,"line":%s,"origin":%s,"modes":%s,"evidence":[%s],"notes":%s}|}
-    (str e.pv_id) (str e.pv_line)
-    (str (origin_to_string e.pv_origin))
-    (strs e.pv_modes)
-    (String.concat "," (List.map ev_obj e.pv_evidence))
-    (strs e.pv_notes)
+  Json.obj
+    [ "id", Json.str e.pv_id;
+      "line", Json.str e.pv_line;
+      "origin", Json.str (origin_to_string e.pv_origin);
+      "modes", Json.strs e.pv_modes;
+      "evidence",
+      Json.arr
+        (List.map
+           (fun ev -> Json.obj (List.map (fun (k, v) -> k, Json.str v) ev))
+           e.pv_evidence);
+      "notes", Json.strs e.pv_notes ]
 
 let to_json t =
-  Printf.sprintf {|{"scope":"%s","entries":[%s]}|}
-    (Metrics.json_escape t.scope)
-    (String.concat "," (List.map entry_to_json (entries t)))
+  Json.obj
+    [ "scope", Json.str t.scope;
+      "entries", Json.arr (List.map entry_to_json (entries t)) ]

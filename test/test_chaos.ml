@@ -22,7 +22,7 @@ module Mode = Mm_sdc.Mode
 module Metrics = Mm_util.Metrics
 module Govern = Mm_util.Govern
 module Chaos = Mm_util.Chaos
-module Eventlog = Mm_util.Eventlog
+module Obs = Mm_util.Obs
 module Merge_flow = Mm_core.Merge_flow
 module Audit = Mm_core.Audit
 module Equiv = Mm_core.Equiv
@@ -758,7 +758,7 @@ let test_cli_sigint_flushes () =
   (match Json_read.parse_json (List.hd lines) with
   | j ->
     check Alcotest.bool "events header schema" true
-      (Json_read.member "schema" j = Some (Json_read.Str Eventlog.schema_version))
+      (Json_read.member "schema" j = Some (Json_read.Str Obs.schema_version))
   | exception Json_read.Parse_error e ->
     Alcotest.failf "events header does not parse: %s" e);
   let kinds =
@@ -902,6 +902,40 @@ let test_cli_duplicate_basename () =
   check Alcotest.(list string) "the earlier file merged alone"
     [ "merged_0.sdc" ] (merged_sdcs out)
 
+(* [--dot] builds its individual sides from the modes the merge
+   loaded, so it prints no load diagnostic a second time. *)
+let test_cli_dot_diagnostics_once () =
+  let exe, netlist, sdcs = Lazy.force cli_fixture in
+  let dir = scratch "dot_diag" in
+  let sdcs =
+    List.mapi
+      (fun i src ->
+        let dst = Filename.concat dir (Filename.basename src) in
+        write_file dst
+          (read_file src
+          ^ if i = 0 then "\nset_case_analysis 0 [get_pins nosuch/pin]\n" else "");
+        dst)
+      sdcs
+  in
+  let run ~tag extra =
+    let out = Filename.concat dir (tag ^ "_out") in
+    let err = Filename.concat dir (tag ^ ".err") in
+    let rc =
+      sh "%s merge -n %s -o %s %s %s > /dev/null 2> %s" (Filename.quote exe)
+        (Filename.quote netlist) (Filename.quote out) extra
+        (String.concat " " (List.map Filename.quote sdcs))
+        (Filename.quote err)
+    in
+    rc, read_file err
+  in
+  let rc, plain = run ~tag:"plain" "" in
+  check Alcotest.int "merge exits with a warning" 1 rc;
+  let rc, dot = run ~tag:"dot" "--dot" in
+  check Alcotest.int "merge --dot exits the same" 1 rc;
+  check Alcotest.bool "the planted warning is reported" true
+    (contains ~sub:"warning[sdc.no-match]" plain);
+  check Alcotest.string "merge --dot prints the same diagnostics" plain dot
+
 (* [check] compares a merged mode against individual modes loaded from
    files, so two of them can share a basename; each must still be
    compared as itself. A mode covers itself but not, in addition, a
@@ -963,6 +997,8 @@ let () =
           tc "memory watermark exits 2" test_cli_memory_watermark;
           tc "duplicate basename refused" test_cli_duplicate_basename;
           tc "check keeps same-named modes apart" test_cli_check_same_basename;
+          tc "--dot prints each load diagnostic once"
+            test_cli_dot_diagnostics_once;
           tc "SIGINT flushes trace and event dump" test_cli_sigint_flushes;
         ] );
     ]

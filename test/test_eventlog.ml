@@ -2,7 +2,7 @@
 
    Four layers:
 
-   - Eventlog ring semantics: bounded capacity, gap-free sequence
+   - The journal ring in Obs: bounded capacity, gap-free sequence
      numbers, newest-retention under wraparound (unit tests plus a
      QCheck property over random log counts past the capacity), and
      the schema-versioned NDJSON export.
@@ -11,12 +11,11 @@
      per settled task, the state after a merge, and the shared
      sta.pins tracker.
    - Metrics: empty and single-sample histogram percentiles, in
-     {!Metrics.percentile} and the JSON renderer.
+     {!Metrics.percentile} and the metrics JSON export.
    - The DESIGN.md §15 event-kind table, checked bidirectionally
      against a real merge run (the same contract style as the §9
      taxonomy suite). *)
 
-module Eventlog = Mm_util.Eventlog
 module Progress = Mm_util.Progress
 module Metrics = Mm_util.Metrics
 module Obs = Mm_util.Obs
@@ -36,55 +35,55 @@ let tc name f = Alcotest.test_case name `Quick f
 module SS = Set.Make (String)
 
 (* ------------------------------------------------------------------ *)
-(* Eventlog ring                                                       *)
+(* Journal ring                                                        *)
 
-(* The ring's fixed capacity: Eventlog keeps the newest 4096 events. *)
+(* The ring's fixed capacity: the journal keeps the newest 4096 events. *)
 let ring_cap = 4096
 
 let test_ring_basics () =
-  Eventlog.reset ();
-  check Alcotest.int "empty total" 0 (Eventlog.total ());
-  check Alcotest.int "empty dropped" 0 (Eventlog.dropped ());
-  Eventlog.log "a.one";
-  Eventlog.log "a.two" ~attrs:[ ("k", "v") ];
-  Eventlog.log "a.one";
-  check Alcotest.int "total counts every log" 3 (Eventlog.total ());
-  let evs = Eventlog.recent () in
+  Obs.reset ();
+  check Alcotest.int "empty total" 0 (Obs.events_total ());
+  check Alcotest.int "empty dropped" 0 (Obs.events_dropped ());
+  Obs.event "a.one";
+  Obs.event "a.two" ~attrs:[ ("k", "v") ];
+  Obs.event "a.one";
+  check Alcotest.int "total counts every log" 3 (Obs.events_total ());
+  let evs = Obs.events () in
   check Alcotest.(list string) "oldest first"
     [ "a.one"; "a.two"; "a.one" ]
-    (List.map (fun e -> e.Eventlog.ev_kind) evs);
+    (List.map (fun e -> e.Obs.ev_kind) evs);
   check
     Alcotest.(list int)
     "gap-free seq" [ 0; 1; 2 ]
-    (List.map (fun e -> e.Eventlog.ev_seq) evs);
+    (List.map (fun e -> e.Obs.ev_seq) evs);
   check
     Alcotest.(list (pair string string))
     "attrs retained"
     [ ("k", "v") ]
-    (List.nth evs 1).Eventlog.ev_attrs;
-  Eventlog.reset ()
+    (List.nth evs 1).Obs.ev_attrs;
+  Obs.reset ()
 
 let test_ring_wraparound () =
-  Eventlog.reset ();
+  Obs.reset ();
   let n = ring_cap + 6 in
   for i = 0 to n - 1 do
-    Eventlog.log (Printf.sprintf "k.%d" (i mod 2))
+    Obs.event (Printf.sprintf "k.%d" (i mod 2))
   done;
-  check Alcotest.int "total survives drops" n (Eventlog.total ());
-  check Alcotest.int "dropped = total - retained" 6 (Eventlog.dropped ());
-  let evs = Eventlog.recent () in
+  check Alcotest.int "total survives drops" n (Obs.events_total ());
+  check Alcotest.int "dropped = total - retained" 6 (Obs.events_dropped ());
+  let evs = Obs.events () in
   check Alcotest.int "ring holds capacity" ring_cap (List.length evs);
   check
     Alcotest.(list int)
     "newest retained, in order"
     (List.init ring_cap (fun i -> 6 + i))
-    (List.map (fun e -> e.Eventlog.ev_seq) evs);
+    (List.map (fun e -> e.Obs.ev_seq) evs);
   check
     Alcotest.(list string)
     "kinds follow their events" [ "k.0"; "k.1" ]
-    (List.map (fun e -> e.Eventlog.ev_kind)
+    (List.map (fun e -> e.Obs.ev_kind)
        (List.filteri (fun i _ -> i >= ring_cap - 2) evs));
-  Eventlog.reset ()
+  Obs.reset ()
 
 let ring_property =
   QCheck_alcotest.to_alcotest
@@ -93,28 +92,28 @@ let ring_property =
        ~count:200
        QCheck2.Gen.(0 -- (3 * ring_cap))
        (fun n ->
-         Eventlog.reset ();
+         Obs.reset ();
          for i = 0 to n - 1 do
-           Eventlog.log (Printf.sprintf "p.%d" (i mod 3))
+           Obs.event (Printf.sprintf "p.%d" (i mod 3))
          done;
-         let evs = Eventlog.recent () in
+         let evs = Obs.events () in
          let len = List.length evs in
          let expect_len = min ring_cap n in
-         let seqs = List.map (fun e -> e.Eventlog.ev_seq) evs in
+         let seqs = List.map (fun e -> e.Obs.ev_seq) evs in
          let expect_seqs = List.init expect_len (fun i -> n - expect_len + i) in
          let ok =
            len = expect_len && seqs = expect_seqs
-           && Eventlog.total () = n
-           && Eventlog.dropped () = n - expect_len
+           && Obs.events_total () = n
+           && Obs.events_dropped () = n - expect_len
          in
-         Eventlog.reset ();
+         Obs.reset ();
          ok))
 
 let test_ndjson () =
-  Eventlog.reset ();
-  Eventlog.log "x.start" ~attrs:[ ("mode", "m\"1"); ("n", "2") ];
-  Eventlog.log "x.finish";
-  let nd = Eventlog.to_ndjson () in
+  Obs.reset ();
+  Obs.event "x.start" ~attrs:[ ("mode", "m\"1"); ("n", "2") ];
+  Obs.event "x.finish";
+  let nd = Obs.events_ndjson () in
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' nd)
   in
@@ -122,7 +121,7 @@ let test_ndjson () =
   (match Json_read.parse_json (List.hd lines) with
   | j ->
     check Alcotest.(option string) "schema header"
-      (Some Eventlog.schema_version)
+      (Some Obs.schema_version)
       (match Json_read.member "schema" j with
       | Some (Json_read.Str s) -> Some s
       | _ -> None);
@@ -142,7 +141,7 @@ let test_ndjson () =
       | exception Json_read.Parse_error e ->
         Alcotest.failf "NDJSON line %d does not parse: %s (%s)" i e line)
     lines;
-  Eventlog.reset ()
+  Obs.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Progress                                                            *)
@@ -167,10 +166,10 @@ let stages = Alcotest.(pair (option string) int)
 
 let test_progress_stages () =
   Progress.reset ();
-  Eventlog.reset ();
+  Obs.reset ();
   (* An older run's open stage is forgotten at the newest run.start. *)
   List.iter
-    (fun (kind, stage) -> Eventlog.log kind ~attrs:[ "stage", stage ])
+    (fun (kind, stage) -> Obs.event kind ~attrs:[ "stage", stage ])
     [ "run.start", ""; "stage.start", "old";
       "run.start", ""; "stage.start", "load"; "stage.finish", "load";
       "stage.start", "mergeability" ];
@@ -183,7 +182,7 @@ let test_progress_stages () =
   let v = Progress.view Progress.sta_pins in
   check Alcotest.(pair int int) "idle tracker reads 0/0" (0, 0)
     (v.Progress.tr_done, v.Progress.tr_total);
-  Eventlog.reset ();
+  Obs.reset ();
   Progress.reset ()
 
 (* Task k of a jobs=1 batch sees the k tasks before it settled; a
@@ -280,8 +279,8 @@ let test_percentile_degenerate () =
   (* The JSON renderer hits the same path on an observed-once metric. *)
   Metrics.reset ();
   Metrics.observe "one.sample" 1.5;
-  let j = Json_read.parse_json (Metrics.to_json ()) in
-  (match Json_read.member "one.sample" j with
+  let j = Json_read.parse_json (Obs.metrics_json ()) in
+  (match Option.bind (Json_read.member "metrics" j) (Json_read.member "one.sample") with
   | Some h ->
     check Alcotest.bool "p99 of one sample" true
       (Json_read.member "p99" h = Some (Json_read.Num 1.5))
@@ -347,7 +346,7 @@ let kind_table =
 
 let emitted_kinds =
   lazy
-    (Eventlog.reset ();
+    (Obs.reset ();
      let params =
        {
          Gen_design.default_params with
@@ -379,12 +378,12 @@ let emitted_kinds =
             suite.Gen_modes.families)
      in
      ignore (Merge_flow.run_sources ~jobs:2 ~design sources);
-     if Eventlog.dropped () > 0 then
+     if Obs.events_dropped () > 0 then
        Alcotest.fail "the reference run overflowed the event ring";
      let kinds =
-       SS.of_list (List.map (fun e -> e.Eventlog.ev_kind) (Eventlog.recent ()))
+       SS.of_list (List.map (fun e -> e.Obs.ev_kind) (Obs.events ()))
      in
-     Eventlog.reset ();
+     Obs.reset ();
      kinds)
 
 let test_taxonomy_table_parses () =

@@ -18,8 +18,8 @@ let tc name f = Alcotest.test_case name `Quick f
 
 let test_never () =
   check Alcotest.bool "never is live" true (Govern.cancelled Govern.never = None);
-  check Alcotest.bool "never has no deadline" true
-    (Govern.remaining_s Govern.never = None);
+  check Alcotest.bool "a scoped sub of never has no deadline" true
+    (Govern.cancelled (Govern.sub ~scope:"n" Govern.never) = None);
   Govern.check Govern.never
 
 let test_deadline () =
@@ -34,9 +34,12 @@ let test_deadline () =
     | () -> false);
   let live = Govern.create ~deadline_s:60.0 () in
   check Alcotest.bool "live token not expired" true (Govern.cancelled live = None);
-  (match Govern.remaining_s live with
-  | Some r -> check Alcotest.bool "remaining_s near budget" true (r > 50. && r <= 60.)
-  | None -> Alcotest.fail "deadlined token must report remaining_s")
+  (* The expired parent's deadline folds into a child with a longer
+     budget. *)
+  match Govern.cancelled (Govern.sub ~budget_s:60.0 (Govern.create ~deadline_s:0.0 ())) with
+  | Some (Govern.Deadline_exceeded { budget_s; _ }) ->
+    check (Alcotest.float 0.) "the parent's budget expired" 0.0 budget_s
+  | _ -> Alcotest.fail "a 60 s child of an expired parent must be cancelled"
 
 let test_sub_tree () =
   let p = Govern.create ~scope:"p" () in
@@ -58,15 +61,14 @@ let test_sub_tree () =
 let test_huge_budget () =
   let root = Govern.create ~deadline_s:1e10 ~scope:"huge" () in
   check Alcotest.bool "1e10 s root not expired" true (Govern.cancelled root = None);
-  check Alcotest.bool "1e10 s root has no deadline" true
-    (Govern.remaining_s root = None);
+  check Alcotest.bool "1e12 s child of the 1e10 s root not expired" true
+    (Govern.cancelled (Govern.sub ~budget_s:1e12 root) = None);
   let child = Govern.sub ~scope:"c" ~budget_s:1e12 (Govern.create ()) in
   check Alcotest.bool "1e12 s child not expired" true
     (Govern.cancelled child = None);
-  let capped = Govern.sub ~budget_s:1e12 (Govern.create ~deadline_s:60. ()) in
-  match Govern.remaining_s capped with
-  | Some r -> check Alcotest.bool "parent deadline still applies" true (r <= 60.)
-  | None -> Alcotest.fail "the parent's deadline must carry over"
+  let capped = Govern.sub ~budget_s:1e12 (Govern.create ~deadline_s:0. ()) in
+  check Alcotest.bool "parent deadline still applies" true
+    (Govern.cancelled capped <> None)
 
 let test_reason_codes () =
   check Alcotest.string "deadline code" "govern.deadline"

@@ -3,6 +3,7 @@
    those names are a stable contract (DESIGN.md section 9), so a rename
    must fail here. *)
 
+module Json = Mm_util.Json
 module Obs = Mm_util.Obs
 module Metrics = Mm_util.Metrics
 module Pc = Mm_workload.Paper_circuit
@@ -168,9 +169,9 @@ let metrics_cases =
           "order" [ "a.one"; "b.two" ]
           (List.map (fun i -> i.Metrics.name) (Metrics.snapshot ())));
     tc "json escaping and floats" (fun () ->
-        check Alcotest.string "escape" {|a\"b\\c|} (Metrics.json_escape {|a"b\c|});
-        check Alcotest.string "nan is 0" "0" (Metrics.json_float Float.nan);
-        check Alcotest.string "inf is 0" "0" (Metrics.json_float Float.infinity));
+        check Alcotest.string "escape" {|"a\"b\\c"|} (Json.str {|a"b\c|});
+        check Alcotest.string "nan is 0" "0" (Json.num Float.nan);
+        check Alcotest.string "inf is 0" "0" (Json.num Float.infinity));
     tc "histogram reservoir caps retention, not the aggregates" (fun () ->
         Metrics.reset ();
         let n = (3 * Metrics.max_samples) + 7 in

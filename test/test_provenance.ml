@@ -22,7 +22,6 @@ let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
 let paper_result ~jobs () =
-  Metrics.reset ();
   let d = Pc.build () in
   let a, b = Pc.constraint_set6 d in
   Merge_flow.run ~jobs [ a; b ]
@@ -103,6 +102,16 @@ let test_audit_jobs_invariant () =
   let j1 = Audit.to_json (paper_result ~jobs:1 ()) in
   let j4 = Audit.to_json (paper_result ~jobs:4 ()) in
   check Alcotest.string "audit bytes identical at jobs=1 and jobs=4" j1 j4
+
+(* The coverage section counts this merge alone, not every merge the
+   process has run: a second identical merge reports the same counts. *)
+let test_audit_repeat_identical () =
+  let r1 = paper_result ~jobs:1 () in
+  let r2 = paper_result ~jobs:1 () in
+  check Alcotest.int "the merge checked its one pair" 1
+    (List.assoc "merge.pairs_checked" r2.Merge_flow.coverage);
+  check Alcotest.string "second audit identical to the first"
+    (Audit.to_json r1) (Audit.to_json r2)
 
 let test_annotated_sdc () =
   let r = paper_result ~jobs:1 () in
@@ -203,6 +212,8 @@ let () =
           tc "refinement evidence and contributing modes"
             test_audit_refinement_evidence;
           tc "byte-identical across jobs" test_audit_jobs_invariant;
+          tc "a repeated merge reports its own coverage"
+            test_audit_repeat_identical;
           tc "annotated SDC" test_annotated_sdc;
         ] );
       ( "explain",
