@@ -9,6 +9,9 @@
      arrivals and endpoint slacks on every workload;
    - STA's tags, without their arrivals, are the relationship engine's
      tags at every pin;
+   - on presets B-F and tiny, every endpoint's setup, hold and capture
+     period and the check count at the three standard corners equal
+     pinned digests;
    - on presets A-F, with ideal and with propagated clocks, analysing a
      context taken from a context cache gives the report of an
      analysis that builds its own context;
@@ -212,6 +215,112 @@ let handoff_cases =
            p.Presets.pr_name)
         (handoff_matches p))
     Presets.all
+
+(* ------------------------------------------------------------------ *)
+(* Pinned STA results                                                  *)
+
+(* The slab-vs-reference cases above send both engines through one check
+   phase, and the CLI prints setup slacks only, so a slip in the checks
+   themselves — the hold side above all — would pass them. These pin the
+   exact results: per mode, the digest of every endpoint's setup, hold
+   and capture period (printed with %h) and the check count at the
+   typical, slow and fast corners. *)
+let sta_digest design m =
+  let v = Sta.view (Context.create design m) in
+  let b = Buffer.create 4096 in
+  let opt = function None -> "-" | Some x -> Printf.sprintf "%h" x in
+  List.iter
+    (fun (c : Mm_timing.Corner.t) ->
+      let r = Sta.analyze_view ~corner:c v in
+      Printf.bprintf b "%s %d\n" c.Mm_timing.Corner.corner_name
+        r.Sta.rep_n_checked;
+      List.iter
+        (fun es ->
+          Printf.bprintf b "%d %s %s %s\n" es.Sta.es_pin (opt es.Sta.es_setup)
+            (opt es.Sta.es_hold)
+            (opt es.Sta.es_capture_period))
+        r.Sta.rep_slacks)
+    Mm_timing.Corner.standard_set;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (preset, [mode, digest]) as computed before the check phase became
+   one routine. The tiny preset's modes also run with propagated clocks,
+   whose insertion delays reach both the setup and the hold side. *)
+let pinned_digests =
+  [
+    ( "B",
+      [
+        "m0_0", "154ec8eec02b18e1fdb9aec131f6152c";
+        "m0_1", "9c6ae61c0a235b93bd534a49fdbb4ebd";
+        "m0_2", "1367ff8a936daafdb200a61b60cb44eb";
+      ] );
+    ( "C",
+      [
+        "m0_0", "cc00374adc2700c5fcb23ee65f447f0c";
+        "m0_1", "4bf46a52750eaf4e10ca282ee13cc28e";
+        "m0_2", "4aa393f554c6de7e1c49ac6295d8e2a3";
+        "m0_3", "ba1dcbbc5a3d06969cd547ba379632d8";
+        "m0_4", "5ac9a4c813ac969d49e0d5f7b29b1146";
+        "m0_5", "cd6aa4ff708b2d634117a4971bb5c227";
+        "m0_6", "62bd7c829dade46bfc38e10c312baa90";
+        "m0_7", "f0507251d28d851942d2fcd08eb33d16";
+        "m0_8", "199b23281208cd26aeb5ec703910aa36";
+        "m0_9", "c56cc7b7d46f884ed594b34c225d8e91";
+        "m0_10", "c561868758a8ac1df5dd102fbb0ae071";
+        "m0_11", "3743bc9154c55bbefe446bf537049521";
+      ] );
+    ( "D",
+      [
+        "m0_0", "c44c7cde76846c9a2ee5afed0fc8797d";
+        "m0_1", "175124a16322566bcb852d716b201d5c";
+        "m0_2", "fef20b5ff35fc8ae5a6e48ad1732684d";
+      ] );
+    ( "E",
+      [
+        "m0_0", "6a62bea998719c58d46d2aab5a618a70";
+        "m0_1", "e3d166e7c880cd904bd00a2a7481cb0a";
+        "m0_2", "2adbda0485486bc232a43529bb9a5b9d";
+        "m0_3", "7b51f672a1358e1ff3a51b68c0c3aac8";
+        "m0_4", "118c31ead546ba4e58b9ee81b75fb0c2";
+      ] );
+    ( "F",
+      [
+        "m0_0", "8b8e0b5d2b52ee93df4a55ddeb589d58";
+        "m0_1", "19a6867680e703f2cf3ec1ef86e42fa5";
+        "m1_0", "8f814958f885fc3d06ca1191fc94431f";
+      ] );
+    ( "tiny",
+      [
+        "m0_0", "74fa2d760c0da984114b7c95690d9495";
+        "m0_0+propagated", "3c22d739124d245d05c5cc8e6f939f75";
+        "m0_1", "9eba9abca994d48dc5c2abf8f0651792";
+        "m0_1+propagated", "9bf3b1f001512c178b420c13f83c2a97";
+        "m1_0", "943bf0205fc6e840c83f99a3b9458794";
+        "m1_0+propagated", "1f8d8f75079dd44269d89bce7ffed79f";
+        "m1_1", "943bf0205fc6e840c83f99a3b9458794";
+        "m1_1+propagated", "1f8d8f75079dd44269d89bce7ffed79f";
+      ] );
+  ]
+
+let pinned_matches (p : Presets.preset) () =
+  let design, _info, modes = Presets.build p in
+  let modes =
+    if p == Presets.tiny then List.concat_map with_propagated modes else modes
+  in
+  check
+    Alcotest.(list (pair string string))
+    ("preset " ^ p.Presets.pr_name)
+    (List.assoc p.Presets.pr_name pinned_digests)
+    (List.map (fun (m : Mode.t) -> m.Mode.mode_name, sta_digest design m) modes)
+
+let pinned_cases =
+  List.map
+    (fun (p : Presets.preset) ->
+      tc
+        (Printf.sprintf "preset %s: every endpoint's checks are pinned"
+           p.Presets.pr_name)
+        (pinned_matches p))
+    (List.tl Presets.all @ [ Presets.tiny ])
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline byte-identity across job counts                            *)
@@ -1283,6 +1392,7 @@ let () =
     [
       "engine", engine_cases;
       "handoff", handoff_cases;
+      "pinned", pinned_cases;
       "cones", cone_cases;
       "jobs_invariance", jobs_invariance_cases;
       "incremental", [ incremental_prop ];

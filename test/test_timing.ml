@@ -400,6 +400,20 @@ let exc_cases =
 (* ------------------------------------------------------------------ *)
 (* Sta                                                                 *)
 
+(* Multicycle setup and hold on r1 -> r2; on the port endpoint an output
+   delay, a max delay on rising data and a min delay on falling data, so
+   the two polarities take different branches; a propagated clock with
+   hold uncertainty. *)
+let constrained_pipeline =
+  base_clock
+  ^ "set_propagated_clock [get_clocks c]\n\
+     set_clock_uncertainty -hold 0.05 [get_clocks c]\n\
+     set_output_delay 2 -clock c [get_ports out]\n\
+     set_multicycle_path 3 -setup -to [get_pins r2/D]\n\
+     set_multicycle_path 2 -hold -to [get_pins r2/D]\n\
+     set_max_delay 6 -rise_to [get_ports out]\n\
+     set_min_delay 0.5 -fall_to [get_ports out]"
+
 let slack_of d mode pin_name =
   let report = Sta.analyze d mode in
   let pin = Design.pin_of_name_exn d pin_name in
@@ -542,6 +556,44 @@ let sta_cases =
         let s1 = Option.get (slack_of d m1 "r2/D")
         and s2 = Option.get (slack_of d m2 "r2/D") in
         check (Alcotest.float 1e-9) "min" (Float.min s1 s2) worst);
+    tc "every check of a constrained pipeline is pinned" (fun () ->
+        (* Every endpoint's setup, hold and capture period, exact, and
+           the check count at each standard corner. *)
+        let d = pipeline () in
+        let mode = resolve d constrained_pipeline in
+        let v = Sta.view (Context.create d mode) in
+        let opt = function None -> "-" | Some x -> Printf.sprintf "%h" x in
+        let got =
+          List.concat_map
+            (fun corner ->
+              let r = Sta.analyze_view ~corner v in
+              Printf.sprintf "%s checked=%d" corner.Mm_timing.Corner.corner_name
+                r.Sta.rep_n_checked
+              :: List.map
+                   (fun es ->
+                     Printf.sprintf "%s setup=%s hold=%s period=%s"
+                       (Design.pin_name d es.Sta.es_pin)
+                       (opt es.Sta.es_setup) (opt es.Sta.es_hold)
+                       (opt es.Sta.es_capture_period))
+                   r.Sta.rep_slacks)
+            Mm_timing.Corner.standard_set
+        in
+        check Alcotest.(list string) "checks"
+          [
+            "typical checked=4";
+            "r1/D setup=- hold=- period=-";
+            "r2/D setup=0x1.dcfc9589c1f75p+4 hold=-0x1.404430979d92ep+3 period=0x1.4p+3";
+            "out setup=0x1.73aa7abe3d06dp+2 hold=-0x1.621fbcb640575p-2 period=0x1.4p+3";
+            "slow checked=4";
+            "r1/D setup=- hold=- period=-";
+            "r2/D setup=0x1.dc07f35625e88p+4 hold=-0x1.3fdc0d989509ap+3 period=0x1.4p+3";
+            "out setup=0x1.71b17152837a5p+2 hold=-0x1.5805f2e09ecfap-2 period=0x1.4p+3";
+            "fast checked=4";
+            "r1/D setup=- hold=- period=-";
+            "r2/D setup=0x1.dd5e3658d9f7fp+4 hold=-0x1.41ce8519d5e6ep+3 period=0x1.4p+3";
+            "out setup=0x1.74d9806545f4bp+2 hold=-0x1.806d1a3724ee4p-2 period=0x1.4p+3";
+          ]
+          got);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -774,16 +826,34 @@ let path_cases =
           check (Alcotest.float 1e-9) "arrival matches" p.Sta.pth_arrival last.Sta.st_arrival
         | _ -> Alcotest.fail "expected one path");
     tc "path slack agrees with endpoint slack" (fun () ->
+        (* At every endpoint, the worst of all its reported paths is the
+           endpoint's setup slack; an endpoint without a setup check has
+           no path. Also under the constrained pipeline's exceptions. *)
         let d = pipeline () in
-        let mode = resolve d base_clock in
-        let rep = Sta.analyze d mode in
-        match Sta.worst_paths ~n:1 d mode with
-        | [ p ] ->
-          let es =
-            List.find (fun e -> e.Sta.es_pin = p.Sta.pth_endpoint) rep.Sta.rep_slacks
-          in
-          check (Alcotest.float 1e-9) "slack" (Option.get es.Sta.es_setup) p.Sta.pth_slack
-        | _ -> Alcotest.fail "expected one path");
+        List.iter
+          (fun src ->
+            let mode = resolve d src in
+            let rep = Sta.analyze d mode in
+            let paths = Sta.worst_paths ~n:max_int d mode in
+            List.iter
+              (fun es ->
+                let worst =
+                  List.fold_left
+                    (fun acc p ->
+                      if p.Sta.pth_endpoint <> es.Sta.es_pin then acc
+                      else
+                        match acc with
+                        | Some w when w <= p.Sta.pth_slack -> acc
+                        | _ -> Some p.Sta.pth_slack)
+                    None paths
+                in
+                check
+                  Alcotest.(option (float 0.))
+                  (Design.pin_name d es.Sta.es_pin)
+                  es.Sta.es_setup worst)
+              rep.Sta.rep_slacks;
+            check Alcotest.bool "some endpoint has a path" true (paths <> []))
+          [ base_clock; constrained_pipeline ]);
     tc "n limits the number of paths" (fun () ->
         let d = pipeline () in
         (* The output delay adds a second checked endpoint. *)
