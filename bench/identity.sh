@@ -12,7 +12,10 @@
 #     the metrics JSON are compared with every number masked, which
 #     covers the ts/t_ns stamps and the timings);
 #   - merge --annotate (annotated merged SDC);
-#   - sta --paths 3 on the first three modes, runtime column masked.
+#   - sta --paths 3 on the first three modes, runtime column masked;
+#   - check -m merged_0.sdc against the members of the first `group [`
+#     line (the one-shot comparison behind equivalence checking), and
+#     relations on the first mode, stdout compared with runtimes masked.
 # The outputs, the exit codes and the merge `group [` stdout lines (output
 # directory stripped) must match. Prints one line per preset and job
 # count; exits 1 on any difference, 2 on a usage error.
@@ -43,9 +46,19 @@ run() {
     > "$out/sta.raw" 2>&1
   echo "sta $?" >> "$out/codes"
   sed -E 's/, [0-9.]+s$/, Xs/' "$out/sta.raw" > "$out/sta.txt"
+  members=$(sed -n 's/^ *group \[\([^]]*\)\].*/\1/p' "$out/stdout" | head -1 |
+    tr -d ',' | sed "s|[^ ][^ ]*|$p/&.sdc|g")
+  "$bin" check -n "$p/design.nl" -m "$out/plain/merged_0.sdc" $members \
+    > "$out/check.raw" 2>&1
+  echo "check $?" >> "$out/codes"
+  "$bin" relations -n "$p/design.nl" $(ls "$p"/*.sdc | head -1) \
+    > "$out/relations.raw" 2>&1
+  echo "relations $?" >> "$out/codes"
+  for f in check relations; do
+    sed -E 's/ [0-9.]+s\b/ Xs/g' "$out/$f.raw" > "$out/$f.txt"
+  done
   grep '^ *group \[' "$out/stdout" | sed "s|$out/||g" > "$out/groups.txt"
-  rm -f "$out/stdout" "$out/stderr" "$out/sta.raw" "$out/events.raw" \
-    "$out/metrics.raw"
+  rm -f "$out/stdout" "$out/stderr" "$out"/*.raw
 }
 
 status=0

@@ -633,6 +633,16 @@ let create_cache () =
     c_work = None;
   }
 
+(* [remember find store compute]: what [find] holds, else [compute]'s
+   result, handed to [store] first — how each cache slot fills. *)
+let remember find store compute =
+  match find () with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    store v;
+    v
+
 let judge_endpoint ~design keys side_sets i (ep, mset) =
   Mm_util.Govern.checkpoint ();
   let judged =
@@ -650,59 +660,43 @@ let judge_endpoint ~design keys side_sets i (ep, mset) =
    those whose merged set was recomputed, when a cache holds the
    rest's judgements), and the rows, fixes, unsound and pessimism
    entries in endpoint order. *)
-let pass1 ?cache ~individual ~(merged : Context.t) () =
+let pass1 cache ~individual ~(merged : Context.t) () =
   let design = merged.Context.design and g = merged.Context.graph in
-  let keys = match cache with Some c -> c.c_keys | None -> create_keys () in
+  let keys = cache.c_keys in
   let mrg_value =
     let ids = clock_ids keys merged Fun.id in
     fun tags ep -> Tgraph.endpoint_pin ep, pack keys ids merged tags ep
   in
   let mrg_sets, recomputed =
-    match cache with
-    | Some c ->
-      Relation_prop.endpoint_relations_cached c.c_merged merged mrg_value
-    | None -> Relation_prop.endpoint_map merged mrg_value, None
+    Relation_prop.endpoint_relations_cached cache.c_merged merged mrg_value
   in
   (* Each side's sets by merged endpoint position; an endpoint the side
      lacks has the empty set. *)
-  let compute_side_sets () =
-    let pos =
-      Relation_prop.positions g Tgraph.endpoint_pin
-        (Array.of_list g.Tgraph.sk_endpoints)
-    in
-    List.map
-      (fun side ->
-        let ids = clock_ids keys side.ctx side.rename in
-        let sets = Array.make (Array.length mrg_sets) [||] in
-        Array.iter
-          (fun (ep, set) -> if pos.(ep) >= 0 then sets.(pos.(ep)) <- set)
-          (Relation_prop.endpoint_map side.ctx (fun tags ep ->
-               Tgraph.endpoint_pin ep, pack keys ids side.ctx tags ep));
-        sets)
-      individual
-  in
   let side_sets =
-    match cache with
-    | None -> compute_side_sets ()
-    | Some c -> (
-      match c.c_sides with
-      | Some sets -> sets
-      | None ->
-        let sets = compute_side_sets () in
-        c.c_sides <- Some sets;
-        sets)
+    remember
+      (fun () -> cache.c_sides)
+      (fun sets -> cache.c_sides <- Some sets)
+      (fun () ->
+        let pos =
+          Relation_prop.positions g Tgraph.endpoint_pin
+            (Array.of_list g.Tgraph.sk_endpoints)
+        in
+        List.map
+          (fun side ->
+            let ids = clock_ids keys side.ctx side.rename in
+            let sets = Array.make (Array.length mrg_sets) [||] in
+            Array.iter
+              (fun (ep, set) -> if pos.(ep) >= 0 then sets.(pos.(ep)) <- set)
+              (Relation_prop.endpoint_map side.ctx (fun tags ep ->
+                   Tgraph.endpoint_pin ep, pack keys ids side.ctx tags ep));
+            sets)
+          individual)
   in
   let judge = judge_endpoint ~design keys side_sets in
-  let previous =
-    match cache with
-    | None -> [||]
-    | Some c ->
-      (* Emptied until this pass completes: an interrupted pass must
-         not leave judgements older than the ep_cache's sets. *)
-      let p = c.c_judged in
-      c.c_judged <- [||];
-      p
-  in
+  (* Emptied until this pass completes: an interrupted pass must not
+     leave judgements older than the ep_cache's sets. *)
+  let previous = cache.c_judged in
+  cache.c_judged <- [||];
   let judged, n_judged =
     match recomputed with
     | Some positions when Array.length previous = Array.length mrg_sets ->
@@ -711,7 +705,7 @@ let pass1 ?cache ~individual ~(merged : Context.t) () =
       judged, List.length positions
     | Some _ | None -> Array.mapi judge mrg_sets, Array.length mrg_sets
   in
-  Option.iter (fun c -> c.c_judged <- judged) cache;
+  cache.c_judged <- judged;
   Mm_util.Metrics.incr ~by:(Array.length mrg_sets) "compare.endpoints_visited";
   let concat field = Array.fold_right (fun j acc -> field j @ acc) judged [] in
   ( Array.length mrg_sets,
@@ -770,7 +764,7 @@ let pass2_candidates ~individual ~work ~mrg_cone ep_pin ep =
       else None)
     (List.sort_uniq Int.compare !positions)
 
-let pass2 ?cache ~individual ~(merged : Context.t) ~work ambiguous_eps =
+let pass2 cache ~individual ~(merged : Context.t) ~work ambiguous_eps =
   let design = merged.Context.design in
   let rows = ref [] and fixes = ref [] and unsound = ref []
   and pessimism = ref [] and ambiguous_pairs = ref [] and compared = ref 0 in
@@ -786,19 +780,11 @@ let pass2 ?cache ~individual ~(merged : Context.t) ~work ambiguous_eps =
         let mrg_cone =
           Relation_prop.backward_cone mrg_lane.l_marks merged [ ep_pin ]
         in
-        let candidates () =
-          pass2_candidates ~individual ~work ~mrg_cone ep_pin ep
-        in
         let candidates =
-          match cache with
-          | None -> candidates ()
-          | Some c -> (
-            match Hashtbl.find_opt c.c_pass2 ep_pin with
-            | Some l -> l
-            | None ->
-              let l = candidates () in
-              Hashtbl.replace c.c_pass2 ep_pin l;
-              l)
+          remember
+            (fun () -> Hashtbl.find_opt cache.c_pass2 ep_pin)
+            (Hashtbl.replace cache.c_pass2 ep_pin)
+            (fun () -> pass2_candidates ~individual ~work ~mrg_cone ep_pin ep)
         in
         List.iter
           (fun (sp, ind_rels) ->
@@ -990,23 +976,22 @@ let dedup_fixes fixes =
   in
   go [] fixes
 
-let run ?cache ~individual ~merged () =
+let run ?(cache = create_cache ()) ~individual ~merged () =
   let module Obs = Mm_util.Obs in
   let work =
     lazy
-      (match cache with
-      | Some { c_work = Some w; _ } when w.w_graph == merged.Context.graph -> w
-      | Some c ->
-        let w = create_work ~individual ~merged in
-        c.c_work <- Some w;
-        w
-      | None -> create_work ~individual ~merged)
+      (remember
+         (fun () ->
+           Option.bind cache.c_work (fun w ->
+               if w.w_graph == merged.Context.graph then Some w else None))
+         (fun w -> cache.c_work <- Some w)
+         (fun () -> create_work ~individual ~merged))
   in
   let n_eps, _, p1_rows, p1_fixes, p1_uns, p1_pes =
     Obs.with_span "compare.pass1"
       ~result_attrs:(fun (_, n_judged, _, _, _, _) ->
         [ "rejudged", string_of_int n_judged ])
-      (fun () -> pass1 ?cache ~individual ~merged ())
+      (fun () -> pass1 cache ~individual ~merged ())
   in
   let ambiguous_eps =
     List.filter_map
@@ -1020,7 +1005,7 @@ let run ?cache ~individual ~merged () =
   let p2_rows, p2_fixes, p2_uns, p2_pes, ambiguous_pairs =
     Obs.with_span "compare.pass2"
       ~attrs:[ "ambiguous_endpoints", string_of_int (List.length ambiguous_eps) ]
-      (fun () -> pass2 ?cache ~individual ~merged ~work ambiguous_eps)
+      (fun () -> pass2 cache ~individual ~merged ~work ambiguous_eps)
   in
   let p3_rows, p3_fixes, p3_uns, p3_pes, undecided =
     Obs.with_span "compare.pass3"

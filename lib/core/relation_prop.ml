@@ -159,28 +159,20 @@ let tags_at (ts : tagsets) pin =
   List.map (fun k -> Tag.clock k, Tag.state k, Tag.edge k) ts.tags.(pin)
   |> List.sort compare
 
-let fold_relations (ctx : Context.t) tags ep f init =
-  let end_pins = Context.endpoint_alias_pins ctx ep in
-  let captures = Context.capture_clocks_of_endpoint ctx ep in
+let fold_relations (ctx : Context.t) (ts : tagsets) ep f init =
+  let relationships = Context.fold_relationships ctx ep in
   List.fold_left
-    (fun acc (ci, st, edge) ->
-      if ci < 0 then acc
-      else
-        List.fold_left
-          (fun acc cj ->
-            if Context.clocks_exclusive ctx ci cj then acc
-            else
-              let excs =
-                Excmatch.matches_at ctx.Context.excs st ~end_pins
-                  ~capture_clock:(Some cj) ~data_edge:edge ()
-              in
-              f ci cj edge
-                (Constraint_state.of_exceptions ~setup:true excs)
-                (Constraint_state.of_exceptions ~setup:false excs)
-                acc)
-          acc captures)
+    (fun acc k ->
+      let ci = Tag.clock k and edge = Tag.edge k in
+      relationships ci (Tag.state k) edge
+        (fun cj excs acc ->
+          f ci cj edge
+            (Constraint_state.of_exceptions ~setup:true excs)
+            (Constraint_state.of_exceptions ~setup:false excs)
+            acc)
+        acc)
     init
-    (tags_at tags (Tgraph.endpoint_pin ep))
+    ts.tags.(Tgraph.endpoint_pin ep)
 
 let relations_at (ctx : Context.t) tags ep =
   let name = Clock_prop.clock_name ctx.Context.clocks in
@@ -283,7 +275,7 @@ let rec strip_prefix prefix l =
   | p :: ps, x :: xs when p == x || Mode.exc_equal p x -> strip_prefix ps xs
   | _ :: _, _ -> None
 
-(* Endpoints an appended exception can change. [Excmatch.matches_at]
+(* Endpoints an appended exception can change. Exception matching
    tests -to pins only at the endpoint's own pin, so a -to of pins and
    instances alone changes exactly the endpoints at those pins (an
    instance's -to pins are its register data pins) and needs no walk.

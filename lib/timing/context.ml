@@ -71,8 +71,23 @@ let capture_clocks_of_endpoint t = function
       t.mode.Mode.io_delays
     |> List.sort_uniq compare
 
-let endpoint_alias_pins t ep =
-  ignore t;
-  match ep with
-  | Tgraph.Ep_reg { ep_data; _ } -> [ ep_data ]
-  | Tgraph.Ep_port { ep_pin } -> [ ep_pin ]
+let fold_relationships t ep =
+  (* The pins by which exceptions may address the endpoint. *)
+  let end_pins =
+    match ep with
+    | Tgraph.Ep_reg { ep_data; _ } -> [ ep_data ]
+    | Tgraph.Ep_port { ep_pin } -> [ ep_pin ]
+  in
+  let captures = capture_clocks_of_endpoint t ep in
+  fun ci st edge f init ->
+    if ci < 0 then init
+    else
+      List.fold_left
+        (fun acc cj ->
+          if clocks_exclusive t ci cj then acc
+          else
+            f cj
+              (Excmatch.matches_at t.excs st ~end_pins ~capture_clock:(Some cj)
+                 ~data_edge:edge ())
+              acc)
+        init captures

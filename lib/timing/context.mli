@@ -45,6 +45,21 @@ val capture_clocks_of_endpoint : t -> Tgraph.endpoint -> int list
     reaching a register's clock pin, or the clocks referenced by the
     output delays on a port. *)
 
-val endpoint_alias_pins : t -> Tgraph.endpoint -> Mm_netlist.Design.pin_id list
-(** Pins by which exceptions may address the endpoint (data pin and
-    port pin). *)
+val fold_relationships :
+  t ->
+  Tgraph.endpoint ->
+  int ->
+  int ->
+  Mm_sdc.Mode.edge_sel ->
+  (int -> Mm_sdc.Mode.exc list -> 'a -> 'a) ->
+  'a ->
+  'a
+(** The timing relationships at an endpoint, the one place they are
+    formed: [fold_relationships t ep] works out the endpoint's capture
+    clocks and the pins by which exceptions address it (its data pin or
+    port pin); applied to a tag's launch clock, exception state and data
+    polarity, it folds [f cj excs] over every capture clock [cj] not
+    exclusive with the launch clock, [excs] being the exceptions the tag
+    matches there. A negative launch clock (an unclocked tag) forms no
+    relationship. STA's checks and the relation sets of the mode-merging
+    comparison both read it. *)

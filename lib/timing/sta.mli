@@ -95,7 +95,9 @@ val slacks_with :
   endpoint_slack list
 (** Run the endpoint checks over an arbitrary tag provider — lets tests
     compare slacks computed from {!propagate} and
-    {!propagate_reference} storage. *)
+    {!propagate_reference} storage. The checks are one routine, over
+    {!Context.fold_relationships}: the worst slacks of {!analyze} and
+    the paths of {!worst_paths} both read it. *)
 
 (** {1 Full analysis} *)
 
