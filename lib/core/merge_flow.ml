@@ -130,9 +130,9 @@ let degenerate_mergeability modes =
    and they would pin a context's arrays for the rest of the run. *)
 let without_ctx (prelim : Prelim.t) = { prelim with Prelim.merged_ctx = None }
 
-let singleton_group ?tolerance ~ctx_cache (single : Mode.t) =
+let singleton_group ~ctx_cache (single : Mode.t) =
   let prelim =
-    Prelim.merge ?tolerance ~ctx_cache ~name:single.Mode.mode_name [ single ]
+    Prelim.merge ~ctx_cache ~name:single.Mode.mode_name [ single ]
   in
   {
     grp_members = [ single.Mode.mode_name ];
@@ -143,8 +143,8 @@ let singleton_group ?tolerance ~ctx_cache (single : Mode.t) =
     grp_prov = Provenance.of_single single;
   }
 
-let merged_group ?tolerance ~check_equivalence ~ctx_cache ~name members =
-  let prelim = Prelim.merge ?tolerance ~ctx_cache ~name members in
+let merged_group ~check_equivalence ~ctx_cache ~name members =
+  let prelim = Prelim.merge ~ctx_cache ~name members in
   let refine = Refine.run ~ctx_cache ~prelim ~individual:members () in
   let mode = refine.Refine.refined in
   (* Refinement's final comparison already compared [mode] against
@@ -296,8 +296,8 @@ type task_out = {
    alone is quarantined before it can poison the pairwise analysis.
    The probe's group is kept — stage 3 reuses it for singleton cliques
    and degraded members instead of merging the mode a second time. *)
-let probe_task ?tolerance ~ctx_cache (m : Mode.t) =
-  singleton_group ?tolerance ~ctx_cache:(Ctx_cache.fork ctx_cache) m
+let probe_task ~ctx_cache (m : Mode.t) =
+  singleton_group ~ctx_cache:(Ctx_cache.fork ctx_cache) m
 
 (* Permissive fallback for a clique whose merge crashed or failed the
    equivalence check: keep its modes individual ("when in doubt, don't
@@ -320,7 +320,7 @@ let degrade ~probed members reason =
    singleton groups from stage 1 (empty under [Strict]). [name] is the
    merged mode's name — [merged_<gi>] for top-level cliques,
    [merged_<gi>_s<k>...] for the halves of a budget split. *)
-let clique_task ?tolerance ~check_equivalence ~policy ~probed ~ctx_cache ~name
+let clique_task ~check_equivalence ~policy ~probed ~ctx_cache ~name
     members =
   let ctx_cache = Ctx_cache.fork ctx_cache in
   let ok g = { tk_groups = [ g ]; tk_degraded = []; tk_diags = [] } in
@@ -336,10 +336,10 @@ let clique_task ?tolerance ~check_equivalence ~policy ~probed ~ctx_cache ~name
   | [ single ] -> (
     match List.assoc_opt single.Mode.mode_name probed with
     | Some g -> ok g
-    | None -> ok (singleton_group ?tolerance ~ctx_cache single))
+    | None -> ok (singleton_group ~ctx_cache single))
   | _ -> (
     let g =
-      merged_group ?tolerance ~check_equivalence ~ctx_cache ~name members
+      merged_group ~check_equivalence ~ctx_cache ~name members
     in
     match policy, g.grp_equiv with
     | Permissive, Some e when not e.Equiv.equivalent ->
@@ -383,7 +383,7 @@ let load_task ~policy ~design src_name src_file src_text =
     if Diag.has_errors r.Resolve.diags then Error r.Resolve.diags
     else Ok (r.Resolve.mode, r.Resolve.diags)
 
-let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
+let compute_matrix ~policy ~pool ~budgets ~ctx_cache ~root st =
   let tok = stage_token ~budgets root "mergeability" in
   (* Stage 1 (permissive): per-mode probe tasks. *)
   let st =
@@ -392,7 +392,7 @@ let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
     | Permissive ->
       let outs =
         Pool.map_outcome pool ~govern:tok ?task_budget_s:budgets.bg_task_s
-          (probe_task ?tolerance ~ctx_cache)
+          (probe_task ~ctx_cache)
           st.s_modes
       in
       let st =
@@ -434,7 +434,7 @@ let compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st =
   in
   let st =
     match
-      Mergeability.analyze ?tolerance ~ctx_cache ~pool ~govern:tok
+      Mergeability.analyze ~ctx_cache ~pool ~govern:tok
         ?task_budget_s:budgets.bg_task_s ~settle:settle_pair st.s_modes
     with
     | matrix -> { st with s_matrix = matrix }
@@ -486,7 +486,7 @@ let absorb st t =
     s_diags = List.rev_append t.tk_diags st.s_diags;
   }
 
-let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
+let compute_cliques ~check_equivalence ~policy ~pool ~budgets
     ~ctx_cache ~root st =
   let tok = stage_token ~budgets root "cliques" in
   let cliques = Mergeability.clique_modes st.s_matrix st.s_modes in
@@ -494,7 +494,7 @@ let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
     List.mapi (fun gi members -> Printf.sprintf "merged_%d" gi, members) cliques
   in
   let task (name, members) =
-    clique_task ?tolerance ~check_equivalence ~policy ~probed:st.s_probed
+    clique_task ~check_equivalence ~policy ~probed:st.s_probed
       ~ctx_cache ~name members
   in
   (* Stage 3: per-clique merge tasks, folded in clique order. *)
@@ -560,7 +560,7 @@ let compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
+let drive ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
   Obs.with_span ~attrs:[ "policy", (match policy with Strict -> "strict" | Permissive -> "permissive") ]
     "merge.flow"
   @@ fun () ->
@@ -583,11 +583,11 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
   in
   let st =
     staged ~stage:"mergeability" (fun () ->
-        compute_matrix ?tolerance ~policy ~pool ~budgets ~ctx_cache ~root st)
+        compute_matrix ~policy ~pool ~budgets ~ctx_cache ~root st)
   in
   let st =
     staged ~stage:"cliques" (fun () ->
-        compute_cliques ?tolerance ~check_equivalence ~policy ~pool ~budgets
+        compute_cliques ~check_equivalence ~policy ~pool ~budgets
           ~ctx_cache ~root st)
   in
   let st = note_deadline root st in
@@ -622,10 +622,10 @@ let drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
         coverage_counters coverage0;
   }
 
-let run ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
+let run ?(check_equivalence = true) ?(policy = Strict) ?jobs
     ?(budgets = default_budgets) modes =
   Pool.with_pool ?jobs @@ fun pool ->
-  drive ?tolerance ~check_equivalence ~policy ~pool ~budgets
+  drive ~check_equivalence ~policy ~pool ~budgets
     ~t0:(Obs.Clock.now_ns ())
     ~load:(fun _ -> initial modes)
     ()
@@ -706,15 +706,15 @@ let compute_load ~policy ~design ~pool ~budgets ~tok sources =
   Metrics.incr ~by:0 "merge.quarantined";
   note_deadline tok { st with s_modes = List.rev st.s_modes }
 
-let run_sources ?tolerance ?(check_equivalence = true) ?(policy = Strict) ?jobs
+let run_sources ?(check_equivalence = true) ?(policy = Strict) ?jobs
     ?(budgets = default_budgets) ~design sources =
   Pool.with_pool ?jobs @@ fun pool ->
   let t0 = Obs.Clock.now_ns () in
-  drive ?tolerance ~check_equivalence ~policy ~pool ~budgets ~t0
+  drive ~check_equivalence ~policy ~pool ~budgets ~t0
     ~load:(fun tok -> compute_load ~policy ~design ~pool ~budgets ~tok sources)
     ()
 
-let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs ?budgets
+let run_files ?check_equivalence ?(policy = Strict) ?jobs ?budgets
     ~design paths =
   (* An unreadable file raises [Sys_error] under [Strict]; under
      [Permissive] it is quarantined up front with a fatal io.read
@@ -735,7 +735,7 @@ let run_files ?tolerance ?check_equivalence ?(policy = Strict) ?jobs ?budgets
       paths
   in
   let r =
-    run_sources ?tolerance ?check_equivalence ~policy ?jobs ?budgets ~design
+    run_sources ?check_equivalence ~policy ?jobs ?budgets ~design
       sources
   in
   { r with quarantined = io_failed @ r.quarantined }

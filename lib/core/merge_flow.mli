@@ -162,7 +162,6 @@ val coverage_counters : string list
     [merge.pairs_checked] and [merge.cliques]. *)
 
 val run :
-  ?tolerance:Mm_util.Toler.t ->
   ?check_equivalence:bool ->
   ?policy:policy ->
   ?jobs:int ->
@@ -197,7 +196,6 @@ exception Duplicate_mode of Mm_util.Diag.t
     diagnostic at error severity. *)
 
 val run_sources :
-  ?tolerance:Mm_util.Toler.t ->
   ?check_equivalence:bool ->
   ?policy:policy ->
   ?jobs:int ->
@@ -212,7 +210,6 @@ val run_sources :
     name is quarantined. *)
 
 val run_files :
-  ?tolerance:Mm_util.Toler.t ->
   ?check_equivalence:bool ->
   ?policy:policy ->
   ?jobs:int ->

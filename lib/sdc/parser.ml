@@ -552,15 +552,18 @@ let error_code msg =
 let loc_of ?file line col =
   { Diag.file = (match file with Some f -> f | None -> "<string>"); line; col }
 
-let parse_string ?file src =
+let parse_located ?file src =
   match Lexer.tokenize_located src with
   | located ->
     List.map
       (fun { Lexer.lc_line; lc_col; lc_toks } ->
-        parse_command ~loc:(loc_of ?file lc_line lc_col) lc_toks)
+        let loc = loc_of ?file lc_line lc_col in
+        loc, parse_command ~loc lc_toks)
       located
   | exception Lexer.Error { line; col; msg } ->
     raise (Error { loc = Some (loc_of ?file line col); msg })
+
+let parse_string ?file src = List.map snd (parse_located ?file src)
 
 let read_whole_file path =
   let ic = open_in path in
@@ -569,8 +572,6 @@ let read_whole_file path =
     (fun () ->
       let n = in_channel_length ic in
       really_input_string ic n)
-
-let parse_file path = parse_string ~file:path (read_whole_file path)
 
 let parse_string_recover ?file src =
   let diags = Diag.collector () in
@@ -585,8 +586,9 @@ let parse_string_recover ?file src =
   let cmds =
     List.filter_map
       (fun { Lexer.lc_line; lc_col; lc_toks } ->
-        match parse_command ~loc:(loc_of ?file lc_line lc_col) lc_toks with
-        | cmd -> Some cmd
+        let loc = loc_of ?file lc_line lc_col in
+        match parse_command ~loc lc_toks with
+        | cmd -> Some (loc, cmd)
         | exception Error { loc; msg } ->
           Diag.addf diags ?loc Diag.Error ~code:(error_code msg) "%s" msg;
           None)

@@ -37,11 +37,11 @@ type state = {
   mutable senses : Mode.clock_sense list;
   mutable envs : Mode.env_constraint list;
   mutable drcs : Mode.drc_limit list;
-  floc : Diag.loc option; (* file-level location for resolve diagnostics *)
+  mutable loc : Diag.loc option; (* the command being resolved *)
   diags : Diag.collector;
 }
 
-let warn st ~code fmt = Diag.addf st.diags ?loc:st.floc Diag.Warning ~code fmt
+let warn st ~code fmt = Diag.addf st.diags ?loc:st.loc Diag.Warning ~code fmt
 
 let clock_names st = List.map (fun c -> c.Mode.clk_name) st.clocks
 
@@ -520,7 +520,9 @@ let apply st = function
   | Set_env e -> apply_env st e
   | Set_drc d -> apply_drc st d
 
-let mode ?file ?(diags = []) design ~name cmds =
+(* Resolve [(loc, command)]s in order, each command's diagnostics at its
+   location. *)
+let resolve ?(diags = []) design ~name located =
   Obs.with_span ~attrs:[ "mode", name ] "sdc.resolve" @@ fun () ->
   let st =
     {
@@ -535,11 +537,15 @@ let mode ?file ?(diags = []) design ~name cmds =
       senses = [];
       envs = [];
       drcs = [];
-      floc = Option.map Diag.loc file;
+      loc = None;
       diags = Diag.collector ();
     }
   in
-  List.iter (apply st) cmds;
+  List.iter
+    (fun (loc, cmd) ->
+      st.loc <- loc;
+      apply st cmd)
+    located;
   let attrs =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.attrs []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -563,19 +569,21 @@ let mode ?file ?(diags = []) design ~name cmds =
     diags = diags @ Diag.to_list st.diags;
   }
 
+let some_loc (loc, cmd) = Some loc, cmd
+
+let mode ?file ?diags design ~name cmds =
+  let loc = Option.map Diag.loc file in
+  resolve ?diags design ~name (List.map (fun cmd -> loc, cmd) cmds)
+
 let mode_of_string ?file design ~name src =
-  let cmds =
+  let located =
     Obs.with_span ~attrs:[ "mode", name ] "sdc.parse" (fun () ->
-        Parser.parse_string ?file src)
+        Parser.parse_located ?file src)
   in
-  mode ?file design ~name cmds
+  resolve design ~name (List.map some_loc located)
 
 let mode_of_file design ~name path =
-  let cmds =
-    Obs.with_span ~attrs:[ "mode", name ] "sdc.parse" (fun () ->
-        Parser.parse_file path)
-  in
-  mode ~file:path design ~name cmds
+  mode_of_string ~file:path design ~name (Parser.read_whole_file path)
 
 (* Robust variants: syntax errors become diagnostics instead of
    exceptions; the well-formed commands still resolve. A resolution
@@ -583,7 +591,7 @@ let mode_of_file design ~name path =
    downgraded to a Fatal diagnostic on an empty mode, so callers can
    quarantine rather than die. *)
 let mode_of_string_robust ?file design ~name src =
-  let cmds, parse_diags =
+  let located, parse_diags =
     Obs.with_span ~attrs:[ "mode", name ] "sdc.parse" (fun () ->
         Parser.parse_string_recover ?file src)
   in
@@ -592,7 +600,7 @@ let mode_of_string_robust ?file design ~name src =
   (match parse_diags with
   | [] -> ()
   | ds -> Metrics.incr ~by:(List.length ds) "sdc.commands_recovered");
-  match mode ?file ~diags:parse_diags design ~name cmds with
+  match resolve ~diags:parse_diags design ~name (List.map some_loc located) with
   | r -> r
   | exception exn ->
     let loc = Option.map Diag.loc file in

@@ -17,9 +17,9 @@ val mode :
   name:string ->
   Ast.command list ->
   result
-(** [file] names the source in diagnostic locations; [diags] are
-    prepended to the result (e.g. parse diagnostics from a recovering
-    front end). *)
+(** [file] locates the diagnostics (the commands carry no lines);
+    [diags] are prepended to the result. The entry points below, which
+    parse, locate each diagnostic at its command's line and column. *)
 
 val mode_of_string :
   ?file:string -> Mm_netlist.Design.t -> name:string -> string -> result

@@ -170,12 +170,6 @@ let write_command cmd =
   | Set_drc d ->
     words [ command_name cmd; fnum d.drc_value; write_objects d.drc_objects ]
 
-let write_commands ?header cmds =
-  let body = String.concat "\n" (List.map write_command cmds) in
-  match header with
-  | None -> body ^ "\n"
-  | Some h -> "# " ^ h ^ "\n" ^ body ^ "\n"
-
 let write_commands_annotated ?header ~comment cmds =
   let lines =
     List.concat
@@ -191,6 +185,9 @@ let write_commands_annotated ?header ~comment cmds =
   match header with
   | None -> body ^ "\n"
   | Some h -> "# " ^ h ^ "\n" ^ body ^ "\n"
+
+let write_commands ?header cmds =
+  write_commands_annotated ?header ~comment:(fun _ _ -> None) cmds
 
 let write_file path ?header cmds =
   let oc = open_out path in

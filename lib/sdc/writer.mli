@@ -6,16 +6,17 @@
 val write_query : Ast.obj_query -> string
 val write_objects : Ast.objects -> string
 val write_command : Ast.command -> string
-val write_commands : ?header:string -> Ast.command list -> string
-
 val write_commands_annotated :
   ?header:string ->
   comment:(int -> Ast.command -> string option) ->
   Ast.command list ->
   string
-(** Like {!write_commands}, but [comment i cmd] may prepend a full-line
-    ["# ..."] comment before the [i]-th command — the [--annotate]
-    provenance output. Comment lines are skipped by the parser, so an
-    annotated file still round-trips. *)
+(** One command per line after an optional ["# header"] line; [comment i
+    cmd] may prepend a full-line ["# ..."] comment before the [i]-th
+    command — the [--annotate] provenance output. Comment lines are
+    skipped by the parser, so an annotated file still round-trips. *)
+
+val write_commands : ?header:string -> Ast.command list -> string
+(** {!write_commands_annotated} without comments. *)
 
 val write_file : string -> ?header:string -> Ast.command list -> unit

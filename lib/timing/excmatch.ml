@@ -225,8 +225,3 @@ let matches_at t state ~end_pins ~capture_clock ?(data_edge = Mode.Any_edge) () 
     end
   done;
   !acc
-
-let state_at t ~setup state ~end_pins ~capture_clock ?(data_edge = Mode.Any_edge)
-    () =
-  Constraint_state.of_exceptions ~setup
-    (matches_at t state ~end_pins ~capture_clock ~data_edge ())

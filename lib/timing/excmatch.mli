@@ -65,15 +65,5 @@ val matches_at :
   unit ->
   Mm_sdc.Mode.exc list
 (** Exceptions fully matched by a tag arriving at an endpoint with the
-    given data polarity. *)
-
-val state_at :
-  t ->
-  setup:bool ->
-  int ->
-  end_pins:Mm_netlist.Design.pin_id list ->
-  capture_clock:int option ->
-  ?data_edge:Mm_sdc.Mode.edge_sel ->
-  unit ->
-  Constraint_state.t
-(** [matches_at] combined through {!Constraint_state.of_exceptions}. *)
+    given data polarity. Readers get them through
+    {!Context.fold_relationships}, per timing relationship. *)

@@ -936,6 +936,51 @@ let test_cli_dot_diagnostics_once () =
     (contains ~sub:"warning[sdc.no-match]" plain);
   check Alcotest.string "merge --dot prints the same diagnostics" plain dot
 
+(* A command that resolves to nothing is reported at its own line, on
+   the strict and on the recovering load path, in the text and in the
+   JSON diagnostics. *)
+let test_cli_resolve_warning_located () =
+  let exe, netlist, sdcs = Lazy.force cli_fixture in
+  let dir = scratch "resolve_loc" in
+  let sdcs =
+    List.map
+      (fun src ->
+        let dst = Filename.concat dir (Filename.basename src) in
+        write_file dst (read_file src);
+        dst)
+      sdcs
+  in
+  let planted = List.hd sdcs in
+  let text = read_file planted in
+  check Alcotest.bool "gen ends its lines" true
+    (String.ends_with ~suffix:"\n" text);
+  (* The split's empty last piece is the line the command lands on. *)
+  let line = List.length (String.split_on_char '\n' text) in
+  write_file planted (text ^ "set_case_analysis 0 [get_pins nosuch/pin]\n");
+  List.iter
+    (fun policy ->
+      let err = Filename.concat dir (policy ^ ".err") in
+      let rc =
+        sh "%s merge -n %s -o %s --diag-json %s %s > /dev/null 2> %s"
+          (Filename.quote exe) (Filename.quote netlist)
+          (Filename.quote (Filename.concat dir (policy ^ "_out")))
+          policy
+          (String.concat " " (List.map Filename.quote sdcs))
+          (Filename.quote err)
+      in
+      let log = read_file err in
+      check Alcotest.int (policy ^ ": exits with a warning") 1 rc;
+      check Alcotest.bool (policy ^ ": text names the line") true
+        (contains
+           ~sub:(Printf.sprintf "%s:%d:1: warning[sdc.no-match]" planted line)
+           log);
+      check Alcotest.bool (policy ^ ": JSON names the line") true
+        (contains
+           ~sub:
+             (Printf.sprintf {|"file":"%s","line":%d,"col":1|} planted line)
+           log))
+    [ "--strict"; "--permissive" ]
+
 (* [check] compares a merged mode against individual modes loaded from
    files, so two of them can share a basename; each must still be
    compared as itself. A mode covers itself but not, in addition, a
@@ -999,6 +1044,8 @@ let () =
           tc "check keeps same-named modes apart" test_cli_check_same_basename;
           tc "--dot prints each load diagnostic once"
             test_cli_dot_diagnostics_once;
+          tc "resolve warnings carry their line"
+            test_cli_resolve_warning_located;
           tc "SIGINT flushes trace and event dump" test_cli_sigint_flushes;
         ] );
     ]

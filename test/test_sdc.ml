@@ -324,7 +324,7 @@ let robust_resolve_cases =
         check
           Alcotest.(list string)
           "golden"
-          [ "t.sdc: warning[sdc.unresolved-object]: unresolved object nosuchpin" ]
+          [ "t.sdc:1:1: warning[sdc.unresolved-object]: unresolved object nosuchpin" ]
           (rendered r.Resolve.diags);
         check Alcotest.bool "not an error" false (Diag.has_errors r.Resolve.diags));
     tc "corrupt command quarantinable, valid clock still resolves" (fun () ->
