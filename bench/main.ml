@@ -1,6 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation, plus the ablations, the design-size sweep and
-   the STA microbench.
+   paper's evaluation, plus the ablations and the design-size sweep.
 
      dune exec bench/main.exe            # tables + ablations
      dune exec bench/main.exe -- tables  # reproduction tables only
@@ -165,7 +164,7 @@ let run_design (p : Presets.preset) =
 (* per design plus the full observability snapshot (metric counters    *)
 (* and per-stage span durations) of the run that produced them.        *)
 
-let bench_json ~sta runs =
+let bench_json runs =
   let num = Json.num and int = string_of_int in
   let row5 r =
     Json.obj
@@ -207,9 +206,6 @@ let bench_json ~sta runs =
           "avg_sta_reduction_percent",
           num (Stat.mean (List.map (fun r -> Stat.reduction_percent r.dr_sta_ind r.dr_sta_mrg) runs));
           "avg_conformity", num (Stat.mean (List.map (fun r -> r.dr_conformity) runs)) ];
-      (* STA microbench section: the compiled-arena payoff (compile-once
-         vs rebuild, full vs incremental re-analysis). *)
-      "sta", sta;
       (* Resource sections: whole-run GC totals and the pool.* metric
          slice. *)
       "gc", Json.obj (List.map (fun (k, v) -> k, num v) (Obs.gc_totals ()));
@@ -219,14 +215,14 @@ let bench_json ~sta runs =
 
 let bench_file = "BENCH_paper_tables.json"
 
-let write_bench_json ?(file = bench_file) ~sta runs =
-  let oc = open_out file in
+let write_bench_json runs =
+  let oc = open_out bench_file in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (bench_json ~sta runs);
+      output_string oc (bench_json runs);
       output_char oc '\n');
-  Printf.printf "\nwrote %s\n" file
+  Printf.printf "\nwrote %s\n" bench_file
 
 (* Mandatory keys the bench trajectory (and CI's @bench-smoke) relies
    on: a run that stops emitting one of these is a regression even if
@@ -235,7 +231,7 @@ let mandatory_keys =
   [
     {|"table5"|}; {|"table6"|}; {|"merge_runtime_s"|}; {|"conformity"|};
     {|"merge.cliques"|}; {|"sta.tags_propagated"|}; {|"spans"|};
-    {|"sta.analyze"|}; {|"sta":|};
+    {|"sta.analyze"|};
     {|"gc":{|}; {|"gc.minor_words"|}; {|"pool":{|}; {|"pool.tasks_executed"|};
     {|"pool.occupancy"|};
   ]
@@ -245,8 +241,8 @@ let contains ~needle hay =
   let rec go i = i + nh <= lh && (String.sub hay i nh = needle || go (i + 1)) in
   go 0
 
-let validate_bench_json ?(file = bench_file) () =
-  let ic = open_in file in
+let validate_bench_json () =
+  let ic = open_in bench_file in
   let s =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
@@ -254,142 +250,12 @@ let validate_bench_json ?(file = bench_file) () =
   in
   let missing = List.filter (fun k -> not (contains ~needle:k s)) mandatory_keys in
   if missing <> [] then begin
-    Printf.eprintf "%s is missing mandatory keys: %s\n" file
+    Printf.eprintf "%s is missing mandatory keys: %s\n" bench_file
       (String.concat ", " missing);
     exit 1
   end;
-  Printf.printf "%s: all %d mandatory keys present\n" file
+  Printf.printf "%s: all %d mandatory keys present\n" bench_file
     (List.length mandatory_keys)
-
-(* ------------------------------------------------------------------ *)
-(* STA microbench: the compiled-arena payoff (DESIGN.md section 14).   *)
-(* Two measurements per preset:                                        *)
-(*   1. compile-once vs rebuild - deriving K modes' delays over one    *)
-(*      cached graph vs recompiling the CSR arena for every mode;      *)
-(*   2. full vs incremental - the refinement-loop shape: endpoint      *)
-(*      relations re-derived after each appended false path, from      *)
-(*      scratch vs through Context.with_exceptions + the pass-1        *)
-(*      relation cache (dirty-cone re-propagation only).               *)
-(* Results are recorded under "sta" in the bench json.                *)
-
-type sta_row = {
-  st_name : string;
-  st_pins : int;
-  st_modes : int;  (* modes measured in the compile comparison *)
-  st_rebuild_s : float;
-  st_reuse_s : float;
-  st_full_s : float;
-  st_incr_s : float;
-}
-
-let sta_speedup a b = if b > 0.0 then a /. b else 0.0
-
-let sta_measure (p : Presets.preset) =
-  let design, _info, modes = Presets.build p in
-  let k_modes = List.filteri (fun i _ -> i < 4) modes in
-  (* 1: identical delays, arena recompiled per mode (cache bypassed)
-     vs compiled once and reused. *)
-  let _, rebuild_s =
-    time (fun () ->
-        List.iter
-          (fun m ->
-            ignore (Mm_timing.Tgraph.delays (Mm_timing.Tgraph.compile design) m))
-          k_modes)
-  in
-  ignore (Mm_timing.Tgraph.skeleton design);
-  let _, reuse_s =
-    time (fun () ->
-        List.iter
-          (fun m ->
-            ignore (Mm_timing.Tgraph.delays (Mm_timing.Tgraph.skeleton design) m))
-          k_modes)
-  in
-  (* 2: a growing-exception family over the first mode — exactly what
-     the refinement loop replays. Variant i appends i false paths. *)
-  let m0 = List.hd modes in
-  let ctx0 = Context.create design m0 in
-  let eps = Mm_timing.Tgraph.endpoint_pins ctx0.Context.graph in
-  let clock0 = Mm_timing.Clock_prop.clock_name ctx0.Context.clocks 0 in
-  let variant i =
-    let excs =
-      List.filteri (fun j _ -> j < i) eps
-      |> List.map (fun ep ->
-             Mode.exc ~from_:[ Mode.P_clock clock0 ] ~to_:[ Mode.P_pin ep ]
-               Mode.False_path)
-    in
-    { m0 with Mode.exceptions = m0.Mode.exceptions @ excs }
-  in
-  let variants = List.init 5 variant in
-  let full_last = ref [] in
-  let _, full_s =
-    time (fun () ->
-        List.iter
-          (fun m ->
-            full_last :=
-              Mm_core.Relation_prop.endpoint_relations (Context.create design m))
-          variants)
-  in
-  let incr_last = ref [] in
-  let _, incr_s =
-    time (fun () ->
-        let cache = Mm_core.Relation_prop.create_ep_cache () in
-        List.iter
-          (fun m ->
-            let ctx = Context.with_exceptions ctx0 m in
-            let value tags ep =
-              ( Mm_timing.Tgraph.endpoint_pin ep,
-                Mm_core.Relation_prop.relations_at ctx tags ep )
-            in
-            incr_last :=
-              Array.to_list
-                (fst
-                   (Mm_core.Relation_prop.endpoint_relations_cached cache ctx
-                      value)))
-          variants)
-  in
-  (* The speedup only counts if the answers agree. *)
-  if !full_last <> !incr_last then begin
-    Printf.eprintf
-      "sta bench: incremental endpoint relations diverge from full recompute \
-       on preset %s\n"
-      p.Presets.pr_name;
-    exit 1
-  end;
-  {
-    st_name = p.Presets.pr_name;
-    st_pins = Design.n_pins design;
-    st_modes = List.length k_modes;
-    st_rebuild_s = rebuild_s;
-    st_reuse_s = reuse_s;
-    st_full_s = full_s;
-    st_incr_s = incr_s;
-  }
-
-let sta_json rows =
-  let num = Json.num in
-  let row r =
-    Json.obj
-      [ "design", Json.str r.st_name;
-        "pins", string_of_int r.st_pins;
-        "modes", string_of_int r.st_modes;
-        "rebuild_s", num r.st_rebuild_s;
-        "reuse_s", num r.st_reuse_s;
-        "compile_speedup", num (sta_speedup r.st_rebuild_s r.st_reuse_s);
-        "full_s", num r.st_full_s;
-        "incremental_s", num r.st_incr_s;
-        "incremental_speedup", num (sta_speedup r.st_full_s r.st_incr_s) ]
-  in
-  let min_of get =
-    List.fold_left (fun acc r -> Float.min acc (get r)) infinity rows
-  in
-  Json.obj
-    [ "rows", Json.arr (List.map row rows);
-      "summary",
-      Json.obj
-        [ "min_compile_speedup",
-          num (min_of (fun r -> sta_speedup r.st_rebuild_s r.st_reuse_s));
-          "min_incremental_speedup",
-          num (min_of (fun r -> sta_speedup r.st_full_s r.st_incr_s)) ] ]
 
 let tables56 () =
   (* Tables 5/6 are the committed bench trajectory, so they run with
@@ -483,12 +349,7 @@ let tables56 () =
         (Stat.mean (List.map (fun r -> (paper r).Presets.paper_conformity) runs));
     ];
   Tab.print t6;
-  write_bench_json
-    ~sta:
-      (sta_json
-         (List.map sta_measure
-            [ Presets.design_a; Presets.design_b; Presets.design_c ]))
-    runs
+  write_bench_json runs
 
 (* ------------------------------------------------------------------ *)
 (* Smoke run for @bench-smoke: the paper circuit's two-mode merge       *)
@@ -506,132 +367,8 @@ let smoke () =
   Printf.printf "  merged %d -> %d mode(s), %.1f%% reduction, conformity %.2f\n"
     r.dr_flow.Merge_flow.n_individual r.dr_flow.Merge_flow.n_merged
     r.dr_flow.Merge_flow.reduction_percent r.dr_conformity;
-  write_bench_json ~sta:(sta_json [ sta_measure Presets.tiny ]) [ r ];
+  write_bench_json [ r ];
   validate_bench_json ()
-
-(* ------------------------------------------------------------------ *)
-(* Audit smoke for @audit-smoke: merge the paper circuit with the      *)
-(* audit report enabled, check the jobs=1 and jobs=4 reports are       *)
-(* byte-identical, write BENCH_audit.json and validate the mandatory   *)
-(* schema keys — @bench-smoke's mirror for the provenance layer.       *)
-
-let audit_file = "BENCH_audit.json"
-
-let audit_smoke () =
-  section "Audit smoke: paper circuit, Constraint Set 6, provenance audit";
-  let d = Pc.build () in
-  let a, b = Pc.constraint_set6 d in
-  let audit_at jobs = Mm_core.Audit.to_json (Merge_flow.run ~jobs [ a; b ]) in
-  let j1 = audit_at 1 in
-  let j4 = audit_at 4 in
-  if j1 <> j4 then begin
-    Printf.eprintf "audit reports differ between jobs=1 and jobs=4\n";
-    exit 1
-  end;
-  let oc = open_out audit_file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc j1;
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" audit_file;
-  let missing =
-    List.filter
-      (fun k -> not (contains ~needle:(Printf.sprintf "%S" k) j1))
-      Mm_core.Audit.mandatory_keys
-  in
-  if missing <> [] then begin
-    Printf.eprintf "audit json missing mandatory keys: %s\n"
-      (String.concat ", " missing);
-    exit 1
-  end;
-  Printf.printf "  audit ok: %d bytes, jobs-invariant, all %d mandatory keys\n"
-    (String.length j1)
-    (List.length Mm_core.Audit.mandatory_keys)
-
-(* ------------------------------------------------------------------ *)
-(* STA microbench targets (measurement helpers live above tables56,    *)
-(* which embeds their rows into the committed bench trajectory).       *)
-
-let sta_table rows =
-  let t =
-    Tab.create
-      ~aligns:
-        [ Tab.Left; Tab.Right; Tab.Right; Tab.Right; Tab.Right; Tab.Right;
-          Tab.Right; Tab.Right; Tab.Right ]
-      [
-        "Design"; "Pins"; "Modes"; "Rebuild (s)"; "Reuse (s)"; "Compile x";
-        "Full (s)"; "Incr (s)"; "Incr x";
-      ]
-  in
-  List.iter
-    (fun r ->
-      Tab.add_row t
-        [
-          r.st_name;
-          string_of_int r.st_pins;
-          string_of_int r.st_modes;
-          Stat.fmt_time_s r.st_rebuild_s;
-          Stat.fmt_time_s r.st_reuse_s;
-          Printf.sprintf "%.1fx" (sta_speedup r.st_rebuild_s r.st_reuse_s);
-          Stat.fmt_time_s r.st_full_s;
-          Stat.fmt_time_s r.st_incr_s;
-          Printf.sprintf "%.1fx" (sta_speedup r.st_full_s r.st_incr_s);
-        ])
-    rows;
-  Tab.print t
-
-(* Full microbench over presets A-C, written into the paper-tables
-   bench json (a paper-circuit merge provides the table5/6 payload). Gates the repeated-analysis acceptance bound: reusing the
-   compiled graph must beat recompiling by at least 2x. *)
-let sta_bench () =
-  section "STA microbench: compile-once vs rebuild, full vs incremental (A-C)";
-  Obs.set_enabled true;
-  Obs.reset ();
-  Metrics.reset ();
-  let rows =
-    List.map sta_measure
-      [ Presets.design_a; Presets.design_b; Presets.design_c ]
-  in
-  sta_table rows;
-  let d = Pc.build () in
-  let a, b = Pc.constraint_set6 d in
-  let r = run_modes ~name:"paper_circuit" d [ a; b ] in
-  write_bench_json ~sta:(sta_json rows) [ r ];
-  validate_bench_json ();
-  let worst =
-    List.fold_left
-      (fun acc r -> Float.min acc (sta_speedup r.st_rebuild_s r.st_reuse_s))
-      infinity rows
-  in
-  if worst < 2.0 then begin
-    Printf.eprintf
-      "sta bench: compile-once speedup %.2fx below the 2x repeated-analysis \
-       bound\n"
-      worst;
-    exit 1
-  end;
-  Printf.printf
-    "\nrepeated-analysis bound ok: worst compile-once speedup %.1fx (>= 2x)\n"
-    worst
-
-(* Tiny-preset variant for the default test gate: same code path,
-   seconds not minutes, own output file so it cannot race
-   @bench-smoke's write of the paper-tables json. *)
-let sta_file = "BENCH_sta.json"
-
-let sta_smoke () =
-  section "STA microbench smoke: tiny preset";
-  Obs.set_enabled true;
-  Obs.reset ();
-  Metrics.reset ();
-  let rows = [ sta_measure Presets.tiny ] in
-  sta_table rows;
-  let d = Pc.build () in
-  let a, b = Pc.constraint_set6 d in
-  let r = run_modes ~name:"paper_circuit" d [ a; b ] in
-  write_bench_json ~file:sta_file ~sta:(sta_json rows) [ r ];
-  validate_bench_json ~file:sta_file ()
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: quantify the design choices DESIGN.md calls out          *)
@@ -884,9 +621,6 @@ let targets =
     "ablations", ablations;
     "scale", scale_sweep;
     "smoke", smoke;
-    "audit", audit_smoke;
-    "sta", sta_bench;
-    "sta-smoke", sta_smoke;
     "presets", write_presets;
     ( "all",
       fun () ->

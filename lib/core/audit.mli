@@ -26,11 +26,9 @@
     The report contains no timings, gauges or hash-ordered data, so
     its bytes are identical across [--jobs] values (DESIGN.md §11). *)
 
-val schema_version : int
-
 val mandatory_keys : string list
-(** Top-level keys every audit file must carry — what the
-    [@audit-smoke] alias validates. *)
+(** Top-level keys every audit file must carry — what
+    [test_provenance]'s [mandatory schema keys] case checks. *)
 
 val to_json : Merge_flow.result -> string
 

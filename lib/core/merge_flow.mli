@@ -122,8 +122,6 @@ type governed = {
   gov_events : govern_event list;  (** chronological *)
 }
 
-val empty_governed : governed
-
 val degraded_under_budget : governed -> bool
 (** True when governance changed the outcome (splits, budget
     quarantines or conservative pair verdicts) — the CLI's exit-3
@@ -147,7 +145,7 @@ type result = {
   reduction_percent : float;
   runtime_s : float;
   governed : governed;
-      (** outcome-affecting governance decisions ({!empty_governed}
+      (** outcome-affecting governance decisions (all zero and empty
           for an ungoverned or unpressured run) *)
   coverage : (string * int) list;
       (** what this run added to each of {!coverage_counters}, in that
@@ -182,10 +180,6 @@ type source = {
   src_text : string;          (** SDC text *)
 }
 
-val source_of_file : string -> source
-(** The mode name is the file's basename without its extension.
-    @raise Sys_error when unreadable. *)
-
 exception Duplicate_mode of Mm_util.Diag.t
 (** Raised at load under [Strict] when two sources share a mode name;
     the fatal [merge.duplicate-mode] diagnostic is located at the later
@@ -217,7 +211,8 @@ val run_files :
   design:Mm_netlist.Design.t ->
   string list ->
   result
-(** {!run_sources} over {!source_of_file}; an unreadable file raises
+(** {!run_sources} over the files' contents, each mode named by its
+    file's basename without the extension; an unreadable file raises
     [Sys_error] under [Strict] and is quarantined with an [io.read]
     diagnostic under [Permissive]. *)
 

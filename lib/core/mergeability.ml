@@ -158,11 +158,8 @@ let exact_cliques ?(limit = 20) adjacency =
 
 (* The sweep, with the number of pairs the key compare rejected and
    the number that ran the mock merge. *)
-let sweep ?tolerance ?ctx_cache ?pool ~strategy ~govern ?task_budget_s ~settle
+let sweep ?tolerance ~ctx_cache ~pool ~strategy ~govern ?task_budget_s ~settle
     modes =
-  let ctx_cache =
-    match ctx_cache with Some c -> c | None -> Ctx_cache.create ()
-  in
   let arr = Array.of_list modes in
   let n = Array.length arr in
   let adjacency = Array.make_matrix n n false in
@@ -176,10 +173,11 @@ let sweep ?tolerance ?ctx_cache ?pool ~strategy ~govern ?task_budget_s ~settle
   (* Build every individual context and conflict key first, one task
      per mode, so pair tasks on different workers never race to build
      the same context. A build that fails here is left to the pair
-     checks that need it, which own the failure handling. *)
+     checks that need it, which own the failure handling. Fewer than two
+     modes make no pair, so nothing is built. *)
   let keys =
-    match pool with
-    | Some pool when n >= 2 ->
+    if n < 2 then [||]
+    else
       Pool.map_outcome pool ~govern
         (fun m ->
           ignore (Ctx_cache.find (Ctx_cache.fork ctx_cache) m);
@@ -187,7 +185,6 @@ let sweep ?tolerance ?ctx_cache ?pool ~strategy ~govern ?task_budget_s ~settle
         modes
       |> List.map (function Govern.Done k -> Some k | _ -> None)
       |> Array.of_list
-    | Some _ | None -> Array.map (fun m -> Some (Conflict_key.of_mode m)) arr
   in
   let key i =
     match keys.(i) with Some k -> k | None -> Conflict_key.of_mode arr.(i)
@@ -197,12 +194,7 @@ let sweep ?tolerance ?ctx_cache ?pool ~strategy ~govern ?task_budget_s ~settle
   let check_one (i, j) =
     check_keys ?tolerance ~ctx_cache:(Ctx_cache.fork ctx_cache) (key i) (key j)
   in
-  let outcomes =
-    match pool with
-    | Some pool -> Pool.map_outcome pool ~govern ?task_budget_s check_one !pairs
-    | None ->
-      List.map (fun p -> Govern.run govern (fun () -> check_one p)) !pairs
-  in
+  let outcomes = Pool.map_outcome pool ~govern ?task_budget_s check_one !pairs in
   (* Fold in pair order; the caller settles a check that did not
      complete, on this domain and in pair order. *)
   let key_rejected = ref 0 and mock_merged = ref 0 in
@@ -243,20 +235,26 @@ let sweep ?tolerance ?ctx_cache ?pool ~strategy ~govern ?task_budget_s ~settle
 let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
     ?(govern = Govern.never) ?task_budget_s
     ?(settle = fun ~scope:_ o -> Govern.value o) modes =
-  let t, _, _ =
-    Obs.with_span
-      ~attrs:[ "modes", string_of_int (List.length modes) ]
-      ~result_attrs:(fun (_, key_rejected, mock_merged) ->
-        [
-          "key_rejected", string_of_int key_rejected;
-          "mock_merged", string_of_int mock_merged;
-        ])
-      "merge.mergeability"
-      (fun () ->
-        sweep ?tolerance ?ctx_cache ?pool ~strategy ~govern ?task_budget_s
-          ~settle modes)
+  let ctx_cache =
+    match ctx_cache with Some c -> c | None -> Ctx_cache.create ()
   in
-  t
+  let run pool =
+    let t, _, _ =
+      Obs.with_span
+        ~attrs:[ "modes", string_of_int (List.length modes) ]
+        ~result_attrs:(fun (_, key_rejected, mock_merged) ->
+          [
+            "key_rejected", string_of_int key_rejected;
+            "mock_merged", string_of_int mock_merged;
+          ])
+        "merge.mergeability"
+        (fun () ->
+          sweep ?tolerance ~ctx_cache ~pool ~strategy ~govern ?task_budget_s
+            ~settle modes)
+    in
+    t
+  in
+  match pool with Some pool -> run pool | None -> Pool.with_pool ~jobs:1 run
 
 let clique_modes t modes =
   let arr = Array.of_list modes in

@@ -56,14 +56,14 @@ val analyze :
   ?settle:(scope:string -> pair_check Mm_util.Govern.outcome -> pair_check) ->
   Mm_sdc.Mode.t list ->
   t
-(** The O(N^2) pairwise sweep runs on [pool] when given — each pair is
-    an independent task over a {!Mm_timing.Ctx_cache.fork} of
-    [ctx_cache]; results are folded in pair order, so the analysis is
-    identical with and without a pool. Before the pair tasks, one pool
-    batch builds every mode's individual context into [ctx_cache] and
-    its {!Conflict_key.t} (one task per mode), so no two workers build
-    the same context; a build that fails there is left to the pair
-    checks that need it. The [merge.mergeability] span carries
+(** The O(N^2) pairwise sweep runs on [pool] (a one-job pool when not
+    given) — each pair is an independent task over a
+    {!Mm_timing.Ctx_cache.fork} of [ctx_cache]; results are folded in
+    pair order, so the analysis is identical at every pool size. Before
+    the pair tasks, one pool batch builds every mode's individual
+    context into [ctx_cache] and its {!Conflict_key.t} (one task per
+    mode), so no two workers build the same context; a build that
+    fails there is left to the pair checks that need it. The [merge.mergeability] span carries
     [key_rejected] (pairs vetoed by the key compare) and [mock_merged]
     (pairs that ran the mock merge) as result attributes.
 

@@ -25,11 +25,7 @@ val of_group :
     members and their record lists in input order only, so the
     attribution lists are deterministic. *)
 
-val annotation : Mm_util.Prov.entry -> string
-(** One-line comment body for [--annotate]:
-    ["prov: merged_0#c12 union [modeA,modeB]"]. *)
-
 val annotated_sdc : Mm_util.Prov.store -> Mm_sdc.Mode.t -> string
 (** The mode's SDC with a ["# prov: ..."] comment line above every
-    constraint. Parses back to the same commands (comments are
+    constraint, e.g. ["# prov: merged_0#c12 union [modeA,modeB]"]. Parses back to the same commands (comments are
     skipped). *)

@@ -33,17 +33,6 @@ let states_of l =
 
 let rename f r = { r with launch = f r.launch; capture = f r.capture }
 
-let to_string r =
-  let edge =
-    match r.data_edge with
-    | Mm_sdc.Mode.Any_edge -> ""
-    | Mm_sdc.Mode.Rise_edge -> "(r)"
-    | Mm_sdc.Mode.Fall_edge -> "(f)"
-  in
-  Printf.sprintf "%s->%s%s:%s/%s" r.launch r.capture edge
-    (Cs.to_string r.setup_state)
-    (Cs.to_string r.hold_state)
-
 let set_to_string l =
   (* Strongest state first, matching the paper's "FP, V" ordering. *)
   let by_rank a b = Int.compare (Cs.rank b) (Cs.rank a) in

@@ -41,7 +41,6 @@ val states_of : t list -> Mm_timing.Constraint_state.t list
 val rename : (string -> string) -> t -> t
 (** Apply a clock renaming to both clock fields. *)
 
-val to_string : t -> string
 val set_to_string : t list -> string
 (** e.g. ["FP, V"] — distinct setup states joined, as in the paper's
     tables. *)

@@ -89,8 +89,6 @@ val pin_cap : t -> pin_id -> float
 val pin_role : t -> pin_id -> Lib_cell.role option
 (** [None] for port pins. *)
 
-val pin_cell_pin : t -> pin_id -> Lib_cell.pin option
-
 (** {1 Traversal} *)
 
 val n_ports : t -> int

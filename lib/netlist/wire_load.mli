@@ -25,9 +25,6 @@ val conservative : t
 val wire_cap : t -> int -> float
 (** [wire_cap t fanout] in pF. *)
 
-val wire_res : t -> int -> float
-(** [wire_res t fanout] in ns/pF. *)
-
 val net_delay : t -> fanout:int -> pin_caps:float -> float
 (** Estimated net propagation delay in ns given total sink pin
     capacitance [pin_caps]. *)

@@ -188,9 +188,3 @@ let write_commands_annotated ?header ~comment cmds =
 
 let write_commands ?header cmds =
   write_commands_annotated ?header ~comment:(fun _ _ -> None) cmds
-
-let write_file path ?header cmds =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (write_commands ?header cmds))

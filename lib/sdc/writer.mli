@@ -3,7 +3,6 @@
     [parse_string (write_commands cs)] yields commands equal to [cs]
     modulo flag ordering; this round-trip is property-tested. *)
 
-val write_query : Ast.obj_query -> string
 val write_objects : Ast.objects -> string
 val write_command : Ast.command -> string
 val write_commands_annotated :
@@ -18,5 +17,3 @@ val write_commands_annotated :
 
 val write_commands : ?header:string -> Ast.command list -> string
 (** {!write_commands_annotated} without comments. *)
-
-val write_file : string -> ?header:string -> Ast.command list -> unit

@@ -26,11 +26,3 @@ val fast : t
 
 val standard_set : t list
 (** [typical; slow; fast]. *)
-
-val make :
-  ?derate_max:float ->
-  ?derate_min:float ->
-  ?extra_setup:float ->
-  ?extra_hold:float ->
-  string ->
-  t

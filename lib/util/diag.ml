@@ -67,8 +67,6 @@ let messages ds = List.map (fun d -> d.message) ds
 let has_errors ds =
   List.exists (fun d -> severity_rank d.severity >= severity_rank Error) ds
 
-let count sev ds = List.length (List.filter (fun d -> d.severity = sev) ds)
-
 type collector = { mutable rev : t list }
 
 let collector () = { rev = [] }
@@ -78,4 +76,3 @@ let addf c ?loc severity ~code fmt =
   Printf.ksprintf (fun s -> add c (make ?loc severity ~code s)) fmt
 
 let to_list c = List.rev c.rev
-let is_empty c = c.rev = []

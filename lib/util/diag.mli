@@ -61,15 +61,11 @@ val messages : t list -> string list
 val has_errors : t list -> bool
 (** True iff any diagnostic is [Error] or [Fatal]. *)
 
-val count : severity -> t list -> int
-
 (** {2 Per-run accumulation} *)
 
 type collector
 
 val collector : unit -> collector
-
-val add : collector -> t -> unit
 
 val addf :
   collector ->
@@ -81,5 +77,3 @@ val addf :
 
 val to_list : collector -> t list
 (** Diagnostics in insertion order. *)
-
-val is_empty : collector -> bool

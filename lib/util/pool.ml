@@ -106,8 +106,7 @@ let active = Atomic.make 0
 (* [run_task] plus the telemetry shell: per-task wall time into the
    [pool.task_s] histogram, busy nanoseconds into the batch's occupancy
    accumulator, and an active-worker sample at both edges (no-ops
-   unless tracing is on). Identical in the sequential and parallel
-   paths, so jobs=1 and jobs=N runs emit the same metric names. *)
+   unless tracing is on). *)
 let run_task_instrumented ~govern ~task_budget_s ~busy_ns f x =
   Obs.sample "pool.active_workers"
     (float_of_int (Atomic.fetch_and_add active 1 + 1));
@@ -165,68 +164,56 @@ let outcome_array t ~govern ~task_budget_s f arr =
              (float_of_int (Atomic.get busy_ns) /. 1e9 /. (wall_s *. workers)))
     end
   in
-  if t.n_jobs = 1 || n <= 1 then begin
-    let results =
-      Array.mapi
-        (fun i x ->
-          observe_queue_depth ~n i;
-          Some (run_task_instrumented ~govern ~task_budget_s ~busy_ns f x))
-        arr
-    in
-    record_occupancy ();
-    results
-  end
-  else begin
-    let results = Array.make n None in
-    let cursor = Atomic.make 0 in
-    let completed = Atomic.make 0 in
-    (* Re-parent worker-domain spans under the caller's open span so
-       multi-domain profiles keep one tree (see Obs.with_context). *)
-    let ctx = Obs.capture () in
-    let run_one () =
-      let i = Atomic.fetch_and_add cursor 1 in
-      if i >= n then false
-      else begin
-        observe_queue_depth ~n i;
-        (* Worker-side cancellation checkpoint: once the batch token
-           has expired, remaining tasks are marked interrupted without
-           running, so an exhausted budget drains the batch instead of
-           wedging the pool. A drained task still ticks: it is settled. *)
-        let r =
-          match Govern.cancelled govern with
-          | Some reason ->
-            Progress.tick Progress.pool_tasks;
-            Govern.Interrupted reason
-          | None ->
-            run_task_instrumented ~govern ~task_budget_s ~busy_ns
-              (fun x -> Obs.with_context ctx (fun () -> f x))
-              arr.(i)
-        in
-        results.(i) <- Some r;
-        if Atomic.fetch_and_add completed 1 = n - 1 then begin
-          Mutex.lock t.mutex;
-          Condition.broadcast t.batch_done;
-          Mutex.unlock t.mutex
-        end;
-        true
-      end
-    in
-    Mutex.lock t.mutex;
-    t.seq <- t.seq + 1;
-    t.current <- Some { run_one };
-    Condition.broadcast t.wake;
-    Mutex.unlock t.mutex;
-    (* The calling domain is a full participant. *)
-    while run_one () do () done;
-    Mutex.lock t.mutex;
-    while Atomic.get completed < n do
-      Condition.wait t.batch_done t.mutex
-    done;
-    t.current <- None;
-    Mutex.unlock t.mutex;
-    record_occupancy ();
-    results
-  end
+  let results = Array.make n None in
+  let cursor = Atomic.make 0 in
+  let completed = Atomic.make 0 in
+  (* Re-parent worker-domain spans under the caller's open span so
+     multi-domain profiles keep one tree (see Obs.with_context). *)
+  let ctx = Obs.capture () in
+  let run_one () =
+    let i = Atomic.fetch_and_add cursor 1 in
+    if i >= n then false
+    else begin
+      observe_queue_depth ~n i;
+      (* Worker-side cancellation checkpoint: once the batch token
+         has expired, remaining tasks are marked interrupted without
+         running, so an exhausted budget drains the batch instead of
+         wedging the pool. A drained task still ticks: it is settled. *)
+      let r =
+        match Govern.cancelled govern with
+        | Some reason ->
+          Progress.tick Progress.pool_tasks;
+          Govern.Interrupted reason
+        | None ->
+          run_task_instrumented ~govern ~task_budget_s ~busy_ns
+            (fun x -> Obs.with_context ctx (fun () -> f x))
+            arr.(i)
+      in
+      results.(i) <- Some r;
+      if Atomic.fetch_and_add completed 1 = n - 1 then begin
+        Mutex.lock t.mutex;
+        Condition.broadcast t.batch_done;
+        Mutex.unlock t.mutex
+      end;
+      true
+    end
+  in
+  Mutex.lock t.mutex;
+  t.seq <- t.seq + 1;
+  t.current <- Some { run_one };
+  Condition.broadcast t.wake;
+  Mutex.unlock t.mutex;
+  (* The calling domain is a full participant; at jobs=1 it is the
+     only one and has run every task when this loop ends. *)
+  while run_one () do () done;
+  Mutex.lock t.mutex;
+  while Atomic.get completed < n do
+    Condition.wait t.batch_done t.mutex
+  done;
+  t.current <- None;
+  Mutex.unlock t.mutex;
+  record_occupancy ();
+  results
 
 let map_outcome t ?(govern = Govern.never) ?task_budget_s f xs =
   Array.to_list

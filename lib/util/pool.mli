@@ -15,15 +15,16 @@
       has finished, the exception of the {e lowest-index} failing task
       is re-raised (with its backtrace) — the same exception a
       sequential left-to-right run would have surfaced first.
-    - At [jobs = 1] no domain is ever spawned and every task runs
-      inline on the calling domain — the graceful sequential fallback.
-    - Every batch feeds the pool telemetry ({!Metrics}, identically in
-      the sequential and parallel paths): the [pool.tasks_executed] and
-      [pool.batches] counters, the [pool.task_s] per-task wall-time
-      histogram, the [pool.queue_depth] histogram (unclaimed tasks at
-      each claim), and the [pool.occupancy] histogram (per batch,
-      summed task time over wall time × workers — 1.0 is a perfectly
-      packed batch). When {!Obs} tracing is on, the pool additionally
+    - Every pool size runs a batch through the same claim loop, in
+      which the calling domain takes part; at [jobs = 1] no domain is
+      spawned and the caller claims every task itself.
+    - Every batch feeds the pool telemetry ({!Metrics}): the
+      [pool.tasks_executed] and [pool.batches] counters, the
+      [pool.task_s] per-task wall-time histogram, the
+      [pool.queue_depth] histogram (unclaimed tasks at each claim),
+      and the [pool.occupancy] histogram (per batch, summed task time
+      over wall time × workers — 1.0 is a perfectly packed batch).
+      When {!Obs} tracing is on, the pool additionally
       samples [pool.active_workers] and [pool.queue_depth] as
       time-stamped counter tracks ({!Obs.sample}) for the Perfetto
       timeline.
@@ -48,23 +49,16 @@ val default_jobs : unit -> int
     environment variable when set to a positive integer (clamped by
     {!clamp_jobs}), otherwise [Domain.recommended_domain_count ()]. *)
 
-val create : jobs:int -> t
-(** A pool executing up to [jobs] tasks concurrently ([jobs - 1]
-    spawned domains plus the calling domain, which participates in
-    every batch). [jobs] is clamped to at least 1, and not to the
-    hardware (an oversubscribed pool is a stress-test configuration);
-    at 1 the pool is purely sequential. Call {!shutdown} when done. *)
-
 val jobs : t -> int
 (** The (clamped) concurrency of the pool. *)
 
-val shutdown : t -> unit
-(** Join the worker domains. Idempotent. The pool must not be used
-    afterwards. *)
-
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool ([jobs] defaulting to
-    {!default_jobs}) and shuts it down afterwards, even on raise. *)
+(** [with_pool f] runs [f] with a fresh pool executing up to [jobs]
+    tasks concurrently ([jobs - 1] spawned domains plus the calling
+    domain, which takes part in every batch), and joins the worker
+    domains afterwards, even on raise. [jobs] defaults to
+    {!default_jobs} and is clamped to at least 1, not to the hardware
+    (an oversubscribed pool is a stress-test configuration). *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] applies [f] to every element, in parallel across the

@@ -92,7 +92,5 @@ val find_id : store -> string -> entry option
 val explain_entry : entry -> string
 (** Multi-line human-readable lineage chain for one entry. *)
 
-val entry_to_json : entry -> string
-
 val to_json : store -> string
 (** [{"scope":…,"entries":[…]}] in id order. *)

@@ -1,13 +1,13 @@
 module Prng = Mm_util.Prng
 
 type mutation =
-  | Delete_token
-  | Delete_line
-  | Duplicate_line
-  | Truncate
-  | Garbage_splice
-  | Flip_char
-  | Unbalance
+  | Delete_token  (* drop one word from a command line *)
+  | Delete_line  (* drop a whole command *)
+  | Duplicate_line  (* repeat a command verbatim *)
+  | Truncate  (* cut the text at a random offset *)
+  | Garbage_splice  (* insert a junk fragment at a random offset *)
+  | Flip_char  (* overwrite one char with a hostile delimiter *)
+  | Unbalance  (* insert a lone bracket/brace/quote *)
 
 let all_mutations =
   [|

@@ -206,26 +206,37 @@ let test_pool_map_reraises_with_backtrace () =
     [ 1; 4 ]
 
 let test_pool_precancelled_drains () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let t = Govern.create ~deadline_s:0. ~scope:"drain" () in
-      let outs = Pool.map_outcome pool ~govern:t (fun x -> x) [ 1; 2; 3 ] in
-      check Alcotest.int "all tasks drained as Interrupted" 3
-        (List.length
-           (List.filter
-              (function Govern.Interrupted _ -> true | _ -> false)
-              outs)))
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let t = Govern.create ~deadline_s:0. ~scope:"drain" () in
+          let outs = Pool.map_outcome pool ~govern:t (fun x -> x) [ 1; 2; 3 ] in
+          check Alcotest.int
+            (Printf.sprintf "jobs=%d all tasks drained as Interrupted" jobs)
+            3
+            (List.length
+               (List.filter
+                  (function Govern.Interrupted _ -> true | _ -> false)
+                  outs))))
+    [ 1; 4 ]
 
 let test_pool_task_budget () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let t = Govern.create ~scope:"b" () in
-      let outs =
-        Pool.map_outcome pool ~govern:t ~task_budget_s:0.0 (fun x -> x) [ 1; 2 ]
-      in
-      List.iter
-        (function
-          | Govern.Interrupted (Govern.Deadline_exceeded _) -> ()
-          | _ -> Alcotest.fail "expected per-task deadline interruption")
-        outs)
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let t = Govern.create ~scope:"b" () in
+          let outs =
+            Pool.map_outcome pool ~govern:t ~task_budget_s:0.0 (fun x -> x)
+              [ 1; 2 ]
+          in
+          List.iter
+            (function
+              | Govern.Interrupted (Govern.Deadline_exceeded _) -> ()
+              | _ ->
+                Alcotest.failf "jobs=%d: expected per-task deadline interruption"
+                  jobs)
+            outs))
+    [ 1; 4 ]
 
 let test_pool_midbatch_cancel () =
   (* jobs=1 is sequential, so the drain point is deterministic: task 1
