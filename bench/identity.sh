@@ -14,10 +14,17 @@
 #   - merge --annotate (annotated merged SDC);
 #   - sta --paths 3 on the first three modes, runtime column masked;
 #   - check -m merged_0.sdc against the members of the first `group [`
-#     line (the one-shot comparison behind equivalence checking), and
-#     relations on the first mode, stdout compared with runtimes masked.
-# The outputs, the exit codes and the merge `group [` stdout lines (output
-# directory stripped) must match. Prints one line per preset and job
+#     line (the one-shot comparison behind equivalence checking),
+#     relations and lint on the first mode, and explain four ways (no
+#     query, --pair of the first and last mode, --id merged_0#c0, --line
+#     with the second line of merged_0.sdc), stdout compared with
+#     runtimes masked;
+#   - gen (the files it writes and its stdout);
+#   - three error paths: an unknown --budget stage, a missing netlist
+#     and an SDC syntax error under --strict.
+# The outputs, the exit codes, the merge `group [` stdout lines and the
+# stderr of merge --annotate and of the error paths (output directory
+# stripped, runtimes masked) must match. Prints one line per preset and job
 # count; exits 1 on any difference, 2 on a usage error.
 set -u
 
@@ -40,25 +47,54 @@ run() {
     sed -E 's/([:,[])-?[0-9][0-9.eE+-]*/\1N/g' "$out/$f.raw" > "$out/$f.txt"
   done
   "$bin" merge -n "$p/design.nl" -o "$out/ann" --annotate -j "$j" \
-    "$p"/*.sdc > /dev/null 2>&1
+    "$p"/*.sdc > /dev/null 2> "$out/merge.err"
   echo "annotate $?" >> "$out/codes"
   "$bin" sta -n "$p/design.nl" --paths 3 $(ls "$p"/*.sdc | head -3) \
     > "$out/sta.raw" 2>&1
   echo "sta $?" >> "$out/codes"
-  sed -E 's/, [0-9.]+s$/, Xs/' "$out/sta.raw" > "$out/sta.txt"
   members=$(sed -n 's/^ *group \[\([^]]*\)\].*/\1/p' "$out/stdout" | head -1 |
     tr -d ',' | sed "s|[^ ][^ ]*|$p/&.sdc|g")
   "$bin" check -n "$p/design.nl" -m "$out/plain/merged_0.sdc" $members \
     > "$out/check.raw" 2>&1
   echo "check $?" >> "$out/codes"
-  "$bin" relations -n "$p/design.nl" $(ls "$p"/*.sdc | head -1) \
-    > "$out/relations.raw" 2>&1
-  echo "relations $?" >> "$out/codes"
-  for f in check relations; do
-    sed -E 's/ [0-9.]+s\b/ Xs/g' "$out/$f.raw" > "$out/$f.txt"
+  first=$(ls "$p"/*.sdc | head -1) last=$(ls "$p"/*.sdc | tail -1)
+  for c in relations lint; do
+    "$bin" $c -n "$p/design.nl" "$first" > "$out/$c.raw" 2>&1
+    echo "$c $?" >> "$out/codes"
   done
+  line=$(sed -n 2p "$out/plain/merged_0.sdc")
+  i=0
+  for q in "" "--pair $(basename "$first" .sdc),$(basename "$last" .sdc)" \
+    "--id merged_0#c0" "--line"; do
+    i=$((i + 1))
+    if [ "$q" = --line ]; then set -- --line "$line"; else set -- $q; fi
+    "$bin" explain -n "$p/design.nl" -j "$j" "$@" "$p"/*.sdc \
+      > "$out/explain$i.raw" 2>&1
+    echo "explain$i $?" >> "$out/codes"
+  done
+  "$bin" gen -o "$out/gen" --seed 3 --domains 2 --regs 8 --families 2,1 \
+    > "$out/gen.raw" 2>&1
+  echo "gen $?" >> "$out/codes"
+  "$bin" merge -n "$p/design.nl" -o "$out/e1" --budget nosuch=1 "$first" \
+    > /dev/null 2> "$out/err_budget.raw"
+  echo "err_budget $?" >> "$out/codes"
+  "$bin" merge -n "$p/nosuch.nl" -o "$out/e2" "$first" \
+    > /dev/null 2> "$out/err_netlist.raw"
+  echo "err_netlist $?" >> "$out/codes"
+  { cat "$first"; printf 'create_clock -period 5 -name c [get_ports\n'; } \
+    > "$out/broken.sdc"
+  "$bin" merge -n "$p/design.nl" -o "$out/e3" --strict "$out/broken.sdc" \
+    "$last" > /dev/null 2> "$out/err_syntax.raw"
+  echo "err_syntax $?" >> "$out/codes"
+  mv "$out/merge.err" "$out/merge_err.raw"
+  for f in check relations lint explain1 explain2 explain3 explain4 gen \
+    err_budget err_netlist err_syntax merge_err; do
+    sed -E -e 's/ [0-9.]+s\b/ Xs/g' -e "s|$out/||g" "$out/$f.raw" \
+      > "$out/$f.txt"
+  done
+  sed -E 's/, [0-9.]+s$/, Xs/' "$out/sta.raw" > "$out/sta.txt"
   grep '^ *group \[' "$out/stdout" | sed "s|$out/||g" > "$out/groups.txt"
-  rm -f "$out/stdout" "$out/stderr" "$out"/*.raw
+  rm -f "$out/stdout" "$out/stderr" "$out"/*.raw "$out/broken.sdc"
 }
 
 status=0

@@ -69,12 +69,18 @@ let finish () =
      else if !warned then exit_warn
      else exit_clean)
 
-(* Catch stray IO failures and exhausted budgets from any subcommand
-   body and route them through the exit-code convention instead of a
-   backtrace. A memory watermark set by --mem-limit-mb is process-wide,
-   so it can trip after the merge, in the post-merge STA pass. *)
+(* Catch SDC syntax errors under --strict, stray IO failures and
+   exhausted budgets from any subcommand body and route them through
+   the exit-code convention instead of a backtrace. A memory watermark
+   set by --mem-limit-mb is process-wide, so it can trip after the
+   merge, in the post-merge STA pass. *)
 let guard_io f =
   try f () with
+  | Mm_sdc.Parser.Error { loc; msg } ->
+    fatal ?loc ~code:(Mm_sdc.Parser.error_code msg) "%s" msg
+  | Merge_flow.Duplicate_mode d ->
+    print_diag d;
+    exit exit_fatal
   | Sys_error msg -> fatal ~code:"io.error" "%s" msg
   | Failure msg -> fatal ~code:"cli.failure" "%s" msg
   | Govern.Cancelled reason ->
@@ -113,34 +119,28 @@ let read_design ?liberty path =
     fatal ~loc:(Diag.loc ~line path) ~code:"io.verilog" "%s" msg
   | Sys_error msg -> fatal ~code:"io.read" "%s" msg
 
-let mode_name_of_path path = Filename.remove_extension (Filename.basename path)
-
 let load_mode ~policy design path =
-  let name = mode_name_of_path path in
-  match policy with
-  | Merge_flow.Permissive ->
-    let r = Resolve.mode_of_file_robust design ~name path in
+  match Merge_flow.load_file ~policy ~design path with
+  | r ->
     print_diags r.Resolve.diags;
     r.Resolve.mode
-  | Merge_flow.Strict -> (
-    match Resolve.mode_of_file design ~name path with
-    | r ->
-      print_diags r.Resolve.diags;
-      r.Resolve.mode
-    | exception Mm_sdc.Parser.Error { loc; msg } ->
-      fatal ?loc ~code:(Mm_sdc.Parser.error_code msg) "%s" msg
-    | exception Sys_error msg -> fatal ~code:"io.read" "%s" msg)
+  | exception Sys_error msg -> fatal ~code:"io.read" "%s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments                                                    *)
 
-let netlist_arg =
-  let doc = "Netlist file: .v structural Verilog or the .nl text format." in
-  Arg.(required & opt (some file) None & info [ "n"; "netlist" ] ~doc)
-
-let liberty_arg =
-  let doc = "Liberty (.lib) file providing additional cells." in
-  Arg.(value & opt (some file) None & info [ "liberty" ] ~doc)
+(* The design is read when the subcommand body asks for it: after the
+   observability setup and the checks of the other options. *)
+let design_term =
+  let netlist =
+    let doc = "Netlist file: .v structural Verilog or the .nl text format." in
+    Arg.(required & opt (some file) None & info [ "n"; "netlist" ] ~doc)
+  and liberty =
+    let doc = "Liberty (.lib) file providing additional cells." in
+    Arg.(value & opt (some file) None & info [ "liberty" ] ~doc)
+  in
+  Term.(const (fun netlist liberty () -> read_design ?liberty netlist)
+        $ netlist $ liberty)
 
 let sdc_args =
   let doc = "SDC mode files." in
@@ -150,78 +150,6 @@ let sdc_args =
 (* Observability: one flag set shared by every subcommand
    (--trace / --metrics / --profile / --profile-gc / --events /
    --progress)                                                         *)
-
-let trace_arg =
-  let doc =
-    "Write a Chrome trace_event JSON file of the run's pipeline spans \
-     (open in chrome://tracing or Perfetto)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Write a flat metrics JSON file: pipeline counters (e.g. \
-     sta.tags_propagated, merge.cliques) plus per-stage span durations."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let profile_arg =
-  let doc =
-    "Print a per-stage profile tree (call counts, total/self wall time) \
-     to stderr after the run, followed by a pool-utilization summary."
-  in
-  Arg.(value & flag & info [ "profile" ] ~doc)
-
-let profile_gc_arg =
-  let doc =
-    "Like $(b,--profile), with GC columns per stage: allocated words \
-     (millions) and minor/major collection counts. Also adds gc.* \
-     counter tracks to $(b,--trace) output."
-  in
-  Arg.(value & flag & info [ "profile-gc" ] ~doc)
-
-let events_arg =
-  let doc =
-    "Write the structured event journal (stage boundaries, quarantines, \
-     clique splits, chaos injections) as \
-     schema-versioned NDJSON on exit — including fatal exits and \
-     SIGINT/SIGTERM."
-  in
-  Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
-
-let progress_arg =
-  let doc =
-    "Render live progress to stderr: the open merge stage, then pool \
-     tasks and STA sweep blocks done/total with ETA; an in-place bar on \
-     a TTY, occasional plain lines on a pipe."
-  in
-  Arg.(value & flag & info [ "progress" ] ~doc)
-
-type obs_opts = {
-  oo_trace : string option;
-  oo_metrics : string option;
-  oo_profile : bool;
-  oo_profile_gc : bool;
-  oo_events : string option;
-  oo_progress : bool;
-}
-
-(* Every subcommand takes the identical observability flag set, so a
-   flag learned on merge works verbatim on every other subcommand. *)
-let obs_term =
-  let mk trace metrics profile profile_gc events progress =
-    {
-      oo_trace = trace;
-      oo_metrics = metrics;
-      oo_profile = profile;
-      oo_profile_gc = profile_gc;
-      oo_events = events;
-      oo_progress = progress;
-    }
-  in
-  Term.(
-    const mk $ trace_arg $ metrics_arg $ profile_arg $ profile_gc_arg
-    $ events_arg $ progress_arg)
 
 let write_file path contents =
   Out_channel.with_open_text path (fun oc -> output_string oc contents)
@@ -238,13 +166,11 @@ let write_file path contents =
    Stdlib.exit with the conventional 128+signal codes, so an
    interrupted run still leaves a valid (partial) trace and event
    dump. *)
-let obs_setup o =
-  if
-    o.oo_trace <> None || o.oo_metrics <> None || o.oo_profile
-    || o.oo_profile_gc
-  then Obs.set_enabled true;
-  if o.oo_profile_gc then Obs.set_gc_enabled true;
-  if o.oo_progress then Mm_util.Progress.set_render true;
+let obs_setup trace metrics profile profile_gc events progress () =
+  if trace <> None || metrics <> None || profile || profile_gc then
+    Obs.set_enabled true;
+  if profile_gc then Obs.set_gc_enabled true;
+  if progress then Mm_util.Progress.set_render true;
   let flushed = ref false in
   let flush_exports () =
     if not !flushed then begin
@@ -252,15 +178,11 @@ let obs_setup o =
       Mm_util.Progress.render_finish ();
       Option.iter
         (fun p -> write_file p (Obs.trace_event_json () ^ "\n"))
-        o.oo_trace;
-      Option.iter
-        (fun p -> write_file p (Obs.metrics_json () ^ "\n"))
-        o.oo_metrics;
-      Option.iter
-        (fun p -> write_file p (Obs.events_ndjson ()))
-        o.oo_events;
-      if o.oo_profile || o.oo_profile_gc then begin
-        prerr_string (Obs.profile_tree ~gc:o.oo_profile_gc ());
+        trace;
+      Option.iter (fun p -> write_file p (Obs.metrics_json () ^ "\n")) metrics;
+      Option.iter (fun p -> write_file p (Obs.events_ndjson ())) events;
+      if profile || profile_gc then begin
+        prerr_string (Obs.profile_tree ~gc:profile_gc ());
         prerr_string (Mm_util.Pool.utilization_report ())
       end
     end
@@ -277,6 +199,50 @@ let obs_setup o =
    with Invalid_argument _ | Sys_error _ -> ());
   try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
   with Invalid_argument _ | Sys_error _ -> ()
+
+(* Every subcommand takes the identical observability flag set, so a
+   flag learned on merge works verbatim on every other subcommand. The
+   term's value is the setup itself, run first by the subcommand. *)
+let obs_term =
+  let file name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+  and flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  Term.(
+    const obs_setup
+    $ file "trace"
+        "Write a Chrome trace_event JSON file of the run's pipeline spans \
+         (open in chrome://tracing or Perfetto)."
+    $ file "metrics"
+        "Write a flat metrics JSON file: pipeline counters (e.g. \
+         sta.tags_propagated, merge.cliques) plus per-stage span durations."
+    $ flag "profile"
+        "Print a per-stage profile tree (call counts, total/self wall time) \
+         to stderr after the run, followed by a pool-utilization summary."
+    $ flag "profile-gc"
+        "Like $(b,--profile), with GC columns per stage: allocated words \
+         (millions) and minor/major collection counts. Also adds gc.* \
+         counter tracks to $(b,--trace) output."
+    $ file "events"
+        "Write the structured event journal (stage boundaries, quarantines, \
+         clique splits, chaos injections) as schema-versioned NDJSON on \
+         exit — including fatal exits and SIGINT/SIGTERM."
+    $ flag "progress"
+        "Render live progress to stderr: the open merge stage, then pool \
+         tasks and STA sweep blocks done/total with ETA; an in-place bar on \
+         a TTY, occasional plain lines on a pipe.")
+
+(* One subcommand: [body] is the subcommand's term, applied to every
+   option but the observability flags; it runs after their setup and
+   under the exit-code convention. *)
+let cmd name ~doc body =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const (fun setup body ->
+          guard_io (fun () ->
+              setup ();
+              body ();
+              finish ()))
+      $ obs_term $ body)
 
 (* Numeric values a run cannot honour are rejected while parsing the
    command line, like any other malformed value (exit 124). *)
@@ -333,87 +299,68 @@ let policy_arg =
 (* Resource governance: --deadline / --budget / --task-timeout /
    --mem-limit-mb.                                                     *)
 
-let deadline_arg =
-  let doc =
-    "Global wall-clock deadline in seconds. When it expires, in-flight \
-     work is cancelled cooperatively and the run degrades (permissive) \
-     or aborts (strict)."
+(* The budgets, checked when the subcommand body asks for them. *)
+let budgets_term =
+  let limit name ~docv doc =
+    Arg.(value & opt (some non_negative_float) None & info [ name ] ~docv ~doc)
   in
-  Arg.(
-    value
-    & opt (some non_negative_float) None
-    & info [ "deadline" ] ~docv:"SEC" ~doc)
-
-let budget_arg =
-  let doc =
-    Printf.sprintf
-      "Per-stage budget in seconds, repeatable: $(b,--budget \
-       cliques=2.5). Stages: %s."
-      (String.concat ", " Merge_flow.stage_names)
+  let budgets_of deadline stage_budgets task_timeout mem_limit () =
+    List.iter
+      (fun (stage, _) ->
+        if not (List.mem stage Merge_flow.stage_names) then
+          fatal ~code:"cli.budget" "unknown --budget stage %S (stages: %s)"
+            stage
+            (String.concat ", " Merge_flow.stage_names))
+      stage_budgets;
+    {
+      Merge_flow.bg_deadline_s = deadline;
+      bg_stage_s = stage_budgets;
+      bg_task_s = task_timeout;
+      bg_mem_limit_mb = mem_limit;
+    }
   in
-  Arg.(
-    value
-    & opt_all (pair ~sep:'=' string non_negative_float) []
-    & info [ "budget" ] ~docv:"STAGE=SEC" ~doc)
-
-let task_timeout_arg =
-  let doc =
-    "Per-task timeout in seconds (one mode load, probe, pair check or \
-     clique merge). A timed-out task walks the degradation ladder \
-     (split, quarantine)."
+  let stage_budgets =
+    let doc =
+      Printf.sprintf
+        "Per-stage budget in seconds, repeatable: $(b,--budget \
+         cliques=2.5). Stages: %s."
+        (String.concat ", " Merge_flow.stage_names)
+    in
+    Arg.(
+      value
+      & opt_all (pair ~sep:'=' string non_negative_float) []
+      & info [ "budget" ] ~docv:"STAGE=SEC" ~doc)
   in
-  Arg.(
-    value
-    & opt (some non_negative_float) None
-    & info [ "task-timeout" ] ~docv:"SEC" ~doc)
+  Term.(
+    const budgets_of
+    $ limit "deadline" ~docv:"SEC"
+        "Global wall-clock deadline in seconds. When it expires, in-flight \
+         work is cancelled cooperatively and the run degrades (permissive) \
+         or aborts (strict)."
+    $ stage_budgets
+    $ limit "task-timeout" ~docv:"SEC"
+        "Per-task timeout in seconds (one mode load, probe, pair check or \
+         clique merge). A timed-out task walks the degradation ladder \
+         (split, quarantine)."
+    $ limit "mem-limit-mb" ~docv:"MB"
+        "Process heap watermark in MiB; exceeding it cancels in-flight work \
+         cooperatively instead of risking an OOM kill.")
 
-let mem_limit_arg =
-  let doc =
-    "Process heap watermark in MiB; exceeding it cancels in-flight work \
-     cooperatively instead of risking an OOM kill."
-  in
-  Arg.(
-    value
-    & opt (some non_negative_float) None
-    & info [ "mem-limit-mb" ] ~docv:"MB" ~doc)
-
-let budgets_of ~deadline ~stage_budgets ~task_timeout ~mem_limit =
-  List.iter
-    (fun (stage, _) ->
-      if not (List.mem stage Merge_flow.stage_names) then
-        fatal ~code:"cli.budget" "unknown --budget stage %S (stages: %s)" stage
-          (String.concat ", " Merge_flow.stage_names))
-    stage_budgets;
-  {
-    Merge_flow.bg_deadline_s = deadline;
-    bg_stage_s = stage_budgets;
-    bg_task_s = task_timeout;
-    bg_mem_limit_mb = mem_limit;
-  }
-
-(* Shared by merge and explain: run the flow with SDC syntax errors
-   routed through the exit-code convention. *)
-let run_flow ?check_equivalence ~policy ?jobs ?budgets ~design sdcs =
-  match
-    Merge_flow.run_files ?check_equivalence ~policy ?jobs ?budgets ~design sdcs
-  with
-  | r ->
-    if Merge_flow.degraded_under_budget r.Merge_flow.governed then begin
-      budget_degraded := true;
-      let g = r.Merge_flow.governed in
-      print_diag
-        (Diag.makef Diag.Warning ~code:"govern.degraded"
-           "completed degraded under budget pressure: %d clique split(s), %d \
-            budget quarantine(s), %d conservative pair verdict(s)"
-           g.Merge_flow.gov_clique_splits g.Merge_flow.gov_budget_quarantines
-           g.Merge_flow.gov_conservative_pairs)
-    end;
-    r
-  | exception Mm_sdc.Parser.Error { loc; msg } ->
-    fatal ?loc ~code:(Mm_sdc.Parser.error_code msg) "%s" msg
-  | exception Merge_flow.Duplicate_mode d ->
-    print_diag d;
-    exit exit_fatal
+(* Shared by merge and explain: run the flow, flagging a run degraded
+   under budget for exit code 3. *)
+let run_flow ~policy ?jobs ?budgets ~design sdcs =
+  let r = Merge_flow.run_files ~policy ?jobs ?budgets ~design sdcs in
+  if Merge_flow.degraded_under_budget r.Merge_flow.governed then begin
+    budget_degraded := true;
+    let g = r.Merge_flow.governed in
+    print_diag
+      (Diag.makef Diag.Warning ~code:"govern.degraded"
+         "completed degraded under budget pressure: %d clique split(s), %d \
+          budget quarantine(s), %d conservative pair verdict(s)"
+         g.Merge_flow.gov_clique_splits g.Merge_flow.gov_budget_quarantines
+         g.Merge_flow.gov_conservative_pairs)
+  end;
+  r
 
 let merge_cmd =
   let outdir =
@@ -448,14 +395,10 @@ let merge_cmd =
     in
     Arg.(value & flag & info [ "dot" ] ~doc)
   in
-  let run netlist liberty sdcs outdir policy jobs diag_json audit annotate dot
-      obs deadline stage_budgets task_timeout mem_limit =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let budgets =
-      budgets_of ~deadline ~stage_budgets ~task_timeout ~mem_limit
-    in
-    let design = read_design ?liberty netlist in
+  let run design sdcs outdir policy jobs diag_json audit annotate dot budgets
+      () =
+    let budgets = budgets () in
+    let design = design () in
     let result = run_flow ~policy ?jobs ~budgets ~design sdcs in
     print_diags result.Merge_flow.diags;
     List.iter
@@ -560,22 +503,14 @@ let merge_cmd =
           | Some e -> not e.Mm_core.Equiv.equivalent
           | None -> false)
         result.Merge_flow.groups
-    then begin
-      print_diag
-        (Diag.make Diag.Fatal ~code:"merge.not-equivalent"
-           "a merged mode failed the equivalence check");
-      exit exit_fatal
-    end;
-    finish ()
+    then
+      fatal ~code:"merge.not-equivalent"
+        "a merged mode failed the equivalence check"
   in
-  let info =
-    Cmd.info "merge" ~doc:"Merge SDC timing modes into superset modes."
-  in
-  Cmd.v info
+  cmd "merge" ~doc:"Merge SDC timing modes into superset modes."
     Term.(
-      const run $ netlist_arg $ liberty_arg $ sdc_args $ outdir $ policy_arg
-      $ jobs_arg $ diag_json $ audit_arg $ annotate_arg $ dot_arg $ obs_term
-      $ deadline_arg $ budget_arg $ task_timeout_arg $ mem_limit_arg)
+      const run $ design_term $ sdc_args $ outdir $ policy_arg $ jobs_arg
+      $ diag_json $ audit_arg $ annotate_arg $ dot_arg $ budgets_term)
 
 let explain_cmd =
   let line_arg =
@@ -599,59 +534,44 @@ let explain_cmd =
       & opt (some (pair ~sep:',' string string)) None
       & info [ "pair" ] ~docv:"A,B" ~doc)
   in
-  let run netlist liberty sdcs policy jobs line id pr obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let design = read_design ?liberty netlist in
-    (* The merge is re-run to rebuild lineage; ids are stable across
-       runs and --jobs values, so an id taken from an audit file or an
-       annotated SDC resolves here. Equivalence checking is skipped —
-       explain only needs the lineage. *)
-    let result = run_flow ~check_equivalence:false ~policy ?jobs ~design sdcs in
-    let explain_entries found =
-      List.iter
-        (fun (scope, e) ->
-          Printf.printf "[%s]\n%s\n" scope (Mm_util.Prov.explain_entry e))
-        found
+  let run design sdcs policy jobs line id pr () =
+    (* The merge is re-run, as merge runs it, to rebuild lineage; ids
+       are stable across runs and --jobs values, so an id taken from an
+       audit file or an annotated SDC resolves here. *)
+    let result = run_flow ~policy ?jobs ~design:(design ()) sdcs in
+    (* --line and --id: every merged constraint [find] picks out of a
+       group's lineage, under the group's scope. *)
+    let lookup find ~none =
+      match
+        List.concat_map
+          (fun (g : Merge_flow.group) ->
+            let prov = g.Merge_flow.grp_prov in
+            List.map (fun e -> Mm_util.Prov.scope prov, e) (find prov))
+          result.Merge_flow.groups
+      with
+      | [] ->
+        warned := true;
+        Printf.printf "%s\n" none
+      | found ->
+        List.iter
+          (fun (scope, e) ->
+            Printf.printf "[%s]\n%s\n" scope (Mm_util.Prov.explain_entry e))
+          found
     in
-    let explained = ref false in
     Option.iter
       (fun line ->
-        explained := true;
-        let found =
-          List.concat_map
-            (fun (g : Merge_flow.group) ->
-              List.map
-                (fun e -> Mm_util.Prov.scope g.Merge_flow.grp_prov, e)
-                (Mm_util.Prov.find_line g.Merge_flow.grp_prov line))
-            result.Merge_flow.groups
-        in
-        if found = [] then begin
-          warned := true;
-          Printf.printf "no merged constraint matches: %s\n" (String.trim line)
-        end
-        else explain_entries found)
+        lookup
+          (fun prov -> Mm_util.Prov.find_line prov line)
+          ~none:("no merged constraint matches: " ^ String.trim line))
       line;
     Option.iter
       (fun id ->
-        explained := true;
-        let found =
-          List.filter_map
-            (fun (g : Merge_flow.group) ->
-              Option.map
-                (fun e -> Mm_util.Prov.scope g.Merge_flow.grp_prov, e)
-                (Mm_util.Prov.find_id g.Merge_flow.grp_prov id))
-            result.Merge_flow.groups
-        in
-        if found = [] then begin
-          warned := true;
-          Printf.printf "no constraint with id %s\n" id
-        end
-        else explain_entries found)
+        lookup
+          (fun prov -> Option.to_list (Mm_util.Prov.find_id prov id))
+          ~none:("no constraint with id " ^ id))
       id;
     Option.iter
       (fun (a, b) ->
-        explained := true;
         let m = result.Merge_flow.mergeability in
         let names = m.Mm_core.Mergeability.mode_names in
         let index_of n = Array.to_list names |> List.find_index (( = ) n) in
@@ -677,27 +597,23 @@ let explain_cmd =
           Printf.printf "unknown mode pair %s,%s (known: %s)\n" a b
             (String.concat ", " (Array.to_list names)))
       pr;
-    if not !explained then
+    if line = None && id = None && pr = None then
       (* No query: dump the full lineage of every merged mode. *)
       List.iter
         (fun (g : Merge_flow.group) ->
           List.iter
             (fun e -> Printf.printf "%s\n" (Mm_util.Prov.explain_entry e))
             (Mm_util.Prov.entries g.Merge_flow.grp_prov))
-        result.Merge_flow.groups;
-    finish ()
+        result.Merge_flow.groups
   in
-  let info =
-    Cmd.info "explain"
-      ~doc:
-        "Explain the lineage of merged constraints: which rule produced a \
-         constraint from which source modes, or why a mode pair did not \
-         merge."
-  in
-  Cmd.v info
+  cmd "explain"
+    ~doc:
+      "Explain the lineage of merged constraints: which rule produced a \
+       constraint from which source modes, or why a mode pair did not \
+       merge."
     Term.(
-      const run $ netlist_arg $ liberty_arg $ sdc_args $ policy_arg $ jobs_arg
-      $ line_arg $ id_arg $ pair_arg $ obs_term)
+      const run $ design_term $ sdc_args $ policy_arg $ jobs_arg $ line_arg
+      $ id_arg $ pair_arg)
 
 let sta_cmd =
   let paths_arg =
@@ -714,10 +630,8 @@ let sta_cmd =
       & opt corner_conv Mm_timing.Corner.typical
       & info [ "corner" ] ~doc:"PVT corner: typical, slow or fast.")
   in
-  let run netlist liberty sdcs paths corner policy jobs obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let design = read_design ?liberty netlist in
+  let run design sdcs paths corner policy jobs () =
+    let design = design () in
     let modes = List.map (load_mode ~policy design) sdcs in
     let reports =
       Mm_util.Pool.with_pool ?jobs @@ fun pool ->
@@ -751,79 +665,54 @@ let sta_cmd =
           List.iter
             (fun p -> print_string (Sta.path_to_string design p))
             (Sta.worst_paths ~corner ~n:paths design mode))
-      modes reports;
-    finish ()
+      modes reports
   in
-  let info =
-    Cmd.info "sta"
-      ~doc:"Run wire-load-model STA on each mode (slacks, DRC, worst paths)."
-  in
-  Cmd.v info
+  cmd "sta"
+    ~doc:"Run wire-load-model STA on each mode (slacks, DRC, worst paths)."
     Term.(
-      const run $ netlist_arg $ liberty_arg $ sdc_args $ paths_arg $ corner_arg
-      $ policy_arg $ jobs_arg $ obs_term)
+      const run $ design_term $ sdc_args $ paths_arg $ corner_arg $ policy_arg
+      $ jobs_arg)
+
+(* lint and relations: one context per mode file, in order. *)
+let per_mode name ~doc f =
+  cmd name ~doc
+    Term.(
+      const (fun design sdcs policy () ->
+          let design = design () in
+          List.iter
+            (fun path ->
+              let mode = load_mode ~policy design path in
+              f design mode (Context.create design mode))
+            sdcs)
+      $ design_term $ sdc_args $ policy_arg)
 
 let lint_cmd =
-  let run netlist liberty sdcs policy obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let design = read_design ?liberty netlist in
-    let dirty = ref false in
-    List.iter
-      (fun path ->
-        let mode = load_mode ~policy design path in
-        let ctx = Context.create design mode in
-        let findings = Mm_core.Lint.run ctx in
-        Printf.printf "mode %s: %d finding(s)\n" mode.Mode.mode_name
-          (List.length findings);
-        if findings <> [] then begin
-          dirty := true;
-          print_endline (Mm_core.Lint.to_string findings)
-        end)
-      sdcs;
-    if !dirty then exit exit_warn;
-    finish ()
-  in
-  let info =
-    Cmd.info "lint" ~doc:"Constraint-quality checks for each mode."
-  in
-  Cmd.v info
-    Term.(
-      const run $ netlist_arg $ liberty_arg $ sdc_args $ policy_arg $ obs_term)
+  per_mode "lint" ~doc:"Constraint-quality checks for each mode."
+    (fun _ mode ctx ->
+      let findings = Mm_core.Lint.run ctx in
+      Printf.printf "mode %s: %d finding(s)\n" mode.Mode.mode_name
+        (List.length findings);
+      if findings <> [] then begin
+        warned := true;
+        print_endline (Mm_core.Lint.to_string findings)
+      end)
 
 let relations_cmd =
-  let run netlist liberty sdcs policy obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let design = read_design ?liberty netlist in
-    List.iter
-      (fun path ->
-        let mode = load_mode ~policy design path in
-        let ctx = Context.create design mode in
-        let rels = Mm_core.Relation_prop.endpoint_relations ctx in
-        Mm_util.Tab.print
-          ~title:(Printf.sprintf "Timing relationships of %s" mode.Mode.mode_name)
-          (Mm_core.Report.relations_table design rels))
-      sdcs;
-    finish ()
-  in
-  let info =
-    Cmd.info "relations"
-      ~doc:"Print per-endpoint timing relationships (paper Table 1 style)."
-  in
-  Cmd.v info
-    Term.(
-      const run $ netlist_arg $ liberty_arg $ sdc_args $ policy_arg $ obs_term)
+  per_mode "relations"
+    ~doc:"Print per-endpoint timing relationships (paper Table 1 style)."
+    (fun design mode ctx ->
+      Mm_util.Tab.print
+        ~title:(Printf.sprintf "Timing relationships of %s" mode.Mode.mode_name)
+        (Mm_core.Report.relations_table design
+           (Mm_core.Relation_prop.endpoint_relations ctx)))
 
 let check_cmd =
   let merged_arg =
     let doc = "The merged-mode SDC to validate." in
     Arg.(required & opt (some file) None & info [ "m"; "merged" ] ~doc)
   in
-  let run netlist liberty merged sdcs policy obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
-    let design = read_design ?liberty netlist in
+  let run design merged sdcs policy () =
+    let design = design () in
     let merged_mode = load_mode ~policy design merged in
     let individuals = List.map (load_mode ~policy design) sdcs in
     let report =
@@ -843,24 +732,15 @@ let check_cmd =
           (Mm_netlist.Design.pin_name design sp)
           (Mm_netlist.Design.pin_name design ep))
       report.Mm_core.Equiv.compare_result.Mm_core.Compare.undecided;
-    if not report.Mm_core.Equiv.equivalent then begin
-      print_diag
-        (Diag.make Diag.Fatal ~code:"merge.not-equivalent"
-           "merged mode is not equivalent to the individual modes");
-      exit exit_fatal
-    end;
-    finish ()
+    if not report.Mm_core.Equiv.equivalent then
+      fatal ~code:"merge.not-equivalent"
+        "merged mode is not equivalent to the individual modes"
   in
-  let info =
-    Cmd.info "check"
-      ~doc:
-        "Equivalence-check a merged mode against individual modes (clock \
-         names must already coincide)."
-  in
-  Cmd.v info
-    Term.(
-      const run $ netlist_arg $ liberty_arg $ merged_arg $ sdc_args $ policy_arg
-      $ obs_term)
+  cmd "check"
+    ~doc:
+      "Equivalence-check a merged mode against individual modes (clock names \
+       must already coincide)."
+    Term.(const run $ design_term $ merged_arg $ sdc_args $ policy_arg)
 
 let gen_cmd =
   let outdir =
@@ -882,9 +762,7 @@ let gen_cmd =
       & opt (list int) [ 3; 2 ]
       & info [ "families" ] ~doc:"Modes per mergeable family, e.g. 3,2.")
   in
-  let run outdir seed domains regs families obs =
-    guard_io @@ fun () ->
-    obs_setup obs;
+  let run outdir seed domains regs families () =
     let params =
       {
         Mm_workload.Gen_design.default_params with
@@ -923,14 +801,10 @@ let gen_cmd =
           write_file path sdc;
           Printf.printf "wrote %s\n" path
         done)
-      families;
-    finish ()
+      families
   in
-  let info =
-    Cmd.info "gen" ~doc:"Generate a synthetic design and mode suite."
-  in
-  Cmd.v info
-    Term.(const run $ outdir $ seed $ domains $ regs $ families $ obs_term)
+  cmd "gen" ~doc:"Generate a synthetic design and mode suite."
+    Term.(const run $ outdir $ seed $ domains $ regs $ families)
 
 let () =
   (* Raw backtraces must be recorded for the pool's crash outcomes to

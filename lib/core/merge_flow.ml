@@ -366,22 +366,23 @@ let staged ~stage compute =
 (* ------------------------------------------------------------------ *)
 (* Stage computes                                                      *)
 
+(* Parse and resolve one SDC text: fail fast under [Strict], recover
+   at command boundaries under [Permissive]. *)
+let resolve_sdc ~policy ~design ~file ~name text =
+  match policy with
+  | Strict -> Resolve.mode_of_string ~file design ~name text
+  | Permissive -> Resolve.mode_of_string_robust ~file design ~name text
+
 (* Load task: parse and resolve one source. Pure — quarantine vs mode
    travels in the outcome, diagnostics alongside. *)
 let load_task ~policy ~design src_name src_file src_text =
   (* The diagnostic location falls back to the mode name so that
      quarantined in-memory sources still carry a located report. *)
   let file = Option.value src_file ~default:src_name in
-  match policy with
-  | Strict ->
-    let r = Resolve.mode_of_string ~file design ~name:src_name src_text in
-    Ok (r.Resolve.mode, r.Resolve.diags)
-  | Permissive ->
-    let r =
-      Resolve.mode_of_string_robust ~file design ~name:src_name src_text
-    in
-    if Diag.has_errors r.Resolve.diags then Error r.Resolve.diags
-    else Ok (r.Resolve.mode, r.Resolve.diags)
+  let r = resolve_sdc ~policy ~design ~file ~name:src_name src_text in
+  if policy = Permissive && Diag.has_errors r.Resolve.diags then
+    Error r.Resolve.diags
+  else Ok (r.Resolve.mode, r.Resolve.diags)
 
 let compute_matrix ~policy ~pool ~budgets ~ctx_cache ~root st =
   let tok = stage_token ~budgets root "mergeability" in
@@ -622,10 +623,9 @@ let drive ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
         coverage_counters coverage0;
   }
 
-let run ?(check_equivalence = true) ?(policy = Strict) ?jobs
-    ?(budgets = default_budgets) modes =
+let run ?(policy = Strict) ?jobs ?(budgets = default_budgets) modes =
   Pool.with_pool ?jobs @@ fun pool ->
-  drive ~check_equivalence ~policy ~pool ~budgets
+  drive ~check_equivalence:true ~policy ~pool ~budgets
     ~t0:(Obs.Clock.now_ns ())
     ~load:(fun _ -> initial modes)
     ()
@@ -635,12 +635,24 @@ let run ?(check_equivalence = true) ?(policy = Strict) ?jobs
 
 type source = { src_name : string; src_file : string option; src_text : string }
 
+let mode_name_of_file path = Filename.remove_extension (Filename.basename path)
+
 let source_of_file path =
   {
-    src_name = Filename.remove_extension (Filename.basename path);
+    src_name = mode_name_of_file path;
     src_file = Some path;
     src_text = Mm_sdc.Parser.read_whole_file path;
   }
+
+let io_read_diag path msg =
+  Diag.makef ~loc:(Diag.loc path) Diag.Fatal ~code:"io.read" "%s" msg
+
+let load_file ~policy ~design path =
+  let name = mode_name_of_file path in
+  match Mm_sdc.Parser.read_whole_file path with
+  | text -> resolve_sdc ~policy ~design ~file:path ~name text
+  | exception Sys_error msg when policy = Permissive ->
+    Resolve.mode ~diags:[ io_read_diag path msg ] design ~name []
 
 exception Duplicate_mode of Diag.t
 
@@ -714,8 +726,7 @@ let run_sources ?(check_equivalence = true) ?(policy = Strict) ?jobs
     ~load:(fun tok -> compute_load ~policy ~design ~pool ~budgets ~tok sources)
     ()
 
-let run_files ?check_equivalence ?(policy = Strict) ?jobs ?budgets
-    ~design paths =
+let run_files ?(policy = Strict) ?jobs ?budgets ~design paths =
   (* An unreadable file raises [Sys_error] under [Strict]; under
      [Permissive] it is quarantined up front with a fatal io.read
      diagnostic and the remaining files still merge. *)
@@ -726,18 +737,10 @@ let run_files ?check_equivalence ?(policy = Strict) ?jobs ?budgets
         | s -> Either.Left s
         | exception Sys_error msg when policy = Permissive ->
           Either.Right
-            (quarantine Load
-               (Filename.remove_extension (Filename.basename path))
-               [
-                 Diag.makef ~loc:(Diag.loc path) Diag.Fatal ~code:"io.read"
-                   "%s" msg;
-               ]))
+            (quarantine Load (mode_name_of_file path) [ io_read_diag path msg ]))
       paths
   in
-  let r =
-    run_sources ?check_equivalence ~policy ?jobs ?budgets ~design
-      sources
-  in
+  let r = run_sources ~policy ?jobs ?budgets ~design sources in
   { r with quarantined = io_failed @ r.quarantined }
 
 let merged_modes r = List.map (fun g -> g.grp_mode) r.groups

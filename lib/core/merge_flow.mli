@@ -160,17 +160,15 @@ val coverage_counters : string list
     [merge.pairs_checked] and [merge.cliques]. *)
 
 val run :
-  ?check_equivalence:bool ->
   ?policy:policy ->
   ?jobs:int ->
   ?budgets:budgets ->
   Mm_sdc.Mode.t list ->
   result
-(** [check_equivalence] (default true) derives each group's
-    equivalence verdict ({!group.grp_equiv}) from refinement's final
-    comparison of the merged mode against every member — the
-    comparison is not run a second time; under [Permissive] a group
-    failing it is degraded to individual modes. *)
+(** Each merged group's equivalence verdict ({!group.grp_equiv}) is
+    read from refinement's final comparison of the merged mode against
+    every member — the comparison is not run a second time; under
+    [Permissive] a group failing it is degraded to individual modes. *)
 
 (** {2 Loading from SDC sources with per-mode quarantine} *)
 
@@ -197,14 +195,14 @@ val run_sources :
   design:Mm_netlist.Design.t ->
   source list ->
   result
-(** Load each source against [design] and merge. Under [Strict] a
-    syntax error raises {!Mm_sdc.Parser.Error} and a repeated mode name
-    {!Duplicate_mode}; under [Permissive] parsing recovers at command
-    boundaries, and a mode with error-severity diagnostics or a taken
-    name is quarantined. *)
+(** Load each source against [design] and merge as {!run} does. Under
+    [Strict] a syntax error raises {!Mm_sdc.Parser.Error} and a repeated
+    mode name {!Duplicate_mode}; under [Permissive] parsing recovers at
+    command boundaries, and a mode with error-severity diagnostics or a
+    taken name is quarantined. [~check_equivalence:false] leaves every
+    {!group.grp_equiv} [None], so [Permissive] degrades no group. *)
 
 val run_files :
-  ?check_equivalence:bool ->
   ?policy:policy ->
   ?jobs:int ->
   ?budgets:budgets ->
@@ -215,6 +213,17 @@ val run_files :
     file's basename without the extension; an unreadable file raises
     [Sys_error] under [Strict] and is quarantined with an [io.read]
     diagnostic under [Permissive]. *)
+
+val load_file :
+  policy:policy ->
+  design:Mm_netlist.Design.t ->
+  string ->
+  Mm_sdc.Resolve.result
+(** One SDC file parsed and resolved as {!run_files} loads it, without
+    quarantine: under [Strict] a syntax error raises
+    {!Mm_sdc.Parser.Error} and an unreadable file [Sys_error]; under
+    [Permissive] both are diagnostics on the result, an unreadable file
+    giving an empty mode with a fatal [io.read] diagnostic. *)
 
 val merged_modes : result -> Mm_sdc.Mode.t list
 

@@ -197,7 +197,7 @@ let resync st =
   in
   go ()
 
-let tokenize_located ?on_error src =
+let tokenize_located ~on_error src =
   let st = { src; pos = 0; line = 1; bol = 0 } in
   let cmds = ref [] in
   let rec go () =
@@ -207,19 +207,21 @@ let tokenize_located ?on_error src =
       (match read_tokens st ~closing:false with
       | [] -> ()
       | toks -> cmds := { lc_line; lc_col; lc_toks = toks } :: !cmds
-      | exception Error { line; col; msg } -> (
-        match on_error with
-        | None -> raise (Error { line; col; msg })
-        | Some f ->
-          f ~line ~col ~msg;
-          resync st));
+      | exception Error { line; col; msg } ->
+        on_error ~line ~col ~msg;
+        resync st);
       go ()
     end
   in
   go ();
   List.rev !cmds
 
-let tokenize src = List.map (fun c -> c.lc_toks) (tokenize_located src)
+let tokenize src =
+  List.map
+    (fun c -> c.lc_toks)
+    (tokenize_located
+       ~on_error:(fun ~line ~col ~msg -> raise (Error { line; col; msg }))
+       src)
 
 let rec tok_to_string = function
   | Atom s -> s

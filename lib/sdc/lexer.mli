@@ -23,14 +23,12 @@ type located = {
 }
 
 val tokenize_located :
-  ?on_error:(line:int -> col:int -> msg:string -> unit) -> string -> located list
-(** Like {!tokenize} but each command carries its source position.
-
-    Without [on_error] this raises {!Error} exactly like {!tokenize}.
-    With [on_error] the lexer runs in recovery mode: a malformed
-    command reports through the callback, input is resynchronised at
-    the next command boundary (newline or [;]) and lexing continues —
-    one bad command never discards the rest of the file. *)
+  on_error:(line:int -> col:int -> msg:string -> unit) -> string -> located list
+(** Like {!tokenize} but each command carries its source position, and
+    a malformed command reports through [on_error] instead of raising:
+    input is resynchronised at the next command boundary (newline or
+    [;]) and lexing continues, so one bad command never discards the
+    rest of the file. *)
 
 val tok_to_string : tok -> string
 (** Round-trip a token back to SDC text (for diagnostics). *)

@@ -552,19 +552,6 @@ let error_code msg =
 let loc_of ?file line col =
   { Diag.file = (match file with Some f -> f | None -> "<string>"); line; col }
 
-let parse_located ?file src =
-  match Lexer.tokenize_located src with
-  | located ->
-    List.map
-      (fun { Lexer.lc_line; lc_col; lc_toks } ->
-        let loc = loc_of ?file lc_line lc_col in
-        loc, parse_command ~loc lc_toks)
-      located
-  | exception Lexer.Error { line; col; msg } ->
-    raise (Error { loc = Some (loc_of ?file line col); msg })
-
-let parse_string ?file src = List.map snd (parse_located ?file src)
-
 let read_whole_file path =
   let ic = open_in path in
   Fun.protect
@@ -595,3 +582,12 @@ let parse_string_recover ?file src =
       located
   in
   cmds, Diag.to_list diags
+
+(* The lexer finishes the whole source before any command is parsed,
+   so the first diagnostic is the error a fail-fast parse stops at. *)
+let parse_located ?file src =
+  match parse_string_recover ?file src with
+  | located, [] -> located
+  | _, d :: _ -> raise (Error { loc = d.Diag.dloc; msg = d.Diag.message })
+
+let parse_string ?file src = List.map snd (parse_located ?file src)

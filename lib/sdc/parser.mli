@@ -9,11 +9,20 @@ val parse_command : ?loc:Mm_util.Diag.loc -> Lexer.tok list -> Ast.command
     @raise Error on malformed input, unknown command words or unknown
     flags. *)
 
-val parse_located :
-  ?file:string -> string -> (Mm_util.Diag.loc * Ast.command) list
+val parse_string_recover :
+  ?file:string ->
+  string ->
+  (Mm_util.Diag.loc * Ast.command) list * Mm_util.Diag.t list
 (** Tokenise and parse a whole SDC source, each command with the
     location of its first character. [file] (default ["<string>"])
-    names the source in locations.
+    names the source in locations. Never raises on syntax: each
+    malformed command (lexing or parsing) becomes a located
+    [Error]-severity diagnostic and the parse resynchronises at the
+    next command boundary, so the well-formed remainder is kept. *)
+
+val parse_located :
+  ?file:string -> string -> (Mm_util.Diag.loc * Ast.command) list
+(** {!parse_string_recover} failing fast: raises its first diagnostic.
     @raise Error on syntax, lexer errors included (located). *)
 
 val parse_string : ?file:string -> string -> Ast.command list
@@ -21,16 +30,6 @@ val parse_string : ?file:string -> string -> Ast.command list
 
 val read_whole_file : string -> string
 (** Read a file into a string. @raise Sys_error on IO failure. *)
-
-val parse_string_recover :
-  ?file:string ->
-  string ->
-  (Mm_util.Diag.loc * Ast.command) list * Mm_util.Diag.t list
-(** Error-recovering {!parse_located}: never raises on syntax. Each
-    malformed command (lexing or parsing) becomes a located
-    [Error]-severity diagnostic and the parse resynchronises at the next
-    command boundary, so the well-formed remainder of the file is
-    kept. *)
 
 val error_code : string -> string
 (** Stable diagnostic code for a parse-error message

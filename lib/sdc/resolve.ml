@@ -582,9 +582,6 @@ let mode_of_string ?file design ~name src =
   in
   resolve design ~name (List.map some_loc located)
 
-let mode_of_file design ~name path =
-  mode_of_string ~file:path design ~name (Parser.read_whole_file path)
-
 (* Robust variants: syntax errors become diagnostics instead of
    exceptions; the well-formed commands still resolve. A resolution
    crash (a bug or an unexpected design/constraint combination) is
@@ -612,18 +609,6 @@ let mode_of_string_robust ?file design ~name src =
             Diag.makef ?loc Diag.Fatal ~code:"sdc.resolve-crash"
               "resolution of mode %s failed: %s" name (Printexc.to_string exn);
           ];
-    }
-
-let mode_of_file_robust design ~name path =
-  match Parser.read_whole_file path with
-  | src -> mode_of_string_robust ~file:path design ~name src
-  | exception Sys_error msg ->
-    {
-      mode = (mode design ~name []).mode;
-      diags =
-        [
-          Diag.makef ~loc:(Diag.loc path) Diag.Fatal ~code:"io.read" "%s" msg;
-        ];
     }
 
 let mode_exn design ~name cmds =

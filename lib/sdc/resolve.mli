@@ -25,19 +25,12 @@ val mode_of_string :
   ?file:string -> Mm_netlist.Design.t -> name:string -> string -> result
 (** Parse then resolve. @raise Parser.Error on syntax. *)
 
-val mode_of_file : Mm_netlist.Design.t -> name:string -> string -> result
-
 val mode_of_string_robust :
   ?file:string -> Mm_netlist.Design.t -> name:string -> string -> result
 (** Error-recovering parse + resolve: never raises. Syntax errors
     become located [Error] diagnostics (the surviving commands still
     resolve); a resolution crash becomes a [Fatal] diagnostic on an
     empty mode. *)
-
-val mode_of_file_robust :
-  Mm_netlist.Design.t -> name:string -> string -> result
-(** Like {!mode_of_string_robust}; an unreadable file yields a [Fatal]
-    [io.read] diagnostic instead of raising [Sys_error]. *)
 
 val mode_exn : Mm_netlist.Design.t -> name:string -> Ast.command list -> Mode.t
 (** Like {!mode} but raises [Failure] on any diagnostic — used by tests

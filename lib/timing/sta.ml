@@ -407,7 +407,7 @@ let mcp_multipliers excs =
       match e.exc_kind with
       | Mode.Multicycle { mult; _ } ->
         if e.exc_setup then setup_mult := max !setup_mult mult;
-        if e.exc_hold && not e.exc_setup then hold_mult := max !hold_mult (mult - 1)
+        if e.exc_hold && not e.exc_setup then hold_mult := max !hold_mult mult
       | Mode.False_path | Mode.Min_delay _ | Mode.Max_delay _ -> ())
     excs;
   !setup_mult, !hold_mult

@@ -16,7 +16,8 @@
      treat a deadline past the clock range as none, reject out-of-range
      numeric options and the retired --retries and --serve with
      cmdliner's status 124, and exit 130 on SIGINT with the trace and
-     event dump still written. *)
+     event dump still written. The read-only subcommands' exit codes
+     and stdout are pinned by MD5. *)
 
 module Mode = Mm_sdc.Mode
 module Metrics = Mm_util.Metrics
@@ -1014,6 +1015,84 @@ let test_cli_check_same_basename () =
     (contains ~sub:"unsound: " log)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned subcommand output: each read-only subcommand on the fixture,
+   by exit code and the MD5 of its stdout. The `, 0.001s` runtime that
+   closes a line is masked; nothing else in these outputs varies
+   between runs.                                                       *)
+
+let mask_runtime line =
+  let n = String.length line in
+  match String.rindex_opt line ',' with
+  | Some i when i + 3 <= n && line.[n - 1] = 's' ->
+    let t = String.sub line (i + 2) (n - i - 3) in
+    if t <> "" && String.for_all (fun c -> c = '.' || (c >= '0' && c <= '9')) t
+    then String.sub line 0 (i + 2) ^ "Xs"
+    else line
+  | _ -> line
+
+(* The merged modes `check -m` and `explain --line` read: one strict
+   merge of the fixture. *)
+let pin_merged =
+  lazy
+    (let exe, netlist, sdcs = Lazy.force cli_fixture in
+     let out = scratch "pin_merge" in
+     let rc =
+       sh "%s merge -n %s -o %s %s > /dev/null 2>&1" (Filename.quote exe)
+         (Filename.quote netlist) (Filename.quote out)
+         (String.concat " " (List.map Filename.quote sdcs))
+     in
+     check Alcotest.int "fixture merges cleanly" 0 rc;
+     Filename.concat out "merged_0.sdc")
+
+(* [args sdcs] is the command line without the netlist option; [sdcs]
+   are the fixture's mode files. *)
+let test_cli_pinned ~args ~rc ~md5 () =
+  let exe, netlist, sdcs = Lazy.force cli_fixture in
+  let stdout = Filename.concat scratch_root "pinned.out" in
+  let got =
+    sh "%s %s -n %s > %s 2> /dev/null" (Filename.quote exe) (args sdcs)
+      (Filename.quote netlist) (Filename.quote stdout)
+  in
+  check Alcotest.int "exit code" rc got;
+  let text =
+    String.split_on_char '\n' (read_file stdout)
+    |> List.map mask_runtime |> String.concat "\n"
+  in
+  check Alcotest.string "stdout MD5" md5 (Digest.to_hex (Digest.string text))
+
+let pinned_cases =
+  let files sdcs = String.concat " " (List.map Filename.quote sdcs) in
+  let on_all cmd sdcs = cmd ^ " " ^ files sdcs in
+  let merged () = Lazy.force pin_merged in
+  [
+    ( "sta --paths 2", on_all "sta --paths 2", 0,
+      "4ab9184d1510e36719f59a5ea614bde3" );
+    ("lint", on_all "lint", 1, "40d453f60307e4db0bcbf37c2d555209");
+    ("relations", on_all "relations", 0, "e0abaa9e0041b2a3deedcc756101ee6a");
+    ( "check -m",
+      (fun sdcs ->
+        Printf.sprintf "check -m %s %s" (Filename.quote (merged ()))
+          (files (List.filteri (fun i _ -> i < 3) sdcs))),
+      0, "0406bf83c04ccb8ac1cdf78938a360ac" );
+    ("explain", on_all "explain", 0, "c3edc7d6024aff0cf2cb8091b829134f");
+    ( "explain --pair", on_all "explain --pair m0_0,m1_0", 0,
+      "97e60c8f26c9685f4c75bc503bbbed23" );
+    ( "explain --id", on_all "explain --id 'merged_0#c0'", 0,
+      "46278ced3662daad11b1656f9e4c4c01" );
+    ( "explain --line",
+      (fun sdcs ->
+        let line =
+          List.nth (String.split_on_char '\n' (read_file (merged ()))) 3
+        in
+        on_all ("explain --line " ^ Filename.quote line) sdcs),
+      0, "3162f1af590b713b02b286fb4b6e89a9" );
+    ( "explain unknown --pair", on_all "explain --pair m0_0,zz", 1,
+      "929ffe5b2569a2c551ae7b914096e2f5" );
+  ]
+  |> List.map (fun (name, args, rc, md5) ->
+         tc ("pinned " ^ name) (test_cli_pinned ~args ~rc ~md5))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mm_chaos"
@@ -1047,5 +1126,6 @@ let () =
           tc "resolve warnings carry their line"
             test_cli_resolve_warning_located;
           tc "SIGINT flushes trace and event dump" test_cli_sigint_flushes;
-        ] );
+        ]
+        @ pinned_cases );
     ]

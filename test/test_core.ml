@@ -651,7 +651,7 @@ let merge_cases =
         ignore design);
     tc "summary row shape" (fun () ->
         let _design, _info, modes = Mm_workload.Presets.build Mm_workload.Presets.tiny in
-        let r = Merge_flow.run ~check_equivalence:false modes in
+        let r = Merge_flow.run modes in
         let row = Merge_flow.summary_row ~design_name:"T" ~size_cells:117 r in
         check Alcotest.int "six columns" 6 (List.length row);
         check Alcotest.string "name" "T" (List.hd row));
@@ -800,7 +800,7 @@ let report_cases =
         check Alcotest.bool "m2" true (Str_probe.contains text "M2:"));
     tc "flow table renders a Table-5 row" (fun () ->
         let _design, _info, modes = Mm_workload.Presets.build Mm_workload.Presets.tiny in
-        let r = Merge_flow.run ~check_equivalence:false modes in
+        let r = Merge_flow.run modes in
         let text =
           Mm_util.Tab.render
             (Mm_core.Report.flow_table ~design:"tiny" ~cells:117 r)

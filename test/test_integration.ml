@@ -36,7 +36,7 @@ let flow_cases =
         check Alcotest.bool "conformity >= 99" true (conf >= 99.));
     tc "merged superset mode times at least the union of endpoints" (fun () ->
         let design, _info, modes = Presets.build Presets.tiny in
-        let r = Merge_flow.run ~check_equivalence:false modes in
+        let r = Merge_flow.run modes in
         let timed reports =
           List.concat_map
             (fun rep -> List.map fst (Sta.worst_setup_by_endpoint rep))
@@ -55,7 +55,7 @@ let flow_cases =
           ind);
     tc "merged mode SDC round-trips through writer and parser" (fun () ->
         let design, _info, modes = Presets.build Presets.tiny in
-        let r = Merge_flow.run ~check_equivalence:false modes in
+        let r = Merge_flow.run modes in
         List.iter
           (fun (m : Mode.t) ->
             let sdc = Mode.to_sdc m in
@@ -94,9 +94,10 @@ let flow_cases =
         let modes =
           List.map
             (fun p ->
-              let name = Filename.remove_extension (Filename.basename p) in
-              let r = Resolve.mode_of_file design2 ~name p in
-              check Alcotest.(list string) ("warnings " ^ name) [] (Resolve.warnings r);
+              let r =
+                Merge_flow.load_file ~policy:Merge_flow.Strict ~design:design2 p
+              in
+              check Alcotest.(list string) ("warnings " ^ p) [] (Resolve.warnings r);
               r.Resolve.mode)
             paths
         in
@@ -145,7 +146,7 @@ let random_flow_prop =
 let sta_never_optimistic_case =
   tc "merged STA is never optimistic per endpoint" (fun () ->
       let design, _info, modes = Presets.build Presets.tiny in
-      let r = Merge_flow.run ~check_equivalence:false modes in
+      let r = Merge_flow.run modes in
       let ind = Sta.merge_worst (List.map (fun m -> Sta.analyze design m) modes) in
       let mrg =
         Sta.merge_worst
@@ -168,8 +169,8 @@ let sta_never_optimistic_case =
 let idempotence_case =
   tc "re-merging merged modes is a fixpoint" (fun () ->
       let _design, _info, modes = Presets.build Presets.tiny in
-      let r1 = Merge_flow.run ~check_equivalence:false modes in
-      let r2 = Merge_flow.run ~check_equivalence:false (Merge_flow.merged_modes r1) in
+      let r1 = Merge_flow.run modes in
+      let r2 = Merge_flow.run (Merge_flow.merged_modes r1) in
       check Alcotest.int "no further merging across families"
         r1.Merge_flow.n_merged r2.Merge_flow.n_merged)
 
