@@ -12,6 +12,8 @@
    - on presets B-F and tiny, every endpoint's setup, hold and capture
      period and the check count at the three standard corners equal
      pinned digests;
+   - on presets A-F and tiny, every array and list of the compiled
+     arena equals a pinned digest;
    - on presets A-F, with ideal and with propagated clocks, analysing a
      context taken from a context cache gives the report of an
      analysis that builds its own context;
@@ -321,6 +323,102 @@ let pinned_cases =
            p.Presets.pr_name)
         (pinned_matches p))
     (List.tl Presets.all @ [ Presets.tiny ])
+
+(* ------------------------------------------------------------------ *)
+(* Pinned compiled arena                                               *)
+
+(* The digest of every array and list of [Tgraph.compile]'s result,
+   floats printed with %h, so a change to how the arena is built that
+   moves one arc id, one row entry or one bit of a delay statics fails
+   here before it reaches an STA report. *)
+let arena_digest (g : Tgraph.t) =
+  let b = Buffer.create 65536 in
+  let ints name a =
+    Printf.bprintf b "%s %d:" name (Array.length a);
+    Array.iter (Printf.bprintf b " %d") a;
+    Buffer.add_char b '\n'
+  and floats name a =
+    Printf.bprintf b "%s %d:" name (Array.length a);
+    Array.iter (Printf.bprintf b " %h") a;
+    Buffer.add_char b '\n'
+  in
+  let pins l = String.concat "," (List.map string_of_int l) in
+  let edge = function
+    | Mm_netlist.Lib_cell.Rising -> "r"
+    | Mm_netlist.Lib_cell.Falling -> "f"
+  in
+  Printf.bprintf b "pins %d arcs %d\n" g.Tgraph.sk_n_pins g.Tgraph.sk_n_arcs;
+  ints "src" g.Tgraph.arc_src;
+  ints "dst" g.Tgraph.arc_dst;
+  ints "kind"
+    (Array.map
+       (function Tgraph.Comb -> 0 | Tgraph.Net -> 1 | Tgraph.Launch -> 2)
+       g.Tgraph.arc_kind);
+  ints "inst" g.Tgraph.arc_inst;
+  ints "unate"
+    (Array.map
+       (function
+         | Tgraph.Positive -> 0 | Tgraph.Negative -> 1 | Tgraph.Non_unate -> 2)
+       g.Tgraph.arc_unate);
+  floats "base" g.Tgraph.arc_base;
+  floats "scale" g.Tgraph.arc_scale;
+  floats "caps" g.Tgraph.arc_caps;
+  ints "ldm" g.Tgraph.arc_ldm;
+  ints "out_row" g.Tgraph.out_row;
+  ints "out_adj" g.Tgraph.out_adj;
+  ints "in_row" g.Tgraph.in_row;
+  ints "in_adj" g.Tgraph.in_adj;
+  ints "topo" g.Tgraph.topo;
+  ints "topo_pos" g.Tgraph.topo_pos;
+  ints "broken" (Array.of_list g.Tgraph.broken);
+  List.iter
+    (function
+      | Tgraph.Ep_reg e ->
+        Printf.bprintf b "ep_reg %d %d %d %h %h %s\n" e.ep_data e.ep_clock
+          e.ep_inst e.ep_setup e.ep_hold (edge e.ep_edge)
+      | Tgraph.Ep_port { ep_pin } -> Printf.bprintf b "ep_port %d\n" ep_pin)
+    g.Tgraph.sk_endpoints;
+  List.iter
+    (function
+      | Tgraph.Sp_reg s ->
+        Printf.bprintf b "sp_reg %d %d [%s] %h %s\n" s.sp_clock s.sp_inst
+          (pins s.sp_outputs) s.sp_clk_to_q (edge s.sp_edge)
+      | Tgraph.Sp_port { sp_pin } -> Printf.bprintf b "sp_port %d\n" sp_pin)
+    g.Tgraph.sk_startpoints;
+  ints "ldm_pin" g.Tgraph.ldm_pin;
+  floats "ldm_pin_caps" g.Tgraph.ldm_pin_caps;
+  floats "ldm_wire_cap" g.Tgraph.ldm_wire_cap;
+  ints "ldm_sink_row" g.Tgraph.ldm_sink_row;
+  ints "ldm_sinks" g.Tgraph.ldm_sinks;
+  ints "ldm_drivers" g.Tgraph.ldm_drivers;
+  Printf.bprintf b "const_base %b\n"
+    (Option.is_some (Atomic.get g.Tgraph.const_base));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Computed before the compile wrote arcs straight into the arena. *)
+let pinned_arenas =
+  [
+    "A", "a588fc53cbd63e70ebdccd6b70f6d83a";
+    "B", "500a1b86c9cd725c65f81a9cd04b3487";
+    "C", "cd254c21e270b2b3c998a5147b49adeb";
+    "D", "e502d8174867f7e9b225e9309096955c";
+    "E", "5001f7e6117ff27d9d7d36b91aade458";
+    "F", "3620bc6913995d7046e100001541a3a4";
+    "tiny", "372ef71dbd06916058f238b924344f9c";
+  ]
+
+let arena_cases =
+  List.map
+    (fun (p : Presets.preset) ->
+      tc
+        (Printf.sprintf "preset %s: the compiled arena is pinned"
+           p.Presets.pr_name)
+        (fun () ->
+          let design, _info, _modes = Presets.build p in
+          check Alcotest.string ("preset " ^ p.Presets.pr_name)
+            (List.assoc p.Presets.pr_name pinned_arenas)
+            (arena_digest (Tgraph.compile design))))
+    (Presets.all @ [ Presets.tiny ])
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline byte-identity across job counts                            *)
@@ -1393,6 +1491,7 @@ let () =
       "engine", engine_cases;
       "handoff", handoff_cases;
       "pinned", pinned_cases;
+      "arena", arena_cases;
       "cones", cone_cases;
       "jobs_invariance", jobs_invariance_cases;
       "incremental", [ incremental_prop ];
