@@ -117,7 +117,7 @@ let read_design ?liberty path =
   | Failure msg -> fatal ~loc:(Diag.loc path) ~code:"io.netlist" "%s" msg
   | Mm_netlist.Verilog.Error { line; msg } ->
     fatal ~loc:(Diag.loc ~line path) ~code:"io.verilog" "%s" msg
-  | Sys_error msg -> fatal ~code:"io.read" "%s" msg
+  | Sys_error msg -> fatal ~loc:(Diag.loc path) ~code:"io.read" "%s" msg
 
 let load_mode ~policy design path =
   match Merge_flow.load_file ~policy ~design path with

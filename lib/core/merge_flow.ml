@@ -386,6 +386,13 @@ let load_task ~policy ~design src_name src_file src_text =
 
 let compute_matrix ~policy ~pool ~budgets ~ctx_cache ~root st =
   let tok = stage_token ~budgets root "mergeability" in
+  (* Compile the arena and its constant baseline here, once: on a cold
+     cache each of the first batch's per-mode tasks would build its own
+     copy, and only one would be kept. *)
+  List.iter
+    (fun (m : Mode.t) ->
+      ignore (Mm_timing.Const_prop.baseline (Mm_timing.Tgraph.skeleton m.Mode.design)))
+    st.s_modes;
   (* Stage 1 (permissive): per-mode probe tasks. *)
   let st =
     match policy with

@@ -79,6 +79,9 @@ val net_driver : t -> net_id -> pin_id option
 val net_sinks : t -> net_id -> pin_id list
 val net_fanout : t -> net_id -> int
 
+val iter_net_sinks : t -> net_id -> (pin_id -> unit) -> unit
+(** The net's sinks in {!net_sinks} order, without building the list. *)
+
 val pin_owner : t -> pin_id -> pin_owner
 val pin_net : t -> pin_id -> net_id option
 val pin_is_driver : t -> pin_id -> bool

@@ -553,12 +553,10 @@ let loc_of ?file line col =
   { Diag.file = (match file with Some f -> f | None -> "<string>"); line; col }
 
 let read_whole_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      really_input_string ic n)
+  (* A directory opens, and then fails with an error naming neither. *)
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": is a directory, not an SDC file"));
+  In_channel.with_open_bin path In_channel.input_all
 
 let parse_string_recover ?file src =
   let diags = Diag.collector () in

@@ -29,7 +29,8 @@ val parse_string : ?file:string -> string -> Ast.command list
 (** {!parse_located} without the locations. *)
 
 val read_whole_file : string -> string
-(** Read a file into a string. @raise Sys_error on IO failure. *)
+(** Read a file into a string. @raise Sys_error on IO failure, and
+    with a message naming [path] when it is a directory. *)
 
 val error_code : string -> string
 (** Stable diagnostic code for a parse-error message

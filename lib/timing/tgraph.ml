@@ -163,161 +163,68 @@ let env_tables (mode : Mode.t) =
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 
-type pre_arc = {
-  p_src : int;
-  p_dst : int;
-  p_kind : arc_kind;
-  p_inst : int;
-  p_unate : unate;
-  p_base : float;
-  p_scale : float;
-  p_caps : float;
-  p_ldm : int;
+(* One cell's comb arcs, in [Lib_cell.comb_arcs] order, with their
+   unateness: every instance of the cell shares them. *)
+type cell_arcs = {
+  ca_in : int array;
+  ca_out : int array;
+  ca_unate : unate array;
 }
+
+let cell_arcs cell =
+  let arcs = Array.of_list (Lib_cell.comb_arcs cell) in
+  {
+    ca_in = Array.map fst arcs;
+    ca_out = Array.map snd arcs;
+    ca_unate =
+      Array.map
+        (fun (i, o) ->
+          match Lib_cell.function_of_output cell o with
+          | Some f -> unateness f i
+          | None -> Non_unate)
+        arcs;
+  }
 
 let compile design =
   let wlm = Wire_load.default in
   let n = Design.n_pins design in
-  (* Load-model entries, deduplicated per pin. *)
-  let ldm_idx : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let ldm_pins = ref [] and ldm_n = ref 0 in
-  let ldm_entry pin =
-    match Hashtbl.find_opt ldm_idx pin with
-    | Some e -> e
-    | None -> (
-      match Design.pin_net design pin with
-      | None -> -1
-      | Some net ->
-        let e = !ldm_n in
-        incr ldm_n;
-        Hashtbl.replace ldm_idx pin e;
-        let sinks = Design.net_sinks design net in
-        let pin_caps =
-          List.fold_left (fun acc s -> acc +. Design.pin_cap design s) 0. sinks
-        in
-        ldm_pins :=
-          (pin, pin_caps, Wire_load.wire_cap wlm (List.length sinks), sinks)
-          :: !ldm_pins;
-        e)
+  let n_insts = Design.n_insts design and n_nets = Design.n_nets design in
+  (* Each cell's arcs once per compile, keyed by name and checked by
+     identity (two libraries may both name a cell INV). *)
+  let memo : (string, Lib_cell.t * cell_arcs) Hashtbl.t = Hashtbl.create 32 in
+  let arcs_of cell =
+    match Hashtbl.find_opt memo cell.Lib_cell.cell_name with
+    | Some (c, a) when c == cell -> a
+    | _ ->
+      let a = cell_arcs cell in
+      Hashtbl.replace memo cell.Lib_cell.cell_name (cell, a);
+      a
   in
-  let arcs = ref [] and n_arcs = ref 0 in
-  let add_arc a =
-    incr n_arcs;
-    arcs := a :: !arcs
+  let inst_arcs = Array.init n_insts (fun i -> arcs_of (Design.inst_cell design i)) in
+  (* Each net's sink capacitance, summed once in sink order. *)
+  let net_caps =
+    Array.init n_nets (fun net ->
+        let acc = ref 0. in
+        Design.iter_net_sinks design net (fun s ->
+            acc := !acc +. Design.pin_cap design s);
+        !acc)
   in
-  let endpoints = ref [] and startpoints = ref [] in
-  (* Cell arcs, in the construction order of the original adjacency
-     lists (instances, then nets, then ports). *)
-  Design.iter_insts design (fun inst ->
-      let cell = Design.inst_cell design inst in
-      List.iter
-        (fun (i, o) ->
-          let src = Design.inst_pin design inst i
-          and dst = Design.inst_pin design inst o in
-          let p_unate =
-            match Lib_cell.function_of_output cell o with
-            | Some f -> unateness f i
-            | None -> Non_unate
-          in
-          add_arc
-            {
-              p_src = src;
-              p_dst = dst;
-              p_kind = Comb;
-              p_inst = inst;
-              p_unate;
-              p_base = cell.Lib_cell.intrinsic;
-              p_scale = cell.Lib_cell.drive_res;
-              p_caps = 0.;
-              p_ldm = ldm_entry dst;
-            })
-        (Lib_cell.comb_arcs cell);
-      match cell.Lib_cell.seq with
-      | None -> ()
-      | Some seq ->
-        let cp = Design.inst_pin design inst seq.Lib_cell.clock_pin in
-        let outputs =
-          List.map (fun q -> Design.inst_pin design inst q) seq.Lib_cell.q_pins
-        in
-        List.iter
-          (fun q ->
-            add_arc
-              {
-                p_src = cp;
-                p_dst = q;
-                p_kind = Launch;
-                p_inst = inst;
-                (* Launched data can rise or fall regardless of the
-                   clock edge. *)
-                p_unate = Non_unate;
-                p_base = seq.Lib_cell.clk_to_q;
-                p_scale = cell.Lib_cell.drive_res;
-                p_caps = 0.;
-                p_ldm = ldm_entry q;
-              })
-          outputs;
-        startpoints :=
-          Sp_reg
-            {
-              sp_clock = cp;
-              sp_inst = inst;
-              sp_outputs = outputs;
-              sp_clk_to_q = seq.Lib_cell.clk_to_q;
-              sp_edge = seq.Lib_cell.clock_edge;
-            }
-          :: !startpoints;
-        List.iter
-          (fun d ->
-            endpoints :=
-              Ep_reg
-                {
-                  ep_data = Design.inst_pin design inst d;
-                  ep_clock = cp;
-                  ep_inst = inst;
-                  ep_setup = seq.Lib_cell.setup;
-                  ep_hold = seq.Lib_cell.hold;
-                  ep_edge = seq.Lib_cell.clock_edge;
-                }
-              :: !endpoints)
-          seq.Lib_cell.data_pins);
-  (* Net arcs. *)
-  let ldm_drivers = ref [] in
-  Design.iter_nets design (fun net ->
-      match Design.net_driver design net with
-      | None -> ()
-      | Some drv ->
-        ldm_drivers := ldm_entry drv :: !ldm_drivers;
-        let sinks = Design.net_sinks design net in
-        let fanout = List.length sinks in
-        let pin_caps =
-          List.fold_left (fun acc s -> acc +. Design.pin_cap design s) 0. sinks
-        in
-        let base = Wire_load.net_delay wlm ~fanout ~pin_caps in
-        let caps = pin_caps +. Wire_load.wire_cap wlm fanout in
-        List.iter
-          (fun s ->
-            add_arc
-              {
-                p_src = drv;
-                p_dst = s;
-                p_kind = Net;
-                p_inst = -1;
-                p_unate = Positive;
-                p_base = base;
-                p_scale = 0.;
-                p_caps = caps;
-                p_ldm = -1;
-              })
-          sinks);
-  (* Port start/endpoints. *)
-  Design.iter_ports design (fun p ->
-      match Design.port_dir design p with
-      | Design.In ->
-        startpoints :=
-          Sp_port { sp_pin = Design.port_pin design p } :: !startpoints
-      | Design.Out ->
-        endpoints := Ep_port { ep_pin = Design.port_pin design p } :: !endpoints);
-  (* Flatten into the arena. *)
+  (* Arc ids run over instances (comb arcs, then launch arcs), then
+     over driven nets' sinks: count them, then write each arc into its
+     slot. *)
+  let n_arcs = ref 0 and n_driven = ref 0 in
+  for inst = 0 to n_insts - 1 do
+    n_arcs := !n_arcs + Array.length inst_arcs.(inst).ca_in;
+    match (Design.inst_cell design inst).Lib_cell.seq with
+    | Some seq -> n_arcs := !n_arcs + List.length seq.Lib_cell.q_pins
+    | None -> ()
+  done;
+  for net = 0 to n_nets - 1 do
+    if Design.net_driver design net <> None then begin
+      incr n_driven;
+      n_arcs := !n_arcs + Design.net_fanout design net
+    end
+  done;
   let n_arcs = !n_arcs in
   let arc_src = Array.make n_arcs 0
   and arc_dst = Array.make n_arcs 0
@@ -328,20 +235,104 @@ let compile design =
   and arc_scale = Array.make n_arcs 0.
   and arc_caps = Array.make n_arcs 0.
   and arc_ldm = Array.make n_arcs 0 in
-  List.iteri
-    (fun i a ->
-      (* [arcs] is in reverse id order. *)
-      let aid = n_arcs - 1 - i in
-      arc_src.(aid) <- a.p_src;
-      arc_dst.(aid) <- a.p_dst;
-      arc_kind.(aid) <- a.p_kind;
-      arc_inst.(aid) <- a.p_inst;
-      arc_unate.(aid) <- a.p_unate;
-      arc_base.(aid) <- a.p_base;
-      arc_scale.(aid) <- a.p_scale;
-      arc_caps.(aid) <- a.p_caps;
-      arc_ldm.(aid) <- a.p_ldm)
-    !arcs;
+  let next = ref 0 in
+  let add_arc src dst kind inst unate base scale caps ldm =
+    let aid = !next in
+    incr next;
+    arc_src.(aid) <- src;
+    arc_dst.(aid) <- dst;
+    arc_kind.(aid) <- kind;
+    arc_inst.(aid) <- inst;
+    arc_unate.(aid) <- unate;
+    arc_base.(aid) <- base;
+    arc_scale.(aid) <- scale;
+    arc_caps.(aid) <- caps;
+    arc_ldm.(aid) <- ldm
+  in
+  (* Load-model entries, one per driving pin, numbered on first use. *)
+  let ldm_of_pin = Array.make n (-1) and ldm_pins = Array.make n 0 in
+  let ldm_n = ref 0 in
+  let ldm_entry pin =
+    if ldm_of_pin.(pin) >= 0 then ldm_of_pin.(pin)
+    else if Design.pin_net design pin = None then -1
+    else begin
+      let e = !ldm_n in
+      incr ldm_n;
+      ldm_of_pin.(pin) <- e;
+      ldm_pins.(e) <- pin;
+      e
+    end
+  in
+  let endpoints = ref [] and startpoints = ref [] in
+  for inst = 0 to n_insts - 1 do
+    let cell = Design.inst_cell design inst and ca = inst_arcs.(inst) in
+    for k = 0 to Array.length ca.ca_in - 1 do
+      let dst = Design.inst_pin design inst ca.ca_out.(k) in
+      add_arc
+        (Design.inst_pin design inst ca.ca_in.(k))
+        dst Comb inst ca.ca_unate.(k) cell.Lib_cell.intrinsic
+        cell.Lib_cell.drive_res 0. (ldm_entry dst)
+    done;
+    match cell.Lib_cell.seq with
+    | None -> ()
+    | Some seq ->
+      let cp = Design.inst_pin design inst seq.Lib_cell.clock_pin in
+      let outputs =
+        List.map (fun q -> Design.inst_pin design inst q) seq.Lib_cell.q_pins
+      in
+      (* Launched data can rise or fall regardless of the clock edge. *)
+      List.iter
+        (fun q ->
+          add_arc cp q Launch inst Non_unate seq.Lib_cell.clk_to_q
+            cell.Lib_cell.drive_res 0. (ldm_entry q))
+        outputs;
+      startpoints :=
+        Sp_reg
+          {
+            sp_clock = cp;
+            sp_inst = inst;
+            sp_outputs = outputs;
+            sp_clk_to_q = seq.Lib_cell.clk_to_q;
+            sp_edge = seq.Lib_cell.clock_edge;
+          }
+        :: !startpoints;
+      List.iter
+        (fun d ->
+          endpoints :=
+            Ep_reg
+              {
+                ep_data = Design.inst_pin design inst d;
+                ep_clock = cp;
+                ep_inst = inst;
+                ep_setup = seq.Lib_cell.setup;
+                ep_hold = seq.Lib_cell.hold;
+                ep_edge = seq.Lib_cell.clock_edge;
+              }
+            :: !endpoints)
+        seq.Lib_cell.data_pins
+  done;
+  (* Net arcs. *)
+  let ldm_drivers = Array.make !n_driven 0 and driven = ref 0 in
+  for net = 0 to n_nets - 1 do
+    match Design.net_driver design net with
+    | None -> ()
+    | Some drv ->
+      ldm_drivers.(!driven) <- ldm_entry drv;
+      incr driven;
+      let fanout = Design.net_fanout design net and pin_caps = net_caps.(net) in
+      let base = Wire_load.net_delay wlm ~fanout ~pin_caps in
+      let caps = pin_caps +. Wire_load.wire_cap wlm fanout in
+      Design.iter_net_sinks design net (fun s ->
+          add_arc drv s Net (-1) Positive base 0. caps (-1))
+  done;
+  (* Port start/endpoints. *)
+  Design.iter_ports design (fun p ->
+      match Design.port_dir design p with
+      | Design.In ->
+        startpoints :=
+          Sp_port { sp_pin = Design.port_pin design p } :: !startpoints
+      | Design.Out ->
+        endpoints := Ep_port { ep_pin = Design.port_pin design p } :: !endpoints);
   (* CSR rows, filled from the highest arc id down so each row keeps
      the descending-id order of the adjacency lists it replaces. *)
   let build_csr key =
@@ -363,24 +354,30 @@ let compile design =
   in
   let out_row, out_adj = build_csr arc_src in
   let in_row, in_adj = build_csr arc_dst in
-  (* Kahn topological sort; cycles broken by discarding the remaining
-     arcs (recorded for diagnostics). *)
+  (* Kahn topological sort, with [topo] itself as the FIFO queue; cycles
+     broken by discarding the remaining arcs (recorded for
+     diagnostics). *)
   let indeg = Array.make n 0 in
   Array.iter (fun d -> indeg.(d) <- indeg.(d) + 1) arc_dst;
-  let queue = Queue.create () in
-  for p = 0 to n - 1 do
-    if indeg.(p) = 0 then Queue.add p queue
-  done;
   let topo = Array.make n (-1) in
   let pos = ref 0 in
-  while not (Queue.is_empty queue) do
-    let p = Queue.take queue in
-    topo.(!pos) <- p;
-    incr pos;
+  for p = 0 to n - 1 do
+    if indeg.(p) = 0 then begin
+      topo.(!pos) <- p;
+      incr pos
+    end
+  done;
+  let head = ref 0 in
+  while !head < !pos do
+    let p = topo.(!head) in
+    incr head;
     for k = out_row.(p) to out_row.(p + 1) - 1 do
       let dst = arc_dst.(out_adj.(k)) in
       indeg.(dst) <- indeg.(dst) - 1;
-      if indeg.(dst) = 0 then Queue.add dst queue
+      if indeg.(dst) = 0 then begin
+        topo.(!pos) <- dst;
+        incr pos
+      end
     done
   done;
   let broken = ref [] in
@@ -404,32 +401,28 @@ let compile design =
   end;
   let topo_pos = Array.make n 0 in
   Array.iteri (fun i p -> topo_pos.(p) <- i) topo;
-  (* Load-model arenas. *)
+  (* Load-model arenas: an entry's pin drives its net, whose sinks and
+     capacitance the entry carries. *)
   let ldm_n = !ldm_n in
+  let ldm_net e = Option.get (Design.pin_net design ldm_pins.(e)) in
   let ldm_pin = Array.make (max 1 ldm_n) 0
   and ldm_pin_caps = Array.make (max 1 ldm_n) 0.
   and ldm_wire_cap = Array.make (max 1 ldm_n) 0. in
   let ldm_sink_row = Array.make (ldm_n + 1) 0 in
-  List.iteri
-    (fun i (pin, pin_caps, wire_cap, sinks) ->
-      (* [ldm_pins] is in reverse entry order. *)
-      let e = ldm_n - 1 - i in
-      ldm_pin.(e) <- pin;
-      ldm_pin_caps.(e) <- pin_caps;
-      ldm_wire_cap.(e) <- wire_cap;
-      ldm_sink_row.(e + 1) <- List.length sinks)
-    !ldm_pins;
-  for e = 1 to ldm_n do
-    ldm_sink_row.(e) <- ldm_sink_row.(e) + ldm_sink_row.(e - 1)
+  for e = 0 to ldm_n - 1 do
+    let net = ldm_net e in
+    ldm_pin.(e) <- ldm_pins.(e);
+    ldm_pin_caps.(e) <- net_caps.(net);
+    ldm_wire_cap.(e) <- Wire_load.wire_cap wlm (Design.net_fanout design net);
+    ldm_sink_row.(e + 1) <- ldm_sink_row.(e) + Design.net_fanout design net
   done;
   let ldm_sinks = Array.make (max 1 ldm_sink_row.(ldm_n)) 0 in
-  List.iteri
-    (fun i (_, _, _, sinks) ->
-      let e = ldm_n - 1 - i in
-      List.iteri
-        (fun j s -> ldm_sinks.(ldm_sink_row.(e) + j) <- s)
-        sinks)
-    !ldm_pins;
+  for e = 0 to ldm_n - 1 do
+    let k = ref ldm_sink_row.(e) in
+    Design.iter_net_sinks design (ldm_net e) (fun s ->
+        ldm_sinks.(!k) <- s;
+        incr k)
+  done;
   {
     sk_design = design;
     sk_n_pins = n;
@@ -457,7 +450,7 @@ let compile design =
     ldm_wire_cap;
     ldm_sink_row;
     ldm_sinks;
-    ldm_drivers = Array.of_list (List.rev !ldm_drivers);
+    ldm_drivers;
     const_base = Atomic.make None;
   }
 

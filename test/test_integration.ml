@@ -270,6 +270,43 @@ let quarantine_cases =
         with
         | _ -> Alcotest.fail "expected Sys_error"
         | exception Sys_error _ -> ());
+    tc "a directory given as an SDC file is named as one" (fun () ->
+        let design, sources = tiny_sources () in
+        let dir = Filename.temp_file "mm_dir_arg" "" in
+        Sys.remove dir;
+        Unix.mkdir dir 0o755;
+        let says_directory msg =
+          Str_probe.contains msg (dir ^ ": is a directory")
+        in
+        (match Merge_flow.run_files ~policy:Merge_flow.Strict ~design [ dir ] with
+        | _ -> Alcotest.fail "strict: expected Sys_error"
+        | exception Sys_error msg ->
+          check Alcotest.bool ("strict: " ^ msg) true (says_directory msg));
+        let path = Filename.concat dir "m.sdc" in
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (List.hd sources).Merge_flow.src_text);
+        let r =
+          Merge_flow.run_files ~policy:Merge_flow.Permissive ~design [ dir; path ]
+        in
+        (match r.Merge_flow.quarantined with
+        | [ q ] ->
+          check Alcotest.string "quarantined mode" (Filename.basename dir)
+            q.Merge_flow.q_name;
+          check Alcotest.bool "permissive: io.read naming the directory" true
+            (List.exists
+               (fun d -> d.Diag.code = "io.read" && says_directory d.Diag.message)
+               q.Merge_flow.q_diags)
+        | qs -> Alcotest.failf "%d quarantined" (List.length qs));
+        check Alcotest.int "the file merged" 1 r.Merge_flow.n_merged;
+        let lint =
+          Merge_flow.load_file ~policy:Merge_flow.Permissive ~design dir
+        in
+        check Alcotest.bool "load_file: io.read naming the directory" true
+          (List.exists
+             (fun d -> d.Diag.code = "io.read" && says_directory d.Diag.message)
+             lint.Mm_sdc.Resolve.diags);
+        Sys.remove path;
+        Unix.rmdir dir);
     tc "permissive: a taken mode name is quarantined at load" (fun () ->
         let design, sources = tiny_sources () in
         let first = List.hd sources and other = List.nth sources 1 in

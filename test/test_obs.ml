@@ -588,6 +588,16 @@ let integration_cases =
           (Metrics.get_counter "sta.endpoints_checked" > 0);
         check Alcotest.bool "rep_runtime non-negative" true
           (rep.Sta.rep_runtime >= 0.));
+    tc "a parallel merge compiles a fresh design once" (fun () ->
+        (* The first batch's per-mode tasks would each find the arena
+           cache cold; the flow compiles before that batch. *)
+        fresh ();
+        let _design, _, modes = Presets.build Presets.design_c in
+        ignore (Merge_flow.run ~jobs:2 modes);
+        Obs.set_enabled false;
+        check Alcotest.int "sta.compile spans" 1
+          (List.length
+             (List.filter (fun n -> n = "sta.compile") (span_names ()))));
     tc "parallel pipeline metric names are stable" (fun () ->
         (* merge.jobs (gauge) and pool.tasks_executed (counter) are part
            of the stable metric-name contract, like the span names. *)
