@@ -12,7 +12,8 @@
 #     the metrics JSON are compared with every number masked, which
 #     covers the ts/t_ns stamps and the timings);
 #   - merge --annotate (annotated merged SDC);
-#   - sta --paths 3 on the first three modes, runtime column masked;
+#   - sta --paths 3 on the first three modes at the same -j, runtime
+#     column masked;
 #   - check -m merged_0.sdc against the members of the first `group [`
 #     line (the one-shot comparison behind equivalence checking),
 #     relations and lint on the first mode, and explain four ways (no
@@ -49,7 +50,7 @@ run() {
   "$bin" merge -n "$p/design.nl" -o "$out/ann" --annotate -j "$j" \
     "$p"/*.sdc > /dev/null 2> "$out/merge.err"
   echo "annotate $?" >> "$out/codes"
-  "$bin" sta -n "$p/design.nl" --paths 3 $(ls "$p"/*.sdc | head -3) \
+  "$bin" sta -n "$p/design.nl" --paths 3 -j "$j" $(ls "$p"/*.sdc | head -3) \
     > "$out/sta.raw" 2>&1
   echo "sta $?" >> "$out/codes"
   members=$(sed -n 's/^ *group \[\([^]]*\)\].*/\1/p' "$out/stdout" | head -1 |

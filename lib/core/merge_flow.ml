@@ -366,33 +366,8 @@ let staged ~stage compute =
 (* ------------------------------------------------------------------ *)
 (* Stage computes                                                      *)
 
-(* Parse and resolve one SDC text: fail fast under [Strict], recover
-   at command boundaries under [Permissive]. *)
-let resolve_sdc ~policy ~design ~file ~name text =
-  match policy with
-  | Strict -> Resolve.mode_of_string ~file design ~name text
-  | Permissive -> Resolve.mode_of_string_robust ~file design ~name text
-
-(* Load task: parse and resolve one source. Pure — quarantine vs mode
-   travels in the outcome, diagnostics alongside. *)
-let load_task ~policy ~design src_name src_file src_text =
-  (* The diagnostic location falls back to the mode name so that
-     quarantined in-memory sources still carry a located report. *)
-  let file = Option.value src_file ~default:src_name in
-  let r = resolve_sdc ~policy ~design ~file ~name:src_name src_text in
-  if policy = Permissive && Diag.has_errors r.Resolve.diags then
-    Error r.Resolve.diags
-  else Ok (r.Resolve.mode, r.Resolve.diags)
-
 let compute_matrix ~policy ~pool ~budgets ~ctx_cache ~root st =
   let tok = stage_token ~budgets root "mergeability" in
-  (* Compile the arena and its constant baseline here, once: on a cold
-     cache each of the first batch's per-mode tasks would build its own
-     copy, and only one would be kept. *)
-  List.iter
-    (fun (m : Mode.t) ->
-      ignore (Mm_timing.Const_prop.baseline (Mm_timing.Tgraph.skeleton m.Mode.design)))
-    st.s_modes;
   (* Stage 1 (permissive): per-mode probe tasks. *)
   let st =
     match policy with
@@ -642,70 +617,99 @@ let run ?(policy = Strict) ?jobs ?(budgets = default_budgets) modes =
 
 type source = { src_name : string; src_file : string option; src_text : string }
 
-let mode_name_of_file path = Filename.remove_extension (Filename.basename path)
+(* A source refused at load (unreadable, or its name taken): the run
+   ends with the located fatal under [Strict]; under [Permissive] the
+   source is quarantined with it at error severity. *)
+exception Load_error of Diag.t
 
-let source_of_file path =
+let refuse ~policy ~file ~code fmt =
+  Printf.ksprintf
+    (fun msg ->
+      let diag severity = Diag.make ~loc:(Diag.loc file) severity ~code msg in
+      match policy with
+      | Strict -> raise (Load_error (diag Diag.Fatal))
+      | Permissive -> diag Diag.Error)
+    fmt
+
+(* One source as the load stage sees it: a name, the file diagnostics
+   are located at, and its text, read inside the load task. *)
+type pending = { p_name : string; p_file : string; p_read : unit -> string }
+
+let of_source s =
   {
-    src_name = mode_name_of_file path;
-    src_file = Some path;
-    src_text = Mm_sdc.Parser.read_whole_file path;
+    p_name = s.src_name;
+    (* An in-memory source's diagnostics are located at its name. *)
+    p_file = Option.value s.src_file ~default:s.src_name;
+    p_read = (fun () -> s.src_text);
   }
 
-let io_read_diag path msg =
-  Diag.makef ~loc:(Diag.loc path) Diag.Fatal ~code:"io.read" "%s" msg
+let of_path path =
+  {
+    p_name = Filename.remove_extension (Filename.basename path);
+    p_file = path;
+    p_read = (fun () -> Mm_sdc.Parser.read_whole_file path);
+  }
 
-let load_file ~policy ~design path =
-  let name = mode_name_of_file path in
-  match Mm_sdc.Parser.read_whole_file path with
-  | text -> resolve_sdc ~policy ~design ~file:path ~name text
-  | exception Sys_error msg when policy = Permissive ->
-    Resolve.mode ~diags:[ io_read_diag path msg ] design ~name []
-
-exception Duplicate_mode of Diag.t
-
-(* Every per-mode table of the flow (the context cache, prelim's clock
-   map) is keyed by mode name, so a source whose name is taken is
-   refused before it can stand in for the first one. Returns the
-   sources to load and, under [Permissive], the refused ones with
-   their diagnostics. *)
+(* Every per-mode table of the flow is keyed by mode name, so a source
+   whose name is taken is refused before it can stand in for the first
+   one. Returns the sources to load and the refused ones' diagnostics. *)
 let split_duplicates ~policy sources =
   let seen = Hashtbl.create 16 in
-  let file src = Option.value src.src_file ~default:src.src_name in
   List.partition_map
-    (fun src ->
-      match Hashtbl.find_opt seen src.src_name with
+    (fun p ->
+      match Hashtbl.find_opt seen p.p_name with
       | None ->
-        Hashtbl.replace seen src.src_name src;
-        Either.Left src
-      | Some first -> (
-        let diag severity =
-          Diag.makef ~loc:(Diag.loc (file src)) severity
-            ~code:"merge.duplicate-mode"
-            "mode name %s is already taken by %s (mode names are source \
-             basenames and must be unique)"
-            src.src_name (file first)
-        in
-        match policy with
-        | Strict -> raise (Duplicate_mode (diag Diag.Fatal))
-        | Permissive -> Either.Right (src.src_name, diag Diag.Error)))
+        Hashtbl.replace seen p.p_name p;
+        Either.Left p
+      | Some first ->
+        Either.Right
+          ( p.p_name,
+            refuse ~policy ~file:p.p_file ~code:"merge.duplicate-mode"
+              "mode name %s is already taken by %s (mode names are source \
+               basenames and must be unique)"
+              p.p_name first.p_file ))
     sources
+
+(* Load task: read one source, then parse and resolve it, failing fast
+   under [Strict] and recovering at command boundaries under
+   [Permissive]. Pure — quarantine vs mode travels in the outcome,
+   diagnostics alongside. *)
+let load_task ~policy ~design p =
+  match p.p_read () with
+  | exception Sys_error msg ->
+    (* The message may lead with the path, which is the location. *)
+    let n = String.length p.p_file + 2 in
+    let msg =
+      if String.starts_with ~prefix:(p.p_file ^ ": ") msg then
+        String.sub msg n (String.length msg - n)
+      else msg
+    in
+    Error [ refuse ~policy ~file:p.p_file ~code:"io.read" "%s" msg ]
+  | text ->
+    let resolve =
+      match policy with
+      | Strict -> Resolve.mode_of_string
+      | Permissive -> Resolve.mode_of_string_robust
+    in
+    let r = resolve ~file:p.p_file design ~name:p.p_name text in
+    if policy = Permissive && Diag.has_errors r.Resolve.diags then
+      Error r.Resolve.diags
+    else Ok (r.Resolve.mode, r.Resolve.diags)
 
 let compute_load ~policy ~design ~pool ~budgets ~tok sources =
   Obs.with_span "merge.load"
     ~attrs:[ "sources", string_of_int (List.length sources) ]
   @@ fun () ->
   let sources, duplicates = split_duplicates ~policy sources in
-  let task src = load_task ~policy ~design src.src_name src.src_file src.src_text in
   let outs =
-    Pool.map_outcome pool ~govern:tok ?task_budget_s:budgets.bg_task_s task
-      sources
+    Pool.map_outcome pool ~govern:tok ?task_budget_s:budgets.bg_task_s
+      (load_task ~policy ~design) sources
   in
   (* Fold outcomes in source order; diagnostics accumulate by reversed
      cons (the old [!d @ r.diags] was quadratic in the source count). *)
   let st =
     List.fold_left2
-      (fun st src out ->
-        let name = src.src_name in
+      (fun st p out ->
         settle ~policy out
           ~ok:(function
             | Ok (mode, diags) ->
@@ -714,8 +718,8 @@ let compute_load ~policy ~design ~pool ~budgets ~tok sources =
                 s_modes = mode :: st.s_modes;
                 s_diags = List.rev_append diags st.s_diags;
               }
-            | Error diags -> quarantine_into st Load name diags)
-          ~failed:(quarantine_failed st Load name))
+            | Error diags -> quarantine_into st Load p.p_name diags)
+          ~failed:(quarantine_failed st Load p.p_name))
       (List.fold_left
          (fun st (name, diag) -> quarantine_into st Load name [ diag ])
          (initial []) duplicates)
@@ -725,30 +729,39 @@ let compute_load ~policy ~design ~pool ~budgets ~tok sources =
   Metrics.incr ~by:0 "merge.quarantined";
   note_deadline tok { st with s_modes = List.rev st.s_modes }
 
-let run_sources ?(check_equivalence = true) ?(policy = Strict) ?jobs
-    ?(budgets = default_budgets) ~design sources =
+type loaded = {
+  l_modes : Mode.t list;
+  l_diags : Diag.t list;
+  l_quarantined : quarantined list;
+}
+
+let load_files ~policy ~design paths =
+  let st =
+    Pool.with_pool ~jobs:1 @@ fun pool ->
+    compute_load ~policy ~design ~pool ~budgets:default_budgets
+      ~tok:Govern.never (List.map of_path paths)
+  in
+  {
+    l_modes = st.s_modes;
+    l_diags = List.rev st.s_diags;
+    l_quarantined = List.rev st.s_quar;
+  }
+
+let run_pending ~check_equivalence ~policy ?jobs ~budgets ~design sources =
   Pool.with_pool ?jobs @@ fun pool ->
-  let t0 = Obs.Clock.now_ns () in
-  drive ~check_equivalence ~policy ~pool ~budgets ~t0
+  drive ~check_equivalence ~policy ~pool ~budgets ~t0:(Obs.Clock.now_ns ())
     ~load:(fun tok -> compute_load ~policy ~design ~pool ~budgets ~tok sources)
     ()
 
-let run_files ?(policy = Strict) ?jobs ?budgets ~design paths =
-  (* An unreadable file raises [Sys_error] under [Strict]; under
-     [Permissive] it is quarantined up front with a fatal io.read
-     diagnostic and the remaining files still merge. *)
-  let sources, io_failed =
-    List.partition_map
-      (fun path ->
-        match source_of_file path with
-        | s -> Either.Left s
-        | exception Sys_error msg when policy = Permissive ->
-          Either.Right
-            (quarantine Load (mode_name_of_file path) [ io_read_diag path msg ]))
-      paths
-  in
-  let r = run_sources ~policy ?jobs ?budgets ~design sources in
-  { r with quarantined = io_failed @ r.quarantined }
+let run_sources ?(check_equivalence = true) ?(policy = Strict) ?jobs
+    ?(budgets = default_budgets) ~design sources =
+  run_pending ~check_equivalence ~policy ?jobs ~budgets ~design
+    (List.map of_source sources)
+
+let run_files ?(policy = Strict) ?jobs ?(budgets = default_budgets) ~design
+    paths =
+  run_pending ~check_equivalence:true ~policy ?jobs ~budgets ~design
+    (List.map of_path paths)
 
 let merged_modes r = List.map (fun g -> g.grp_mode) r.groups
 

@@ -178,14 +178,13 @@ type source = {
   src_text : string;          (** SDC text *)
 }
 
-exception Duplicate_mode of Mm_util.Diag.t
-(** Raised at load under [Strict] when two sources share a mode name;
-    the fatal [merge.duplicate-mode] diagnostic is located at the later
-    source and names the earlier one. Every per-mode table of the flow
-    is keyed by mode name, so the flow refuses the pair rather than
-    merge one mode's constraints under the other's name. Under
-    [Permissive] the later source is quarantined at load with the same
-    diagnostic at error severity. *)
+exception Load_error of Mm_util.Diag.t
+(** Raised at load under [Strict], with a fatal diagnostic located at
+    the source, when a source is refused: its file cannot be read
+    ([io.read]) or its mode name is taken ([merge.duplicate-mode],
+    naming the earlier source; every per-mode table of the flow is
+    keyed by mode name). Under [Permissive] the source is quarantined
+    with the same diagnostic at error severity. *)
 
 val run_sources :
   ?check_equivalence:bool ->
@@ -196,11 +195,12 @@ val run_sources :
   source list ->
   result
 (** Load each source against [design] and merge as {!run} does. Under
-    [Strict] a syntax error raises {!Mm_sdc.Parser.Error} and a repeated
-    mode name {!Duplicate_mode}; under [Permissive] parsing recovers at
+    [Strict] a syntax error raises {!Mm_sdc.Parser.Error} and a refused
+    source {!Load_error}; under [Permissive] parsing recovers at
     command boundaries, and a mode with error-severity diagnostics or a
-    taken name is quarantined. [~check_equivalence:false] leaves every
-    {!group.grp_equiv} [None], so [Permissive] degrades no group. *)
+    refused source is quarantined. [~check_equivalence:false] leaves
+    every {!group.grp_equiv} [None], so [Permissive] degrades no
+    group. *)
 
 val run_files :
   ?policy:policy ->
@@ -209,21 +209,21 @@ val run_files :
   design:Mm_netlist.Design.t ->
   string list ->
   result
-(** {!run_sources} over the files' contents, each mode named by its
-    file's basename without the extension; an unreadable file raises
-    [Sys_error] under [Strict] and is quarantined with an [io.read]
-    diagnostic under [Permissive]. *)
+(** {!run_sources} over SDC files, loaded as {!load_files} loads
+    them. *)
 
-val load_file :
-  policy:policy ->
-  design:Mm_netlist.Design.t ->
-  string ->
-  Mm_sdc.Resolve.result
-(** One SDC file parsed and resolved as {!run_files} loads it, without
-    quarantine: under [Strict] a syntax error raises
-    {!Mm_sdc.Parser.Error} and an unreadable file [Sys_error]; under
-    [Permissive] both are diagnostics on the result, an unreadable file
-    giving an empty mode with a fatal [io.read] diagnostic. *)
+type loaded = {
+  l_modes : Mm_sdc.Mode.t list;  (** in file order *)
+  l_diags : Mm_util.Diag.t list;
+  l_quarantined : quarantined list;
+}
+
+val load_files :
+  policy:policy -> design:Mm_netlist.Design.t -> string list -> loaded
+(** The load stage of {!run_files} on its own, on the calling domain:
+    each file is read, parsed and resolved against [design], its mode
+    named by the file's basename without the extension. It raises and
+    quarantines as {!run_sources} does. *)
 
 val merged_modes : result -> Mm_sdc.Mode.t list
 

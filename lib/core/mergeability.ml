@@ -86,8 +86,6 @@ type t = {
   pair_reasons : (int * int, string list) Hashtbl.t;
 }
 
-type strategy = Greedy | Exact
-
 let greedy_cliques adjacency =
   let n = Array.length adjacency in
   let degree i =
@@ -158,7 +156,7 @@ let exact_cliques ?(limit = 20) adjacency =
 
 (* The sweep, with the number of pairs the key compare rejected and
    the number that ran the mock merge. *)
-let sweep ?tolerance ~ctx_cache ~pool ~strategy ~govern ?task_budget_s ~settle
+let sweep ?tolerance ~ctx_cache ~pool ~govern ?task_budget_s ~settle
     modes =
   let arr = Array.of_list modes in
   let n = Array.length arr in
@@ -218,22 +216,16 @@ let sweep ?tolerance ~ctx_cache ~pool ~strategy ~govern ?task_budget_s ~settle
         Hashtbl.replace pair_reasons (i, j) check.reasons)
     !pairs outcomes;
   Metrics.incr ~by:(n * (n - 1) / 2) "merge.pairs_checked";
-  let cliques =
-    match strategy with
-    | Greedy -> greedy_cliques adjacency
-    | Exact -> exact_cliques adjacency
-  in
   ( {
       mode_names = Array.map (fun (m : Mode.t) -> m.Mode.mode_name) arr;
       adjacency;
-      cliques;
+      cliques = greedy_cliques adjacency;
       pair_reasons;
     },
     !key_rejected,
     !mock_merged )
 
-let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
-    ?(govern = Govern.never) ?task_budget_s
+let analyze ?tolerance ?ctx_cache ?pool ?(govern = Govern.never) ?task_budget_s
     ?(settle = fun ~scope:_ o -> Govern.value o) modes =
   let ctx_cache =
     match ctx_cache with Some c -> c | None -> Ctx_cache.create ()
@@ -249,7 +241,7 @@ let analyze ?tolerance ?ctx_cache ?pool ?(strategy = Greedy)
           ])
         "merge.mergeability"
         (fun () ->
-          sweep ?tolerance ~ctx_cache ~pool ~strategy ~govern ?task_budget_s
+          sweep ?tolerance ~ctx_cache ~pool ~govern ?task_budget_s
             ~settle modes)
     in
     t

@@ -33,14 +33,10 @@ type t = {
       (** non-mergeable pair diagnostics *)
 }
 
-(** Clique-cover strategy. The paper uses a greedy algorithm "as the
-    number of modes is small"; [Exact] computes a minimum clique cover
-    by branch and bound (only for <= 20 modes, falling back to greedy
-    beyond that) — used by the ablation benches to quantify what
-    greediness costs. *)
-type strategy = Greedy | Exact
-
 val greedy_cliques : bool array array -> int list list
+(** The paper's greedy clique cover ("as the number of modes is
+    small"), which {!analyze} applies to its adjacency matrix. *)
+
 val exact_cliques : ?limit:int -> bool array array -> int list list
 (** Minimum clique cover by branch and bound; falls back to
     {!greedy_cliques} when the vertex count exceeds [limit]
@@ -50,7 +46,6 @@ val analyze :
   ?tolerance:Mm_util.Toler.t ->
   ?ctx_cache:Mm_timing.Ctx_cache.t ->
   ?pool:Mm_util.Pool.t ->
-  ?strategy:strategy ->
   ?govern:Mm_util.Govern.token ->
   ?task_budget_s:float ->
   ?settle:(scope:string -> pair_check Mm_util.Govern.outcome -> pair_check) ->

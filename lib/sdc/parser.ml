@@ -552,11 +552,7 @@ let error_code msg =
 let loc_of ?file line col =
   { Diag.file = (match file with Some f -> f | None -> "<string>"); line; col }
 
-let read_whole_file path =
-  (* A directory opens, and then fails with an error naming neither. *)
-  if Sys.file_exists path && Sys.is_directory path then
-    raise (Sys_error (path ^ ": is a directory, not an SDC file"));
-  In_channel.with_open_bin path In_channel.input_all
+let read_whole_file path = In_channel.with_open_bin path In_channel.input_all
 
 let parse_string_recover ?file src =
   let diags = Diag.collector () in

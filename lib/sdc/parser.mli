@@ -29,8 +29,7 @@ val parse_string : ?file:string -> string -> Ast.command list
 (** {!parse_located} without the locations. *)
 
 val read_whole_file : string -> string
-(** Read a file into a string. @raise Sys_error on IO failure, and
-    with a message naming [path] when it is a directory. *)
+(** Read a file into a string. @raise Sys_error on IO failure. *)
 
 val error_code : string -> string
 (** Stable diagnostic code for a parse-error message

@@ -137,17 +137,18 @@ let compute_baseline g =
     cb_disabled = Array.of_list !disabled;
   }
 
-(* Computed once per compiled graph and published with a compare-and-set:
-   domains racing on a cold graph each compute it, the first
-   publication wins and every caller returns that one. *)
+(* Computed once per compiled graph, under a lock: a domain that finds
+   the slot empty while another computes waits for that baseline. *)
+let baseline_lock = Mutex.create ()
+
 let baseline g =
-  let slot = g.Tgraph.const_base in
-  match Atomic.get slot with
-  | Some b -> b
-  | None ->
-    let b = compute_baseline g in
-    if Atomic.compare_and_set slot None (Some b) then b
-    else Option.get (Atomic.get slot)
+  Mutex.protect baseline_lock (fun () ->
+      match Atomic.get g.Tgraph.const_base with
+      | Some b -> b
+      | None ->
+        let b = compute_baseline g in
+        Atomic.set g.Tgraph.const_base (Some b);
+        b)
 
 let run (g : Tgraph.t) (mode : Mode.t) =
   let design = g.Tgraph.sk_design in

@@ -31,9 +31,9 @@ val run : Tgraph.t -> Mm_sdc.Mode.t -> t
 
 val baseline : Tgraph.t -> Tgraph.const_base
 (** The all-X baseline of the compiled graph, computed on first use
-    and shared by every later call on any domain (racing first calls
-    each compute it; one publication wins and all return it). Shared:
-    do not mutate. *)
+    and shared by every later call on any domain (it is computed under
+    a lock, so racing first calls wait for the one computation).
+    Shared: do not mutate. *)
 
 val value : t -> Mm_netlist.Design.pin_id -> Mm_netlist.Logic.tri
 val enabled : t -> int -> bool

@@ -517,32 +517,21 @@ let cache_bound = 8
 let cache_lock = Mutex.create ()
 let cache : (Design.t * t) list ref = ref []
 
-let rec take k = function
-  | [] -> []
-  | _ when k = 0 -> []
-  | x :: rest -> x :: take (k - 1) rest
-
+(* A miss compiles under the lock, so callers racing on a cold design
+   wait for the one compile instead of each running their own. *)
 let skeleton design =
-  let hit =
-    Mutex.protect cache_lock (fun () ->
-        List.find_opt (fun (d, _) -> d == design) !cache)
-  in
-  match hit with
-  | Some (_, g) -> g
-  | None ->
-    (* Compile outside the lock; on a race the first-published graph
-       wins (the values are identical by construction). *)
-    let g =
-      Obs.with_span "sta.compile"
-        ~attrs:[ "pins", string_of_int (Design.n_pins design) ]
-        (fun () -> compile design)
-    in
-    Mutex.protect cache_lock (fun () ->
-        match List.find_opt (fun (d, _) -> d == design) !cache with
-        | Some (_, g') -> g'
-        | None ->
-          cache := (design, g) :: take (cache_bound - 1) !cache;
-          g)
+  Mutex.protect cache_lock (fun () ->
+      match List.find_opt (fun (d, _) -> d == design) !cache with
+      | Some (_, g) -> g
+      | None ->
+        let g =
+          Obs.with_span "sta.compile"
+            ~attrs:[ "pins", string_of_int (Design.n_pins design) ]
+            (fun () -> compile design)
+        in
+        cache :=
+          (design, g) :: List.filteri (fun i _ -> i < cache_bound - 1) !cache;
+        g)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)

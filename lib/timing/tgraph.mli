@@ -107,7 +107,8 @@ val compile : Mm_netlist.Design.t -> t
 
 val skeleton : Mm_netlist.Design.t -> t
 (** The design's compiled graph, from the cache; a miss compiles under
-    the [sta.compile] span. Loops (if any) are broken at an arbitrary
+    the [sta.compile] span and the cache's lock, so a design is compiled
+    once however many domains ask for it at once. Loops (if any) are broken at an arbitrary
     arc, recorded in [broken]. *)
 
 (** {1 Delays} *)

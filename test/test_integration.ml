@@ -91,17 +91,12 @@ let flow_cases =
                suite.Gen_modes.families)
         in
         let design2 = Netlist_io.read_file npath in
-        let modes =
-          List.map
-            (fun p ->
-              let r =
-                Merge_flow.load_file ~policy:Merge_flow.Strict ~design:design2 p
-              in
-              check Alcotest.(list string) ("warnings " ^ p) [] (Resolve.warnings r);
-              r.Resolve.mode)
-            paths
+        let l =
+          Merge_flow.load_files ~policy:Merge_flow.Strict ~design:design2 paths
         in
-        let r = Merge_flow.run modes in
+        check Alcotest.(list string) "no load diagnostics" []
+          (List.map Mm_util.Diag.to_string l.Merge_flow.l_diags);
+        let r = Merge_flow.run l.Merge_flow.l_modes in
         check Alcotest.int "3 -> 2" 2 r.Merge_flow.n_merged);
   ]
 
@@ -263,48 +258,54 @@ let quarantine_cases =
         List.iter Sys.remove paths;
         Unix.rmdir dir);
     tc "strict: unreadable file raises Sys_error" (fun () ->
+        (* Not Sys_error itself: the refusal carries a located diagnostic. *)
         let design, _ = tiny_sources () in
         match
           Merge_flow.run_files ~policy:Merge_flow.Strict ~design
             [ "/nonexistent/ghost.sdc" ]
         with
-        | _ -> Alcotest.fail "expected Sys_error"
-        | exception Sys_error _ -> ());
+        | _ -> Alcotest.fail "expected Load_error"
+        | exception Merge_flow.Load_error d ->
+          check Alcotest.string "located fatal io.read"
+            "/nonexistent/ghost.sdc: fatal[io.read]: No such file or directory"
+            (Diag.to_string d));
     tc "a directory given as an SDC file is named as one" (fun () ->
         let design, sources = tiny_sources () in
         let dir = Filename.temp_file "mm_dir_arg" "" in
         Sys.remove dir;
         Unix.mkdir dir 0o755;
-        let says_directory msg =
-          Str_probe.contains msg (dir ^ ": is a directory")
+        let says_directory severity =
+          Printf.sprintf "%s: %s[io.read]: Is a directory" dir severity
         in
         (match Merge_flow.run_files ~policy:Merge_flow.Strict ~design [ dir ] with
-        | _ -> Alcotest.fail "strict: expected Sys_error"
-        | exception Sys_error msg ->
-          check Alcotest.bool ("strict: " ^ msg) true (says_directory msg));
+        | _ -> Alcotest.fail "strict: expected Load_error"
+        | exception Merge_flow.Load_error d ->
+          check Alcotest.string "strict" (says_directory "fatal")
+            (Diag.to_string d));
         let path = Filename.concat dir "m.sdc" in
         Out_channel.with_open_bin path (fun oc ->
             output_string oc (List.hd sources).Merge_flow.src_text);
         let r =
           Merge_flow.run_files ~policy:Merge_flow.Permissive ~design [ dir; path ]
         in
-        (match r.Merge_flow.quarantined with
-        | [ q ] ->
-          check Alcotest.string "quarantined mode" (Filename.basename dir)
-            q.Merge_flow.q_name;
-          check Alcotest.bool "permissive: io.read naming the directory" true
-            (List.exists
-               (fun d -> d.Diag.code = "io.read" && says_directory d.Diag.message)
-               q.Merge_flow.q_diags)
-        | qs -> Alcotest.failf "%d quarantined" (List.length qs));
-        check Alcotest.int "the file merged" 1 r.Merge_flow.n_merged;
-        let lint =
-          Merge_flow.load_file ~policy:Merge_flow.Permissive ~design dir
+        let quarantined_dir (qs : Merge_flow.quarantined list) =
+          match qs with
+          | [ q ] ->
+            check Alcotest.string "quarantined mode" (Filename.basename dir)
+              q.Merge_flow.q_name;
+            check Alcotest.(list string) "permissive: io.read naming the directory"
+              [ says_directory "error" ]
+              (List.map Diag.to_string q.Merge_flow.q_diags)
+          | qs -> Alcotest.failf "%d quarantined" (List.length qs)
         in
-        check Alcotest.bool "load_file: io.read naming the directory" true
-          (List.exists
-             (fun d -> d.Diag.code = "io.read" && says_directory d.Diag.message)
-             lint.Mm_sdc.Resolve.diags);
+        quarantined_dir r.Merge_flow.quarantined;
+        check Alcotest.int "the file merged" 1 r.Merge_flow.n_merged;
+        let l =
+          Merge_flow.load_files ~policy:Merge_flow.Permissive ~design [ dir; path ]
+        in
+        quarantined_dir l.Merge_flow.l_quarantined;
+        check Alcotest.(list string) "load_files: the file loaded" [ "m" ]
+          (List.map (fun (m : Mode.t) -> m.Mode.mode_name) l.Merge_flow.l_modes);
         Sys.remove path;
         Unix.rmdir dir);
     tc "permissive: a taken mode name is quarantined at load" (fun () ->
@@ -349,8 +350,8 @@ let quarantine_cases =
         match
           Merge_flow.run_sources ~policy:Merge_flow.Strict ~design (sources @ [ dup ])
         with
-        | _ -> Alcotest.fail "expected Duplicate_mode"
-        | exception Merge_flow.Duplicate_mode d ->
+        | _ -> Alcotest.fail "expected Load_error"
+        | exception Merge_flow.Load_error d ->
           check Alcotest.string "code" "merge.duplicate-mode" d.Diag.code;
           check Alcotest.bool "fatal" true (d.Diag.severity = Diag.Fatal));
     tc "permissive equals strict on clean inputs" (fun () ->

@@ -589,11 +589,21 @@ let integration_cases =
         check Alcotest.bool "rep_runtime non-negative" true
           (rep.Sta.rep_runtime >= 0.));
     tc "a parallel merge compiles a fresh design once" (fun () ->
-        (* The first batch's per-mode tasks would each find the arena
-           cache cold; the flow compiles before that batch. *)
+        (* The first batch's per-mode tasks each find the arena cache
+           cold; one compiles and the others wait for it. *)
         fresh ();
         let _design, _, modes = Presets.build Presets.design_c in
         ignore (Merge_flow.run ~jobs:2 modes);
+        Obs.set_enabled false;
+        check Alcotest.int "sta.compile spans" 1
+          (List.length
+             (List.filter (fun n -> n = "sta.compile") (span_names ()))));
+    tc "a parallel STA sweep compiles a fresh design once" (fun () ->
+        fresh ();
+        let design, _, modes = Presets.build Presets.design_c in
+        ignore
+          (Mm_util.Pool.with_pool ~jobs:2 (fun pool ->
+               Sta.analyze_many ~pool design modes));
         Obs.set_enabled false;
         check Alcotest.int "sta.compile spans" 1
           (List.length
