@@ -166,6 +166,17 @@ let sdc_args =
 let write_file path contents =
   Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
+(* Run [f], which writes [path]; a failure is reported located at the
+   path, as a failed read is: [PATH: fatal[io.write]: MESSAGE]. *)
+let writing path f =
+  try f ()
+  with Sys_error msg ->
+    fatal ~loc:(Diag.loc path) ~code:"io.write" "%s"
+      (Diag.sys_error_message ~path msg)
+
+let make_dir dir =
+  writing dir (fun () -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+
 (* Span recording is off by default (it is the only part of the
    observability layer with a per-callsite cost); any flag whose
    exporter reads the span sink turns it on.
@@ -188,11 +199,12 @@ let obs_setup trace metrics profile profile_gc events progress () =
     if not !flushed then begin
       flushed := true;
       Mm_util.Progress.render_finish ();
-      Option.iter
-        (fun p -> write_file p (Obs.trace_event_json () ^ "\n"))
-        trace;
-      Option.iter (fun p -> write_file p (Obs.metrics_json () ^ "\n")) metrics;
-      Option.iter (fun p -> write_file p (Obs.events_ndjson ())) events;
+      let export text path =
+        writing path (fun () -> write_file path (text ()))
+      in
+      Option.iter (export (fun () -> Obs.trace_event_json () ^ "\n")) trace;
+      Option.iter (export (fun () -> Obs.metrics_json () ^ "\n")) metrics;
+      Option.iter (export Obs.events_ndjson) events;
       if profile || profile_gc then begin
         prerr_string (Obs.profile_tree ~gc:profile_gc ());
         prerr_string (Mm_util.Pool.utilization_report ())
@@ -430,10 +442,10 @@ let merge_cmd =
        before the STA pass touches the process. *)
     Option.iter
       (fun path ->
-        Mm_core.Audit.write path result;
+        writing path (fun () -> Mm_core.Audit.write path result);
         Printf.printf "audit report -> %s\n" path)
       audit;
-    if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
+    make_dir outdir;
     (* Like the audit, the merged files are written before the graph
        and STA passes, so a budget those passes exhaust (the memory
        watermark is process-wide) still leaves them on disk. *)
@@ -441,7 +453,7 @@ let merge_cmd =
       List.map
         (fun (name, text) ->
           let path = Filename.concat outdir name in
-          write_file path text;
+          writing path (fun () -> write_file path text);
           path)
         (Merge_flow.merged_files ~annotate result)
     in
@@ -465,8 +477,9 @@ let merge_cmd =
           let sides = List.filter_map side g.Merge_flow.grp_members in
           let ctx = Context.create design g.Merge_flow.grp_mode in
           let path = Filename.concat outdir (Printf.sprintf "merged_%d.dot" i) in
-          Mm_timing.Dot.write path ~individual:sides ~clock_network_only:true
-            ctx;
+          writing path (fun () ->
+              Mm_timing.Dot.write path ~individual:sides
+                ~clock_network_only:true ctx);
           Printf.printf "clock-network graph -> %s\n" path)
         result.Merge_flow.groups
     end;
@@ -586,10 +599,7 @@ let explain_cmd =
           if m.Mm_core.Mergeability.adjacency.(i).(j) then
             Printf.printf "%s and %s are mergeable\n" names.(i) names.(j)
           else begin
-            let reasons =
-              Option.value ~default:[]
-                (Hashtbl.find_opt m.Mm_core.Mergeability.pair_reasons (i, j))
-            in
+            let reasons = Mm_core.Mergeability.reasons m (i, j) in
             Printf.printf "%s and %s are NOT mergeable\n" names.(i) names.(j);
             (match reasons with
             | first :: _ ->
@@ -783,13 +793,14 @@ let gen_cmd =
       }
     in
     let design, info = Mm_workload.Gen_design.generate params in
-    if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
+    make_dir outdir;
     let npath = Filename.concat outdir "design.nl" in
-    Mm_netlist.Netlist_io.write_file npath design;
-    Mm_netlist.Verilog.write_file (Filename.concat outdir "design.v") design;
-    write_file
-      (Filename.concat outdir "cells.lib")
-      (Mm_netlist.Liberty.builtin_liberty ());
+    writing npath (fun () -> Mm_netlist.Netlist_io.write_file npath design);
+    let vpath = Filename.concat outdir "design.v" in
+    writing vpath (fun () -> Mm_netlist.Verilog.write_file vpath design);
+    let lpath = Filename.concat outdir "cells.lib" in
+    writing lpath (fun () ->
+        write_file lpath (Mm_netlist.Liberty.builtin_liberty ()));
     Printf.printf "wrote %s (+ design.v, cells.lib) (%s)\n" npath
       (Mm_netlist.Stats.to_string (Mm_netlist.Stats.of_design design));
     let suite =
@@ -809,7 +820,7 @@ let gen_cmd =
           let path =
             Filename.concat outdir (Printf.sprintf "m%d_%d.sdc" family index)
           in
-          write_file path sdc;
+          writing path (fun () -> write_file path sdc);
           Printf.printf "wrote %s\n" path
         done)
       families

@@ -47,7 +47,8 @@ let () =
 
   (* Explain a non-mergeable pair. *)
   Hashtbl.iter
-    (fun (i, j) reasons ->
+    (fun (i, j) _ ->
+      let reasons = Mergeability.reasons merg (i, j) in
       Printf.printf "\n%s and %s cannot merge because:\n"
         merg.Mergeability.mode_names.(i)
         merg.Mergeability.mode_names.(j);

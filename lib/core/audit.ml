@@ -33,10 +33,7 @@ let mergeability_json (m : Mergeability.t) =
   let pairs = ref [] in
   for i = n - 1 downto 0 do
     for j = n - 1 downto i + 1 do
-      let reasons =
-        Option.value ~default:[]
-          (Hashtbl.find_opt m.Mergeability.pair_reasons (i, j))
-      in
+      let reasons = Mergeability.reasons m (i, j) in
       pairs :=
         Json.obj
           [ "a", str names.(i);

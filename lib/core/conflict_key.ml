@@ -323,9 +323,34 @@ let attr_fields =
     "transition max", (fun a -> a.Mode.transition_max);
   ]
 
+type reason =
+  | Attr of { clock : string; what : string; v0 : float; v : float }
+  | Env_missing of { design : Design.t; pin : Design.pin_id }
+  | Env_value of {
+      design : Design.t;
+      pin : Design.pin_id;
+      v0 : float;
+      v : float;
+    }
+  | Not_uniquifiable of string  (* the mode *)
+
+let reason_text = function
+  | Attr { clock; what; v0; v } ->
+    Printf.sprintf "clock %s %s: values %g and %g beyond tolerance" clock what
+      v0 v
+  | Env_missing { design; pin } ->
+    Printf.sprintf "environment constraint on %s missing in some modes"
+      (Design.pin_name design pin)
+  | Env_value { design; pin; v0; v } ->
+    Printf.sprintf "environment constraint on %s: %g vs %g beyond tolerance"
+      (Design.pin_name design pin) v0 v
+  | Not_uniquifiable mode ->
+    Printf.sprintf "mode %s: non-false-path exception cannot be uniquified"
+      mode
+
 let conflicts ?(uniquify = true) ~tolerance ~ctx_of t =
   let acc = ref [] in
-  let add s = acc := s :: !acc in
+  let add r = acc := r :: !acc in
   (* 3.1.2: a merged clock's attribute values must agree within
      tolerance with the first mode's value. *)
   List.iter
@@ -341,9 +366,7 @@ let conflicts ?(uniquify = true) ~tolerance ~ctx_of t =
               List.iter
                 (fun v ->
                   if not (Toler.within tolerance v0 v) then
-                    add
-                      (Printf.sprintf "clock %s %s: values %g and %g beyond tolerance"
-                         mc.Mode.clk_name what v0 v))
+                    add (Attr { clock = mc.Mode.clk_name; what; v0; v }))
                 rest)
           attr_fields)
     t.merged_clocks;
@@ -352,24 +375,19 @@ let conflicts ?(uniquify = true) ~tolerance ~ctx_of t =
   (match t.members with
   | [] -> ()
   | first :: _ ->
+    let design = first.key.mode.Mode.design in
     List.iter
       (fun ((_, pin, _) as ek) ->
         let values = List.map (fun mb -> env_values mb ek) t.members in
         match List.concat values with
         | [] -> ()
         | v0 :: _ as present ->
-          let where = Design.pin_name first.key.mode.Mode.design pin in
           if List.exists (fun vs -> vs = []) values then
-            add
-              (Printf.sprintf "environment constraint on %s missing in some modes"
-                 where);
+            add (Env_missing { design; pin });
           List.iter
             (fun v ->
               if not (Toler.within tolerance v0 v) then
-                add
-                  (Printf.sprintf
-                     "environment constraint on %s: %g vs %g beyond tolerance" where
-                     v0 v))
+                add (Env_value { design; pin; v0; v }))
             present)
       (env_keys t));
   (* 3.1.10: a mode-local false path that cannot be uniquified is
@@ -382,9 +400,7 @@ let conflicts ?(uniquify = true) ~tolerance ~ctx_of t =
           | Mode.False_path -> ()
           | Mode.Multicycle _ | Mode.Min_delay _ | Mode.Max_delay _ ->
             if (not (in_all t ek)) && unsafe ~uniquify ~ctx_of t mb (e, ek) then
-              add
-                (Printf.sprintf "mode %s: non-false-path exception cannot be uniquified"
-                   mb.key.mode.Mode.mode_name))
+              add (Not_uniquifiable mb.key.mode.Mode.mode_name))
         mb.m_excs)
     t.members;
   List.rev !acc

@@ -82,12 +82,18 @@ val unsafe :
     [ctx_of] is read only when the exception has -from pins and shares
     a restricting clock with such a mode. *)
 
+type reason
+(** One conflict, formatted only when read ({!reason_text}): deciding a
+    pair needs none of the text. *)
+
+val reason_text : reason -> string
+
 val conflicts :
   ?uniquify:bool ->
   tolerance:Mm_util.Toler.t ->
   ctx_of:(Mm_sdc.Mode.t -> Mm_timing.Context.t) ->
   merge ->
-  string list
+  reason list
 (** Clock attribute conflicts (merged-clock order, then field order),
     then drive/load conflicts (sorted key order), then one "cannot be
     uniquified" conflict per mode-local non-false-path exception that

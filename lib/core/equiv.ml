@@ -62,8 +62,9 @@ let check ?ctx_cache ?merged_ctx ~individual ~rename ~merged () =
       individual
   in
   let ctx_m =
-    match merged_ctx with
-    | Some ctx when ctx.Context.mode == merged -> ctx
-    | Some _ | None -> Context.create design merged
+    match merged_ctx, ctx_cache with
+    | Some ctx, _ when ctx.Context.mode == merged -> ctx
+    | _, Some c -> Mm_timing.Ctx_cache.build c merged
+    | _, None -> Context.create design merged
   in
   of_compare (Compare.run ~individual:sides ~merged:ctx_m ())

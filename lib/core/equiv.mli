@@ -66,4 +66,4 @@ val check :
     [merged_ctx] supplies a ready-made
     context for [merged] (e.g. {!Refine.t.refined_ctx}); it is used
     only when its mode is physically the [merged] argument, otherwise
-    a fresh context is built. *)
+    a context is built, on [ctx_cache]'s layer store when given. *)

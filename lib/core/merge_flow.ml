@@ -408,10 +408,11 @@ let compute_matrix ~policy ~pool ~budgets ~ctx_cache ~root st =
           Mergeability.mergeable = false;
           reasons =
             [
-              Printf.sprintf
-                "governance: pair check abandoned (%s); conservatively \
-                 treated as not mergeable"
-                (Govern.failure_to_string failed);
+              Mergeability.note
+                (Printf.sprintf
+                   "governance: pair check abandoned (%s); conservatively \
+                    treated as not mergeable"
+                   (Govern.failure_to_string failed));
             ];
         })
   in
@@ -543,7 +544,8 @@ let compute_cliques ~check_equivalence ~policy ~pool ~budgets
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let drive ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
+let drive ?(ctx_cache = Ctx_cache.create ()) ~check_equivalence ~policy ~pool
+    ~budgets ~t0 ~load () =
   Obs.with_span ~attrs:[ "policy", (match policy with Strict -> "strict" | Permissive -> "permissive") ]
     "merge.flow"
   @@ fun () ->
@@ -560,7 +562,6 @@ let drive ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
       [ "scope", "merge";
         "jobs", string_of_int (Pool.jobs pool);
         "policy", (match policy with Strict -> "strict" | Permissive -> "permissive") ];
-  let ctx_cache = Ctx_cache.create () in
   let st =
     staged ~stage:"load" (fun () -> load (stage_token ~budgets root "load"))
   in
@@ -605,9 +606,10 @@ let drive ~check_equivalence ~policy ~pool ~budgets ~t0 ~load () =
         coverage_counters coverage0;
   }
 
-let run ?(policy = Strict) ?jobs ?(budgets = default_budgets) modes =
+let run ?(policy = Strict) ?jobs ?(budgets = default_budgets) ?ctx_cache modes
+    =
   Pool.with_pool ?jobs @@ fun pool ->
-  drive ~check_equivalence:true ~policy ~pool ~budgets
+  drive ?ctx_cache ~check_equivalence:true ~policy ~pool ~budgets
     ~t0:(Obs.Clock.now_ns ())
     ~load:(fun _ -> initial modes)
     ()
@@ -677,14 +679,11 @@ let split_duplicates ~policy sources =
 let load_task ~policy ~design p =
   match p.p_read () with
   | exception Sys_error msg ->
-    (* The message may lead with the path, which is the location. *)
-    let n = String.length p.p_file + 2 in
-    let msg =
-      if String.starts_with ~prefix:(p.p_file ^ ": ") msg then
-        String.sub msg n (String.length msg - n)
-      else msg
-    in
-    Error [ refuse ~policy ~file:p.p_file ~code:"io.read" "%s" msg ]
+    Error
+      [
+        refuse ~policy ~file:p.p_file ~code:"io.read" "%s"
+          (Diag.sys_error_message ~path:p.p_file msg);
+      ]
   | text ->
     let resolve =
       match policy with

@@ -163,12 +163,18 @@ val run :
   ?policy:policy ->
   ?jobs:int ->
   ?budgets:budgets ->
+  ?ctx_cache:Mm_timing.Ctx_cache.t ->
   Mm_sdc.Mode.t list ->
   result
 (** Each merged group's equivalence verdict ({!group.grp_equiv}) is
     read from refinement's final comparison of the merged mode against
     every member — the comparison is not run a second time; under
-    [Permissive] a group failing it is degraded to individual modes. *)
+    [Permissive] a group failing it is degraded to individual modes.
+
+    Every context the run builds comes from one {!Mm_timing.Ctx_cache}
+    and its layer store: a fresh one that dies with the run, or
+    [ctx_cache] when given (so a caller can read
+    {!Mm_timing.Ctx_cache.layers} afterwards). *)
 
 (** {2 Loading from SDC sources with per-mode quarantine} *)
 

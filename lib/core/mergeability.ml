@@ -10,7 +10,26 @@ module Clock_prop = Mm_timing.Clock_prop
 module Tgraph = Mm_timing.Tgraph
 module Toler = Mm_util.Toler
 
-type pair_check = { mergeable : bool; reasons : string list }
+type reason =
+  | Conflict of Conflict_key.reason
+  | Blocked of {
+      design : Design.t;
+      clock : string;
+      mode : string;
+      pin : Design.pin_id;
+    }
+  | Note of string
+
+let reason_text = function
+  | Conflict r -> Conflict_key.reason_text r
+  | Blocked { design; clock; mode; pin } ->
+    Printf.sprintf "clock %s of mode %s blocked at %s in the merged mode" clock
+      mode (Design.pin_name design pin)
+  | Note text -> text
+
+let note text = Note text
+
+type pair_check = { mergeable : bool; reasons : reason list }
 
 (* Clock blocking check: every (register clock pin, clock) live in an
    individual mode must remain live in the merged mode after clock
@@ -20,7 +39,7 @@ let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
   let ctx_m =
     match prelim.Prelim.merged_ctx with
     | Some c -> c
-    | None -> Context.create design prelim.Prelim.merged
+    | None -> Ctx_cache.build ctx_cache prelim.Prelim.merged
   in
   let reasons = ref [] in
   List.iter
@@ -40,10 +59,13 @@ let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
                 in
                 if not live then
                   reasons :=
-                    Printf.sprintf
-                      "clock %s of mode %s blocked at %s in the merged mode"
-                      local m.Mode.mode_name
-                      (Design.pin_name design sp_clock)
+                    Blocked
+                      {
+                        design;
+                        clock = local;
+                        mode = m.Mode.mode_name;
+                        pin = sp_clock;
+                      }
                     :: !reasons)
               (Clock_prop.fold_indices
                  (Clock_prop.mask_at ctx_i.Context.clocks sp_clock)
@@ -61,8 +83,13 @@ let blocked_clocks ctx_cache (prelim : Prelim.t) individual =
    clock-blocking soundness check. *)
 let check_keys ?(tolerance = Toler.default) ~ctx_cache ka kb =
   let ctx_of = Ctx_cache.find ctx_cache in
-  match Conflict_key.conflicts ~tolerance ~ctx_of (Conflict_key.merge [ ka; kb ]) with
-  | _ :: _ as reasons -> { mergeable = false; reasons }, false
+  match
+    Conflict_key.conflicts ~tolerance ~ctx_of
+      (Conflict_key.merge [ ka; kb ])
+  with
+  | _ :: _ as conflicts ->
+    { mergeable = false; reasons = List.map (fun r -> Conflict r) conflicts },
+    false
   | [] ->
     let pair = [ Conflict_key.mode ka; Conflict_key.mode kb ] in
     let prelim =
@@ -83,8 +110,12 @@ type t = {
   mode_names : string array;
   adjacency : bool array array;
   cliques : int list list;
-  pair_reasons : (int * int, string list) Hashtbl.t;
+  pair_reasons : (int * int, reason list) Hashtbl.t;
 }
+
+let reasons t pair =
+  List.map reason_text
+    (Option.value (Hashtbl.find_opt t.pair_reasons pair) ~default:[])
 
 let greedy_cliques adjacency =
   let n = Array.length adjacency in

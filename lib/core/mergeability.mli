@@ -10,13 +10,25 @@
     are found with a greedy clique cover (the paper uses a greedy
     algorithm "as the number of modes is small"). *)
 
-type pair_check = { mergeable : bool; reasons : string list }
+type reason
+(** Why a pair cannot merge: a {!Conflict_key} conflict, a blocked
+    clock, or a note. It is kept unformatted and formatted only when
+    read ({!reason_text}), because most of the sweep's pairs are
+    rejected and their reasons are read only by the audit and
+    [explain --pair]. *)
+
+val reason_text : reason -> string
+
+val note : string -> reason
+(** A reason given as text. *)
+
+type pair_check = { mergeable : bool; reasons : reason list }
 
 (** Stage 1 compares the two modes' conflict keys and vetoes on
     conflicts, with no merge; stage 2 runs the full mock merge and the
     clock-blocking check on the merged context the mock merge hands
-    back ({!Prelim.t.merged_ctx}), building one only when clock
-    refinement did not converge. *)
+    back ({!Prelim.t.merged_ctx}), building one on [ctx_cache]'s layer
+    store only when clock refinement did not converge. *)
 val check_pair :
   ?tolerance:Mm_util.Toler.t ->
   ?ctx_cache:Mm_timing.Ctx_cache.t ->
@@ -29,9 +41,13 @@ type t = {
   adjacency : bool array array;
   cliques : int list list;
       (** disjoint cover of vertex indices; singletons included *)
-  pair_reasons : (int * int, string list) Hashtbl.t;
+  pair_reasons : (int * int, reason list) Hashtbl.t;
       (** non-mergeable pair diagnostics *)
 }
+
+val reasons : t -> int * int -> string list
+(** The formatted reasons of the pair [(i, j)], [i < j]; empty for a
+    mergeable pair. *)
 
 val greedy_cliques : bool array array -> int list list
 (** The paper's greedy clique cover ("as the number of modes is

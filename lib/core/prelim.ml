@@ -333,12 +333,12 @@ let merge_exceptions ~ctx_of ~uniquify keys clock_map =
 (* ------------------------------------------------------------------ *)
 (* 3.1.8 Clock refinement                                              *)
 
-let clock_refinement ~max_iters design modes ctxs clock_map merged0 =
+let clock_refinement ~max_iters ~ctx_cache modes ctxs clock_map merged0 =
   let inferred_senses = ref [] in
   let rec go merged iter =
     if iter >= max_iters then merged, None
     else begin
-      let ctx_m = Context.create design merged in
+      let ctx_m = Ctx_cache.build ctx_cache merged in
       let g = ctx_m.Context.graph and clocks_m = ctx_m.Context.clocks in
       (* Descending (pin, clock) order: the merged SDC lists the
          inferred senses that way. *)
@@ -426,7 +426,10 @@ let merge ?(tolerance = Toler.default) ?(max_refine_iters = 5) ?ctx_cache
   in
   let ctx_of (m : Mode.t) = Ctx_cache.find ctx_cache m in
   let keys = Conflict_key.merge (List.map Conflict_key.of_mode modes) in
-  let conflicts = Conflict_key.conflicts ~uniquify ~tolerance ~ctx_of keys in
+  let conflicts =
+    List.map Conflict_key.reason_text
+      (Conflict_key.conflicts ~uniquify ~tolerance ~ctx_of keys)
+  in
   let merged_clocks, clock_map = union_clocks keys in
   let attrs = merge_attrs keys in
   let io_delays = union_io_delays modes clock_map in
@@ -457,8 +460,8 @@ let merge ?(tolerance = Toler.default) ?(max_refine_iters = 5) ?ctx_cache
   in
   let ctxs = List.map ctx_of modes in
   let merged, merged_ctx, inferred_senses =
-    clock_refinement ~max_iters:max_refine_iters design modes ctxs clock_map
-      merged0
+    clock_refinement ~max_iters:max_refine_iters ~ctx_cache modes ctxs
+      clock_map merged0
   in
   Metrics.incr ~by:(List.length uniquified) "prelim.exceptions_uniquified";
   Metrics.incr ~by:(List.length dropped_exceptions) "prelim.exceptions_dropped";

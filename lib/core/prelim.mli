@@ -67,7 +67,10 @@ val merge :
     re-runs clock propagation until no extra clocks remain or
     [max_refine_iters] (default 5) is reached. [ctx_cache] shares
     per-mode analysis contexts (keyed by mode name) across calls —
-    the mergeability pass performs O(N^2) mock merges and reuses it.
+    the mergeability pass performs O(N^2) mock merges and reuses it —
+    and each refinement round's merged context is built on its layer
+    store ({!Mm_timing.Ctx_cache.build}), so mock merges that reach the
+    same cases, disables and clocks share their layers.
     [uniquify] (default true) enables exception uniquification
     (3.1.10); disabling it is an ablation switch — mode-local false
     paths are then always dropped and mode-local relaxations become

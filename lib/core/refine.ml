@@ -115,13 +115,12 @@ let coalesce_tagged tagged =
            Mode.exc_through = [ List.sort_uniq compare slot.slot_pins ];
          })
 
-let data_clock_refinement (prelim : Prelim.t) individual ctxs =
+let data_clock_refinement ~ctx_cache (prelim : Prelim.t) individual ctxs =
   let merged = prelim.Prelim.merged in
-  let design = merged.Mode.design in
   let ctx_m =
     match prelim.Prelim.merged_ctx with
     | Some c -> c
-    | None -> Context.create design merged
+    | None -> Mm_timing.Ctx_cache.build ctx_cache merged
   in
   let data_masks ctx = Array.get (Relation_prop.data_clock_masks ctx) in
   let fixes =
@@ -172,7 +171,7 @@ let run ?ctx_cache ~(prelim : Prelim.t) ~individual () =
   in
   (* Step 1: data-network clock refinement. *)
   let merged, data_clock_fixes, step1_tagged, base_ctx =
-    data_clock_refinement prelim individual ctxs
+    data_clock_refinement ~ctx_cache prelim individual ctxs
   in
   (* Step 2: compare/fix loop. Every iteration's mode differs from
      [base_ctx]'s only by appended exceptions, so the context is

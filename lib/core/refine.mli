@@ -54,4 +54,6 @@ val run :
   individual:Mm_sdc.Mode.t list ->
   unit ->
   t
-(** The compare/fix loop runs at most 4 iterations. *)
+(** The compare/fix loop runs at most 4 iterations. The individual
+    contexts come from [ctx_cache] (a fresh cache when not given), and
+    so does the merged one when [prelim] carries none. *)

@@ -3,11 +3,23 @@ module Lib_cell = Mm_netlist.Lib_cell
 module Logic = Mm_netlist.Logic
 module Mode = Mm_sdc.Mode
 
+(* One byte per pin or arc: a layer is a few bytes per design object,
+   so a run can keep every distinct layer it builds. *)
 type t = {
-  values : Logic.tri array;
-  arc_enabled : bool array;
-  pin_disabled : bool array;
+  values : Bytes.t;  (* per pin, [code] of its value *)
+  arc_enabled : Bytes.t;  (* per arc, '\001' when enabled *)
+  pin_disabled : Bytes.t;  (* per pin, '\001' when disabled *)
 }
+
+let code = function Logic.F -> '\000' | Logic.T -> '\001' | Logic.X -> '\002'
+let x_code = code Logic.X
+
+let decode = function
+  | '\000' -> Logic.F
+  | '\001' -> Logic.T
+  | _ -> Logic.X
+
+let flag b i = Bytes.get b i <> '\000'
 
 (* The value a pin computes from what it reads: a combinational output
    evaluates its cell function over its instance's pins, an input pin
@@ -54,10 +66,10 @@ let sweep g ~values ~forced ~dirty ~first =
         | Some v -> v
         | None ->
           eval_pin design p ~read:(fun q ->
-              if pos.(q) < k then values.(q) else initial q)
+              if pos.(q) < k then decode (Bytes.get values q) else initial q)
       in
-      if v <> values.(p) then begin
-        values.(p) <- v;
+      if code v <> Bytes.get values p then begin
+        Bytes.set values p (code v);
         changed := p :: !changed;
         Tgraph.iter_out g p (fun aid ->
             let r = pos.(Tgraph.arc_dst g aid) in
@@ -75,10 +87,10 @@ let arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid =
   if
     Hashtbl.mem inst_disabled aid
     || Hashtbl.mem broken aid
-    || pin_disabled.(src)
-    || pin_disabled.(dst)
-    || values.(src) <> Logic.X
-    || values.(dst) <> Logic.X
+    || flag pin_disabled src
+    || flag pin_disabled dst
+    || Bytes.get values src <> x_code
+    || Bytes.get values dst <> x_code
   then false
   else
     match Tgraph.arc_kind g aid with
@@ -89,7 +101,9 @@ let arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid =
         let cell = Design.inst_cell design inst in
         match Lib_cell.function_of_output cell out_idx with
         | Some f -> (
-          let env i = values.(Design.inst_pin design inst i) in
+          let env i =
+            decode (Bytes.get values (Design.inst_pin design inst i))
+          in
           match Design.pin_owner design src with
           | Design.Inst_pin (_, in_idx) -> Logic.observable env f in_idx
           | Design.Port_pin _ -> true)
@@ -118,15 +132,16 @@ let iter_inst_arcs g inst f =
    every arc evaluated with no disables. *)
 let compute_baseline g =
   let n = Tgraph.n_pins g in
-  let values = Array.make n Logic.X in
+  let values = Bytes.make n x_code in
   ignore
     (sweep g ~values ~forced:(Hashtbl.create 1) ~dirty:(Bytes.make n '\001')
        ~first:0);
-  let pin_disabled = Array.make n false in
+  let pin_disabled = Bytes.make n '\000' in
   let inst_disabled = Hashtbl.create 1 and broken = broken_table g in
   let constants = ref [] and disabled = ref [] in
   for p = n - 1 downto 0 do
-    if values.(p) <> Logic.X then constants := (p, values.(p)) :: !constants
+    let v = decode (Bytes.get values p) in
+    if v <> Logic.X then constants := (p, v) :: !constants
   done;
   for aid = Tgraph.n_arcs g - 1 downto 0 do
     if not (arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid) then
@@ -175,15 +190,17 @@ let run (g : Tgraph.t) (mode : Mode.t) =
           let r = pos.(Tgraph.arc_dst g aid) in
           if r < pos.(pin) then mark r))
     forced;
-  let values = Array.make n Logic.X in
-  Array.iter (fun (p, v) -> values.(p) <- v) base.Tgraph.cb_constants;
+  let values = Bytes.make n x_code in
+  Array.iter
+    (fun (p, v) -> Bytes.set values p (code v))
+    base.Tgraph.cb_constants;
   let changed = sweep g ~values ~forced ~dirty ~first:!first in
   (* Disables. *)
-  let pin_disabled = Array.make n false in
+  let pin_disabled = Bytes.make n '\000' in
   let inst_disabled = Hashtbl.create 16 in
   List.iter
     (function
-      | Mode.Dis_pin pin -> pin_disabled.(pin) <- true
+      | Mode.Dis_pin pin -> Bytes.set pin_disabled pin '\001'
       | Mode.Dis_inst (inst, from_, to_) ->
         let cell = Design.inst_cell design inst in
         let matches spec p =
@@ -206,12 +223,15 @@ let run (g : Tgraph.t) (mode : Mode.t) =
      changed or disabled pin, arcs of an instance with a changed pin
      (cell-arc observability reads the whole instance), and disabled
      instance arcs. *)
-  let arc_enabled = Array.make (Tgraph.n_arcs g) true in
-  Array.iter (fun aid -> arc_enabled.(aid) <- false) base.Tgraph.cb_disabled;
+  let arc_enabled = Bytes.make (Tgraph.n_arcs g) '\001' in
+  Array.iter
+    (fun aid -> Bytes.set arc_enabled aid '\000')
+    base.Tgraph.cb_disabled;
   let broken = broken_table g in
   let refresh aid =
-    arc_enabled.(aid) <-
-      arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid
+    Bytes.set arc_enabled aid
+      (if arc_on g ~values ~pin_disabled ~inst_disabled ~broken aid then '\001'
+       else '\000')
   in
   let refresh_pin p =
     Tgraph.iter_in g p refresh;
@@ -230,8 +250,9 @@ let run (g : Tgraph.t) (mode : Mode.t) =
   Hashtbl.iter (fun aid () -> refresh aid) inst_disabled;
   { values; arc_enabled; pin_disabled }
 
-let value t pin = t.values.(pin)
-let enabled t aid = t.arc_enabled.(aid)
+let value t pin = decode (Bytes.get t.values pin)
+let enabled t aid = flag t.arc_enabled aid
+let disabled t pin = flag t.pin_disabled pin
 
 let pin_active t pin =
-  (not t.pin_disabled.(pin)) && t.values.(pin) = Mm_netlist.Logic.X
+  (not (flag t.pin_disabled pin)) && Bytes.get t.values pin = x_code

@@ -19,15 +19,19 @@
     re-decides enablement only for arcs a changed or disabled pin can
     affect. The result is the one a single topological sweep from
     all-X gives, including at cycle breaks: there a pin reads the
-    later pin's initial value — its case value, else X. *)
+    later pin's initial value — its case value, else X.
 
-type t = {
-  values : Mm_netlist.Logic.tri array;  (** per pin *)
-  arc_enabled : bool array;             (** per arc index *)
-  pin_disabled : bool array;            (** per pin *)
-}
+    A result keeps one byte per pin for its value, one per pin for its
+    disable and one per arc for its enablement, read through the
+    accessors below: a run can keep every distinct layer it builds
+    ({!Ctx_cache}). *)
+
+type t
 
 val run : Tgraph.t -> Mm_sdc.Mode.t -> t
+(** A pure function of the graph, the mode's final case value per pin
+    (a pin cased twice keeps its last value) and the set of its
+    disables: nothing else of the mode is read. *)
 
 val baseline : Tgraph.t -> Tgraph.const_base
 (** The all-X baseline of the compiled graph, computed on first use
@@ -38,6 +42,9 @@ val baseline : Tgraph.t -> Tgraph.const_base
 val value : t -> Mm_netlist.Design.pin_id -> Mm_netlist.Logic.tri
 val enabled : t -> int -> bool
 (** [enabled t arc_index] *)
+
+val disabled : t -> Mm_netlist.Design.pin_id -> bool
+(** The pin is disabled by [set_disable_timing]. *)
 
 val pin_active : t -> Mm_netlist.Design.pin_id -> bool
 (** Not disabled and not constant: the pin can carry transitions. *)

@@ -33,13 +33,16 @@ let build_exclusive (clocks : Clock_prop.t) (mode : Mode.t) =
     mode.Mode.groups;
   exclusive
 
-let create design mode =
+let of_layers design mode consts clocks =
   Mm_util.Metrics.incr "timing.context_builds";
   let graph = Tgraph.skeleton design in
-  let consts = Const_prop.run graph mode in
-  let clocks = Clock_prop.run graph consts mode in
   let excs = Excmatch.prepare graph clocks mode in
   { design; mode; graph; consts; clocks; excs; exclusive = build_exclusive clocks mode }
+
+let create design mode =
+  let graph = Tgraph.skeleton design in
+  let consts = Const_prop.run graph mode in
+  of_layers design mode consts (Clock_prop.run graph consts mode)
 
 (* Swap the mode without recomputing constants/clocks: only the
    exception automaton and clock-group exclusivity depend on the parts

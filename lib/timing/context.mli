@@ -24,6 +24,13 @@ val create : Mm_netlist.Design.t -> Mm_sdc.Mode.t -> t
 (** Build the context from scratch; counted in the
     [timing.context_builds] metric. *)
 
+val of_layers :
+  Mm_netlist.Design.t -> Mm_sdc.Mode.t -> Const_prop.t -> Clock_prop.t -> t
+(** [of_layers design mode consts clocks] builds the context on layers
+    already computed for [mode] (a {!Ctx_cache} store's): only the
+    exception matcher and clock-group exclusivity are prepared. Counted
+    in [timing.context_builds] like {!create}. *)
+
 val with_exceptions : t -> Mm_sdc.Mode.t -> t
 (** [with_exceptions t mode] swaps [mode] into the context, re-preparing
     only the exception matcher and clock-group exclusivity; the timing

@@ -12,6 +12,13 @@ type loc = { file : string; line : int; col : int }
 
 let loc ?(line = 0) ?(col = 0) file = { file; line; col }
 
+let sys_error_message ~path msg =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix msg then
+    String.sub msg (String.length prefix)
+      (String.length msg - String.length prefix)
+  else msg
+
 type t = {
   severity : severity;
   code : string;

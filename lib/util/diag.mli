@@ -32,6 +32,10 @@ type loc = { file : string; line : int; col : int }
 val loc : ?line:int -> ?col:int -> string -> loc
 (** [loc file] with unknown line/col unless given. *)
 
+val sys_error_message : path:string -> string -> string
+(** A [Sys_error] message about [path], less the ["PATH: "] it leads
+    with when it does: a diagnostic carries the path as its location. *)
+
 type t = {
   severity : severity;
   code : string;

@@ -1,17 +1,22 @@
 (* Dense constant propagation: the single topological sweep over every
    pin and arc that [Mm_timing.Const_prop.run] replaced with
    change-driven propagation from a per-graph baseline. Kept only as
-   the differential oracle: the sparse result must equal this one in
-   every value, arc enablement and pin disable. *)
+   the differential oracle: the sparse result, read through its
+   accessors, must equal this one in every value, arc enablement and
+   pin disable. *)
 
 module Design = Mm_netlist.Design
 module Lib_cell = Mm_netlist.Lib_cell
 module Logic = Mm_netlist.Logic
 module Mode = Mm_sdc.Mode
 module Tgraph = Mm_timing.Tgraph
-module Const_prop = Mm_timing.Const_prop
+type t = {
+  values : Logic.tri array;  (* per pin *)
+  arc_enabled : bool array;  (* per arc *)
+  pin_disabled : bool array;  (* per pin *)
+}
 
-let run (g : Tgraph.t) (mode : Mode.t) : Const_prop.t =
+let run (g : Tgraph.t) (mode : Mode.t) =
   let design = g.Tgraph.sk_design in
   let n = Tgraph.n_pins g in
   let values = Array.make n Logic.X in
@@ -109,4 +114,4 @@ let run (g : Tgraph.t) (mode : Mode.t) : Const_prop.t =
               | None -> true)
             | Design.Port_pin _ -> true))
   in
-  { Const_prop.values; arc_enabled; pin_disabled }
+  { values; arc_enabled; pin_disabled }

@@ -257,7 +257,7 @@ let quarantine_cases =
         check Alcotest.int "all real modes merged" 2 r.Merge_flow.n_merged;
         List.iter Sys.remove paths;
         Unix.rmdir dir);
-    tc "strict: unreadable file raises Sys_error" (fun () ->
+    tc "strict: unreadable file raises Load_error" (fun () ->
         (* Not Sys_error itself: the refusal carries a located diagnostic. *)
         let design, _ = tiny_sources () in
         match

@@ -188,6 +188,79 @@ let fixed_cases =
            List.exists (fun s -> String.length s >= 10 && String.sub s 0 10 = "quarantine") l));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Two domains racing one layer store                                  *)
+
+module Ctx_cache = Mm_timing.Ctx_cache
+module Context = Mm_timing.Context
+module Prelim = Mm_core.Prelim
+
+(* Preset C's mock merges (every pair is accepted), each through its own
+   fork of [cache]: the merged SDC, the merged context and the pair.
+   [rev] walks the pairs in reverse, so two racing domains start at
+   opposite ends and meet in the middle. *)
+let mock_merges ?(rev = false) cache modes =
+  let arr = Array.of_list modes in
+  let n = Array.length arr in
+  let pairs =
+    List.concat_map
+      (fun i -> List.init (n - i - 1) (fun k -> i, i + k + 1))
+      (List.init n Fun.id)
+  in
+  List.map
+    (fun (i, j) ->
+      let ctx_cache = Ctx_cache.fork cache in
+      let p =
+        Prelim.merge ~max_refine_iters:3 ~ctx_cache ~name:"__mock"
+          [ arr.(i); arr.(j) ]
+      in
+      let ctx =
+        match p.Prelim.merged_ctx with
+        | Some c -> c
+        | None -> Ctx_cache.build ctx_cache p.Prelim.merged
+      in
+      (i, j), Mode.to_sdc p.Prelim.merged, ctx)
+    (if rev then List.rev pairs else pairs)
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+
+let racing_layer_store () =
+  let _design, _info, modes =
+    Mm_workload.Presets.build Mm_workload.Presets.design_c
+  in
+  let alone = Ctx_cache.create () in
+  let reference = mock_merges alone modes in
+  let shared = Ctx_cache.create () in
+  let ready = Atomic.make 0 in
+  let race rev () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do Domain.cpu_relax () done;
+    mock_merges ~rev shared modes
+  in
+  let other = Domain.spawn (race true) in
+  let mine = race false () in
+  let theirs = Domain.join other in
+  let sdcs = List.map (fun (pair, sdc, _) -> pair, sdc) in
+  check Alcotest.(list (pair (pair int int) string)) "merged SDC as alone"
+    (sdcs reference) (sdcs mine);
+  check Alcotest.(list (pair (pair int int) string)) "the other domain too"
+    (sdcs reference) (sdcs theirs);
+  check Alcotest.(pair int int) "the layers built alone"
+    (Ctx_cache.layers alone) (Ctx_cache.layers shared);
+  List.iter2
+    (fun ((i, j), _, (a : Context.t)) (_, _, (b : Context.t)) ->
+      if not (a.Context.consts == b.Context.consts
+              && a.Context.clocks == b.Context.clocks)
+      then Alcotest.failf "pair %d+%d: the domains hold different layers" i j;
+      Option.iter
+        (Alcotest.failf "pair %d+%d: %s" i j)
+        (Layers_equal.mismatch a
+           (Context.create a.Context.design a.Context.mode)))
+    mine theirs
+
 let () =
   Alcotest.run "mm_parallel"
-    [ "determinism", fixed_cases @ props ]
+    [
+      "determinism", fixed_cases @ props;
+      ( "layer_store",
+        [ tc "two domains race one layer store" racing_layer_store ] );
+    ]

@@ -38,6 +38,11 @@
      (values, arc enablement, pin disables) on random designs with
      cases, disables and tie cells, on cased pins across a cycle
      break, and when two domains race to compute one baseline;
+   - a context built on a context cache's layer store equals a fresh
+     one in every pin value, pin activity, arc enablement and clock
+     mask, for every mode of presets A-F, every mock-merged pair of
+     presets A and C and random generated suites; a merge run on each
+     preset builds a pinned number of layers at jobs 1 and 2;
    - the mergeability conflict keys give the conflicts of the
      rename-and-scan reference ([Conflicts_ref]), string for string, on
      every pair of presets A-F and on random families (generated,
@@ -1009,37 +1014,38 @@ module Const_prop = Mm_timing.Const_prop
 module Library = Mm_netlist.Library
 module Logic = Mm_netlist.Logic
 
-(* First disagreement between the sparse result and the dense oracle. *)
-let consts_mismatch (sparse : Const_prop.t) (dense : Const_prop.t) =
-  let first name eq show a b =
-    if Array.length a <> Array.length b then
-      Some (Printf.sprintf "%s: length %d vs %d" name (Array.length a)
-              (Array.length b))
+(* First disagreement between the sparse result, read through its
+   accessors at every pin and every arc of [g], and the dense oracle. *)
+let consts_mismatch g (sparse : Const_prop.t) (dense : Const_prop_dense.t) =
+  let first name n eq show get a =
+    if n <> Array.length a then
+      Some (Printf.sprintf "%s: length %d vs %d" name n (Array.length a))
     else
       let rec go i =
-        if i >= Array.length a then None
-        else if eq a.(i) b.(i) then go (i + 1)
+        if i >= n then None
+        else if eq (get sparse i) a.(i) then go (i + 1)
         else
           Some
-            (Printf.sprintf "%s.(%d): sparse %s, dense %s" name i (show a.(i))
-               (show b.(i)))
+            (Printf.sprintf "%s.(%d): sparse %s, dense %s" name i
+               (show (get sparse i)) (show a.(i)))
       in
       go 0
   in
+  let pins = Tgraph.n_pins g and arcs = Tgraph.n_arcs g in
   match
-    first "values" ( = ) Logic.tri_to_string sparse.Const_prop.values
-      dense.Const_prop.values
+    first "values" pins ( = ) Logic.tri_to_string Const_prop.value
+      dense.Const_prop_dense.values
   with
   | Some _ as m -> m
   | None -> (
     match
-      first "arc_enabled" Bool.equal string_of_bool
-        sparse.Const_prop.arc_enabled dense.Const_prop.arc_enabled
+      first "arc_enabled" arcs Bool.equal string_of_bool Const_prop.enabled
+        dense.Const_prop_dense.arc_enabled
     with
     | Some _ as m -> m
     | None ->
-      first "pin_disabled" Bool.equal string_of_bool
-        sparse.Const_prop.pin_disabled dense.Const_prop.pin_disabled)
+      first "pin_disabled" pins Bool.equal string_of_bool Const_prop.disabled
+        dense.Const_prop_dense.pin_disabled)
 
 (* Tie cells feeding fresh gates whose other input joins an existing
    driven net, each followed by an inverter: tie constants flow into
@@ -1135,7 +1141,9 @@ let sparse_equals_dense seed =
   List.iter
     (fun (m : Mode.t) ->
       let g = Tgraph.skeleton design in
-      match consts_mismatch (Const_prop.run g m) (Const_prop_dense.run g m) with
+      match
+        consts_mismatch g (Const_prop.run g m) (Const_prop_dense.run g m)
+      with
       | None -> ()
       | Some why ->
         QCheck2.Test.fail_reportf "seed %d, mode %s: %s" seed m.Mode.mode_name
@@ -1201,7 +1209,9 @@ let loop_cases () =
   List.iter
     (fun cs ->
       let m = { empty with Mode.cases = cs } in
-      match consts_mismatch (Const_prop.run g m) (Const_prop_dense.run g m) with
+      match
+        consts_mismatch g (Const_prop.run g m) (Const_prop_dense.run g m)
+      with
       | None -> ()
       | Some why ->
         Alcotest.failf "cases [%s]: %s"
@@ -1239,10 +1249,10 @@ let racing_baseline () =
     let non_x = ref [] and off = ref [] in
     Array.iteri
       (fun p v -> if v <> Logic.X then non_x := (p, v) :: !non_x)
-      dense.Const_prop.values;
+      dense.Const_prop_dense.values;
     Array.iteri
       (fun aid on -> if not on then off := aid :: !off)
-      dense.Const_prop.arc_enabled;
+      dense.Const_prop_dense.arc_enabled;
     check Alcotest.bool "tie constants and broken arcs are present" true
       (!non_x <> [] && !off <> []);
     check Alcotest.bool "the baseline is the all-X dense sweep" true
@@ -1319,8 +1329,9 @@ let conflicts_mismatch ?(both_uniquify = false) ?(whole = false) modes =
           List.find_map
             (fun set ->
               let got =
-                Conflict_key.conflicts ~uniquify ~tolerance ~ctx_of
-                  (Conflict_key.merge (List.map snd set))
+                List.map Conflict_key.reason_text
+                  (Conflict_key.conflicts ~uniquify ~tolerance ~ctx_of
+                     (Conflict_key.merge (List.map snd set)))
               and want =
                 Conflicts_ref.conflicts ~uniquify ~tolerance ~ctx_of
                   (List.map fst set)
@@ -1485,6 +1496,187 @@ let chaos_cases =
             ignore (Sta.analyze d mode)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The layer store: store-built contexts equal fresh ones              *)
+
+(* The sweep's mock merges over [modes]: every pair its conflict keys
+   do not reject, merged as the sweep's stage 2 merges it, all through
+   one cache, so later pairs take layers earlier ones published. Each
+   merged context — the mock merge's, or one built through the store
+   when clock refinement did not converge — must equal a fresh one.
+   [Some message] on the first difference, and the pairs merged. *)
+let mock_merges_mismatch modes =
+  let cache = Ctx_cache.create () in
+  let ctx_of = Ctx_cache.find cache in
+  let arr = Array.of_list modes in
+  let keys = Array.map Conflict_key.of_mode arr in
+  let merged = ref 0 and found = ref None in
+  Array.iteri
+    (fun i (a : Mode.t) ->
+      for j = i + 1 to Array.length arr - 1 do
+        let pair = Conflict_key.merge [ keys.(i); keys.(j) ] in
+        match
+          !found, Conflict_key.conflicts ~tolerance:Toler.default ~ctx_of pair
+        with
+        | None, [] ->
+          incr merged;
+          let p =
+            Prelim.merge ~max_refine_iters:3 ~ctx_cache:cache ~name:"__mock"
+              [ a; arr.(j) ]
+          in
+          let stored =
+            match p.Prelim.merged_ctx with
+            | Some c -> c
+            | None -> Ctx_cache.build cache p.Prelim.merged
+          in
+          found :=
+            Option.map
+              (Printf.sprintf "%s+%s: %s" a.Mode.mode_name
+                 arr.(j).Mode.mode_name)
+              (Layers_equal.mismatch stored
+                 (Context.create a.Mode.design p.Prelim.merged))
+        | _ -> ()
+      done)
+    arr;
+  !found, !merged
+
+(* Every mode's context, looked up by name and built again, through one
+   cache. *)
+let individual_mismatch modes =
+  let cache = Ctx_cache.create () in
+  match Layers_equal.first_mismatch ~stored:(Ctx_cache.find cache) modes with
+  | Some _ as m -> m
+  | None -> Layers_equal.first_mismatch ~stored:(Ctx_cache.build cache) modes
+
+let fail_on = Option.iter Alcotest.fail
+
+(* Copies of [m] that each stop every clock at one pin some clock
+   reaches: they share [m]'s constant layer and differ from it and from
+   each other only in a stop sense's pin. *)
+let stopped_variants st (m : Mode.t) =
+  let clocks = (Context.create m.Mode.design m).Context.clocks in
+  let reached =
+    List.filter
+      (fun p -> Clock_prop.mask_at clocks p <> 0)
+      (List.init (Design.n_pins m.Mode.design) Fun.id)
+    |> Array.of_list
+  in
+  List.init (min 2 (Array.length reached)) (fun k ->
+      let pin = reached.(Random.State.int st (Array.length reached)) in
+      {
+        m with
+        Mode.mode_name = Printf.sprintf "%s_s%d" m.Mode.mode_name k;
+        senses =
+          m.Mode.senses
+          @ [ { Mode.cs_stop = true; cs_clocks = None; cs_pins = [ pin ] } ];
+      })
+
+(* Generated suites on random designs: the generated modes, each also
+   with random cases and disables, with its disables repeated in
+   reverse (which must take the original's layers) and with a clock
+   stopped at one of two pins; their contexts and their mock merges. *)
+let store_equals_fresh seed =
+  let st = Random.State.make [| seed |] in
+  let params =
+    {
+      Gen_design.default_params with
+      Gen_design.seed = 5000 + seed;
+      n_domains = 1 + Random.State.int st 2;
+      regs_per_domain = 4 + Random.State.int st 8;
+      n_config_pins = 1 + Random.State.int st 3;
+      n_clock_muxes = Random.State.int st 2;
+      with_scan = Random.State.bool st;
+    }
+  in
+  let design, info = Gen_design.generate params in
+  let suite =
+    {
+      Gen_modes.sp_seed = 6000 + seed;
+      families = [ 2; 2 ];
+      base_period = 2.0;
+      scan_family = params.Gen_design.with_scan;
+    }
+  in
+  let modes =
+    List.concat_map
+      (fun (m : Mode.t) ->
+        let renamed suffix m' =
+          { m' with Mode.mode_name = m.Mode.mode_name ^ suffix }
+        in
+        [
+          m;
+          renamed "_r" (randomize st design m);
+          renamed "_d"
+            {
+              m with
+              Mode.disables = List.rev m.Mode.disables @ m.Mode.disables;
+            };
+        ]
+        @ stopped_variants st m)
+      (Gen_modes.generate design info suite)
+  in
+  let report = function
+    | None -> ()
+    | Some why -> QCheck2.Test.fail_reportf "seed %d: %s" seed why
+  in
+  report (individual_mismatch modes);
+  report (fst (mock_merges_mismatch modes));
+  true
+
+(* The constant and clock layers one merge run's store holds: the
+   distinct layers of the run. The same at jobs 1 and 2. *)
+let pinned_layers =
+  [ "A", (204, 204); "B", (6, 6); "C", (51, 51); "D", (7, 7); "E", (15, 15);
+    "F", (4, 4) ]
+
+let layer_store_cases =
+  List.map
+    (fun (p : Presets.preset) ->
+      tc
+        (Printf.sprintf "preset %s: every mode's stored layers equal fresh ones"
+           p.Presets.pr_name)
+        (fun () ->
+          let _design, _info, modes = Presets.build p in
+          fail_on (individual_mismatch modes)))
+    Presets.all
+  @ List.map
+      (fun (p : Presets.preset) ->
+        tc
+          (Printf.sprintf
+             "preset %s: every mock merge's stored layers equal fresh ones"
+             p.Presets.pr_name)
+          (fun () ->
+            let _design, _info, modes = Presets.build p in
+            let found, merged = mock_merges_mismatch modes in
+            fail_on found;
+            check Alcotest.bool "some pairs were mock-merged" true
+              (merged > 0)))
+      [ Presets.design_a; Presets.design_c ]
+  @ [
+      QCheck_alcotest.to_alcotest
+        (QCheck2.Test.make
+           ~name:"generated suites: stored layers equal fresh ones" ~count:20
+           QCheck2.Gen.(int_range 0 10000)
+           store_equals_fresh);
+    ]
+  @ List.map
+      (fun (p : Presets.preset) ->
+        tc
+          (Printf.sprintf "preset %s: a merge run builds each layer once"
+             p.Presets.pr_name)
+          (fun () ->
+            let _design, _info, modes = Presets.build p in
+            let layers jobs =
+              let ctx_cache = Ctx_cache.create () in
+              ignore (Merge_flow.run ~jobs ~ctx_cache modes);
+              Ctx_cache.layers ctx_cache
+            in
+            let pinned = List.assoc p.Presets.pr_name pinned_layers in
+            let pair = Alcotest.(pair int int) in
+            check pair "constant and clock layers at jobs 1" pinned (layers 1);
+            check pair "constant and clock layers at jobs 2" pinned (layers 2)))
+      Presets.all
+
 let () =
   Alcotest.run "sta_equiv"
     [
@@ -1498,5 +1690,6 @@ let () =
       "compare_cache", compare_cache_cases;
       "const_prop", const_prop_cases;
       "conflict_keys", conflict_cases;
+      "layer_store", layer_store_cases;
       "chaos", chaos_cases;
     ]
