@@ -451,8 +451,8 @@ let fixes_for_point ~design ?sp ?through ~ep judged =
    3's forward propagations, and the tag buffer of pass 3's second hop. *)
 type lane = {
   l_marks : Relation_prop.marks;
-  l_tags : Relation_prop.tagsets;
-  l_hop : Relation_prop.tagsets;
+  l_tags : Mm_timing.Tag.Store.t;
+  l_hop : Mm_timing.Tag.Store.t;
 }
 
 (* What the cone queries of passes 2 and 3 write to and look up: a lane
@@ -473,19 +473,20 @@ type work = {
 
 let create_work ~individual ~(merged : Context.t) =
   let g = merged.Context.graph in
-  let lane (ctx : Context.t) =
+  let store () = Mm_timing.Tag.Store.create (Tgraph.n_pins g) in
+  let lane () =
     {
       l_marks = Relation_prop.create_marks g;
-      l_tags = Relation_prop.create_scratch ctx;
-      l_hop = Relation_prop.create_scratch ctx;
+      l_tags = store ();
+      l_hop = store ();
     }
   in
   let sps = Array.of_list g.Tgraph.sk_startpoints
   and eps = Array.of_list g.Tgraph.sk_endpoints in
   {
     w_graph = g;
-    w_mrg = lane merged;
-    w_sides = List.map (fun side -> lane side.ctx) individual;
+    w_mrg = lane ();
+    w_sides = List.map (fun _ -> lane ()) individual;
     w_sps = sps;
     w_sp_pos = Relation_prop.positions g Tgraph.startpoint_pin sps;
     w_eps = eps;
@@ -667,8 +668,12 @@ let pass1 cache ~individual ~(merged : Context.t) () =
     let ids = clock_ids keys merged Fun.id in
     fun tags ep -> Tgraph.endpoint_pin ep, pack keys ids merged tags ep
   in
+  (* One store for the merged sweep and each side's: every sweep's
+     values are read before the next one. *)
+  let scratch = Mm_timing.Tag.Store.create (Tgraph.n_pins g) in
   let mrg_sets, recomputed =
-    Relation_prop.endpoint_relations_cached cache.c_merged merged mrg_value
+    Relation_prop.endpoint_relations_cached cache.c_merged ~scratch merged
+      mrg_value
   in
   (* Each side's sets by merged endpoint position; an endpoint the side
      lacks has the empty set. *)
@@ -687,7 +692,7 @@ let pass1 cache ~individual ~(merged : Context.t) () =
             let sets = Array.make (Array.length mrg_sets) [||] in
             Array.iter
               (fun (ep, set) -> if pos.(ep) >= 0 then sets.(pos.(ep)) <- set)
-              (Relation_prop.endpoint_map side.ctx (fun tags ep ->
+              (Relation_prop.endpoint_map side.ctx ~scratch (fun tags ep ->
                    Tgraph.endpoint_pin ep, pack keys ids side.ctx tags ep));
             sets)
           individual)
@@ -833,12 +838,9 @@ let pass2 cache ~individual ~(merged : Context.t) ~work ambiguous_eps =
 let budget = 2000
 
 let relations_through ctx fwd_tags t ep ~cone ~scratch =
-  let at_t = Relation_prop.tags_at fwd_tags t in
-  if at_t = [] then []
+  if not (Mm_timing.Tag.Store.has_tags fwd_tags t) then []
   else
-    let tags =
-      Relation_prop.propagate_raw ctx ~tag_seeds:[ t, at_t ] ~cone ~scratch ()
-    in
+    let tags = Relation_prop.propagate_from ctx fwd_tags t ~cone ~scratch () in
     Relation_prop.relations_at ctx tags ep
 
 let successors (ctx : Context.t) pin =

@@ -7,26 +7,7 @@ module Excmatch = Mm_timing.Excmatch
 module Context = Mm_timing.Context
 module Tag = Mm_timing.Tag
 module Constraint_state = Mm_timing.Constraint_state
-
-(* Per-pin tag sets: small insertion lists of encoded
-   (clock, state, polarity) keys, plus the list of touched pins so a
-   scratch tagset can be reset in O(touched) — pass 2/3 run one
-   propagation per startpoint and reuse the buffer. *)
-type tagsets = { tags : int list array; mutable touched : int list }
-
-let add_tag (ts : tagsets) pin k =
-  match ts.tags.(pin) with
-  | [] ->
-    ts.tags.(pin) <- [ k ];
-    ts.touched <- pin :: ts.touched
-  | existing -> if not (List.mem k existing) then ts.tags.(pin) <- k :: existing
-
-let create_scratch (ctx : Context.t) =
-  { tags = Array.make (Tgraph.n_pins ctx.Context.graph) []; touched = [] }
-
-let reset_scratch ts =
-  List.iter (fun pin -> ts.tags.(pin) <- []) ts.touched;
-  ts.touched <- []
+module Store = Tag.Store
 
 (* ------------------------------------------------------------------ *)
 (* Cones.
@@ -101,18 +82,18 @@ let positions (g : Tgraph.t) pin_of items =
   Array.iteri (fun i x -> pos.(pin_of x) <- i) items;
   pos
 
-let sweep_pin (ctx : Context.t) (ts : tagsets) inside pin =
+(* Relation tags are store entries whose values go unread. *)
+let sweep_pin (ctx : Context.t) ts inside pin =
   let g = ctx.Context.graph in
-  if ts.tags.(pin) <> [] then
+  if Store.has_tags ts pin then
     Tgraph.iter_out g pin (fun aid ->
-        if Const_prop.enabled ctx.Context.consts aid then begin
+        if Tag.carries ctx aid then begin
           let dst = Tgraph.arc_dst g aid in
           if inside dst then begin
             let unate = Tgraph.arc_unate g aid in
-            let add = add_tag ts dst in
-            List.iter
-              (fun k -> Tag.step ctx.Context.excs unate dst k add)
-              ts.tags.(pin)
+            let add k = Store.add ts dst k 0. 0. in
+            Store.iter_keys ts pin (fun k ->
+                Tag.step ctx.Context.excs unate dst k add)
           end
         end)
 
@@ -123,56 +104,47 @@ let inside_of = function
     check_current c;
     fun pin -> c.c_marks.stamp.(pin) = c.c_epoch
 
-let sweep (ctx : Context.t) (ts : tagsets) ?cone inside =
-  match cone with
+(* [seed inside add] adds the seeds at the pins [inside] accepts, by
+   [add pin key]; then the sweep. *)
+let propagate_with (ctx : Context.t) ?cone ?scratch seed =
+  let ts =
+    match scratch with
+    | Some ts ->
+      Store.clear ts;
+      ts
+    | None -> Store.create (Tgraph.n_pins ctx.Context.graph)
+  and inside = inside_of cone in
+  seed inside (fun pin k -> Store.add ts pin k 0. 0.);
+  (match cone with
   | Some c -> List.iter (sweep_pin ctx ts inside) c.c_pins
-  | None -> Array.iter (sweep_pin ctx ts inside) ctx.Context.graph.Tgraph.topo
-
-let scratch_for ctx = function
-  | Some ts ->
-    reset_scratch ts;
-    ts
-  | None -> create_scratch ctx
+  | None -> Array.iter (sweep_pin ctx ts inside) ctx.Context.graph.Tgraph.topo);
+  ts
 
 let propagate (ctx : Context.t) ~seeds ?cone ?scratch () =
-  let ts = scratch_for ctx scratch and inside = inside_of cone in
-  List.iter
-    (fun (l : Tag.launch) ->
-      if inside l.launch_pin then Tag.seed ctx l (add_tag ts l.launch_pin))
-    seeds;
-  sweep ctx ts ?cone inside;
-  ts
+  propagate_with ctx ?cone ?scratch (fun inside add ->
+      List.iter
+        (fun (l : Tag.launch) ->
+          if inside l.launch_pin then Tag.seed ctx l (add l.launch_pin))
+        seeds)
 
-let propagate_raw (ctx : Context.t) ~tag_seeds ?cone ?scratch () =
-  let ts = scratch_for ctx scratch and inside = inside_of cone in
-  List.iter
-    (fun (pin, triples) ->
-      if inside pin then
-        List.iter
-          (fun (ci, st, edge) -> add_tag ts pin (Tag.make ~edge ci st))
-          triples)
-    tag_seeds;
-  sweep ctx ts ?cone inside;
-  ts
+let propagate_from ctx from pin ?cone ?scratch () =
+  propagate_with ctx ?cone ?scratch (fun inside add ->
+      if inside pin then Store.iter_keys from pin (add pin))
 
-let tags_at (ts : tagsets) pin =
-  List.map (fun k -> Tag.clock k, Tag.state k, Tag.edge k) ts.tags.(pin)
-  |> List.sort compare
-
-let fold_relations (ctx : Context.t) (ts : tagsets) ep f init =
+let fold_relations (ctx : Context.t) ts ep f init =
   let relationships = Context.fold_relationships ctx ep in
-  List.fold_left
-    (fun acc k ->
+  let acc = ref init in
+  Store.iter_keys ts (Tgraph.endpoint_pin ep) (fun k ->
       let ci = Tag.clock k and edge = Tag.edge k in
-      relationships ci (Tag.state k) edge
-        (fun cj excs acc ->
-          f ci cj edge
-            (Constraint_state.of_exceptions ~setup:true excs)
-            (Constraint_state.of_exceptions ~setup:false excs)
-            acc)
-        acc)
-    init
-    ts.tags.(Tgraph.endpoint_pin ep)
+      acc :=
+        relationships ci (Tag.state k) edge
+          (fun cj excs acc ->
+            f ci cj edge
+              (Constraint_state.of_exceptions ~setup:true excs)
+              (Constraint_state.of_exceptions ~setup:false excs)
+              acc)
+          !acc);
+  !acc
 
 let relations_at (ctx : Context.t) tags ep =
   let name = Clock_prop.clock_name ctx.Context.clocks in
@@ -184,8 +156,8 @@ let relations_at (ctx : Context.t) tags ep =
     []
   |> Relation.normalize
 
-let endpoint_map (ctx : Context.t) value =
-  let tags = propagate ctx ~seeds:(Tag.all_launches ctx) () in
+let endpoint_map (ctx : Context.t) ?scratch value =
+  let tags = propagate ctx ~seeds:(Tag.all_launches ctx) ?scratch () in
   Array.of_list (List.map (value tags) ctx.Context.graph.Tgraph.sk_endpoints)
 
 let endpoint_relations (ctx : Context.t) =
@@ -205,7 +177,7 @@ let data_clock_masks (ctx : Context.t) =
     (fun pin ->
       if masks.(pin) <> 0 then
         Tgraph.iter_out g pin (fun aid ->
-            if Const_prop.enabled ctx.Context.consts aid then begin
+            if Tag.carries ctx aid then begin
               let dst = Tgraph.arc_dst g aid in
               masks.(dst) <- masks.(dst) lor masks.(pin)
             end))
@@ -227,15 +199,13 @@ let data_clock_masks (ctx : Context.t) =
    exception-state ids, so they stay valid across the re-prepared
    exception automaton. *)
 
-(* The graph's endpoints, each pin's position among them, the mark
-   buffer the scope and re-propagation cones are walked into, and the
-   re-propagation's tag buffer. *)
+(* The graph's endpoints, each pin's position among them, and the mark
+   buffer the scope and re-propagation cones are walked into. *)
 type ep_walk = {
   w_graph : Tgraph.t;
   w_eps : Tgraph.endpoint array;
   w_ep_pos : int array;
   w_marks : marks;
-  w_tags : tagsets;
 }
 
 type 'a ep_cache = {
@@ -260,7 +230,6 @@ let ep_walk cache (ctx : Context.t) =
         w_eps = eps;
         w_ep_pos = positions g Tgraph.endpoint_pin eps;
         w_marks = create_marks g;
-        w_tags = create_scratch ctx;
       }
     in
     cache.ec_walk <- Some w;
@@ -372,7 +341,7 @@ let dirty_endpoints (ctx : Context.t) w delta =
     delta;
   dirty
 
-let endpoint_relations_cached cache (ctx : Context.t) value =
+let endpoint_relations_cached cache ~scratch (ctx : Context.t) value =
   let excs_now = ctx.Context.mode.Mode.exceptions in
   let es_now = Excmatch.edge_sensitive ctx.Context.excs in
   let store vals recomputed =
@@ -381,7 +350,7 @@ let endpoint_relations_cached cache (ctx : Context.t) value =
     cache.ec_vals <- vals;
     vals, recomputed
   in
-  let full () = store (endpoint_map ctx value) None in
+  let full () = store (endpoint_map ctx ~scratch value) None in
   match cache.ec_excs with
   | None -> full ()
   | Some _ when es_now <> cache.ec_edge_sensitive ->
@@ -418,7 +387,7 @@ let endpoint_relations_cached cache (ctx : Context.t) value =
               (List.map (fun i -> Tgraph.endpoint_pin eps.(i)) !positions)
           in
           let tags =
-            propagate ctx ~seeds:(Tag.all_launches ctx) ~cone ~scratch:w.w_tags ()
+            propagate ctx ~seeds:(Tag.all_launches ctx) ~cone ~scratch ()
           in
           let vals = Array.copy cache.ec_vals in
           List.iter (fun i -> vals.(i) <- value tags eps.(i)) !positions;

@@ -1,13 +1,10 @@
 (** Relation-tag propagation over the timing graph.
 
     The qualitative counterpart of STA arrival propagation: the same
-    {!Mm_timing.Tag} keys, launches and arc step, without arrival
-    times. Used for
+    {!Mm_timing.Tag} keys, launches, arc step and tag store, without
+    arrival times. Used for
     pass 1/2/3 relationship comparison, for the data-network clock
     refinement of section 3.2, and for cone restriction. *)
-
-type tagsets
-(** Per-pin sets of (clock index, exception state id). *)
 
 (** {1 Cones}
 
@@ -58,45 +55,39 @@ val positions :
     an input port) or endpoints (a register data pin or an output
     port). *)
 
-(** {1 Propagation} *)
+(** {1 Propagation}
 
-val create_scratch : Mm_timing.Context.t -> tagsets
-(** A reusable tag buffer; pass it as [scratch] to amortise the per-pin
-    array across many cone-restricted propagations. Reset in the number
-    of pins the previous propagation touched. *)
+    Each propagation empties [scratch] and returns it (read it before
+    the next call), or returns a fresh store without one. *)
 
 val propagate :
   Mm_timing.Context.t ->
   seeds:Mm_timing.Tag.launch list ->
   ?cone:cone ->
-  ?scratch:tagsets ->
+  ?scratch:Mm_timing.Tag.Store.t ->
   unit ->
-  tagsets
+  Mm_timing.Tag.Store.t
 (** Seed the launches' tags ({!Mm_timing.Tag.seed}) and propagate them
-    through enabled arcs in topological order. [cone] restricts seeds
-    and propagation to its pins and sweeps only them; without it the
-    sweep covers the whole design. [scratch] reuses a buffer (the
-    result aliases it — read before the next call). *)
+    through the arcs that carry them ({!Mm_timing.Tag.carries}) in
+    topological order. [cone] restricts seeds and propagation to its
+    pins and sweeps only them; without it the sweep covers the whole
+    design. *)
 
-val tags_at :
-  tagsets -> Mm_netlist.Design.pin_id -> (int * int * Mm_sdc.Mode.edge_sel) list
-(** (clock index, state id, data polarity) triples present at a pin.
-    Polarity is [Any_edge] unless the mode is edge-sensitive. *)
-
-val propagate_raw :
+val propagate_from :
   Mm_timing.Context.t ->
-  tag_seeds:
-    (Mm_netlist.Design.pin_id * (int * int * Mm_sdc.Mode.edge_sel) list) list ->
+  Mm_timing.Tag.Store.t ->
+  Mm_netlist.Design.pin_id ->
   ?cone:cone ->
-  ?scratch:tagsets ->
+  ?scratch:Mm_timing.Tag.Store.t ->
   unit ->
-  tagsets
-(** Propagate pre-formed (clock, state) tags from the given pins —
-    the second hop of pass-3 "paths through pin t" queries. *)
+  Mm_timing.Tag.Store.t
+(** [propagate_from ctx from pin] propagates onward the tags [from]
+    holds at [pin] — the second hop of pass-3 "paths through pin t"
+    queries. *)
 
 val fold_relations :
   Mm_timing.Context.t ->
-  tagsets ->
+  Mm_timing.Tag.Store.t ->
   Mm_timing.Tgraph.endpoint ->
   (int ->
   int ->
@@ -114,16 +105,20 @@ val fold_relations :
     promised. *)
 
 val relations_at :
-  Mm_timing.Context.t -> tagsets -> Mm_timing.Tgraph.endpoint -> Relation.t list
+  Mm_timing.Context.t ->
+  Mm_timing.Tag.Store.t ->
+  Mm_timing.Tgraph.endpoint ->
+  Relation.t list
 (** {!fold_relations} as a normalized relation list. *)
 
 val endpoint_map :
   Mm_timing.Context.t ->
-  (tagsets -> Mm_timing.Tgraph.endpoint -> 'a) ->
+  ?scratch:Mm_timing.Tag.Store.t ->
+  (Mm_timing.Tag.Store.t -> Mm_timing.Tgraph.endpoint -> 'a) ->
   'a array
-(** Propagate every launch of the design under this context's mode and
-    read each endpoint's tags with the given function, in graph
-    endpoint order. *)
+(** Propagate every launch of the design under this context's mode
+    (into [scratch], as {!propagate} does) and read each endpoint's
+    tags with the given function, in graph endpoint order. *)
 
 val endpoint_relations :
   Mm_timing.Context.t -> (Mm_netlist.Design.pin_id * Relation.t list) list
@@ -138,12 +133,13 @@ val create_ep_cache : unit -> 'a ep_cache
 
 val endpoint_relations_cached :
   'a ep_cache ->
+  scratch:Mm_timing.Tag.Store.t ->
   Mm_timing.Context.t ->
-  (tagsets -> Mm_timing.Tgraph.endpoint -> 'a) ->
+  (Mm_timing.Tag.Store.t -> Mm_timing.Tgraph.endpoint -> 'a) ->
   'a array * int list option
-(** Like {!endpoint_map}, plus the positions (in graph endpoint order,
-    ascending) of the endpoints this call recomputed; [None] when it
-    recomputed every endpoint. The value function must give the same
+(** Like {!endpoint_map} into [scratch], plus the positions (in graph
+    endpoint order, ascending) of the endpoints this call recomputed;
+    [None] when it recomputed every endpoint. The value function must give the same
     value on every call for the same tags at an endpoint.
 
     When the context's exception list extends the cached one (the
@@ -162,6 +158,7 @@ val endpoint_relations_cached :
     with the cache: do not mutate it. *)
 
 val data_clock_masks : Mm_timing.Context.t -> int array
-(** Per pin, the bitmask of launch clocks whose data can reach it —
-    the "clocks at any node in the data network" of section 3.2. *)
+(** Per pin, the bitmask of launch clocks whose data can reach it over
+    the arcs that carry data tags — the "clocks at any node in the data
+    network" of section 3.2. *)
 

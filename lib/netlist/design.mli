@@ -14,7 +14,7 @@ type t
 (** Dense: pins are numbered 0..[n_pins]-1 in creation order with no
     holes, so a [pin_id] indexes plain arrays directly. The compiled
     timing arena ([Mm_timing.Tgraph], DESIGN.md section 14) builds its
-    CSR rows, topological order and per-pin tag slabs on this
+    CSR rows, topological order and per-pin tag store on this
     contract — keep it if pin construction ever changes. *)
 type pin_id = int
 type inst_id = int

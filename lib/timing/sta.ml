@@ -36,11 +36,8 @@ type report = {
 type view = {
   ctx : Context.t;
   delays : Tgraph.delays;
-  clock_arrivals : (int, float * float) Hashtbl.t;
-      (* min/max insertion delay, keyed by [arrival_key pin clock] *)
+  clock_arrivals : Tag.Store.t option;  (* keyed by clock index *)
 }
-
-let arrival_key pin clk = (pin * 64) + clk
 
 (* The insertion delays of the propagated clocks: each clock swept from
    its sources over the clock network in topological order, min/max
@@ -49,71 +46,54 @@ let arrival_key pin clk = (pin * 64) + clk
    final masks have it at both ends (a clock stopped at a pin never
    reaches its mask). Enabled arcs run forward in topological order
    (loop-breaking arcs are disabled), so a pin's arrivals are final
-   when it is swept. Each clock's sweep is independent of the others,
-   so ideal clocks are skipped, and a mode without a propagated clock
-   sweeps nothing. *)
+   when it is swept. Only propagated clocks are seeded, and a mode
+   that seeds none gets no store. *)
 let clock_arrivals (ctx : Context.t) (dl : Tgraph.delays) =
-  let g = ctx.Context.graph
-  and clocks = ctx.Context.clocks
-  and mode = ctx.Context.mode in
-  let propagated = ref 0 in
+  let g = ctx.Context.graph and clocks = ctx.Context.clocks in
+  let arrivals = lazy (Tag.Store.create (Tgraph.n_pins g)) in
+  (* Seeds: every source pin the clock reaches (a cased or stopped
+     source defines the clock but has it in no mask). *)
   List.iteri
     (fun ci (c : Mode.clock) ->
-      if (Mode.attr_of_clock mode c.Mode.clk_name).Mode.propagated then
-        propagated := !propagated lor (1 lsl ci))
-    mode.Mode.clocks;
-  let propagated = !propagated in
-  let arrivals = Hashtbl.create (if propagated = 0 then 1 else 256) in
-  if propagated <> 0 then begin
-    (* Seeds: every source pin the clock reaches (a cased or stopped
-       source defines the clock but has it in no mask). *)
-    List.iteri
-      (fun ci (c : Mode.clock) ->
-        if propagated land (1 lsl ci) <> 0 then
-          List.iter
-            (fun src ->
-              if
-                Const_prop.pin_active ctx.Context.consts src
-                && Clock_prop.has_clock clocks src ci
-              then Hashtbl.replace arrivals (arrival_key src ci) (0., 0.))
-            c.Mode.sources)
-      mode.Mode.clocks;
-    let nclk = Clock_prop.n_clocks clocks in
+      let attr = Mode.attr_of_clock ctx.Context.mode c.Mode.clk_name in
+      if attr.Mode.propagated then
+        List.iter
+          (fun src ->
+            if
+              Const_prop.pin_active ctx.Context.consts src
+              && Clock_prop.has_clock clocks src ci
+            then Tag.Store.add (Lazy.force arrivals) src ci 0. 0.)
+          c.Mode.sources)
+    ctx.Context.mode.Mode.clocks;
+  if not (Lazy.is_val arrivals) then None
+  else begin
+    let arrivals = Lazy.force arrivals in
     Array.iter
       (fun pin ->
-        let live = Clock_prop.mask_at clocks pin land propagated in
-        if live <> 0 then
+        if Tag.Store.has_tags arrivals pin then
           Tgraph.iter_out g pin (fun aid ->
               if
                 Tgraph.arc_kind g aid <> Tgraph.Launch
                 && Const_prop.enabled ctx.Context.consts aid
               then begin
                 let dst = Tgraph.arc_dst g aid in
-                let incoming = live land Clock_prop.mask_at clocks dst in
-                for ci = 0 to nclk - 1 do
-                  if incoming land (1 lsl ci) <> 0 then begin
-                    let smin, smax = Hashtbl.find arrivals (arrival_key pin ci) in
-                    let dmin = smin +. dl.Tgraph.dmin.(aid)
-                    and dmax = smax +. dl.Tgraph.dmax.(aid) in
-                    let k = arrival_key dst ci in
-                    match Hashtbl.find_opt arrivals k with
-                    | None -> Hashtbl.replace arrivals k (dmin, dmax)
-                    | Some (emin, emax) ->
-                      Hashtbl.replace arrivals k
-                        (Float.min emin dmin, Float.max emax dmax)
-                  end
-                done
+                let at_dst = Clock_prop.mask_at clocks dst in
+                Tag.Store.iter arrivals pin (fun ci tmin tmax ->
+                    if at_dst land (1 lsl ci) <> 0 then
+                      Tag.Store.add arrivals dst ci
+                        (tmin +. dl.Tgraph.dmin.(aid))
+                        (tmax +. dl.Tgraph.dmax.(aid)))
               end))
-      g.Tgraph.topo
-  end;
-  arrivals
+      g.Tgraph.topo;
+    Some arrivals
+  end
 
 let view (ctx : Context.t) =
   let delays = Tgraph.delays ctx.Context.graph ctx.Context.mode in
   { ctx; delays; clock_arrivals = clock_arrivals ctx delays }
 
 let clock_arrival v pin clk =
-  Hashtbl.find_opt v.clock_arrivals (arrival_key pin clk)
+  Option.bind v.clock_arrivals (fun arrivals -> Tag.Store.find arrivals pin clk)
 
 (* Design-rule checks against the wire-load model quantities: the
    capacitance a driver sees, and an RC transition estimate
@@ -190,95 +170,7 @@ let setup_separation ~launch_period ~launch_edge ~capture_period ~capture_edge =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tag storage: a flat slab of (tag key, amin, amax) entries chained
-   per pin in insertion order, replacing one Hashtbl per pin.
-   Lookup is a linear scan of the pin's chain — the number of distinct
-   tags per pin is small (clocks x live exception states x polarity) —
-   and iteration is allocation-free.                                   *)
-
-type slab = {
-  sl_first : int array;  (* per pin: first entry or -1 *)
-  sl_last : int array;
-  mutable sl_key : int array;
-  mutable sl_next : int array;
-  mutable sl_amin : float array;
-  mutable sl_amax : float array;
-  mutable sl_n : int;
-}
-
-let slab_create n_pins =
-  {
-    sl_first = Array.make (max 1 n_pins) (-1);
-    sl_last = Array.make (max 1 n_pins) (-1);
-    sl_key = Array.make 64 0;
-    sl_next = Array.make 64 (-1);
-    sl_amin = Array.make 64 0.;
-    sl_amax = Array.make 64 0.;
-    sl_n = 0;
-  }
-
-let slab_grow sl =
-  let cap = Array.length sl.sl_key in
-  if sl.sl_n = cap then begin
-    let grow a fill =
-      let b = Array.make (2 * cap) fill in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    sl.sl_key <- grow sl.sl_key 0;
-    sl.sl_next <- grow sl.sl_next (-1);
-    sl.sl_amin <- grow sl.sl_amin 0.;
-    sl.sl_amax <- grow sl.sl_amax 0.
-  end
-
-(* Merge an arrival into the pin's tag; true when the tag is new. *)
-let slab_merge sl pin key amin amax =
-  let rec find e =
-    if e < 0 then -1 else if sl.sl_key.(e) = key then e else find sl.sl_next.(e)
-  in
-  let e = find sl.sl_first.(pin) in
-  if e < 0 then begin
-    slab_grow sl;
-    let e = sl.sl_n in
-    sl.sl_n <- e + 1;
-    sl.sl_key.(e) <- key;
-    sl.sl_next.(e) <- -1;
-    sl.sl_amin.(e) <- amin;
-    sl.sl_amax.(e) <- amax;
-    if sl.sl_last.(pin) < 0 then sl.sl_first.(pin) <- e
-    else sl.sl_next.(sl.sl_last.(pin)) <- e;
-    sl.sl_last.(pin) <- e;
-    true
-  end
-  else begin
-    let nmin = Float.min sl.sl_amin.(e) amin
-    and nmax = Float.max sl.sl_amax.(e) amax in
-    sl.sl_amin.(e) <- nmin;
-    sl.sl_amax.(e) <- nmax;
-    false
-  end
-
-let slab_has_tags sl pin = sl.sl_first.(pin) >= 0
-
-(* Iterate the pin's tags in insertion order. Appending entries for
-   OTHER pins during iteration is fine (the arrays are re-read through
-   the record after each callback). *)
-let slab_iter sl pin f =
-  let rec go e =
-    if e >= 0 then begin
-      f sl.sl_key.(e) sl.sl_amin.(e) sl.sl_amax.(e);
-      go sl.sl_next.(e)
-    end
-  in
-  go sl.sl_first.(pin)
-
-let slab_tags sl pin =
-  let acc = ref [] in
-  slab_iter sl pin (fun key amin amax -> acc := (key, amin, amax) :: !acc);
-  List.rev !acc
-
-(* ------------------------------------------------------------------ *)
-(* Seeding, shared by the slab engine and the reference oracle.        *)
+(* Seeding, shared by the store engine and the reference oracle.       *)
 
 let seed_tags v ~merge =
   let ctx = v.ctx in
@@ -296,21 +188,12 @@ let seed_tags v ~merge =
 
 (* ------------------------------------------------------------------ *)
 
-type prop_stats = {
-  ps_new_tags : int;      (* distinct (pin, tag) instances created *)
-  ps_pins_swept : int;    (* pins with at least one tag visited *)
-}
-
-let propagate ?(corner = Corner.typical) v : slab * prop_stats =
+let propagate ?(corner = Corner.typical) v =
   Mm_util.Chaos.hit "sta.propagate";
   let ctx = v.ctx and dl = v.delays in
   let g = ctx.Context.graph in
-  let sl = slab_create (Tgraph.n_pins g) in
-  let n_tags = ref 0 in
-  let merge pin key amin amax =
-    if slab_merge sl pin key amin amax then incr n_tags
-  in
-  seed_tags v ~merge;
+  let st = Tag.Store.create (Tgraph.n_pins g) in
+  seed_tags v ~merge:(Tag.Store.add st);
   (* Topological sweep over the arena. *)
   let swept = ref 0 in
   (* Coarse progress: one tracker unit per sweep block, not per pin —
@@ -334,28 +217,26 @@ let propagate ?(corner = Corner.typical) v : slab * prop_stats =
       Mm_util.Govern.checkpoint ();
       incr visited;
       if !visited mod tick_every = 0 then Mm_util.Progress.(tick sta_pins);
-      if slab_has_tags sl pin then begin
+      if Tag.Store.has_tags st pin then begin
         incr swept;
         Tgraph.iter_out g pin (fun aid ->
-            if Const_prop.enabled ctx.Context.consts aid then begin
-              (* Data tags do not re-enter the clock network through a
-                 register clock pin: launch arcs only carry tags seeded
-                 at their own clock pin. *)
+            if Tag.carries ctx aid then begin
               let dst = Tgraph.arc_dst g aid in
               let dmin = dl.Tgraph.dmin.(aid) *. corner.Corner.derate_min
               and dmax = dl.Tgraph.dmax.(aid) *. corner.Corner.derate_max in
               let unate = Tgraph.arc_unate g aid in
-              slab_iter sl pin (fun key amin amax ->
+              Tag.Store.iter st pin (fun key amin amax ->
                   Tag.step ctx.Context.excs unate dst key (fun key' ->
-                      merge dst key' (amin +. dmin) (amax +. dmax)))
+                      Tag.Store.add st dst key' (amin +. dmin) (amax +. dmax)))
             end)
       end)
     g.Tgraph.topo;
-  sl, { ps_new_tags = !n_tags; ps_pins_swept = !swept }
+  st, !swept
 
-(* The per-pin Hashtbl engine the slab replaced, kept verbatim as the
+(* The per-pin Hashtbl engine the tag store replaced, kept as the
    differential-testing oracle for @sta-equiv: same seeds, same sweep,
-   independent storage and merge bookkeeping. *)
+   independent storage and merge bookkeeping, and its own test for the
+   register clock pins data tags do not enter. *)
 type tag_maps = (int, float * float) Hashtbl.t array
 
 let propagate_reference ?(corner = Corner.typical) v : tag_maps * int =
@@ -363,6 +244,13 @@ let propagate_reference ?(corner = Corner.typical) v : tag_maps * int =
   let g = ctx.Context.graph in
   let n = Tgraph.n_pins g in
   let tags : tag_maps = Array.init n (fun _ -> Hashtbl.create 1) in
+  let clock_pin = Array.make n false in
+  List.iter
+    (function
+      | Tgraph.Sp_reg { sp_clock; sp_outputs = _ :: _; _ } ->
+        clock_pin.(sp_clock) <- true
+      | Tgraph.Sp_reg _ | Tgraph.Sp_port _ -> ())
+    g.Tgraph.sk_startpoints;
   let n_tags = ref 0 in
   let merge pin key amin amax =
     match Hashtbl.find_opt tags.(pin) key with
@@ -380,8 +268,11 @@ let propagate_reference ?(corner = Corner.typical) v : tag_maps * int =
       Mm_util.Govern.checkpoint ();
       if Hashtbl.length tags.(pin) > 0 then
         Tgraph.iter_out g pin (fun aid ->
-            if Const_prop.enabled ctx.Context.consts aid then begin
-              let dst = Tgraph.arc_dst g aid in
+            let dst = Tgraph.arc_dst g aid in
+            if
+              Const_prop.enabled ctx.Context.consts aid
+              && (Tgraph.arc_kind g aid = Tgraph.Launch || not clock_pin.(dst))
+            then begin
               let dmin = dl.Tgraph.dmin.(aid) *. corner.Corner.derate_min
               and dmax = dl.Tgraph.dmax.(aid) *. corner.Corner.derate_max in
               let unate = Tgraph.arc_unate g aid in
@@ -419,7 +310,7 @@ let mcp_multipliers excs =
    check, slack [amin -. hold]; [None] where the relationship's
    exceptions leave that side unchecked. [iter_tags pin g] feeds every
    (key, amin, amax) at the pin to [g] — the phase is storage-agnostic
-   so the slab engine and any oracle can share it. *)
+   so the store engine and any oracle can share it. *)
 let iter_checks ~corner v iter_tags ep f =
   let ctx = v.ctx in
   let setup_margin, hold_margin =
@@ -532,11 +423,7 @@ let slacks_of ?(corner = Corner.typical) v iter_tags n_checked =
       })
     v.ctx.Context.graph.Tgraph.sk_endpoints
 
-let slacks_with ?corner v tags_at =
-  let iter pin f =
-    List.iter (fun (key, amin, amax) -> f key amin amax) (tags_at pin)
-  in
-  slacks_of ?corner v iter (ref 0)
+let slacks_with ?corner v iter_tags = slacks_of ?corner v iter_tags (ref 0)
 
 (* [view] runs inside the timed span: a report's runtime includes
    deriving the mode's delays, as it includes building its context. *)
@@ -544,19 +431,19 @@ let run ~name ~corner view =
   let (slacks, drc, n_tags, n_checked), runtime =
     Obs.timed ~attrs:[ "mode", name ] "sta.analyze" @@ fun () ->
     let v = view () in
-    let (sl, stats) =
+    let st, swept =
       Obs.with_span "sta.propagate" (fun () -> propagate ~corner v)
     in
     let n_checked = ref 0 in
     let slacks =
       Obs.with_span "sta.check" @@ fun () ->
-      slacks_of ~corner v (fun pin f -> slab_iter sl pin f) n_checked
+      slacks_of ~corner v (Tag.Store.iter st) n_checked
     in
-    Metrics.incr ~by:stats.ps_new_tags "sta.tags_propagated";
-    Metrics.incr ~by:stats.ps_pins_swept "sta.pins_repropagated";
+    Metrics.incr ~by:(Tag.Store.length st) "sta.tags_propagated";
+    Metrics.incr ~by:swept "sta.pins_repropagated";
     Metrics.incr ~by:!n_checked "sta.endpoints_checked";
     Obs.record_gc_metrics ();
-    slacks, drc_checks v, stats.ps_new_tags, !n_checked
+    slacks, drc_checks v, Tag.Store.length st, !n_checked
   in
   {
     rep_mode = name;
@@ -612,16 +499,16 @@ type path = {
   pth_steps : path_step list;
 }
 
-(* Walk backwards through the tag slab, matching arrival arithmetic to
+(* Walk backwards through the tag store, matching arrival arithmetic to
    recover the worst path's arcs. *)
-let backtrack v ~corner sl ep_pin key arrival =
+let backtrack v ~corner st ep_pin key arrival =
   let ctx = v.ctx in
   let g = ctx.Context.graph in
   let eps = 1e-9 in
   let rec go pin key arrival acc =
     let pred =
       Tgraph.find_map_in g pin (fun aid ->
-          if not (Const_prop.enabled ctx.Context.consts aid) then None
+          if not (Tag.carries ctx aid) then None
           else begin
             let delay = v.delays.Tgraph.dmax.(aid) *. corner.Corner.derate_max in
             let src = Tgraph.arc_src g aid in
@@ -634,7 +521,7 @@ let backtrack v ~corner sl ep_pin key arrival =
                 if !steps_to_key && Float.abs (amax' +. delay -. arrival) < eps
                 then Some (src, key', amax', delay)
                 else None)
-              (slab_tags sl src)
+              (Tag.Store.tags st src)
           end)
     in
     match pred with
@@ -648,14 +535,14 @@ let backtrack v ~corner sl ep_pin key arrival =
 let worst_paths ?ctx ?(corner = Corner.typical) ?(n = 3) design mode =
   let ctx = match ctx with Some c -> c | None -> Context.create design mode in
   let v = view ctx in
-  let sl, _ = propagate ~corner v in
+  let st, _ = propagate ~corner v in
   (* Every setup check, with its slack and its path report; only the
      [n] worst are traced. *)
   let candidates =
     List.concat_map
       (fun ep ->
         let ep_pin = Tgraph.endpoint_pin ep and acc = ref [] in
-        iter_checks ~corner v (slab_iter sl) ep
+        iter_checks ~corner v (Tag.Store.iter st) ep
           (fun key _ amax capture setup _ ->
             Option.iter
               (fun required ->
@@ -668,7 +555,7 @@ let worst_paths ?ctx ?(corner = Corner.typical) ?(n = 3) design mode =
                     pth_arrival = amax;
                     pth_required = required;
                     pth_slack = required -. amax;
-                    pth_steps = backtrack v ~corner sl ep_pin key amax;
+                    pth_steps = backtrack v ~corner st ep_pin key amax;
                   }
                 in
                 acc := (required -. amax, path) :: !acc)

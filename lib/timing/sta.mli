@@ -11,7 +11,8 @@
     STA is the only reader of delays. An analysis {!Context.t} carries
     none; STA derives the mode's arc delays and pin loads
     ({!Tgraph.delays}) and the insertion delays of its propagated
-    clocks into a {!view}, once per analysed mode.
+    clocks into a {!view}, once per analysed mode. The insertion delays
+    sit in a {!Tag.Store}, keyed by clock index.
 
     Absolute accuracy is not the goal — Table 6 of the paper needs
     relative STA runtime and endpoint worst-slack agreement between
@@ -62,36 +63,24 @@ val clock_arrival :
 
 (** {1 Arrival propagation}
 
-    Exposed for differential testing: the production engine stores tags
-    in a flat {!slab} ({!Tag.key}s chained per pin); the reference
-    engine keeps the historical one-Hashtbl-per-pin layout. Both must
-    produce identical tag sets and arrivals. *)
+    Exposed for differential testing: the production engine keeps its
+    tags in a {!Tag.Store}, the reference engine one Hashtbl per pin.
+    Both must produce identical tag sets and arrivals, and neither
+    carries data tags into a register clock pin ({!Tag.carries}). *)
 
-type slab
-(** Flat per-pin tag storage: (tag key, min arrival, max arrival)
-    triples, insertion-ordered per pin. *)
-
-type prop_stats = {
-  ps_new_tags : int;    (** distinct (pin, tag) instances created *)
-  ps_pins_swept : int;  (** pins visited with at least one tag *)
-}
-
-val propagate : ?corner:Corner.t -> view -> slab * prop_stats
-(** Seed startpoints and sweep arrivals forward in topological order. *)
-
-val slab_tags :
-  slab -> Mm_netlist.Design.pin_id -> (int * float * float) list
-(** Tags at a pin as (key, amin, amax), in insertion order. *)
+val propagate : ?corner:Corner.t -> view -> Tag.Store.t * int
+(** Seed startpoints and sweep arrivals forward in topological order
+    into a fresh store; also the number of pins swept with tags. *)
 
 type tag_maps = (int, float * float) Hashtbl.t array
 
 val propagate_reference : ?corner:Corner.t -> view -> tag_maps * int
-(** The pre-slab engine, kept as the differential-testing oracle. *)
+(** The pre-store engine, kept as the differential-testing oracle. *)
 
 val slacks_with :
   ?corner:Corner.t ->
   view ->
-  (Mm_netlist.Design.pin_id -> (int * float * float) list) ->
+  (Mm_netlist.Design.pin_id -> (int -> float -> float -> unit) -> unit) ->
   endpoint_slack list
 (** Run the endpoint checks over an arbitrary tag provider — lets tests
     compare slacks computed from {!propagate} and

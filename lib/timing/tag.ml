@@ -29,6 +29,13 @@ let step excs (unate : Tgraph.unate) dst key f =
     f (make ~edge:Mode.Rise_edge clk st);
     f (make ~edge:Mode.Fall_edge clk st)
 
+(* No launch or cell arc ends at a register clock pin, so the test
+   needs no arc kind. *)
+let carries (ctx : Context.t) aid =
+  let g = ctx.Context.graph in
+  Const_prop.enabled ctx.Context.consts aid
+  && Bytes.get g.Tgraph.clock_pins (Tgraph.arc_dst g aid) = '\000'
+
 type launch = {
   launch_pin : Mm_netlist.Design.pin_id;
   launch_clock : int;
@@ -88,3 +95,104 @@ let seed (ctx : Context.t) l f =
       f (make ~edge l.launch_clock (Excmatch.advance excs st l.launch_pin)))
     (if Excmatch.edge_sensitive excs then [ Mode.Rise_edge; Mode.Fall_edge ]
      else [ Mode.Any_edge ])
+
+module Store = struct
+  (* Entries chained per pin, oldest first: [first.(pin)] heads the
+     pin's chain and [next] links it. [pin] names each entry's pin, so
+     [clear] touches only the entries held. *)
+  type t = {
+    first : int array;
+    mutable key : int array;
+    mutable next : int array;
+    mutable pin : int array;
+    mutable vmin : float array;
+    mutable vmax : float array;
+    mutable n : int;
+  }
+
+  let create n_pins =
+    {
+      first = Array.make (max 1 n_pins) (-1);
+      key = Array.make 64 0;
+      next = Array.make 64 0;
+      pin = Array.make 64 0;
+      vmin = Array.make 64 0.;
+      vmax = Array.make 64 0.;
+      n = 0;
+    }
+
+  let clear t =
+    for e = 0 to t.n - 1 do
+      t.first.(t.pin.(e)) <- -1
+    done;
+    t.n <- 0
+
+  let length t = t.n
+  let has_tags t pin = t.first.(pin) >= 0
+
+  (* Double every array; the copied half is written before it is read. *)
+  let grow t =
+    let double a = Array.append a a in
+    t.key <- double t.key;
+    t.next <- double t.next;
+    t.pin <- double t.pin;
+    t.vmin <- double t.vmin;
+    t.vmax <- double t.vmax
+
+  (* The pin's entry for [key], else the last entry of its chain; -1
+     when the pin has none. *)
+  let rec seek t key e =
+    if t.key.(e) = key || t.next.(e) < 0 then e else seek t key t.next.(e)
+
+  let entry t pin key =
+    let e = t.first.(pin) in
+    if e < 0 then e else seek t key e
+
+  let add t pin key vmin vmax =
+    let e = entry t pin key in
+    if e >= 0 && t.key.(e) = key then begin
+      t.vmin.(e) <- Float.min t.vmin.(e) vmin;
+      t.vmax.(e) <- Float.max t.vmax.(e) vmax
+    end
+    else begin
+      if t.n = Array.length t.key then grow t;
+      let n = t.n in
+      t.n <- n + 1;
+      t.key.(n) <- key;
+      t.next.(n) <- -1;
+      t.pin.(n) <- pin;
+      t.vmin.(n) <- vmin;
+      t.vmax.(n) <- vmax;
+      if e < 0 then t.first.(pin) <- n else t.next.(e) <- n
+    end
+
+  (* The arrays are re-read through [t] after each callback, so [f] may
+     add entries at other pins. *)
+  let iter t pin f =
+    let rec go e =
+      if e >= 0 then begin
+        f t.key.(e) t.vmin.(e) t.vmax.(e);
+        go t.next.(e)
+      end
+    in
+    go t.first.(pin)
+
+  (* Keys only: no min/max is boxed for a callback that ignores it. *)
+  let iter_keys t pin f =
+    let rec go e =
+      if e >= 0 then begin
+        f t.key.(e);
+        go t.next.(e)
+      end
+    in
+    go t.first.(pin)
+
+  let find t pin key =
+    let e = entry t pin key in
+    if e >= 0 && t.key.(e) = key then Some (t.vmin.(e), t.vmax.(e)) else None
+
+  let tags t pin =
+    let acc = ref [] in
+    iter t pin (fun key vmin vmax -> acc := (key, vmin, vmax) :: !acc);
+    List.rev !acc
+end

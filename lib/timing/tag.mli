@@ -25,6 +25,10 @@ val step :
     through the arc's unateness ([Any_edge] stays [Any_edge]; a
     non-unate arc yields rise then fall). *)
 
+val carries : Context.t -> int -> bool
+(** Data tags cross the enabled arcs that do not end at a register
+    clock pin: launch arcs carry only the tags seeded there. *)
+
 (** {1 Launch points} *)
 
 type launch = {
@@ -51,3 +55,39 @@ val seed : Context.t -> launch -> (key -> unit) -> unit
 (** The tags seeded at [launch_pin]: one per polarity (rise and fall
     when the mode is edge-sensitive, else [Any_edge]), each with the
     initial exception state advanced at the launch pin. *)
+
+(** {1 The tag store}
+
+    The one per-pin store of STA arrivals, clock insertion delays and
+    relation tags: per pin a chain of entries in flat arrays, each a key
+    with a min/max value pair, oldest first (of two tied setup slacks,
+    STA reports the first tag's capture period). *)
+
+module Store : sig
+  type t
+
+  val create : int -> t
+  (** An empty store for a graph of this many pins. *)
+
+  val clear : t -> unit
+  (** Empty the store, in time proportional to the entries it holds. *)
+
+  val length : t -> int
+  (** The distinct (pin, key) entries added since {!create} or {!clear}. *)
+
+  val add : t -> Mm_netlist.Design.pin_id -> int -> float -> float -> unit
+  (** [add t pin key vmin vmax]: a new entry, or the pin's entry for
+      [key] widened to the min of the mins and the max of the maxes. *)
+
+  val has_tags : t -> Mm_netlist.Design.pin_id -> bool
+
+  val iter :
+    t -> Mm_netlist.Design.pin_id -> (int -> float -> float -> unit) -> unit
+  (** The pin's entries, oldest first; [f] may add at other pins. *)
+
+  val iter_keys : t -> Mm_netlist.Design.pin_id -> (int -> unit) -> unit
+  (** {!iter} without the values. *)
+
+  val find : t -> Mm_netlist.Design.pin_id -> int -> (float * float) option
+  val tags : t -> Mm_netlist.Design.pin_id -> (int * float * float) list
+end

@@ -110,6 +110,7 @@ type t = {
   broken : int list;
   sk_endpoints : endpoint list;
   sk_startpoints : startpoint list;
+  clock_pins : Bytes.t;
   (* Load-model entries: for every pin whose driven load matters (cell
      arc drivers and net drivers), the static sink capacitance, the
      wire-load estimate, and the sink pins (for per-mode set_load
@@ -264,6 +265,7 @@ let compile design =
     end
   in
   let endpoints = ref [] and startpoints = ref [] in
+  let clock_pins = Bytes.make n '\000' in
   for inst = 0 to n_insts - 1 do
     let cell = Design.inst_cell design inst and ca = inst_arcs.(inst) in
     for k = 0 to Array.length ca.ca_in - 1 do
@@ -283,6 +285,7 @@ let compile design =
       (* Launched data can rise or fall regardless of the clock edge. *)
       List.iter
         (fun q ->
+          Bytes.set clock_pins cp '\001';
           add_arc cp q Launch inst Non_unate seq.Lib_cell.clk_to_q
             cell.Lib_cell.drive_res 0. (ldm_entry q))
         outputs;
@@ -445,6 +448,7 @@ let compile design =
     broken = !broken;
     sk_endpoints = List.rev !endpoints;
     sk_startpoints = List.rev !startpoints;
+    clock_pins;
     ldm_pin;
     ldm_pin_caps;
     ldm_wire_cap;

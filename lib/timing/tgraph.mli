@@ -91,6 +91,7 @@ type t = {
   broken : int list;  (** arcs dropped to break combinational loops *)
   sk_endpoints : endpoint list;
   sk_startpoints : startpoint list;
+  clock_pins : Bytes.t;  (** ['\001'] at each register clock pin *)
   ldm_pin : int array;
   ldm_pin_caps : float array;
   ldm_wire_cap : float array;
