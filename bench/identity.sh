@@ -12,8 +12,8 @@
 #     the metrics JSON are compared with every number masked, which
 #     covers the ts/t_ns stamps and the timings);
 #   - merge --annotate (annotated merged SDC);
-#   - sta --paths 3 on the first three modes at the same -j, runtime
-#     column masked;
+#   - sta --paths 3 on the first three modes, and on every merged mode
+#     the merge wrote, at the same -j, runtime column masked;
 #   - check -m merged_0.sdc against the members of the first `group [`
 #     line (the one-shot comparison behind equivalence checking),
 #     relations on every mode, lint on the first mode, and explain four
@@ -53,6 +53,9 @@ run() {
   "$bin" sta -n "$p/design.nl" --paths 3 -j "$j" $(ls "$p"/*.sdc | head -3) \
     > "$out/sta.raw" 2>&1
   echo "sta $?" >> "$out/codes"
+  "$bin" sta -n "$p/design.nl" --paths 3 -j "$j" "$out/plain"/merged_*.sdc \
+    > "$out/sta_merged.raw" 2>&1
+  echo "sta_merged $?" >> "$out/codes"
   members=$(sed -n 's/^ *group \[\([^]]*\)\].*/\1/p' "$out/stdout" | head -1 |
     tr -d ',' | sed "s|[^ ][^ ]*|$p/&.sdc|g")
   "$bin" check -n "$p/design.nl" -m "$out/plain/merged_0.sdc" $members \
@@ -93,7 +96,10 @@ run() {
     sed -E -e 's/ [0-9.]+s\b/ Xs/g' -e "s|$out/||g" "$out/$f.raw" \
       > "$out/$f.txt"
   done
-  sed -E 's/, [0-9.]+s$/, Xs/' "$out/sta.raw" > "$out/sta.txt"
+  for f in sta sta_merged; do
+    sed -E -e 's/, [0-9.]+s$/, Xs/' -e "s|$out/||g" "$out/$f.raw" \
+      > "$out/$f.txt"
+  done
   grep '^ *group \[' "$out/stdout" | sed "s|$out/||g" > "$out/groups.txt"
   rm -f "$out/stdout" "$out/stderr" "$out"/*.raw "$out/broken.sdc"
 }

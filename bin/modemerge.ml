@@ -688,14 +688,16 @@ let sta_cmd =
       const run $ design_term $ sdc_args $ paths_arg $ corner_arg $ policy_arg
       $ jobs_arg)
 
-(* lint and relations: one context per mode file, in order. *)
+(* lint and relations: one context per mode file, in order; [f design]
+   is the per-mode step. *)
 let per_mode name ~doc f =
   cmd name ~doc
     Term.(
       const (fun design sdcs policy () ->
           let design = design () in
+          let step = f design in
           List.iter
-            (fun mode -> f design mode (Context.create design mode))
+            (fun mode -> step mode (Context.create design mode))
             (load_modes ~policy design sdcs))
       $ design_term $ sdc_args $ policy_arg)
 
@@ -710,14 +712,18 @@ let lint_cmd =
         print_endline (Mm_core.Lint.to_string findings)
       end)
 
+(* The modes sweep in turn through one tag store. *)
 let relations_cmd =
   per_mode "relations"
     ~doc:"Print per-endpoint timing relationships (paper Table 1 style)."
-    (fun design mode ctx ->
-      Mm_util.Tab.print
-        ~title:(Printf.sprintf "Timing relationships of %s" mode.Mode.mode_name)
-        (Mm_core.Report.relations_table design
-           (Mm_core.Relation_prop.endpoint_relations ctx)))
+    (fun design ->
+      let scratch = Mm_timing.Tag.Store.create (Design.n_pins design) in
+      fun mode ctx ->
+        Mm_util.Tab.print
+          ~title:
+            (Printf.sprintf "Timing relationships of %s" mode.Mode.mode_name)
+          (Mm_core.Report.relations_table design
+             (Mm_core.Relation_prop.endpoint_relations ~scratch ctx)))
 
 let check_cmd =
   let merged_arg =

@@ -121,9 +121,12 @@ val endpoint_map :
     tags with the given function, in graph endpoint order. *)
 
 val endpoint_relations :
-  Mm_timing.Context.t -> (Mm_netlist.Design.pin_id * Relation.t list) list
+  ?scratch:Mm_timing.Tag.Store.t ->
+  Mm_timing.Context.t ->
+  (Mm_netlist.Design.pin_id * Relation.t list) list
 (** Pass-1 input: relations at every endpoint of the design under this
-    context's mode, keyed by endpoint pin, in graph endpoint order. *)
+    context's mode, keyed by endpoint pin, in graph endpoint order,
+    swept into [scratch] as {!endpoint_map} does. *)
 
 type 'a ep_cache
 (** Cache for {!endpoint_relations_cached}: remembers the exception

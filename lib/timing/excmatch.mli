@@ -21,11 +21,21 @@
     STA arrival propagation and the relation propagation of the
     mode-merging core.
 
-    The interning tables are the only post-{!prepare} mutable state of
-    a context; they are mutex-guarded, so a prepared matcher (and
-    therefore a cached {!Context.t}) may be consulted from multiple
-    domains of the {!Mm_util.Pool}. State ids are stable: once
-    returned, an id denotes the same progress vector forever. *)
+    {!prepare} records which pins occur in any [-from], [-through] or
+    [-to] list (no per-pin array for a kind no exception uses). A tag
+    step at a pin in no through list is one load. A seed at a
+    startpoint in no from list depends only on (launch clock, launch
+    edge, data edge), and the exceptions matched at an endpoint in no
+    to list only on (state, capture clock, data edge): both are
+    memoised on that key, so the exceptions are scanned once per key,
+    not once per launch or relationship.
+
+    The interning and memo tables are the only post-{!prepare} mutable
+    state of a context; they are mutex-guarded, so a prepared matcher
+    (and therefore a cached {!Context.t}) may be consulted from
+    multiple domains of the {!Mm_util.Pool}. State ids are stable: once
+    returned, an id denotes the same progress vector forever, and the
+    memos hand out the ids a scan of every exception would. *)
 
 type t
 
@@ -65,5 +75,10 @@ val matches_at :
   unit ->
   Mm_sdc.Mode.exc list
 (** Exceptions fully matched by a tag arriving at an endpoint with the
-    given data polarity. Readers get them through
+    given data polarity, in exception order. Readers get them through
     {!Context.fold_relationships}, per timing relationship. *)
+
+val progress : t -> int -> int array
+(** The progress vector a state id denotes (a copy): per exception, -1
+    when the tag cannot match it, else the number of its through groups
+    matched so far. For differential tests. *)

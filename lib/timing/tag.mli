@@ -91,3 +91,18 @@ module Store : sig
   val find : t -> Mm_netlist.Design.pin_id -> int -> (float * float) option
   val tags : t -> Mm_netlist.Design.pin_id -> (int * float * float) list
 end
+
+val sweep :
+  Store.t ->
+  Excmatch.t ->
+  Tgraph.unate ->
+  src:Mm_netlist.Design.pin_id ->
+  dst:Mm_netlist.Design.pin_id ->
+  float ->
+  float ->
+  unit
+(** [sweep st excs unate ~src ~dst dmin dmax]: every entry held at
+    [src], {!step}ped across an arc into [dst], widens [dst]'s entry for
+    the stepped key to its min plus [dmin] and its max plus [dmax]
+    ({!Store.add}'s min/max, updated in place). The arrival sweep of
+    STA and the relation sweep both step a pin's tags this way. *)
